@@ -41,12 +41,25 @@ pub fn segment_records(
 /// [`finish`](Self::finish) returns exactly what `segment_records` would
 /// (same bins, same within-bin order), so downstream reports are
 /// bit-identical.
+///
+/// Trace records arrive in time order, so consecutive records almost
+/// always share a bin. `push` therefore works in *runs*: it remembers the
+/// current bin's `[lo_ms, hi_ms)`, finds how far the chunk stays inside
+/// it with two compares per record, and appends that whole run to the one
+/// bin it borrowed. The `u64` division and the bin-vector growth check are
+/// paid once per run — once per interval on sorted input, once per record
+/// on shuffled input, with the same bins either way.
 #[derive(Debug)]
 pub struct StreamSegmenter {
     interval_ms: u64,
     key: KeySpec,
     value: ValueSpec,
     bins: Vec<Vec<(u64, f64)>>,
+    /// Index of the bin the last run went to; `[lo_ms, hi_ms)` is its
+    /// time range. Empty (`lo_ms == hi_ms`) until the first record.
+    current: usize,
+    lo_ms: u64,
+    hi_ms: u64,
 }
 
 impl StreamSegmenter {
@@ -56,17 +69,47 @@ impl StreamSegmenter {
     /// Panics if `interval_secs` is zero.
     pub fn new(interval_secs: u32, key: KeySpec, value: ValueSpec) -> Self {
         assert!(interval_secs > 0, "interval length must be positive");
-        StreamSegmenter { interval_ms: interval_secs as u64 * 1000, key, value, bins: Vec::new() }
+        StreamSegmenter {
+            interval_ms: interval_secs as u64 * 1000,
+            key,
+            value,
+            bins: Vec::new(),
+            current: 0,
+            lo_ms: 0,
+            hi_ms: 0,
+        }
     }
 
     /// Bins one chunk of records (any order, any chunking).
-    pub fn push(&mut self, records: &[FlowRecord]) {
-        for r in records {
-            let idx = (r.timestamp_ms / self.interval_ms) as usize;
-            if idx >= self.bins.len() {
-                self.bins.resize_with(idx + 1, Vec::new);
+    pub fn push(&mut self, mut records: &[FlowRecord]) {
+        while let Some(first) = records.first() {
+            let ts = first.timestamp_ms;
+            if ts < self.lo_ms || ts >= self.hi_ms {
+                let idx = ts / self.interval_ms;
+                self.current = idx as usize;
+                self.lo_ms = idx * self.interval_ms;
+                // Saturated at the top of the clock, the last bin's range
+                // excludes `u64::MAX` itself; such a record only re-derives
+                // its bin instead of riding the run.
+                self.hi_ms = self.lo_ms.saturating_add(self.interval_ms);
+                if self.current >= self.bins.len() {
+                    self.bins.resize_with(self.current + 1, Vec::new);
+                }
             }
-            self.bins[idx].push((self.key.key_of(r), self.value.value_of(r)));
+            // The first record chose the bin, so it always rides the run.
+            let (lo, hi) = (self.lo_ms, self.hi_ms);
+            let run = records
+                .iter()
+                .position(|r| r.timestamp_ms < lo || r.timestamp_ms >= hi)
+                .unwrap_or(records.len())
+                .max(1);
+            let (inside, rest) = records.split_at(run);
+            let (key, value) = (self.key, self.value);
+            let bin = &mut self.bins[self.current];
+            for r in inside {
+                bin.push((key.key_of(r), value.value_of(r)));
+            }
+            records = rest;
         }
     }
 
@@ -139,16 +182,49 @@ mod tests {
 
     #[test]
     fn stream_segmenter_matches_segment_records_for_any_chunking() {
-        let records: Vec<FlowRecord> =
+        // Orders the run cache must survive: scattered, time-sorted (one
+        // run per bin), reversed (a cache miss that moves *down*), and a
+        // seeded shuffle.
+        let scattered: Vec<FlowRecord> =
             (0..137u64).map(|i| record((i * 7919) % 400_000, (i % 23) as u32, 100 + i)).collect();
-        let expect = segment_records(&records, 60, KeySpec::DstIp, ValueSpec::Bytes);
-        for chunk in [1usize, 5, 64, 137, 1000] {
-            let mut seg = StreamSegmenter::new(60, KeySpec::DstIp, ValueSpec::Bytes);
-            for c in records.chunks(chunk) {
-                seg.push(c);
-            }
-            assert_eq!(seg.finish(), expect, "chunk size {chunk}");
+        let mut sorted = scattered.clone();
+        sorted.sort_by_key(|r| r.timestamp_ms);
+        let reversed: Vec<FlowRecord> = sorted.iter().rev().copied().collect();
+        let mut shuffled = sorted.clone();
+        let mut rng = scd_hash::SplitMix64::new(0x5E6);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.next_below(i as u64 + 1) as usize);
         }
+        // Records hugging both sides of a bin edge, in and out of order.
+        let straddling: Vec<FlowRecord> = [59_999, 60_000, 59_999, 60_000, 119_999, 120_000, 0]
+            .iter()
+            .enumerate()
+            .map(|(i, &ts)| record(ts, i as u32, 10 + i as u64))
+            .collect();
+        // A silent gap: bins 1..=4 must exist, empty, between the runs.
+        let gapped = vec![record(1_000, 1, 1), record(2_000, 2, 2), record(5 * 60_000 + 1, 3, 3)];
+
+        for (name, records) in [
+            ("scattered", &scattered),
+            ("sorted", &sorted),
+            ("reversed", &reversed),
+            ("shuffled", &shuffled),
+            ("straddling", &straddling),
+            ("gapped", &gapped),
+        ] {
+            let expect = segment_records(records, 60, KeySpec::DstIp, ValueSpec::Bytes);
+            for chunk in [1usize, 2, 5, 64, 137, 1000] {
+                let mut seg = StreamSegmenter::new(60, KeySpec::DstIp, ValueSpec::Bytes);
+                for c in records.chunks(chunk) {
+                    seg.push(c);
+                }
+                assert_eq!(seg.finish(), expect, "{name}, chunk size {chunk}");
+            }
+        }
+        let gap_bins = segment_records(&gapped, 60, KeySpec::DstIp, ValueSpec::Bytes);
+        assert_eq!(gap_bins.len(), 6);
+        assert!(gap_bins[1..5].iter().all(Vec::is_empty), "silent intervals must exist");
+
         let empty = StreamSegmenter::new(300, KeySpec::DstIp, ValueSpec::Bytes);
         assert!(empty.finish().is_empty());
     }

@@ -7,7 +7,9 @@
 //! `SCD_SIMD` environment variable overrides detection (`SCD_SIMD=scalar`
 //! forces the fallback — this is how CI exercises the scalar paths on
 //! AVX2 runners; `SCD_SIMD=avx2` is honored only when the CPU can
-//! actually run it).
+//! actually run it). The CRC-32 carry-less-multiply kernel lives here too
+//! and follows the same variant: it runs under [`Variant::Avx2`] on hosts
+//! that also report `pclmulqdq` + `sse4.1` ([`clmul_supported`]).
 //!
 //! **Exactness contract.** Every SIMD kernel in this workspace is
 //! *bit-identical* to its scalar reference: integer kernels (tabulation
@@ -54,6 +56,36 @@ pub fn avx2_supported() -> bool {
     {
         false
     }
+}
+
+/// Whether this host can execute the carry-less-multiply CRC-32 kernel.
+pub fn clmul_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("pclmulqdq") && std::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Advances the raw CRC-32 register `state` over `data` with the
+/// carry-less-multiply kernel; `None` when the host cannot run it (the
+/// caller falls back to the table kernel).
+///
+/// # Panics
+/// Panics unless `data` is a whole number of 16-byte lanes and at least
+/// one 64-byte fold block.
+pub(crate) fn crc32_fold(state: u32, data: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    if clmul_supported() {
+        // SAFETY: pclmulqdq and sse4.1 were just verified at runtime (sse2
+        // is baseline on x86_64).
+        return Some(unsafe { crc_clmul::fold(state, data) });
+    }
+    let _ = (state, data);
+    None
 }
 
 static ACTIVE: OnceLock<Variant> = OnceLock::new();
@@ -132,6 +164,111 @@ pub(crate) mod hash_avx2 {
         for (slot, &key) in out[i..].iter_mut().zip(&keys[i..]) {
             *slot = hasher.bucket(key, k);
         }
+    }
+}
+
+/// CRC-32 by carry-less multiplication, after Gopal et al., *Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction*
+/// (Intel, 2009), in the bit-reflected domain the IEEE polynomial uses.
+///
+/// A 128-bit lane `a` that sits `d` bits ahead of lane `b` in the message
+/// is congruent (mod P) to `a.lo·(x^(d+32) mod P) ⊕ a.hi·(x^(d−32) mod P)`
+/// aligned with `b`, so one pair of multiplies moves a lane any fixed
+/// distance down the message without a reduction. Four lanes leapfrog 64
+/// bytes a step; they are then folded into one, the 128 bits into 64 and
+/// the 64 into 32 by Barrett reduction. Everything is XOR and carry-less
+/// multiply — exact GF(2) arithmetic, so the result is the table kernel's
+/// bit for bit.
+#[cfg(target_arch = "x86_64")]
+mod crc_clmul {
+    #[allow(clippy::wildcard_imports)]
+    use core::arch::x86_64::*;
+
+    // Fold constants: `x^n mod P`, bit-reflected and shifted left by one
+    // (the reflected product of two 64-bit operands lands one bit low).
+    /// `x^(512+32) mod P` and `x^(512−32) mod P`: a lane moves 64 bytes.
+    const FOLD_BY_4: (i64, i64) = (0x1_5444_2BD4, 0x1_C6E4_1596);
+    /// `x^(128+32) mod P` and `x^(128−32) mod P`: a lane moves 16 bytes.
+    const FOLD_BY_1: (i64, i64) = (0x1_7519_97D0, 0x0_CCAA_009E);
+    /// `x^64 mod P`: folds the 96-bit intermediate to 64 bits.
+    const FOLD_TO_64: i64 = 0x1_63CD_6124;
+    /// The polynomial `P` itself and `μ = ⌊x^64 / P⌋`, for Barrett.
+    const POLY_MU: (i64, i64) = (0x1_DB71_0641, 0x1_F701_1641);
+
+    /// # Safety
+    /// Caller must ensure the CPU supports SSE2.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn load(lane: &[u8]) -> __m128i {
+        debug_assert_eq!(lane.len(), 16);
+        // SAFETY (of the read): `lane` is a 16-byte slice, so the 16
+        // bytes behind its pointer are readable; `loadu` needs no
+        // alignment.
+        _mm_loadu_si128(lane.as_ptr() as *const __m128i)
+    }
+
+    /// Moves lane `a` down the message by the distance `keys` encodes and
+    /// adds it into lane `b`.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports PCLMULQDQ and SSE2.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    unsafe fn fold_lane(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, keys);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), b)
+    }
+
+    /// Advances the raw CRC register `state` over `data`.
+    ///
+    /// # Panics
+    /// Panics if `data` is shorter than 64 bytes or not a multiple of 16.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports PCLMULQDQ and SSE4.1.
+    #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
+    pub(super) unsafe fn fold(state: u32, data: &[u8]) -> u32 {
+        assert!(data.len() % 16 == 0, "clmul CRC input must be whole 16-byte lanes");
+        let mut blocks = data.chunks_exact(64);
+        let first = blocks.next().expect("clmul CRC input must hold one 64-byte block");
+        // The register enters as an XOR into the first four message bytes.
+        let mut x0 = _mm_xor_si128(load(&first[..16]), _mm_cvtsi32_si128(state as i32));
+        let mut x1 = load(&first[16..32]);
+        let mut x2 = load(&first[32..48]);
+        let mut x3 = load(&first[48..]);
+
+        let by_4 = _mm_set_epi64x(FOLD_BY_4.1, FOLD_BY_4.0);
+        for block in &mut blocks {
+            x0 = fold_lane(x0, load(&block[..16]), by_4);
+            x1 = fold_lane(x1, load(&block[16..32]), by_4);
+            x2 = fold_lane(x2, load(&block[32..48]), by_4);
+            x3 = fold_lane(x3, load(&block[48..]), by_4);
+        }
+
+        // Four lanes into one, then the remaining whole lanes.
+        let by_1 = _mm_set_epi64x(FOLD_BY_1.1, FOLD_BY_1.0);
+        let mut x = fold_lane(x0, x1, by_1);
+        x = fold_lane(x, x2, by_1);
+        x = fold_lane(x, x3, by_1);
+        for lane in blocks.remainder().chunks_exact(16) {
+            x = fold_lane(x, load(lane), by_1);
+        }
+
+        // 128 → 96 bits: the low half moves down 64 bits onto the high
+        // half. 96 → 64: the low 32 bits move down 64 bits onto the rest.
+        let low_32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, by_1), _mm_srli_si128::<8>(x));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low_32), _mm_set_epi64x(0, FOLD_TO_64)),
+            _mm_srli_si128::<4>(x),
+        );
+
+        // Barrett: q = ⌊x·μ / x^32⌋ (low 32 bits), remainder = x ⊕ q·P.
+        let poly_mu = _mm_set_epi64x(POLY_MU.1, POLY_MU.0);
+        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low_32), poly_mu);
+        let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low_32), poly_mu);
+        _mm_extract_epi32::<1>(_mm_xor_si128(x, qp)) as u32
     }
 }
 

@@ -1,26 +1,29 @@
 //! Trace persistence: CSV (human-inspectable) and a compact binary format.
 //!
-//! The binary layout is a fixed 31-byte little-endian record:
+//! The binary layout is a fixed 33-byte little-endian record:
 //! `timestamp_ms:u64, src_ip:u32, dst_ip:u32, src_port:u16, dst_port:u16,
 //! protocol:u8, bytes:u64, packets:u32`, preceded by an 8-byte magic +
-//! version header and — since version 02 — followed by a 4-byte CRC-32
-//! footer over everything before it, so truncation and bit-rot produce a
-//! typed error instead of silently decoding garbage flows. Files written
-//! by older builds (magic `SCDTRC01`, no footer) are still readable. The
-//! format exists so large generated traces can be cached between
-//! experiment runs without paying CSV parsing costs.
+//! version header (`SCDTRC02`) and followed by a 4-byte CRC-32 footer over
+//! everything before it, so truncation and bit-rot produce a typed error
+//! instead of silently decoding garbage flows. The format exists so large
+//! generated traces can be cached between experiment runs without paying
+//! CSV parsing costs.
+//!
+//! Both directions stream: [`ChunkedTraceReader`] decodes from one bounded
+//! buffer and [`write_binary`] encodes into one, so neither side ever holds
+//! a second copy of the trace. One fixed-width decoder and its mirrored
+//! encoder serve every entry point.
 
 use crate::record::FlowRecord;
-use scd_hash::byteio::{put_u16, put_u32, put_u64, put_u8, Cursor};
 use scd_hash::{crc32, Crc32};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
-/// Magic + format version for the legacy (unchecksummed) binary format.
-const MAGIC_V1: &[u8; 8] = b"SCDTRC01";
-/// Magic + format version for the current (checksummed) binary format.
-const MAGIC_V2: &[u8; 8] = b"SCDTRC02";
+/// Magic + format version of the binary format.
+const MAGIC: &[u8; 8] = b"SCDTRC02";
 /// Serialized size of one record.
 const RECORD_LEN: usize = 8 + 4 + 4 + 2 + 2 + 1 + 8 + 4;
+/// Size of the CRC-32 footer.
+const FOOTER_LEN: usize = 4;
 
 /// Errors from trace I/O.
 #[derive(Debug)]
@@ -31,7 +34,7 @@ pub enum TraceIoError {
     BadMagic,
     /// The payload length was not a whole number of records.
     Truncated,
-    /// The CRC-32 footer does not match the payload (v02 only).
+    /// The CRC-32 footer does not match the payload.
     BadChecksum {
         /// Checksum recomputed over the payload.
         computed: u32,
@@ -68,73 +71,104 @@ impl From<io::Error> for TraceIoError {
     }
 }
 
-/// Serializes records to the current (v02) binary format.
-pub fn to_binary(records: &[FlowRecord]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(MAGIC_V2.len() + records.len() * RECORD_LEN + 4);
-    buf.extend_from_slice(MAGIC_V2);
-    for r in records {
-        put_u64(&mut buf, r.timestamp_ms);
-        put_u32(&mut buf, r.src_ip);
-        put_u32(&mut buf, r.dst_ip);
-        put_u16(&mut buf, r.src_port);
-        put_u16(&mut buf, r.dst_port);
-        put_u8(&mut buf, r.protocol);
-        put_u64(&mut buf, r.bytes);
-        put_u32(&mut buf, r.packets);
+/// The `N` bytes of a record starting at `at`. Offsets are constants at
+/// every call site, so the range check folds away.
+#[inline(always)]
+fn field<const N: usize>(bytes: &[u8; RECORD_LEN], at: usize) -> [u8; N] {
+    bytes[at..at + N].try_into().expect("range has length N")
+}
+
+/// Decodes one 33-byte record.
+#[inline]
+fn decode_record(b: &[u8; RECORD_LEN]) -> FlowRecord {
+    FlowRecord {
+        timestamp_ms: u64::from_le_bytes(field(b, 0)),
+        src_ip: u32::from_le_bytes(field(b, 8)),
+        dst_ip: u32::from_le_bytes(field(b, 12)),
+        src_port: u16::from_le_bytes(field(b, 16)),
+        dst_port: u16::from_le_bytes(field(b, 18)),
+        protocol: b[20],
+        bytes: u64::from_le_bytes(field(b, 21)),
+        packets: u32::from_le_bytes(field(b, 29)),
     }
+}
+
+/// Encodes one record: the mirror of [`decode_record`].
+#[inline]
+fn encode_record(r: &FlowRecord) -> [u8; RECORD_LEN] {
+    let mut b = [0u8; RECORD_LEN];
+    b[0..8].copy_from_slice(&r.timestamp_ms.to_le_bytes());
+    b[8..12].copy_from_slice(&r.src_ip.to_le_bytes());
+    b[12..16].copy_from_slice(&r.dst_ip.to_le_bytes());
+    b[16..18].copy_from_slice(&r.src_port.to_le_bytes());
+    b[18..20].copy_from_slice(&r.dst_port.to_le_bytes());
+    b[20] = r.protocol;
+    b[21..29].copy_from_slice(&r.bytes.to_le_bytes());
+    b[29..33].copy_from_slice(&r.packets.to_le_bytes());
+    b
+}
+
+/// Appends the records in `body` (a whole number of records) to `out`.
+fn decode_records(body: &[u8], out: &mut Vec<FlowRecord>) {
+    debug_assert_eq!(body.len() % RECORD_LEN, 0);
+    out.extend(
+        body.chunks_exact(RECORD_LEN)
+            .map(|b| decode_record(b.try_into().expect("chunks_exact yields RECORD_LEN bytes"))),
+    );
+}
+
+/// Appends the encoding of `records` to `buf`.
+fn encode_records(records: &[FlowRecord], buf: &mut Vec<u8>) {
+    buf.reserve(records.len() * RECORD_LEN);
+    for r in records {
+        buf.extend_from_slice(&encode_record(r));
+    }
+}
+
+/// The stored and the recomputed checksum must agree.
+fn check_footer(computed: u32, footer: &[u8]) -> Result<(), TraceIoError> {
+    let stored = u32::from_le_bytes(footer.try_into().expect("footer is FOOTER_LEN bytes"));
+    if computed != stored {
+        return Err(TraceIoError::BadChecksum { computed, stored });
+    }
+    Ok(())
+}
+
+/// Serializes records to the binary format.
+pub fn to_binary(records: &[FlowRecord]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(MAGIC.len() + records.len() * RECORD_LEN + FOOTER_LEN);
+    buf.extend_from_slice(MAGIC);
+    encode_records(records, &mut buf);
     let crc = crc32(&buf);
-    put_u32(&mut buf, crc);
+    buf.extend_from_slice(&crc.to_le_bytes());
     buf
 }
 
-/// Deserializes records from the binary format (v02 or legacy v01).
+/// Deserializes records from the binary format.
+///
+/// Framing is judged before the checksum, exactly as a stream reader must
+/// judge it (it cannot know the footer until the bytes stop): a payload
+/// that is not a whole number of records is [`TraceIoError::Truncated`],
+/// a well-framed one with the wrong footer is
+/// [`TraceIoError::BadChecksum`].
 pub fn from_binary(data: &[u8]) -> Result<Vec<FlowRecord>, TraceIoError> {
-    if data.len() < 8 {
+    if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
         return Err(TraceIoError::BadMagic);
     }
-    let body = match &data[..8] {
-        m if m == MAGIC_V2 => {
-            if data.len() < 12 {
-                return Err(TraceIoError::Truncated);
-            }
-            let (payload, footer) = data.split_at(data.len() - 4);
-            let stored = u32::from_le_bytes(footer.try_into().expect("length checked"));
-            let computed = crc32(payload);
-            if computed != stored {
-                return Err(TraceIoError::BadChecksum { computed, stored });
-            }
-            &payload[8..]
-        }
-        m if m == MAGIC_V1 => &data[8..],
-        _ => return Err(TraceIoError::BadMagic),
+    let Some(body_len) = (data.len() - MAGIC.len()).checked_sub(FOOTER_LEN) else {
+        return Err(TraceIoError::Truncated);
     };
-    if body.len() % RECORD_LEN != 0 {
+    if body_len % RECORD_LEN != 0 {
         return Err(TraceIoError::Truncated);
     }
-    let mut cur = Cursor::new(body);
-    let mut out = Vec::with_capacity(body.len() / RECORD_LEN);
-    while cur.remaining() > 0 {
-        // Field reads cannot fail: length is a whole number of records.
-        out.push(decode_record(&mut cur).map_err(|_| TraceIoError::Truncated)?);
-    }
+    let (payload, footer) = data.split_at(data.len() - FOOTER_LEN);
+    check_footer(crc32(payload), footer)?;
+    let mut out = Vec::with_capacity(body_len / RECORD_LEN);
+    decode_records(&payload[MAGIC.len()..], &mut out);
     Ok(out)
 }
 
-/// Decodes one 31-byte record at the cursor.
-fn decode_record(c: &mut Cursor<'_>) -> Result<FlowRecord, scd_hash::byteio::ShortInput> {
-    Ok(FlowRecord {
-        timestamp_ms: c.u64()?,
-        src_ip: c.u32()?,
-        dst_ip: c.u32()?,
-        src_port: c.u16()?,
-        dst_port: c.u16()?,
-        protocol: c.u8()?,
-        bytes: c.u64()?,
-        packets: c.u32()?,
-    })
-}
-
-/// Incremental binary-trace reader: decodes `SCDTRC02`/`SCDTRC01` streams
+/// Incremental binary-trace reader: decodes an `SCDTRC02` stream
 /// chunk-by-chunk so large traces can feed shard producers directly,
 /// without first materializing the whole `Vec<FlowRecord>` (and without
 /// the single-threaded full-file decode hop). The CRC-32 footer is
@@ -142,22 +176,37 @@ fn decode_record(c: &mut Cursor<'_>) -> Result<FlowRecord, scd_hash::byteio::Sho
 /// byte as it streams past and compared against the stored footer at EOF,
 /// so a fully drained reader gives exactly the same integrity guarantee
 /// (and the same errors) as [`from_binary`].
+///
+/// Bytes live in one reader-owned buffer that `read()` fills in place:
+///
+/// ```text
+///  0          head                     tail            READ_BUF_LEN
+///  |-consumed--|--whole records--|-<37 B-|----free------|
+///               decode + CRC ^    ^ partial record + possible footer
+/// ```
+///
+/// Decoding advances `head`; the CRC is folded once over each decoded
+/// span. Only when fewer than one record (plus the 4 bytes that may be the
+/// footer) remain are those few bytes moved to the front and the buffer
+/// refilled, so no payload byte is copied after `read()` delivers it.
 #[derive(Debug)]
 pub struct ChunkedTraceReader<R: Read> {
     inner: R,
-    /// Bytes read but not yet decoded. For v02 the trailing 4 bytes are
-    /// withheld from decoding until EOF proves they are the footer.
-    pending: Vec<u8>,
+    /// Fixed-size read buffer; `buf[head..tail]` is read but not decoded.
+    buf: Box<[u8]>,
+    head: usize,
+    tail: usize,
     crc: Crc32,
-    /// Whether the stream carries a CRC footer (v02).
-    checksummed: bool,
+    /// Set once `read()` returned 0; the unread bytes are then exactly the
+    /// footer until it has been checked, and empty afterwards.
     at_eof: bool,
-    footer_verified: bool,
     records_read: usize,
 }
 
-/// Read granularity for [`ChunkedTraceReader`] fills.
-const CHUNK_READ_LEN: usize = 64 * 1024;
+/// Size of [`ChunkedTraceReader`]'s buffer: large enough that a `read()`
+/// amortizes its syscall and the CRC kernel gets long spans, small enough
+/// to stay cache-resident between the fill and the decode.
+const READ_BUF_LEN: usize = 256 * 1024;
 
 impl<R: Read> ChunkedTraceReader<R> {
     /// Opens a binary trace stream, consuming and validating the magic.
@@ -172,20 +221,18 @@ impl<R: Read> ChunkedTraceReader<R> {
                 Err(e) => return Err(e.into()),
             }
         }
-        let checksummed = match &magic {
-            m if m == MAGIC_V2 => true,
-            m if m == MAGIC_V1 => false,
-            _ => return Err(TraceIoError::BadMagic),
-        };
+        if &magic != MAGIC {
+            return Err(TraceIoError::BadMagic);
+        }
         let mut crc = Crc32::new();
         crc.update(&magic);
         Ok(ChunkedTraceReader {
             inner,
-            pending: Vec::with_capacity(CHUNK_READ_LEN + RECORD_LEN),
+            buf: vec![0u8; READ_BUF_LEN].into_boxed_slice(),
+            head: 0,
+            tail: 0,
             crc,
-            checksummed,
             at_eof: false,
-            footer_verified: false,
             records_read: 0,
         })
     }
@@ -196,8 +243,8 @@ impl<R: Read> ChunkedTraceReader<R> {
     }
 
     /// Appends up to `max_records` decoded records to `out`. Returns the
-    /// number appended; `0` means clean end-of-stream (footer verified for
-    /// v02). Errors mirror [`from_binary`]: a mid-record end is
+    /// number appended; `0` means clean end-of-stream (footer verified).
+    /// Errors mirror [`from_binary`]: a mid-record end is
     /// [`TraceIoError::Truncated`], a footer mismatch is
     /// [`TraceIoError::BadChecksum`].
     pub fn next_chunk(
@@ -206,75 +253,64 @@ impl<R: Read> ChunkedTraceReader<R> {
         out: &mut Vec<FlowRecord>,
     ) -> Result<usize, TraceIoError> {
         let mut appended = 0;
-        let mut buf = [0u8; CHUNK_READ_LEN];
         while appended < max_records {
-            // Decode whole records from the front of `pending`, keeping the
-            // possible footer in reserve until EOF.
-            let reserve = if self.checksummed && !self.at_eof { 4 } else { 0 };
-            let decodable = (self.pending.len().saturating_sub(reserve) / RECORD_LEN) * RECORD_LEN;
-            if decodable > 0 {
-                let take = decodable.min((max_records - appended).saturating_mul(RECORD_LEN));
-                self.crc.update(&self.pending[..take]);
-                let mut cur = Cursor::new(&self.pending[..take]);
-                while cur.remaining() > 0 {
-                    out.push(decode_record(&mut cur).map_err(|_| TraceIoError::Truncated)?);
-                    appended += 1;
-                    self.records_read += 1;
-                }
-                self.pending.drain(..take);
+            // Decode whole records from `head`, always keeping the last
+            // four bytes back: until EOF they may be the footer, and at
+            // EOF they are.
+            let unread = self.tail - self.head;
+            let whole = unread.saturating_sub(FOOTER_LEN) / RECORD_LEN;
+            if whole > 0 {
+                let n = whole.min(max_records - appended);
+                let span = &self.buf[self.head..self.head + n * RECORD_LEN];
+                self.crc.update(span);
+                decode_records(span, out);
+                self.head += span.len();
+                self.records_read += n;
+                appended += n;
                 continue;
             }
             if self.at_eof {
-                self.verify_footer()?;
+                // Every record is decoded: what `fill` left is the footer
+                // of the CRC folded over magic + records. Checked once,
+                // then consumed, so later calls stay a clean `Ok(0)`.
+                if self.head < self.tail {
+                    check_footer(self.crc.finalize(), &self.buf[self.head..self.tail])?;
+                    self.head = self.tail;
+                }
                 break;
             }
-            match self.inner.read(&mut buf) {
-                Ok(0) => {
-                    self.at_eof = true;
-                    self.check_eof()?;
-                }
-                Ok(n) => self.pending.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
+            self.fill()?;
         }
         Ok(appended)
     }
 
-    /// Validates stream framing once the underlying reader hits EOF: the
-    /// leftover bytes must be a whole number of records plus, for v02, a
-    /// footer matching the incrementally computed CRC.
-    fn check_eof(&mut self) -> Result<(), TraceIoError> {
-        if self.checksummed {
-            if self.pending.len() < 4 {
-                return Err(TraceIoError::Truncated);
+    /// Moves the undecoded leftover (less than a record plus a footer) to
+    /// the front of the buffer and reads more bytes in behind it. At EOF
+    /// the leftover must be exactly the footer.
+    fn fill(&mut self) -> Result<(), TraceIoError> {
+        self.buf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        loop {
+            match self.inner.read(&mut self.buf[self.tail..]) {
+                Ok(0) => {
+                    self.at_eof = true;
+                    // Every whole record was decoded before this fill, so
+                    // anything but a bare footer is a cut-off record.
+                    return if self.tail == FOOTER_LEN {
+                        Ok(())
+                    } else {
+                        Err(TraceIoError::Truncated)
+                    };
+                }
+                Ok(n) => {
+                    self.tail += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
             }
-            if (self.pending.len() - 4) % RECORD_LEN != 0 {
-                return Err(TraceIoError::Truncated);
-            }
-        } else if self.pending.len() % RECORD_LEN != 0 {
-            return Err(TraceIoError::Truncated);
         }
-        Ok(())
-    }
-
-    /// Once every record has been decoded, the v02 leftover must be the
-    /// 4-byte footer matching the CRC folded over magic + records.
-    fn verify_footer(&mut self) -> Result<(), TraceIoError> {
-        if self.footer_verified || !self.checksummed {
-            return Ok(());
-        }
-        if self.pending.len() != 4 {
-            return Err(TraceIoError::Truncated);
-        }
-        let stored = u32::from_le_bytes(self.pending[..].try_into().expect("length checked"));
-        let computed = self.crc.finalize();
-        if computed != stored {
-            return Err(TraceIoError::BadChecksum { computed, stored });
-        }
-        self.pending.clear();
-        self.footer_verified = true;
-        Ok(())
     }
 
     /// Drains the remaining stream, returning the total number of records
@@ -292,19 +328,37 @@ impl<R: Read> ChunkedTraceReader<R> {
     }
 }
 
-/// Writes records as binary to any writer (file, socket, buffer).
-pub fn write_binary<W: Write>(w: W, records: &[FlowRecord]) -> Result<(), TraceIoError> {
-    let mut w = BufWriter::new(w);
-    w.write_all(&to_binary(records))?;
+/// Records encoded per [`write_binary`] buffer flush.
+const WRITE_CHUNK_RECORDS: usize = 8_192;
+
+/// Writes records as binary to any writer (file, socket, buffer), encoding
+/// through one bounded buffer: the output is byte-identical to
+/// [`to_binary`] without ever holding a second copy of the trace.
+pub fn write_binary<W: Write>(mut w: W, records: &[FlowRecord]) -> Result<(), TraceIoError> {
+    let mut crc = Crc32::new();
+    let mut buf = Vec::with_capacity(
+        MAGIC.len() + records.len().min(WRITE_CHUNK_RECORDS) * RECORD_LEN + FOOTER_LEN,
+    );
+    buf.extend_from_slice(MAGIC);
+    for chunk in records.chunks(WRITE_CHUNK_RECORDS) {
+        encode_records(chunk, &mut buf);
+        crc.update(&buf);
+        w.write_all(&buf)?;
+        buf.clear();
+    }
+    // An empty trace never entered the loop: the magic is still pending.
+    crc.update(&buf);
+    buf.extend_from_slice(&crc.finalize().to_le_bytes());
+    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
 
 /// Reads binary records from any reader.
-pub fn read_binary<R: Read>(mut r: R) -> Result<Vec<FlowRecord>, TraceIoError> {
-    let mut data = Vec::new();
-    r.read_to_end(&mut data)?;
-    from_binary(&data)
+pub fn read_binary<R: Read>(r: R) -> Result<Vec<FlowRecord>, TraceIoError> {
+    let mut out = Vec::new();
+    ChunkedTraceReader::new(r)?.read_to_end(&mut out)?;
+    Ok(out)
 }
 
 /// CSV header line.
@@ -398,14 +452,22 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v01_payloads() {
-        let records = sample_records();
-        let v2 = to_binary(&records);
-        // A v01 file is the v02 body with the old magic and no footer.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC_V1);
+    fn record_layout_is_33_bytes() {
+        assert_eq!(RECORD_LEN, 33);
+        let one = sample_records()[0];
+        assert_eq!(to_binary(&[one]).len(), 8 + 33 + 4);
+    }
+
+    #[test]
+    fn legacy_v01_magic_is_rejected() {
+        // The unchecksummed SCDTRC01 format (old magic, no footer) is no
+        // longer readable by either entry point.
+        let v2 = to_binary(&sample_records());
+        let mut v1 = b"SCDTRC01".to_vec();
         v1.extend_from_slice(&v2[8..v2.len() - 4]);
-        assert_eq!(from_binary(&v1).unwrap(), records);
+        assert!(matches!(from_binary(&v1), Err(TraceIoError::BadMagic)));
+        assert!(matches!(ChunkedTraceReader::new(&v1[..]), Err(TraceIoError::BadMagic)));
+        assert!(matches!(read_binary(&v1[..]), Err(TraceIoError::BadMagic)));
     }
 
     #[test]
@@ -442,7 +504,7 @@ mod tests {
     fn chunked_reader_matches_from_binary() {
         let records = sample_records();
         let bytes = to_binary(&records);
-        for chunk in [1usize, 7, 31, 1000] {
+        for chunk in [1usize, 7, 33, 1000] {
             let mut reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
             let mut out = Vec::new();
             loop {
@@ -458,21 +520,12 @@ mod tests {
     }
 
     #[test]
-    fn chunked_reader_handles_empty_and_legacy_traces() {
+    fn chunked_reader_handles_empty_traces() {
         let empty = to_binary(&[]);
         let mut reader = ChunkedTraceReader::new(&empty[..]).unwrap();
         let mut out = Vec::new();
         assert_eq!(reader.read_to_end(&mut out).unwrap(), 0);
-
-        let records = sample_records();
-        let v2 = to_binary(&records);
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC_V1);
-        v1.extend_from_slice(&v2[8..v2.len() - 4]);
-        let mut reader = ChunkedTraceReader::new(&v1[..]).unwrap();
-        let mut out = Vec::new();
-        reader.read_to_end(&mut out).unwrap();
-        assert_eq!(out, records);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -510,5 +563,128 @@ mod tests {
         write_binary(&mut buf, &records).unwrap();
         let back = read_binary(&buf[..]).unwrap();
         assert_eq!(records, back);
+    }
+
+    #[test]
+    fn streamed_writer_matches_to_binary_around_the_chunk_boundary() {
+        let template = sample_records();
+        for n in [0, 1, WRITE_CHUNK_RECORDS - 1, WRITE_CHUNK_RECORDS, WRITE_CHUNK_RECORDS + 1] {
+            let records: Vec<FlowRecord> = (0..n)
+                .map(|i| FlowRecord { timestamp_ms: i as u64, ..template[i % template.len()] })
+                .collect();
+            let mut streamed = Vec::new();
+            write_binary(&mut streamed, &records).unwrap();
+            assert_eq!(streamed, to_binary(&records), "{n} records");
+        }
+    }
+
+    /// Hands out the wrapped bytes 1..=`max` at a time (seeded), and now
+    /// and then fails with `Interrupted` first — everything `Read` allows
+    /// a pipe or socket to do that a slice never does.
+    struct DribbleReader<'a> {
+        data: &'a [u8],
+        max: u64,
+        rng: scd_hash::SplitMix64,
+    }
+
+    impl<'a> DribbleReader<'a> {
+        fn new(data: &'a [u8], max: u64, seed: u64) -> Self {
+            DribbleReader { data, max, rng: scd_hash::SplitMix64::new(seed) }
+        }
+    }
+
+    impl Read for DribbleReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.rng.next_below(8) == 0 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let want = 1 + self.rng.next_below(self.max) as usize;
+            let n = want.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Drains a dribbled stream `chunk` records at a time.
+    fn dribble(data: &[u8], max: u64, chunk: usize) -> Result<Vec<FlowRecord>, TraceIoError> {
+        let mut reader = ChunkedTraceReader::new(DribbleReader::new(data, max, 0xD81B ^ max))?;
+        let mut out = Vec::new();
+        while reader.next_chunk(chunk, &mut out)? != 0 {}
+        assert_eq!(reader.records_read(), out.len());
+        // Reading past the end stays a clean EOF.
+        assert_eq!(reader.next_chunk(chunk, &mut out)?, 0);
+        assert_eq!(reader.next_chunk(chunk, &mut out)?, 0);
+        Ok(out)
+    }
+
+    #[test]
+    fn chunked_reader_survives_short_and_interrupted_reads() {
+        // Enough records that the stream outgrows the reader's buffer
+        // several times over.
+        let template = sample_records();
+        let records: Vec<FlowRecord> = (0..3 * READ_BUF_LEN / RECORD_LEN + 5)
+            .map(|i| FlowRecord { bytes: i as u64, ..template[i % template.len()] })
+            .collect();
+        let bytes = to_binary(&records);
+        assert_eq!(from_binary(&bytes).unwrap(), records);
+        for max in [1, 7, 4096, 1 << 20] {
+            for chunk in [1usize, 7, 33, 8_192, usize::MAX] {
+                if max == 1 && chunk < 8_192 {
+                    continue; // a byte at a time is slow enough once per shape
+                }
+                let out = dribble(&bytes, max, chunk).unwrap();
+                assert_eq!(out, records, "reads <= {max} B, chunk {chunk}");
+            }
+        }
+    }
+
+    /// Error variant plus payload, comparable across the two readers.
+    fn verdict(r: Result<Vec<FlowRecord>, TraceIoError>) -> String {
+        match r {
+            Ok(records) => format!("ok({})", records.len()),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    #[test]
+    fn chunked_reader_fails_exactly_like_from_binary() {
+        let clean = to_binary(&sample_records()[..5]);
+        let check = |bad: &[u8], what: &str| {
+            let want = verdict(from_binary(bad));
+            for (max, chunk) in [(1, usize::MAX), (5, 2), (1 << 20, 8_192)] {
+                assert_eq!(verdict(dribble(bad, max, chunk)), want, "{what}, reads <= {max} B");
+            }
+            want
+        };
+        assert_eq!(check(&clean, "clean"), "ok(5)");
+        // Every single-byte flip: the magic's own bytes are BadMagic,
+        // anything after them a checksum mismatch.
+        for pos in 0..clean.len() {
+            let mut bad = clean.clone();
+            bad[pos] ^= 0x40;
+            let got = check(&bad, &format!("flip at {pos}"));
+            let want = if pos < 8 { "BadMagic" } else { "BadChecksum" };
+            assert!(got.starts_with(want), "flip at {pos}: {got}");
+        }
+        // Every truncation length: short of the magic, short of the
+        // footer or mid-record, and cut at a record boundary (well framed,
+        // so only the checksum can tell).
+        for len in 0..clean.len() {
+            let got = check(&clean[..len], &format!("cut to {len}"));
+            let want = match len {
+                0..=7 => "BadMagic",
+                8..=11 => "Truncated",
+                _ if (len - 12) % RECORD_LEN != 0 => "Truncated",
+                _ => "BadChecksum",
+            };
+            assert!(got.starts_with(want), "cut to {len}: {got}");
+        }
+        // A footer with nothing before it, and one behind a bare magic
+        // that it does not match.
+        assert_eq!(check(&clean[clean.len() - 4..], "footer only"), "BadMagic");
+        let mut wrong = MAGIC.to_vec();
+        wrong.extend_from_slice(&clean[clean.len() - 4..]);
+        assert!(check(&wrong, "magic + foreign footer").starts_with("BadChecksum"));
     }
 }
