@@ -1,0 +1,44 @@
+#!/usr/bin/env bash
+# Fails if the duplicates PR 13 removed come back: the envelope and the
+# accept loop each have exactly one definition under crates/*/src.
+# Non-test source = every crates/*/src file up to its `#[cfg(test)]`.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+nontest() {
+  find crates -path '*/src/*' -name '*.rs' -print0 | sort -z |
+    xargs -0 awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live { print FILENAME ":" FNR ":" $0 }'
+}
+
+fail=0
+expect() { # expect COUNT PATTERN WHAT
+  local hits; hits=$(nontest | grep -E -- "$2" || true)
+  local n; n=$(printf '%s' "$hits" | grep -c . || true)
+  if [ "$n" -ne "$1" ]; then
+    echo "single-definition: expected $1 $3, found $n:"; printf '%s\n' "$hits" | sed 's/^/  /'
+    fail=1
+  fi
+}
+
+expect 1 '\.accept\(\)'                         'TcpListener accept call site(s)'
+expect 1 'fn read_exact_or_closed'              'frame stream read loop(s)'
+expect 1 'fn footer_mismatch'                   'CRC footer comparison(s)'
+expect 1 'File::open\(parent\)'                 'directory fsync(s) (atomic write routine)'
+expect 0 'b"SCD(SKT01|TRC01|CKPT1)"'            'retired magic literal(s) in non-test source'
+
+magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
+if [ "$(wc -w <<<"$magics")" -ne 6 ]; then
+  echo "single-definition: expected six magics, found: $magics"; fail=1
+fi
+
+# Retired magics may appear in tests only inside a test named *rejected*.
+stray=$(grep -rnE 'b"SCD(SKT01|TRC01|CKPT1)"' crates tests --include='*.rs' | while IFS=: read -r file line _; do
+  awk -v upto="$line" 'NR <= upto && match($0, /fn [a-z0-9_]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) } END { print name }' "$file" |
+    grep -q rejected || echo "$file:$line"
+done)
+if [ -n "$stray" ]; then
+  echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
+fi
+
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, six magics"
+exit "$fail"

@@ -1,16 +1,14 @@
 //! On-disk format for k-ary sketch archives.
 //!
-//! Same durability posture as `scd-core`'s checkpoints: one
-//! self-describing blob, CRC-32 footer over every preceding byte, atomic
-//! tmp-file + rename + parent-directory fsync on write. An archive file
-//! and a PR-1 detector checkpoint side by side capture a node's full
+//! Same durability posture as `scd-core`'s checkpoints (both go through
+//! `scd_hash::envelope`'s file envelope and atomic write). An archive
+//! file and a detector checkpoint side by side capture a node's full
 //! state: the checkpoint resumes the live pipeline, the archive resumes
 //! history.
 //!
-//! Layout (little-endian):
+//! Body inside the `SCDARCH1` envelope (little-endian):
 //!
 //! ```text
-//! "SCDARCH1"                       magic, 8 bytes
 //! max_sketches: u32, full_resolution: u32, keys_per_epoch: u32
 //! next_interval: u64
 //! n_epochs: u32
@@ -18,18 +16,17 @@
 //!   start: u64, len: u64
 //!   n_notable: u32, then (key: u64, weight: f64) pairs
 //!   sketch blob: u64 length + scd-sketch wire bytes (self-checksummed)
-//! crc32: u32                       over every preceding byte
 //! ```
 //!
-//! Decoding trusts nothing: CRC first, then per-field validation, then
-//! [`SketchArchive`] re-validates the structural invariants (contiguous
-//! epochs, one hash family) before any query can run. Hash tables are
-//! derived once from the first epoch's header and shared across the
-//! remaining blobs.
+//! Decoding trusts nothing: envelope first, then per-field validation,
+//! then [`SketchArchive`] re-validates the structural invariants
+//! (contiguous epochs, one hash family) before any query can run. Hash
+//! tables are derived once from the first epoch's header and shared
+//! across the remaining blobs.
 
 use crate::archive::{ArchiveConfig, ArchiveError, Epoch, SketchArchive};
 use scd_hash::byteio::{self, Cursor};
-use scd_hash::crc32;
+use scd_hash::envelope::{self, BadField, SealError};
 use scd_sketch::{wire as sketch_wire, KarySketch};
 use std::path::Path;
 use std::sync::Arc;
@@ -42,17 +39,9 @@ pub const MAGIC: &[u8; 8] = b"SCDARCH1";
 pub enum ArchiveWireError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file ends before its structure does.
-    Truncated,
-    /// The CRC-32 footer does not match the payload.
-    BadChecksum {
-        /// Checksum computed over the payload as read.
-        computed: u32,
-        /// Checksum stored in the footer.
-        stored: u32,
-    },
+    /// The envelope did not open (wrong magic, truncation, checksum), or
+    /// the body ends before its structure does.
+    Envelope(SealError),
     /// A structurally invalid field.
     Malformed(String),
     /// An embedded sketch blob failed to decode.
@@ -65,11 +54,7 @@ impl std::fmt::Display for ArchiveWireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArchiveWireError::Io(e) => write!(f, "archive i/o: {e}"),
-            ArchiveWireError::BadMagic => write!(f, "not an archive file (bad magic)"),
-            ArchiveWireError::Truncated => write!(f, "archive file truncated"),
-            ArchiveWireError::BadChecksum { computed, stored } => {
-                write!(f, "archive corrupt: crc32 {computed:#010x} != stored {stored:#010x}")
-            }
+            ArchiveWireError::Envelope(e) => write!(f, "archive file: {e}"),
             ArchiveWireError::Malformed(what) => write!(f, "malformed archive: {what}"),
             ArchiveWireError::Sketch(e) => write!(f, "embedded sketch: {e}"),
             ArchiveWireError::Archive(e) => write!(f, "archive rejected: {e}"),
@@ -85,9 +70,21 @@ impl From<std::io::Error> for ArchiveWireError {
     }
 }
 
+impl From<SealError> for ArchiveWireError {
+    fn from(e: SealError) -> Self {
+        ArchiveWireError::Envelope(e)
+    }
+}
+
 impl From<byteio::ShortInput> for ArchiveWireError {
-    fn from(_: byteio::ShortInput) -> Self {
-        ArchiveWireError::Truncated
+    fn from(e: byteio::ShortInput) -> Self {
+        ArchiveWireError::Envelope(e.into())
+    }
+}
+
+impl From<BadField> for ArchiveWireError {
+    fn from(e: BadField) -> Self {
+        ArchiveWireError::Malformed(e.0.into())
     }
 }
 
@@ -103,7 +100,7 @@ impl From<ArchiveError> for ArchiveWireError {
     }
 }
 
-/// Serializes the archive, CRC-32 footer included.
+/// Serializes the archive, envelope included.
 pub fn to_bytes(archive: &SketchArchive<KarySketch>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
@@ -121,31 +118,16 @@ pub fn to_bytes(archive: &SketchArchive<KarySketch>) -> Vec<u8> {
             byteio::put_u64(&mut out, key);
             byteio::put_f64(&mut out, weight);
         }
-        let blob = sketch_wire::to_bytes(epoch.sketch());
-        byteio::put_u64(&mut out, blob.len() as u64);
-        out.extend_from_slice(&blob);
+        envelope::put_blob(&mut out, &sketch_wire::to_bytes(epoch.sketch()));
     }
-    let crc = crc32(&out);
-    byteio::put_u32(&mut out, crc);
+    envelope::seal(&mut out);
     out
 }
 
-/// Parses an archive, verifying the CRC before trusting any field and
+/// Parses an archive, opening the envelope before trusting any field and
 /// re-validating every archive invariant before returning.
 pub fn from_bytes(data: &[u8]) -> Result<SketchArchive<KarySketch>, ArchiveWireError> {
-    if data.len() < MAGIC.len() + 4 {
-        return Err(ArchiveWireError::Truncated);
-    }
-    if &data[..MAGIC.len()] != MAGIC {
-        return Err(ArchiveWireError::BadMagic);
-    }
-    let (payload, footer) = data.split_at(data.len() - 4);
-    let stored = u32::from_le_bytes(footer.try_into().expect("4-byte footer"));
-    let computed = crc32(payload);
-    if computed != stored {
-        return Err(ArchiveWireError::BadChecksum { computed, stored });
-    }
-    let mut cur = Cursor::new(&payload[MAGIC.len()..]);
+    let mut cur = Cursor::new(envelope::open(MAGIC, data)?);
     let config = ArchiveConfig {
         max_sketches: cur.u32()? as usize,
         full_resolution: cur.u32()? as usize,
@@ -200,8 +182,7 @@ pub fn from_bytes(data: &[u8]) -> Result<SketchArchive<KarySketch>, ArchiveWireE
             }
             notable.push((key, weight));
         }
-        let blob_len = cur.u64()? as usize;
-        let blob = cur.take(blob_len)?;
+        let blob = envelope::blob(&mut cur)?;
         // First epoch derives the hash family; the rest must share it
         // (enforced by `from_bytes_with_rows`, then re-checked by
         // `from_parts`).
@@ -221,36 +202,13 @@ pub fn from_bytes(data: &[u8]) -> Result<SketchArchive<KarySketch>, ArchiveWireE
     Ok(SketchArchive::from_parts(config, next_interval, epochs)?)
 }
 
-/// Writes the archive atomically: serialize to `<path>.tmp`, fsync,
-/// rename over `path`, fsync the parent directory — a crash leaves
-/// either the old file or the new one, never a torn hybrid.
+/// Writes the archive atomically (`scd_hash::envelope::write_atomic`): a
+/// crash leaves either the old file or the new one, never a torn hybrid.
 pub fn write_atomic(
     archive: &SketchArchive<KarySketch>,
     path: &Path,
 ) -> Result<(), ArchiveWireError> {
-    let bytes = to_bytes(archive);
-    let file_name = path.file_name().ok_or_else(|| {
-        ArchiveWireError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("archive path has no file name: {}", path.display()),
-        ))
-    })?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(parent)?.sync_all()?;
-    Ok(())
+    Ok(envelope::write_atomic(path, &to_bytes(archive))?)
 }
 
 /// Reads and verifies an archive from disk.
@@ -304,59 +262,12 @@ mod tests {
         assert_eq!(back.coverage(), None);
     }
 
-    #[test]
-    fn any_single_byte_flip_is_detected() {
-        let bytes = to_bytes(&sample());
-        let step = (bytes.len() / 97).max(1);
-        for pos in (0..bytes.len()).step_by(step) {
-            for bit in [0x01u8, 0x80] {
-                let mut corrupt = bytes.clone();
-                corrupt[pos] ^= bit;
-                assert!(
-                    from_bytes(&corrupt).is_err(),
-                    "flip at byte {pos} (mask {bit:#04x}) went undetected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn truncation_is_detected_at_every_length() {
-        let bytes = to_bytes(&sample());
-        let step = (bytes.len() / 61).max(1);
-        for len in (0..bytes.len()).step_by(step) {
-            assert!(from_bytes(&bytes[..len]).is_err(), "truncation to {len} went undetected");
-        }
-    }
-
-    #[test]
-    fn corruption_injection_round_trip() {
-        // Same corruption model the network fault plans use: each seeded
-        // single-bit flip must be rejected with a typed error, and the
-        // pristine bytes must still decode afterwards.
-        let original = sample();
-        let clean = to_bytes(&original);
-        for seed in 0..200u64 {
-            let mut corruptor = scd_traffic::Corruptor::new(seed);
-            let mut bad = clean.clone();
-            let (pos, mask) = corruptor.flip_one_byte(&mut bad);
-            assert!(
-                from_bytes(&bad).is_err(),
-                "seed {seed}: flip at byte {pos} (mask {mask:#04x}) decoded successfully"
-            );
-        }
-        let back = from_bytes(&clean).expect("pristine bytes still decode");
-        assert_eq!(back.sketch_count(), original.sketch_count());
-    }
-
     /// A syntactically framed archive (magic + valid CRC footer) whose
     /// header fields are attacker-chosen.
     fn framed(fields: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
+        let mut buf = MAGIC.to_vec();
         buf.extend_from_slice(fields);
-        let crc = crc32(&buf);
-        byteio::put_u32(&mut buf, crc);
+        envelope::seal(&mut buf);
         buf
     }
 
@@ -400,8 +311,8 @@ mod tests {
     #[test]
     fn wrong_magic_is_typed() {
         let mut bytes = to_bytes(&sample());
-        bytes[..8].copy_from_slice(b"SCDCKPT1");
-        assert!(matches!(from_bytes(&bytes), Err(ArchiveWireError::BadMagic)));
+        bytes[..8].copy_from_slice(b"SCDCKPT2");
+        assert!(matches!(from_bytes(&bytes), Err(ArchiveWireError::Envelope(SealError::BadMagic))));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! streaming binner's position (the event-time index of the interval being
 //! accumulated and the running record count).
 //!
-//! Layout (all integers little-endian):
+//! Body inside the `SCDCKPT2` file envelope (`scd_hash::envelope`; all
+//! integers little-endian):
 //!
 //! ```text
-//! "SCDCKPT1"                               magic, 8 bytes
 //! h: u32, k: u32, seed: u64               sketch shape
 //! model: u32 len + utf-8 compact spec     e.g. "nshw:0.2,0.4"
 //! threshold: f64
@@ -22,23 +22,16 @@
 //! model state: u8 tag + variant payload   (sketch blobs are u64 len +
 //!                                          scd-sketch wire bytes)
 //! binner: u8 flag (+ next_interval u64), processed: u64
-//! crc32: u32                              over every preceding byte
+//! staggered: u8 flag (+ lane count + StaggeredSnapshot)
+//! glr: u8 flag (+ GlrConfig + GlrEngineSnapshot)
 //! ```
 //!
-//! The trailing CRC-32 means any single-byte corruption anywhere in the
+//! The envelope's CRC-32 means any single-byte corruption anywhere in the
 //! file is detected before any state is trusted; each embedded sketch blob
-//! additionally carries its own wire-format checksum. Writes go through a
-//! temp file plus atomic rename, so a crash mid-write leaves the previous
-//! checkpoint intact — the supervisor never sees a torn file.
-//!
-//! Version 2 (`"SCDCKPT2"`) appends two optional sections between
-//! `processed` and the CRC footer — the staggered-lane state
-//! ([`StaggeredSnapshot`] plus its lane count) and the GLR sequential
-//! layer ([`GlrEngineSnapshot`] plus its [`GlrConfig`]) — each behind a
-//! one-byte presence flag. A checkpoint carrying neither section is
-//! still written as byte-identical version 1, and version-1 files load
-//! unchanged, so pre-existing checkpoints survive the upgrade in both
-//! directions.
+//! additionally carries its own wire-format checksum. Writes are atomic,
+//! so a crash mid-write leaves the previous checkpoint intact — the
+//! supervisor never sees a torn file. A run with neither staggered lanes
+//! nor GLR writes two zero flag bytes for the last two sections.
 
 use crate::detector::{
     DetectorConfig, DetectorSnapshot, KeyStrategy, RestoreError, SketchChangeDetector,
@@ -48,17 +41,17 @@ use crate::glr::{GlrConfig, GlrSlotSnapshot, GlrSnapshot, ProvisionalAlarm};
 use crate::staggered::{StaggeredDetector, StaggeredSnapshot};
 use scd_forecast::{ModelSpec, ModelState, NshwParts, ShwParts};
 use scd_hash::byteio::{self, Cursor};
-use scd_hash::{crc32, HashRows};
+use scd_hash::envelope::{
+    self, bounded_count, flag, keys as take_keys, opt_u64, put_flag, put_keys, put_opt_u64,
+    BadField, SealError,
+};
+use scd_hash::HashRows;
 use scd_sketch::{wire, KarySketch, SketchConfig};
 use std::path::Path;
 use std::sync::Arc;
 
-/// File magic for checkpoint version 1.
-pub const MAGIC: &[u8; 8] = b"SCDCKPT1";
-
-/// File magic for checkpoint version 2 (adds the optional staggered-lane
-/// and GLR sections). Emitted only when at least one section is present.
-pub const MAGIC_V2: &[u8; 8] = b"SCDCKPT2";
+/// File magic of the checkpoint format.
+pub const MAGIC: &[u8; 8] = b"SCDCKPT2";
 
 /// Everything needed to resume a streaming detector after a crash.
 #[derive(Debug, Clone)]
@@ -75,10 +68,10 @@ pub struct Checkpoint {
     /// Records processed up to the last completed interval.
     pub processed: u64,
     /// Staggered-lane state (lane count + full snapshot), when the run
-    /// used [`StaggeredDetector`]. `None` keeps the file at version 1.
+    /// used [`StaggeredDetector`].
     pub staggered: Option<(usize, StaggeredSnapshot)>,
     /// GLR sequential-layer state (configuration + engine snapshot), when
-    /// the run used `--glr`. `None` keeps the file at version 1.
+    /// the run used `--glr`.
     pub glr: Option<(GlrConfig, GlrEngineSnapshot)>,
 }
 
@@ -87,19 +80,11 @@ pub struct Checkpoint {
 pub enum CheckpointError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file ends before its structure does.
-    Truncated,
-    /// The CRC-32 footer does not match the payload.
-    BadChecksum {
-        /// Checksum computed over the payload as read.
-        computed: u32,
-        /// Checksum stored in the footer.
-        stored: u32,
-    },
+    /// The envelope did not open (wrong magic, truncation, checksum), or
+    /// the body ends before its structure does.
+    Envelope(SealError),
     /// A structurally invalid field (bad model spec, unknown tag, bad
-    /// UTF-8).
+    /// UTF-8, a count larger than the bytes behind it).
     Malformed(String),
     /// An embedded sketch blob failed to decode.
     Sketch(wire::WireError),
@@ -111,11 +96,7 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint i/o: {e}"),
-            CheckpointError::BadMagic => write!(f, "not a checkpoint file (bad magic)"),
-            CheckpointError::Truncated => write!(f, "checkpoint truncated"),
-            CheckpointError::BadChecksum { computed, stored } => {
-                write!(f, "checkpoint corrupt: crc32 {computed:#010x} != stored {stored:#010x}")
-            }
+            CheckpointError::Envelope(e) => write!(f, "checkpoint file: {e}"),
             CheckpointError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
             CheckpointError::Sketch(e) => write!(f, "embedded sketch: {e}"),
             CheckpointError::Restore(e) => write!(f, "checkpoint rejected: {e}"),
@@ -131,9 +112,21 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
+impl From<SealError> for CheckpointError {
+    fn from(e: SealError) -> Self {
+        CheckpointError::Envelope(e)
+    }
+}
+
 impl From<byteio::ShortInput> for CheckpointError {
-    fn from(_: byteio::ShortInput) -> Self {
-        CheckpointError::Truncated
+    fn from(e: byteio::ShortInput) -> Self {
+        CheckpointError::Envelope(e.into())
+    }
+}
+
+impl From<BadField> for CheckpointError {
+    fn from(e: BadField) -> Self {
+        CheckpointError::Malformed(e.0.into())
     }
 }
 
@@ -144,24 +137,17 @@ impl From<wire::WireError> for CheckpointError {
 }
 
 fn put_sketch(out: &mut Vec<u8>, sketch: &KarySketch) {
-    let blob = wire::to_bytes(sketch);
-    byteio::put_u64(out, blob.len() as u64);
-    out.extend_from_slice(&blob);
+    envelope::put_blob(out, &wire::to_bytes(sketch));
 }
 
 fn take_sketch(cur: &mut Cursor<'_>, rows: &Arc<HashRows>) -> Result<KarySketch, CheckpointError> {
-    let len = cur.u64()? as usize;
-    let blob = cur.take(len)?;
-    Ok(wire::from_bytes_with_rows(blob, rows)?)
+    Ok(wire::from_bytes_with_rows(envelope::blob(cur)?, rows)?)
 }
 
 fn put_opt_sketch(out: &mut Vec<u8>, sketch: Option<&KarySketch>) {
-    match sketch {
-        None => byteio::put_u8(out, 0),
-        Some(s) => {
-            byteio::put_u8(out, 1);
-            put_sketch(out, s);
-        }
+    put_flag(out, sketch.is_some());
+    if let Some(s) = sketch {
+        put_sketch(out, s);
     }
 }
 
@@ -169,11 +155,7 @@ fn take_opt_sketch(
     cur: &mut Cursor<'_>,
     rows: &Arc<HashRows>,
 ) -> Result<Option<KarySketch>, CheckpointError> {
-    match cur.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(take_sketch(cur, rows)?)),
-        other => Err(CheckpointError::Malformed(format!("option flag {other}"))),
-    }
+    flag(cur)?.then(|| take_sketch(cur, rows)).transpose()
 }
 
 fn put_sketch_vec(out: &mut Vec<u8>, sketches: &[KarySketch]) {
@@ -187,13 +169,7 @@ fn take_sketch_vec(
     cur: &mut Cursor<'_>,
     rows: &Arc<HashRows>,
 ) -> Result<Vec<KarySketch>, CheckpointError> {
-    let n = cur.u64()? as usize;
-    // Each sketch blob is at least a header; reject absurd counts before
-    // allocating.
-    if n > cur.remaining() {
-        return Err(CheckpointError::Truncated);
-    }
-    (0..n).map(|_| take_sketch(cur, rows)).collect()
+    (0..bounded_count(cur, 1)?).map(|_| take_sketch(cur, rows)).collect()
 }
 
 fn put_model_state(out: &mut Vec<u8>, state: &ModelState<KarySketch>) {
@@ -213,14 +189,11 @@ fn put_model_state(out: &mut Vec<u8>, state: &ModelState<KarySketch>) {
         ModelState::Nshw { first, state } => {
             byteio::put_u8(out, 3);
             put_opt_sketch(out, first.as_ref());
-            match state {
-                None => byteio::put_u8(out, 0),
-                Some(p) => {
-                    byteio::put_u8(out, 1);
-                    put_sketch(out, &p.level);
-                    put_sketch(out, &p.trend);
-                    put_sketch(out, &p.forecast);
-                }
+            put_flag(out, state.is_some());
+            if let Some(p) = state {
+                put_sketch(out, &p.level);
+                put_sketch(out, &p.trend);
+                put_sketch(out, &p.forecast);
             }
         }
         ModelState::Arima { x_hist, e_hist, observed_count } => {
@@ -232,15 +205,12 @@ fn put_model_state(out: &mut Vec<u8>, state: &ModelState<KarySketch>) {
         ModelState::Shw { init, state } => {
             byteio::put_u8(out, 5);
             put_sketch_vec(out, init);
-            match state {
-                None => byteio::put_u8(out, 0),
-                Some(p) => {
-                    byteio::put_u8(out, 1);
-                    put_sketch(out, &p.level);
-                    put_sketch(out, &p.trend);
-                    put_sketch_vec(out, &p.season);
-                    byteio::put_u64(out, p.phase as u64);
-                }
+            put_flag(out, state.is_some());
+            if let Some(p) = state {
+                put_sketch(out, &p.level);
+                put_sketch(out, &p.trend);
+                put_sketch_vec(out, &p.season);
+                byteio::put_u64(out, p.phase as u64);
             }
         }
     }
@@ -256,14 +226,14 @@ fn take_model_state(
         2 => Ok(ModelState::Ewma { forecast: take_opt_sketch(cur, rows)? }),
         3 => {
             let first = take_opt_sketch(cur, rows)?;
-            let state = match cur.u8()? {
-                0 => None,
-                1 => Some(NshwParts {
+            let state = if flag(cur)? {
+                Some(NshwParts {
                     level: take_sketch(cur, rows)?,
                     trend: take_sketch(cur, rows)?,
                     forecast: take_sketch(cur, rows)?,
-                }),
-                other => return Err(CheckpointError::Malformed(format!("NSHW flag {other}"))),
+                })
+            } else {
+                None
             };
             Ok(ModelState::Nshw { first, state })
         }
@@ -274,35 +244,20 @@ fn take_model_state(
         }),
         5 => {
             let init = take_sketch_vec(cur, rows)?;
-            let state = match cur.u8()? {
-                0 => None,
-                1 => Some(ShwParts {
+            let state = if flag(cur)? {
+                Some(ShwParts {
                     level: take_sketch(cur, rows)?,
                     trend: take_sketch(cur, rows)?,
                     season: take_sketch_vec(cur, rows)?,
                     phase: cur.u64()? as usize,
-                }),
-                other => return Err(CheckpointError::Malformed(format!("SHW flag {other}"))),
+                })
+            } else {
+                None
             };
             Ok(ModelState::Shw { init, state })
         }
         other => Err(CheckpointError::Malformed(format!("model state tag {other}"))),
     }
-}
-
-fn put_keys(out: &mut Vec<u8>, keys: &[u64]) {
-    byteio::put_u64(out, keys.len() as u64);
-    for &k in keys {
-        byteio::put_u64(out, k);
-    }
-}
-
-fn take_keys(cur: &mut Cursor<'_>) -> Result<Vec<u64>, CheckpointError> {
-    let n = cur.u64()? as usize;
-    if n.checked_mul(8).map_or(true, |bytes| bytes > cur.remaining()) {
-        return Err(CheckpointError::Truncated);
-    }
-    (0..n).map(|_| Ok(cur.u64()?)).collect()
 }
 
 fn put_f64_slice(out: &mut Vec<u8>, xs: &[f64]) {
@@ -318,13 +273,10 @@ fn take_f64_vec(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<f64>, CheckpointEr
 fn put_detector_snapshot(out: &mut Vec<u8>, snap: &DetectorSnapshot) {
     byteio::put_u64(out, snap.intervals_processed);
     byteio::put_u64(out, snap.sampler_state);
-    match &snap.pending_error {
-        None => byteio::put_u8(out, 0),
-        Some((t, s)) => {
-            byteio::put_u8(out, 1);
-            byteio::put_u64(out, *t);
-            put_sketch(out, s);
-        }
+    put_flag(out, snap.pending_error.is_some());
+    if let Some((t, s)) = &snap.pending_error {
+        byteio::put_u64(out, *t);
+        put_sketch(out, s);
     }
     put_model_state(out, &snap.model);
 }
@@ -335,14 +287,7 @@ fn take_detector_snapshot(
 ) -> Result<DetectorSnapshot, CheckpointError> {
     let intervals_processed = cur.u64()?;
     let sampler_state = cur.u64()?;
-    let pending_error = match cur.u8()? {
-        0 => None,
-        1 => {
-            let t = cur.u64()?;
-            Some((t, take_sketch(cur, rows)?))
-        }
-        other => return Err(CheckpointError::Malformed(format!("pending flag {other}"))),
-    };
+    let pending_error = if flag(cur)? { Some((cur.u64()?, take_sketch(cur, rows)?)) } else { None };
     let model = take_model_state(cur, rows)?;
     Ok(DetectorSnapshot { intervals_processed, sampler_state, pending_error, model })
 }
@@ -369,11 +314,7 @@ fn take_staggered(
         return Err(CheckpointError::Malformed("staggered section with zero lanes".into()));
     }
     let slot = cur.u64()?;
-    let n = cur.u64()? as usize;
-    if n > cur.remaining() {
-        return Err(CheckpointError::Truncated);
-    }
-    let recent_slots = (0..n)
+    let recent_slots = (0..bounded_count(cur, 1)?)
         .map(|_| Ok((take_sketch(cur, rows)?, take_keys(cur)?)))
         .collect::<Result<Vec<_>, CheckpointError>>()?;
     let lane_snaps = (0..lanes)
@@ -401,13 +342,7 @@ fn take_glr_slot(
 }
 
 fn put_alarm(out: &mut Vec<u8>, alarm: &ProvisionalAlarm) {
-    match alarm.key_hint {
-        None => byteio::put_u8(out, 0),
-        Some(k) => {
-            byteio::put_u8(out, 1);
-            byteio::put_u64(out, k);
-        }
-    }
+    put_opt_u64(out, alarm.key_hint);
     byteio::put_u64(out, alarm.onset_slot);
     byteio::put_u64(out, alarm.raised_slot);
     byteio::put_f64(out, alarm.statistic);
@@ -415,13 +350,8 @@ fn put_alarm(out: &mut Vec<u8>, alarm: &ProvisionalAlarm) {
 }
 
 fn take_alarm(cur: &mut Cursor<'_>) -> Result<ProvisionalAlarm, CheckpointError> {
-    let key_hint = match cur.u8()? {
-        0 => None,
-        1 => Some(cur.u64()?),
-        other => return Err(CheckpointError::Malformed(format!("key hint flag {other}"))),
-    };
     Ok(ProvisionalAlarm {
-        key_hint,
+        key_hint: opt_u64(cur)?,
         onset_slot: cur.u64()?,
         raised_slot: cur.u64()?,
         statistic: cur.f64()?,
@@ -500,26 +430,14 @@ fn take_glr(cur: &mut Cursor<'_>) -> Result<(GlrConfig, GlrEngineSnapshot), Chec
     let base_mean = take_f64_vec(cur, projections)?;
     let base_m2 = take_f64_vec(cur, projections)?;
     let base_sketch = take_sketch(cur, &rows)?;
-    let n = cur.u64()? as usize;
-    if n > cur.remaining() {
-        return Err(CheckpointError::Truncated);
-    }
-    let window = (0..n)
+    let window = (0..bounded_count(cur, 1)?)
         .map(|_| take_glr_slot(cur, &rows, projections))
         .collect::<Result<Vec<_>, CheckpointError>>()?;
     let cur_slot = take_glr_slot(cur, &rows, projections)?;
-    let pending_n = cur.u64()? as usize;
-    if pending_n > cur.remaining() {
-        return Err(CheckpointError::Truncated);
-    }
-    let pending = (0..pending_n)
+    let pending = (0..bounded_count(cur, 1)?)
         .map(|_| Ok((cur.u64()?, take_alarm(cur)?)))
         .collect::<Result<Vec<_>, CheckpointError>>()?;
-    let closes_n = cur.u64()? as usize;
-    if closes_n.checked_mul(16).map_or(true, |bytes| bytes > cur.remaining()) {
-        return Err(CheckpointError::Truncated);
-    }
-    let closes = (0..closes_n)
+    let closes = (0..bounded_count(cur, 16)?)
         .map(|_| Ok((cur.u64()?, cur.u64()?)))
         .collect::<Result<Vec<_>, CheckpointError>>()?;
     let ingest_interval = cur.u64()?;
@@ -537,14 +455,9 @@ fn take_glr(cur: &mut Cursor<'_>) -> Result<(GlrConfig, GlrEngineSnapshot), Chec
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint, CRC-32 footer included. Emits version 1
-    /// (byte-identical to the pre-extension format) unless a staggered or
-    /// GLR section is present, in which case the [`MAGIC_V2`] layout is
-    /// used.
+    /// Serializes the checkpoint, envelope included.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let v2 = self.staggered.is_some() || self.glr.is_some();
-        let mut out = Vec::new();
-        out.extend_from_slice(if v2 { MAGIC_V2 } else { MAGIC });
+        let mut out = MAGIC.to_vec();
         byteio::put_u32(&mut out, self.config.sketch.h as u32);
         byteio::put_u32(&mut out, self.config.sketch.k as u32);
         byteio::put_u64(&mut out, self.config.sketch.seed);
@@ -561,63 +474,24 @@ impl Checkpoint {
                 byteio::put_u64(&mut out, seed);
             }
         }
-        byteio::put_u64(&mut out, self.snapshot.intervals_processed);
-        byteio::put_u64(&mut out, self.snapshot.sampler_state);
-        match &self.snapshot.pending_error {
-            None => byteio::put_u8(&mut out, 0),
-            Some((t, s)) => {
-                byteio::put_u8(&mut out, 1);
-                byteio::put_u64(&mut out, *t);
-                put_sketch(&mut out, s);
-            }
-        }
-        put_model_state(&mut out, &self.snapshot.model);
-        match self.next_interval {
-            None => byteio::put_u8(&mut out, 0),
-            Some(t) => {
-                byteio::put_u8(&mut out, 1);
-                byteio::put_u64(&mut out, t);
-            }
-        }
+        put_detector_snapshot(&mut out, &self.snapshot);
+        put_opt_u64(&mut out, self.next_interval);
         byteio::put_u64(&mut out, self.processed);
-        if v2 {
-            match &self.staggered {
-                None => byteio::put_u8(&mut out, 0),
-                Some((lanes, snap)) => {
-                    byteio::put_u8(&mut out, 1);
-                    put_staggered(&mut out, *lanes, snap);
-                }
-            }
-            match &self.glr {
-                None => byteio::put_u8(&mut out, 0),
-                Some((config, snap)) => {
-                    byteio::put_u8(&mut out, 1);
-                    put_glr(&mut out, config, snap);
-                }
-            }
+        put_flag(&mut out, self.staggered.is_some());
+        if let Some((lanes, snap)) = &self.staggered {
+            put_staggered(&mut out, *lanes, snap);
         }
-        let crc = crc32(&out);
-        byteio::put_u32(&mut out, crc);
+        put_flag(&mut out, self.glr.is_some());
+        if let Some((config, snap)) = &self.glr {
+            put_glr(&mut out, config, snap);
+        }
+        envelope::seal(&mut out);
         out
     }
 
-    /// Parses a checkpoint, verifying the CRC before trusting any field.
+    /// Parses a checkpoint, opening the envelope before trusting any field.
     pub fn from_bytes(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        if data.len() < MAGIC.len() + 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let v2 = match &data[..MAGIC.len()] {
-            m if m == MAGIC => false,
-            m if m == MAGIC_V2 => true,
-            _ => return Err(CheckpointError::BadMagic),
-        };
-        let (payload, footer) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(footer.try_into().expect("4-byte footer"));
-        let computed = crc32(payload);
-        if computed != stored {
-            return Err(CheckpointError::BadChecksum { computed, stored });
-        }
-        let mut cur = Cursor::new(&payload[MAGIC.len()..]);
+        let mut cur = Cursor::new(envelope::open(MAGIC, data)?);
         let h = cur.u32()? as usize;
         let k = cur.u32()? as usize;
         let seed = cur.u64()?;
@@ -641,89 +515,22 @@ impl Checkpoint {
         // config's family and avoids re-deriving tabulation tables per
         // sketch.
         let rows = Arc::new(HashRows::new(h, k, seed));
-        let intervals_processed = cur.u64()?;
-        let sampler_state = cur.u64()?;
-        let pending_error = match cur.u8()? {
-            0 => None,
-            1 => {
-                let t = cur.u64()?;
-                Some((t, take_sketch(&mut cur, &rows)?))
-            }
-            other => return Err(CheckpointError::Malformed(format!("pending flag {other}"))),
-        };
-        let model_state = take_model_state(&mut cur, &rows)?;
-        let next_interval = match cur.u8()? {
-            0 => None,
-            1 => Some(cur.u64()?),
-            other => return Err(CheckpointError::Malformed(format!("binner flag {other}"))),
-        };
+        let snapshot = take_detector_snapshot(&mut cur, &rows)?;
+        let next_interval = opt_u64(&mut cur)?;
         let processed = cur.u64()?;
-        let (staggered, glr) = if v2 {
-            let staggered = match cur.u8()? {
-                0 => None,
-                1 => Some(take_staggered(&mut cur, &rows)?),
-                other => return Err(CheckpointError::Malformed(format!("staggered flag {other}"))),
-            };
-            let glr = match cur.u8()? {
-                0 => None,
-                1 => Some(take_glr(&mut cur)?),
-                other => return Err(CheckpointError::Malformed(format!("GLR flag {other}"))),
-            };
-            (staggered, glr)
-        } else {
-            (None, None)
-        };
+        let staggered = flag(&mut cur)?.then(|| take_staggered(&mut cur, &rows)).transpose()?;
+        let glr = flag(&mut cur)?.then(|| take_glr(&mut cur)).transpose()?;
         if cur.remaining() != 0 {
             return Err(CheckpointError::Malformed(format!("{} trailing bytes", cur.remaining())));
         }
-        Ok(Checkpoint {
-            config,
-            snapshot: DetectorSnapshot {
-                intervals_processed,
-                sampler_state,
-                pending_error,
-                model: model_state,
-            },
-            next_interval,
-            processed,
-            staggered,
-            glr,
-        })
+        Ok(Checkpoint { config, snapshot, next_interval, processed, staggered, glr })
     }
 
-    /// Writes the checkpoint atomically: serialize to `<path>.tmp`, fsync,
-    /// rename over `path`, fsync the parent directory. A crash at any
-    /// point leaves either the old checkpoint or the new one — never a
-    /// torn file.
+    /// Writes the checkpoint atomically (`scd_hash::envelope::write_atomic`):
+    /// a crash at any point leaves either the old checkpoint or the new
+    /// one — never a torn file.
     pub fn write_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        let bytes = self.to_bytes();
-        let file_name = path.file_name().ok_or_else(|| {
-            CheckpointError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("checkpoint path has no file name: {}", path.display()),
-            ))
-        })?;
-        // `.tmp` is appended to the full file name rather than swapped for
-        // the final extension, so sibling checkpoints `a.ckpt` and
-        // `a.state` never collide on the same temp file.
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // The rename is durable only once the directory entry itself is
-        // synced; without this a power loss can roll back to the old file.
-        let parent = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => Path::new("."),
-        };
-        std::fs::File::open(parent)?.sync_all()?;
-        Ok(())
+        Ok(envelope::write_atomic(path, &self.to_bytes())?)
     }
 
     /// Reads and verifies a checkpoint from disk.
@@ -739,7 +546,7 @@ impl Checkpoint {
     }
 
     /// Rebuilds the staggered-lane detector when this checkpoint carries
-    /// one (`None` for version-1 files and runs without `--stagger`).
+    /// one (`None` for runs without `--stagger`).
     pub fn restore_staggered(&self) -> Result<Option<StaggeredDetector>, CheckpointError> {
         self.staggered
             .as_ref()
@@ -822,42 +629,14 @@ mod tests {
     }
 
     #[test]
-    fn any_single_byte_flip_is_detected() {
-        let ck = sample_checkpoint(ModelSpec::Ewma { alpha: 0.5 }, KeyStrategy::TwoPass);
-        let bytes = ck.to_bytes();
-        // Deterministically probe positions across the whole file.
-        let step = (bytes.len() / 97).max(1);
-        for pos in (0..bytes.len()).step_by(step) {
-            for bit in [0x01u8, 0x80] {
-                let mut corrupt = bytes.clone();
-                corrupt[pos] ^= bit;
-                assert!(
-                    Checkpoint::from_bytes(&corrupt).is_err(),
-                    "flip at byte {pos} (mask {bit:#04x}) went undetected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn truncation_is_detected_at_every_length() {
-        let ck = sample_checkpoint(ModelSpec::Ma { window: 2 }, KeyStrategy::TwoPass);
-        let bytes = ck.to_bytes();
-        let step = (bytes.len() / 61).max(1);
-        for len in (0..bytes.len()).step_by(step) {
-            assert!(
-                Checkpoint::from_bytes(&bytes[..len]).is_err(),
-                "truncation to {len} bytes went undetected"
-            );
-        }
-    }
-
-    #[test]
     fn wrong_magic_is_typed() {
         let ck = sample_checkpoint(ModelSpec::Ewma { alpha: 0.5 }, KeyStrategy::TwoPass);
         let mut bytes = ck.to_bytes();
         bytes[..8].copy_from_slice(b"SCDTRC02");
-        assert!(matches!(Checkpoint::from_bytes(&bytes), Err(CheckpointError::BadMagic)));
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes),
+            Err(CheckpointError::Envelope(SealError::BadMagic))
+        ));
     }
 
     /// Sibling checkpoints differing only by extension (`det.ckpt`,
@@ -923,16 +702,18 @@ mod tests {
     }
 
     #[test]
-    fn plain_checkpoints_stay_version_1() {
-        // No staggered/GLR state → the emitted bytes must still carry the
-        // version-1 magic (older readers keep working), and decoding must
-        // leave both sections empty.
+    fn legacy_v1_magic_is_rejected() {
+        // The pre-GLR layout (old magic, no section flags) is not read,
+        // even re-sealed with a matching checksum.
         let ck = sample_checkpoint(ModelSpec::Ewma { alpha: 0.5 }, KeyStrategy::TwoPass);
         let bytes = ck.to_bytes();
-        assert_eq!(&bytes[..8], MAGIC);
-        let decoded = Checkpoint::from_bytes(&bytes).expect("decode v1");
-        assert!(decoded.staggered.is_none());
-        assert!(decoded.glr.is_none());
+        let mut v1 = b"SCDCKPT1".to_vec();
+        v1.extend_from_slice(&bytes[8..bytes.len() - 6]);
+        envelope::seal(&mut v1);
+        assert!(matches!(
+            Checkpoint::from_bytes(&v1),
+            Err(CheckpointError::Envelope(SealError::BadMagic))
+        ));
     }
 
     fn slot_items(s: u64) -> Vec<(u64, f64)> {
@@ -989,7 +770,7 @@ mod tests {
         use crate::glr::GlrDetector;
         let ck = sample_v2_checkpoint();
         let bytes = ck.to_bytes();
-        assert_eq!(&bytes[..8], MAGIC_V2);
+        assert_eq!(&bytes[..8], MAGIC);
         let decoded = Checkpoint::from_bytes(&bytes).expect("decode v2");
 
         // The engine-side bookkeeping round-trips field for field.
@@ -1023,20 +804,6 @@ mod tests {
                 stag_ref.process_slot(&slot_items(s)),
                 stag_dec.process_slot(&slot_items(s)),
                 "staggered lanes diverged at slot {s}"
-            );
-        }
-    }
-
-    #[test]
-    fn v2_single_byte_flip_is_detected() {
-        let bytes = sample_v2_checkpoint().to_bytes();
-        let step = (bytes.len() / 97).max(1);
-        for pos in (0..bytes.len()).step_by(step) {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 0x01;
-            assert!(
-                Checkpoint::from_bytes(&corrupt).is_err(),
-                "flip at byte {pos} went undetected"
             );
         }
     }

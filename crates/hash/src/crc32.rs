@@ -1,12 +1,13 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the integrity
 //! footer shared by every on-disk and on-wire format in this workspace.
 //!
-//! Seven formats close with (or carry) this checksum so truncation and
-//! bit-rot are *detected* instead of silently decoding garbage: the sketch
-//! wire format (`SCDSKT02`), the binary trace format (`SCDTRC02`), the
-//! archive dump (`SCDARCH1`), detector checkpoints (`SCDCKPT1`/`SCDCKPT2`),
-//! the fan-in frames (`SCDN`), the query protocol (`SCDQ`), and the
-//! canonical report digests the distributed plane compares. The checksum
+//! Six formats close with this checksum, through the two envelopes of
+//! [`crate::envelope`], so truncation and bit-rot are *detected* instead
+//! of silently decoding garbage: the sketch wire format (`SCDSKT02`), the
+//! binary trace format (`SCDTRC02`), the archive dump (`SCDARCH1`),
+//! detector checkpoints (`SCDCKPT2`), the fan-in frames (`SCDN`) and the
+//! query protocol (`SCDQ`); the canonical report digests the distributed
+//! plane compares carry it too. The checksum
 //! lives in this crate because it is the one crate every other crate
 //! already depends on — and because every byte any of those formats moves
 //! passes through [`Crc32::update`], so this is the one place to make them

@@ -54,6 +54,7 @@
 
 pub mod byteio;
 pub mod crc32;
+pub mod envelope;
 pub mod poly;
 pub mod rows;
 pub mod simd;

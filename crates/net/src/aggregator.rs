@@ -36,14 +36,29 @@ use scd_core::channel::{bounded, Receiver, Sender};
 use scd_core::detector::{DetectorConfig, IntervalReport};
 use scd_core::supervisor::RestartPolicy;
 use scd_hash::HashRows;
+use scd_obs::{Budgets, Listener};
 use scd_sketch::{wire, KarySketch};
 use scd_traffic::FaultPlan;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Socket read timeout on node connections. A connected node may be
+/// quiet for a whole interval between frames (the read times out at a
+/// frame boundary and is retried until the run ends), but its `Hello`
+/// must arrive, and a frame once begun must keep arriving, within this.
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Budget for writing one `Ack`; a node not draining its socket for this
+/// long loses the connection (and reconnects, resending its spool).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Concurrent connections allowed per ring node: one live, plus room for
+/// reconnects racing the teardown of connections the node abandoned.
+const CONNECTIONS_PER_NODE: usize = 4;
 
 /// Configuration of the aggregation point.
 #[derive(Debug, Clone)]
@@ -141,7 +156,7 @@ enum Event {
 /// The bound aggregation point. [`run`](Aggregator::run) consumes it.
 pub struct Aggregator {
     config: AggregatorConfig,
-    listener: TcpListener,
+    listener: Listener,
 }
 
 impl Aggregator {
@@ -153,16 +168,27 @@ impl Aggregator {
         if config.nodes == 0 {
             return Err(NetError::Config("aggregator needs at least one node".into()));
         }
-        let listener = TcpListener::bind(addr)?;
+        let budgets = Budgets {
+            thread_name: "scd-net-accept",
+            read_timeout: READ_TIMEOUT,
+            write_timeout: WRITE_TIMEOUT,
+            max_connections: config.nodes as usize * CONNECTIONS_PER_NODE,
+            accepted: Arc::default(),
+            refused: match &config.metrics {
+                Some(m) => Arc::clone(&m.aggregator.rejected_connections_total),
+                None => Arc::default(),
+            },
+        };
+        let listener = Listener::bind(addr, budgets)?;
         Ok(Aggregator { config, listener })
     }
 
     /// The bound address — hand this to the nodes.
     ///
     /// # Errors
-    /// Socket introspection errors.
+    /// None today; the signature predates the address being cached.
     pub fn local_addr(&self) -> Result<SocketAddr, NetError> {
-        Ok(self.listener.local_addr()?)
+        Ok(self.listener.local_addr())
     }
 
     /// Runs the plane to completion: accepts node connections, assembles
@@ -173,7 +199,7 @@ impl Aggregator {
     /// Socket setup failures or the detector's restart budget running
     /// out. Node loss is *not* an error — it produces recovered or
     /// flagged-partial intervals.
-    pub fn run(self) -> Result<AggregateSummary, NetError> {
+    pub fn run(mut self) -> Result<AggregateSummary, NetError> {
         let mut detector = SupervisedDetector::new(
             self.config.detector.clone(),
             self.config.restart,
@@ -183,25 +209,20 @@ impl Aggregator {
         let resumed_from = detector.emitted();
         let rows = Arc::clone(detector.rows());
         let (tx, rx) = bounded::<Event>(1024);
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = spawn_accept(
-            self.listener,
-            tx,
-            Arc::clone(&rows),
-            Expect {
-                nodes: self.config.nodes,
-                h: self.config.detector.sketch.h as u64,
-                k: self.config.detector.sketch.k as u64,
-                seed: self.config.detector.sketch.seed,
-            },
-            Arc::clone(&stop),
-            self.config.metrics.clone(),
-        );
+        let expect = Expect {
+            nodes: self.config.nodes,
+            h: self.config.detector.sketch.h as u64,
+            k: self.config.detector.sketch.k as u64,
+            seed: self.config.detector.sketch.seed,
+        };
+        let metrics = self.config.metrics.clone();
+        self.listener.start(move |stream, stop| {
+            serve_connection(stream, stop, &tx, &rows, expect, metrics.as_deref());
+        });
 
         let outcome = aggregate_loop(&self.config, &mut detector, &rx, resumed_from);
-        stop.store(true, Ordering::Release);
         drop(rx); // unblocks reader threads stuck on a full event queue
-        let _ = accept.join();
+        self.listener.shutdown();
         let (intervals, timed_out) = outcome?;
         Ok(AggregateSummary {
             intervals,
@@ -295,36 +316,10 @@ fn aggregate_loop(
             if !slots.contains_key(&t) && !in_declared_range {
                 break; // nothing buffered and no node promised this interval
             }
-            let ready = {
-                let row = slots.get(&t);
-                let present = |i: usize| row.is_some_and(|r| r[i].is_some());
-                if (0..n).all(present) {
-                    true
-                } else {
-                    let still_expecting = (0..n).any(|i| {
-                        !present(i) && !down[i] && nodes[i].bye.map_or(true, |total| total > t)
-                    });
-                    if !still_expecting {
-                        true // nobody left to wait for: degrade immediately
-                    } else if row.is_none() {
-                        // Declared (via Bye) but not one frame delivered
-                        // yet: the grace window opens at first arrival,
-                        // not first visit. Liveness deadlines and the
-                        // run timeout still bound the wait.
-                        false
-                    } else {
-                        match waiting {
-                            Some((wt, since)) if wt == t => {
-                                now.duration_since(since) >= config.grace
-                            }
-                            _ => {
-                                waiting = Some((t, now));
-                                false
-                            }
-                        }
-                    }
-                }
-            };
+            let row = slots.get(&t);
+            let present = |i: usize| row.is_some_and(|r| r[i].is_some());
+            let expected = |i: usize| !down[i] && nodes[i].bye.map_or(true, |total| total > t);
+            let ready = wait_is_over(n, present, expected, &mut waiting, t, now, config.grace);
             if !(ready || timed_out && slots.contains_key(&t)) {
                 break;
             }
@@ -353,6 +348,40 @@ fn aggregate_loop(
         std::thread::sleep(config.tick);
     }
     Ok((emitted, timed_out))
+}
+
+/// Step 1 of the ladder: may interval `t` stop waiting at `now`?
+/// `present(i)` — node `i`'s frame is in; `expected(i)` — node `i` is
+/// alive and has not signed off before `t`. `waiting` remembers when the
+/// grace window of the interval being held opened.
+fn wait_is_over(
+    n: usize,
+    present: impl Fn(usize) -> bool,
+    expected: impl Fn(usize) -> bool,
+    waiting: &mut Option<(u64, Instant)>,
+    t: u64,
+    now: Instant,
+    grace: Duration,
+) -> bool {
+    if (0..n).all(&present) {
+        return true;
+    }
+    if !(0..n).any(|i| !present(i) && expected(i)) {
+        return true; // nobody left to wait for: degrade immediately
+    }
+    if !(0..n).any(&present) {
+        // Declared (via Bye) but not one frame delivered yet: the grace
+        // window opens at first arrival, not first visit. Liveness
+        // deadlines and the run timeout still bound the wait.
+        return false;
+    }
+    match *waiting {
+        Some((wt, since)) if wt == t => now.duration_since(since) >= grace,
+        _ => {
+            *waiting = Some((t, now));
+            false
+        }
+    }
 }
 
 fn none_row(n: usize) -> Vec<Option<NodeSlot>> {
@@ -439,58 +468,26 @@ struct Expect {
     seed: u64,
 }
 
-/// Accept loop: non-blocking polls so it can observe the stop flag;
-/// each accepted connection gets a detached reader thread (readers exit
-/// on EOF/error when their node hangs up, or when the event queue's
-/// receiver is gone).
-fn spawn_accept(
-    listener: TcpListener,
-    tx: Sender<Event>,
-    rows: Arc<HashRows>,
-    expect: Expect,
-    stop: Arc<AtomicBool>,
-    metrics: Option<Arc<NetMetrics>>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("scd-net-accept".into())
-        .spawn(move || {
-            let _ = listener.set_nonblocking(true);
-            while !stop.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let tx = tx.clone();
-                        let rows = Arc::clone(&rows);
-                        let metrics = metrics.clone();
-                        let _ = std::thread::Builder::new()
-                            .name("scd-net-reader".into())
-                            .spawn(move || serve_connection(stream, tx, rows, expect, metrics));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                }
-            }
-        })
-        .expect("spawn accept thread")
-}
-
 /// One node connection: validate the handshake, then decode frames,
-/// acking every interval at receipt. Any decode error tears the
-/// connection down — the node's spool machinery makes that safe.
+/// acking every interval at receipt. Any decode error, a mid-frame stall
+/// or an undrained ack tears the connection down — the node's spool
+/// machinery makes that safe.
 fn serve_connection(
     mut stream: TcpStream,
-    tx: Sender<Event>,
-    rows: Arc<HashRows>,
+    stop: &AtomicBool,
+    tx: &Sender<Event>,
+    rows: &Arc<HashRows>,
     expect: Expect,
-    metrics: Option<Arc<NetMetrics>>,
+    metrics: Option<&NetMetrics>,
 ) {
     let _ = stream.set_nodelay(true);
-    let reject = |metrics: &Option<Arc<NetMetrics>>| {
+    let reject = || {
         if let Some(m) = metrics {
             m.aggregator.rejected_connections_total.inc();
         }
     };
+    // The node speaks first: a connection that has not said a valid
+    // `Hello` within one read timeout is not a node.
     let node = match Frame::read_from(&mut stream) {
         Ok(Frame::Hello { node, nodes, h, k, seed, version })
             if nodes == expect.nodes
@@ -500,10 +497,7 @@ fn serve_connection(
         {
             node
         }
-        _ => {
-            reject(&metrics);
-            return;
-        }
+        _ => return reject(),
     };
     if tx.send(Event::Seen { node }).is_err() {
         return;
@@ -512,26 +506,22 @@ fn serve_connection(
         match Frame::read_from(&mut stream) {
             Ok(Frame::Interval { node: from, interval, data, data_keys, parity, parity_keys }) => {
                 if from != node {
-                    reject(&metrics);
-                    return;
+                    return reject();
                 }
                 let (data, parity) = match (
-                    wire::from_bytes_with_rows(&data, &rows),
-                    wire::from_bytes_with_rows(&parity, &rows),
+                    wire::from_bytes_with_rows(&data, rows),
+                    wire::from_bytes_with_rows(&parity, rows),
                 ) {
                     (Ok(d), Ok(p)) => (d, p),
-                    _ => {
-                        // The embedded sketch blob failed its own CRC or
-                        // family check: treat like any corrupt frame.
-                        reject(&metrics);
-                        return;
-                    }
+                    // The embedded sketch blob failed its own CRC or
+                    // family check: treat like any corrupt frame.
+                    _ => return reject(),
                 };
                 // Ack at receipt: the frame is intact and queued for the
                 // plane, so the node may drop its spool copy.
                 let ack = Frame::Ack { interval }.encode();
                 if stream.write_all(&ack).is_err() {
-                    return;
+                    return reject();
                 }
                 let slot = NodeSlot { data, data_keys, parity, parity_keys };
                 if tx.send(Event::Interval { node, interval, slot }).is_err() {
@@ -548,15 +538,47 @@ fn serve_connection(
                     return;
                 }
             }
-            Ok(Frame::Hello { .. } | Frame::Ack { .. }) => {
-                reject(&metrics);
-                return;
-            }
-            Err(FrameError::Closed) => return,
-            Err(_) => {
-                reject(&metrics);
-                return;
-            }
+            Ok(Frame::Hello { .. } | Frame::Ack { .. }) => return reject(),
+            // Quiet between frames, for as long as the run lasts.
+            Err(FrameError::Idle) if !stop.load(Ordering::Acquire) => {}
+            Err(FrameError::Idle | FrameError::Closed) => return,
+            Err(_) => return reject(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The grace window opens at an interval's first *frame*, never at a
+    /// `Bye` declaration — decided on an injected clock, so no scheduler
+    /// can race it.
+    #[test]
+    fn grace_opens_at_the_first_frame_not_at_the_declaration() {
+        let grace = Duration::from_millis(20);
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let mut waiting = None;
+        let all_expected = |_: usize| true;
+        // Interval 0 is declared by a stale `Bye`; no frame has arrived.
+        // Thousands of grace windows pass: still waiting, window unopened.
+        for ms in [0, 19, 20, 21, 1_000, 60_000] {
+            assert!(!wait_is_over(3, |_| false, all_expected, &mut waiting, 0, at(ms), grace));
+            assert_eq!(waiting, None, "a declaration alone must not open the window");
+        }
+        // Node 1's frame lands at 60 s: the window opens there.
+        let one_in = |i: usize| i == 1;
+        assert!(!wait_is_over(3, one_in, all_expected, &mut waiting, 0, at(60_000), grace));
+        assert_eq!(waiting, Some((0, at(60_000))));
+        assert!(!wait_is_over(3, one_in, all_expected, &mut waiting, 0, at(60_019), grace));
+        assert!(wait_is_over(3, one_in, all_expected, &mut waiting, 0, at(60_020), grace));
+        // Everyone in, or nobody left to wait for, never waits at all.
+        assert!(wait_is_over(3, |_| true, all_expected, &mut None, 0, at(0), grace));
+        assert!(wait_is_over(3, one_in, |_| false, &mut None, 0, at(0), grace));
+        assert!(wait_is_over(3, |_| false, |_| false, &mut None, 0, at(0), grace));
+        // A window held for one interval does not carry over to the next.
+        assert!(!wait_is_over(3, one_in, all_expected, &mut waiting, 1, at(70_000), grace));
+        assert_eq!(waiting, Some((1, at(70_000))));
     }
 }

@@ -1,94 +1,27 @@
-//! The `SCDN` wire protocol: length-prefixed, CRC-guarded frames
-//! exchanged between ingest nodes and the aggregator.
+//! The `SCDN` wire protocol: the messages exchanged between ingest nodes
+//! and the aggregator, each one frame of `scd_hash::envelope`'s frame
+//! envelope.
 //!
-//! Layout of every frame on the wire:
+//! Interval payloads embed `SCDSKT02` sketch blobs, which carry their
+//! *own* magic and CRC: sketch bytes cross process, disk (spool) and
+//! network boundaries, and each hop re-verifies them.
 //!
-//! ```text
-//! magic  "SCDN"                        4 bytes
-//! type   u8                            1 byte
-//! len    u32 LE  (payload length)      4 bytes
-//! payload                              len bytes
-//! crc32  u32 LE  over everything above 4 bytes
-//! ```
-//!
-//! The CRC covers the header *and* payload, so a bit flip anywhere in the
-//! frame — including in the length field that was already used to size the
-//! read — is caught before the payload is decoded. Interval payloads embed
-//! `SCDSKT02` sketch blobs, which carry their *own* magic and CRC: sketch
-//! bytes cross process, disk (spool) and network boundaries, and each hop
-//! re-verifies them.
-//!
-//! Decoders treat input as hostile (same contract as `scd_sketch::wire`):
-//! truncation, oversized lengths, unknown types and checksum mismatches
-//! all surface as typed [`FrameError`]s, never as panics or unbounded
-//! allocations. A decode error tears down the connection — the sender
-//! reconnects and resends unacknowledged intervals from its spool, so a
-//! corrupted frame costs a round trip, not correctness.
+//! A decode error tears down the connection — the sender reconnects and
+//! resends unacknowledged intervals from its spool, so a corrupted frame
+//! costs a round trip, not correctness.
 
-use scd_hash::byteio::{put_u32, put_u64, put_u8, Cursor};
-use scd_hash::crc32;
+use scd_hash::byteio::{put_u32, put_u64, Cursor};
+use scd_hash::envelope::{self, put_blob, put_keys, FrameSpec};
 use std::io::Read;
 
-/// Frame magic: every frame starts with these four bytes.
-pub const MAGIC: &[u8; 4] = b"SCDN";
+pub use scd_hash::envelope::FrameError;
 
-/// Upper bound on a frame payload (64 MiB) — rejects absurd length
-/// prefixes before any allocation happens.
-pub const MAX_FRAME: u32 = 64 << 20;
+/// The protocol's frame envelope: magic, and a 64 MiB payload bound that
+/// rejects absurd length prefixes before any allocation happens.
+pub const SCDN: FrameSpec = FrameSpec { magic: *b"SCDN", max_payload: 64 << 20 };
 
 /// Protocol version announced in [`Frame::Hello`].
 pub const VERSION: u32 = 1;
-
-/// Errors from encoding or decoding frames.
-#[derive(Debug)]
-pub enum FrameError {
-    /// The underlying transport failed.
-    Io(std::io::Error),
-    /// The peer closed the connection cleanly at a frame boundary.
-    Closed,
-    /// The stream does not start with [`MAGIC`] where a frame should.
-    BadMagic,
-    /// Unknown frame type byte.
-    BadType(u8),
-    /// The length prefix exceeds [`MAX_FRAME`].
-    TooLarge(u32),
-    /// The CRC-32 footer does not match the frame as read.
-    BadCrc {
-        /// Checksum computed over the frame as received.
-        computed: u32,
-        /// Checksum stored in the footer.
-        stored: u32,
-    },
-    /// The payload ended before its structure did, or had trailing bytes.
-    Malformed,
-    /// An embedded sketch blob failed its own decode.
-    Sketch(scd_sketch::WireError),
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Io(e) => write!(f, "frame i/o: {e}"),
-            FrameError::Closed => write!(f, "connection closed at frame boundary"),
-            FrameError::BadMagic => write!(f, "bad frame magic"),
-            FrameError::BadType(t) => write!(f, "unknown frame type {t}"),
-            FrameError::TooLarge(n) => write!(f, "frame payload {n} exceeds {MAX_FRAME}"),
-            FrameError::BadCrc { computed, stored } => {
-                write!(f, "frame crc mismatch: computed {computed:#010x}, stored {stored:#010x}")
-            }
-            FrameError::Malformed => write!(f, "malformed frame payload"),
-            FrameError::Sketch(e) => write!(f, "embedded sketch blob: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<std::io::Error> for FrameError {
-    fn from(e: std::io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
 
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,186 +93,84 @@ impl Frame {
         }
     }
 
-    /// Encodes the frame, including magic, length prefix and CRC footer.
+    /// Encodes the frame, envelope included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
+        let mut out = SCDN.begin(self.type_byte());
         match self {
             Frame::Hello { node, nodes, h, k, seed, version } => {
-                put_u32(&mut payload, *node);
-                put_u32(&mut payload, *nodes);
-                put_u64(&mut payload, *h);
-                put_u64(&mut payload, *k);
-                put_u64(&mut payload, *seed);
-                put_u32(&mut payload, *version);
+                put_u32(&mut out, *node);
+                put_u32(&mut out, *nodes);
+                put_u64(&mut out, *h);
+                put_u64(&mut out, *k);
+                put_u64(&mut out, *seed);
+                put_u32(&mut out, *version);
             }
             Frame::Interval { node, interval, data, data_keys, parity, parity_keys } => {
-                put_u32(&mut payload, *node);
-                put_u64(&mut payload, *interval);
-                put_blob(&mut payload, data);
-                put_keys(&mut payload, data_keys);
-                put_blob(&mut payload, parity);
-                put_keys(&mut payload, parity_keys);
+                // Megabytes of sketch: size the frame once instead of
+                // growing (and re-copying) it blob by blob.
+                let keys = data_keys.len() + parity_keys.len();
+                out.reserve(64 + data.len() + parity.len() + 8 * keys);
+                put_u32(&mut out, *node);
+                put_u64(&mut out, *interval);
+                put_blob(&mut out, data);
+                put_keys(&mut out, data_keys);
+                put_blob(&mut out, parity);
+                put_keys(&mut out, parity_keys);
             }
-            Frame::Heartbeat { node } => put_u32(&mut payload, *node),
+            Frame::Heartbeat { node } => put_u32(&mut out, *node),
             Frame::Bye { node, intervals_total } => {
-                put_u32(&mut payload, *node);
-                put_u64(&mut payload, *intervals_total);
+                put_u32(&mut out, *node);
+                put_u64(&mut out, *intervals_total);
             }
-            Frame::Ack { interval } => put_u64(&mut payload, *interval),
+            Frame::Ack { interval } => put_u64(&mut out, *interval),
         }
-        let mut out = Vec::with_capacity(13 + payload.len());
-        out.extend_from_slice(MAGIC);
-        put_u8(&mut out, self.type_byte());
-        put_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(&payload);
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
-        out
+        SCDN.seal(out)
     }
 
     /// Decodes one frame from a complete byte buffer (header + payload +
     /// CRC), e.g. a spool file.
     ///
     /// # Errors
-    /// Any [`FrameError`] except `Io`/`Closed`.
+    /// Any [`FrameError`] a buffer can produce (not the stream-only ones).
     pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
-        if bytes.len() < 13 {
-            return Err(FrameError::Malformed);
-        }
-        if &bytes[..4] != MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        let ty = bytes[4];
-        let len = u32::from_le_bytes([bytes[5], bytes[6], bytes[7], bytes[8]]);
-        if len > MAX_FRAME {
-            return Err(FrameError::TooLarge(len));
-        }
-        if bytes.len() != 13 + len as usize {
-            return Err(FrameError::Malformed);
-        }
-        let body_end = bytes.len() - 4;
-        let stored = u32::from_le_bytes(bytes[body_end..].try_into().expect("4 bytes"));
-        let computed = crc32(&bytes[..body_end]);
-        if computed != stored {
-            return Err(FrameError::BadCrc { computed, stored });
-        }
-        decode_payload(ty, &bytes[9..body_end])
+        let (ty, payload) = SCDN.open(bytes)?;
+        decode_payload(ty, payload)
     }
 
-    /// Reads exactly one frame from a stream. Returns
-    /// [`FrameError::Closed`] on a clean EOF at a frame boundary.
+    /// Reads exactly one frame from a stream.
     ///
     /// # Errors
-    /// Any [`FrameError`]; transport failures surface as `Io`.
+    /// Any [`FrameError`]: `Closed` on a clean EOF at a frame boundary,
+    /// `Idle` / `Stalled` when the stream's read timeout fires before /
+    /// inside a frame, `Io` for other transport failures.
     pub fn read_from(r: &mut impl Read) -> Result<Frame, FrameError> {
-        let mut header = [0u8; 9];
-        read_exact_or_closed(r, &mut header, true)?;
-        if &header[..4] != MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-        if len > MAX_FRAME {
-            return Err(FrameError::TooLarge(len));
-        }
-        let mut rest = vec![0u8; len as usize + 4];
-        read_exact_or_closed(r, &mut rest, false)?;
-        let (payload, footer) = rest.split_at(len as usize);
-        let stored = u32::from_le_bytes(footer.try_into().expect("4 bytes"));
-        let mut crc = scd_hash::Crc32::new();
-        crc.update(&header);
-        crc.update(payload);
-        let computed = crc.finalize();
-        if computed != stored {
-            return Err(FrameError::BadCrc { computed, stored });
-        }
-        decode_payload(header[4], payload)
+        let (ty, payload) = SCDN.read_from(r)?;
+        decode_payload(ty, &payload)
     }
-}
-
-/// `read_exact` that maps EOF to [`FrameError::Closed`] only when it
-/// happens at a frame boundary (`at_boundary`); EOF mid-frame is a
-/// truncation and stays an `Io` error.
-fn read_exact_or_closed(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    at_boundary: bool,
-) -> Result<(), FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if at_boundary && filled == 0 {
-                    Err(FrameError::Closed)
-                } else {
-                    Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof.into()))
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
-fn put_blob(buf: &mut Vec<u8>, blob: &[u8]) {
-    put_u64(buf, blob.len() as u64);
-    buf.extend_from_slice(blob);
-}
-
-fn put_keys(buf: &mut Vec<u8>, keys: &[u64]) {
-    put_u64(buf, keys.len() as u64);
-    for &k in keys {
-        put_u64(buf, k);
-    }
-}
-
-fn take_blob(cur: &mut Cursor<'_>) -> Result<Vec<u8>, FrameError> {
-    let len = cur.u64().map_err(|_| FrameError::Malformed)?;
-    if len > u64::from(MAX_FRAME) || len as usize > cur.remaining() {
-        return Err(FrameError::Malformed);
-    }
-    Ok(cur.take(len as usize).map_err(|_| FrameError::Malformed)?.to_vec())
-}
-
-fn take_keys(cur: &mut Cursor<'_>) -> Result<Vec<u64>, FrameError> {
-    let n = cur.u64().map_err(|_| FrameError::Malformed)?;
-    // Each key is 8 bytes: bound the allocation by what is actually left.
-    if n as usize > cur.remaining() / 8 {
-        return Err(FrameError::Malformed);
-    }
-    let mut keys = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        keys.push(cur.u64().map_err(|_| FrameError::Malformed)?);
-    }
-    Ok(keys)
 }
 
 fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
     let mut cur = Cursor::new(payload);
     let frame = match ty {
         0 => Frame::Hello {
-            node: cur.u32().map_err(|_| FrameError::Malformed)?,
-            nodes: cur.u32().map_err(|_| FrameError::Malformed)?,
-            h: cur.u64().map_err(|_| FrameError::Malformed)?,
-            k: cur.u64().map_err(|_| FrameError::Malformed)?,
-            seed: cur.u64().map_err(|_| FrameError::Malformed)?,
-            version: cur.u32().map_err(|_| FrameError::Malformed)?,
+            node: cur.u32()?,
+            nodes: cur.u32()?,
+            h: cur.u64()?,
+            k: cur.u64()?,
+            seed: cur.u64()?,
+            version: cur.u32()?,
         },
         1 => Frame::Interval {
-            node: cur.u32().map_err(|_| FrameError::Malformed)?,
-            interval: cur.u64().map_err(|_| FrameError::Malformed)?,
-            data: take_blob(&mut cur)?,
-            data_keys: take_keys(&mut cur)?,
-            parity: take_blob(&mut cur)?,
-            parity_keys: take_keys(&mut cur)?,
+            node: cur.u32()?,
+            interval: cur.u64()?,
+            data: envelope::blob(&mut cur)?.to_vec(),
+            data_keys: envelope::keys(&mut cur)?,
+            parity: envelope::blob(&mut cur)?.to_vec(),
+            parity_keys: envelope::keys(&mut cur)?,
         },
-        2 => Frame::Heartbeat { node: cur.u32().map_err(|_| FrameError::Malformed)? },
-        3 => Frame::Bye {
-            node: cur.u32().map_err(|_| FrameError::Malformed)?,
-            intervals_total: cur.u64().map_err(|_| FrameError::Malformed)?,
-        },
-        4 => Frame::Ack { interval: cur.u64().map_err(|_| FrameError::Malformed)? },
+        2 => Frame::Heartbeat { node: cur.u32()? },
+        3 => Frame::Bye { node: cur.u32()?, intervals_total: cur.u64()? },
+        4 => Frame::Ack { interval: cur.u64()? },
         other => return Err(FrameError::BadType(other)),
     };
     if cur.remaining() != 0 {
@@ -380,85 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn every_single_bit_flip_is_detected() {
-        let frame = Frame::Interval {
-            node: 0,
-            interval: 3,
-            data: vec![5; 16],
-            data_keys: vec![1, 2],
-            parity: vec![6; 16],
-            parity_keys: vec![3],
-        };
-        let clean = frame.encode();
-        for byte in 0..clean.len() {
-            for bit in 0..8 {
-                let mut dirty = clean.clone();
-                dirty[byte] ^= 1 << bit;
-                assert!(
-                    Frame::decode(&dirty).is_err(),
-                    "flip at byte {byte} bit {bit} went undetected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_detected() {
-        let clean = sample_frames()[1].encode();
-        for keep in 0..clean.len() {
-            assert!(Frame::decode(&clean[..keep]).is_err(), "truncation to {keep} accepted");
-            let mut reader = std::io::Cursor::new(clean[..keep].to_vec());
-            let err = Frame::read_from(&mut reader).unwrap_err();
-            if keep == 0 {
-                assert!(matches!(err, FrameError::Closed), "empty stream must read as Closed");
-            } else {
-                assert!(
-                    !matches!(err, FrameError::Closed),
-                    "mid-frame truncation at {keep} must not look like a clean close"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hostile_lengths_are_rejected_before_allocation() {
-        // A length prefix of MAX_FRAME+1 must be rejected from the header
-        // alone (no multi-gigabyte buffer is ever allocated).
-        let mut bytes = Frame::Ack { interval: 1 }.encode();
-        bytes[5..9].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-        assert!(matches!(Frame::decode(&bytes), Err(FrameError::TooLarge(_))));
-        let mut reader = std::io::Cursor::new(bytes);
-        assert!(matches!(Frame::read_from(&mut reader), Err(FrameError::TooLarge(_))));
-
-        // An inner key count claiming more keys than bytes remain must be
-        // caught by the remaining-bytes bound, not by OOM.
-        let frame = Frame::Interval {
-            node: 0,
-            interval: 0,
-            data: vec![],
-            data_keys: vec![1],
-            parity: vec![],
-            parity_keys: vec![],
-        };
-        let mut bytes = frame.encode();
-        // data_keys count lives right after node(4)+interval(8)+blob len(8)
-        // in the payload, i.e. at offset 9 + 20 in the frame.
-        let count_at = 9 + 4 + 8 + 8;
-        bytes[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        // Fix up the CRC so only the hostile count is under test.
-        let body_end = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_end]);
-        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(Frame::decode(&bytes), Err(FrameError::Malformed)));
-    }
-
-    #[test]
     fn unknown_type_is_rejected() {
         let mut bytes = Frame::Heartbeat { node: 1 }.encode();
         bytes[4] = 9;
-        let body_end = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_end]);
-        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        bytes.truncate(bytes.len() - 4);
+        envelope::seal(&mut bytes);
         assert!(matches!(Frame::decode(&bytes), Err(FrameError::BadType(9))));
     }
 }

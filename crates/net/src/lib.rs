@@ -19,8 +19,8 @@
 //! * [`SupervisedDetector`] — the aggregator's one global detector under
 //!   the same panic-absorbing, checkpoint-resuming supervision the PR-1
 //!   streaming pipeline uses, so detection restarts mid-stream.
-//! * [`Frame`] — the CRC-guarded, length-prefixed wire protocol, hostile
-//!   input treated the same way as every other decoder in the workspace.
+//! * [`Frame`] — the `SCDN` messages, carried in the workspace's shared
+//!   frame envelope (`scd_hash::envelope`).
 //! * [`NetMetrics`] — the plane's `scd-obs` metric inventory (lag,
 //!   retries, reconnects, recovered/partial intervals).
 //!
@@ -52,7 +52,7 @@ pub mod spool;
 pub mod supervise;
 
 pub use aggregator::{AggregateSummary, Aggregator, AggregatorConfig, EmittedInterval};
-pub use frame::{Frame, FrameError, MAX_FRAME, VERSION};
+pub use frame::{Frame, FrameError, SCDN, VERSION};
 pub use metrics::{AggregatorMetrics, NetMetrics, SenderMetrics};
 pub use sender::{IngestNode, NodeConfig, NodeSummary};
 pub use spool::SpoolDir;

@@ -35,7 +35,8 @@ pub struct AggregatorMetrics {
     pub frames_total: Arc<Counter>,
     /// Duplicate interval frames dropped by dedup.
     pub duplicates_total: Arc<Counter>,
-    /// Connections torn down on a decode/handshake error.
+    /// Connections torn down on a decode/handshake error, a mid-frame or
+    /// ack stall, or refused at the connection cap.
     pub rejected_connections_total: Arc<Counter>,
     /// Intervals emitted with every node present.
     pub full_intervals_total: Arc<Counter>,
@@ -86,7 +87,7 @@ impl NetMetrics {
                 .counter("scd_net_agg_duplicates_total", "duplicate interval frames dropped"),
             rejected_connections_total: registry.counter(
                 "scd_net_agg_rejected_connections_total",
-                "connections dropped on decode or handshake error",
+                "connections dropped on a decode, handshake or stall error, or refused at the cap",
             ),
             full_intervals_total: registry
                 .counter("scd_net_agg_full_intervals_total", "intervals with every node present"),

@@ -21,7 +21,7 @@
 //! the jittered [`RestartPolicy`] backoff; every reconnect resends the
 //! whole spool (the aggregator dedups by `(node, interval)`).
 
-use crate::frame::{Frame, VERSION};
+use crate::frame::{Frame, SCDN, VERSION};
 use crate::metrics::NetMetrics;
 use crate::spool::SpoolDir;
 use crate::NetError;
@@ -425,24 +425,12 @@ impl IngestNode {
         }
         // Parse complete frames out of the buffer.
         loop {
-            if self.inbuf.len() < 13 {
-                return;
-            }
-            let len =
-                u32::from_le_bytes([self.inbuf[5], self.inbuf[6], self.inbuf[7], self.inbuf[8]]);
-            let total = 13 + len as usize;
-            if len > crate::frame::MAX_FRAME || &self.inbuf[..4] != crate::frame::MAGIC {
-                // Desynchronized or hostile: drop the connection and start
-                // over; the spool still holds everything unacknowledged.
-                self.conn = None;
-                self.inbuf.clear();
-                return;
-            }
-            if self.inbuf.len() < total {
-                return;
-            }
-            let frame: Vec<u8> = self.inbuf.drain(..total).collect();
-            match Frame::decode(&frame) {
+            let total = match SCDN.frame_len(&self.inbuf) {
+                Ok(Some(total)) if total <= self.inbuf.len() => total,
+                Ok(_) => return, // the rest of the frame is still in flight
+                Err(_) => return self.desynchronized(),
+            };
+            match Frame::decode(&self.inbuf[..total]) {
                 Ok(Frame::Ack { interval }) => {
                     let _ = self.spool.ack(interval);
                     if let Some(m) = &self.config.metrics {
@@ -450,13 +438,17 @@ impl IngestNode {
                     }
                 }
                 Ok(_) => {} // nothing else flows aggregator → node today
-                Err(_) => {
-                    self.conn = None;
-                    self.inbuf.clear();
-                    return;
-                }
+                Err(_) => return self.desynchronized(),
             }
+            self.inbuf.drain(..total);
         }
+    }
+
+    /// The inbound stream is hostile or out of step: drop the connection
+    /// and start over; the spool still holds everything unacknowledged.
+    fn desynchronized(&mut self) {
+        self.conn = None;
+        self.inbuf.clear();
     }
 }
 

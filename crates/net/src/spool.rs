@@ -7,11 +7,15 @@
 //! (oldest first). The aggregator deduplicates by `(node, interval)`, so
 //! resending is always safe.
 //!
-//! Files are written with the same tmp-then-rename discipline as detector
-//! checkpoints: a crash mid-write leaves a `.tmp` orphan, never a
-//! half-written `.frm` that a restart would try to resend. Frame bytes
-//! carry their own CRC, so a spool file damaged at rest is detected when
-//! it is re-read.
+//! Files are written tmp-then-rename: a crash mid-write leaves a `.tmp`
+//! orphan, never a half-written `.frm` that a restart would try to
+//! resend. This is deliberately *not* `scd_hash::envelope::write_atomic`,
+//! which also fsyncs the parent directory: the spool sits on the fan-in
+//! hot path (one store per interval, before the first send), and a rename
+//! lost to a power cut costs nothing here — the interval is simply absent
+//! from the spool, exactly as if the node had died a moment earlier, and
+//! the aggregator's parity ladder covers it. Frame bytes carry their own
+//! CRC, so a spool file damaged at rest is detected when it is re-read.
 
 use std::fs;
 use std::io::{self, Write};

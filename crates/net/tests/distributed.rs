@@ -15,20 +15,30 @@ use scd_core::supervisor::RestartPolicy;
 use scd_core::{DetectorConfig, KeyStrategy, SketchChangeDetector};
 use scd_forecast::ModelSpec;
 use scd_net::{
-    AggregateSummary, Aggregator, AggregatorConfig, CheckpointEvery, IngestNode, NodeConfig,
-    SupervisedDetector,
+    AggregateSummary, Aggregator, AggregatorConfig, CheckpointEvery, Frame, IngestNode, NetMetrics,
+    NodeConfig, NodeSummary, SupervisedDetector, VERSION,
 };
 use scd_sketch::SketchConfig;
 use scd_traffic::{shard_of_key, FaultPlan, NetFaultPlan};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const NODES: u32 = 3;
 const INTERVALS: u64 = 8;
 
+/// The sketch family of every test but one.
+const SKETCH: SketchConfig = SketchConfig { h: 3, k: 512, seed: 7 };
+
 fn detector_config() -> DetectorConfig {
+    detector_config_with(SKETCH)
+}
+
+fn detector_config_with(sketch: SketchConfig) -> DetectorConfig {
     DetectorConfig {
-        sketch: SketchConfig { h: 3, k: 512, seed: 7 },
+        sketch,
         model: ModelSpec::Ewma { alpha: 0.5 },
         threshold: 0.05,
         key_strategy: KeyStrategy::TwoPass,
@@ -52,7 +62,14 @@ fn interval_updates(t: u64) -> Vec<(u64, f64)> {
 
 /// The single-box reference: one detector over the whole trace.
 fn reference_reports(filter: impl Fn(u64) -> bool) -> Vec<scd_core::IntervalReport> {
-    let mut detector = SketchChangeDetector::new(detector_config());
+    reference_reports_with(SKETCH, filter)
+}
+
+fn reference_reports_with(
+    sketch: SketchConfig,
+    filter: impl Fn(u64) -> bool,
+) -> Vec<scd_core::IntervalReport> {
+    let mut detector = SketchChangeDetector::new(detector_config_with(sketch));
     (0..INTERVALS)
         .map(|t| {
             let updates: Vec<(u64, f64)> =
@@ -68,6 +85,65 @@ fn spool_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// One ingest node on its own thread: ships every interval of the
+/// synthetic trace, runs `before_finish`, then finishes.
+fn spawn_node(
+    sketch: SketchConfig,
+    id: u32,
+    addr: String,
+    spool: PathBuf,
+    fault: Option<NetFaultPlan>,
+    before_finish: impl FnOnce() + Send + 'static,
+) -> std::thread::JoinHandle<NodeSummary> {
+    std::thread::spawn(move || {
+        let mut node = IngestNode::new(NodeConfig {
+            node: id,
+            nodes: NODES,
+            sketch,
+            shards: 2,
+            addr,
+            spool_dir: spool,
+            retry: RestartPolicy { max_restarts: 5, backoff_base_ms: 5, backoff_cap_ms: 100 },
+            fault,
+            metrics: None,
+        })
+        .expect("node up");
+        for t in 0..INTERVALS {
+            node.push_slice(&interval_updates(t)).expect("push");
+            node.end_interval().expect("close interval");
+        }
+        before_finish();
+        node.finish(Duration::from_secs(15)).expect("finish")
+    })
+}
+
+/// Joins node threads, insisting every spool drained.
+fn join_nodes(threads: Vec<std::thread::JoinHandle<NodeSummary>>) {
+    for thread in threads {
+        let summary = thread.join().expect("node thread");
+        assert_eq!(summary.intervals_total, INTERVALS);
+        assert!(summary.unacked.is_empty(), "spool must drain: {:?}", summary.unacked);
+    }
+}
+
+/// The reports of a full-coverage run must equal the single box's.
+fn assert_full_and_identical(sketch: SketchConfig, summary: &AggregateSummary) {
+    assert_no_gaps(summary);
+    let reference = reference_reports_with(sketch, |_| true);
+    for (emitted, expect) in summary.intervals.iter().zip(&reference) {
+        assert!(
+            emitted.missing.is_empty() && emitted.recovered.is_empty(),
+            "interval {} must be a full merge, not a degraded emission",
+            emitted.interval
+        );
+        assert_eq!(
+            emitted.report, *expect,
+            "interval {} must stay bit-identical to the single box",
+            emitted.interval
+        );
+    }
+}
+
 /// Runs an aggregator plus the given subset of nodes to completion.
 fn run_plane(
     tag: &str,
@@ -80,36 +156,12 @@ fn run_plane(
     let addr = aggregator.local_addr().expect("addr").to_string();
     let agg_thread = std::thread::spawn(move || aggregator.run().expect("aggregate"));
     let spool = spool_dir(tag);
-    let mut node_threads = Vec::new();
-    for &id in node_ids {
-        let addr = addr.clone();
-        let fault = fault_for(id);
-        let spool = spool.clone();
-        node_threads.push(std::thread::spawn(move || {
-            let mut node = IngestNode::new(NodeConfig {
-                node: id,
-                nodes: NODES,
-                sketch: detector_config().sketch,
-                shards: 2,
-                addr,
-                spool_dir: spool,
-                retry: RestartPolicy { max_restarts: 5, backoff_base_ms: 5, backoff_cap_ms: 100 },
-                fault,
-                metrics: None,
-            })
-            .expect("node up");
-            for t in 0..INTERVALS {
-                node.push_slice(&interval_updates(t)).expect("push");
-                node.end_interval().expect("close interval");
-            }
-            node.finish(Duration::from_secs(15)).expect("finish")
-        }));
-    }
-    for thread in node_threads {
-        let summary = thread.join().expect("node thread");
-        assert_eq!(summary.intervals_total, INTERVALS);
-        assert!(summary.unacked.is_empty(), "spool must drain: {:?}", summary.unacked);
-    }
+    join_nodes(
+        node_ids
+            .iter()
+            .map(|&id| spawn_node(SKETCH, id, addr.clone(), spool.clone(), fault_for(id), || ()))
+            .collect(),
+    );
     let summary = agg_thread.join().expect("aggregator thread");
     let _ = std::fs::remove_dir_all(&spool);
     summary
@@ -222,19 +274,37 @@ fn two_lost_nodes_yield_flagged_partial_over_surviving_shards() {
     }
 }
 
+/// A well-formed `Hello` for `node`, as a hand-driven client sends it.
+fn hello(sketch: SketchConfig, node: u32) -> Vec<u8> {
+    Frame::Hello {
+        node,
+        nodes: NODES,
+        h: sketch.h as u64,
+        k: sketch.k as u64,
+        seed: sketch.seed,
+        version: VERSION,
+    }
+    .encode()
+}
+
 /// A restarted node whose spool already drained against a previous
 /// aggregator incarnation reconnects with a bare `Hello` + `Bye`. The
 /// declared interval range must NOT open the grace window on its own:
 /// while zero frames for an interval have arrived and the nodes that
 /// owe them are still inside their liveness deadlines, the aggregator
 /// has to keep waiting instead of emitting empty flagged partials.
+///
+/// The rule itself — over thousands of grace windows, on an injected
+/// clock — is pinned by the aggregator's unit test of its wait step.
+/// This is the same situation end to end: the declaration sits longer
+/// than a grace window that is itself sized (like the healthy run's)
+/// above any skew between the three node threads, so nothing here races
+/// the scheduler.
 #[test]
 fn declared_but_undelivered_intervals_wait_for_the_first_frame() {
-    use scd_net::{Frame, VERSION};
-    use std::io::Write;
-
+    let grace = Duration::from_secs(2);
     let config = AggregatorConfig {
-        grace: Duration::from_millis(20),
+        grace,
         node_deadline: Duration::from_secs(10),
         run_timeout: Duration::from_secs(30),
         ..AggregatorConfig::new(detector_config(), NODES)
@@ -244,72 +314,188 @@ fn declared_but_undelivered_intervals_wait_for_the_first_frame() {
     let agg_thread = std::thread::spawn(move || aggregator.run().expect("aggregate"));
 
     // The straggler: node 0 from a previous run, nothing left to ship.
-    let sketch = detector_config().sketch;
-    let mut stale = std::net::TcpStream::connect(&addr).expect("stale connect");
-    let hello = Frame::Hello {
-        node: 0,
-        nodes: NODES,
-        h: sketch.h as u64,
-        k: sketch.k as u64,
-        seed: sketch.seed,
-        version: VERSION,
-    };
-    stale.write_all(&hello.encode()).expect("stale hello");
+    let mut stale = TcpStream::connect(&addr).expect("stale connect");
+    stale.write_all(&hello(SKETCH, 0)).expect("stale hello");
     stale.write_all(&Frame::Bye { node: 0, intervals_total: INTERVALS }.encode()).expect("bye");
     stale.flush().expect("flush");
 
-    // Let the declaration sit, many grace windows long, with zero
+    // Let the declaration outlast a whole grace window with zero
     // interval frames delivered.
-    std::thread::sleep(Duration::from_millis(300));
+    std::thread::sleep(grace + Duration::from_millis(200));
 
     // Now the real plane ships everything.
     let spool = spool_dir("stale-bye");
-    let mut node_threads = Vec::new();
-    for id in 0..NODES {
-        let addr = addr.clone();
-        let spool = spool.clone();
-        node_threads.push(std::thread::spawn(move || {
-            let mut node = IngestNode::new(NodeConfig {
-                node: id,
-                nodes: NODES,
-                sketch: detector_config().sketch,
-                shards: 2,
-                addr,
-                spool_dir: spool,
-                retry: RestartPolicy { max_restarts: 5, backoff_base_ms: 5, backoff_cap_ms: 100 },
-                fault: None,
-                metrics: None,
-            })
-            .expect("node up");
-            for t in 0..INTERVALS {
-                node.push_slice(&interval_updates(t)).expect("push");
-                node.end_interval().expect("close interval");
-            }
-            node.finish(Duration::from_secs(15)).expect("finish")
-        }));
-    }
-    for thread in node_threads {
-        let summary = thread.join().expect("node thread");
-        assert!(summary.unacked.is_empty(), "spool must drain: {:?}", summary.unacked);
-    }
+    join_nodes(
+        (0..NODES)
+            .map(|id| spawn_node(SKETCH, id, addr.clone(), spool.clone(), None, || ()))
+            .collect(),
+    );
     drop(stale);
     let summary = agg_thread.join().expect("aggregator thread");
     let _ = std::fs::remove_dir_all(&spool);
+    assert_full_and_identical(SKETCH, &summary);
+}
 
-    assert_no_gaps(&summary);
-    let reference = reference_reports(|_| true);
-    for (emitted, expect) in summary.intervals.iter().zip(&reference) {
-        assert!(
-            emitted.missing.is_empty() && emitted.recovered.is_empty(),
-            "interval {} must be a full merge, not a degraded emission",
-            emitted.interval
-        );
-        assert_eq!(
-            emitted.report, *expect,
-            "interval {} must stay bit-identical to the single box",
-            emitted.interval
-        );
+/// Polls `done` until it holds, or fails the test after ten seconds.
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// Two hostile clients beside a healthy run: one connects and never says
+/// `Hello`, one says `Hello` and then never reads an `Ack`. Each must be
+/// cut loose within its budget (one read timeout; one write timeout once
+/// the acks back up) and counted, and the three real nodes' reports stay
+/// bit-identical to the single box.
+///
+/// Backing the acks up means filling two kernel socket buffers 21 bytes
+/// at a time — hundreds of thousands of frames — so this one test runs on
+/// the smallest sketch family there is, to keep each frame near 150 bytes.
+#[test]
+fn mute_and_ack_hoarding_clients_are_cut_loose_beside_a_healthy_run() {
+    const TINY: SketchConfig = SketchConfig { h: 1, k: 2, seed: 7 };
+    let registry = scd_obs::Registry::new();
+    let metrics = NetMetrics::register(&registry);
+    let rejected = || metrics.aggregator.rejected_connections_total.get();
+    let config = AggregatorConfig {
+        grace: Duration::from_secs(2),
+        // The real nodes sit silent while the hoarder is dealt with.
+        node_deadline: Duration::from_secs(60),
+        run_timeout: Duration::from_secs(90),
+        metrics: Some(Arc::clone(&metrics)),
+        ..AggregatorConfig::new(detector_config_with(TINY), NODES)
+    };
+    let aggregator = Aggregator::bind(config, "127.0.0.1:0").expect("bind");
+    let addr = aggregator.local_addr().expect("addr").to_string();
+    let agg_thread = std::thread::spawn(move || aggregator.run().expect("aggregate"));
+
+    // The mute client is there first. Budget: one 500 ms read timeout;
+    // allow the scheduler as much again several times over.
+    let mut mute = TcpStream::connect(&addr).expect("mute connect");
+    let mute_since = Instant::now();
+    mute.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    // The healthy plane. Its nodes ship everything at full speed but
+    // hold their `Bye` until the hostile clients have been dealt with, so
+    // the aggregator is still up to deal with them.
+    let spool = spool_dir("hostile");
+    let hostile_done = Arc::new(std::sync::Barrier::new(NODES as usize + 1));
+    let nodes: Vec<_> = (0..NODES)
+        .map(|id| {
+            let gate = Arc::clone(&hostile_done);
+            spawn_node(TINY, id, addr.clone(), spool.clone(), None, move || {
+                gate.wait();
+            })
+        })
+        .collect();
+
+    assert_eq!(mute.read(&mut [0u8; 16]).expect("a mute client is closed, not reset"), 0);
+    assert!(mute_since.elapsed() < Duration::from_secs(3), "mute client pinned its reader");
+    assert_eq!(rejected(), 1, "the mute client must be counted");
+
+    // The hoarder resends node 0's interval 0 for ever and reads nothing.
+    // It waits for interval 0 to be emitted first, so every copy is a
+    // stale duplicate: acknowledged at receipt, merged nowhere.
+    wait_for("interval 0 to be emitted", || metrics.aggregator.full_intervals_total.get() >= 1);
+    let blob = scd_sketch::wire::to_bytes(&scd_sketch::KarySketch::new(TINY));
+    let stale = Frame::Interval {
+        node: 0,
+        interval: 0,
+        data: blob.clone(),
+        data_keys: vec![],
+        parity: blob,
+        parity_keys: vec![],
+    }
+    .encode();
+    let mut hoarder = TcpStream::connect(&addr).expect("hoarder connect");
+    hoarder.set_write_timeout(Some(Duration::from_millis(200))).unwrap();
+    hoarder.write_all(&hello(TINY, 0)).expect("hoarder hello");
+    // Until the acks back up the aggregator keeps reading and these
+    // writes succeed; then its ack write blocks, it stops reading, and
+    // ours time out — until its write deadline passes and it hangs up,
+    // which surfaces here as a reset or broken pipe.
+    let mut wedged_since = None;
+    let hung_up = loop {
+        match hoarder.write_all(&stale) {
+            Ok(()) => wedged_since = None,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                let since = *wedged_since.get_or_insert_with(Instant::now);
+                assert!(since.elapsed() < Duration::from_secs(8), "ack hoarder pinned its reader");
+            }
+            Err(_) => break Instant::now(),
+        }
+    };
+    // Budget: the 2 s ack write timeout, measured from our first blocked
+    // write (which can only lag the aggregator's own).
+    if let Some(since) = wedged_since {
+        assert!(hung_up - since < Duration::from_secs(6), "ack hoarder outlived its budget");
+    }
+    wait_for("the hoarder to be counted", || rejected() == 2);
+    // Neither client held the real intervals up: all eight are already
+    // out, though no node has signed off yet.
+    assert_eq!(metrics.aggregator.full_intervals_total.get(), INTERVALS);
+
+    hostile_done.wait();
+    join_nodes(nodes);
+    let summary = agg_thread.join().expect("aggregator thread");
+    let _ = std::fs::remove_dir_all(&spool);
+    assert_full_and_identical(TINY, &summary);
+    assert_eq!(rejected(), 2, "only the two hostile clients were ever rejected");
+}
+
+/// Connections past the cap (four per ring node) are closed on accept and
+/// counted; the ones inside it are untouched.
+#[test]
+fn a_connect_flood_above_the_cap_is_refused_and_counted() {
+    let registry = scd_obs::Registry::new();
+    let metrics = NetMetrics::register(&registry);
+    let config = AggregatorConfig {
+        // The squatters below say `Hello` and fall silent: once this
+        // passes they are all down, and the run ends on its own.
+        node_deadline: Duration::from_millis(1_500),
+        run_timeout: Duration::from_secs(30),
+        metrics: Some(Arc::clone(&metrics)),
+        ..AggregatorConfig::new(detector_config(), NODES)
+    };
+    let aggregator = Aggregator::bind(config, "127.0.0.1:0").expect("bind");
+    let addr = aggregator.local_addr().expect("addr").to_string();
+    let agg_thread = std::thread::spawn(move || aggregator.run().expect("aggregate"));
+
+    let cap = NODES as usize * 4;
+    let squatters: Vec<TcpStream> = (0..cap)
+        .map(|i| {
+            let mut conn = TcpStream::connect(&addr).expect("squatter connect");
+            conn.write_all(&hello(SKETCH, i as u32 % NODES)).expect("squatter hello");
+            conn
+        })
+        .collect();
+    // Accepts are served in connect order, so every squatter holds a
+    // slot before the first of these is looked at.
+    for i in 0..5 {
+        let mut extra = TcpStream::connect(&addr).expect("extra connect");
+        extra.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(extra.read(&mut [0u8; 16]).expect("refusal is a clean close"), 0, "extra {i}");
+    }
+    assert_eq!(metrics.aggregator.rejected_connections_total.get(), 5);
+    // The squatters were never disturbed: still open, nothing to read.
+    for mut conn in squatters {
+        conn.set_read_timeout(Some(Duration::from_millis(4))).unwrap();
+        let err = conn.read(&mut [0u8; 16]).expect_err("a squatter was closed");
+        assert!(matches!(
+            err.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ));
+    }
+    let summary = agg_thread.join().expect("aggregator thread");
+    assert!(summary.intervals.is_empty() && !summary.timed_out);
 }
 
 #[test]

@@ -23,9 +23,10 @@
 //!   close the loop for tooling and CI smoke tests without external
 //!   dependencies.
 //! - **Optional scrape endpoint.** [`MetricsListener`] answers HTTP
-//!   requests with the live exposition from one dedicated thread (no
+//!   requests with the live exposition off the pipeline's threads (no
 //!   web framework, no pipeline involvement); [`fetch`] is the matching
-//!   client half.
+//!   client half. It is built on [`Listener`], the bounded accept loop
+//!   every TCP server in the workspace shares.
 //!
 //! ```
 //! use scd_obs::Registry;
@@ -52,7 +53,7 @@ mod metric;
 mod registry;
 mod text;
 
-pub use listen::{fetch, MetricsListener};
+pub use listen::{fetch, Budgets, Listener, MetricsListener};
 pub use metric::{Counter, Gauge, Histogram, LocalHistogram, Span, Stopwatch, BUCKETS};
 pub use registry::Registry;
 pub use text::{parse_flat_json, validate_exposition};

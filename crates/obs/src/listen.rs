@@ -1,14 +1,24 @@
-//! Optional Prometheus scrape endpoint: a single-threaded std
-//! [`TcpListener`] that answers every HTTP request with the registry's
-//! current text exposition.
+//! The workspace's one TCP accept loop, and the Prometheus scrape
+//! endpoint built on it.
 //!
-//! This is deliberately not a web server. One thread, one connection at
-//! a time, no keep-alive, no routing — a scraper connects, we read and
-//! discard its request head, write one `200 OK` with the rendered
-//! metrics, and close. That is exactly the protocol subset a Prometheus
-//! scrape (or `curl`, or `scd metrics --addr`) needs, and it keeps the
-//! responder off the pipeline's threads entirely: rendering reads the
-//! shared atomics, so serving never blocks ingestion or detection.
+//! [`Listener`] is what every server in the workspace (this crate's
+//! [`MetricsListener`], the serving plane's query server, the distributed
+//! plane's aggregator) constructs with its own [`Budgets`] instead of
+//! re-implementing: a non-blocking accept polled against a stop flag, so
+//! shutdown never needs a wake-up connection; accepted sockets forced
+//! back to blocking mode (BSD and macOS inherit `O_NONBLOCK` from the
+//! listener) with read and write timeouts, so a peer that will not send
+//! or will not drain cannot wedge its handler forever; a cap on
+//! concurrent connections, with refusals counted; one handler thread per
+//! connection, all joined when the listener stops.
+//!
+//! The scrape endpoint is deliberately not a web server: no keep-alive,
+//! no routing — a scraper connects, we read and discard its request head,
+//! write one `200 OK` with the rendered metrics, and close. That is
+//! exactly the protocol subset a Prometheus scrape (or `curl`, or `scd
+//! metrics --addr`) needs, and it keeps the responder off the pipeline's
+//! threads entirely: rendering reads the shared atomics, so serving never
+//! blocks ingestion or detection.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -17,106 +27,206 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::metric::Counter;
 use crate::registry::Registry;
 
-/// A running metrics responder; dropping it (or calling
-/// [`stop`](MetricsListener::stop)) shuts the thread down.
-#[derive(Debug)]
-pub struct MetricsListener {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+/// How long the accept loop sleeps when no connection is pending — the
+/// latency of noticing the stop flag.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// What one server allows its connections.
+#[derive(Debug, Clone)]
+pub struct Budgets {
+    /// Name of the accept thread; handler threads are `<name>-conn`.
+    pub thread_name: &'static str,
+    /// Socket read timeout on every accepted connection.
+    pub read_timeout: Duration,
+    /// Socket write timeout on every accepted connection.
+    pub write_timeout: Duration,
+    /// Concurrent-connection cap; accepts beyond it are closed at once
+    /// (the client sees a clean close and may retry).
+    pub max_connections: usize,
+    /// Incremented per connection handed to the handler.
+    pub accepted: Arc<Counter>,
+    /// Incremented per connection closed unserved: over the cap, or (never
+    /// seen in practice) its socket options or thread could not be set up.
+    pub refused: Arc<Counter>,
 }
 
-impl MetricsListener {
-    /// Binds `addr` (e.g. `127.0.0.1:9184`, or port `0` for an ephemeral
-    /// port) and serves `registry`'s Prometheus exposition on a dedicated
-    /// thread until stopped.
+/// A bound TCP listener that, once [`start`](Listener::start)ed, runs
+/// `handler` on its own thread for every connection within [`Budgets`].
+/// Dropping it (or [`shutdown`](Listener::shutdown)) stops accepting and
+/// joins the accept thread and every handler.
+#[derive(Debug)]
+pub struct Listener {
+    addr: SocketAddr,
+    /// Bound but not yet accepting; taken by `start`. Connections made
+    /// before then wait in the kernel's backlog.
+    socket: Option<TcpListener>,
+    budgets: Budgets,
+    stop: Arc<AtomicBool>,
+    accept_thread: Option<JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Binds `addr` (port `0` for an ephemeral port — see
+    /// [`local_addr`](Listener::local_addr)).
     ///
     /// # Errors
     /// The bind error, verbatim (address in use, permission, bad syntax).
-    pub fn bind(addr: &str, registry: Arc<Registry>) -> std::io::Result<MetricsListener> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        // Poll for the stop flag between accepts instead of blocking
-        // forever: stop() must not need a wake-up connection to land.
-        listener.set_nonblocking(true)?;
+    pub fn bind(addr: &str, budgets: Budgets) -> std::io::Result<Listener> {
+        let socket = TcpListener::bind(addr)?;
+        let addr = socket.local_addr()?;
+        socket.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("scd-metrics-listen".into())
-            .spawn(move || {
-                let mut body = String::new();
-                let mut head = String::new();
-                while !stop_flag.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let _ = respond(stream, &registry, &mut body, &mut head);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn metrics listener");
-        Ok(MetricsListener { addr, stop, thread: Some(thread) })
+        Ok(Listener { addr, socket: Some(socket), budgets, stop, accept_thread: None })
     }
 
-    /// The bound address (useful when binding port `0`).
+    /// The bound address (with the real port when bound ephemerally).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Stops the responder and joins its thread.
-    pub fn stop(mut self) {
-        self.shutdown();
+    /// Starts the accept loop. `handler` gets each connection — blocking,
+    /// timeouts set — and the stop flag, which it must poll at least once
+    /// per read timeout so shutdown can join it.
+    ///
+    /// # Panics
+    /// If called twice, or if the accept thread cannot be spawned.
+    pub fn start<H>(&mut self, handler: H)
+    where
+        H: Fn(TcpStream, &AtomicBool) + Send + Sync + 'static,
+    {
+        let socket = self.socket.take().expect("a listener starts once");
+        let budgets = self.budgets.clone();
+        let stop = Arc::clone(&self.stop);
+        let thread = std::thread::Builder::new()
+            .name(budgets.thread_name.into())
+            .spawn(move || accept_loop(&socket, &budgets, &stop, Arc::new(handler)))
+            .expect("spawn accept thread");
+        self.accept_thread = Some(thread);
     }
 
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
+    /// Stops accepting and waits for the accept thread and every handler
+    /// to exit (each notices the stop flag within one read or write
+    /// timeout).
+    pub fn shutdown(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();
         }
     }
 }
 
-impl Drop for MetricsListener {
+impl Drop for Listener {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
+fn accept_loop<H>(socket: &TcpListener, budgets: &Budgets, stop: &Arc<AtomicBool>, handler: Arc<H>)
+where
+    H: Fn(TcpStream, &AtomicBool) + Send + Sync + 'static,
+{
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    while !stop.load(Ordering::Acquire) {
+        let Ok((stream, _peer)) = socket.accept() else {
+            // Nothing pending (`WouldBlock`), or a transient accept
+            // failure (aborted handshake, fd pressure): poll again.
+            std::thread::sleep(ACCEPT_POLL);
+            continue;
+        };
+        handlers.retain(|h| !h.is_finished());
+        let prepared = handlers.len() < budgets.max_connections
+            && stream.set_nonblocking(false).is_ok()
+            && stream.set_read_timeout(Some(budgets.read_timeout)).is_ok()
+            && stream.set_write_timeout(Some(budgets.write_timeout)).is_ok();
+        if !prepared {
+            budgets.refused.inc();
+            continue;
+        }
+        let (handler, stop) = (Arc::clone(&handler), Arc::clone(stop));
+        let spawned = std::thread::Builder::new()
+            .name(format!("{}-conn", budgets.thread_name))
+            .spawn(move || handler(stream, &stop));
+        match spawned {
+            Ok(thread) => {
+                budgets.accepted.inc();
+                handlers.push(thread);
+            }
+            Err(_) => budgets.refused.inc(),
+        }
+    }
+    for thread in handlers {
+        let _ = thread.join();
+    }
+}
+
+/// Scrapers served at once; a scrape is one short exchange, so more than
+/// a handful in flight is a flood, not monitoring.
+const MAX_SCRAPERS: usize = 4;
+
+/// Per-socket-call budget in both directions: a client that won't send
+/// its request or won't drain the response is cut off, not waited on.
+const SCRAPE_IO_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// A running metrics responder; dropping it (or calling
+/// [`stop`](MetricsListener::stop)) shuts it down.
+#[derive(Debug)]
+pub struct MetricsListener {
+    listener: Listener,
+}
+
+impl MetricsListener {
+    /// Binds `addr` (e.g. `127.0.0.1:9184`, or port `0` for an ephemeral
+    /// port) and serves `registry`'s Prometheus exposition until stopped.
+    ///
+    /// # Errors
+    /// The bind error, verbatim (address in use, permission, bad syntax).
+    pub fn bind(addr: &str, registry: Arc<Registry>) -> std::io::Result<MetricsListener> {
+        let mut listener = Listener::bind(
+            addr,
+            Budgets {
+                thread_name: "scd-metrics-listen",
+                read_timeout: SCRAPE_IO_TIMEOUT,
+                write_timeout: SCRAPE_IO_TIMEOUT,
+                max_connections: MAX_SCRAPERS,
+                accepted: Arc::default(),
+                refused: Arc::default(),
+            },
+        )?;
+        listener.start(move |stream, _stop| {
+            let _ = respond(stream, &registry);
+        });
+        Ok(MetricsListener { listener })
+    }
+
+    /// The bound address (useful when binding port `0`).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.listener.local_addr()
+    }
+
+    /// Stops the responder and joins its threads.
+    pub fn stop(mut self) {
+        self.listener.shutdown();
+    }
+}
+
 /// Serves one connection: drain the request head, answer with the
-/// current exposition. Render buffers are reused across connections.
-fn respond(
-    mut stream: TcpStream,
-    registry: &Registry,
-    body: &mut String,
-    head: &mut String,
-) -> std::io::Result<()> {
-    // The accept loop runs the listener nonblocking; the accepted stream
-    // inherits that on some platforms, and reads must wait for the
-    // request bytes either way. Both directions get socket timeouts: the
-    // responder is single-threaded, so one stalled or half-open scraper
-    // must never wedge the accept loop — a client that won't send its
-    // request or won't drain the response is cut off, not waited on.
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    stream.set_write_timeout(Some(Duration::from_millis(500)))?;
-    drain_request_head(&mut stream)?;
-    body.clear();
-    registry.render_prometheus(body);
-    head.clear();
-    use std::fmt::Write as _;
-    let _ = write!(
-        head,
+/// current exposition.
+fn respond(mut stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
+    // One budget for the whole exchange, on top of the per-call socket
+    // timeouts: a trickling client holds its slot (and shutdown's join)
+    // for two seconds at most.
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    drain_request_head(&mut stream, deadline)?;
+    let mut body = String::new();
+    registry.render_prometheus(&mut body);
+    let head = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
     write_with_deadline(&mut stream, head.as_bytes(), deadline)?;
     write_with_deadline(&mut stream, body.as_bytes(), deadline)?;
     stream.flush()
@@ -148,14 +258,14 @@ fn write_with_deadline(
     Ok(())
 }
 
-/// Reads until the blank line ending the HTTP request head (or EOF, or
-/// a hard cap — a scraper's GET is a few hundred bytes, so anything
-/// pathological is cut off rather than buffered).
-fn drain_request_head(stream: &mut TcpStream) -> std::io::Result<()> {
+/// Reads until the blank line ending the HTTP request head (or EOF, a
+/// hard cap, or `deadline` — a scraper's GET is a few hundred bytes sent
+/// at once, so anything pathological is cut off rather than buffered).
+fn drain_request_head(stream: &mut TcpStream, deadline: std::time::Instant) -> std::io::Result<()> {
     let mut buf = [0u8; 512];
     let mut tail = [0u8; 4];
     let mut read_total = 0usize;
-    while read_total < 16 * 1024 {
+    while read_total < 16 * 1024 && std::time::Instant::now() < deadline {
         let n = stream.read(&mut buf)?;
         if n == 0 {
             return Ok(());
@@ -199,6 +309,77 @@ pub fn fetch(addr: &str) -> std::io::Result<String> {
 mod tests {
     use super::*;
     use crate::text::validate_exposition;
+    use std::time::Instant;
+
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Holds each connection open until the peer closes or the listener
+    /// stops, checking what the listener promised about the socket.
+    fn hold_open(mut stream: TcpStream, stop: &AtomicBool) {
+        assert_eq!(stream.read_timeout().unwrap(), Some(Duration::from_millis(20)));
+        assert_eq!(stream.write_timeout().unwrap(), Some(Duration::from_millis(40)));
+        let mut byte = [0u8; 1];
+        while !stop.load(Ordering::Acquire) {
+            match stream.read(&mut byte) {
+                Ok(0) => return,
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    #[test]
+    fn listener_caps_connections_counts_both_ways_and_joins_handlers() {
+        let (accepted, refused) = (Arc::new(Counter::new()), Arc::new(Counter::new()));
+        let mut listener = Listener::bind(
+            "127.0.0.1:0",
+            Budgets {
+                thread_name: "scd-test-listen",
+                read_timeout: Duration::from_millis(20),
+                write_timeout: Duration::from_millis(40),
+                max_connections: 2,
+                accepted: Arc::clone(&accepted),
+                refused: Arc::clone(&refused),
+            },
+        )
+        .expect("bind");
+        let addr = listener.local_addr();
+        // Connections made before `start` wait in the backlog.
+        let first = TcpStream::connect(addr).expect("connect before start");
+        let exited = Arc::new(Counter::new());
+        let handler_exits = Arc::clone(&exited);
+        listener.start(move |stream, stop| {
+            hold_open(stream, stop);
+            handler_exits.inc();
+        });
+        let _second = TcpStream::connect(addr).expect("second");
+        wait_for("two accepted connections", || accepted.get() == 2);
+        // The third is over the cap: closed at once, counted, no handler.
+        let mut third = TcpStream::connect(addr).expect("third");
+        third.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(third.read(&mut [0u8; 1]).expect("refusal is a clean close"), 0);
+        assert_eq!((accepted.get(), refused.get()), (2, 1));
+        // A slot frees when a peer leaves.
+        drop(first);
+        wait_for("the first handler to exit", || exited.get() == 1);
+        let _fourth = TcpStream::connect(addr).expect("fourth");
+        wait_for("the freed slot to be reused", || accepted.get() == 3);
+        // Shutdown needs no wake-up connection and joins every handler,
+        // including the two still holding open connections.
+        listener.shutdown();
+        assert_eq!(exited.get(), 3);
+    }
 
     #[test]
     fn serves_valid_exposition_over_tcp() {

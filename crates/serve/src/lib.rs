@@ -50,7 +50,7 @@ pub mod view;
 
 pub use client::QueryClient;
 pub use metrics::ServeMetrics;
-pub use proto::{ProtoError, Request, Response};
+pub use proto::{ProtoError, Request, Response, SCDQ};
 pub use server::{answer, QueryServer, ServerOptions};
 pub use shared::SharedSketch;
 pub use slim::{SlimEpoch, SlimScratch, SlimSketch};

@@ -1,25 +1,13 @@
-//! The `SCDQ` query wire protocol: length-prefixed, CRC-guarded frames
-//! between `scd ask` (or any client) and the serving plane's listener.
-//!
-//! Layout of every frame — identical discipline to the ingest plane's
-//! `SCDN` frames:
-//!
-//! ```text
-//! magic  "SCDQ"                        4 bytes
-//! type   u8                            1 byte
-//! len    u32 LE  (payload length)      4 bytes
-//! payload                              len bytes
-//! crc32  u32 LE  over everything above 4 bytes
-//! ```
+//! The `SCDQ` query wire protocol: the messages between `scd ask` (or any
+//! client) and the serving plane's listener, each one frame of
+//! `scd_hash::envelope`'s frame envelope — the same one the ingest plane's
+//! `SCDN` frames use.
 //!
 //! Requests use type bytes `0..=3`, responses `16..=21`; the ranges are
 //! disjoint so a confused peer (client answering, server asking) is
-//! caught at the type byte, not by misparsing a payload. Decoders treat
-//! input as hostile: truncation, oversized lengths, unknown types,
-//! checksum mismatches and non-UTF-8 strings surface as typed
-//! [`ProtoError`]s — never panics or unbounded allocations. A decode
-//! error tears down the connection; queries are idempotent reads, so the
-//! client just reconnects and retries.
+//! caught at the type byte, not by misparsing a payload. A decode error
+//! tears down the connection; queries are idempotent reads, so the client
+//! just reconnects and retries.
 //!
 //! Every data-bearing response carries `as_of` — the interval of the
 //! [`ServingView`](crate::ServingView) that answered — so callers can
@@ -27,69 +15,19 @@
 //! served answers against per-interval reference snapshots by exactly
 //! this field).
 
-use scd_hash::byteio::{put_f64, put_u32, put_u64, put_u8, Cursor};
-use scd_hash::crc32;
+use scd_hash::byteio::{put_f64, put_u64, Cursor};
+use scd_hash::envelope::{
+    bounded_count, flag, opt_u64, put_flag, put_opt_u64, put_str, str as take_str, FrameSpec,
+};
 use std::io::Read;
 
-/// Frame magic: every query-protocol frame starts with these four bytes.
-pub const MAGIC: &[u8; 4] = b"SCDQ";
+/// Errors from encoding or decoding query frames: the workspace's one
+/// frame error, under this protocol's historical name.
+pub use scd_hash::envelope::FrameError as ProtoError;
 
-/// Upper bound on a frame payload (16 MiB) — rejects absurd length
-/// prefixes before any allocation happens.
-pub const MAX_FRAME: u32 = 16 << 20;
-
-/// Errors from encoding or decoding query frames.
-#[derive(Debug)]
-pub enum ProtoError {
-    /// The underlying transport failed.
-    Io(std::io::Error),
-    /// The peer closed the connection cleanly at a frame boundary.
-    Closed,
-    /// The stream does not start with [`MAGIC`] where a frame should.
-    BadMagic,
-    /// Unknown frame type byte (or a response type where a request was
-    /// expected, and vice versa).
-    BadType(u8),
-    /// The length prefix exceeds [`MAX_FRAME`].
-    TooLarge(u32),
-    /// The CRC-32 footer does not match the frame as read.
-    BadCrc {
-        /// Checksum computed over the frame as received.
-        computed: u32,
-        /// Checksum stored in the footer.
-        stored: u32,
-    },
-    /// The payload ended before its structure did, had trailing bytes,
-    /// or carried an invalid string.
-    Malformed,
-}
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtoError::Io(e) => write!(f, "query frame i/o: {e}"),
-            ProtoError::Closed => write!(f, "connection closed at frame boundary"),
-            ProtoError::BadMagic => write!(f, "bad query frame magic"),
-            ProtoError::BadType(t) => write!(f, "unknown query frame type {t}"),
-            ProtoError::TooLarge(n) => write!(f, "query frame payload {n} exceeds {MAX_FRAME}"),
-            ProtoError::BadCrc { computed, stored } => {
-                write!(
-                    f,
-                    "query frame crc mismatch: computed {computed:#010x}, stored {stored:#010x}"
-                )
-            }
-            ProtoError::Malformed => write!(f, "malformed query frame payload"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-impl From<std::io::Error> for ProtoError {
-    fn from(e: std::io::Error) -> Self {
-        ProtoError::Io(e)
-    }
-}
+/// The protocol's frame envelope: magic, and a 16 MiB payload bound that
+/// rejects absurd length prefixes before any allocation happens.
+pub const SCDQ: FrameSpec = FrameSpec { magic: *b"SCDQ", max_payload: 16 << 20 };
 
 /// One query, client → server. Intervals are half-open `[from, to)` in
 /// detector-interval units, matching `scd query` and the archive API.
@@ -224,9 +162,9 @@ impl Request {
         }
     }
 
-    /// Encodes the request, including magic, length prefix and CRC footer.
+    /// Encodes the request, envelope included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
+        let mut payload = SCDQ.begin(self.type_byte());
         match self {
             Request::Estimate { key, from, to } => {
                 put_u64(&mut payload, *key);
@@ -248,47 +186,36 @@ impl Request {
                 put_u64(&mut payload, *to);
             }
         }
-        seal(self.type_byte(), payload)
+        SCDQ.seal(payload)
     }
 
     /// Decodes one request from a complete byte buffer.
     ///
     /// # Errors
-    /// Any [`ProtoError`] except `Io`/`Closed`.
+    /// Any [`ProtoError`] a buffer can produce (not the stream-only ones).
     pub fn decode(bytes: &[u8]) -> Result<Request, ProtoError> {
-        let (ty, payload) = open(bytes)?;
+        let (ty, payload) = SCDQ.open(bytes)?;
         Request::decode_payload(ty, payload)
     }
 
-    /// Reads exactly one request from a stream. Returns
-    /// [`ProtoError::Closed`] on a clean EOF at a frame boundary.
+    /// Reads exactly one request from a stream.
     ///
     /// # Errors
-    /// Any [`ProtoError`]; transport failures surface as `Io`.
+    /// Any [`ProtoError`]: `Closed` on a clean EOF at a frame boundary,
+    /// `Idle` / `Stalled` when the stream's read timeout fires before /
+    /// inside a frame, `Io` for other transport failures.
     pub fn read_from(r: &mut impl Read) -> Result<Request, ProtoError> {
-        let (ty, payload) = read_frame(r)?;
+        let (ty, payload) = SCDQ.read_from(r)?;
         Request::decode_payload(ty, &payload)
     }
 
     fn decode_payload(ty: u8, payload: &[u8]) -> Result<Request, ProtoError> {
         let mut cur = Cursor::new(payload);
         let req = match ty {
-            0 => Request::Estimate {
-                key: take_u64(&mut cur)?,
-                from: take_u64(&mut cur)?,
-                to: take_u64(&mut cur)?,
-            },
-            1 => Request::ChangedKeys {
-                from: take_u64(&mut cur)?,
-                to: take_u64(&mut cur)?,
-                threshold: take_f64(&mut cur)?,
-            },
-            2 => Request::KeyHistory {
-                key: take_u64(&mut cur)?,
-                from: take_u64(&mut cur)?,
-                to: take_u64(&mut cur)?,
-            },
-            3 => Request::RangeSketch { from: take_u64(&mut cur)?, to: take_u64(&mut cur)? },
+            0 => Request::Estimate { key: cur.u64()?, from: cur.u64()?, to: cur.u64()? },
+            1 => Request::ChangedKeys { from: cur.u64()?, to: cur.u64()?, threshold: cur.f64()? },
+            2 => Request::KeyHistory { key: cur.u64()?, from: cur.u64()?, to: cur.u64()? },
+            3 => Request::RangeSketch { from: cur.u64()?, to: cur.u64()? },
             other => return Err(ProtoError::BadType(other)),
         };
         if cur.remaining() != 0 {
@@ -310,10 +237,9 @@ impl Response {
         }
     }
 
-    /// Encodes the response, including magic, length prefix and CRC
-    /// footer.
+    /// Encodes the response, envelope included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
+        let mut payload = SCDQ.begin(self.type_byte());
         match self {
             Response::NoData { as_of, reason } => {
                 put_opt_u64(&mut payload, *as_of);
@@ -325,7 +251,7 @@ impl Response {
             }
             Response::Estimate { as_of, live, value, error_bound } => {
                 put_u64(&mut payload, *as_of);
-                put_u8(&mut payload, u8::from(*live));
+                put_flag(&mut payload, *live);
                 put_f64(&mut payload, *value);
                 put_f64(&mut payload, *error_bound);
             }
@@ -373,86 +299,62 @@ impl Response {
                 put_f64(&mut payload, *error_f2);
             }
         }
-        seal(self.type_byte(), payload)
+        SCDQ.seal(payload)
     }
 
     /// Decodes one response from a complete byte buffer.
     ///
     /// # Errors
-    /// Any [`ProtoError`] except `Io`/`Closed`.
+    /// Any [`ProtoError`] a buffer can produce (not the stream-only ones).
     pub fn decode(bytes: &[u8]) -> Result<Response, ProtoError> {
-        let (ty, payload) = open(bytes)?;
+        let (ty, payload) = SCDQ.open(bytes)?;
         Response::decode_payload(ty, payload)
     }
 
-    /// Reads exactly one response from a stream. Returns
-    /// [`ProtoError::Closed`] on a clean EOF at a frame boundary.
+    /// Reads exactly one response from a stream.
     ///
     /// # Errors
-    /// Any [`ProtoError`]; transport failures surface as `Io`.
+    /// As [`Request::read_from`].
     pub fn read_from(r: &mut impl Read) -> Result<Response, ProtoError> {
-        let (ty, payload) = read_frame(r)?;
+        let (ty, payload) = SCDQ.read_from(r)?;
         Response::decode_payload(ty, &payload)
     }
 
     fn decode_payload(ty: u8, payload: &[u8]) -> Result<Response, ProtoError> {
         let mut cur = Cursor::new(payload);
         let resp = match ty {
-            16 => Response::NoData { as_of: take_opt_u64(&mut cur)?, reason: take_str(&mut cur)? },
-            17 => Response::Error { as_of: take_opt_u64(&mut cur)?, message: take_str(&mut cur)? },
+            16 => Response::NoData { as_of: opt_u64(&mut cur)?, reason: take_str(&mut cur)? },
+            17 => Response::Error { as_of: opt_u64(&mut cur)?, message: take_str(&mut cur)? },
             18 => Response::Estimate {
-                as_of: take_u64(&mut cur)?,
-                live: match take_u8(&mut cur)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(ProtoError::Malformed),
-                },
-                value: take_f64(&mut cur)?,
-                error_bound: take_f64(&mut cur)?,
+                as_of: cur.u64()?,
+                live: flag(&mut cur)?,
+                value: cur.f64()?,
+                error_bound: cur.f64()?,
             },
-            19 => {
-                let as_of = take_u64(&mut cur)?;
-                let requested = (take_u64(&mut cur)?, take_u64(&mut cur)?);
-                let covered = (take_u64(&mut cur)?, take_u64(&mut cur)?);
-                let epochs_used = take_u64(&mut cur)?;
-                let error_f2 = take_f64(&mut cur)?;
-                let alarm_threshold = take_f64(&mut cur)?;
-                let n = bounded_count(&mut cur, 16)?;
-                let mut changes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    changes.push((take_u64(&mut cur)?, take_f64(&mut cur)?));
-                }
-                Response::ChangedKeys {
-                    as_of,
-                    requested,
-                    covered,
-                    epochs_used,
-                    error_f2,
-                    alarm_threshold,
-                    changes,
-                }
-            }
-            20 => {
-                let as_of = take_u64(&mut cur)?;
-                let covered = (take_u64(&mut cur)?, take_u64(&mut cur)?);
-                let n = bounded_count(&mut cur, 32)?;
-                let mut points = Vec::with_capacity(n);
-                for _ in 0..n {
-                    points.push((
-                        take_u64(&mut cur)?,
-                        take_u64(&mut cur)?,
-                        take_f64(&mut cur)?,
-                        take_f64(&mut cur)?,
-                    ));
-                }
-                Response::KeyHistory { as_of, covered, points }
-            }
+            19 => Response::ChangedKeys {
+                as_of: cur.u64()?,
+                requested: (cur.u64()?, cur.u64()?),
+                covered: (cur.u64()?, cur.u64()?),
+                epochs_used: cur.u64()?,
+                error_f2: cur.f64()?,
+                alarm_threshold: cur.f64()?,
+                changes: (0..bounded_count(&mut cur, 16)?)
+                    .map(|_| Ok((cur.u64()?, cur.f64()?)))
+                    .collect::<Result<_, ProtoError>>()?,
+            },
+            20 => Response::KeyHistory {
+                as_of: cur.u64()?,
+                covered: (cur.u64()?, cur.u64()?),
+                points: (0..bounded_count(&mut cur, 32)?)
+                    .map(|_| Ok((cur.u64()?, cur.u64()?, cur.f64()?, cur.f64()?)))
+                    .collect::<Result<_, ProtoError>>()?,
+            },
             21 => Response::RangeSketch {
-                as_of: take_u64(&mut cur)?,
-                covered: (take_u64(&mut cur)?, take_u64(&mut cur)?),
-                epochs_used: take_u64(&mut cur)?,
-                sum: take_f64(&mut cur)?,
-                error_f2: take_f64(&mut cur)?,
+                as_of: cur.u64()?,
+                covered: (cur.u64()?, cur.u64()?),
+                epochs_used: cur.u64()?,
+                sum: cur.f64()?,
+                error_f2: cur.f64()?,
             },
             other => return Err(ProtoError::BadType(other)),
         };
@@ -461,155 +363,6 @@ impl Response {
         }
         Ok(resp)
     }
-}
-
-/// Wraps a typed payload into a full frame: magic, type, length, CRC.
-fn seal(ty: u8, payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(13 + payload.len());
-    out.extend_from_slice(MAGIC);
-    put_u8(&mut out, ty);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
-}
-
-/// Validates framing (magic, length, CRC) on a complete buffer and
-/// returns the type byte and payload slice.
-fn open(bytes: &[u8]) -> Result<(u8, &[u8]), ProtoError> {
-    if bytes.len() < 13 {
-        return Err(ProtoError::Malformed);
-    }
-    if &bytes[..4] != MAGIC {
-        return Err(ProtoError::BadMagic);
-    }
-    let ty = bytes[4];
-    let len = u32::from_le_bytes([bytes[5], bytes[6], bytes[7], bytes[8]]);
-    if len > MAX_FRAME {
-        return Err(ProtoError::TooLarge(len));
-    }
-    if bytes.len() != 13 + len as usize {
-        return Err(ProtoError::Malformed);
-    }
-    let body_end = bytes.len() - 4;
-    let stored = u32::from_le_bytes(bytes[body_end..].try_into().expect("4 bytes"));
-    let computed = crc32(&bytes[..body_end]);
-    if computed != stored {
-        return Err(ProtoError::BadCrc { computed, stored });
-    }
-    Ok((ty, &bytes[9..body_end]))
-}
-
-/// Reads one framed message off a stream and verifies its CRC; the
-/// caller dispatches on the type byte.
-fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ProtoError> {
-    let mut header = [0u8; 9];
-    read_exact_or_closed(r, &mut header, true)?;
-    if &header[..4] != MAGIC {
-        return Err(ProtoError::BadMagic);
-    }
-    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-    if len > MAX_FRAME {
-        return Err(ProtoError::TooLarge(len));
-    }
-    let mut rest = vec![0u8; len as usize + 4];
-    read_exact_or_closed(r, &mut rest, false)?;
-    let (payload, footer) = rest.split_at(len as usize);
-    let stored = u32::from_le_bytes(footer.try_into().expect("4 bytes"));
-    let mut crc = scd_hash::Crc32::new();
-    crc.update(&header);
-    crc.update(payload);
-    let computed = crc.finalize();
-    if computed != stored {
-        return Err(ProtoError::BadCrc { computed, stored });
-    }
-    let mut out = rest;
-    out.truncate(len as usize);
-    Ok((header[4], out))
-}
-
-/// `read_exact` that maps EOF to [`ProtoError::Closed`] only when it
-/// happens at a frame boundary (`at_boundary`); EOF mid-frame is a
-/// truncation and stays an `Io` error.
-fn read_exact_or_closed(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    at_boundary: bool,
-) -> Result<(), ProtoError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if at_boundary && filled == 0 {
-                    Err(ProtoError::Closed)
-                } else {
-                    Err(ProtoError::Io(std::io::ErrorKind::UnexpectedEof.into()))
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
-fn take_u8(cur: &mut Cursor<'_>) -> Result<u8, ProtoError> {
-    cur.u8().map_err(|_| ProtoError::Malformed)
-}
-
-fn take_u64(cur: &mut Cursor<'_>) -> Result<u64, ProtoError> {
-    cur.u64().map_err(|_| ProtoError::Malformed)
-}
-
-fn take_f64(cur: &mut Cursor<'_>) -> Result<f64, ProtoError> {
-    cur.f64().map_err(|_| ProtoError::Malformed)
-}
-
-/// Reads an element count and sanity-bounds it by the bytes actually
-/// remaining (`elem_bytes` per element), so a hostile count cannot drive
-/// `Vec::with_capacity` past the frame it arrived in.
-fn bounded_count(cur: &mut Cursor<'_>, elem_bytes: usize) -> Result<usize, ProtoError> {
-    let n = take_u64(cur)?;
-    if n as usize > cur.remaining() / elem_bytes {
-        return Err(ProtoError::Malformed);
-    }
-    Ok(n as usize)
-}
-
-/// An optional u64 on the wire: one presence byte (`0`/`1`), then the
-/// value when present. Any other presence byte is malformed.
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            put_u8(buf, 1);
-            put_u64(buf, v);
-        }
-        None => put_u8(buf, 0),
-    }
-}
-
-fn take_opt_u64(cur: &mut Cursor<'_>) -> Result<Option<u64>, ProtoError> {
-    match take_u8(cur)? {
-        0 => Ok(None),
-        1 => Ok(Some(take_u64(cur)?)),
-        _ => Err(ProtoError::Malformed),
-    }
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn take_str(cur: &mut Cursor<'_>) -> Result<String, ProtoError> {
-    let len = take_u64(cur)?;
-    if len as usize > cur.remaining() {
-        return Err(ProtoError::Malformed);
-    }
-    let bytes = cur.take(len as usize).map_err(|_| ProtoError::Malformed)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed)
 }
 
 #[cfg(test)]
@@ -702,95 +455,10 @@ mod tests {
         assert!(matches!(Request::decode(&resp), Err(ProtoError::BadType(16))));
     }
 
-    /// Every single-bit flip anywhere in a frame is caught — by the CRC,
-    /// or by a check that fires before the CRC (magic, length, type).
-    #[test]
-    fn every_bit_flip_is_detected() {
-        let frames: Vec<Vec<u8>> = sample_requests()
-            .iter()
-            .map(Request::encode)
-            .chain(sample_responses().iter().map(Response::encode))
-            .collect();
-        for bytes in frames {
-            for pos in 0..bytes.len() {
-                for bit in 0..8 {
-                    let mut corrupt = bytes.clone();
-                    corrupt[pos] ^= 1 << bit;
-                    assert!(
-                        Request::decode(&corrupt).is_err() && Response::decode(&corrupt).is_err(),
-                        "flip at byte {pos} bit {bit} went undetected"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Every truncation errors; a zero-byte stream is a clean close.
-    #[test]
-    fn every_truncation_is_detected() {
-        let bytes = Response::ChangedKeys {
-            as_of: 1,
-            requested: (0, 4),
-            covered: (0, 4),
-            epochs_used: 2,
-            error_f2: 9.0,
-            alarm_threshold: 0.3,
-            changes: vec![(1, 2.0), (3, -4.0)],
-        }
-        .encode();
-        for keep in 0..bytes.len() {
-            let cut = &bytes[..keep];
-            assert!(Response::decode(cut).is_err(), "buffer truncated to {keep} decoded");
-            let mut stream = std::io::Cursor::new(cut.to_vec());
-            let err = Response::read_from(&mut stream).unwrap_err();
-            if keep == 0 {
-                assert!(matches!(err, ProtoError::Closed));
-            } else {
-                assert!(!matches!(err, ProtoError::Closed), "truncation at {keep} read as Closed");
-            }
-        }
-    }
-
-    /// Hostile length prefixes (with the CRC fixed up to match) are
-    /// rejected without huge allocations.
-    #[test]
-    fn hostile_lengths_are_rejected() {
-        let mut bytes = Request::RangeSketch { from: 0, to: 4 }.encode();
-        // Claim a payload just over MAX_FRAME.
-        let huge = (MAX_FRAME + 1).to_le_bytes();
-        bytes[5..9].copy_from_slice(&huge);
-        let body_end = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_end]);
-        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(Request::decode(&bytes), Err(ProtoError::TooLarge(_))));
-        let mut stream = std::io::Cursor::new(bytes);
-        assert!(matches!(Request::read_from(&mut stream), Err(ProtoError::TooLarge(_))));
-    }
-
-    /// A hostile element count inside a valid frame (CRC fixed up) cannot
-    /// drive allocation past the frame's actual size.
-    #[test]
-    fn hostile_element_counts_are_rejected() {
-        let resp = Response::KeyHistory { as_of: 1, covered: (0, 4), points: vec![] };
-        let mut bytes = resp.encode();
-        // The count field sits right after as_of (8) + covered (16) in the
-        // payload, which starts at offset 9.
-        let count_at = 9 + 24;
-        bytes[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let body_end = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_end]);
-        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(Response::decode(&bytes), Err(ProtoError::Malformed)));
-    }
-
     /// Unknown type bytes are rejected by name.
     #[test]
     fn unknown_types_are_rejected() {
-        let mut bytes = Request::RangeSketch { from: 0, to: 4 }.encode();
-        bytes[4] = 250;
-        let body_end = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_end]);
-        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        let bytes = SCDQ.seal(SCDQ.begin(250));
         assert!(matches!(Request::decode(&bytes), Err(ProtoError::BadType(250))));
         assert!(matches!(Response::decode(&bytes), Err(ProtoError::BadType(250))));
     }
@@ -799,43 +467,30 @@ mod tests {
     /// with a matching CRC.
     #[test]
     fn trailing_payload_bytes_are_malformed() {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 0);
-        put_u64(&mut payload, 4);
-        put_u8(&mut payload, 0xEE);
-        let bytes = seal(0x03, payload);
-        assert!(matches!(Request::decode(&bytes), Err(ProtoError::Malformed)));
+        let mut frame = SCDQ.begin(3);
+        put_u64(&mut frame, 0);
+        put_u64(&mut frame, 4);
+        frame.push(0xEE);
+        assert!(matches!(Request::decode(&SCDQ.seal(frame)), Err(ProtoError::Malformed)));
     }
 
     /// Non-UTF-8 string bytes are malformed, not a panic.
     #[test]
     fn invalid_utf8_strings_are_malformed() {
-        let mut payload = Vec::new();
-        put_u8(&mut payload, 0); // as_of absent
-        put_u64(&mut payload, 2);
-        payload.extend_from_slice(&[0xFF, 0xFE]);
-        let bytes = seal(16, payload);
-        assert!(matches!(Response::decode(&bytes), Err(ProtoError::Malformed)));
+        let mut frame = SCDQ.begin(16);
+        put_opt_u64(&mut frame, None);
+        put_u64(&mut frame, 2);
+        frame.extend_from_slice(&[0xFF, 0xFE]);
+        assert!(matches!(Response::decode(&SCDQ.seal(frame)), Err(ProtoError::Malformed)));
     }
 
     /// A presence byte other than 0/1 for the optional as_of is
     /// malformed.
     #[test]
     fn invalid_presence_bytes_are_malformed() {
-        let mut payload = Vec::new();
-        put_u8(&mut payload, 2); // neither absent nor present
-        put_str(&mut payload, "reason");
-        let bytes = seal(16, payload);
-        assert!(matches!(Response::decode(&bytes), Err(ProtoError::Malformed)));
-    }
-
-    /// Bad magic is reported as such.
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut bytes = Request::RangeSketch { from: 0, to: 4 }.encode();
-        bytes[..4].copy_from_slice(b"SCDN");
-        assert!(matches!(Request::decode(&bytes), Err(ProtoError::BadMagic)));
-        let mut stream = std::io::Cursor::new(bytes);
-        assert!(matches!(Request::read_from(&mut stream), Err(ProtoError::BadMagic)));
+        let mut frame = SCDQ.begin(16);
+        frame.push(2); // neither absent nor present
+        put_str(&mut frame, "reason");
+        assert!(matches!(Response::decode(&SCDQ.seal(frame)), Err(ProtoError::Malformed)));
     }
 }

@@ -2,10 +2,8 @@
 //! [`ServingPlane`]'s snapshots, plus the pure [`answer`] function it
 //! (and the tests) evaluate queries with.
 //!
-//! Connection handling follows the `scd-obs` metrics listener:
-//! non-blocking accept polled against a stop flag, then blocking
-//! per-connection I/O under read/write deadlines so one stalled client
-//! can neither hang shutdown nor wedge its handler thread forever. Each
+//! Accepting, the connection cap and the socket deadlines are
+//! `scd_obs::Listener`'s, configured with this server's budgets. Each
 //! connection pins the *current* view per request — a client issuing
 //! many queries sees the pipeline advance between them, but every single
 //! answer is interval-consistent (one atomic view, one `as_of`).
@@ -29,22 +27,18 @@ use crate::metrics::ServeMetrics;
 use crate::proto::{ProtoError, Request, Response};
 use crate::view::{ServingPlane, ServingView};
 use scd_archive::ArchiveError;
-use scd_obs::{LocalHistogram, Stopwatch};
+use scd_obs::{Budgets, Listener, LocalHistogram, Stopwatch};
 use scd_sketch::{PointEstimate, SecondMoment};
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
 /// Per-connection socket read timeout: an idle-but-open client is fine
-/// (the read just times out and retries until `stop`), a mid-frame stall
-/// longer than this tears the connection down.
+/// (the read just times out at a frame boundary and retries until
+/// `stop`), a mid-frame stall longer than this tears the connection down.
 const READ_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Per-response write budget; a client not draining its socket for this
@@ -349,9 +343,7 @@ impl Default for ServerOptions {
 /// against the [`ServingPlane`]'s current view until stopped or dropped.
 #[derive(Debug)]
 pub struct QueryServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl QueryServer {
@@ -379,88 +371,37 @@ impl QueryServer {
         metrics: Option<Arc<ServeMetrics>>,
         options: ServerOptions,
     ) -> std::io::Result<QueryServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let cache = options.cache.then(|| Arc::new(AnswerCache::default()));
-        let accept_thread = std::thread::Builder::new()
-            .name("scd-serve-accept".into())
-            .spawn(move || accept_loop(listener, plane, cache, metrics, accept_stop))
-            .expect("spawn accept thread");
-        Ok(QueryServer { addr, stop, accept_thread: Some(accept_thread) })
+        let (accepted, refused) = match &metrics {
+            Some(m) => (Arc::clone(&m.connections_total), Arc::clone(&m.connections_refused)),
+            None => Default::default(),
+        };
+        let mut listener = Listener::bind(
+            addr,
+            Budgets {
+                thread_name: "scd-serve",
+                read_timeout: READ_TIMEOUT,
+                write_timeout: WRITE_TIMEOUT,
+                max_connections: MAX_CONNECTIONS,
+                accepted,
+                refused,
+            },
+        )?;
+        let cache = options.cache.then(AnswerCache::default);
+        listener.start(move |stream, stop| {
+            let _ = serve_connection(stream, &plane, cache.as_ref(), metrics.as_deref(), stop);
+        });
+        Ok(QueryServer { listener })
     }
 
     /// The bound address (with the real port when bound ephemerally).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
-    /// Signals the accept loop to stop and waits for it to exit. Open
-    /// connections drain on their own threads; their handlers observe
-    /// the stop flag at the next read timeout.
+    /// Stops accepting and waits for every open connection's handler to
+    /// observe the stop flag (at its next read timeout) and exit.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for QueryServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    plane: Arc<ServingPlane>,
-    cache: Option<Arc<AnswerCache>>,
-    metrics: Option<Arc<ServeMetrics>>,
-    stop: Arc<AtomicBool>,
-) {
-    let live = Arc::new(AtomicUsize::new(0));
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if live.load(Ordering::Acquire) >= MAX_CONNECTIONS {
-                    if let Some(m) = &metrics {
-                        m.connections_refused.inc();
-                    }
-                    drop(stream);
-                    continue;
-                }
-                if let Some(m) = &metrics {
-                    m.connections_total.inc();
-                }
-                live.fetch_add(1, Ordering::AcqRel);
-                let plane = Arc::clone(&plane);
-                let cache = cache.clone();
-                let metrics = metrics.clone();
-                let stop = Arc::clone(&stop);
-                let conn_live = Arc::clone(&live);
-                let spawned =
-                    std::thread::Builder::new().name("scd-serve-conn".into()).spawn(move || {
-                        let _ = serve_connection(
-                            stream,
-                            &plane,
-                            cache.as_deref(),
-                            metrics.as_deref(),
-                            &stop,
-                        );
-                        conn_live.fetch_sub(1, Ordering::AcqRel);
-                    });
-                if spawned.is_err() {
-                    live.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
+        self.listener.shutdown();
     }
 }
 
@@ -493,9 +434,6 @@ fn serve_requests(
     stop: &AtomicBool,
     local_answer: &mut LocalHistogram,
 ) -> Result<(), ProtoError> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
     loop {
@@ -506,13 +444,11 @@ fn serve_requests(
             Ok(req) => req,
             Err(ProtoError::Closed) => return Ok(()),
             // An idle client between requests: the read timed out at a
-            // frame boundary. Check the stop flag and wait again.
-            Err(ProtoError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            // frame boundary. Check the stop flag and wait again. A
+            // timeout *inside* a frame is `Stalled` and falls through:
+            // part of the frame is consumed, so retrying would resume
+            // mid-frame and misread payload bytes as a header.
+            Err(ProtoError::Idle) => continue,
             Err(e) => return Err(e),
         };
         let sw = Stopwatch::start();
@@ -697,6 +633,41 @@ mod tests {
         let mut client = crate::client::QueryClient::connect(&addr).unwrap();
         let resp = client.ask(&Request::RangeSketch { from: 0, to: 2 }).unwrap();
         assert!(matches!(resp, Response::RangeSketch { .. }));
+    }
+
+    /// A client that stalls mid-frame past the read timeout loses its
+    /// connection: the handler must not retry the read from the middle of
+    /// the frame (it would misparse payload bytes as a header). An idle
+    /// client, quiet for just as long *between* frames, keeps its.
+    #[test]
+    fn mid_frame_stall_closes_the_connection_idle_does_not() {
+        use std::io::Read;
+        let registry = scd_obs::Registry::new();
+        let metrics = ServeMetrics::register(&registry);
+        let plane = plane_with_two_intervals();
+        let server =
+            QueryServer::bind("127.0.0.1:0", Arc::clone(&plane), Some(Arc::clone(&metrics)))
+                .unwrap();
+        let addr = server.addr().to_string();
+        let req = Request::RangeSketch { from: 0, to: 2 };
+        let frame = req.encode();
+
+        let mut idle = crate::client::QueryClient::connect(&addr).unwrap();
+        let mut slow = TcpStream::connect(&addr).unwrap();
+        slow.set_nodelay(true).unwrap();
+        slow.write_all(&frame[..5]).unwrap();
+        // Without another byte sent, the server hangs up once the stall
+        // outlasts its read timeout: the client reads EOF, not a timeout.
+        slow.set_read_timeout(Some(READ_TIMEOUT * 10)).unwrap();
+        assert_eq!(slow.read(&mut [0u8; 64]).expect("server closes a stalled connection"), 0);
+        // The rest arrives too late to be misread as a new frame.
+        let _ = slow.write_all(&frame[5..]);
+        // The idle connection sat through the same silence, in sync.
+        assert!(matches!(idle.ask(&req).unwrap(), Response::RangeSketch { .. }));
+        let mut fresh = crate::client::QueryClient::connect(&addr).unwrap();
+        assert!(matches!(fresh.ask(&req).unwrap(), Response::RangeSketch { .. }));
+        assert_eq!(metrics.query_errors.get(), 0);
+        assert_eq!(metrics.queries_total.get(), 2);
     }
 
     /// Multiple concurrent clients each get consistent answers.

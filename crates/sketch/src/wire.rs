@@ -6,21 +6,15 @@
 //! matters: a deserialized sketch carries its hash-family identity
 //! `(H, K, seed)`, so an incompatible COMBINE is still caught.
 //!
-//! Layout of the current version (little-endian):
+//! The `SCDSKT02` file envelope (`scd_hash::envelope`) around this body
+//! (little-endian):
 //!
 //! ```text
-//! magic   8  b"SCDSKT02"
 //! h       8  u64
 //! k       8  u64
 //! seed    8  u64
 //! cells   H*K*8  f64 bits, row-major
-//! crc     4  CRC-32 (IEEE) of all preceding bytes
 //! ```
-//!
-//! Version 02 appends the CRC-32 footer so truncation and bit-rot are
-//! detected instead of silently decoding a garbage table. The v01 format
-//! (same layout, magic `SCDSKT01`, no footer) is still accepted on the
-//! read side for sketches serialized by older builds.
 //!
 //! At the paper's `H = 5, K = 32768` a sketch serializes to 1.25 MiB + 36
 //! bytes — the "ship a sketch, not per-flow tables" story in §1.3.
@@ -31,20 +25,19 @@
 
 use crate::error::SketchError;
 use crate::kary::{KarySketch, SketchConfig};
-use scd_hash::byteio::{put_f64, put_u32, put_u64, Cursor};
-use scd_hash::{crc32, HashRows};
+use scd_hash::byteio::{put_f64, put_u64, Cursor, ShortInput};
+use scd_hash::envelope::{self, SealError};
+use scd_hash::HashRows;
 use std::sync::Arc;
 
-const MAGIC_V1: &[u8; 8] = b"SCDSKT01";
-const MAGIC_V2: &[u8; 8] = b"SCDSKT02";
+const MAGIC: &[u8; 8] = b"SCDSKT02";
 
 /// Errors from sketch (de)serialization.
 #[derive(Debug)]
 pub enum WireError {
-    /// Missing/unknown magic bytes.
-    BadMagic,
-    /// Payload shorter than the declared `H × K` table.
-    Truncated,
+    /// The envelope did not open (wrong magic, truncation, checksum), or
+    /// the body is not exactly the declared `H × K` table.
+    Envelope(SealError),
     /// Header fields fail validation (K not a power of two, H = 0, or
     /// implausibly large dimensions).
     BadHeader {
@@ -52,14 +45,6 @@ pub enum WireError {
         h: u64,
         /// Declared buckets.
         k: u64,
-    },
-    /// The CRC-32 footer does not match the payload (v02 only): the bytes
-    /// were corrupted in flight or at rest.
-    BadChecksum {
-        /// Checksum recomputed over the payload.
-        computed: u32,
-        /// Checksum stored in the footer.
-        stored: u32,
     },
     /// The serialized family does not match the one the caller supplied to
     /// [`from_bytes_with_rows`].
@@ -71,15 +56,10 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::BadMagic => write!(f, "not a serialized sketch (bad magic)"),
-            WireError::Truncated => write!(f, "serialized sketch truncated"),
+            WireError::Envelope(e) => write!(f, "serialized sketch: {e}"),
             WireError::BadHeader { h, k } => {
                 write!(f, "invalid sketch header: H={h}, K={k}")
             }
-            WireError::BadChecksum { computed, stored } => write!(
-                f,
-                "sketch checksum mismatch: computed {computed:#010x}, stored {stored:#010x}"
-            ),
             WireError::FamilyMismatch => {
                 write!(f, "serialized sketch belongs to a different hash family")
             }
@@ -90,24 +70,34 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<SealError> for WireError {
+    fn from(e: SealError) -> Self {
+        WireError::Envelope(e)
+    }
+}
+
+impl From<ShortInput> for WireError {
+    fn from(e: ShortInput) -> Self {
+        WireError::Envelope(e.into())
+    }
+}
+
 /// Maximum accepted table size on deserialization (64 Mi cells = 512 MiB):
 /// a defensive bound so corrupt headers cannot trigger huge allocations.
 const MAX_CELLS: u64 = 64 * 1024 * 1024;
 
-/// Serializes the sketch in the current (v02) format: header + raw cells +
-/// CRC-32 footer.
+/// Serializes the sketch: envelope, header, raw cells.
 pub fn to_bytes(sketch: &KarySketch) -> Vec<u8> {
     let (h, k, seed) = sketch.rows().identity();
     let mut buf = Vec::with_capacity(36 + sketch.table().len() * 8);
-    buf.extend_from_slice(MAGIC_V2);
+    buf.extend_from_slice(MAGIC);
     put_u64(&mut buf, h as u64);
     put_u64(&mut buf, k as u64);
     put_u64(&mut buf, seed);
     for &cell in sketch.table() {
         put_f64(&mut buf, cell);
     }
-    let crc = crc32(&buf);
-    put_u32(&mut buf, crc);
+    envelope::seal(&mut buf);
     buf
 }
 
@@ -121,35 +111,16 @@ struct Decoded<'a> {
 }
 
 fn decode(data: &[u8]) -> Result<Decoded<'_>, WireError> {
-    let mut cur = Cursor::new(data);
-    let magic = cur.take(8).map_err(|_| WireError::BadMagic)?;
-    let body_len = match magic {
-        m if m == MAGIC_V2 => {
-            // Footer covers everything before it, including the magic.
-            if data.len() < 12 {
-                return Err(WireError::Truncated);
-            }
-            let (payload, footer) = data.split_at(data.len() - 4);
-            let stored = u32::from_le_bytes(footer.try_into().expect("length checked"));
-            let computed = crc32(payload);
-            if computed != stored {
-                return Err(WireError::BadChecksum { computed, stored });
-            }
-            payload.len() - 8
-        }
-        m if m == MAGIC_V1 => data.len() - 8,
-        _ => return Err(WireError::BadMagic),
-    };
-    let mut cur = Cursor::new(&data[8..8 + body_len]);
-    let h = cur.u64().map_err(|_| WireError::Truncated)?;
-    let k = cur.u64().map_err(|_| WireError::Truncated)?;
-    let seed = cur.u64().map_err(|_| WireError::Truncated)?;
+    let mut cur = Cursor::new(envelope::open(MAGIC, data)?);
+    let h = cur.u64()?;
+    let k = cur.u64()?;
+    let seed = cur.u64()?;
     if h == 0 || k == 0 || !k.is_power_of_two() || h.saturating_mul(k) > MAX_CELLS {
         return Err(WireError::BadHeader { h, k });
     }
     let n_cells = (h * k) as usize;
     if cur.remaining() != n_cells * 8 {
-        return Err(WireError::Truncated);
+        return Err(SealError::Truncated.into());
     }
     Ok(Decoded { h, k, seed, cells: cur, n_cells })
 }
@@ -163,7 +134,6 @@ fn read_table(mut d: Decoded<'_>) -> Vec<f64> {
 }
 
 /// Deserializes a sketch, re-deriving its hash family from the header.
-/// Accepts both v02 (checksummed) and legacy v01 payloads.
 pub fn from_bytes(data: &[u8]) -> Result<KarySketch, WireError> {
     let d = decode(data)?;
     let config = SketchConfig { h: d.h as usize, k: d.k as usize, seed: d.seed };
@@ -226,7 +196,7 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(matches!(from_bytes(b"nope"), Err(WireError::BadMagic)));
+        assert!(matches!(from_bytes(b"nope"), Err(WireError::Envelope(SealError::BadMagic))));
         let mut ok = to_bytes(&sample());
         ok.pop();
         // Dropping a footer byte breaks the checksum/length invariant.
@@ -234,68 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v01_payloads() {
-        let s = sample();
-        let (h, k, seed) = s.rows().identity();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V1);
-        buf.extend_from_slice(&(h as u64).to_le_bytes());
-        buf.extend_from_slice(&(k as u64).to_le_bytes());
-        buf.extend_from_slice(&seed.to_le_bytes());
-        for &cell in s.table() {
-            buf.extend_from_slice(&cell.to_le_bytes());
-        }
-        let back = from_bytes(&buf).unwrap();
-        assert_eq!(back.table(), s.table());
-    }
-
-    #[test]
-    fn any_single_byte_flip_is_a_typed_error_or_detected() {
-        let clean = to_bytes(&sample());
-        let mut rng = scd_hash::SplitMix64::new(0xC0DE);
-        for _ in 0..200 {
-            let pos = rng.next_below(clean.len() as u64) as usize;
-            let mut bad = clean.clone();
-            bad[pos] ^= 1 << rng.next_below(8);
-            match from_bytes(&bad) {
-                Err(_) => {}
-                Ok(_) => panic!("byte flip at {pos} decoded successfully"),
-            }
-        }
-    }
-
-    #[test]
-    fn corruption_injection_round_trip() {
-        // The same corruption model the network fault plans use: every
-        // injected single-bit flip must surface as a typed error, and the
-        // pristine bytes must still round-trip afterwards (decoding keeps
-        // no state that a failed attempt could poison).
-        let original = sample();
-        let clean = to_bytes(&original);
-        for seed in 0..200u64 {
-            let mut corruptor = scd_traffic::Corruptor::new(seed);
-            let mut bad = clean.clone();
-            let (pos, mask) = corruptor.flip_one_byte(&mut bad);
-            assert!(
-                from_bytes(&bad).is_err(),
-                "seed {seed}: flip at byte {pos} (mask {mask:#04x}) decoded successfully"
-            );
-        }
-        let back = from_bytes(&clean).expect("pristine bytes still decode");
-        assert_eq!(back.table(), original.table());
-        assert_eq!(back.rows().identity(), original.rows().identity());
-    }
-
-    #[test]
-    fn every_truncation_is_detected() {
-        // A small sketch keeps the exhaustive sweep cheap: every proper
-        // prefix must be rejected, none may panic.
-        let mut s = KarySketch::new(SketchConfig { h: 2, k: 32, seed: 9 });
-        s.update(1, 4.0);
-        let clean = to_bytes(&s);
-        for len in 0..clean.len() {
-            assert!(from_bytes(&clean[..len]).is_err(), "truncation to {len} went undetected");
-        }
+    fn legacy_v01_magic_is_rejected() {
+        // The unchecksummed v01 layout (old magic, no footer) is not read.
+        let v2 = to_bytes(&sample());
+        let mut v1 = b"SCDSKT01".to_vec();
+        v1.extend_from_slice(&v2[8..v2.len() - 4]);
+        assert!(matches!(from_bytes(&v1), Err(WireError::Envelope(SealError::BadMagic))));
     }
 
     #[test]
@@ -317,13 +231,11 @@ mod tests {
     #[test]
     fn rejects_hostile_header() {
         fn frame(h: u64, k: u64) -> Vec<u8> {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(MAGIC_V2);
+            let mut buf = MAGIC.to_vec();
             buf.extend_from_slice(&h.to_le_bytes());
             buf.extend_from_slice(&k.to_le_bytes());
             buf.extend_from_slice(&0u64.to_le_bytes()); // seed
-            let crc = crc32(&buf);
-            buf.extend_from_slice(&crc.to_le_bytes());
+            envelope::seal(&mut buf);
             buf
         }
         assert!(matches!(from_bytes(&frame(u64::MAX, 1024)), Err(WireError::BadHeader { .. })));

