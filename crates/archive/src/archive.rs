@@ -449,10 +449,15 @@ impl<L: LinearSketch + SecondMoment> SketchArchive<L> {
         let mut candidates = self.candidate_keys(from, to)?;
         candidates.extend_from_slice(extra_candidates);
         let mut seen = std::collections::HashSet::new();
+        candidates.retain(|k| seen.insert(*k));
+        // One batched scan of the range sketch, not one `estimate` per
+        // candidate: a k-ary `estimate` rescans a row for `sum(S)` each call.
+        let mut magnitudes = Vec::new();
+        range.sketch.estimate_many(&candidates, &mut magnitudes);
         let mut changes: Vec<KeyChange> = candidates
             .into_iter()
-            .filter(|k| seen.insert(*k))
-            .map(|key| KeyChange { key, magnitude: range.sketch.estimate(key) })
+            .zip(magnitudes)
+            .map(|(key, magnitude)| KeyChange { key, magnitude })
             .filter(|c| c.magnitude.abs() >= alarm_threshold && c.magnitude.abs() > 0.0)
             .collect();
         changes.sort_by(|a, b| {

@@ -5,6 +5,7 @@ use crate::telemetry::DetectorMetrics;
 use scd_forecast::{Forecaster, ModelSpec, ModelState, StateError};
 use scd_hash::{HashRows, MixBuildHasher, SplitMix64};
 use scd_sketch::{EstimateScratch, KarySketch, SketchConfig};
+use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -170,12 +171,10 @@ pub struct SketchChangeDetector {
     /// Spare error-sketch buffer rotated through the turnover (under
     /// `NextInterval` it alternates with the pending slot).
     error_spare: Option<KarySketch>,
-    /// Scratch for the fused error/F2 sweep and batched key scoring.
+    /// Scratch for the fused error/F2 sweep and the key scan.
     scratch: EstimateScratch,
     /// Persistent dedup set, cleared (not freed) every interval.
     seen: HashSet<u64, MixBuildHasher>,
-    /// Reused output buffer for `estimate_batch`.
-    estimates: Vec<f64>,
     /// Telemetry sink. Like the workspaces above, this is not detector
     /// *state*: it is never checkpointed (a restored detector starts with
     /// `None`; re-attach via [`SketchChangeDetector::set_metrics`]), and
@@ -224,7 +223,6 @@ impl SketchChangeDetector {
             error_spare: None,
             scratch: EstimateScratch::new(),
             seen: HashSet::with_hasher(MixBuildHasher),
-            estimates: Vec::new(),
             metrics: None,
         }
     }
@@ -415,26 +413,25 @@ impl SketchChangeDetector {
         f2: f64,
     ) -> IntervalReport {
         let alarm_threshold = self.config.threshold * f2.max(0.0).sqrt();
-        error_sketch.estimate_batch(keys, &mut self.scratch, &mut self.estimates);
-        // Non-finite estimates are filtered *before* the sort: they carry
-        // no magnitude information, and under `total_cmp` a NaN would
-        // outrank +inf and stall the take_while alarm scan below. A single
-        // poisoned cell must degrade one key's estimate, not panic the
-        // whole scan (under the supervisor that panic is a poison pill —
-        // the checkpoint restores the same state and the restart loop
-        // burns the entire budget re-dying on the same interval).
+        // Non-finite estimates are dropped *before* the sort: they carry
+        // no magnitude information, and a NaN would outrank +inf and stall
+        // the take_while alarm scan below. A single poisoned cell must
+        // degrade one key's estimate, not panic the whole scan (under the
+        // supervisor that panic is a poison pill — the checkpoint restores
+        // the same state and the restart loop burns the entire budget
+        // re-dying on the same interval).
         let mut non_finite_errors = 0u64;
-        let mut errors: Vec<(u64, f64)> = keys
-            .iter()
-            .copied()
-            .zip(self.estimates.iter().copied())
-            .filter(|&(_, e)| {
-                let finite = e.is_finite();
-                non_finite_errors += u64::from(!finite);
-                finite
-            })
-            .collect();
-        errors.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then_with(|| a.0.cmp(&b.0)));
+        let mut errors = Vec::with_capacity(keys.len());
+        error_sketch.estimator().estimate_tiles(keys, &mut self.scratch, |keys, estimates| {
+            for (&key, &e) in keys.iter().zip(estimates) {
+                if e.is_finite() {
+                    errors.push((key, e));
+                } else {
+                    non_finite_errors += 1;
+                }
+            }
+        });
+        errors.sort_unstable_by_key(report_order);
         // |error| must meet the threshold *and* be nonzero: when an interval
         // is predicted perfectly, F2 = 0 makes TA = 0, and flows with zero
         // error must not alarm.
@@ -530,10 +527,19 @@ impl SketchChangeDetector {
             error_spare: None,
             scratch: EstimateScratch::new(),
             seen: HashSet::with_hasher(MixBuildHasher),
-            estimates: Vec::new(),
             metrics: None,
         })
     }
+}
+
+/// The order of [`IntervalReport::errors`] as an integer sort key:
+/// decreasing `|error|`, ties by ascending key. For finite values the bit
+/// pattern of `|e|` orders exactly as `total_cmp` orders `|e|` (and `-0.0`
+/// folds onto `+0.0`), and scanned keys are distinct, so this is a strict
+/// total order: an unstable sort yields the one sequence a stable
+/// `total_cmp` sort would.
+fn report_order(&(key, error): &(u64, f64)) -> (Reverse<u64>, u64) {
+    (Reverse(error.abs().to_bits()), key)
 }
 
 /// Complete mutable state of a [`SketchChangeDetector`], as captured by

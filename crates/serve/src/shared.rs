@@ -54,6 +54,10 @@ impl<L: PointEstimate> PointEstimate for SharedSketch<L> {
     fn estimate(&self, key: u64) -> f64 {
         self.0.estimate(key)
     }
+
+    fn estimate_many(&self, keys: &[u64], out: &mut Vec<f64>) {
+        self.0.estimate_many(keys, out);
+    }
 }
 
 impl<L: SecondMoment> SecondMoment for SharedSketch<L> {

@@ -37,8 +37,10 @@
 
 use crate::shared::SharedSketch;
 use scd_hash::HashRows;
+use scd_sketch::batch::estimate_tiles;
 use scd_sketch::{
-    median_over_rows, simd, KarySketch, LinearSketch, PointEstimate, SecondMoment, SketchError,
+    median_over_rows, simd, EstimateScratch, KarySketch, LinearSketch, PointEstimate, SecondMoment,
+    SketchError,
 };
 use std::sync::Arc;
 
@@ -49,22 +51,6 @@ use std::sync::Arc;
 /// answers from `f32` state with the composed
 /// [`error_bound`](SlimSketch::error_bound) envelope.
 pub type SlimEpoch = SharedSketch<SlimSketch>;
-
-/// Reused buffers for [`SlimSketch::estimate_batch`]; keep one per query
-/// thread and the batch path allocates nothing in steady state.
-#[derive(Debug, Default)]
-pub struct SlimScratch {
-    buckets: Vec<usize>,
-    values: Vec<f64>,
-    per_row: Vec<f64>,
-}
-
-impl SlimScratch {
-    /// An empty scratch; buffers are sized lazily by the first batch.
-    pub fn new() -> Self {
-        SlimScratch::default()
-    }
-}
 
 /// A compact read-optimized projection of a [`KarySketch`]: `f32`
 /// registers plus per-row totals and the rounding envelope maintained
@@ -256,48 +242,26 @@ impl SlimSketch {
         })
     }
 
-    /// **ESTIMATE** over a block of keys: appends one estimate per key to
-    /// `out`, equal to calling [`estimate`](Self::estimate) per key in
-    /// order (the batch-vs-scalar property test asserts exact `==`), but
-    /// restructured like the fat sketch's `estimate_batch` — hash phase,
-    /// per-row gather-and-widen phase ([`simd::gather_widen_f32`], eight
-    /// cells per step), estimator transform over the whole block, then
-    /// per-key medians — so each `4·K`-byte register row stays hot for
-    /// the whole block. `out` is cleared first.
-    pub fn estimate_batch(&self, keys: &[u64], scratch: &mut SlimScratch, out: &mut Vec<f64>) {
+    /// **ESTIMATE** over a block of keys: fills `out` with one estimate
+    /// per key, equal to calling [`estimate`](Self::estimate) per key in
+    /// order (the batch-vs-scalar property test asserts exact `==`). This
+    /// is the fat sketch's tiled batch estimator
+    /// ([`scd_sketch::batch::estimate_tiles`]) over the `f32` table: the
+    /// gather widens each cell ([`simd::gather_widen_f32`], eight per
+    /// step) and the stream total is the maintained row-0 sum. `out` is
+    /// cleared first.
+    pub fn estimate_batch(&self, keys: &[u64], scratch: &mut EstimateScratch, out: &mut Vec<f64>) {
         out.clear();
-        let n = keys.len();
-        if n == 0 {
-            return;
-        }
-        let h = self.h();
-        let kk = self.k();
-        let kf = kk as f64;
-        scratch.buckets.clear();
-        scratch.buckets.resize(h * n, 0);
-        self.rows.buckets_batch(keys, &mut scratch.buckets);
-        scratch.values.clear();
-        scratch.values.resize(h * n, 0.0);
-        let variant = simd::active();
-        for row in 0..h {
-            let cells = &self.table[row * kk..(row + 1) * kk];
-            let row_buckets = &scratch.buckets[row * n..(row + 1) * n];
-            let vals = &mut scratch.values[row * n..(row + 1) * n];
-            simd::gather_widen_f32(variant, vals, cells, row_buckets);
-        }
-        // Apply the per-cell estimator transform to the whole widened
-        // block up front (same subtract-and-divide per element as the
-        // per-key formula), so the median phase is pure data movement.
-        simd::estimate_transform(variant, &mut scratch.values, self.row_sums[0], kf);
-        scratch.per_row.clear();
-        scratch.per_row.resize(h, 0.0);
-        out.reserve(n);
-        for i in 0..n {
-            for (row, per_row) in scratch.per_row.iter_mut().enumerate() {
-                *per_row = scratch.values[row * n + i];
-            }
-            out.push(scd_sketch::median::median_inplace(&mut scratch.per_row));
-        }
+        out.reserve(keys.len());
+        estimate_tiles(
+            &self.rows,
+            &self.table,
+            self.row_sums[0],
+            simd::gather_widen_f32,
+            keys,
+            scratch,
+            |_, estimates| out.extend_from_slice(estimates),
+        );
     }
 
     /// **ESTIMATEF2** from `f32` state: the fat formula
@@ -356,6 +320,10 @@ impl SlimSketch {
 impl PointEstimate for SlimSketch {
     fn estimate(&self, key: u64) -> f64 {
         SlimSketch::estimate(self, key)
+    }
+
+    fn estimate_many(&self, keys: &[u64], out: &mut Vec<f64>) {
+        self.estimate_batch(keys, &mut EstimateScratch::new(), out);
     }
 }
 
@@ -456,7 +424,9 @@ mod tests {
         assert!(incremental.error_bound() >= rebuilt.error_bound());
     }
 
-    /// `estimate_batch` is a pure restructuring of the scalar loop.
+    /// `estimate_batch` is a pure restructuring of the scalar loop —
+    /// across several of the batch estimator's tiles, over keys the
+    /// sketch holds and keys it never saw.
     #[test]
     fn batch_estimates_equal_scalar_estimates() {
         let mut f = fat(10);
@@ -464,8 +434,9 @@ mod tests {
             f.update(key * 3 + 1, ((key % 97) + 1) as f64 * 1.5);
         }
         let slim = SlimSketch::from_fat(&f);
-        let keys: Vec<u64> = (0..300u64).map(|k| k * 3 + 1).collect();
-        let mut scratch = SlimScratch::new();
+        let n = 3 * scd_sketch::batch::ESTIMATE_TILE as u64 + 7;
+        let keys: Vec<u64> = (0..n).map(|k| k * 3 + 1).collect();
+        let mut scratch = EstimateScratch::new();
         let mut out = Vec::new();
         slim.estimate_batch(&keys, &mut scratch, &mut out);
         assert_eq!(out.len(), keys.len());
@@ -481,6 +452,9 @@ mod tests {
         // Reusing the scratch (second call) must not change anything.
         let mut again = Vec::new();
         slim.estimate_batch(&keys, &mut scratch, &mut again);
+        assert_eq!(out, again);
+        // The trait's block form is the same scan.
+        slim.estimate_many(&keys, &mut again);
         assert_eq!(out, again);
         // Empty key set clears the output.
         slim.estimate_batch(&[], &mut scratch, &mut out);

@@ -20,7 +20,7 @@
 //! then *exact per cell* up to floating-point rounding, a fact the
 //! forecasting layer's property tests rely on.
 
-use crate::batch::{BatchScratch, EstimateScratch};
+use crate::batch::{estimate_tiles, BatchScratch, EstimateScratch};
 use crate::error::SketchError;
 use crate::linear::median_over_rows;
 use crate::median::median_inplace;
@@ -167,58 +167,23 @@ impl KarySketch {
         Estimator { sketch: self, sum: self.sum() }
     }
 
-    /// **ESTIMATE** over a whole block of keys: appends one estimate per
-    /// key to `out`, bit-identical to calling
-    /// [`Estimator::estimate`] for each key in order, but restructured for
-    /// cache locality and zero per-key allocation:
-    ///
-    /// 1. **Hash phase** — [`HashRows::buckets_batch`] computes every
-    ///    bucket row-major (one pass per row over the tabulation tables).
-    /// 2. **Gather phase** — each register row is read in one pass into
-    ///    the scratch's value table, so one `8·K`-byte region stays hot
-    ///    per row instead of `H` competing.
-    /// 3. **Median phase** — per key, the `H` gathered cells go through
-    ///    the paper's estimator formula into the scratch's reused per-row
-    ///    buffer and the median network.
+    /// **ESTIMATE** over a whole block of keys: fills `out` with one
+    /// estimate per key, bit-identical to calling
+    /// [`Estimator::estimate`] for each key in order, through the tiled
+    /// batch estimator ([`Estimator::estimate_tiles`]).
     ///
     /// `sum(S)` is snapshotted once, as the paper prescribes. `out` is
     /// cleared first; keep it (and `scratch`) across intervals and the
-    /// detection key scan allocates nothing in steady state.
+    /// scan allocates nothing in steady state.
     pub fn estimate_batch(&self, keys: &[u64], scratch: &mut EstimateScratch, out: &mut Vec<f64>) {
         out.clear();
-        let n = keys.len();
-        if n == 0 {
+        if keys.is_empty() {
             return;
         }
-        let h = self.h();
-        let kk = self.k();
-        let kf = kk as f64;
-        scratch.buckets.clear();
-        scratch.buckets.resize(h * n, 0);
-        self.rows.buckets_batch(keys, &mut scratch.buckets);
-        scratch.values.clear();
-        scratch.values.resize(h * n, 0.0);
-        let variant = simd::active();
-        for row in 0..h {
-            let cells = &self.table[row * kk..(row + 1) * kk];
-            let row_buckets = &scratch.buckets[row * n..(row + 1) * n];
-            let vals = &mut scratch.values[row * n..(row + 1) * n];
-            simd::gather(variant, vals, cells, row_buckets);
-        }
-        // Apply the per-cell estimator transform to the whole gathered
-        // block up front (same subtract-and-divide per element as the
-        // per-key formula), so the median phase is pure data movement.
-        let sum = self.sum();
-        simd::estimate_transform(variant, &mut scratch.values, sum, kf);
-        scratch.per_row.clear();
-        scratch.per_row.resize(h, 0.0);
-        out.reserve(n);
-        for i in 0..n {
-            for (row, per_row) in scratch.per_row.iter_mut().enumerate() {
-                *per_row = scratch.values[row * n + i];
-            }
-            out.push(median_inplace(&mut scratch.per_row));
-        }
+        out.reserve(keys.len());
+        self.estimator().estimate_tiles(keys, scratch, |_, estimates| {
+            out.extend_from_slice(estimates);
+        });
     }
 
     /// **ESTIMATEF2(S)** — unbiased estimate of the second moment
@@ -511,6 +476,20 @@ impl Estimator<'_> {
             let cell = self.sketch.table[row * kk + self.sketch.rows.bucket(row, key)];
             (cell - self.sum / k) / (1.0 - 1.0 / k)
         })
+    }
+
+    /// [`estimate`](Self::estimate) for every key, tile by tile: `emit`
+    /// receives each tile's keys and their estimates in key order (see
+    /// [`batch::estimate_tiles`](crate::batch::estimate_tiles) for the
+    /// phases). The scratch never grows with the key count.
+    pub fn estimate_tiles(
+        &self,
+        keys: &[u64],
+        scratch: &mut EstimateScratch,
+        emit: impl FnMut(&[u64], &[f64]),
+    ) {
+        let s = self.sketch;
+        estimate_tiles(&s.rows, &s.table, self.sum, simd::gather, keys, scratch, emit);
     }
 
     /// The snapshotted stream total.

@@ -26,6 +26,7 @@
 //! change queries require `LinearSketch + SecondMoment` while plain
 //! archiving requires only `LinearSketch`.
 
+use crate::batch::EstimateScratch;
 use crate::countmin::CountMinSketch;
 use crate::countsketch::CountSketch;
 use crate::deltoid::Deltoid;
@@ -45,6 +46,17 @@ pub trait PointEstimate {
     /// implementation's native estimator: median-unbiased, min, exact
     /// lower bound, …).
     fn estimate(&self, key: u64) -> f64;
+
+    /// [`estimate`](PointEstimate::estimate) for a whole block of keys:
+    /// `out` is cleared and filled with one estimate per key, in order.
+    /// The provided form is the per-key loop; sketches with a batched
+    /// estimator override it with the same values at a fraction of the
+    /// cost (the k-ary sketch's per-key `estimate` rescans a row for
+    /// `sum(S)` on every call).
+    fn estimate_many(&self, keys: &[u64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(keys.iter().map(|&key| self.estimate(key)));
+    }
 }
 
 /// Median across `h` per-row statistics — the reduction every
@@ -52,9 +64,20 @@ pub trait PointEstimate {
 /// rows are evaluated in order and reduced with the same median network
 /// as the historical per-sketch loops, so routing an estimator through
 /// this helper is bit-identical to its previous inline implementation.
-pub fn median_over_rows(h: usize, per_row: impl FnMut(usize) -> f64) -> f64 {
-    let mut values: Vec<f64> = (0..h).map(per_row).collect();
-    median_inplace(&mut values)
+/// The values live on the stack for `h ≤ 32` (every shape the paper
+/// evaluates), so a point query allocates nothing.
+pub fn median_over_rows(h: usize, mut per_row: impl FnMut(usize) -> f64) -> f64 {
+    const STACK_ROWS: usize = 32;
+    if h <= STACK_ROWS {
+        let mut values = [0.0f64; STACK_ROWS];
+        for (row, value) in values[..h].iter_mut().enumerate() {
+            *value = per_row(row);
+        }
+        median_inplace(&mut values[..h])
+    } else {
+        let mut values: Vec<f64> = (0..h).map(per_row).collect();
+        median_inplace(&mut values)
+    }
 }
 
 /// Minimum across `h` per-row statistics — the count-min reduction
@@ -127,6 +150,10 @@ pub trait SecondMoment {
 impl PointEstimate for KarySketch {
     fn estimate(&self, key: u64) -> f64 {
         KarySketch::estimate(self, key)
+    }
+
+    fn estimate_many(&self, keys: &[u64], out: &mut Vec<f64>) {
+        self.estimate_batch(keys, &mut EstimateScratch::new(), out);
     }
 }
 

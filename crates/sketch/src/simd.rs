@@ -15,7 +15,9 @@
 //!   there is no floating-point reassociation.
 //! * Reductions whose accumulation order matters ([`KarySketch::sum`],
 //!   squared-sum rows in `ESTIMATEF2`) deliberately stay scalar in
-//!   `kary.rs`; this module only ships sweeps and gathers.
+//!   `kary.rs`; this module ships sweeps, gathers and one order-free
+//!   reduction — [`median_rows`], the per-key median across rows, whose
+//!   `min`/`max` exchanges select among the inputs and round nothing.
 //!
 //! Identity is enforced by exact `==` tests in `tests/simd_identity.rs`
 //! with both variants forced directly.
@@ -26,6 +28,7 @@
 // unsafe here is behind runtime AVX2 detection.
 #![allow(unsafe_code)]
 
+use crate::median;
 pub use scd_hash::simd::{active, avx2_supported, Variant};
 
 /// Whether this call should take the AVX2 path (requested *and* runnable).
@@ -178,6 +181,90 @@ pub fn estimate_transform(variant: Variant, vals: &mut [f64], sum: f64, kf: f64)
     }
 }
 
+/// `out[i] = median_row vals[row·n + i]` for a row-major `h × n` block
+/// (`n = out.len()`) — the median phase of `ESTIMATE`, bit-identical to
+/// [`median_inplace`](crate::median::median_inplace) on each key's column.
+///
+/// For the `H` that have a selection network ([`median::network`]) the
+/// network runs **lanewise**: four keys at a time, one vector per row, each
+/// compare-exchange a `min`/`max` pair — no per-key strided copy, no
+/// data-dependent branch. Each exchange reproduces [`median::exchange`]'s
+/// selects exactly: `_mm256_min_pd(y, x)` returns `y` where `y < x` and `x`
+/// otherwise (its *second* operand whenever the compare is false — NaN or
+/// `±0.0` pairs included), which is `if x > y { y } else { x }`; and
+/// `_mm256_max_pd(x, y)` is `if x > y { x } else { y }` the same way. So a
+/// `-0.0`/`+0.0` pair or a NaN stays in the slot the scalar network leaves
+/// it in. The scalar variant runs the same selects on `[f64; 4]` lanes.
+/// `H = 1` is a copy; any other `H` takes the per-key selection path
+/// through `column`, a caller-kept buffer that grows to `h` once (so no
+/// `H` allocates per key).
+///
+/// # Panics
+/// Panics if `h == 0` or `vals.len() != h · out.len()`.
+pub fn median_rows(
+    variant: Variant,
+    out: &mut [f64],
+    vals: &[f64],
+    h: usize,
+    column: &mut Vec<f64>,
+) {
+    let n = out.len();
+    assert!(h > 0, "median of empty slice");
+    assert_eq!(vals.len(), h * n, "values must be H x out.len()");
+    if h == 1 {
+        out.copy_from_slice(vals);
+        return;
+    }
+    // Whole groups of four go through the network lanewise; the tail (and
+    // every key, when `h` has no network) is reduced per key.
+    let grouped = median::network(h).map_or(0, |net| median_groups(variant, net, out, vals, h));
+    for (i, slot) in out.iter_mut().enumerate().skip(grouped) {
+        column.clear();
+        column.extend((0..h).map(|row| vals[row * n + i]));
+        *slot = median::median_inplace(column);
+    }
+}
+
+/// The largest `H` with a selection network — the lanewise kernels hold
+/// one vector per row in a fixed array of this many.
+const MAX_ROWS: usize = 25;
+
+/// Runs `net` lanewise over the leading whole groups of four keys of the
+/// `h × out.len()` block; returns how many keys (a multiple of four) that
+/// covered.
+fn median_groups(
+    variant: Variant,
+    net: &median::Network,
+    out: &mut [f64],
+    vals: &[f64],
+    h: usize,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(variant) {
+        // SAFETY: AVX2 support verified at runtime; `median_rows` checked
+        // the block shape, and `h` has a network, so `h <= MAX_ROWS`.
+        return unsafe { avx2::median_groups(net, out, vals, h) };
+    }
+    let _ = variant;
+    let n = out.len();
+    let mut v = [[0.0f64; 4]; MAX_ROWS];
+    let mut i = 0;
+    while i + 4 <= n {
+        for (row, lanes) in v[..h].iter_mut().enumerate() {
+            lanes.copy_from_slice(&vals[row * n + i..row * n + i + 4]);
+        }
+        for &(a, b) in net {
+            let (x, y) = (v[a], v[b]);
+            for lane in 0..4 {
+                (v[a][lane], v[b][lane]) = median::exchange(x[lane], y[lane]);
+            }
+        }
+        out[i..i + 4].copy_from_slice(&v[h / 2]);
+        i += 4;
+    }
+    i
+}
+
 /// `dst[i] += c·src[i]` in **`f32`** — the merge sweep behind the slim
 /// archive's epoch combines (`SlimSketch::add_scaled`). Eight lanes per
 /// AVX2 step (twice the `f64` kernels' four): separate `vmulps`/`vaddps`
@@ -260,6 +347,7 @@ pub fn gather_widen_f32(variant: Variant, out: &mut [f64], cells: &[f32], bucket
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::{median, MAX_ROWS};
     #[allow(clippy::wildcard_imports)]
     use core::arch::x86_64::*;
 
@@ -491,5 +579,37 @@ mod avx2 {
             vals[i] = (vals[i] - mean) / denom;
             i += 1;
         }
+    }
+
+    /// Lanewise median network over whole groups of four keys; returns how
+    /// many leading keys it reduced. See [`super::median_rows`] for the
+    /// operand-order argument.
+    ///
+    /// # Safety
+    /// AVX2 must be supported; `vals.len() == h * out.len()` and
+    /// `h <= MAX_ROWS`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn median_groups(
+        net: &median::Network,
+        out: &mut [f64],
+        vals: &[f64],
+        h: usize,
+    ) -> usize {
+        let n = out.len();
+        let mut v = [_mm256_setzero_pd(); MAX_ROWS];
+        let mut i = 0;
+        while i + 4 <= n {
+            for (row, lanes) in v[..h].iter_mut().enumerate() {
+                *lanes = _mm256_loadu_pd(vals.as_ptr().add(row * n + i));
+            }
+            for &(a, b) in net {
+                let (x, y) = (v[a], v[b]);
+                v[a] = _mm256_min_pd(y, x);
+                v[b] = _mm256_max_pd(x, y);
+            }
+            _mm256_storeu_pd(out.as_mut_ptr().add(i), v[h / 2]);
+            i += 4;
+        }
+        i
     }
 }

@@ -94,6 +94,43 @@ fn sketch_empty_batch(scratch: &mut EstimateScratch, out: &mut Vec<f64>) {
     assert!(out.is_empty());
 }
 
+/// The batch estimator walks its keys in tiles; nothing may change at a
+/// tile's edge. Every paper `H`, plus two with no median network, over
+/// key counts straddling one and several tiles — batched, per-key
+/// through the snapshotting `Estimator`, and through the
+/// `PointEstimate::estimate_many` override, all `==`.
+#[test]
+fn estimate_batch_matches_estimator_across_tile_boundaries() {
+    use scd_sketch::batch::ESTIMATE_TILE as TILE;
+    use scd_sketch::PointEstimate;
+    let mut rng = SplitMix64::new(0xE573);
+    let mut scratch = EstimateScratch::new();
+    let (mut batched, mut many) = (Vec::new(), Vec::new());
+    for h in [1usize, 5, 9, 25, 4, 11] {
+        let sketch = populated(&mut rng, SketchConfig { h, k: 512, seed: 0x711E ^ h as u64 }, 600);
+        let estimator = sketch.estimator();
+        for n in [TILE - 1, TILE, TILE + 1, 3 * TILE + 7] {
+            let keys: Vec<u64> = stream(&mut rng, n).into_iter().map(|(key, _)| key).collect();
+            sketch.estimate_batch(&keys, &mut scratch, &mut batched);
+            sketch.estimate_many(&keys, &mut many);
+            assert_eq!(batched.len(), n, "H={h} n={n}");
+            for (i, &key) in keys.iter().enumerate() {
+                let scalar = estimator.estimate(key);
+                assert!(scalar == batched[i], "H={h} n={n} key {key} (batch)");
+                assert!(scalar == many[i], "H={h} n={n} key {key} (estimate_many)");
+            }
+        }
+    }
+    // The scratch is sized by the shape and the tile, never by the keys:
+    // it has seen H = 25 at a full tile, so a batch sixteen times longer
+    // leaves it exactly as large.
+    let settled = scratch.memory_bytes();
+    let sketch = populated(&mut rng, SketchConfig { h: 25, k: 512, seed: 0x711E }, 600);
+    let keys: Vec<u64> = (0..16 * TILE as u64).collect();
+    sketch.estimate_batch(&keys, &mut scratch, &mut batched);
+    assert_eq!(scratch.memory_bytes(), settled);
+}
+
 #[test]
 fn combine_into_matches_allocating_combine_exactly() {
     let mut rng = SplitMix64::new(0xC0B1);

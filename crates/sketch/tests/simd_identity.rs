@@ -178,3 +178,64 @@ fn combine_passes_match_scalar_term_loop() {
         }
     }
 }
+
+/// Values a median network must place exactly where the scalar `>`
+/// comparison puts them: signed zeros, exact duplicates, subnormals,
+/// infinities and NaNs (two payloads, so a swapped pair would show),
+/// salted with ordinary values.
+fn awkward_values(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
+    const PALETTE: [f64; 12] = [
+        0.0,
+        -0.0,
+        1.5,
+        1.5,
+        -1.5,
+        f64::MIN_POSITIVE / 2.0,
+        -f64::MIN_POSITIVE / 2.0,
+        5e-324,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::NAN,
+    ];
+    (0..n)
+        .map(|_| match rng.next_below(16) as usize {
+            11 => f64::from_bits(0xFFF8_0000_0000_1234),
+            pick if pick < PALETTE.len() => PALETTE[pick],
+            _ => (rng.next_below(2_000) as f64 - 1_000.0) / 8.0,
+        })
+        .collect()
+}
+
+/// The lanewise median kernel, under both forced variants, returns for
+/// every key exactly the bits `median_inplace` returns on that key's
+/// column — for every `H` with a network, `H = 1`, and three `H` without
+/// one (the per-key selection path; 33 is past `median_over_rows`' stack
+/// buffer), across the group-of-four remainder and the batch tile's edges.
+#[test]
+fn median_rows_variants_match_median_inplace_bit_for_bit() {
+    use scd_sketch::batch::ESTIMATE_TILE as TILE;
+    use scd_sketch::median::median_inplace;
+    let mut rng = SplitMix64::new(0xA9);
+    let mut column = Vec::new();
+    for h in [1usize, 3, 5, 7, 9, 25, 4, 11, 33] {
+        for n in [0, 1, 3, 4, 5, TILE - 1, TILE, TILE + 1, 3 * TILE + 7] {
+            for awkward in [false, true] {
+                let vals =
+                    if awkward { awkward_values(&mut rng, h * n) } else { values(&mut rng, h * n) };
+                let expect: Vec<u64> = (0..n)
+                    .map(|i| {
+                        let mut column: Vec<f64> = (0..h).map(|row| vals[row * n + i]).collect();
+                        median_inplace(&mut column).to_bits()
+                    })
+                    .collect();
+                for variant in [Variant::Scalar, Variant::Avx2] {
+                    let mut out = vec![f64::NAN; n];
+                    simd::median_rows(variant, &mut out, &vals, h, &mut column);
+                    let got: Vec<u64> = out.iter().map(|m| m.to_bits()).collect();
+                    assert_eq!(got, expect, "H={h} n={n} awkward={awkward} {variant:?}");
+                }
+            }
+        }
+    }
+}

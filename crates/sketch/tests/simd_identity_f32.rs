@@ -129,3 +129,55 @@ fn f32_combine_passes_match_scalar_term_loop() {
         }
     }
 }
+
+/// The slim read path is the shared tile driver over an `f32` table: the
+/// widening gather feeds the same transform and lanewise median as the
+/// fat path. Across tile edges every estimate equals the per-key formula
+/// evaluated in `f64` over the widened cells.
+#[test]
+fn tiled_estimate_over_f32_cells_matches_per_key_formula() {
+    use scd_hash::HashRows;
+    use scd_sketch::batch::{estimate_tiles, ESTIMATE_TILE as TILE};
+    use scd_sketch::median::median_inplace;
+    use scd_sketch::EstimateScratch;
+    let mut rng = SplitMix64::new(0xF6);
+    let mut scratch = EstimateScratch::new();
+    for h in [1usize, 5, 9, 25, 4] {
+        let k = 256usize;
+        let rows = HashRows::new(h, k, 0xF32 ^ h as u64);
+        let table = values(&mut rng, h * k);
+        let sum = 1_234.5;
+        for n in [0, 1, TILE - 1, TILE, TILE + 1, 3 * TILE + 7] {
+            let keys: Vec<u64> = (0..n).map(|_| rng.next_below(1 << 40)).collect();
+            let mut got = Vec::new();
+            estimate_tiles(
+                &rows,
+                &table,
+                sum,
+                simd::gather_widen_f32,
+                &keys,
+                &mut scratch,
+                |tile, estimates| {
+                    assert_eq!(
+                        tile,
+                        &keys[got.len()..got.len() + tile.len()],
+                        "tiles in key order"
+                    );
+                    got.extend_from_slice(estimates);
+                },
+            );
+            assert_eq!(got.len(), n, "H={h} n={n}");
+            for (i, &key) in keys.iter().enumerate() {
+                let kf = k as f64;
+                let mut per_row: Vec<f64> = (0..h)
+                    .map(|row| {
+                        let cell = f64::from(table[row * k + rows.bucket(row, key)]);
+                        (cell - sum / kf) / (1.0 - 1.0 / kf)
+                    })
+                    .collect();
+                let expect = median_inplace(&mut per_row);
+                assert!(got[i] == expect, "H={h} n={n} key {key}: {} vs {expect}", got[i]);
+            }
+        }
+    }
+}
