@@ -172,6 +172,12 @@ pub struct SketchArchive<L> {
     /// Epoch merges performed since construction (compaction work done —
     /// the telemetry layer reads this once per interval).
     merges: u64,
+    /// The sketch the latest merge emptied of its meaning: its cells were
+    /// added into its buddy and no epoch refers to it any more. Held (one
+    /// at most, the newest) so a producer can reuse the allocation —
+    /// [`take_retired`](SketchArchive::take_retired). Not history: never
+    /// serialized.
+    retired: Option<L>,
 }
 
 impl<L: LinearSketch> SketchArchive<L> {
@@ -181,7 +187,13 @@ impl<L: LinearSketch> SketchArchive<L> {
     /// [`ArchiveError::BadConfig`] if `config` cannot sustain compaction.
     pub fn new(config: ArchiveConfig) -> Result<Self, ArchiveError> {
         config.validate()?;
-        Ok(SketchArchive { config, epochs: VecDeque::new(), next_interval: 0, merges: 0 })
+        Ok(SketchArchive {
+            config,
+            epochs: VecDeque::new(),
+            next_interval: 0,
+            merges: 0,
+            retired: None,
+        })
     }
 
     /// Rebuilds an archive from decoded parts, re-validating every
@@ -224,7 +236,13 @@ impl<L: LinearSketch> SketchArchive<L> {
                 )));
             }
         }
-        let mut archive = SketchArchive { config, epochs: epochs.into(), next_interval, merges: 0 };
+        let mut archive = SketchArchive {
+            config,
+            epochs: epochs.into(),
+            next_interval,
+            merges: 0,
+            retired: None,
+        };
         archive.compact();
         Ok(archive)
     }
@@ -267,7 +285,9 @@ impl<L: LinearSketch> SketchArchive<L> {
 
     /// Heap bytes held: every epoch's sketch table plus the key
     /// directory. Bounded by `max_sketches · sketch_size + max_sketches ·
-    /// keys_per_epoch · 16` regardless of stream length.
+    /// keys_per_epoch · 16` regardless of stream length. (The one spare
+    /// sketch [`take_retired`](Self::take_retired) may be holding is not
+    /// history and is not counted.)
     pub fn memory_bytes(&self) -> usize {
         self.epochs
             .iter()
@@ -346,7 +366,19 @@ impl<L: LinearSketch> SketchArchive<L> {
             self.config.keys_per_epoch,
         );
         self.merges += 1;
+        self.retired = Some(right.sketch);
         true
+    }
+
+    /// Hands out the sketch the latest compaction merge retired, if it has
+    /// not been taken yet. In steady state an archive at its budget
+    /// retires exactly one sketch per [`push`](Self::push), so whoever
+    /// produces the pushed sketches can write the next one into this
+    /// allocation instead of a fresh one. The contents are the retired
+    /// epoch's stale cells: overwrite them all, and check
+    /// [`identity`](LinearSketch::identity) before trusting the shape.
+    pub fn take_retired(&mut self) -> Option<L> {
+        self.retired.take()
     }
 
     /// Indices `[lo, hi)` of the epochs overlapping `[from, to)`.

@@ -8,7 +8,8 @@
 //! * `turnover/*` — per-interval latency of the paths on identical
 //!   inputs (same model, same observed sketches, same candidate keys).
 //!   All are bit-identical in output; the fused path just reuses every
-//!   buffer (forecast destination, error sketch, estimate scratch) and
+//!   buffer (error sketch, estimate scratch), takes the step the detector
+//!   takes (`Forecaster::step_error_into`, the cache-blocked one) and
 //!   batches the per-key scan. `fused_telemetry` is the fused path with
 //!   the full per-interval telemetry the engine records around its
 //!   detect stage — span timing, counters, gauges, *and* a JSONL
@@ -162,7 +163,6 @@ fn cloning_turnover(model: &mut Model, observed: &KarySketch, key_log: &[u64]) -
 /// Recycled workspaces for the fused path — the bench-level mirror of the
 /// detector's persistent turnover state.
 struct FusedState {
-    fbuf: KarySketch,
     error: KarySketch,
     scratch: EstimateScratch,
     seen: HashSet<u64, MixBuildHasher>,
@@ -172,10 +172,8 @@ struct FusedState {
 
 impl FusedState {
     fn new() -> Self {
-        let proto = KarySketch::new(sketch_config());
         FusedState {
-            fbuf: proto.zero_like(),
-            error: proto,
+            error: KarySketch::new(sketch_config()),
             scratch: EstimateScratch::new(),
             seen: HashSet::with_hasher(MixBuildHasher),
             keys: Vec::new(),
@@ -184,21 +182,19 @@ impl FusedState {
     }
 }
 
-/// The fused path, mirroring the detector's recycled turnover: forecast
-/// into a reused buffer, error + F2 in one fused pass, dedup in place
-/// against a persistent (cleared, not freed) hash set, batched key
-/// estimates into a reused vector. Bit-identical outputs, zero
-/// steady-state allocations.
+/// The fused path, mirroring the detector's recycled turnover: the
+/// model's own error-only step (the entry `SketchChangeDetector::turnover`
+/// calls) into a reused error sketch, its F2, dedup in place against a
+/// persistent (cleared, not freed) hash set, batched key estimates into a
+/// reused vector. Bit-identical outputs, zero steady-state allocations.
 fn fused_turnover(
     model: &mut Model,
     observed: &KarySketch,
     key_log: &[u64],
     st: &mut FusedState,
 ) -> f64 {
-    assert!(model.forecast_into(&mut st.fbuf), "model warmed past warm_up");
-    let f2 =
-        st.error.sub_into_estimate_f2(observed, &st.fbuf, &mut st.scratch).expect("one family");
-    model.observe(observed);
+    assert!(model.step_error_into(observed, &mut st.error), "model warmed past warm_up");
+    let f2 = st.error.estimate_f2();
     st.keys.clear();
     st.keys.extend_from_slice(key_log);
     st.seen.clear();
@@ -355,7 +351,7 @@ fn measure_allocations() {
         warm(&mut model, &ring);
         let mut st = FusedState::new();
         // One extra lap so every lazily-grown workspace (estimate scratch,
-        // ARIMA difference buffer, SHW level workspace) reaches capacity.
+        // the models' tile buffers) reaches capacity.
         for t in 0..RING {
             fused_turnover(&mut model, &ring[t % RING], &keys, &mut st);
         }

@@ -134,7 +134,9 @@ fn usage() -> ExitCode {
          \u{20}          --changed --from T1 --to T2 [--threshold 0.05] |\n\
          \u{20}          --history IP --from T1 --to T2 | --range --from T1 --to T2)\n\
          \u{20}          [--top N] [--wait-secs N]\n\n\
-         model SPEC syntax: ma:5 | ewma:0.5 | nshw:0.6:0.2 | arima0:0.7,-0.1/0.3 | shw:a:b:g:m"
+         model SPEC syntax: ma:W | sma:W | ewma:A | nshw:A:B | arima0:AR,../MA,.. |\n\
+         \u{20}          arima1:AR,../MA,.. | shw:A:B:G:M (season of M >= 2 intervals), e.g.\n\
+         \u{20}          ma:5, ewma:0.5, nshw:0.6:0.2, arima0:0.7,-0.1/0.3, shw:0.3:0.1:0.5:288"
     );
     ExitCode::from(2)
 }

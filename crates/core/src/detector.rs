@@ -166,12 +166,15 @@ pub struct SketchChangeDetector {
     // --- Recycled turnover workspace. None of this is detector *state*:
     // it is never checkpointed, and a freshly restored detector rebuilds
     // it lazily with identical results. ---
-    /// Persistent buffer `forecast_into` fills each interval.
-    forecast_buf: Option<KarySketch>,
-    /// Spare error-sketch buffer rotated through the turnover (under
-    /// `NextInterval` it alternates with the pending slot).
+    /// The table the next interval's error sketch is written into: the
+    /// last one once its report is out (under `NextInterval` it alternates
+    /// with the pending slot), or — when the caller keeps the error
+    /// sketches — one it hands back through
+    /// [`recycle_error_buffer`](Self::recycle_error_buffer). There is no
+    /// forecast buffer: the model's step writes `Se(t)` directly and the
+    /// forecast only ever exists one tile at a time.
     error_spare: Option<KarySketch>,
-    /// Scratch for the fused error/F2 sweep and the key scan.
+    /// Scratch for the key scan.
     scratch: EstimateScratch,
     /// Persistent dedup set, cleared (not freed) every interval.
     seen: HashSet<u64, MixBuildHasher>,
@@ -219,7 +222,6 @@ impl SketchChangeDetector {
             pending_error: None,
             sampler: SplitMix64::new(sampler_seed),
             intervals_processed: 0,
-            forecast_buf: None,
             error_spare: None,
             scratch: EstimateScratch::new(),
             seen: HashSet::with_hasher(MixBuildHasher),
@@ -301,15 +303,30 @@ impl SketchChangeDetector {
         self.turnover(observed, keys, true)
     }
 
-    /// The interval turnover: forecast, fused error/F2 sweep, key scan.
+    /// Offers a table for the next interval's error sketch — the way a
+    /// caller of [`process_observed_archiving`](Self::process_observed_archiving)
+    /// returns what it was handed (or something of the same shape it no
+    /// longer needs, like the table an archive's last merge retired), so
+    /// the archiving path allocates no table per interval either. The
+    /// contents are irrelevant: a turnover overwrites every cell. A sketch
+    /// over another hash family, or one offered while a spare is already
+    /// held, is dropped.
+    pub fn recycle_error_buffer(&mut self, buffer: KarySketch) {
+        if self.error_spare.is_none() && buffer.rows().identity() == self.rows.identity() {
+            self.error_spare = Some(buffer);
+        }
+    }
+
+    /// The interval turnover: one error-only model step, F2, key scan.
     ///
-    /// Runs entirely on recycled buffers — the persistent forecast
-    /// workspace, a rotating error-sketch slot, the estimate scratch, and
-    /// the persistent dedup set — so with `want_error = false` a warm
-    /// steady-state turnover performs **zero heap allocations** beyond the
-    /// report's own output vectors. With `want_error = true` the error
-    /// sketch is handed to the caller (the archiving path) and its buffer
-    /// is replaced on a later interval.
+    /// The step streams each of the model's live tables through the cache
+    /// once and writes `Se(t)` into a recycled table; `ESTIMATEF2` then
+    /// reads that table back while it is still cache-warm. With the
+    /// estimate scratch and the persistent dedup set that makes a warm
+    /// steady-state turnover perform **zero heap allocations** beyond the
+    /// report's own output vectors — with `want_error = true` as long as
+    /// the caller returns a table through
+    /// [`recycle_error_buffer`](Self::recycle_error_buffer).
     fn turnover(
         &mut self,
         observed: &KarySketch,
@@ -323,27 +340,19 @@ impl SketchChangeDetector {
         );
         let t = self.intervals_processed;
 
-        // Forecasting module: Sf(t) into the recycled forecast buffer, then
-        // the fused sweep computing Se(t) = So(t) − Sf(t) and
-        // ESTIMATEF2(Se(t)) in one pass; advances the model.
-        let mut fbuf = self
-            .forecast_buf
+        // Forecasting module: Se(t) = So(t) − Sf(t) straight into the
+        // recycled error table as the model advances, then its F2.
+        let mut error = self
+            .error_spare
             .take()
             .unwrap_or_else(|| KarySketch::with_rows(Arc::clone(&self.rows)));
-        let stepped = if self.model.forecast_into(&mut fbuf) {
-            let mut error = self
-                .error_spare
-                .take()
-                .unwrap_or_else(|| KarySketch::with_rows(Arc::clone(&self.rows)));
-            let f2 = error
-                .sub_into_estimate_f2(observed, &fbuf, &mut self.scratch)
-                .expect("family asserted above");
+        let stepped = if self.model.step_error_into(observed, &mut error) {
+            let f2 = error.estimate_f2();
             Some((error, f2))
         } else {
+            self.error_spare = Some(error);
             None
         };
-        self.model.observe(observed);
-        self.forecast_buf = Some(fbuf);
         self.intervals_processed += 1;
 
         match self.config.key_strategy {
@@ -523,7 +532,6 @@ impl SketchChangeDetector {
             pending_error: snapshot.pending_error.map(|(t, s)| (t as usize, s)),
             sampler: SplitMix64::new(snapshot.sampler_state),
             intervals_processed: snapshot.intervals_processed as usize,
-            forecast_buf: None,
             error_spare: None,
             scratch: EstimateScratch::new(),
             seen: HashSet::with_hasher(MixBuildHasher),

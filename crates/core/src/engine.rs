@@ -406,27 +406,24 @@ enum DetectBackend {
     },
 }
 
-/// Merges per-shard sketches in fixed shard order. f64 addition is not
-/// associative in general, so a deterministic order keeps reruns (and
-/// the sequential-vs-pipelined comparison) reproducible — both backends
-/// call this exact routine, which is what makes their reports
-/// bit-identical.
-fn merge_shards(merged: &mut KarySketch, shard_sketches: &[KarySketch]) {
+/// Merges per-shard sketches in fixed shard order and leaves them zeroed
+/// for their workers' next interval — one sweep ([`KarySketch::merge_draining`]:
+/// each shard tile is cleared while the merge still has it in cache).
+/// f64 addition is not associative in general, so a deterministic order
+/// keeps reruns (and the sequential-vs-pipelined comparison) reproducible
+/// — both backends call this exact routine, which is what makes their
+/// reports bit-identical.
+fn merge_shards(merged: &mut KarySketch, shard_sketches: &mut [KarySketch]) {
     merged
-        .assign_from(&shard_sketches[0])
-        .expect("shard sketches share one hash family by construction");
-    for sketch in &shard_sketches[1..] {
-        merged
-            .add_scaled(sketch, 1.0)
-            .expect("shard sketches share one hash family by construction");
-    }
+        .merge_draining(shard_sketches)
+        .expect("an engine has at least one shard, all over one hash family by construction");
 }
 
-/// Clears the spent shard sketches and hands each back to its worker's
-/// spare queue (dropped, not blocked on, if the queue is full).
+/// Hands each spent (already zeroed, see [`merge_shards`]) shard sketch
+/// back to its worker's spare queue (dropped, not blocked on, if the queue
+/// is full).
 fn recycle_shards(shard_sketches: &mut Vec<KarySketch>, spare_txs: &[Sender<KarySketch>]) {
-    for (shard, mut sketch) in shard_sketches.drain(..).enumerate() {
-        sketch.clear();
+    for (shard, sketch) in shard_sketches.drain(..).enumerate() {
         let _ = spare_txs[shard].try_send(sketch);
     }
 }
@@ -440,12 +437,10 @@ fn archive_error(
     archived: Option<(usize, KarySketch)>,
 ) -> Result<(), ArchiveError> {
     if let Some((t, error)) = archived {
-        let zero = error.zero_like();
         while archive.next_interval() < t as u64 {
-            archive.push(zero.clone(), &[])?;
+            archive.push(error.zero_like(), &[])?;
         }
-        let notable = notable_keys(report);
-        archive.push(error, &notable)?;
+        archive.push(error, &notable_keys(report))?;
     }
     Ok(())
 }
@@ -456,7 +451,7 @@ fn archive_error(
 /// refresh after every push.
 fn detect_interval(
     detector: &mut SketchChangeDetector,
-    archive: Option<&mut SketchArchive<KarySketch>>,
+    mut archive: Option<&mut SketchArchive<KarySketch>>,
     observer: Option<&dyn IntervalObserver>,
     observed: &KarySketch,
     keys: Vec<u64>,
@@ -469,6 +464,12 @@ fn detect_interval(
         // The error sketch is wanted — by the archive, the observer, or
         // both. Both entry points run the same turnover, so the report is
         // bit-identical to the plain path's.
+        // An archive at its budget retires one table per push (compaction
+        // merges two epochs into one): that table is the detector's next
+        // error buffer, so this path allocates no table per interval.
+        if let Some(retired) = archive.as_deref_mut().and_then(SketchArchive::take_retired) {
+            detector.recycle_error_buffer(retired);
+        }
         let sw = Stopwatch::start();
         let (report, archived) = detector.process_observed_archiving(observed, keys);
         if let Some(m) = metrics {
@@ -488,6 +489,9 @@ fn detect_interval(
                 m.engine.archive_bytes.set(archive.memory_bytes() as f64);
                 m.engine.archive_merges.set(archive.merges_total() as f64);
             }
+        } else if let Some((_, error)) = archived {
+            // Only the observer wanted it, and it has looked.
+            detector.recycle_error_buffer(error);
         }
         Ok(report)
     } else {
@@ -527,7 +531,7 @@ fn detect_loop(
         match msg {
             DetectMsg::Interval { mut sketches, keys } => {
                 let sw = Stopwatch::start();
-                merge_shards(&mut merged, &sketches);
+                merge_shards(&mut merged, &mut sketches);
                 if let Some(m) = &metrics {
                     m.engine.combine_ns.record(sw.elapsed_ns());
                 }
@@ -1100,7 +1104,7 @@ impl ShardedEngine {
         let observed =
             merged.get_or_insert_with(|| KarySketch::with_rows(Arc::clone(detector.rows())));
         let sw = Stopwatch::start();
-        merge_shards(observed, &bufs);
+        merge_shards(observed, &mut bufs);
         if let Some(m) = &metrics {
             m.engine.combine_ns.record(sw.elapsed_ns());
         }
@@ -1447,7 +1451,7 @@ impl ShardedEngine {
         // cannot come from the recycled merge buffer.
         let mut observed = KarySketch::with_rows(Arc::clone(detector.rows()));
         let sw = Stopwatch::start();
-        merge_shards(&mut observed, &bufs);
+        merge_shards(&mut observed, &mut bufs);
         if let Some(m) = &metrics {
             m.engine.combine_ns.record(sw.elapsed_ns());
         }
@@ -1516,6 +1520,44 @@ mod tests {
             keys_per_epoch: 4,
         });
         assert!(matches!(ShardedEngine::new(bad_archive), Err(EngineError::Archive(_))));
+    }
+
+    /// The one-sweep merge is the assign + add-scaled sequence it
+    /// replaced, cell for cell, and hands the shards back cleared — at a
+    /// table of two tiles and a tail, with fractional cells so that the
+    /// order of the adds shows in the low bits.
+    #[test]
+    fn merge_shards_is_assign_then_add_and_leaves_the_shards_zero() {
+        let proto = KarySketch::new(SketchConfig { h: 5, k: 512, seed: 4 });
+        assert!(proto.table().len() > 2 * scd_sketch::batch::SWEEP_TILE);
+        for shards in [1usize, 2, 3, 7] {
+            let mut sketches: Vec<KarySketch> = (0..shards)
+                .map(|shard| {
+                    let mut sketch = proto.zero_like();
+                    for (i, cell) in sketch.table_mut().iter_mut().enumerate() {
+                        *cell = ((i * 31 + shard * 17) % 1013) as f64 / 7.0 - 60.0;
+                    }
+                    sketch
+                })
+                .collect();
+            let mut expected = proto.zero_like();
+            expected.assign_from(&sketches[0]).unwrap();
+            for sketch in &sketches[1..] {
+                expected.add_scaled(sketch, 1.0).unwrap();
+            }
+            // A recycled destination: stale cells must not survive.
+            let mut merged = proto.zero_like();
+            merged.table_mut().fill(f64::NAN);
+            merge_shards(&mut merged, &mut sketches);
+            let bits = |s: &KarySketch| s.table().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&merged), bits(&expected), "{shards} shards");
+            for (shard, sketch) in sketches.iter().enumerate() {
+                assert!(
+                    sketch.table().iter().all(|x| x.to_bits() == 0),
+                    "shard {shard} of {shards} not cleared"
+                );
+            }
+        }
     }
 
     #[test]

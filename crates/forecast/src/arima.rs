@@ -28,8 +28,10 @@
 //! errors — and errors are themselves linear in observations — so the model
 //! runs unchanged over sketches.
 
+use crate::blocked::{emit_reference, sweep_tiles, Sinks, TileScratch};
 use crate::state::{ModelState, StateError};
 use crate::{Forecaster, Summary};
+use scd_sketch::simd;
 use std::collections::VecDeque;
 
 /// Maximum AR/MA order the paper (and this implementation) supports.
@@ -163,6 +165,11 @@ impl ArimaSpec {
     }
 }
 
+/// Raw observations a model of this shape retains.
+fn retention(spec: &ArimaSpec) -> usize {
+    (spec.p() + spec.d).max(spec.d + 1).max(1)
+}
+
 /// ARIMA(p ≤ 2, d ≤ 1, q ≤ 2) forecaster over any [`Summary`].
 #[derive(Debug, Clone)]
 pub struct Arima<S> {
@@ -172,12 +179,9 @@ pub struct Arima<S> {
     /// Forecast errors `e`, newest last; holds up to `q` entries.
     e_hist: VecDeque<S>,
     observed_count: usize,
-    /// Workspace for the differenced lag `Z_{t−j}` when `d = 1`; lazily
-    /// created once, then recycled every interval. Not model state.
-    diff_scratch: Option<S>,
-    /// Workspace holding the forecast during `observe` so the error can be
-    /// formed without allocating. Not model state.
-    fbuf: Option<S>,
+    /// Two tiles: the forecast under construction (when the caller takes
+    /// no `Sf(t)`) and the differenced lag `Z_{t−j}` (when `d = 1`).
+    scratch: TileScratch,
 }
 
 impl<S: Summary> Arima<S> {
@@ -189,8 +193,7 @@ impl<S: Summary> Arima<S> {
             x_hist: VecDeque::new(),
             e_hist: VecDeque::new(),
             observed_count: 0,
-            diff_scratch: None,
-            fbuf: None,
+            scratch: TileScratch::default(),
         }
     }
 
@@ -207,7 +210,7 @@ impl<S: Summary> Arima<S> {
         observed_count: u64,
     ) -> Result<Self, StateError> {
         spec.validate().map_err(|e| StateError::InvalidShape(format!("bad ARIMA spec: {e}")))?;
-        let keep = (spec.p() + spec.d).max(spec.d + 1).max(1);
+        let keep = retention(&spec);
         if x_hist.len() > keep {
             return Err(StateError::InvalidShape(format!(
                 "ARIMA x history of {} exceeds retention {keep}",
@@ -229,9 +232,30 @@ impl<S: Summary> Arima<S> {
             x_hist: x_hist.into(),
             e_hist: e_hist.into(),
             observed_count: observed_count as usize,
-            diff_scratch: None,
-            fbuf: None,
+            scratch: TileScratch::default(),
         })
+    }
+
+    /// The reference recurrence, for the intervals that grow a ring:
+    /// records the error of `forecast` (zero during warm-up: the standard
+    /// conditional initialization `e_t = 0` before the first forecast),
+    /// then the observation.
+    fn grow(&mut self, observed: &S, forecast: Option<&S>) {
+        let q = self.spec.q();
+        if q > 0 {
+            if self.e_hist.len() == q {
+                self.e_hist.pop_front();
+            }
+            self.e_hist.push_back(match forecast {
+                Some(f) => S::sub(observed, f),
+                None => observed.zero_like(),
+            });
+        }
+        if self.x_hist.len() == retention(&self.spec) {
+            self.x_hist.pop_front();
+        }
+        self.x_hist.push_back(observed.clone());
+        self.observed_count += 1;
     }
 
     /// History length needed before a forecast can be formed.
@@ -286,40 +310,73 @@ impl<S: Summary> Forecaster<S> for Arima<S> {
         Some(xhat)
     }
 
-    fn observe(&mut self, observed: &S) {
-        // Record the forecast error first (zero during warm-up: the
-        // standard conditional initialization e_t = 0 for t before the
-        // first forecast). The error lands in a buffer recycled from the
-        // evicted end of the ring, via a persistent forecast workspace —
-        // steady state performs no heap allocation.
-        if self.spec.q() > 0 {
-            let mut f = match self.fbuf.take() {
-                Some(f) => f,
-                None => observed.zero_like(),
-            };
-            let warmed = self.forecast_into(&mut f);
-            let mut e = if self.e_hist.len() == self.spec.q() {
-                self.e_hist.pop_front().expect("q is positive")
-            } else {
-                observed.zero_like()
-            };
-            if warmed {
-                e.sub_into(observed, &f);
-            } else {
-                e.set_zero();
+    fn step_with(
+        &mut self,
+        observed: &S,
+        forecast_out: Option<&mut S>,
+        error_out: Option<&mut S>,
+    ) -> bool {
+        let (p, d, q) = (self.spec.p(), self.spec.d, self.spec.q());
+        let n = self.x_hist.len();
+        if n < retention(&self.spec) || self.e_hist.len() < q {
+            // Warm-up, or a ring still filling: the reference path.
+            let forecast = self.forecast();
+            let warmed = emit_reference(forecast.as_ref(), observed, forecast_out, error_out);
+            self.grow(observed, forecast.as_ref());
+            return warmed;
+        }
+        for s in self.x_hist.iter().chain(&self.e_hist) {
+            observed.check_family(s);
+        }
+        let mut sinks = Sinks::new(observed, forecast_out, error_out);
+        let (variant, obs) = (simd::active(), observed.cells());
+        let (ar, ma) = (self.spec.ar, self.spec.ma);
+        // The model's own error history needs the forecast whoever else does.
+        let forecasting = q > 0 || sinks.any();
+        for tile in sweep_tiles(obs.len()) {
+            let o = &obs[tile.clone()];
+            if forecasting {
+                let [spare, lag] = self.scratch.buffers(obs.len());
+                let (x_hist, e_hist) = (&self.x_hist, &self.e_hist);
+                // `forecast()`'s sequence per cell: zero, AR terms over the
+                // (differenced) lags newest-first, MA terms over the errors
+                // newest-first, then (d = 1) the integration step.
+                let f = sinks.build(variant, tile.clone(), o, spare, |f| {
+                    f.fill(0.0);
+                    for j in 1..=p {
+                        let newer = &x_hist[n - j].cells()[tile.clone()];
+                        if d == 0 {
+                            simd::add_scaled(variant, f, newer, ar.as_slice()[j - 1]);
+                        } else {
+                            let lag = &mut lag[..tile.len()];
+                            simd::sub(
+                                variant,
+                                lag,
+                                newer,
+                                &x_hist[n - j - 1].cells()[tile.clone()],
+                            );
+                            simd::add_scaled(variant, f, lag, ar.as_slice()[j - 1]);
+                        }
+                    }
+                    for (i, e) in e_hist.iter().rev().enumerate() {
+                        simd::add_scaled(variant, f, &e.cells()[tile.clone()], ma.as_slice()[i]);
+                    }
+                    if d == 1 {
+                        simd::add_scaled(variant, f, &x_hist[n - 1].cells()[tile.clone()], 1.0);
+                    }
+                });
+                if q > 0 {
+                    // The evicted error's tile has been read; it takes e_t.
+                    simd::sub(variant, &mut self.e_hist[0].cells_mut()[tile.clone()], o, f);
+                }
             }
-            self.e_hist.push_back(e);
-            self.fbuf = Some(f);
+            // Likewise the evicted observation's tile takes X_t.
+            self.x_hist[0].cells_mut()[tile].copy_from_slice(o);
         }
-        let keep = (self.spec.p() + self.spec.d).max(self.spec.d + 1).max(1);
-        if self.x_hist.len() == keep {
-            let mut recycled = self.x_hist.pop_front().expect("retention is at least 1");
-            recycled.assign(observed);
-            self.x_hist.push_back(recycled);
-        } else {
-            self.x_hist.push_back(observed.clone());
-        }
+        self.e_hist.rotate_left(usize::from(q > 0));
+        self.x_hist.rotate_left(1);
         self.observed_count += 1;
+        true
     }
 
     fn warm_up(&self) -> usize {
@@ -336,43 +393,6 @@ impl<S: Summary> Forecaster<S> for Arima<S> {
             e_hist: self.e_hist.iter().cloned().collect(),
             observed_count: self.observed_count as u64,
         }
-    }
-
-    fn forecast_into(&mut self, out: &mut S) -> bool {
-        if self.observed_count < self.needed_history() {
-            return false;
-        }
-        let p = self.spec.p();
-        let d = self.spec.d;
-        let n = self.x_hist.len();
-        if n < p + d {
-            return false;
-        }
-        // Replays forecast()'s floating-point sequence exactly: zero, AR
-        // terms newest-first over the differenced lags, MA terms over the
-        // error history newest-first, then (d = 1) the integration step.
-        if d == 1 && p > 0 && self.diff_scratch.is_none() {
-            self.diff_scratch = Some(self.x_hist[0].zero_like());
-        }
-        out.set_zero();
-        for j in 1..=p {
-            let idx = n - j;
-            let ar_j = self.spec.ar.as_slice()[j - 1];
-            if d == 0 {
-                out.add_scaled(&self.x_hist[idx], ar_j);
-            } else {
-                let scratch = self.diff_scratch.as_mut().expect("created above");
-                scratch.sub_into(&self.x_hist[idx], &self.x_hist[idx - 1]);
-                out.add_scaled(scratch, ar_j);
-            }
-        }
-        for (i, e) in self.e_hist.iter().rev().enumerate().take(self.spec.q()) {
-            out.add_scaled(e, self.spec.ma.as_slice()[i]);
-        }
-        if d == 1 {
-            out.add_scaled(self.x_hist.back().expect("history checked"), 1.0);
-        }
-        true
     }
 }
 

@@ -12,8 +12,10 @@
 //! versus history. EWMA is the workhorse of the paper's evaluation
 //! (Figures 4–9 all use it).
 
+use crate::blocked::{sweep_tiles, Sinks};
 use crate::state::ModelState;
 use crate::{Forecaster, Summary};
+use scd_sketch::simd;
 
 /// EWMA forecaster with smoothing constant `α`.
 #[derive(Debug, Clone)]
@@ -51,17 +53,27 @@ impl<S: Summary> Forecaster<S> for Ewma<S> {
         self.forecast.clone()
     }
 
-    fn observe(&mut self, observed: &S) {
-        self.forecast = Some(match self.forecast.take() {
+    fn step_with(
+        &mut self,
+        observed: &S,
+        forecast_out: Option<&mut S>,
+        error_out: Option<&mut S>,
+    ) -> bool {
+        let Some(state) = &mut self.forecast else {
             // Sf(2) = So(1): the first observation seeds the forecast.
-            None => observed.clone(),
-            Some(mut prev) => {
-                // α·So(t−1) + (1−α)·Sf(t−1), fused in place on `prev` —
-                // bit-identical to scale + add_scaled, zero allocations.
-                prev.axpy_assign(1.0 - self.alpha, observed, self.alpha);
-                prev
-            }
-        });
+            self.forecast = Some(observed.clone());
+            return false;
+        };
+        observed.check_family(state);
+        let mut sinks = Sinks::new(observed, forecast_out, error_out);
+        let (variant, obs, state) = (simd::active(), observed.cells(), state.cells_mut());
+        for tile in sweep_tiles(obs.len()) {
+            let (o, f) = (&obs[tile.clone()], &mut state[tile.clone()]);
+            sinks.emit(variant, tile, o, f);
+            // Sf(t+1) = α·So(t) + (1−α)·Sf(t), in place on the state.
+            simd::axpy(variant, f, 1.0 - self.alpha, o, self.alpha);
+        }
+        true
     }
 
     fn warm_up(&self) -> usize {
@@ -74,16 +86,6 @@ impl<S: Summary> Forecaster<S> for Ewma<S> {
 
     fn snapshot_state(&self) -> ModelState<S> {
         ModelState::Ewma { forecast: self.forecast.clone() }
-    }
-
-    fn forecast_into(&mut self, out: &mut S) -> bool {
-        match &self.forecast {
-            Some(f) => {
-                out.assign(f);
-                true
-            }
-            None => false,
-        }
     }
 }
 

@@ -15,8 +15,10 @@
 //! behaviour detector (the paper's reference \[9\]) builds on, and the model
 //! behind the paper's thresholding experiments (Figures 10–11).
 
+use crate::blocked::{sweep_tiles, Sinks};
 use crate::state::{ModelState, NshwParts, StateError};
 use crate::{Forecaster, Summary};
+use scd_sketch::simd;
 
 /// State carried between intervals once the model is warm.
 #[derive(Debug, Clone)]
@@ -70,6 +72,35 @@ impl<S: Summary> NonSeasonalHoltWinters<S> {
         m.state = state.map(|p| HwState { level: p.level, trend: p.trend, forecast: p.forecast });
         Ok(m)
     }
+    /// Warm-up: holds the first observation, then seeds the state from
+    /// the second.
+    fn seed(&mut self, observed: &S) {
+        let Some(first) = self.first.take() else {
+            self.first = Some(observed.clone());
+            return;
+        };
+        // Second observation: seed level and trend per the paper —
+        // Ss(2) = So(1), St(2) = So(2) − So(1), Sf(2) = Ss(2)+St(2) — then
+        // advance one recursion step so that `forecast()` returns Sf(3),
+        // the first prediction that uses no future data (Sf(2) as defined
+        // would "predict" interval 2 from So(2) itself).
+        let level2 = first;
+        let trend2 = S::sub(observed, &level2);
+        let mut f2 = level2.clone();
+        f2.add_scaled(&trend2, 1.0);
+        // Ss(3) = α·So(2) + (1−α)·Sf(2)
+        let mut level = f2;
+        level.scale(1.0 - self.alpha);
+        level.add_scaled(observed, self.alpha);
+        // St(3) = β·(Ss(3) − Ss(2)) + (1−β)·St(2)
+        let mut trend = trend2;
+        trend.scale(1.0 - self.beta);
+        trend.add_scaled(&level, self.beta);
+        trend.add_scaled(&level2, -self.beta);
+        let mut forecast = level.clone();
+        forecast.add_scaled(&trend, 1.0);
+        self.state = Some(HwState { level, trend, forecast });
+    }
 }
 
 impl<S: Summary> Forecaster<S> for NonSeasonalHoltWinters<S> {
@@ -77,55 +108,42 @@ impl<S: Summary> Forecaster<S> for NonSeasonalHoltWinters<S> {
         self.state.as_ref().map(|st| st.forecast.clone())
     }
 
-    fn observe(&mut self, observed: &S) {
-        match (&mut self.state, &self.first) {
-            (Some(state), _) => {
-                // Steady state runs entirely in place on the three state
-                // slots (no clones), replaying the exact floating-point
-                // sequence of the allocating recursion.
-                let HwState { level, trend, forecast } = state;
-                // Ss(t) = α·So(t−1) + (1−α)·Sf(t−1): the forecast slot holds
-                // Sf(t−1) and becomes the new level.
-                forecast.axpy_assign(1.0 - self.alpha, observed, self.alpha);
-                // St(t) = β·(Ss(t) − Ss(t−1)) + (1−β)·St(t−1): `forecast`
-                // now holds Ss(t), `level` still holds Ss(t−1).
-                trend.scale(1.0 - self.beta);
-                trend.add_scaled(forecast, self.beta);
-                trend.add_scaled(level, -self.beta);
-                // Rotate: level slot takes Ss(t); forecast slot becomes
-                // Sf(t) = Ss(t) + St(t).
-                level.assign(forecast);
-                forecast.add_scaled(trend, 1.0);
-            }
-            (None, Some(first)) => {
-                // Second observation: seed level and trend per the paper —
-                // Ss(2) = So(1), St(2) = So(2) − So(1), Sf(2) = Ss(2)+St(2)
-                // — then advance one recursion step so that `forecast()`
-                // returns Sf(3), the first prediction that uses no future
-                // data (Sf(2) as defined would "predict" interval 2 from
-                // So(2) itself).
-                let level2 = first.clone();
-                let trend2 = S::sub(observed, first);
-                let mut f2 = level2.clone();
-                f2.add_scaled(&trend2, 1.0);
-                // Ss(3) = α·So(2) + (1−α)·Sf(2)
-                let mut level = f2.clone();
-                level.scale(1.0 - self.alpha);
-                level.add_scaled(observed, self.alpha);
-                // St(3) = β·(Ss(3) − Ss(2)) + (1−β)·St(2)
-                let mut trend = trend2.clone();
-                trend.scale(1.0 - self.beta);
-                trend.add_scaled(&level, self.beta);
-                trend.add_scaled(&level2, -self.beta);
-                let mut forecast = level.clone();
-                forecast.add_scaled(&trend, 1.0);
-                self.state = Some(HwState { level, trend, forecast });
-                self.first = None;
-            }
-            (None, None) => {
-                self.first = Some(observed.clone());
-            }
+    fn step_with(
+        &mut self,
+        observed: &S,
+        forecast_out: Option<&mut S>,
+        error_out: Option<&mut S>,
+    ) -> bool {
+        let Some(HwState { level, trend, forecast }) = &mut self.state else {
+            self.seed(observed);
+            return false;
+        };
+        for part in [&*level, &*trend, &*forecast] {
+            observed.check_family(part);
         }
+        let mut sinks = Sinks::new(observed, forecast_out, error_out);
+        let (variant, obs) = (simd::active(), observed.cells());
+        let (level, trend, forecast) = (level.cells_mut(), trend.cells_mut(), forecast.cells_mut());
+        let (alpha, beta) = (self.alpha, self.beta);
+        for tile in sweep_tiles(obs.len()) {
+            let o = &obs[tile.clone()];
+            let (l, t, f) =
+                (&mut level[tile.clone()], &mut trend[tile.clone()], &mut forecast[tile.clone()]);
+            sinks.emit(variant, tile, o, f);
+            // Ss(t) = α·So(t−1) + (1−α)·Sf(t−1): the forecast slot holds
+            // Sf(t−1) and becomes the new level.
+            simd::axpy(variant, f, 1.0 - alpha, o, alpha);
+            // St(t) = β·(Ss(t) − Ss(t−1)) + (1−β)·St(t−1): `f` now holds
+            // Ss(t), `l` still holds Ss(t−1).
+            simd::scale(variant, t, 1.0 - beta);
+            simd::add_scaled(variant, t, f, beta);
+            simd::add_scaled(variant, t, l, -beta);
+            // Rotate: the level slot takes Ss(t); the forecast slot becomes
+            // Sf(t) = Ss(t) + St(t).
+            l.copy_from_slice(f);
+            simd::add_scaled(variant, f, t, 1.0);
+        }
+        true
     }
 
     fn warm_up(&self) -> usize {
@@ -144,16 +162,6 @@ impl<S: Summary> Forecaster<S> for NonSeasonalHoltWinters<S> {
                 trend: s.trend.clone(),
                 forecast: s.forecast.clone(),
             }),
-        }
-    }
-
-    fn forecast_into(&mut self, out: &mut S) -> bool {
-        match &self.state {
-            Some(st) => {
-                out.assign(&st.forecast);
-                true
-            }
-            None => false,
         }
     }
 }

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod arima;
+pub mod blocked;
 pub mod ewma;
 pub mod holt_winters;
 pub mod ma;
@@ -57,19 +58,55 @@ pub use summary::Summary;
 
 /// A forecasting model over summaries of type `S`.
 ///
-/// Time advances one interval per [`observe`](Forecaster::observe) call.
-/// [`forecast`](Forecaster::forecast) returns the model's prediction for
-/// the *next unobserved* interval, or `None` while the model is still
-/// warming up (§4.2 of the paper sets aside the first hour of each trace
-/// for exactly this reason).
+/// Time advances one interval per step. [`forecast`](Forecaster::forecast)
+/// returns the model's prediction for the *next unobserved* interval, or
+/// `None` while the model is still warming up (§4.2 of the paper sets
+/// aside the first hour of each trace for exactly this reason).
+///
+/// A model states its recurrence twice, and only twice: `forecast()` is
+/// the allocating reference — whole-table [`Summary`] operations, the form
+/// the paper writes the model in — and [`step_with`](Forecaster::step_with)
+/// is the step that ships: one cache-blocked walk (see [`blocked`]) that
+/// advances the state in place and writes `Sf(t)` / `Se(t)` to whichever
+/// buffers the caller passes. [`observe`](Forecaster::observe),
+/// [`step_into`](Forecaster::step_into) and
+/// [`step_error_into`](Forecaster::step_error_into) are that one step with
+/// a choice of outputs, so they cannot drift apart, and the tests hold the
+/// step to the reference bit for bit.
 pub trait Forecaster<S: Summary> {
     /// Prediction `Sf(t)` for the upcoming interval `t`, from data observed
     /// strictly before `t`. `None` during warm-up.
     fn forecast(&self) -> Option<S>;
 
+    /// The step: feeds the observed summary `So(t)`, advances the model to
+    /// interval `t + 1`, and — when the model had a forecast for `t` —
+    /// writes `Sf(t)` to `forecast_out` and `Se(t) = So(t) − Sf(t)` to
+    /// `error_out`, each only if given. Returns whether it had one
+    /// (`false` during warm-up, the outputs left untouched).
+    ///
+    /// **Bit-identity contract**: the outputs equal `forecast()` and
+    /// `observed − forecast()` bit for bit, and the state afterwards equals
+    /// what the whole-table recurrence leaves — the step replays the same
+    /// floating-point operations per cell, in the same order, and only
+    /// changes the order in which cells are visited. Once its history is
+    /// full a model steps without touching the heap; warm-up and ring-fill
+    /// intervals may clone.
+    ///
+    /// # Panics
+    /// For sketch summaries, panics if `observed`, an output buffer or a
+    /// piece of the model's state was built over a different hash family.
+    fn step_with(
+        &mut self,
+        observed: &S,
+        forecast_out: Option<&mut S>,
+        error_out: Option<&mut S>,
+    ) -> bool;
+
     /// Feeds the observed summary `So(t)` for the current interval and
     /// advances the model to interval `t + 1`.
-    fn observe(&mut self, observed: &S);
+    fn observe(&mut self, observed: &S) {
+        self.step_with(observed, None, None);
+    }
 
     /// Number of `observe` calls needed before `forecast` returns `Some`.
     fn warm_up(&self) -> usize;
@@ -83,7 +120,7 @@ pub trait Forecaster<S: Summary> {
     /// bit-identical to this one's.
     fn snapshot_state(&self) -> ModelState<S>;
 
-    /// Convenience for the detection loop: returns
+    /// The allocating form of the detection loop's step: returns
     /// `(Sf(t), Se(t) = So(t) − Sf(t))` for the current interval — `None`
     /// during warm-up — and then advances the model with `So(t)`.
     fn step(&mut self, observed: &S) -> Option<(S, S)> {
@@ -96,42 +133,18 @@ pub trait Forecaster<S: Summary> {
         out
     }
 
-    /// Writes `Sf(t)` into `out`, returning whether a forecast was produced
-    /// (`false` during warm-up, in which case `out` is left untouched).
-    ///
-    /// The default routes through [`forecast`](Forecaster::forecast) and so
-    /// allocates; the models in this crate override it to fill the caller's
-    /// recycled buffer directly. **Bit-identity contract**: the value
-    /// written must equal `forecast()`'s bit for bit — overrides replay the
-    /// same floating-point operations in the same order.
-    ///
-    /// Takes `&mut self` only so implementations can lazily grow internal
-    /// scratch buffers (ARIMA's differenced-lag workspace); the model's
-    /// forecasting state is *not* advanced — call
-    /// [`observe`](Forecaster::observe) for that.
-    fn forecast_into(&mut self, out: &mut S) -> bool {
-        match self.forecast() {
-            Some(f) => {
-                out.assign(&f);
-                true
-            }
-            None => false,
-        }
+    /// Buffer-recycling [`step`](Forecaster::step): writes `Sf(t)` and
+    /// `Se(t) = So(t) − Sf(t)` into caller-owned buffers and advances the
+    /// model. Returns `false` — both buffers untouched — during warm-up.
+    fn step_into(&mut self, observed: &S, forecast_out: &mut S, error_out: &mut S) -> bool {
+        self.step_with(observed, Some(forecast_out), Some(error_out))
     }
 
-    /// Buffer-recycling variant of [`step`](Forecaster::step): writes
-    /// `Sf(t)` and `Se(t) = So(t) − Sf(t)` into caller-owned buffers and
-    /// advances the model. Returns `false` — both buffers untouched —
-    /// during warm-up. With a model whose `forecast_into`/`observe` are
-    /// allocation-free, a steady-state turnover performs zero heap
-    /// allocations.
-    fn step_into(&mut self, observed: &S, forecast_out: &mut S, error_out: &mut S) -> bool {
-        let warmed = self.forecast_into(forecast_out);
-        if warmed {
-            error_out.sub_into(observed, forecast_out);
-        }
-        self.observe(observed);
-        warmed
+    /// [`step_into`](Forecaster::step_into) for a caller that never reads
+    /// `Sf(t)` — the detector: writes only `Se(t)`, so the forecast is
+    /// never materialized as a table.
+    fn step_error_into(&mut self, observed: &S, error_out: &mut S) -> bool {
+        self.step_with(observed, None, Some(error_out))
     }
 }
 

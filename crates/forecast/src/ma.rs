@@ -14,8 +14,10 @@
 //! discarding the first hour of every trace, and the evaluation harness
 //! does the same.
 
+use crate::blocked::{emit_reference, sweep_tiles, Sinks, TileScratch};
 use crate::state::{ModelState, StateError};
 use crate::{Forecaster, Summary};
+use scd_sketch::simd;
 use std::collections::VecDeque;
 
 /// Equal-weight moving average over the last `W` observations.
@@ -23,6 +25,8 @@ use std::collections::VecDeque;
 pub struct MovingAverage<S> {
     window: usize,
     history: VecDeque<S>,
+    /// One tile of forecast, for a step asked for `Se(t)` but not `Sf(t)`.
+    scratch: TileScratch,
 }
 
 impl<S: Summary> MovingAverage<S> {
@@ -32,7 +36,11 @@ impl<S: Summary> MovingAverage<S> {
     /// Panics if `window == 0`.
     pub fn new(window: usize) -> Self {
         assert!(window >= 1, "MA window must be at least 1");
-        MovingAverage { window, history: VecDeque::with_capacity(window) }
+        MovingAverage {
+            window,
+            history: VecDeque::with_capacity(window),
+            scratch: TileScratch::default(),
+        }
     }
 
     /// The configured window `W`.
@@ -51,7 +59,7 @@ impl<S: Summary> MovingAverage<S> {
                 history.len()
             )));
         }
-        Ok(MovingAverage { window, history: history.into() })
+        Ok(MovingAverage { window, history: history.into(), scratch: TileScratch::default() })
     }
 }
 
@@ -68,16 +76,41 @@ impl<S: Summary> Forecaster<S> for MovingAverage<S> {
         Some(out)
     }
 
-    fn observe(&mut self, observed: &S) {
-        if self.history.len() == self.window {
-            // Recycle the evicted summary's buffer instead of cloning:
-            // once the window is full, observing allocates nothing.
-            let mut recycled = self.history.pop_front().expect("window is at least 1");
-            recycled.assign(observed);
-            self.history.push_back(recycled);
-        } else {
+    fn step_with(
+        &mut self,
+        observed: &S,
+        forecast_out: Option<&mut S>,
+        error_out: Option<&mut S>,
+    ) -> bool {
+        if self.history.len() < self.window {
+            // The ring is still filling: the reference path, which grows it.
+            let forecast = self.forecast();
+            let warmed = emit_reference(forecast.as_ref(), observed, forecast_out, error_out);
             self.history.push_back(observed.clone());
+            return warmed;
         }
+        for s in &self.history {
+            observed.check_family(s);
+        }
+        let mut sinks = Sinks::new(observed, forecast_out, error_out);
+        let (variant, obs) = (simd::active(), observed.cells());
+        let weight = 1.0 / self.history.len() as f64;
+        for tile in sweep_tiles(obs.len()) {
+            let o = &obs[tile.clone()];
+            if sinks.any() {
+                let [spare] = self.scratch.buffers(obs.len());
+                sinks.build(variant, tile.clone(), o, spare, |f| {
+                    f.fill(0.0);
+                    for s in &self.history {
+                        simd::add_scaled(variant, f, &s.cells()[tile.clone()], weight);
+                    }
+                });
+            }
+            // The evicted summary's tile has been read; it takes So(t).
+            self.history[0].cells_mut()[tile].copy_from_slice(o);
+        }
+        self.history.rotate_left(1);
+        true
     }
 
     fn warm_up(&self) -> usize {
@@ -90,18 +123,6 @@ impl<S: Summary> Forecaster<S> for MovingAverage<S> {
 
     fn snapshot_state(&self) -> ModelState<S> {
         ModelState::Ma { history: self.history.iter().cloned().collect() }
-    }
-
-    fn forecast_into(&mut self, out: &mut S) -> bool {
-        if self.history.is_empty() {
-            return false;
-        }
-        let w = self.history.len() as f64;
-        out.set_zero();
-        for s in &self.history {
-            out.add_scaled(s, 1.0 / w);
-        }
-        true
     }
 }
 

@@ -126,6 +126,11 @@ pub enum ModelSpec {
 pub enum ModelError {
     /// A window parameter was zero.
     ZeroWindow,
+    /// A seasonal period shorter than two intervals (no season to learn).
+    ShortSeason {
+        /// Offending period.
+        period: usize,
+    },
     /// A smoothing constant fell outside `[0, 1]`.
     SmoothingOutOfRange {
         /// `"alpha"` or `"beta"`.
@@ -143,6 +148,9 @@ impl std::fmt::Display for ModelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ModelError::ZeroWindow => write!(f, "window must be at least 1"),
+            ModelError::ShortSeason { period } => {
+                write!(f, "seasonal period must be at least 2 intervals, got {period}")
+            }
             ModelError::SmoothingOutOfRange { which, value } => {
                 write!(f, "{which} = {value} outside [0, 1]")
             }
@@ -195,7 +203,7 @@ impl ModelSpec {
                     }
                 }
                 if period < 2 {
-                    return Err(ModelError::ZeroWindow);
+                    return Err(ModelError::ShortSeason { period });
                 }
                 Ok(())
             }
@@ -246,6 +254,8 @@ impl ModelSpec {
     /// * `ma:W` / `sma:W` — window `W`, e.g. `ma:5`
     /// * `ewma:A` — smoothing constant, e.g. `ewma:0.5`
     /// * `nshw:A:B` — level and trend constants, e.g. `nshw:0.6:0.2`
+    /// * `shw:A:B:G:M` — level, trend and seasonal constants and the season
+    ///   length `M ≥ 2` in intervals, e.g. `shw:0.3:0.1:0.5:288`
     /// * `arima0:AR.../MA...` and `arima1:AR.../MA...` — comma-separated
     ///   coefficient lists either side of a slash, e.g. `arima0:0.7,-0.1/0.3`
     ///   (empty sides allowed: `arima1:/` is a random walk).
@@ -415,9 +425,24 @@ mod tests {
         assert!(ModelSpec::Shw { alpha: 0.3, beta: 0.1, gamma: 1.5, period: 4 }
             .validate()
             .is_err());
-        assert!(ModelSpec::Shw { alpha: 0.3, beta: 0.1, gamma: 0.5, period: 1 }
-            .validate()
-            .is_err());
+        for period in [0, 1] {
+            let short = ModelError::ShortSeason { period };
+            assert_eq!(
+                ModelSpec::Shw { alpha: 0.3, beta: 0.1, gamma: 0.5, period }.validate(),
+                Err(short.clone())
+            );
+            assert_eq!(ModelSpec::parse(&format!("shw:0.3:0.1:0.5:{period}")), Err(short.clone()));
+            assert_eq!(
+                short.to_string(),
+                format!("seasonal period must be at least 2 intervals, got {period}")
+            );
+        }
+        assert!(ModelSpec::parse("shw:0.3:0.1:0.5:2").is_ok());
+        // A smoothing constant out of range is reported before the period.
+        assert_eq!(
+            ModelSpec::parse("shw:0.3:0.1:1.5:1"),
+            Err(ModelError::SmoothingOutOfRange { which: "gamma", value: 1.5 })
+        );
         let mut m: Box<dyn Forecaster<f64>> = spec.build();
         assert_eq!(m.warm_up(), 288);
         m.observe(&1.0);

@@ -22,8 +22,10 @@
 //! trend = 0, seasonal indices = deviations from that mean. Warm-up is
 //! therefore `m` observations.
 
+use crate::blocked::{sweep_tiles, Sinks, TileScratch};
 use crate::state::{ModelState, ShwParts, StateError};
 use crate::{Forecaster, Summary};
+use scd_sketch::simd;
 
 /// Additive seasonal Holt-Winters forecaster with period `m`.
 #[derive(Debug, Clone)]
@@ -35,9 +37,9 @@ pub struct SeasonalHoltWinters<S> {
     /// Observations of the first (incomplete) cycle, for initialization.
     init_buffer: Vec<S>,
     state: Option<SeasonState<S>>,
-    /// Workspace holding the previous level during the in-place recursion;
-    /// lazily created once, then recycled every interval. Not model state.
-    tmp: Option<S>,
+    /// Two tiles: the forecast (when the caller takes `Se(t)` but no
+    /// `Sf(t)`) and the previous level during the in-place recursion.
+    scratch: TileScratch,
 }
 
 #[derive(Debug, Clone)]
@@ -69,7 +71,7 @@ impl<S: Summary> SeasonalHoltWinters<S> {
             period,
             init_buffer: Vec::with_capacity(period),
             state: None,
-            tmp: None,
+            scratch: TileScratch::default(),
         }
     }
 
@@ -127,6 +129,31 @@ impl<S: Summary> SeasonalHoltWinters<S> {
         });
         Ok(m)
     }
+    /// Warm-up: buffers the first cycle and, once it is complete,
+    /// initializes from it — level = cycle mean, trend = 0,
+    /// season[i] = x_i − mean.
+    fn collect_first_cycle(&mut self, observed: &S) {
+        self.init_buffer.push(observed.clone());
+        if self.init_buffer.len() < self.period {
+            return;
+        }
+        let m = self.period as f64;
+        let mut level = observed.zero_like();
+        for x in &self.init_buffer {
+            level.add_scaled(x, 1.0 / m);
+        }
+        let season: Vec<S> = self
+            .init_buffer
+            .iter()
+            .map(|x| {
+                let mut s = x.clone();
+                s.add_scaled(&level, -1.0);
+                s
+            })
+            .collect();
+        self.state = Some(SeasonState { trend: level.zero_like(), level, season, phase: 0 });
+        self.init_buffer.clear();
+    }
 }
 
 impl<S: Summary> Forecaster<S> for SeasonalHoltWinters<S> {
@@ -139,58 +166,55 @@ impl<S: Summary> Forecaster<S> for SeasonalHoltWinters<S> {
         Some(f)
     }
 
-    fn observe(&mut self, observed: &S) {
-        match &mut self.state {
-            None => {
-                self.init_buffer.push(observed.clone());
-                if self.init_buffer.len() == self.period {
-                    // Initialize from the first full cycle: level = cycle
-                    // mean, trend = 0, season[i] = x_i − mean.
-                    let m = self.period as f64;
-                    let mut level = observed.zero_like();
-                    for x in &self.init_buffer {
-                        level.add_scaled(x, 1.0 / m);
-                    }
-                    let season: Vec<S> = self
-                        .init_buffer
-                        .iter()
-                        .map(|x| {
-                            let mut s = x.clone();
-                            s.add_scaled(&level, -1.0);
-                            s
-                        })
-                        .collect();
-                    self.state =
-                        Some(SeasonState { trend: level.zero_like(), level, season, phase: 0 });
-                    self.init_buffer.clear();
-                }
-            }
-            Some(state) => {
-                // Steady state runs in place on the state slots plus one
-                // persistent workspace (the previous level), replaying the
-                // exact floating-point sequence of the allocating recursion.
-                let tmp = self.tmp.get_or_insert_with(|| observed.zero_like());
-                let SeasonState { level, trend, season, phase } = state;
-                let ph = *phase;
-                tmp.assign(level);
-                // level' = α(x − season_old) + (1−α)(level + trend)
-                level.add_scaled(trend, 1.0);
-                level.scale(1.0 - self.alpha);
-                level.add_scaled(observed, self.alpha);
-                level.add_scaled(&season[ph], -self.alpha);
-                // trend' = β(level' − level) + (1−β)trend; `tmp` holds the
-                // previous level.
-                trend.scale(1.0 - self.beta);
-                trend.add_scaled(level, self.beta);
-                trend.add_scaled(tmp, -self.beta);
-                // season' = γ(x − level') + (1−γ)season_old
-                let slot = &mut season[ph];
-                slot.scale(1.0 - self.gamma);
-                slot.add_scaled(observed, self.gamma);
-                slot.add_scaled(level, -self.gamma);
-                *phase = (ph + 1) % self.period;
-            }
+    fn step_with(
+        &mut self,
+        observed: &S,
+        forecast_out: Option<&mut S>,
+        error_out: Option<&mut S>,
+    ) -> bool {
+        let Some(SeasonState { level, trend, season, phase }) = &mut self.state else {
+            self.collect_first_cycle(observed);
+            return false;
+        };
+        let slot = &mut season[*phase];
+        for part in [&*level, &*trend, &*slot] {
+            observed.check_family(part);
         }
+        let mut sinks = Sinks::new(observed, forecast_out, error_out);
+        let (variant, obs) = (simd::active(), observed.cells());
+        let (level, trend, slot) = (level.cells_mut(), trend.cells_mut(), slot.cells_mut());
+        let (alpha, beta, gamma) = (self.alpha, self.beta, self.gamma);
+        let [spare, previous] = self.scratch.buffers(obs.len());
+        for tile in sweep_tiles(obs.len()) {
+            let o = &obs[tile.clone()];
+            let (l, t, s) =
+                (&mut level[tile.clone()], &mut trend[tile.clone()], &mut slot[tile.clone()]);
+            if sinks.any() {
+                // forecast = level + trend + season for the upcoming phase.
+                sinks.build(variant, tile.clone(), o, spare, |f| {
+                    f.copy_from_slice(l);
+                    simd::add_scaled(variant, f, t, 1.0);
+                    simd::add_scaled(variant, f, s, 1.0);
+                });
+            }
+            let previous = &mut previous[..tile.len()];
+            previous.copy_from_slice(l);
+            // level' = α(x − season_old) + (1−α)(level + trend)
+            simd::add_scaled(variant, l, t, 1.0);
+            simd::scale(variant, l, 1.0 - alpha);
+            simd::add_scaled(variant, l, o, alpha);
+            simd::add_scaled(variant, l, s, -alpha);
+            // trend' = β(level' − level) + (1−β)trend
+            simd::scale(variant, t, 1.0 - beta);
+            simd::add_scaled(variant, t, l, beta);
+            simd::add_scaled(variant, t, previous, -beta);
+            // season' = γ(x − level') + (1−γ)season_old
+            simd::scale(variant, s, 1.0 - gamma);
+            simd::add_scaled(variant, s, o, gamma);
+            simd::add_scaled(variant, s, l, -gamma);
+        }
+        *phase = (*phase + 1) % self.period;
+        true
     }
 
     fn warm_up(&self) -> usize {
@@ -210,18 +234,6 @@ impl<S: Summary> Forecaster<S> for SeasonalHoltWinters<S> {
                 season: s.season.clone(),
                 phase: s.phase,
             }),
-        }
-    }
-
-    fn forecast_into(&mut self, out: &mut S) -> bool {
-        match &self.state {
-            Some(state) => {
-                out.assign(&state.level);
-                out.add_scaled(&state.trend, 1.0);
-                out.add_scaled(&state.season[state.phase], 1.0);
-                true
-            }
-            None => false,
         }
     }
 }

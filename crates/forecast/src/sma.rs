@@ -16,8 +16,10 @@
 //! age `i ≥ r` (0-indexed from most recent) get weight
 //! `(W − i) / (W − r + 1)`.
 
+use crate::blocked::{emit_reference, sweep_tiles, Sinks, TileScratch};
 use crate::state::{ModelState, StateError};
 use crate::{Forecaster, Summary};
+use scd_sketch::simd;
 use std::collections::VecDeque;
 
 /// Weighted moving average: flat weights for the recent half of the window,
@@ -27,6 +29,8 @@ pub struct SShapedMovingAverage<S> {
     window: usize,
     /// Most-recent-last (push_back) history, at most `window` entries.
     history: VecDeque<S>,
+    /// One tile of forecast, for a step asked for `Se(t)` but not `Sf(t)`.
+    scratch: TileScratch,
 }
 
 /// Weight of the sample at `age` (0 = most recent) in a window of `w`.
@@ -47,7 +51,11 @@ impl<S: Summary> SShapedMovingAverage<S> {
     /// Panics if `window == 0`.
     pub fn new(window: usize) -> Self {
         assert!(window >= 1, "SMA window must be at least 1");
-        SShapedMovingAverage { window, history: VecDeque::with_capacity(window) }
+        SShapedMovingAverage {
+            window,
+            history: VecDeque::with_capacity(window),
+            scratch: TileScratch::default(),
+        }
     }
 
     /// The configured window `W`.
@@ -66,7 +74,11 @@ impl<S: Summary> SShapedMovingAverage<S> {
                 history.len()
             )));
         }
-        Ok(SShapedMovingAverage { window, history: history.into() })
+        Ok(SShapedMovingAverage {
+            window,
+            history: history.into(),
+            scratch: TileScratch::default(),
+        })
     }
 }
 
@@ -89,16 +101,44 @@ impl<S: Summary> Forecaster<S> for SShapedMovingAverage<S> {
         Some(out)
     }
 
-    fn observe(&mut self, observed: &S) {
-        if self.history.len() == self.window {
-            // Recycle the evicted summary's buffer instead of cloning:
-            // once the window is full, observing allocates nothing.
-            let mut recycled = self.history.pop_front().expect("window is at least 1");
-            recycled.assign(observed);
-            self.history.push_back(recycled);
-        } else {
+    fn step_with(
+        &mut self,
+        observed: &S,
+        forecast_out: Option<&mut S>,
+        error_out: Option<&mut S>,
+    ) -> bool {
+        if self.history.len() < self.window {
+            // The ring is still filling: the reference path, which grows it.
+            let forecast = self.forecast();
+            let warmed = emit_reference(forecast.as_ref(), observed, forecast_out, error_out);
             self.history.push_back(observed.clone());
+            return warmed;
         }
+        for s in &self.history {
+            observed.check_family(s);
+        }
+        let mut sinks = Sinks::new(observed, forecast_out, error_out);
+        let (variant, obs) = (simd::active(), observed.cells());
+        let w = self.window;
+        // Accumulated newest-first, as `forecast()` accumulates it.
+        let total_weight: f64 = (0..w).fold(0.0, |total, age| total + sma_weight(age, w));
+        for tile in sweep_tiles(obs.len()) {
+            let o = &obs[tile.clone()];
+            if sinks.any() {
+                let [spare] = self.scratch.buffers(obs.len());
+                sinks.build(variant, tile.clone(), o, spare, |f| {
+                    f.fill(0.0);
+                    for (age, s) in self.history.iter().rev().enumerate() {
+                        simd::add_scaled(variant, f, &s.cells()[tile.clone()], sma_weight(age, w));
+                    }
+                    simd::scale(variant, f, 1.0 / total_weight);
+                });
+            }
+            // The evicted summary's tile has been read; it takes So(t).
+            self.history[0].cells_mut()[tile].copy_from_slice(o);
+        }
+        self.history.rotate_left(1);
+        true
     }
 
     fn warm_up(&self) -> usize {
@@ -111,22 +151,6 @@ impl<S: Summary> Forecaster<S> for SShapedMovingAverage<S> {
 
     fn snapshot_state(&self) -> ModelState<S> {
         ModelState::Sma { history: self.history.iter().cloned().collect() }
-    }
-
-    fn forecast_into(&mut self, out: &mut S) -> bool {
-        if self.history.is_empty() {
-            return false;
-        }
-        let w = self.history.len();
-        let mut total_weight = 0.0;
-        out.set_zero();
-        for (age, s) in self.history.iter().rev().enumerate() {
-            let weight = sma_weight(age, w);
-            out.add_scaled(s, weight);
-            total_weight += weight;
-        }
-        out.scale(1.0 / total_weight);
-        true
     }
 }
 

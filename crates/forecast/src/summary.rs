@@ -4,12 +4,16 @@
 //! observations (that is the paper's central trick — §3.2: "All six models
 //! can be implemented on top of sketches by exploiting the linearity
 //! property of sketches"). The trait below is the minimal algebra that
-//! supports this: an additive zero, scaling, and fused multiply-add.
+//! supports this — an additive zero, scaling, and multiply-add — plus the
+//! one fact about representation the models' steady-state steps rely on:
+//! every summary is a flat run of `f64` cells, so a step can walk it in
+//! cache-sized tiles (see [`crate::blocked`]).
 //!
 //! Implementations:
-//! * `f64` — per-flow (exact) analysis: one instance per flow.
+//! * `f64` — per-flow (exact) analysis: one instance per flow, one cell.
 //! * [`KarySketch`] — sketch-level analysis: one instance per interval for
-//!   *all* flows at once.
+//!   *all* flows at once; the cells are the `H × K` register table.
+//! * [`Deltoid`] — the group-testing sketch, `H × K × (bits + 1)` cells.
 
 use scd_sketch::{Deltoid, KarySketch};
 
@@ -37,36 +41,6 @@ pub trait Summary: Clone {
         out
     }
 
-    /// In-place assignment `self ← src`. The default clones; sketch
-    /// implementations overwrite their existing table instead, so a
-    /// preallocated buffer can be recycled without touching the heap.
-    fn assign(&mut self, src: &Self) {
-        *self = src.clone();
-    }
-
-    /// In-place reset to the additive zero (same shape, zero registers).
-    fn set_zero(&mut self) {
-        *self = self.zero_like();
-    }
-
-    /// Fused in-place `self ← a·self + b·x`. **Bit-identity contract**:
-    /// implementations must perform, per element, exactly the operations
-    /// of [`scale`](Summary::scale)`(a)` followed by
-    /// [`add_scaled`](Summary::add_scaled)`(x, b)` in that order — which
-    /// is what the default does — so models rewritten on this kernel
-    /// reproduce the two-pass results bit for bit.
-    fn axpy_assign(&mut self, a: f64, x: &Self, b: f64) {
-        self.scale(a);
-        self.add_scaled(x, b);
-    }
-
-    /// In-place difference `self ← a − b`, with the same bit-identity
-    /// contract as [`Summary::sub`] (per element: `a + (−1)·b`).
-    fn sub_into(&mut self, a: &Self, b: &Self) {
-        self.assign(a);
-        self.add_scaled(b, -1.0);
-    }
-
     /// Convenience: weighted sum `Σ c_i · x_i`.
     ///
     /// # Panics
@@ -79,6 +53,25 @@ pub trait Summary: Clone {
         }
         out
     }
+
+    /// The summary's cells as one flat slice. Two summaries that pass
+    /// [`check_family`](Summary::check_family) have equally long views
+    /// whose cells correspond index by index, and every operation above
+    /// acts on each cell alone — which is what lets a blocked step apply
+    /// the same operations tile by tile.
+    fn cells(&self) -> &[f64];
+
+    /// The cells, writable in place (the shape is fixed).
+    fn cells_mut(&mut self) -> &mut [f64];
+
+    /// The check [`add_scaled`](Summary::add_scaled) makes before it
+    /// touches a cell, on its own: a blocked step runs it once per operand
+    /// and then works on [`cells`](Summary::cells) directly.
+    ///
+    /// # Panics
+    /// For sketch summaries, panics — with `add_scaled`'s message — if
+    /// `other` was built over a different hash family.
+    fn check_family(&self, other: &Self);
 }
 
 impl Summary for f64 {
@@ -93,6 +86,16 @@ impl Summary for f64 {
     fn add_scaled(&mut self, other: &Self, c: f64) {
         *self += c * other;
     }
+
+    fn cells(&self) -> &[f64] {
+        std::slice::from_ref(self)
+    }
+
+    fn cells_mut(&mut self) -> &mut [f64] {
+        std::slice::from_mut(self)
+    }
+
+    fn check_family(&self, _other: &Self) {}
 }
 
 impl Summary for KarySketch {
@@ -109,22 +112,16 @@ impl Summary for KarySketch {
             .expect("forecaster fed sketches from different hash families");
     }
 
-    fn assign(&mut self, src: &Self) {
-        KarySketch::assign_from(self, src)
-            .expect("forecaster fed sketches from different hash families");
+    fn cells(&self) -> &[f64] {
+        self.table()
     }
 
-    fn set_zero(&mut self) {
-        KarySketch::clear(self);
+    fn cells_mut(&mut self) -> &mut [f64] {
+        self.table_mut()
     }
 
-    fn axpy_assign(&mut self, a: f64, x: &Self, b: f64) {
-        KarySketch::axpy_assign(self, a, x, b)
-            .expect("forecaster fed sketches from different hash families");
-    }
-
-    fn sub_into(&mut self, a: &Self, b: &Self) {
-        KarySketch::sub_into(self, a, b)
+    fn check_family(&self, other: &Self) {
+        KarySketch::check_family(self, other)
             .expect("forecaster fed sketches from different hash families");
     }
 }
@@ -140,6 +137,19 @@ impl Summary for Deltoid {
 
     fn add_scaled(&mut self, other: &Self, c: f64) {
         Deltoid::add_scaled(self, other, c)
+            .expect("forecaster fed deltoids from different hash families");
+    }
+
+    fn cells(&self) -> &[f64] {
+        self.table()
+    }
+
+    fn cells_mut(&mut self) -> &mut [f64] {
+        self.table_mut()
+    }
+
+    fn check_family(&self, other: &Self) {
+        Deltoid::check_family(self, other)
             .expect("forecaster fed deltoids from different hash families");
     }
 }

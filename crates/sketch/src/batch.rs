@@ -88,10 +88,42 @@ impl BatchScratch {
 /// 16 Ki gives back about a millisecond of the two that tiling costs.
 pub const ESTIMATE_TILE: usize = 16 * 1024;
 
-/// Scratch buffers for the batched `ESTIMATE` ([`estimate_tiles`]) and the
-/// fused `sub_into_estimate_f2` sweep: one tile's row-major `H × tile`
-/// bucket table, the gathered register values in the same layout, the
-/// tile's medians, and the `H`-sized per-row workspace of the F2 median.
+/// Cells per tile of the blocked whole-table sweeps: the forecast models'
+/// steady-state steps (`scd_forecast`), `COMBINE` into a recycled table
+/// ([`KarySketch::combine_into`]) and the shard merge
+/// ([`KarySketch::merge_draining`]). A sweep walks its operands one tile
+/// at a time and applies *every* operation of the step to that tile
+/// before moving on, so each table streams through the cache once and
+/// the tile-sized intermediates (a forecast under construction, a
+/// differenced lag) never leave L1. A constant, not a parameter: results
+/// do not depend on it — blocking changes which cell is processed when,
+/// never the operations applied to one cell.
+///
+/// Sized by measurement, `H = 5`, `K = 65536` (2.6 MB a table, past the
+/// 2 MiB of L2), an ARIMA(2,1,1) error-only step — eight operand tiles,
+/// of which only the two intermediates are re-read within a tile (µs, min
+/// of three rounds): 256 cells 1,544; 512 1,493; 1 Ki 1,397; 2 Ki 1,471;
+/// 4 Ki 1,537; 16 Ki 1,803; untiled (a pass per operation) 3,313 — and
+/// the same flat bottom from 512 to 4 Ki for NSHW, SMA, `combine_into`
+/// and the shard merge. Below it the per-tile call overhead shows, above
+/// it the intermediates fall out of the 48 KiB L1; in between the sweep
+/// is bound by what one core pulls from L3, not by the tile. 1 Ki (8 KB
+/// an operand) is the smallest tile on the flat part.
+///
+/// [`KarySketch::combine_into`]: crate::KarySketch::combine_into
+/// [`KarySketch::merge_draining`]: crate::KarySketch::merge_draining
+pub const SWEEP_TILE: usize = 1024;
+
+/// The tiles of a `len`-cell sweep: consecutive index ranges of
+/// [`SWEEP_TILE`] cells, the last one shorter.
+pub fn sweep_tiles(len: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (0..len).step_by(SWEEP_TILE).map(move |start| start..(start + SWEEP_TILE).min(len))
+}
+
+/// Scratch buffers for the batched `ESTIMATE` ([`estimate_tiles`]): one
+/// tile's row-major `H × tile` bucket table, the gathered register values
+/// in the same layout, the tile's medians, and the `H`-slot column the
+/// per-key median falls back to for an `H` with no selection network.
 /// Create once, reuse every interval; the buffers are sized by the sketch
 /// shape and [`ESTIMATE_TILE`], **not** by the candidate count, so a scan
 /// of any length runs in one tile's worth and allocates nothing once warm.
@@ -100,7 +132,7 @@ pub struct EstimateScratch {
     buckets: Vec<usize>,
     values: Vec<f64>,
     medians: Vec<f64>,
-    pub(crate) per_row: Vec<f64>,
+    per_row: Vec<f64>,
 }
 
 impl EstimateScratch {

@@ -185,6 +185,12 @@ impl Deltoid {
         &self.table
     }
 
+    /// The counter table, writable in place — the flat cell view the
+    /// forecasting layer's blocked steps sweep. The shape is fixed.
+    pub fn table_mut(&mut self) -> &mut [f64] {
+        &mut self.table
+    }
+
     /// Sum of bucket totals in row 0 (the stream total).
     pub fn sum(&self) -> f64 {
         let stride = self.stride();
@@ -226,14 +232,24 @@ impl Deltoid {
     /// # Errors
     /// [`SketchError::IncompatibleSketches`] when shapes differ.
     pub fn add_scaled(&mut self, other: &Deltoid, c: f64) -> Result<(), SketchError> {
+        self.check_family(other)?;
+        for (dst, src) in self.table.iter_mut().zip(&other.table) {
+            *dst += c * src;
+        }
+        Ok(())
+    }
+
+    /// `Ok` when `other` shares this deltoid's hash family and key width,
+    /// so their counters line up.
+    ///
+    /// # Errors
+    /// [`SketchError::IncompatibleSketches`] otherwise.
+    pub fn check_family(&self, other: &Deltoid) -> Result<(), SketchError> {
         if self.rows.identity() != other.rows.identity() || self.key_bits != other.key_bits {
             return Err(SketchError::IncompatibleSketches {
                 left: self.rows.identity(),
                 right: other.rows.identity(),
             });
-        }
-        for (dst, src) in self.table.iter_mut().zip(&other.table) {
-            *dst += c * src;
         }
         Ok(())
     }

@@ -20,10 +20,9 @@
 //! then *exact per cell* up to floating-point rounding, a fact the
 //! forecasting layer's property tests rely on.
 
-use crate::batch::{estimate_tiles, BatchScratch, EstimateScratch};
+use crate::batch::{estimate_tiles, sweep_tiles, BatchScratch, EstimateScratch};
 use crate::error::SketchError;
 use crate::linear::median_over_rows;
-use crate::median::median_inplace;
 use crate::simd;
 use scd_hash::HashRows;
 use std::sync::Arc;
@@ -100,6 +99,13 @@ impl KarySketch {
     /// diagnostics and serialization.
     pub fn table(&self) -> &[f64] {
         &self.table
+    }
+
+    /// The register table, writable in place — the flat cell view the
+    /// forecasting layer's blocked steps sweep. The shape is fixed: cells
+    /// can be rewritten, never added or removed.
+    pub fn table_mut(&mut self) -> &mut [f64] {
+        &mut self.table
     }
 
     /// Heap bytes used by the register table (the "constant, small amount
@@ -188,13 +194,33 @@ impl KarySketch {
 
     /// **ESTIMATEF2(S)** — unbiased estimate of the second moment
     /// `F2 = Σ_a v_a²`.
+    ///
+    /// Each row's `Σ x²` (and row 0's `Σ x`) is one serial chain of
+    /// dependent adds — floating-point addition does not reassociate, so
+    /// a chain cannot be split without changing its bits, and run alone it
+    /// pays the adder's full latency per cell. The chains of *different*
+    /// rows are independent, so up to eight rows advance together,
+    /// one column at a time: every chain still adds its own row's cells in
+    /// column order (the same bits as one row after another), and the
+    /// adder pipelines them.
     pub fn estimate_f2(&self) -> f64 {
-        let k = self.k() as f64;
-        let sum = self.sum();
-        median_over_rows(self.h(), |row| {
-            let row_slice = &self.table[row * self.k()..(row + 1) * self.k()];
-            let sq: f64 = row_slice.iter().map(|&x| x * x).sum();
-            (k / (k - 1.0)) * sq - (sum * sum) / (k - 1.0)
+        let (h, k) = (self.h(), self.k());
+        let kf = k as f64;
+        // Rows per group: as even as `H` splits into groups of at most
+        // `F2_CHAINS` (5 → 5, 9 → 5 + 4, 25 → 7 + 6 + 6 + 6).
+        let per = h.div_ceil(h.div_ceil(F2_CHAINS));
+        let (mut sum, mut group) = (0.0, [0.0; F2_CHAINS]);
+        // `median_over_rows` asks for the rows in order, so a group's
+        // moments are computed when its first row comes up.
+        median_over_rows(h, |row| {
+            if row % per == 0 {
+                let rows = &self.table[row * k..(row + per).min(h) * k];
+                let first_row_sum = square_sums(rows, k, &mut group);
+                if row == 0 {
+                    sum = first_row_sum;
+                }
+            }
+            (kf / (kf - 1.0)) * group[row % per] - (sum * sum) / (kf - 1.0)
         })
     }
 
@@ -230,12 +256,7 @@ impl KarySketch {
     /// # Errors
     /// [`SketchError::IncompatibleSketches`] if the hash families differ.
     pub fn add_scaled(&mut self, other: &KarySketch, c: f64) -> Result<(), SketchError> {
-        if self.rows.identity() != other.rows.identity() {
-            return Err(SketchError::IncompatibleSketches {
-                left: self.rows.identity(),
-                right: other.rows.identity(),
-            });
-        }
+        self.check_family(other)?;
         simd::add_scaled(simd::active(), &mut self.table, &other.table, c);
         Ok(())
     }
@@ -305,25 +326,46 @@ impl KarySketch {
         for &(_, s) in terms {
             self.check_family(s)?;
         }
-        match simd::active() {
-            simd::Variant::Scalar => {
-                for (i, dst) in self.table.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for &(c, s) in terms {
-                        acc += c * s.table[i];
-                    }
-                    *dst = acc;
-                }
+        let variant = simd::active();
+        for tile in sweep_tiles(self.table.len()) {
+            let dst = &mut self.table[tile.clone()];
+            dst.fill(0.0);
+            for &(c, s) in terms {
+                simd::add_scaled(variant, dst, &s.table[tile.clone()], c);
             }
-            simd::Variant::Avx2 => {
-                // Same per-cell floating-point sequence as the scalar loop
-                // (start at 0.0, add c·cell in term order), restructured as
-                // one vectorized accumulation pass per term. Still
-                // allocation-free.
-                self.table.fill(0.0);
-                for &(c, s) in terms {
-                    simd::add_scaled(simd::Variant::Avx2, &mut self.table, &s.table, c);
-                }
+        }
+        Ok(())
+    }
+
+    /// The shard merge as one sweep: `self ← shards[0]`, then
+    /// `self += 1.0 · shards[i]` in slice order — per cell exactly the
+    /// sequence of [`assign_from`](Self::assign_from) followed by
+    /// [`add_scaled`](Self::add_scaled)`(·, 1.0)` per further shard, so
+    /// the merged table is bit-identical to theirs — and every shard is
+    /// left all-zero, each of its tiles cleared while the merge still has
+    /// it in cache instead of by a second pass over the table.
+    ///
+    /// # Errors
+    /// [`SketchError::IncompatibleSketches`] on any identity mismatch and
+    /// [`SketchError::EmptyCombination`] for an empty shard list; `self`
+    /// and the shards are untouched on error.
+    pub fn merge_draining(&mut self, shards: &mut [KarySketch]) -> Result<(), SketchError> {
+        for s in shards.iter() {
+            self.check_family(s)?;
+        }
+        let Some((first, rest)) = shards.split_first_mut() else {
+            return Err(SketchError::EmptyCombination);
+        };
+        let variant = simd::active();
+        for tile in sweep_tiles(self.table.len()) {
+            let dst = &mut self.table[tile.clone()];
+            let src = &mut first.table[tile.clone()];
+            dst.copy_from_slice(src);
+            src.fill(0.0);
+            for s in rest.iter_mut() {
+                let src = &mut s.table[tile.clone()];
+                simd::add_scaled(variant, dst, src, 1.0);
+                src.fill(0.0);
             }
         }
         Ok(())
@@ -344,13 +386,11 @@ impl KarySketch {
         Ok(())
     }
 
-    /// Fused `sub_into` + **ESTIMATEF2**: writes `a − b` into `self` and
-    /// returns `ESTIMATEF2(self)` from the same sweep — one pass over the
-    /// table instead of two (difference, then squared-sum). The row-0
-    /// total, each row's squared sum, and the per-row moment formula all
-    /// accumulate in exactly the order [`sum`](Self::sum) and
-    /// [`estimate_f2`](Self::estimate_f2) use, so the returned F2 is
-    /// bit-identical to calling them on the materialized difference.
+    /// [`sub_into`](Self::sub_into) followed by
+    /// [`estimate_f2`](Self::estimate_f2): writes `a − b` into `self` and
+    /// returns `ESTIMATEF2(self)`. `scratch` is not touched (the per-row
+    /// moments live on the stack); the parameter stays for callers that
+    /// pass theirs.
     ///
     /// # Errors
     /// [`SketchError::IncompatibleSketches`] if any hash family differs.
@@ -358,67 +398,19 @@ impl KarySketch {
         &mut self,
         a: &KarySketch,
         b: &KarySketch,
-        scratch: &mut EstimateScratch,
+        _scratch: &mut EstimateScratch,
     ) -> Result<f64, SketchError> {
-        self.check_family(a)?;
-        self.check_family(b)?;
-        let h = self.h();
-        let k = self.k();
-        let kf = k as f64;
-        scratch.per_row.clear();
-        let variant = simd::active();
-        let mut sum = 0.0;
-        for row in 0..h {
-            let dst = &mut self.table[row * k..(row + 1) * k];
-            let av = &a.table[row * k..(row + 1) * k];
-            let bv = &b.table[row * k..(row + 1) * k];
-            let mut sq = 0.0;
-            match variant {
-                simd::Variant::Scalar => {
-                    if row == 0 {
-                        for ((d, &x), &y) in dst.iter_mut().zip(av).zip(bv) {
-                            let v = x - y;
-                            *d = v;
-                            sum += v;
-                            sq += v * v;
-                        }
-                    } else {
-                        for ((d, &x), &y) in dst.iter_mut().zip(av).zip(bv) {
-                            let v = x - y;
-                            *d = v;
-                            sq += v * v;
-                        }
-                    }
-                }
-                simd::Variant::Avx2 => {
-                    // Vectorize only the difference pass; the running sums
-                    // then accumulate over the stored row in the same
-                    // element order as the fused scalar loop, so the
-                    // reductions see identical operand sequences.
-                    simd::sub(variant, dst, av, bv);
-                    if row == 0 {
-                        for &v in dst.iter() {
-                            sum += v;
-                            sq += v * v;
-                        }
-                    } else {
-                        for &v in dst.iter() {
-                            sq += v * v;
-                        }
-                    }
-                }
-            }
-            scratch.per_row.push(sq);
-        }
-        for per_row in &mut scratch.per_row {
-            *per_row = (kf / (kf - 1.0)) * *per_row - (sum * sum) / (kf - 1.0);
-        }
-        Ok(median_inplace(&mut scratch.per_row))
+        self.sub_into(a, b)?;
+        Ok(self.estimate_f2())
     }
 
-    /// Shared identity check for the in-place kernels.
+    /// The identity check every in-place kernel starts with: `Ok` when
+    /// `other` shares this sketch's hash family, so their cells line up.
+    ///
+    /// # Errors
+    /// [`SketchError::IncompatibleSketches`] if the hash families differ.
     #[inline]
-    fn check_family(&self, other: &KarySketch) -> Result<(), SketchError> {
+    pub fn check_family(&self, other: &KarySketch) -> Result<(), SketchError> {
         if self.rows.identity() != other.rows.identity() {
             return Err(SketchError::IncompatibleSketches {
                 left: self.rows.identity(),
@@ -445,6 +437,42 @@ impl KarySketch {
     pub(crate) fn load_table(&mut self, table: Vec<f64>) {
         assert_eq!(table.len(), self.table.len(), "table shape mismatch");
         self.table = table;
+    }
+}
+
+/// Most rows whose moment chains [`KarySketch::estimate_f2`] advances
+/// together: enough independent adds in flight to hide the adder's
+/// latency, few enough that every accumulator stays in a register.
+const F2_CHAINS: usize = 8;
+
+/// `Σ x²` of each `k`-cell row of `rows` (at most [`F2_CHAINS`] of them)
+/// into `out`, and the plain `Σ x` of the first row as the return value —
+/// every sum accumulated in column order from `0.0`, all advancing one
+/// column at a time.
+fn square_sums(rows: &[f64], k: usize, out: &mut [f64; F2_CHAINS]) -> f64 {
+    fn chains<const G: usize>(rows: &[f64], k: usize, out: &mut [f64; F2_CHAINS]) -> f64 {
+        let rows: [&[f64]; G] = std::array::from_fn(|g| &rows[g * k..(g + 1) * k]);
+        let (mut sum, mut sq) = (0.0, [0.0; G]);
+        for (col, &x) in rows[0].iter().enumerate() {
+            sum += x;
+            for (sq, row) in sq.iter_mut().zip(&rows) {
+                let v = row[col];
+                *sq += v * v;
+            }
+        }
+        out[..G].copy_from_slice(&sq);
+        sum
+    }
+    match rows.len() / k {
+        1 => chains::<1>(rows, k, out),
+        2 => chains::<2>(rows, k, out),
+        3 => chains::<3>(rows, k, out),
+        4 => chains::<4>(rows, k, out),
+        5 => chains::<5>(rows, k, out),
+        6 => chains::<6>(rows, k, out),
+        7 => chains::<7>(rows, k, out),
+        8 => chains::<8>(rows, k, out),
+        n => unreachable!("{n} rows in a group of at most {F2_CHAINS}"),
     }
 }
 
@@ -585,6 +613,31 @@ mod tests {
         }
         let est = s.estimate_f2();
         assert!((est - f2).abs() < 0.1 * f2, "estimated F2 {est} vs true {f2}");
+    }
+
+    /// The interleaved row chains are the row-by-row formula, bit for bit
+    /// — at every grouping: one group (H = 5), uneven groups (9 → 5 + 4,
+    /// 25 → 7 + 6 + 6 + 6) and past `median_over_rows`' stack buffer (33).
+    #[test]
+    fn f2_row_chains_interleave_without_changing_a_bit() {
+        for h in [1usize, 2, 5, 8, 9, 25, 33] {
+            let mut s = KarySketch::new(SketchConfig { h, k: 64, seed: 11 });
+            for (i, cell) in s.table.iter_mut().enumerate() {
+                *cell = ((i * 37 + h) % 1009) as f64 / 7.0 - 70.0;
+            }
+            let k = 64.0;
+            let sum: f64 = s.table[..64].iter().fold(0.0, |acc, &x| acc + x);
+            let mut per_row: Vec<f64> = s
+                .table
+                .chunks(64)
+                .map(|row| {
+                    let sq = row.iter().fold(0.0, |acc, &x| acc + x * x);
+                    (k / (k - 1.0)) * sq - (sum * sum) / (k - 1.0)
+                })
+                .collect();
+            let expected = crate::median::median_inplace(&mut per_row);
+            assert_eq!(s.estimate_f2().to_bits(), expected.to_bits(), "H={h}");
+        }
     }
 
     #[test]

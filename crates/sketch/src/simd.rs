@@ -85,8 +85,9 @@ pub fn scale_assign(variant: Variant, dst: &mut [f64], src: &[f64], c: f64) {
 }
 
 /// `dst[i] += c·src[i]` — the sweep behind
-/// [`KarySketch::add_scaled`](crate::KarySketch::add_scaled) and each
-/// accumulation pass of the vectorized `COMBINE`.
+/// [`KarySketch::add_scaled`](crate::KarySketch::add_scaled), each term
+/// of the blocked `COMBINE` and shard merge, and most of every forecast
+/// model's blocked step.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
@@ -120,8 +121,8 @@ pub fn scale(variant: Variant, dst: &mut [f64], c: f64) {
 }
 
 /// `dst[i] = a[i] − b[i]` — the sweep behind
-/// [`KarySketch::sub_into`](crate::KarySketch::sub_into) and the
-/// difference pass of the fused `sub_into_estimate_f2`.
+/// [`KarySketch::sub_into`](crate::KarySketch::sub_into) and the error
+/// tile (`Se = So − Sf`) of every forecast model's blocked step.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.

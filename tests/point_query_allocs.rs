@@ -3,7 +3,15 @@
 //! fresh `Vec` on every call, so every `estimate` on every
 //! median-estimator sketch allocated; this suite counts allocations on
 //! the querying thread and holds them at zero for the paper's `H`.
+//!
+//! The same counter holds the interval turnover — the real
+//! `SketchChangeDetector`, not a mirror of it — to the one allocation a
+//! report needs, on the plain path and on the archiving path, where the
+//! error sketch leaves with the caller every interval.
 
+use sketch_change::archive::{ArchiveConfig, SketchArchive};
+use sketch_change::core::{DetectorConfig, KeyStrategy, SketchChangeDetector};
+use sketch_change::forecast::ModelSpec;
 use sketch_change::serve::SlimSketch;
 use sketch_change::sketch::{
     CountSketch, Deltoid, DeltoidConfig, EstimateScratch, KarySketch, PointEstimate, SketchConfig,
@@ -114,5 +122,106 @@ fn a_warm_batched_scan_does_not_allocate_at_any_h() {
             slim.estimate_batch(&keys, &mut scratch, &mut out);
         });
         assert_eq!(allocations, 0, "H={h}: a warm scan of {} keys allocated", keys.len());
+    }
+}
+
+/// One spec per model kind, the seasonal extension included.
+const MODELS: [&str; 7] = [
+    "ma:3",
+    "sma:4",
+    "ewma:0.5",
+    "nshw:0.5:0.3",
+    "arima0:0.7,-0.1/0.3,0.1",
+    "arima1:0.5,0.2/0.3",
+    "shw:0.5:0.2:0.4:3",
+];
+
+/// Intervals before counting starts: past every model's warm-up and ring
+/// fill, past the first use of each lazily sized workspace, and — on the
+/// archiving path — past the archive's budget, so that every push
+/// compacts.
+const WARM_INTERVALS: usize = 24;
+
+/// A detector for `model`, four observed sketches over its hash family to
+/// cycle through, and the interval's key stream (with repeats).
+fn turnover_rig(model: &str) -> (SketchChangeDetector, Vec<KarySketch>, Vec<u64>) {
+    let detector = SketchChangeDetector::new(DetectorConfig {
+        sketch: SketchConfig { h: 5, k: 2048, seed: 7 },
+        model: ModelSpec::parse(model).expect("a valid model spec"),
+        // No key reaches 100 × the error L2 norm: the alarm list stays
+        // empty, so a report's only allocation is its `errors` vector.
+        threshold: 100.0,
+        key_strategy: KeyStrategy::TwoPass,
+    });
+    let keys: Vec<u64> = (0..900u64).map(|i| (i % 300) * 13 + 1).collect();
+    let observed = (0..4u64)
+        .map(|t| {
+            let mut sketch = KarySketch::with_rows(std::sync::Arc::clone(detector.rows()));
+            for &key in &keys {
+                sketch.update(key, ((key + 7 * t) % 41 + 1) as f64);
+            }
+            sketch
+        })
+        .collect();
+    (detector, observed, keys)
+}
+
+/// A warm turnover allocates its report's `errors` vector and nothing
+/// else — no forecast table, no error table, no scratch — for every model.
+#[test]
+fn a_warm_turnover_allocates_only_its_report() {
+    for model in MODELS {
+        let (mut detector, observed, keys) = turnover_rig(model);
+        for t in 0..WARM_INTERVALS + 8 {
+            let stream = keys.clone();
+            let mut report = None;
+            let allocations = allocations_in(|| {
+                report = Some(detector.process_observed(&observed[t % 4], stream));
+            });
+            let report = report.expect("the closure ran");
+            if t >= WARM_INTERVALS {
+                assert!(report.warmed_up && report.alarms.is_empty() && report.errors.len() == 300);
+                assert_eq!(allocations, 1, "{model}, interval {t}: beyond the report's errors");
+            }
+        }
+    }
+}
+
+/// The archiving path hands every error sketch to the archive, so it
+/// cannot keep one; it is given the table the archive's compaction
+/// retired instead. Once the archive is at its budget that is one table
+/// in, one table out per interval, and the whole close — turnover and
+/// push — allocates the report's `errors` vector and nothing else.
+#[test]
+fn a_warm_archiving_turnover_reuses_the_table_the_archive_retired() {
+    for model in MODELS {
+        let (mut detector, observed, keys) = turnover_rig(model);
+        // No key directory: `push` then has nothing of its own to allocate.
+        let mut archive = SketchArchive::<KarySketch>::new(ArchiveConfig {
+            max_sketches: 6,
+            full_resolution: 2,
+            keys_per_epoch: 0,
+        })
+        .expect("a valid archive shape");
+        for t in 0..WARM_INTERVALS + 8 {
+            let stream = keys.clone();
+            let mut report = None;
+            let allocations = allocations_in(|| {
+                if let Some(retired) = archive.take_retired() {
+                    detector.recycle_error_buffer(retired);
+                }
+                let (r, error) = detector.process_observed_archiving(&observed[t % 4], stream);
+                if let Some((_, error)) = error {
+                    archive.push(error, &[]).expect("one hash family");
+                }
+                report = Some(r);
+            });
+            let report = report.expect("the closure ran");
+            if t >= WARM_INTERVALS {
+                assert!(report.warmed_up && report.errors.len() == 300);
+                assert_eq!(archive.sketch_count(), 6, "{model}: the archive is at its budget");
+                assert_eq!(allocations, 1, "{model}, interval {t}: beyond the report's errors");
+            }
+        }
     }
 }
