@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Fails if the duplicates PR 13 removed come back: the envelope and the
-# accept loop each have exactly one definition under crates/*/src.
-# Non-test source = every crates/*/src file up to its `#[cfg(test)]`.
+# Fails if the duplicates PRs 13 and 19 removed come back: the envelope,
+# the accept loop, the supervised restart and the CLI's construction path
+# each have exactly one definition under crates/*/src.
+# Non-test source = every crates/*/src file up to its `#[cfg(test)]`
+# (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 nontest() {
-  find crates -path '*/src/*' -name '*.rs' -print0 | sort -z |
+  find crates -path '*/src/*' -name '*.rs' ! -name tests.rs -print0 | sort -z |
     xargs -0 awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live { print FILENAME ":" FNR ":" $0 }'
 }
 
@@ -25,6 +27,16 @@ expect 1 'fn read_exact_or_closed'              'frame stream read loop(s)'
 expect 1 'fn footer_mismatch'                   'CRC footer comparison(s)'
 expect 1 'File::open\(parent\)'                 'directory fsync(s) (atomic write routine)'
 expect 0 'b"SCD(SKT01|TRC01|CKPT1)"'            'retired magic literal(s) in non-test source'
+# One detect stage, one supervisor, one construction path (PR 19). Patterns
+# that start with `^crates/` match on the FILE:LINE: prefix too.
+expect 1 '^crates/(core|net)/src/.*[^`]catch_unwind\('   'catch_unwind site(s) around a detector'
+expect 1 'Checkpoint::load\('                   'checkpoint load-compare-restore routine(s)'
+expect 1 ':[0-9]+: *(let [a-z_]+ = )?Checkpoint \{$' 'place(s) a Checkpoint is assembled'
+expect 1 'pub struct Checkpoint(Policy|Every)'  'checkpoint-policy type(s)'
+expect 1 '^crates/cli/src/.*ShardedEngine::new\('         'engine construction(s) in the CLI'
+expect 1 '^crates/cli/src/.*[^>] DetectorConfig \{'       'DetectorConfig literal(s) in the CLI'
+expect 0 '^crates/(cli|net)/src/.*SketchChangeDetector::new\(' 'bare detector(s) outside scd-core'
+expect 0 '^crates/net/src/.*(DetectorConfig \{|ModelSpec::)'   'detector configuration(s) invented for ingest'
 
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 6 ]; then
@@ -40,5 +52,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, six magics"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, six magics; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core"
 exit "$fail"

@@ -1,51 +1,8 @@
 //! `scd` — sketch-based change detection from the command line.
 //!
-//! ```text
-//! scd generate --profile small --hours 1 --interval 60 --out trace.bin
-//!              [--scale X] [--seed N] [--dos RANK:START:DUR:MULT[,...]]
-//! scd info     --trace trace.bin
-//! scd tune     --trace trace.bin --interval 300 --model ewma [--paper]
-//! scd detect   --trace trace.bin --interval 300 --model ewma:0.5
-//!              [--h 5] [--k 32768] [--threshold 0.05] [--sketch-seed N]
-//!              [--strategy twopass|next|sampled:R|reversible] [--top N]
-//!              [--shards N] [--pipeline] [--source-threads N]
-//!              [--glr SLOTS] [--glr-threshold 16.0] [--glr-window 8]
-//!              [--stagger LANES]
-//!              [--metrics FILE] [--metrics-listen ADDR] [--report-out FILE]
-//! scd sketch   --trace trace.bin --interval 60 --at 7 --out s.sketch
-//!              [--h 5] [--k 32768] [--sketch-seed N]
-//! scd combine  --out sum.sketch A.sketch B.sketch ... [--query IP]
-//! scd stream   --trace trace.bin --interval 60 --model ewma:0.5
-//!              [--policy block|drop|sample:R] [--capacity N] [--chunked]
-//!              [--checkpoint FILE] [--every N] [--h 5] [--k 32768]
-//!              [--metrics FILE] [--metrics-listen ADDR]
-//! scd metrics  --from metrics.jsonl | --addr HOST:PORT
-//! scd ingest-node --trace trace.bin --interval 60 --node 0 --nodes 3
-//!              --connect HOST:PORT [--h 5] [--k 32768] [--sketch-seed N]
-//!              [--shards 2] [--spool DIR] [--fault SPEC] [--retries N]
-//!              [--finish-timeout-secs 60]
-//! scd aggregate --listen ADDR --nodes 3 --model ewma:0.5
-//!              [--h 5] [--k 32768] [--threshold 0.05] [--sketch-seed N]
-//!              [--report-out FILE] [--checkpoint FILE] [--every N]
-//!              [--grace-ms 500] [--node-timeout-ms 2000] [--timeout-secs 60]
-//!              [--top N] [--metrics FILE] [--metrics-listen ADDR]
-//! scd archive  --trace trace.bin --interval 60 --model ewma:0.5 --out hist.scda
-//!              [--shards 4] [--budget 64] [--full-res 8] [--keys 64]
-//!              [--h 5] [--k 32768] [--threshold 0.05] [--sketch-seed N]
-//! scd query    --archive hist.scda --from T1 --to T2
-//!              [--threshold 0.05] [--key IP] [--estimate IP] [--top N]
-//! scd serve    --trace trace.bin --interval 60 --model ewma:0.5 --listen ADDR
-//!              [--shards N] [--pipeline] [--budget 64] [--full-res 8] [--keys 64]
-//!              [--h 5] [--k 32768] [--threshold 0.05] [--sketch-seed N]
-//!              [--pace-ms N] [--linger-secs N] [--out hist.scda]
-//!              [--sync-rebuild] [--no-cache]
-//!              [--metrics FILE] [--metrics-listen ADDR]
-//! scd ask      --addr HOST:PORT (--estimate IP [--from T1 --to T2]
-//!              | --changed --from T1 --to T2 [--threshold 0.05]
-//!              | --history IP --from T1 --to T2
-//!              | --range --from T1 --to T2) [--top N] [--wait-secs N]
-//! ```
-//!
+//! Run `scd` with no arguments for every command and the flags it
+//! honours ([`usage`]); README.md has the same as a command × flag table.
+//! A flag a command does not list is rejected by name, not ignored.
 //! Traces are the binary/CSV formats of `scd-traffic::io` (format chosen by
 //! file extension). `detect` prints one line per alarm; `tune` prints a
 //! spec string that `--model` accepts, so the two compose:
@@ -73,10 +30,10 @@ use flags::{FlagError, Flags};
 use scd_archive::ArchiveConfig;
 use scd_core::gridsearch::{search_model, GridSearchConfig};
 use scd_core::{
-    segment_records, spawn_supervised, CheckpointPolicy, DetectorConfig, EngineConfig, GlrConfig,
-    GlrEvent, KeyStrategy, LifecycleEvent, OverloadPolicy, RestartPolicy, ReversibleChangeDetector,
-    ReversibleConfig, ShardedEngine, SketchChangeDetector, StaggeredDetector, StreamSegmenter,
-    StreamingConfig, SupervisorConfig,
+    segment_records, spawn_supervised, Alarm, CheckpointPolicy, DetectorConfig, EngineConfig,
+    GlrConfig, GlrEvent, KeyStrategy, LifecycleEvent, OverloadPolicy, RestartPolicy,
+    ReversibleChangeDetector, ReversibleConfig, ShardedEngine, StaggeredDetector, StreamSegmenter,
+    StreamingConfig, Supervision, SupervisorConfig,
 };
 use scd_core::{IntervalReport, PipelineMetrics};
 use scd_forecast::{ModelKind, ModelSpec};
@@ -110,26 +67,32 @@ fn usage() -> ExitCode {
          combine   --out FILE A.sketch B.sketch ... [--query IP]\n\
          stream    --trace FILE --interval S --model SPEC [--policy block|drop|sample:R]\n\
          \u{20}          [--capacity N] [--chunked] [--checkpoint FILE] [--every N]\n\
-         \u{20}          [--h 5] [--k 32768] [--metrics FILE] [--metrics-listen ADDR]\n\
+         \u{20}          [--h 5] [--k 32768] [--threshold 0.05] [--sketch-seed N] [--top N]\n\
+         \u{20}          [--strategy twopass|next|sampled:R] [--shards N]\n\
+         \u{20}          [--metrics FILE] [--metrics-listen ADDR] [--report-out FILE]\n\
          metrics   --from metrics.jsonl | --addr HOST:PORT\n\
          ingest-node --trace FILE --interval S --node I --nodes N --connect ADDR\n\
          \u{20}          [--h 5] [--k 32768] [--sketch-seed N] [--shards 2] [--spool DIR]\n\
          \u{20}          [--fault drop:3,dup:5,corrupt:7,trunc:9,delay:2:50] [--retries N]\n\
-         \u{20}          [--finish-timeout-secs 60]\n\
+         \u{20}          [--finish-timeout-secs 60] [--metrics FILE] [--metrics-listen ADDR]\n\
          aggregate --listen ADDR --nodes N --model SPEC [--h 5] [--k 32768]\n\
          \u{20}          [--threshold 0.05] [--sketch-seed N] [--report-out FILE]\n\
          \u{20}          [--checkpoint FILE] [--every N] [--grace-ms 500]\n\
          \u{20}          [--node-timeout-ms 2000] [--timeout-secs 60] [--top N]\n\
+         \u{20}          [--metrics FILE] [--metrics-listen ADDR]\n\
          archive   --trace FILE --interval S --model SPEC --out FILE [--shards 4]\n\
          \u{20}          [--budget 64] [--full-res 8] [--keys 64] [--h 5] [--k 32768]\n\
-         \u{20}          [--threshold 0.05] [--sketch-seed N]\n\
+         \u{20}          [--threshold 0.05] [--sketch-seed N] [--top N]\n\
+         \u{20}          [--strategy twopass|next|sampled:R] [--pipeline] [--source-threads N]\n\
+         \u{20}          [--metrics FILE] [--metrics-listen ADDR] [--report-out FILE]\n\
          query     --archive FILE --from T1 --to T2 [--threshold 0.05]\n\
          \u{20}          [--key IP] [--estimate IP] [--top N]\n\
          serve     --trace FILE --interval S --model SPEC --listen ADDR [--shards N]\n\
          \u{20}          [--pipeline] [--budget 64] [--full-res 8] [--keys 64] [--h 5]\n\
          \u{20}          [--k 32768] [--threshold 0.05] [--sketch-seed N] [--pace-ms N]\n\
          \u{20}          [--linger-secs N] [--out FILE] [--sync-rebuild] [--no-cache]\n\
-         \u{20}          [--metrics FILE] [--metrics-listen ADDR]\n\
+         \u{20}          [--strategy twopass|next|sampled:R] [--source-threads N] [--top N]\n\
+         \u{20}          [--metrics FILE] [--metrics-listen ADDR] [--report-out FILE]\n\
          ask       --addr HOST:PORT (--estimate IP [--from T1 --to T2] |\n\
          \u{20}          --changed --from T1 --to T2 [--threshold 0.05] |\n\
          \u{20}          --history IP --from T1 --to T2 | --range --from T1 --to T2)\n\
@@ -146,7 +109,7 @@ fn main() -> ExitCode {
     let Some(cmd) = args.next() else {
         return usage();
     };
-    let flags = Flags::parse(args);
+    let flags = Flags::parse(&cmd, args);
     let result = match cmd.as_str() {
         "generate" => generate(&flags),
         "info" => info(&flags),
@@ -164,7 +127,9 @@ fn main() -> ExitCode {
         "aggregate" => aggregate(&flags),
         _ => return usage(),
     };
-    match result {
+    // Every command checks its flags before it creates anything; asking
+    // again here means one that forgot still cannot ignore a flag quietly.
+    match result.and_then(|()| Ok(flags.done()?)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("scd {cmd}: {e}");
@@ -189,18 +154,14 @@ const READ_CHUNK_RECORDS: usize = 8192;
 /// One `(key, value)` update stream per interval, in trace order.
 type Intervals = Vec<Vec<(u64, f64)>>;
 
-/// Segments a trace into `(key, value)` intervals. Binary `SCDTRC` traces
-/// stream through `ChunkedTraceReader` + `StreamSegmenter` — fixed-size
-/// chunks straight into interval bins, no flat record vector — which is
-/// bit-identical to the materializing path (proven in
-/// `scd-core/tests/parallel_source.rs`). CSV traces fall back to the
-/// materializing reader.
-fn read_intervals(
-    path: &str,
-    interval: u32,
-    key: KeySpec,
-    value: ValueSpec,
-) -> Result<Intervals, Box<dyn std::error::Error>> {
+/// Segments a trace into `(key, value)` intervals of destination-IP byte
+/// counts. Binary `SCDTRC` traces stream through `ChunkedTraceReader` +
+/// `StreamSegmenter` — fixed-size chunks straight into interval bins, no
+/// flat record vector — which is bit-identical to the materializing path
+/// (proven in `scd-core/tests/parallel_source.rs`). CSV traces fall back
+/// to the materializing reader.
+fn read_intervals(path: &str, interval: u32) -> Result<Intervals, Box<dyn std::error::Error>> {
+    let (key, value) = (KeySpec::DstIp, ValueSpec::Bytes);
     if path.ends_with(".csv") {
         let records = read_trace(path)?;
         return Ok(segment_records(&records, interval, key, value));
@@ -218,109 +179,317 @@ fn read_intervals(
     Ok(segmenter.finish())
 }
 
-/// Live telemetry for a `detect`/`stream` run: one registry feeding an
-/// optional JSON-lines snapshot file (`--metrics FILE`, one line per
-/// closed interval) and an optional Prometheus scrape endpoint
-/// (`--metrics-listen ADDR`).
-struct Telemetry {
-    registry: Arc<Registry>,
-    pipeline: Arc<PipelineMetrics>,
-    snapshots: Option<std::io::BufWriter<File>>,
-    line: String,
-    listener: Option<MetricsListener>,
+// The shared flag groups. A command passes `Setup::from_flags` the ones it
+// honours; what it does not honour it never reads, so `Flags::done`
+// rejects it by name.
+/// `--model`, `--threshold`, `--top`: the command runs a detector.
+const MODEL: u32 = 1;
+/// `--strategy`.
+const STRATEGY: u32 = 1 << 1;
+/// `--shards`.
+const SHARDS: u32 = 1 << 2;
+/// `--pipeline`, `--source-threads`: the driver can overlap detection with
+/// ingest.
+const OVERLAP: u32 = 1 << 3;
+/// `--glr`, `--glr-threshold`, `--glr-window`: the driver cuts the trace at
+/// slot boundaries.
+const GLR: u32 = 1 << 4;
+/// `--budget`, `--full-res`, `--keys`.
+const STORE: u32 = 1 << 5;
+/// `--checkpoint`, `--every`.
+const CHECKPOINT: u32 = 1 << 6;
+/// `--report-out`.
+const REPORT: u32 = 1 << 7;
+/// `--metrics`, `--metrics-listen`.
+const TELEMETRY: u32 = 1 << 8;
+
+const DETECT: u32 = MODEL | STRATEGY | SHARDS | OVERLAP | GLR | REPORT | TELEMETRY;
+const ARCHIVE: u32 = DETECT & !GLR | STORE;
+/// The streaming driver stamps each report with the drop counters of the
+/// interval it closes, so it waits for that report: there is nothing for
+/// `--pipeline` to overlap, and it cuts intervals by event time only.
+const STREAM: u32 = MODEL | STRATEGY | SHARDS | CHECKPOINT | REPORT | TELEMETRY;
+/// The aggregator scans the distinct keys its nodes ship: key strategy
+/// and sharding are the nodes' side of the plane.
+const AGGREGATE: u32 = STREAM & !(STRATEGY | SHARDS);
+const INGEST_NODE: u32 = SHARDS | TELEMETRY;
+
+/// Everything the shared flags say about a run, parsed and validated but
+/// with nothing created yet — the one place the sketch, the model, the
+/// key strategy and the engine's shape are read from the command line.
+struct Setup {
+    sketch: SketchConfig,
+    /// `None` for the commands that only sketch.
+    detector: Option<DetectorConfig>,
+    shards: usize,
+    pipeline: bool,
+    source_threads: usize,
+    /// Slots per interval (1 when GLR is off) and the GLR configuration.
+    glr_slots: usize,
+    glr: Option<GlrConfig>,
+    archive: Option<ArchiveConfig>,
+    checkpoint: Option<CheckpointPolicy>,
+    top: usize,
+    metrics: Option<String>,
+    metrics_listen: Option<String>,
+    report_out: Option<String>,
 }
 
-impl Telemetry {
-    /// Builds from the `--metrics` / `--metrics-listen` flags; `None`
-    /// when neither is present.
-    fn from_flags(flags: &Flags) -> Result<Option<Telemetry>, Box<dyn std::error::Error>> {
-        let path = flags.raw("metrics");
-        let listen = flags.raw("metrics-listen");
-        if path.is_none() && listen.is_none() {
-            return Ok(None);
-        }
-        let registry = Arc::new(Registry::new());
-        let pipeline = PipelineMetrics::register(&registry);
-        let snapshots = match path {
-            Some(p) => Some(std::io::BufWriter::new(File::create(p)?)),
-            None => None,
-        };
-        let listener = match listen {
-            Some(addr) => {
-                let l = MetricsListener::bind(addr, Arc::clone(&registry))?;
-                eprintln!("serving metrics on http://{}/metrics", l.local_addr());
-                Some(l)
+impl Setup {
+    /// Reads the flag groups in `honours` (`--h`, `--k` and `--sketch-seed`
+    /// always); `--shards` defaults to `shards`.
+    fn from_flags(
+        flags: &Flags,
+        honours: u32,
+        shards: usize,
+    ) -> Result<Setup, Box<dyn std::error::Error>> {
+        let honours = |group: u32| honours & group != 0;
+        let seed: u64 = flags.get("sketch-seed", 0x5CD)?;
+        let sketch = SketchConfig { h: flags.get("h", 5)?, k: flags.get("k", 32_768)?, seed };
+        let strategy = if honours(STRATEGY) { flags.raw("strategy") } else { None };
+        let key_strategy = match strategy {
+            None | Some("twopass") => KeyStrategy::TwoPass,
+            Some("next") => KeyStrategy::NextInterval,
+            Some(s) if s.starts_with("sampled:") => {
+                let rate: f64 = s["sampled:".len()..]
+                    .parse()
+                    .map_err(|_| FlagError(format!("bad sampled rate in '{s}'")))?;
+                KeyStrategy::Sampled { rate, seed: seed ^ 1 }
             }
-            None => None,
+            Some(other) => return Err(FlagError(format!("unknown strategy '{other}'")).into()),
         };
-        Ok(Some(Telemetry { registry, pipeline, snapshots, line: String::new(), listener }))
-    }
-
-    /// Appends one snapshot line stamped with `interval`.
-    fn snapshot(&mut self, interval: u64) -> std::io::Result<()> {
-        if let Some(w) = &mut self.snapshots {
-            use std::io::Write as _;
-            self.line.clear();
-            self.registry.render_jsonl(interval, &mut self.line);
-            self.line.push('\n');
-            w.write_all(self.line.as_bytes())?;
+        let (detector, top) = if honours(MODEL) {
+            let detector = DetectorConfig {
+                sketch,
+                model: ModelSpec::parse(&flags.require::<String>("model")?)?,
+                threshold: flags.get("threshold", 0.05)?,
+                key_strategy,
+            };
+            (Some(detector), flags.get("top", 10)?)
+        } else {
+            (None, 0)
+        };
+        let shards = if honours(SHARDS) { flags.get("shards", shards)? } else { shards };
+        let (pipeline, source_threads) = if honours(OVERLAP) {
+            (flags.has("pipeline"), flags.get("source-threads", 1)?)
+        } else {
+            (false, 1)
+        };
+        let (mut glr_slots, mut glr) = (1, None);
+        if honours(GLR) {
+            // Sub-interval GLR sequential detection: base slots of
+            // interval/slots seconds feed per-slot ±1 projections;
+            // provisional alarms print as they fire and are confirmed or
+            // retracted by the interval-close reports (which stay
+            // bit-identical to a no-GLR run).
+            let slots: usize = flags.get("glr", 0)?;
+            let config = GlrConfig {
+                max_window: flags.get("glr-window", 8)?,
+                ..GlrConfig::new(flags.get("glr-threshold", 16.0)?, seed)
+            };
+            if slots == 1 {
+                return Err(FlagError("--glr needs at least 2 slots per interval".into()).into());
+            }
+            if slots > 0 && matches!(key_strategy, KeyStrategy::Sampled { .. }) {
+                // The sampler draws once per key in first-seen order, so
+                // its reports depend on intra-interval feed order;
+                // slot-granular ingest would silently change them.
+                return Err(FlagError(
+                    "--glr supports --strategy twopass|next (sampled is feed-order sensitive)"
+                        .into(),
+                )
+                .into());
+            }
+            if slots > 0 {
+                (glr_slots, glr) = (slots, Some(config));
+            }
         }
-        Ok(())
-    }
-
-    /// Flushes the snapshot file and stops the scrape endpoint.
-    fn finish(mut self) -> std::io::Result<()> {
-        use std::io::Write as _;
-        if let Some(mut w) = self.snapshots.take() {
-            w.flush()?;
-        }
-        if let Some(l) = self.listener.take() {
-            l.stop();
-        }
-        Ok(())
-    }
-}
-
-/// Optional canonical-report file (`--report-out FILE`): one
-/// [`IntervalReport::canonical_line`] per emitted interval. Two runs that
-/// produce bit-identical reports produce byte-identical files, which is
-/// what the distributed smoke test diffs against a single-box run.
-struct ReportSink(std::io::BufWriter<File>);
-
-impl ReportSink {
-    fn from_flags(flags: &Flags) -> Result<Option<ReportSink>, Box<dyn std::error::Error>> {
-        Ok(match flags.raw("report-out") {
-            Some(p) => Some(ReportSink(std::io::BufWriter::new(File::create(p)?))),
-            None => None,
+        let archive = if honours(STORE) {
+            Some(ArchiveConfig {
+                max_sketches: flags.get("budget", 64)?,
+                full_resolution: flags.get("full-res", 8)?,
+                keys_per_epoch: flags.get("keys", 64)?,
+            })
+        } else {
+            None
+        };
+        let checkpoint = if honours(CHECKPOINT) {
+            let every: u64 = flags.get("every", 10)?;
+            flags.raw("checkpoint").map(|file| CheckpointPolicy { path: file.into(), every })
+        } else {
+            None
+        };
+        let owned = |on: bool, name: &str| {
+            if on {
+                flags.raw(name).map(str::to_string)
+            } else {
+                None
+            }
+        };
+        Ok(Setup {
+            sketch,
+            detector,
+            shards,
+            pipeline,
+            source_threads,
+            glr_slots,
+            glr,
+            archive,
+            checkpoint,
+            top,
+            metrics: owned(honours(TELEMETRY), "metrics"),
+            metrics_listen: owned(honours(TELEMETRY), "metrics-listen"),
+            report_out: owned(honours(REPORT), "report-out"),
         })
     }
 
-    fn write(&mut self, report: &IntervalReport) -> std::io::Result<()> {
-        use std::io::Write as _;
-        writeln!(self.0, "{}", report.canonical_line())
+    fn detector(&self) -> DetectorConfig {
+        self.detector.clone().expect("the command honours --model")
     }
 
-    fn finish(mut self) -> std::io::Result<()> {
-        use std::io::Write as _;
-        self.0.flush()
+    /// Creates what the output flags name — the first files a run writes,
+    /// so call it only after [`Flags::done`].
+    fn open(&self) -> Result<Output, Box<dyn std::error::Error>> {
+        let create = |path: &Option<String>| match path {
+            Some(p) => File::create(p).map(|file| Some(std::io::BufWriter::new(file))),
+            None => Ok(None),
+        };
+        let mut out = Output {
+            top: self.top,
+            metrics: None,
+            snapshots: create(&self.metrics)?,
+            listener: None,
+            sink: create(&self.report_out)?,
+        };
+        if self.metrics.is_some() || self.metrics_listen.is_some() {
+            let registry = Arc::new(Registry::new());
+            let pipeline = PipelineMetrics::register(&registry);
+            if let Some(addr) = &self.metrics_listen {
+                let listener = MetricsListener::bind(addr, Arc::clone(&registry))?;
+                eprintln!("serving metrics on http://{}/metrics", listener.local_addr());
+                out.listener = Some(listener);
+            }
+            out.metrics = Some((registry, pipeline));
+        }
+        Ok(out)
+    }
+
+    /// The engine the flags describe, wired to `out`'s telemetry, with
+    /// whatever the command itself hangs on it (an archive, an observer).
+    fn engine(
+        &self,
+        out: &Output,
+        attach: impl FnOnce(EngineConfig) -> EngineConfig,
+    ) -> Result<ShardedEngine, scd_core::EngineError> {
+        ShardedEngine::new(attach(self.engine_config(out)))
+    }
+
+    /// The engine configuration the flags describe, wired to `out`'s
+    /// telemetry.
+    fn engine_config(&self, out: &Output) -> EngineConfig {
+        let mut config = EngineConfig::new(self.detector(), self.shards);
+        if self.pipeline {
+            config = config.with_pipeline();
+        }
+        if let Some(glr) = &self.glr {
+            config = config.with_glr(glr.clone());
+        }
+        if let Some((_, pipeline)) = &out.metrics {
+            config = config.with_metrics(Arc::clone(pipeline));
+        }
+        if let Some(checkpoint) = &self.checkpoint {
+            let checkpoint = Some(checkpoint.clone());
+            config = config.with_supervision(Supervision { checkpoint, ..Supervision::default() });
+        }
+        config
     }
 }
 
-/// Prints one report's alarms and, when telemetry is on, stamps a
-/// snapshot line for the interval it closes.
-fn emit_report(
-    report: &IntervalReport,
+/// Where a run's reports go: alarm lines on stdout; live telemetry — one
+/// registry feeding an optional JSON-lines snapshot file (`--metrics
+/// FILE`, one line per closed interval) and an optional Prometheus scrape
+/// endpoint (`--metrics-listen ADDR`); and the optional canonical-report
+/// file (`--report-out FILE`): one [`IntervalReport::canonical_line`] per
+/// emitted interval. Two runs that produce bit-identical reports produce
+/// byte-identical files, which is what the distributed smoke test diffs
+/// against a single-box run.
+struct Output {
     top: usize,
-    telemetry: &mut Option<Telemetry>,
-    sink: &mut Option<ReportSink>,
+    metrics: Option<(Arc<Registry>, Arc<PipelineMetrics>)>,
+    snapshots: Option<std::io::BufWriter<File>>,
+    listener: Option<MetricsListener>,
+    sink: Option<std::io::BufWriter<File>>,
+}
+
+impl Output {
+    /// Prints one report's alarms, stamps a snapshot line for the interval
+    /// it closes and files its digest.
+    fn emit(&mut self, report: &IntervalReport) -> CliResult {
+        print_alarms(report.interval, &report.alarms, self.top);
+        self.record(report.interval as u64, report)
+    }
+
+    /// The file half of [`emit`](Self::emit), for callers that print on
+    /// their own schedule.
+    fn record(&mut self, interval: u64, report: &IntervalReport) -> CliResult {
+        use std::io::Write as _;
+        if let (Some((registry, _)), Some(snapshots)) = (&self.metrics, &mut self.snapshots) {
+            let mut line = String::new();
+            registry.render_jsonl(interval, &mut line);
+            writeln!(snapshots, "{line}")?;
+        }
+        if let Some(sink) = &mut self.sink {
+            writeln!(sink, "{}", report.canonical_line())?;
+        }
+        Ok(())
+    }
+
+    /// Flushes both files and stops the scrape endpoint.
+    fn finish(self) -> CliResult {
+        use std::io::Write as _;
+        for mut file in self.snapshots.into_iter().chain(self.sink) {
+            file.flush()?;
+        }
+        if let Some(listener) = self.listener {
+            listener.stop();
+        }
+        Ok(())
+    }
+}
+
+/// The one interval feed loop: pushes each bin, closes a GLR slot after
+/// it, closes the interval after every `setup.glr_slots` bins (one, when
+/// GLR is off: a bin is then an interval and the slot calls are no-ops),
+/// emits each report as it arrives — one interval late on a pipelined
+/// engine — and drains the last one.
+fn run_intervals(
+    engine: &mut ShardedEngine,
+    bins: &[Vec<(u64, f64)>],
+    setup: &Setup,
+    pace: std::time::Duration,
+    out: &mut Output,
 ) -> CliResult {
-    print_alarms(report.interval, report.alarms.iter().map(|a| (a.key, a.estimated_error)), top);
-    if let Some(t) = telemetry.as_mut() {
-        t.snapshot(report.interval as u64)?;
+    let slots = setup.glr_slots;
+    let empty: Vec<(u64, f64)> = Vec::new();
+    for t in 0..bins.len().div_ceil(slots) {
+        for s in 0..slots {
+            let items = bins.get(t * slots + s).unwrap_or(&empty);
+            engine.push_slice_parallel(items, setup.source_threads)?;
+            engine.end_glr_slot();
+            engine.take_glr_events().iter().for_each(print_glr_event);
+        }
+        if let Some(report) = engine.end_interval_overlapped()? {
+            out.emit(&report)?;
+        }
+        engine.take_glr_events().iter().for_each(print_glr_event);
+        if !pace.is_zero() {
+            std::thread::sleep(pace);
+        }
     }
-    if let Some(s) = sink.as_mut() {
-        s.write(report)?;
+    if let Some(report) = engine.drain()? {
+        out.emit(&report)?;
     }
+    engine.take_glr_events().iter().for_each(print_glr_event);
     Ok(())
 }
 
@@ -336,6 +505,8 @@ fn generate(flags: &Flags) -> CliResult {
     let interval: u32 = flags.get("interval", 300)?;
     let scale: f64 = flags.get("scale", 1.0)?;
     let seed: u64 = flags.get("seed", 2003)?;
+    let dos = flags.raw("dos");
+    flags.done()?;
 
     let mut cfg = profile.config(seed).scaled(scale);
     cfg.interval_secs = interval;
@@ -344,7 +515,7 @@ fn generate(flags: &Flags) -> CliResult {
 
     // Optional DoS schedule: RANK:START:DUR:MULT, comma separated.
     let mut events = Vec::new();
-    if let Some(spec) = flags.raw("dos") {
+    if let Some(spec) = dos {
         for part in spec.split(',') {
             let fields: Vec<&str> = part.split(':').collect();
             if fields.len() != 4 {
@@ -397,6 +568,7 @@ fn generate(flags: &Flags) -> CliResult {
 
 fn info(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
+    flags.done()?;
     let records = read_trace(&path)?;
     if records.is_empty() {
         outln!("{path}: empty trace");
@@ -429,14 +601,15 @@ fn tune(flags: &Flags) -> CliResult {
     let interval: u32 = flags.require("interval")?;
     let kind: ModelKind = flags.require::<String>("model")?.parse()?;
     let quiet = flags.has("quiet");
+    let paper = flags.has("paper");
+    flags.done()?;
 
-    let records = read_trace(&path)?;
-    let intervals = segment_records(&records, interval, KeySpec::DstIp, ValueSpec::Bytes);
+    let intervals = read_intervals(&path, interval)?;
     if intervals.is_empty() {
         return Err(FlagError("trace produced no intervals".into()).into());
     }
     let mut cfg = GridSearchConfig::paper_default(interval);
-    if !flags.has("paper") {
+    if !paper {
         cfg.arima_subdivisions = 5; // fast default; --paper restores 7
     }
     // Don't demand a full hour of warm-up from short traces.
@@ -456,107 +629,66 @@ fn tune(flags: &Flags) -> CliResult {
 fn detect(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
     let interval: u32 = flags.require("interval")?;
-    let model = ModelSpec::parse(&flags.require::<String>("model")?)?;
-    let h: usize = flags.get("h", 5)?;
-    let k: usize = flags.get("k", 32_768)?;
-    let threshold: f64 = flags.get("threshold", 0.05)?;
-    let sketch_seed: u64 = flags.get("sketch-seed", 0x5CD)?;
-    let top: usize = flags.get("top", 10)?;
-    let shards: usize = flags.get("shards", 1)?;
-    let source_threads: usize = flags.get("source-threads", 1)?;
-    let pipeline = flags.has("pipeline");
-    let strategy = flags.raw("strategy").unwrap_or("twopass");
+    // Two detectors still run outside the engine (a `Deltoid`- or
+    // lane-typed engine would make the shared code branch on its caller —
+    // ROADMAP item 1): the reversible (group-testing) sketch, which
+    // recovers keys with no key stream at all, and phase-shifted staggered
+    // lanes (§6 "staggered intervals": one detector per phase offset,
+    // sharing slot sketches via linearity). They read none of the flags
+    // that shape the engine, so those are rejected for them.
+    let reversible = flags.raw("strategy") == Some("reversible");
+    let stagger: usize = flags.get("stagger", 0)?;
+    let honours = match (reversible, stagger) {
+        (true, _) => MODEL,
+        (false, 0) => DETECT,
+        (false, _) => MODEL | STRATEGY,
+    };
+    let setup = Setup::from_flags(flags, honours, 1)?;
+    let detector = setup.detector();
+    if stagger > 0 && (reversible || !matches!(detector.key_strategy, KeyStrategy::TwoPass)) {
+        return Err(FlagError("--stagger requires --strategy twopass".into()).into());
+    }
+    if stagger == 1 {
+        return Err(FlagError("--stagger needs at least 2 lanes".into()).into());
+    }
+    // Bins fed per interval: staggered lanes, GLR slots, or the interval.
+    let (cut, parts) =
+        if stagger > 0 { ("--stagger", stagger) } else { ("--glr", setup.glr_slots) };
+    if interval % parts as u32 != 0 {
+        return Err(
+            FlagError(format!("--interval {interval} is not divisible by {cut} {parts}")).into()
+        );
+    }
+    flags.done().map_err(|e| match honours {
+        DETECT => e,
+        _ => FlagError(format!("{e} with --stagger / --strategy reversible (no engine)")),
+    })?;
 
-    let intervals = read_intervals(&path, interval, KeySpec::DstIp, ValueSpec::Bytes)?;
+    let bins = read_intervals(&path, interval / parts as u32)?;
     outln!(
-        "detecting over {} intervals of {interval}s (model {}, H={h}, K={k}, T={threshold})",
-        intervals.len(),
-        model.describe()
+        "detecting over {} intervals of {interval}s (model {}, H={}, K={}, T={})",
+        bins.len().div_ceil(parts),
+        detector.model.describe(),
+        detector.sketch.h,
+        detector.sketch.k,
+        detector.threshold
     );
-
-    let mut telemetry = Telemetry::from_flags(flags)?;
-    let mut sink = ReportSink::from_flags(flags)?;
-    if strategy == "reversible" {
-        if telemetry.is_some() || sink.is_some() {
-            return Err(FlagError(
-                "--metrics / --metrics-listen / --report-out are not supported \
-                 with --strategy reversible"
-                    .into(),
-            )
-            .into());
-        }
+    if reversible {
+        let SketchConfig { h, k, seed } = detector.sketch;
         let mut det = ReversibleChangeDetector::new(ReversibleConfig {
-            deltoid: DeltoidConfig { h, k, key_bits: 32, seed: sketch_seed },
-            model,
-            threshold,
+            deltoid: DeltoidConfig { h, k, key_bits: 32, seed },
+            model: detector.model,
+            threshold: detector.threshold,
         });
-        for items in &intervals {
+        for items in &bins {
             let report = det.process_interval(items);
-            print_alarms(
-                report.interval,
-                report.alarms.iter().map(|a| (a.key, a.estimated_error)),
-                top,
-            );
+            print_alarms(report.interval, &report.alarms, setup.top);
         }
         return Ok(());
     }
-
-    let key_strategy = match strategy {
-        "twopass" => KeyStrategy::TwoPass,
-        "next" => KeyStrategy::NextInterval,
-        s if s.starts_with("sampled:") => {
-            let rate: f64 = s["sampled:".len()..]
-                .parse()
-                .map_err(|_| FlagError(format!("bad sampled rate in '{s}'")))?;
-            KeyStrategy::Sampled { rate, seed: sketch_seed ^ 1 }
-        }
-        other => return Err(FlagError(format!("unknown strategy '{other}'")).into()),
-    };
-    let detector = DetectorConfig {
-        sketch: SketchConfig { h, k, seed: sketch_seed },
-        model,
-        threshold,
-        key_strategy,
-    };
-
-    let glr_slots: usize = flags.get("glr", 0)?;
-    let stagger: usize = flags.get("stagger", 0)?;
-    if glr_slots > 0 && stagger > 0 {
-        return Err(FlagError("--glr and --stagger are mutually exclusive".into()).into());
-    }
-
     if stagger > 0 {
-        // Phase-shifted interval lanes (§6 "staggered intervals"): one
-        // detector per phase offset, sharing slot sketches via linearity.
-        if stagger < 2 {
-            return Err(FlagError("--stagger needs at least 2 lanes".into()).into());
-        }
-        if interval % stagger as u32 != 0 {
-            return Err(FlagError(format!(
-                "--interval {interval} is not divisible by --stagger {stagger}"
-            ))
-            .into());
-        }
-        if !matches!(key_strategy, KeyStrategy::TwoPass) {
-            return Err(FlagError("--stagger requires --strategy twopass".into()).into());
-        }
-        if shards > 1 || pipeline {
-            return Err(FlagError(
-                "--stagger runs single-threaded; drop --shards/--pipeline".into(),
-            )
-            .into());
-        }
-        if telemetry.is_some() || sink.is_some() {
-            return Err(FlagError(
-                "--metrics / --metrics-listen / --report-out are not supported with --stagger"
-                    .into(),
-            )
-            .into());
-        }
-        let slot_bins =
-            read_intervals(&path, interval / stagger as u32, KeySpec::DstIp, ValueSpec::Bytes)?;
         let mut det = StaggeredDetector::new(detector, stagger);
-        for (s, items) in slot_bins.iter().enumerate() {
+        for (s, items) in bins.iter().enumerate() {
             for a in det.process_slot(items) {
                 outln!(
                     "slot {s}: lane {} ALARM {:<16} error {:+.0} bytes",
@@ -568,127 +700,15 @@ fn detect(flags: &Flags) -> CliResult {
         }
         return Ok(());
     }
-
-    if glr_slots > 0 {
-        // Sub-interval GLR sequential detection: base slots of
-        // interval/slots seconds feed per-slot ±1 projections; provisional
-        // alarms print as they fire and are confirmed or retracted by the
-        // interval-close reports (which stay bit-identical to a no-GLR
-        // run).
-        if glr_slots < 2 {
-            return Err(FlagError("--glr needs at least 2 slots per interval".into()).into());
-        }
-        if interval % glr_slots as u32 != 0 {
-            return Err(FlagError(format!(
-                "--interval {interval} is not divisible by --glr {glr_slots}"
-            ))
-            .into());
-        }
-        if matches!(key_strategy, KeyStrategy::Sampled { .. }) {
-            // The sampler draws once per key in first-seen order, so its
-            // reports depend on intra-interval feed order; slot-granular
-            // ingest would silently change them.
-            return Err(FlagError(
-                "--glr supports --strategy twopass|next (sampled is feed-order sensitive)".into(),
-            )
-            .into());
-        }
-        let glr_threshold: f64 = flags.get("glr-threshold", 16.0)?;
-        let glr_window: usize = flags.get("glr-window", 8)?;
-        let glr_cfg =
-            GlrConfig { max_window: glr_window, ..GlrConfig::new(glr_threshold, sketch_seed) };
-        let slot_bins =
-            read_intervals(&path, interval / glr_slots as u32, KeySpec::DstIp, ValueSpec::Bytes)?;
-        let n_intervals = slot_bins.len().div_ceil(glr_slots);
-        let mut config = EngineConfig::new(detector, shards).with_glr(glr_cfg);
-        if pipeline {
-            config = config.with_pipeline();
-        }
-        if let Some(t) = &telemetry {
-            config = config.with_metrics(Arc::clone(&t.pipeline));
-        }
-        let mut engine = ShardedEngine::new(config)?;
-        let empty: Vec<(u64, f64)> = Vec::new();
-        for t in 0..n_intervals {
-            for s in 0..glr_slots {
-                let items = slot_bins.get(t * glr_slots + s).unwrap_or(&empty);
-                engine.push_slice_parallel(items, source_threads)?;
-                engine.end_glr_slot();
-                for e in engine.take_glr_events() {
-                    print_glr_event(&e);
-                }
-            }
-            if let Some(report) = engine.end_interval_overlapped()? {
-                emit_report(&report, top, &mut telemetry, &mut sink)?;
-            }
-            for e in engine.take_glr_events() {
-                print_glr_event(&e);
-            }
-        }
-        if let Some(report) = engine.drain()? {
-            emit_report(&report, top, &mut telemetry, &mut sink)?;
-        }
-        for e in engine.take_glr_events() {
-            print_glr_event(&e);
-        }
-        if let Some(t) = telemetry {
-            t.finish()?;
-        }
-        if let Some(s) = sink {
-            s.finish()?;
-        }
-        return Ok(());
-    }
-
-    if shards > 1 || pipeline {
-        // Sharded ingest through the bulk path; linearity makes the
-        // reports bit-identical to the single-threaded detector below.
-        // With --pipeline, detection runs on its own thread, overlapped
-        // with the next interval's ingest — same reports, same bits.
-        // With --source-threads N > 1, routing fans out over N producer
-        // threads (push_slice_parallel), still bit-identical.
-        let mut config = EngineConfig::new(detector, shards);
-        if pipeline {
-            config = config.with_pipeline();
-        }
-        if let Some(t) = &telemetry {
-            config = config.with_metrics(Arc::clone(&t.pipeline));
-        }
-        let mut engine = ShardedEngine::new(config)?;
-        for items in &intervals {
-            engine.push_slice_parallel(items, source_threads)?;
-            if let Some(report) = engine.end_interval_overlapped()? {
-                emit_report(&report, top, &mut telemetry, &mut sink)?;
-            }
-        }
-        if let Some(report) = engine.drain()? {
-            emit_report(&report, top, &mut telemetry, &mut sink)?;
-        }
-        if let Some(t) = telemetry {
-            t.finish()?;
-        }
-        if let Some(s) = sink {
-            s.finish()?;
-        }
-        return Ok(());
-    }
-    let mut det = SketchChangeDetector::new(detector);
-    if let Some(t) = &telemetry {
-        // Single-threaded run: no engine stages to time, but the detector
-        // counters/gauges (and the JSONL/scrape surfaces) still work.
-        det.set_metrics(Arc::clone(&t.pipeline.detector));
-    }
-    for items in &intervals {
-        let report = det.process_interval(items);
-        emit_report(&report, top, &mut telemetry, &mut sink)?;
-    }
-    if let Some(t) = telemetry {
-        t.finish()?;
-    }
-    if let Some(s) = sink {
-        s.finish()?;
-    }
-    Ok(())
+    // One engine whatever the flags: a single inline shard is the
+    // single-threaded detector, bit for bit (linearity; `update_batch` is
+    // `update`), and every other shape — shards, a detect thread
+    // overlapped with ingest, producer threads on the routing hop, GLR
+    // slots — is the same reports from the same loop.
+    let mut out = setup.open()?;
+    let mut engine = setup.engine(&out, |config| config)?;
+    run_intervals(&mut engine, &bins, &setup, std::time::Duration::ZERO, &mut out)?;
+    out.finish()
 }
 
 fn print_glr_event(e: &GlrEvent) {
@@ -714,12 +734,13 @@ fn print_glr_event(e: &GlrEvent) {
     }
 }
 
-fn print_alarms(interval: usize, alarms: impl Iterator<Item = (u64, f64)>, top: usize) {
-    for (i, (key, err)) in alarms.take(top).enumerate() {
+fn print_alarms(interval: usize, alarms: &[Alarm], top: usize) {
+    for (i, alarm) in alarms.iter().take(top).enumerate() {
         if i == 0 {
             outln!("interval {interval}:");
         }
-        outln!("  ALARM {:<16} error {:+.0} bytes", format_ipv4(key as u32), err);
+        let ip = format_ipv4(alarm.key as u32);
+        outln!("  ALARM {ip:<16} error {:+.0} bytes", alarm.estimated_error);
     }
 }
 
@@ -730,16 +751,14 @@ fn sketch(flags: &Flags) -> CliResult {
     let interval: u32 = flags.require("interval")?;
     let at: usize = flags.require("at")?;
     let out: String = flags.require("out")?;
-    let h: usize = flags.get("h", 5)?;
-    let k: usize = flags.get("k", 32_768)?;
-    let sketch_seed: u64 = flags.get("sketch-seed", 0x5CD)?;
+    let setup = Setup::from_flags(flags, 0, 1)?;
+    flags.done()?;
 
-    let records = read_trace(&path)?;
-    let intervals = segment_records(&records, interval, KeySpec::DstIp, ValueSpec::Bytes);
+    let intervals = read_intervals(&path, interval)?;
     let items = intervals.get(at).ok_or_else(|| {
         FlagError(format!("interval {at} beyond trace ({} intervals)", intervals.len()))
     })?;
-    let mut s = scd_sketch::KarySketch::new(SketchConfig { h, k, seed: sketch_seed });
+    let mut s = scd_sketch::KarySketch::new(setup.sketch);
     for &(key, value) in items {
         s.update(key, value);
     }
@@ -756,6 +775,8 @@ fn sketch(flags: &Flags) -> CliResult {
 /// the distributed workflow. Optionally answers a point query on the sum.
 fn combine(flags: &Flags) -> CliResult {
     let out: String = flags.require("out")?;
+    let query = flags.raw("query");
+    flags.done()?;
     if flags.positional.is_empty() {
         return Err(FlagError("combine needs at least one sketch file".into()).into());
     }
@@ -775,7 +796,7 @@ fn combine(flags: &Flags) -> CliResult {
         flags.positional.len(),
         sum.sum()
     );
-    if let Some(q) = flags.raw("query") {
+    if let Some(q) = query {
         let key: u64 = parse_ip_or_key(q)?;
         outln!("estimate[{q}] = {:.0}", sum.estimate(key));
     }
@@ -790,13 +811,8 @@ fn combine(flags: &Flags) -> CliResult {
 fn stream(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
     let interval: u32 = flags.require("interval")?;
-    let model = ModelSpec::parse(&flags.require::<String>("model")?)?;
-    let h: usize = flags.get("h", 5)?;
-    let k: usize = flags.get("k", 32_768)?;
-    let threshold: f64 = flags.get("threshold", 0.05)?;
-    let sketch_seed: u64 = flags.get("sketch-seed", 0x5CD)?;
-    let top: usize = flags.get("top", 10)?;
     let capacity: usize = flags.get("capacity", 4096)?;
+    let setup = Setup::from_flags(flags, STREAM, 1)?;
 
     let overload = match flags.raw("policy").unwrap_or("block") {
         "block" => OverloadPolicy::Block,
@@ -808,14 +824,10 @@ fn stream(flags: &Flags) -> CliResult {
             if !(rate > 0.0 && rate <= 1.0) {
                 return Err(FlagError(format!("sample rate {rate} not in (0, 1]")).into());
             }
-            OverloadPolicy::Sample { rate, seed: sketch_seed ^ 0xFA11 }
+            OverloadPolicy::Sample { rate, seed: setup.sketch.seed ^ 0xFA11 }
         }
         other => return Err(FlagError(format!("unknown policy '{other}'")).into()),
     };
-    let checkpoint = flags.raw("checkpoint").map(|file| CheckpointPolicy {
-        path: file.into(),
-        every_intervals: flags.get("every", 10).unwrap_or(10),
-    });
 
     // --chunked streams the binary trace through ChunkedTraceReader in
     // fixed-size chunks (constant memory, no global sort). Generated
@@ -826,6 +838,7 @@ fn stream(flags: &Flags) -> CliResult {
     if chunked && path.ends_with(".csv") {
         return Err(FlagError("--chunked requires a binary trace".into()).into());
     }
+    flags.done()?;
     let records = if chunked {
         Vec::new()
     } else {
@@ -834,22 +847,15 @@ fn stream(flags: &Flags) -> CliResult {
         r
     };
 
-    let mut telemetry = Telemetry::from_flags(flags)?;
+    let mut out = setup.open()?;
     let handle = spawn_supervised(SupervisorConfig {
         stream: StreamingConfig {
-            detector: DetectorConfig {
-                sketch: SketchConfig { h, k, seed: sketch_seed },
-                model,
-                threshold,
-                key_strategy: KeyStrategy::TwoPass,
-            },
+            engine: setup.engine_config(&out),
             interval_ms: u64::from(interval) * 1000,
             key: KeySpec::DstIp,
             value: ValueSpec::Bytes,
             channel_capacity: capacity,
             overload,
-            checkpoint,
-            metrics: telemetry.as_ref().map(|t| Arc::clone(&t.pipeline)),
         },
         restart: RestartPolicy::default(),
         fault: None,
@@ -868,9 +874,7 @@ fn stream(flags: &Flags) -> CliResult {
                 return Ok(false); // detector gave up; shutdown() reports why
             }
             while let Some(report) = handle.reports().try_recv() {
-                if let Some(t) = telemetry.as_mut() {
-                    t.snapshot(report.interval as u64)?;
-                }
+                out.record(report.interval as u64, &report)?;
                 reports.push(report);
             }
             while let Some(event) = handle.events().try_recv() {
@@ -902,21 +906,15 @@ fn stream(flags: &Flags) -> CliResult {
     }
     let (tail_reports, tail_events, processed) =
         handle.shutdown().map_err(|e| FlagError(format!("stream failed: {e}")))?;
-    if let Some(t) = telemetry.as_mut() {
-        for report in &tail_reports {
-            t.snapshot(report.interval as u64)?;
-        }
+    for report in &tail_reports {
+        out.record(report.interval as u64, report)?;
     }
     reports.extend(tail_reports);
     events.extend(tail_events);
 
     outln!("streamed {n_records} records; detector processed {processed}");
     for report in &reports {
-        print_alarms(
-            report.interval,
-            report.alarms.iter().map(|a| (a.key, a.estimated_error)),
-            top,
-        );
+        print_alarms(report.interval, &report.alarms, setup.top);
         let drops = report.drops;
         if drops.lost() > 0 || drops.sampled_in > 0 {
             outln!(
@@ -928,7 +926,13 @@ fn stream(flags: &Flags) -> CliResult {
             );
         }
     }
-    for event in &events {
+    print_lifecycle(&events);
+    out.finish()
+}
+
+/// What a supervised detect stage announced, one line an event.
+fn print_lifecycle(events: &[LifecycleEvent]) {
+    for event in events {
         match event {
             LifecycleEvent::Started => {}
             LifecycleEvent::CheckpointWritten { intervals } => {
@@ -937,10 +941,6 @@ fn stream(flags: &Flags) -> CliResult {
             other => outln!("lifecycle: {other:?}"),
         }
     }
-    if let Some(t) = telemetry {
-        t.finish()?;
-    }
-    Ok(())
 }
 
 /// Dumps metrics in the Prometheus text exposition format: live from a
@@ -949,14 +949,16 @@ fn stream(flags: &Flags) -> CliResult {
 /// Either way the output is validated before it is printed, so a
 /// rendering bug fails loudly instead of feeding a scraper garbage.
 fn metrics(flags: &Flags) -> CliResult {
-    if let Some(addr) = flags.raw("addr") {
+    let (addr, from) = (flags.raw("addr"), flags.raw("from"));
+    flags.done()?;
+    if let Some(addr) = addr {
         let body = scd_obs::fetch(addr)?;
         scd_obs::validate_exposition(&body).map_err(FlagError)?;
         outln!("{}", body.trim_end_matches('\n'));
         return Ok(());
     }
-    let path: String = flags.require("from")?;
-    let text = std::fs::read_to_string(&path)?;
+    let path = from.ok_or_else(|| FlagError("missing required flag --from".into()))?;
+    let text = std::fs::read_to_string(path)?;
     let last = text
         .lines()
         .rev()
@@ -993,10 +995,6 @@ fn ingest_node(flags: &Flags) -> CliResult {
     let node: u32 = flags.require("node")?;
     let nodes: u32 = flags.require("nodes")?;
     let addr: String = flags.require("connect")?;
-    let h: usize = flags.get("h", 5)?;
-    let k: usize = flags.get("k", 32_768)?;
-    let sketch_seed: u64 = flags.get("sketch-seed", 0x5CD)?;
-    let shards: usize = flags.get("shards", 2)?;
     let retries: u32 = flags.get("retries", 8)?;
     let finish_timeout: u64 = flags.get("finish-timeout-secs", 60)?;
     let spool_dir = match flags.raw("spool") {
@@ -1007,16 +1005,17 @@ fn ingest_node(flags: &Flags) -> CliResult {
         Some(spec) => Some(scd_traffic::NetFaultPlan::parse(spec).map_err(FlagError)?),
         None => None,
     };
+    let setup = Setup::from_flags(flags, INGEST_NODE, 2)?;
+    flags.done()?;
 
-    let telemetry = Telemetry::from_flags(flags)?;
-    let metrics = telemetry.as_ref().map(|t| scd_net::NetMetrics::register(&t.registry));
-    let records = read_trace(&path)?;
-    let intervals = segment_records(&records, interval, KeySpec::DstIp, ValueSpec::Bytes);
+    let out = setup.open()?;
+    let metrics = out.metrics.as_ref().map(|(registry, _)| scd_net::NetMetrics::register(registry));
+    let intervals = read_intervals(&path, interval)?;
     let mut ingest = scd_net::IngestNode::new(scd_net::NodeConfig {
         node,
         nodes,
-        sketch: SketchConfig { h, k, seed: sketch_seed },
-        shards,
+        sketch: setup.sketch,
+        shards: setup.shards,
         addr,
         spool_dir,
         retry: RestartPolicy { max_restarts: retries, ..RestartPolicy::default() },
@@ -1033,9 +1032,7 @@ fn ingest_node(flags: &Flags) -> CliResult {
         summary.intervals_total,
         summary.unacked.len()
     );
-    if let Some(t) = telemetry {
-        t.finish()?;
-    }
+    out.finish()?;
     if !summary.unacked.is_empty() {
         return Err(FlagError(format!(
             "intervals never acknowledged by the aggregator: {:?}",
@@ -1054,48 +1051,27 @@ fn ingest_node(flags: &Flags) -> CliResult {
 fn aggregate(flags: &Flags) -> CliResult {
     let listen: String = flags.require("listen")?;
     let nodes: u32 = flags.require("nodes")?;
-    let model = ModelSpec::parse(&flags.require::<String>("model")?)?;
-    let h: usize = flags.get("h", 5)?;
-    let k: usize = flags.get("k", 32_768)?;
-    let threshold: f64 = flags.get("threshold", 0.05)?;
-    let sketch_seed: u64 = flags.get("sketch-seed", 0x5CD)?;
-    let top: usize = flags.get("top", 10)?;
     let grace_ms: u64 = flags.get("grace-ms", 500)?;
     let node_timeout_ms: u64 = flags.get("node-timeout-ms", 2000)?;
     let timeout_secs: u64 = flags.get("timeout-secs", 60)?;
-    let checkpoint = flags.raw("checkpoint").map(|file| scd_net::CheckpointEvery {
-        path: file.into(),
-        every: flags.get("every", 10).unwrap_or(10),
-    });
+    let setup = Setup::from_flags(flags, AGGREGATE, 1)?;
+    flags.done()?;
 
-    let mut telemetry = Telemetry::from_flags(flags)?;
-    let mut sink = ReportSink::from_flags(flags)?;
-    let metrics = telemetry.as_ref().map(|t| scd_net::NetMetrics::register(&t.registry));
+    let mut out = setup.open()?;
     let config = scd_net::AggregatorConfig {
         grace: std::time::Duration::from_millis(grace_ms),
         node_deadline: std::time::Duration::from_millis(node_timeout_ms),
         run_timeout: std::time::Duration::from_secs(timeout_secs),
-        checkpoint,
-        metrics,
-        ..scd_net::AggregatorConfig::new(
-            DetectorConfig {
-                sketch: SketchConfig { h, k, seed: sketch_seed },
-                model,
-                threshold,
-                key_strategy: KeyStrategy::TwoPass,
-            },
-            nodes,
-        )
+        checkpoint: setup.checkpoint.clone(),
+        metrics: out.metrics.as_ref().map(|(registry, _)| scd_net::NetMetrics::register(registry)),
+        detect_metrics: out.metrics.as_ref().map(|(_, pipeline)| Arc::clone(pipeline)),
+        ..scd_net::AggregatorConfig::new(setup.detector(), nodes)
     };
     let aggregator = scd_net::Aggregator::bind(config, &listen)?;
     eprintln!("aggregating {nodes} nodes on {}", aggregator.local_addr()?);
     let summary = aggregator.run()?;
     for emitted in &summary.intervals {
-        print_alarms(
-            emitted.report.interval,
-            emitted.report.alarms.iter().map(|a| (a.key, a.estimated_error)),
-            top,
-        );
+        print_alarms(emitted.report.interval, &emitted.report.alarms, setup.top);
         if !emitted.missing.is_empty() || !emitted.recovered.is_empty() {
             outln!(
                 "  interval {}: PARTIAL missing nodes {:?}, recovered from parity {:?}",
@@ -1104,12 +1080,7 @@ fn aggregate(flags: &Flags) -> CliResult {
                 emitted.recovered
             );
         }
-        if let Some(t) = telemetry.as_mut() {
-            t.snapshot(emitted.interval)?;
-        }
-        if let Some(s) = sink.as_mut() {
-            s.write(&emitted.report)?;
-        }
+        out.record(emitted.interval, &emitted.report)?;
     }
     outln!(
         "emitted {} intervals ({} resumed from checkpoint, {} detector restarts)",
@@ -1117,12 +1088,8 @@ fn aggregate(flags: &Flags) -> CliResult {
         summary.resumed_from,
         summary.detector_restarts
     );
-    if let Some(t) = telemetry {
-        t.finish()?;
-    }
-    if let Some(s) = sink {
-        s.finish()?;
-    }
+    print_lifecycle(&summary.events);
+    out.finish()?;
     if summary.timed_out {
         return Err(FlagError("run timed out before every node finished".into()).into());
     }
@@ -1137,60 +1104,30 @@ fn aggregate(flags: &Flags) -> CliResult {
 fn archive(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
     let interval: u32 = flags.require("interval")?;
-    let model = ModelSpec::parse(&flags.require::<String>("model")?)?;
-    let out: String = flags.require("out")?;
-    let shards: usize = flags.get("shards", 4)?;
-    let h: usize = flags.get("h", 5)?;
-    let k: usize = flags.get("k", 32_768)?;
-    let threshold: f64 = flags.get("threshold", 0.05)?;
-    let sketch_seed: u64 = flags.get("sketch-seed", 0x5CD)?;
-    let budget: usize = flags.get("budget", 64)?;
-    let full_resolution: usize = flags.get("full-res", 8)?;
-    let keys_per_epoch: usize = flags.get("keys", 64)?;
-    let top: usize = flags.get("top", 10)?;
+    let file: String = flags.require("out")?;
+    let setup = Setup::from_flags(flags, ARCHIVE, 4)?;
+    flags.done()?;
 
-    let records = read_trace(&path)?;
-    let intervals = segment_records(&records, interval, KeySpec::DstIp, ValueSpec::Bytes);
-    let mut engine = ShardedEngine::new(
-        EngineConfig::new(
-            DetectorConfig {
-                sketch: SketchConfig { h, k, seed: sketch_seed },
-                model,
-                threshold,
-                key_strategy: KeyStrategy::TwoPass,
-            },
-            shards,
-        )
-        .with_archive(ArchiveConfig {
-            max_sketches: budget,
-            full_resolution,
-            keys_per_epoch,
-        }),
-    )?;
+    let intervals = read_intervals(&path, interval)?;
+    let archive = setup.archive.expect("ARCHIVE honours the archive flags");
+    let mut out = setup.open()?;
+    let mut engine = setup.engine(&out, |config| config.with_archive(archive))?;
     outln!(
-        "archiving {} intervals of {interval}s across {shards} shards (budget {budget} sketches)",
-        intervals.len()
+        "archiving {} intervals of {interval}s across {} shards (budget {} sketches)",
+        intervals.len(),
+        setup.shards,
+        archive.max_sketches
     );
-    for items in &intervals {
-        // Bulk-route the whole interval, then cut it: the hot path stays
-        // inside push_slice (batched hashing, recycled buffers).
-        engine.push_slice(items)?;
-        let report = engine.end_interval()?;
-        print_alarms(
-            report.interval,
-            report.alarms.iter().map(|a| (a.key, a.estimated_error)),
-            top,
-        );
-    }
+    run_intervals(&mut engine, &intervals, &setup, std::time::Duration::ZERO, &mut out)?;
     let archive = engine.take_archive().expect("engine built with an archive");
     let (from, to) = archive.coverage().unwrap_or((0, 0));
     outln!(
-        "archive: intervals [{from}, {to}) in {} epochs, {:.1} KiB -> {out}",
+        "archive: intervals [{from}, {to}) in {} epochs, {:.1} KiB -> {file}",
         archive.sketch_count(),
         archive.memory_bytes() as f64 / 1024.0
     );
-    scd_archive::wire::write_atomic(&archive, std::path::Path::new(&out))?;
-    Ok(())
+    scd_archive::wire::write_atomic(&archive, std::path::Path::new(&file))?;
+    out.finish()
 }
 
 /// One key-history line, shared verbatim between offline `scd query` and
@@ -1222,6 +1159,8 @@ fn query(flags: &Flags) -> CliResult {
     let to: u64 = flags.require("to")?;
     let threshold: f64 = flags.get("threshold", 0.05)?;
     let top: usize = flags.get("top", 10)?;
+    let (estimate, key) = (flags.raw("estimate"), flags.raw("key"));
+    flags.done()?;
 
     let archive = scd_archive::wire::load(std::path::Path::new(&path))?;
     // An archive with no epochs (the detector never warmed up before the
@@ -1231,7 +1170,7 @@ fn query(flags: &Flags) -> CliResult {
         outln!("no data: archive holds no epochs (model never warmed up)");
         return Ok(());
     };
-    if let Some(q) = flags.raw("estimate") {
+    if let Some(q) = estimate {
         let key = parse_ip_or_key(q)?;
         let range = archive.range_sketch(from, to)?;
         outln!(
@@ -1243,7 +1182,7 @@ fn query(flags: &Flags) -> CliResult {
         outln!("  ESTIMATE {q} = {}", range.sketch.estimate(key));
         return Ok(());
     }
-    if let Some(q) = flags.raw("key") {
+    if let Some(q) = key {
         let key = parse_ip_or_key(q)?;
         let history = archive.key_history(key, from, to)?;
         outln!("history of {q} over [{from}, {to}) (archive covers [{lo}, {hi})):");
@@ -1279,21 +1218,10 @@ fn query(flags: &Flags) -> CliResult {
 fn serve(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
     let interval: u32 = flags.require("interval")?;
-    let model = ModelSpec::parse(&flags.require::<String>("model")?)?;
     let listen: String = flags.require("listen")?;
-    let shards: usize = flags.get("shards", 1)?;
-    let pipeline = flags.has("pipeline");
-    let h: usize = flags.get("h", 5)?;
-    let k: usize = flags.get("k", 32_768)?;
-    let threshold: f64 = flags.get("threshold", 0.05)?;
-    let sketch_seed: u64 = flags.get("sketch-seed", 0x5CD)?;
-    let budget: usize = flags.get("budget", 64)?;
-    let full_resolution: usize = flags.get("full-res", 8)?;
-    let keys_per_epoch: usize = flags.get("keys", 64)?;
-    let top: usize = flags.get("top", 10)?;
     let pace_ms: u64 = flags.get("pace-ms", 0)?;
     let linger_secs: u64 = flags.get("linger-secs", 0)?;
-    let out = flags.raw("out");
+    let dump = flags.raw("out");
     // Read-path knobs: background rebuild and the answer cache default
     // on; --sync-rebuild / --no-cache turn them off (used by the soak
     // and CI equivalence checks, and available for debugging).
@@ -1303,36 +1231,24 @@ fn serve(flags: &Flags) -> CliResult {
         scd_serve::RebuildMode::Background
     };
     let server_options = scd_serve::ServerOptions { cache: !flags.has("no-cache") };
+    let setup = Setup::from_flags(flags, ARCHIVE, 1)?;
+    flags.done()?;
 
-    let records = read_trace(&path)?;
-    let intervals = segment_records(&records, interval, KeySpec::DstIp, ValueSpec::Bytes);
-    let archive_cfg = ArchiveConfig { max_sketches: budget, full_resolution, keys_per_epoch };
-
-    let mut telemetry = Telemetry::from_flags(flags)?;
-    let serve_metrics = telemetry.as_ref().map(|t| scd_serve::ServeMetrics::register(&t.registry));
+    let intervals = read_intervals(&path, interval)?;
+    let archive = setup.archive.expect("ARCHIVE honours the archive flags");
+    let mut out = setup.open()?;
+    let serve_metrics =
+        out.metrics.as_ref().map(|(registry, _)| scd_serve::ServeMetrics::register(registry));
     let plane =
-        scd_serve::ServingPlane::with_options(archive_cfg, serve_metrics.clone(), rebuild_mode)?;
-
-    let mut config = EngineConfig::new(
-        DetectorConfig {
-            sketch: SketchConfig { h, k, seed: sketch_seed },
-            model,
-            threshold,
-            key_strategy: KeyStrategy::TwoPass,
-        },
-        shards,
-    )
-    .with_observer(Arc::clone(&plane) as Arc<dyn scd_core::IntervalObserver>);
-    if out.is_some() {
-        config = config.with_archive(archive_cfg);
-    }
-    if pipeline {
-        config = config.with_pipeline();
-    }
-    if let Some(t) = &telemetry {
-        config = config.with_metrics(Arc::clone(&t.pipeline));
-    }
-    let mut engine = ShardedEngine::new(config)?;
+        scd_serve::ServingPlane::with_options(archive, serve_metrics.clone(), rebuild_mode)?;
+    let mut engine = setup.engine(&out, |config| {
+        let config =
+            config.with_observer(Arc::clone(&plane) as Arc<dyn scd_core::IntervalObserver>);
+        match dump {
+            Some(_) => config.with_archive(archive),
+            None => config,
+        }
+    })?;
 
     let server = scd_serve::QueryServer::bind_with(
         &listen,
@@ -1345,36 +1261,24 @@ fn serve(flags: &Flags) -> CliResult {
         "serving {} intervals of {interval}s on {} ({} shards{})",
         intervals.len(),
         server.addr(),
-        shards,
-        if pipeline { ", pipelined" } else { "" }
+        setup.shards,
+        if setup.pipeline { ", pipelined" } else { "" }
     );
 
-    for items in &intervals {
-        engine.push_slice(items)?;
-        if let Some(report) = engine.end_interval_overlapped()? {
-            emit_report(&report, top, &mut telemetry, &mut None)?;
-        }
-        if pace_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(pace_ms));
-        }
-    }
-    if let Some(report) = engine.drain()? {
-        emit_report(&report, top, &mut telemetry, &mut None)?;
-    }
+    // `--pace-ms` leaves a query window after every interval.
+    let pace = std::time::Duration::from_millis(pace_ms);
+    run_intervals(&mut engine, &intervals, &setup, pace, &mut out)?;
     if linger_secs > 0 {
         eprintln!("replay done; serving for {linger_secs}s more");
         std::thread::sleep(std::time::Duration::from_secs(linger_secs));
     }
-    if let Some(out) = out {
+    if let Some(file) = dump {
         let archive = engine.take_archive().expect("engine built with an archive");
-        scd_archive::wire::write_atomic(&archive, std::path::Path::new(out))?;
-        outln!("archive dumped to {out}");
+        scd_archive::wire::write_atomic(&archive, std::path::Path::new(file))?;
+        outln!("archive dumped to {file}");
     }
     drop(server);
-    if let Some(t) = telemetry {
-        t.finish()?;
-    }
-    Ok(())
+    out.finish()
 }
 
 /// Asks a running `scd serve` one question over the `SCDQ` protocol and
@@ -1386,31 +1290,29 @@ fn ask(flags: &Flags) -> CliResult {
     let top: usize = flags.get("top", 10)?;
     let wait_secs: u64 = flags.get("wait-secs", 0)?;
 
-    let request = if let Some(q) = flags.raw("estimate") {
+    let estimate = flags.raw("estimate");
+    let history = flags.raw("history");
+    let window =
+        || -> Result<(u64, u64), FlagError> { Ok((flags.require("from")?, flags.require("to")?)) };
+    let request = if let Some(q) = estimate {
         let key = parse_ip_or_key(q)?;
-        let from: u64 = flags.get("from", 0)?;
-        let to: u64 = flags.get("to", 0)?;
-        Request::Estimate { key, from, to }
+        Request::Estimate { key, from: flags.get("from", 0)?, to: flags.get("to", 0)? }
     } else if flags.has("changed") {
-        Request::ChangedKeys {
-            from: flags.require("from")?,
-            to: flags.require("to")?,
-            threshold: flags.get("threshold", 0.05)?,
-        }
-    } else if let Some(q) = flags.raw("history") {
-        Request::KeyHistory {
-            key: parse_ip_or_key(q)?,
-            from: flags.require("from")?,
-            to: flags.require("to")?,
-        }
+        let (from, to) = window()?;
+        Request::ChangedKeys { from, to, threshold: flags.get("threshold", 0.05)? }
+    } else if let Some(q) = history {
+        let (from, to) = window()?;
+        Request::KeyHistory { key: parse_ip_or_key(q)?, from, to }
     } else if flags.has("range") {
-        Request::RangeSketch { from: flags.require("from")?, to: flags.require("to")? }
+        let (from, to) = window()?;
+        Request::RangeSketch { from, to }
     } else {
         return Err(FlagError(
             "ask needs one of --estimate KEY | --changed | --history KEY | --range".into(),
         )
         .into());
     };
+    flags.done()?;
 
     // Optionally wait for the server to come up (the CI smoke job starts
     // `scd serve` in the background and races it).
@@ -1435,7 +1337,7 @@ fn ask(flags: &Flags) -> CliResult {
             return Err(FlagError(format!("server answered{at}: {message}")).into());
         }
         Response::Estimate { as_of, live, value, error_bound } => {
-            let q = flags.raw("estimate").expect("estimate request came from --estimate");
+            let q = estimate.expect("estimate request came from --estimate");
             if live {
                 outln!(
                     "live estimate as of interval {as_of} (slim-sketch bound {error_bound:.3e}):"

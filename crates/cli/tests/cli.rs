@@ -123,6 +123,52 @@ fn helpful_errors() {
     assert!(!ok);
     assert!(stderr.contains("bogus"), "{stderr}");
 
+    // A flag the command does not honour is rejected by name — before
+    // anything is written — instead of being silently ignored.
+    let trace = temp_trace("flags");
+    let trace_s = trace.to_str().unwrap();
+    let (_, stderr, ok) = run(scd()
+        .args(["generate", "--profile", "small", "--hours", "0.1", "--interval", "60"])
+        .args(["--out", trace_s, "--seed", "9"]));
+    assert!(ok, "generate failed: {stderr}");
+    let replay = ["--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"];
+    let (_, stderr, ok) = run(scd()
+        .arg("stream")
+        .args(replay)
+        .args(["--shards", "4", "--pipeline", "--glr", "4", "--strategy", "next"])
+        .args(["--no-such-flag", "7"]));
+    assert!(!ok, "stream accepted flags it cannot act on");
+    assert!(
+        stderr.contains("unknown flag --glr, --no-such-flag, --pipeline for 'scd stream'"),
+        "{stderr}"
+    );
+    let (_, stderr, ok) = run(scd().arg("detect").args(replay).args(["--policy", "bogus"]));
+    assert!(!ok, "detect accepted --policy");
+    assert!(stderr.contains("unknown flag --policy for 'scd detect'"), "{stderr}");
+    let digest = trace.with_extension("rep");
+    let (stdout, stderr, ok) = run(scd().arg("detect").args(replay).args([
+        "--report-out",
+        digest.to_str().unwrap(),
+        "--sharts",
+        "2",
+    ]));
+    assert!(!ok && stderr.contains("unknown flag --sharts"), "{stderr}");
+    assert!(stdout.is_empty() && !digest.exists(), "a rejected run must not start: {stdout}");
+    // ... and one it does honour is acted on: `archive` used to drop every
+    // one of these on the floor and exit 0 with no metrics file.
+    let (hist, metrics) = (trace.with_extension("scda"), trace.with_extension("jsonl"));
+    let (_, stderr, ok) = run(scd()
+        .arg("archive")
+        .args(replay)
+        .args(["--out", hist.to_str().unwrap(), "--pipeline", "--strategy", "sampled:0.1"])
+        .args(["--metrics", metrics.to_str().unwrap()]));
+    assert!(ok, "archive failed: {stderr}");
+    let snapshots = std::fs::read_to_string(&metrics).expect("archive --metrics wrote no file");
+    assert_eq!(snapshots.lines().count(), 6, "one snapshot line per interval:\n{snapshots}");
+    for p in [&trace, &hist, &metrics] {
+        std::fs::remove_file(p).ok();
+    }
+
     // CSV round trip: generate csv, info reads it.
     let trace = temp_trace("csvgen");
     let csv = trace.with_extension("csv");

@@ -118,6 +118,12 @@ impl<T> Sender<T> {
     }
 }
 
+impl<T> std::fmt::Debug for Sender<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Sender").finish_non_exhaustive()
+    }
+}
+
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
         self.shared.state.lock().expect("channel lock").senders += 1;

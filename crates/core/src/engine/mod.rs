@@ -1,0 +1,842 @@
+//! Sharded parallel ingest: N worker threads, one merged sketch, exactly
+//! the single-threaded answer.
+//!
+//! The paper's sketch module is embarrassingly parallel *because the
+//! sketch is linear* (§3.1): partition the interval's update stream by
+//! key across `N` workers, let each fold its share into a private k-ary
+//! sketch over the shared hash family, and COMBINE the per-shard
+//! sketches with coefficient 1 at the interval boundary. Per-cell,
+//! COMBINE is a sum, and sums don't care how the stream was partitioned
+//! — the merged sketch equals the one a single thread would have built.
+//! With integer update values (packet and byte counts) every cell is an
+//! exact integer sum below 2⁵³, so the equality is **bit for bit**, and
+//! the detector's reports — estimates, `ESTIMATEF2`, alarms — are
+//! *identical* to the single-threaded pipeline's, not merely close.
+//! `tests/engine.rs` asserts exactly that, strategy by strategy.
+//!
+//! Design notes:
+//!
+//! * Workers are long-lived `std::thread`s fed update batches over the
+//!   bounded channels of [`crate::channel`] — one queue per shard, so a
+//!   slow shard back-pressures only its own feeder, and batching keeps
+//!   the channel's mutex off the per-update hot path. Workers fold each
+//!   batch with `KarySketch::update_batch` (hash the block row-major,
+//!   then scatter one `K`-sized row at a time) and return the spent
+//!   `Vec` on a recycle channel, so steady-state ingest allocates
+//!   nothing per batch.
+//! * Keys are partitioned by the SplitMix64 finalizer
+//!   ([`scd_hash::mix64`]) — not `key % N`, which stripes sequential IP
+//!   keys — followed by Lemire multiply-shift range reduction
+//!   ([`scd_hash::range_reduce`]): no division anywhere on the per-update
+//!   path. `scd_traffic::shard::shard_of_key` mirrors this exact mix so
+//!   externally pre-partitioned traces land as the engine would route
+//!   them.
+//! * The main thread keeps the key log for error reconstruction; workers
+//!   only ever see `(key, value)` pairs, so the merge point is the
+//!   *only* synchronization per interval. The log's shape is gated by
+//!   the key strategy: `TwoPass` keeps the §3.3 arrival-order replay
+//!   list, while `Sampled`/`NextInterval` — whose detection pass dedups
+//!   before querying — keep only first-seen-order *distinct* keys
+//!   (bounded by the key population, not the record count, and
+//!   bit-identical because deduplication is idempotent).
+//! * When an [`ArchiveConfig`] is supplied, every interval's forecast
+//!   error sketch `Se(t)` — handed back by
+//!   [`SketchChangeDetector::process_observed_archiving`](crate::SketchChangeDetector::process_observed_archiving) — is pushed
+//!   into a [`SketchArchive`] keyed by detector interval, with the
+//!   report's top error keys as the epoch's directory entries. Warm-up
+//!   intervals (no error sketch yet) are back-filled with zero sketches
+//!   so archive interval indices always equal detector intervals.
+//!
+//! The module is split along its seams: `route` decides which shard an
+//! update goes to and what the key log keeps; `workers` is the ingest
+//! half ([`ShardedIngest`]: shard workers, recycle pool, the close
+//! barrier); `stage` is the detect side ([`DetectStage`]: detector,
+//! archive, observer, supervision); `slots` is the GLR layer; and this
+//! file is the public [`ShardedEngine`], which joins an ingest half to a
+//! stage — inline, or across a detect thread.
+
+mod route;
+mod slots;
+mod stage;
+#[cfg(test)]
+mod tests;
+mod workers;
+
+pub use slots::GlrEngineSnapshot;
+pub use stage::{notable_keys, DetectStage, IntervalObserver, MEMORY_BASE_EVERY};
+pub use workers::ShardedIngest;
+
+use crate::channel::{bounded, Receiver, Sender};
+use crate::checkpoint::Checkpoint;
+use crate::detector::{DetectorConfig, DetectorSnapshot, IntervalReport};
+use crate::glr::{GlrConfig, GlrEvent, GlrRestoreError};
+use crate::supervisor::Supervision;
+use crate::telemetry::PipelineMetrics;
+use route::KeyLog;
+use scd_archive::{ArchiveConfig, ArchiveError, SketchArchive};
+use scd_obs::Stopwatch;
+use scd_sketch::KarySketch;
+use slots::GlrRuntime;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use workers::{merge_shards, recycle_shards};
+
+/// Configuration for a [`ShardedEngine`].
+#[derive(Debug, Clone)]
+pub struct EngineConfig {
+    /// Worker thread count `N ≥ 1`. `1` degenerates to the
+    /// single-threaded pipeline plus one handoff (the bench baseline).
+    pub shards: usize,
+    /// Updates per batch message. Larger batches amortize channel
+    /// locking; smaller ones bound worker lag at interval boundaries.
+    pub batch: usize,
+    /// Per-shard queue capacity in batches. A full queue back-pressures
+    /// [`ShardedEngine::push`] (blocking send), never drops.
+    pub queue_capacity: usize,
+    /// The detection pipeline the merged sketches feed.
+    pub detector: DetectorConfig,
+    /// When set, archive every interval's error sketch for historical
+    /// change queries.
+    pub archive: Option<ArchiveConfig>,
+    /// When true, detection runs on a dedicated thread so shard workers
+    /// ingest interval `t + 1` while forecast/threshold/key-scoring runs
+    /// for interval `t`. Reports are bit-identical to the sequential
+    /// engine's; [`ShardedEngine::end_interval_overlapped`] delivers them
+    /// with a one-interval lag.
+    pub pipeline: bool,
+    /// When set, the engine records per-stage timings, queue depths and
+    /// throughput counters into these metrics (and hands the detector its
+    /// share). Telemetry never changes a report: ingestion and detection
+    /// are bit-identical with metrics on or off.
+    pub metrics: Option<Arc<PipelineMetrics>>,
+    /// When set, the observer is invoked at every interval close with the
+    /// report and the interval's error sketch — the hook a serving plane
+    /// uses to publish read-optimized snapshots. Observing never changes
+    /// a report.
+    pub observer: Option<Arc<dyn IntervalObserver>>,
+    /// When set, a [`GlrDetector`](crate::glr::GlrDetector) rides the ingest path: every pushed
+    /// update also feeds the sequential statistic, and
+    /// [`ShardedEngine::end_glr_slot`] closes base slots mid-interval.
+    /// Provisional alarms surface through
+    /// [`ShardedEngine::take_glr_events`] only — `IntervalReport`s are
+    /// bit-identical with this layer on or off.
+    pub glr: Option<GlrConfig>,
+    /// When set, the detect stage runs supervised: detector panics are
+    /// absorbed (restart base, silent replay, retry) within the restart
+    /// budget, the stage checkpoints on the policy's cadence and resumes
+    /// from an existing checkpoint at start-up. Supervision never changes
+    /// a report.
+    pub supervision: Option<Supervision>,
+}
+
+impl EngineConfig {
+    /// A config with the default batching parameters (512-update
+    /// batches, 8 batches in flight per shard), no archive, and
+    /// sequential (non-pipelined) detection.
+    pub fn new(detector: DetectorConfig, shards: usize) -> Self {
+        EngineConfig {
+            shards,
+            batch: 512,
+            queue_capacity: 8,
+            detector,
+            archive: None,
+            pipeline: false,
+            metrics: None,
+            observer: None,
+            glr: None,
+            supervision: None,
+        }
+    }
+
+    /// Enables the multi-resolution error-sketch archive.
+    pub fn with_archive(mut self, archive: ArchiveConfig) -> Self {
+        self.archive = Some(archive);
+        self
+    }
+
+    /// Runs detection on a dedicated thread, overlapped with ingest.
+    pub fn with_pipeline(mut self) -> Self {
+        self.pipeline = true;
+        self
+    }
+
+    /// Enables pipeline telemetry.
+    pub fn with_metrics(mut self, metrics: Arc<PipelineMetrics>) -> Self {
+        self.metrics = Some(metrics);
+        self
+    }
+
+    /// Attaches an interval observer (e.g. a serving plane's snapshot
+    /// publisher).
+    pub fn with_observer(mut self, observer: Arc<dyn IntervalObserver>) -> Self {
+        self.observer = Some(observer);
+        self
+    }
+
+    /// Enables the sub-interval GLR sequential-detection layer.
+    pub fn with_glr(mut self, glr: GlrConfig) -> Self {
+        self.glr = Some(glr);
+        self
+    }
+
+    /// Runs the detect stage under supervision.
+    pub fn with_supervision(mut self, supervision: Supervision) -> Self {
+        self.supervision = Some(supervision);
+        self
+    }
+}
+
+/// Errors from the sharded engine.
+#[derive(Debug)]
+pub enum EngineError {
+    /// A structurally invalid [`EngineConfig`].
+    BadConfig(String),
+    /// A worker thread died (panicked) — its queue is disconnected. The
+    /// engine cannot guarantee the interval's sketch is complete.
+    WorkerLost {
+        /// Index of the dead shard.
+        shard: usize,
+    },
+    /// The pipelined detect thread died (panicked); in-flight intervals
+    /// and their reports are lost.
+    DetectorLost,
+    /// A supervised detector exhausted its restart budget.
+    DetectorGaveUp {
+        /// Panics absorbed before giving up.
+        attempts: u32,
+    },
+    /// The archive rejected a push or was misconfigured.
+    Archive(ArchiveError),
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::BadConfig(why) => write!(f, "invalid engine config: {why}"),
+            EngineError::WorkerLost { shard } => write!(f, "shard {shard} worker died"),
+            EngineError::DetectorLost => write!(f, "pipelined detect thread died"),
+            EngineError::DetectorGaveUp { attempts } => {
+                write!(f, "detector gave up after absorbing {attempts} panics")
+            }
+            EngineError::Archive(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
+impl From<ArchiveError> for EngineError {
+    fn from(e: ArchiveError) -> Self {
+        EngineError::Archive(e)
+    }
+}
+
+/// Messages for the pipelined detect thread. Processed strictly in send
+/// order, which is what makes mid-pipeline snapshots well-defined: a
+/// `Snapshot` request reflects every interval handed off before it, even
+/// ones still being processed when the request was sent.
+enum DetectMsg {
+    /// A closed interval: the per-shard sketches (in shard order), the
+    /// interval's key log, and what a supervised stage carries into a
+    /// checkpoint written after it.
+    Interval { sketches: Vec<KarySketch>, keys: Vec<u64>, carry: Carry },
+    /// Checkpoint request: reply with the detector's snapshot.
+    Snapshot(Sender<DetectorSnapshot>),
+    /// Hand the archive back (end of run). Subsequent intervals are no
+    /// longer archived.
+    TakeArchive(Sender<Option<SketchArchive<KarySketch>>>),
+}
+
+/// What rides along with a closed interval for a supervised stage: the
+/// driver's stream position once the interval is done and, under GLR with
+/// a checkpoint path, the GLR runtime's state at the close.
+struct Carry {
+    next_interval: Option<u64>,
+    processed: u64,
+    glr: Option<Box<GlrEngineSnapshot>>,
+}
+
+impl Carry {
+    fn hand_to(self, stage: &mut DetectStage) {
+        stage.set_position(self.next_interval, self.processed);
+        if let Some(glr) = self.glr {
+            stage.carry_glr(*glr);
+        }
+    }
+}
+
+/// Where detection runs: inline on the caller's thread (sequential, the
+/// default) or on a dedicated thread overlapped with ingest.
+enum DetectBackend {
+    Inline {
+        /// Boxed: the stage carries the detector's recycled workspaces
+        /// inline, dwarfing the `Pipelined` variant otherwise.
+        stage: Box<DetectStage>,
+        /// Recycled merge destination — the "observed" sketch. `None`
+        /// only before the first interval.
+        merged: Option<KarySketch>,
+    },
+    Pipelined {
+        /// `Option` so `Drop` can hang up before joining.
+        detect_tx: Option<Sender<DetectMsg>>,
+        report_rx: Receiver<Result<IntervalReport, EngineError>>,
+        /// Emptied shard-sketch containers coming back for reuse.
+        vec_return: Receiver<Vec<KarySketch>>,
+        /// Intervals handed off whose reports have not been received.
+        in_flight: usize,
+        thread: Option<JoinHandle<()>>,
+    },
+}
+
+/// The pipelined detect thread: owns the stage, merges shard sketches
+/// into a recycled buffer, runs the turnover, returns cleared sketches to
+/// the workers, and ships one report per interval.
+fn detect_loop(
+    mut stage: DetectStage,
+    spare_txs: Vec<Sender<KarySketch>>,
+    detect_rx: Receiver<DetectMsg>,
+    report_tx: Sender<Result<IntervalReport, EngineError>>,
+    vec_return: Sender<Vec<KarySketch>>,
+    metrics: Option<Arc<PipelineMetrics>>,
+) {
+    let mut merged = KarySketch::with_rows(Arc::clone(stage.rows()));
+    while let Ok(msg) = detect_rx.recv() {
+        match msg {
+            DetectMsg::Interval { mut sketches, keys, carry } => {
+                let sw = Stopwatch::start();
+                merge_shards(&mut merged, &mut sketches);
+                if let Some(m) = &metrics {
+                    m.engine.combine_ns.record(sw.elapsed_ns());
+                }
+                recycle_shards(&mut sketches, &spare_txs);
+                let _ = vec_return.try_send(sketches);
+                carry.hand_to(&mut stage);
+                let result = stage.observe(&merged, keys);
+                if report_tx.send(result).is_err() {
+                    break; // engine gone
+                }
+            }
+            DetectMsg::Snapshot(reply) => {
+                let _ = reply.send(stage.detector().snapshot());
+            }
+            DetectMsg::TakeArchive(reply) => {
+                let _ = reply.send(stage.archive.take());
+            }
+        }
+    }
+}
+
+/// The sharded parallel ingest engine: feed updates with
+/// [`push`](Self::push), close each interval with
+/// [`end_interval`](Self::end_interval) (or, in pipeline mode,
+/// [`end_interval_overlapped`](Self::end_interval_overlapped) +
+/// [`drain`](Self::drain)), read reports identical to the
+/// single-threaded detector's.
+pub struct ShardedEngine {
+    ingest: ShardedIngest,
+    detect: DetectBackend,
+    /// Telemetry sink; `None` keeps every metric branch off the hot path.
+    metrics: Option<Arc<PipelineMetrics>>,
+    /// Interval-close observer, flushed by [`drain`](Self::drain).
+    observer: Option<Arc<dyn IntervalObserver>>,
+    /// Sub-interval GLR sequential detection, fed on the ingest thread.
+    glr: Option<GlrRuntime>,
+    /// Whether each close carries the GLR runtime's state to the stage
+    /// (GLR under supervision with a checkpoint path). A pipelined engine
+    /// that does waits for each interval's own report: no overlap.
+    carries_glr: bool,
+    /// Intervals closed so far, resumed ones included.
+    closed: u64,
+    /// Where the checkpoint this engine started from says the driver's
+    /// stream stood: the event-time index of the interval in flight.
+    resumed_interval: Option<u64>,
+    /// The driver's stream position for the next close, when it set one.
+    position: Option<(Option<u64>, u64)>,
+}
+
+impl std::fmt::Debug for ShardedEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut d = f.debug_struct("ShardedEngine");
+        d.field("shards", &self.shards()).field("records_total", &self.records_total());
+        match &self.detect {
+            DetectBackend::Inline { stage, .. } => {
+                d.field("intervals_processed", &stage.emitted());
+            }
+            DetectBackend::Pipelined { in_flight, .. } => {
+                d.field("pipeline", &true).field("in_flight", in_flight);
+            }
+        }
+        d.finish()
+    }
+}
+
+impl ShardedEngine {
+    /// Spawns the worker pool. Workers live for the engine's lifetime —
+    /// interval boundaries reuse them; nothing is spawned per interval.
+    /// Under [`Supervision`] with a checkpoint path, an existing usable
+    /// checkpoint is resumed from: the detector, the GLR layer,
+    /// [`records_total`](Self::records_total) and the driver's
+    /// [`resumed_interval`](Self::resumed_interval) all continue from it.
+    ///
+    /// # Errors
+    /// [`EngineError::BadConfig`] for zero shards/batch/queue, or an
+    /// archive config that cannot sustain compaction.
+    pub fn new(config: EngineConfig) -> Result<Self, EngineError> {
+        let (stage, resumed) = DetectStage::from_config(&config)?;
+        let mut ingest = ShardedIngest::build(
+            Arc::clone(stage.rows()),
+            KeyLog::for_strategy(&config.detector.key_strategy),
+            config.shards,
+            config.batch,
+            config.queue_capacity,
+            config.metrics.clone(),
+        )?;
+        let mut glr = config.glr.clone().map(GlrRuntime::new);
+        let closed = stage.emitted();
+        if let Some(Checkpoint { glr: Some((_, snapshot)), .. }) = &resumed {
+            // The stage only resumes from a checkpoint written under this
+            // engine's own GLR configuration.
+            let runtime = glr.as_mut().expect("checkpoint GLR section matches the config");
+            runtime
+                .restore(snapshot.clone())
+                .map_err(|e| EngineError::BadConfig(format!("checkpoint GLR section: {e}")))?;
+        }
+        let mut resumed_interval = None;
+        if let Some(ck) = resumed {
+            (resumed_interval, ingest.records_total) = (ck.next_interval, ck.processed);
+        }
+        let carries_glr = glr.is_some()
+            && config.supervision.as_ref().is_some_and(|sup| sup.checkpoint.is_some());
+        let detect = if config.pipeline {
+            // Depth-1 interval queue: ingest can run at most one interval
+            // ahead of detection (the double buffer), and a full queue
+            // back-pressures the handoff instead of growing memory.
+            let (detect_tx, detect_rx) = bounded::<DetectMsg>(1);
+            // Reports outstanding never exceed intervals in flight
+            // (queue + processing + handoff), so the detect thread never
+            // blocks here during shutdown.
+            let (report_tx, report_rx) = bounded::<Result<IntervalReport, EngineError>>(4);
+            let (vec_tx, vec_rx) = bounded::<Vec<KarySketch>>(2);
+            let spare_txs = ingest.spare_txs();
+            let metrics = config.metrics.clone();
+            let thread = std::thread::Builder::new()
+                .name("scd-detect".into())
+                .spawn(move || {
+                    detect_loop(stage, spare_txs, detect_rx, report_tx, vec_tx, metrics);
+                })
+                .expect("spawn detect thread");
+            DetectBackend::Pipelined {
+                detect_tx: Some(detect_tx),
+                report_rx,
+                vec_return: vec_rx,
+                in_flight: 0,
+                thread: Some(thread),
+            }
+        } else {
+            DetectBackend::Inline { stage: Box::new(stage), merged: None }
+        };
+        Ok(ShardedEngine {
+            ingest,
+            detect,
+            metrics: config.metrics,
+            observer: config.observer,
+            glr,
+            carries_glr,
+            closed,
+            resumed_interval,
+            position: None,
+        })
+    }
+
+    /// Worker count.
+    pub fn shards(&self) -> usize {
+        self.ingest.shards
+    }
+
+    /// Whether detection runs on its own thread, overlapped with ingest.
+    pub fn is_pipelined(&self) -> bool {
+        matches!(self.detect, DetectBackend::Pipelined { .. })
+    }
+
+    /// A checkpointable snapshot of the detector, in either mode. In
+    /// pipeline mode this round-trips through the detect thread's
+    /// message queue, so it reflects every interval handed off so far —
+    /// including one still in flight — making mid-pipeline checkpoints
+    /// well-defined.
+    ///
+    /// # Errors
+    /// [`EngineError::DetectorLost`] if the detect thread has died.
+    pub fn detector_snapshot(&mut self) -> Result<DetectorSnapshot, EngineError> {
+        match &mut self.detect {
+            DetectBackend::Inline { stage, .. } => Ok(stage.detector().snapshot()),
+            DetectBackend::Pipelined { detect_tx, .. } => {
+                let (reply_tx, reply_rx) = bounded(1);
+                detect_tx
+                    .as_ref()
+                    .expect("sender live until drop")
+                    .send(DetectMsg::Snapshot(reply_tx))
+                    .map_err(|_| EngineError::DetectorLost)?;
+                reply_rx.recv().map_err(|_| EngineError::DetectorLost)
+            }
+        }
+    }
+
+    /// The error-sketch archive, if configured. `None` in pipeline mode
+    /// (the archive lives on the detect thread — use
+    /// [`take_archive`](Self::take_archive) after draining).
+    pub fn archive(&self) -> Option<&SketchArchive<KarySketch>> {
+        match &self.detect {
+            DetectBackend::Inline { stage, .. } => stage.archive.as_ref(),
+            DetectBackend::Pipelined { .. } => None,
+        }
+    }
+
+    /// Takes ownership of the archive (e.g. to persist it via
+    /// `scd_archive::wire::write_atomic` after a run). Subsequent
+    /// intervals are no longer archived. In pipeline mode this waits for
+    /// every interval already handed off (call
+    /// [`drain`](Self::drain) first to collect their reports).
+    pub fn take_archive(&mut self) -> Option<SketchArchive<KarySketch>> {
+        match &mut self.detect {
+            DetectBackend::Inline { stage, .. } => stage.archive.take(),
+            DetectBackend::Pipelined { detect_tx, .. } => {
+                let (reply_tx, reply_rx) = bounded(1);
+                detect_tx.as_ref()?.send(DetectMsg::TakeArchive(reply_tx)).ok()?;
+                reply_rx.recv().ok().flatten()
+            }
+        }
+    }
+
+    /// Total updates pushed over the engine's lifetime — and, for an
+    /// engine resumed from a checkpoint, over the lifetimes before it.
+    pub fn records_total(&self) -> u64 {
+        self.ingest.records_total()
+    }
+
+    /// Intervals closed so far, resumed ones included: the interval index
+    /// the next close's report will carry (one less under `NextInterval`).
+    pub fn intervals_closed(&self) -> u64 {
+        self.closed
+    }
+
+    /// The event-time index of the interval the driver was accumulating
+    /// when the checkpoint this engine resumed from was written (its record
+    /// count is [`records_total`](Self::records_total)); `None` for a fresh
+    /// start.
+    pub fn resumed_interval(&self) -> Option<u64> {
+        self.resumed_interval
+    }
+
+    /// Tells the engine where the driver's stream will stand once the
+    /// next closed interval is done; a checkpoint written after that
+    /// interval records it. A driver that does not track event time need
+    /// not call this: the default is the closed-interval count and
+    /// [`records_total`](Self::records_total).
+    pub fn set_stream_position(&mut self, next_interval: Option<u64>, processed: u64) {
+        self.position = Some((next_interval, processed));
+    }
+
+    /// Routes one update to its shard. Blocks (backpressure) if that
+    /// shard's queue is full — the engine never silently drops.
+    ///
+    /// # Errors
+    /// [`EngineError::WorkerLost`] if the shard's worker has died.
+    #[inline]
+    pub fn push(&mut self, key: u64, value: f64) -> Result<(), EngineError> {
+        if let Some(glr) = &mut self.glr {
+            glr.det.observe(key, value);
+        }
+        self.ingest.push(key, value)
+    }
+
+    /// Routes a whole slice of updates — the bulk form of
+    /// [`push`](Self::push), and the API the CLI and trace replay feed
+    /// (see [`ShardedIngest::push_slice`]).
+    ///
+    /// # Errors
+    /// [`EngineError::WorkerLost`] if a shard's worker has died.
+    pub fn push_slice(&mut self, items: &[(u64, f64)]) -> Result<(), EngineError> {
+        if let Some(glr) = &mut self.glr {
+            glr.det.observe_slice(items);
+        }
+        self.ingest.push_slice(items)
+    }
+
+    /// Multi-producer bulk push (see
+    /// [`ShardedIngest::push_slice_parallel`]). The GLR layer always
+    /// observes in stream order, regardless of how the routing hop is
+    /// parallelized.
+    ///
+    /// # Errors
+    /// [`EngineError::WorkerLost`] if a shard's worker has died.
+    pub fn push_slice_parallel(
+        &mut self,
+        items: &[(u64, f64)],
+        producers: usize,
+    ) -> Result<(), EngineError> {
+        if let Some(glr) = &mut self.glr {
+            glr.det.observe_slice(items);
+        }
+        self.ingest.push_slice_parallel(items, producers)
+    }
+
+    /// Interval-boundary bookkeeping shared by both backends: closes the
+    /// GLR layer's interval and says what a supervised stage carries into
+    /// a checkpoint written after this one.
+    fn note_interval_close(&mut self) -> Carry {
+        if let Some(glr) = &mut self.glr {
+            glr.note_interval_close(self.metrics.as_deref());
+        }
+        self.closed += 1;
+        let (next_interval, processed) =
+            self.position.take().unwrap_or((Some(self.closed), self.records_total()));
+        let glr = self.glr.as_ref().filter(|_| self.carries_glr).map(|g| Box::new(g.snapshot()));
+        Carry { next_interval, processed, glr }
+    }
+
+    /// Sequential-mode interval close: merge and detect on this thread,
+    /// reusing the merge buffer and returning cleared shard sketches to
+    /// the workers — steady state allocates nothing on the turnover path.
+    fn end_interval_inline(&mut self) -> Result<IntervalReport, EngineError> {
+        let carry = self.note_interval_close();
+        let DetectBackend::Inline { stage, merged } = &mut self.detect else {
+            unreachable!("inline close on pipelined backend")
+        };
+        let observed =
+            merged.get_or_insert_with(|| KarySketch::with_rows(Arc::clone(stage.rows())));
+        let keys = self.ingest.close_into(observed)?;
+        carry.hand_to(stage);
+        let result = stage.observe(&*observed, keys);
+        if let Ok(report) = &result {
+            self.glr_on_report(report);
+        }
+        result
+    }
+
+    /// Pipeline-mode handoff: flush the shards, ship the interval's
+    /// sketches and key log to the detect thread, and return immediately
+    /// so ingest of the next interval overlaps detection of this one.
+    fn ship_interval(&mut self) -> Result<(), EngineError> {
+        let carry = self.note_interval_close();
+        let mut bufs = match &mut self.detect {
+            DetectBackend::Pipelined { vec_return, .. } => {
+                vec_return.try_recv().unwrap_or_default()
+            }
+            DetectBackend::Inline { .. } => unreachable!("handoff on inline backend"),
+        };
+        let keys = self.ingest.close(&mut bufs)?;
+        let DetectBackend::Pipelined { detect_tx, in_flight, .. } = &mut self.detect else {
+            unreachable!("handoff on inline backend")
+        };
+        detect_tx
+            .as_ref()
+            .expect("sender live until drop")
+            .send(DetectMsg::Interval { sketches: bufs, keys, carry })
+            .map_err(|_| EngineError::DetectorLost)?;
+        *in_flight += 1;
+        Ok(())
+    }
+
+    /// Receives one outstanding report from the detect thread (blocking).
+    fn recv_report(&mut self) -> Result<IntervalReport, EngineError> {
+        let report = {
+            let DetectBackend::Pipelined { report_rx, in_flight, .. } = &mut self.detect else {
+                unreachable!("no reports outstanding on inline backend")
+            };
+            let report = report_rx.recv().map_err(|_| EngineError::DetectorLost)?;
+            *in_flight -= 1;
+            report
+        };
+        if let Ok(r) = &report {
+            self.glr_on_report(r);
+        }
+        report
+    }
+
+    /// Whether a GLR sequential-detection layer is running
+    /// ([`EngineConfig::with_glr`]).
+    pub fn glr_enabled(&self) -> bool {
+        self.glr.is_some()
+    }
+
+    /// Closes the current GLR base slot and runs the sequential statistic
+    /// over the slot window. Call once per sub-interval boundary (e.g.
+    /// every `interval / slots` seconds of trace time). A provisional
+    /// alarm, if raised, is queued both for event pickup
+    /// ([`take_glr_events`](Self::take_glr_events)) and for
+    /// confirm/retract matching against the covering interval's report.
+    /// No-op without a GLR layer.
+    pub fn end_glr_slot(&mut self) {
+        if let Some(glr) = &mut self.glr {
+            glr.close_slot(self.metrics.as_deref());
+        }
+    }
+
+    /// Resolves pending provisional alarms against a freshly delivered
+    /// interval report.
+    fn glr_on_report(&mut self, report: &IntervalReport) {
+        if let Some(glr) = &mut self.glr {
+            glr.on_report(report, self.metrics.as_deref());
+        }
+    }
+
+    /// Drains the GLR event log accumulated since the last call:
+    /// provisional alarms in slot order, interleaved with the
+    /// confirmations and retractions resolved by delivered interval
+    /// reports. Empty without a GLR layer.
+    pub fn take_glr_events(&mut self) -> Vec<GlrEvent> {
+        self.glr.as_mut().map(GlrRuntime::take_events).unwrap_or_default()
+    }
+
+    /// Snapshots the GLR layer — detector state plus the unresolved
+    /// provisional queue and interval bookkeeping — for
+    /// checkpoint/restore. Undrained events are *not* part of the
+    /// snapshot. `None` without a GLR layer.
+    pub fn glr_snapshot(&self) -> Option<GlrEngineSnapshot> {
+        self.glr.as_ref().map(GlrRuntime::snapshot)
+    }
+
+    /// Restores the GLR layer from a snapshot taken by
+    /// [`glr_snapshot`](Self::glr_snapshot). The engine must have been
+    /// built with the same [`GlrConfig`]; resumed processing is bit-exact
+    /// with the uninterrupted run, including mid-window and mid-slot
+    /// interruption points.
+    ///
+    /// # Errors
+    /// [`GlrRestoreError::Config`] when no GLR layer is enabled or the
+    /// snapshot shape disagrees with the config;
+    /// [`GlrRestoreError::FamilyMismatch`] when the snapshot's sketches
+    /// were built over a different hash family.
+    pub fn restore_glr(&mut self, snap: GlrEngineSnapshot) -> Result<(), GlrRestoreError> {
+        let Some(glr) = &mut self.glr else {
+            return Err(GlrRestoreError::Config("engine has no GLR layer enabled".into()));
+        };
+        glr.restore(snap)
+    }
+
+    /// Closes the interval: flushes every shard, merges the per-shard
+    /// sketches in shard order, and runs the detection pipeline on the
+    /// merged observed sketch — then archives the resulting error sketch
+    /// when an archive is configured.
+    ///
+    /// In pipeline mode this waits for the interval's own report (no
+    /// overlap); use
+    /// [`end_interval_overlapped`](Self::end_interval_overlapped) to keep
+    /// ingest and detection concurrent. When mixing the two styles, call
+    /// [`drain`](Self::drain) before this method — a report still pending
+    /// from an earlier overlapped close is otherwise discarded here.
+    ///
+    /// # Errors
+    /// [`EngineError::WorkerLost`] if any worker died mid-interval;
+    /// [`EngineError::DetectorLost`] if the detect thread died;
+    /// [`EngineError::DetectorGaveUp`] if a supervised detector spent its
+    /// restart budget;
+    /// [`EngineError::Archive`] if the archive rejects the error sketch.
+    pub fn end_interval(&mut self) -> Result<IntervalReport, EngineError> {
+        match &self.detect {
+            DetectBackend::Inline { .. } => self.end_interval_inline(),
+            DetectBackend::Pipelined { .. } => {
+                self.ship_interval()?;
+                let report = self.drain()?;
+                Ok(report.expect("interval just shipped yields a report"))
+            }
+        }
+    }
+
+    /// Closes the interval without waiting for its report: ships interval
+    /// `t` to the detect thread and returns interval `t − 1`'s report
+    /// (`None` on the first call, when nothing is finished yet). The
+    /// final interval's report is delivered by [`drain`](Self::drain).
+    ///
+    /// In sequential mode there is nothing to overlap with, so this
+    /// degenerates to [`end_interval`](Self::end_interval) with the
+    /// report wrapped in `Some` — no lag.
+    ///
+    /// # Errors
+    /// As [`end_interval`](Self::end_interval).
+    pub fn end_interval_overlapped(&mut self) -> Result<Option<IntervalReport>, EngineError> {
+        match &self.detect {
+            DetectBackend::Inline { .. } => self.end_interval_inline().map(Some),
+            // The GLR state a close carries into a checkpoint must have seen
+            // every earlier report, so such an engine never runs ahead.
+            DetectBackend::Pipelined { .. } if self.carries_glr => self.end_interval().map(Some),
+            DetectBackend::Pipelined { .. } => {
+                self.ship_interval()?;
+                let outstanding = match &self.detect {
+                    DetectBackend::Pipelined { in_flight, .. } => *in_flight,
+                    DetectBackend::Inline { .. } => unreachable!(),
+                };
+                // Keep exactly one interval in flight: ship t, then wait
+                // for t − 1 (already overlapped with t's ingest).
+                if outstanding > 1 {
+                    self.recv_report().map(Some)
+                } else {
+                    Ok(None)
+                }
+            }
+        }
+    }
+
+    /// Waits for the last in-flight interval and returns its report
+    /// (`None` when nothing is outstanding — always in sequential mode).
+    ///
+    /// # Errors
+    /// [`EngineError::DetectorLost`] if the detect thread died, plus any
+    /// detection/archive error from the drained interval.
+    pub fn drain(&mut self) -> Result<Option<IntervalReport>, EngineError> {
+        let mut last = None;
+        while matches!(&self.detect, DetectBackend::Pipelined { in_flight, .. } if *in_flight > 0) {
+            last = Some(self.recv_report()?);
+        }
+        if let Some(observer) = &self.observer {
+            observer.flush();
+        }
+        Ok(last)
+    }
+
+    /// Convenience: push a whole interval's updates and close it — the
+    /// sharded drop-in for `SketchChangeDetector::process_interval`.
+    ///
+    /// # Errors
+    /// As [`push`](Self::push) and [`end_interval`](Self::end_interval).
+    pub fn process_interval(
+        &mut self,
+        items: &[(u64, f64)],
+    ) -> Result<IntervalReport, EngineError> {
+        self.push_slice(items)?;
+        self.end_interval()
+    }
+
+    /// [`process_interval`](Self::process_interval) with the
+    /// multi-producer source plane: routes via
+    /// [`push_slice_parallel`](Self::push_slice_parallel), then closes the
+    /// interval. Bit-identical reports; the whole source side runs on
+    /// `producers` threads.
+    ///
+    /// # Errors
+    /// As [`push_slice_parallel`](Self::push_slice_parallel) and
+    /// [`end_interval`](Self::end_interval).
+    pub fn process_interval_parallel(
+        &mut self,
+        items: &[(u64, f64)],
+        producers: usize,
+    ) -> Result<IntervalReport, EngineError> {
+        self.push_slice_parallel(items, producers)?;
+        self.end_interval()
+    }
+}
+
+impl Drop for ShardedEngine {
+    fn drop(&mut self) {
+        // The workers first, then the detect thread: dropping its sender
+        // ends its receive loop. Its report queue can absorb every
+        // in-flight interval, so it never blocks on the way out.
+        self.ingest.shutdown();
+        if let DetectBackend::Pipelined { detect_tx, thread, .. } = &mut self.detect {
+            detect_tx.take();
+            if let Some(thread) = thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+}

@@ -100,7 +100,8 @@ pub use detector::{
     SketchChangeDetector,
 };
 pub use engine::{
-    notable_keys, EngineConfig, EngineError, GlrEngineSnapshot, IntervalObserver, ShardedEngine,
+    notable_keys, DetectStage, EngineConfig, EngineError, GlrEngineSnapshot, IntervalObserver,
+    ShardedEngine, ShardedIngest,
 };
 pub use glr::{GlrConfig, GlrDetector, GlrEvent, GlrRestoreError, GlrSnapshot, ProvisionalAlarm};
 pub use gridsearch::{search_model, GridSearchConfig, GridSearchResult};
@@ -115,11 +116,12 @@ pub use sampling::UpdateSampler;
 pub use staggered::{StaggeredAlarm, StaggeredDetector, StaggeredSnapshot};
 pub use stream::{segment_records, StreamSegmenter};
 pub use streaming::{
-    spawn as spawn_streaming, CheckpointPolicy, OverloadPolicy, RecordSender, StreamFault,
-    StreamingConfig, StreamingHandle,
+    spawn as spawn_streaming, OverloadPolicy, RecordSender, StreamFault, StreamingConfig,
+    StreamingHandle,
 };
 pub use supervisor::{
-    spawn_supervised, LifecycleEvent, RestartPolicy, SupervisedHandle, SupervisorConfig,
+    spawn_supervised, CheckpointPolicy, LifecycleEvent, RestartPolicy, SupervisedHandle,
+    Supervision, SupervisorConfig,
 };
 pub use telemetry::{
     DetectorMetrics, EngineMetrics, GlrMetrics, PipelineMetrics, StreamMetrics, SupervisorMetrics,

@@ -26,11 +26,15 @@
 //! unbiased (the paper's §3.3 sampled-stream estimator). Whatever is shed
 //! is counted and surfaced per interval in [`IntervalReport::drops`].
 //!
-//! **Durability** is optional: give [`StreamingConfig::checkpoint`] a path
-//! and a cadence and the detector thread persists a
-//! [`crate::checkpoint::Checkpoint`] atomically every N flushed intervals.
-//! [`crate::supervisor`] builds crash recovery on top of exactly this
-//! file.
+//! **Everything behind the binner is the engine's.** This module is a
+//! driver: it keeps what only a record stream needs — event-time binning,
+//! late-record folding, the advance through empty intervals, the overload
+//! front end and the stamping of [`DropStats`] onto reports — and feeds
+//! each finished interval to a [`ShardedEngine`] built from
+//! [`StreamingConfig::engine`]. Shards, the key strategy, telemetry,
+//! checkpointing and restarts are that engine's configuration
+//! ([`crate::supervisor::Supervision`]); the driver only tells it where
+//! the stream stands, so a checkpoint can carry the position back.
 //!
 //! Shutdown: drop the record sender (or call
 //! [`StreamingHandle::shutdown`]). The detector flushes the final partial
@@ -39,14 +43,11 @@
 //! panic.
 
 use crate::channel::{bounded, Receiver, Sender, TrySendError};
-use crate::checkpoint::Checkpoint;
-use crate::detector::{DetectorConfig, DropStats, IntervalReport, SketchChangeDetector};
+use crate::detector::{DropStats, IntervalReport};
+use crate::engine::{EngineConfig, EngineError, ShardedEngine};
 use crate::sampling::UpdateSampler;
-use crate::supervisor::LifecycleEvent;
-use crate::telemetry::PipelineMetrics;
 use scd_hash::SplitMix64;
-use scd_traffic::{FaultPlan, FlowRecord, KeySpec, ValueSpec};
-use std::path::PathBuf;
+use scd_traffic::{FlowRecord, KeySpec, ValueSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -74,20 +75,12 @@ pub enum OverloadPolicy {
     },
 }
 
-/// When and where the detector thread persists checkpoints.
-#[derive(Debug, Clone)]
-pub struct CheckpointPolicy {
-    /// Checkpoint file; written atomically (temp + rename).
-    pub path: PathBuf,
-    /// Write after every this many flushed intervals (≥ 1).
-    pub every_intervals: u64,
-}
-
 /// Configuration for the streaming front end.
 #[derive(Debug, Clone)]
 pub struct StreamingConfig {
-    /// The underlying detector.
-    pub detector: DetectorConfig,
+    /// The engine every finished interval is fed to: detector, shards,
+    /// telemetry and — through its supervision — checkpointing.
+    pub engine: EngineConfig,
     /// Interval length in milliseconds of event time.
     pub interval_ms: u64,
     /// Key projection from records.
@@ -98,25 +91,19 @@ pub struct StreamingConfig {
     pub channel_capacity: usize,
     /// Overload behaviour of [`RecordSender::send`].
     pub overload: OverloadPolicy,
-    /// Optional periodic checkpointing of the full detector state.
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// When set, the streaming loop records throughput/overload counters,
-    /// detector stats, and (under supervision) lifecycle counters here.
-    /// Never checkpointed: a restored detector re-attaches the same sink.
-    pub metrics: Option<Arc<PipelineMetrics>>,
 }
 
 /// A record admitted into the detector queue, with its sampling weight.
-pub(crate) struct Msg {
-    pub(crate) record: FlowRecord,
-    pub(crate) weight: f64,
+struct Msg {
+    record: FlowRecord,
+    weight: f64,
 }
 
 /// Shared overload counters, drained into [`DropStats`] at each interval
 /// flush. Attribution is approximate by one queue depth: a record shed
 /// while interval `t` is being accumulated is charged to the next report
 /// flushed, which is the best a sender that never sees event time can do.
-pub(crate) struct OverloadCounters {
+struct OverloadCounters {
     dropped: AtomicU64,
     sampled_in: AtomicU64,
     shed: AtomicU64,
@@ -266,175 +253,104 @@ impl StreamingHandle {
 }
 
 /// The streaming binner's position in event time — everything the
-/// detector loop owns besides the detector itself.
-pub(crate) struct BinnerState {
+/// driver loop owns besides the engine.
+struct BinnerState {
     /// `(key, weighted value)` pairs of the interval being accumulated.
-    pub(crate) current: Vec<(u64, f64)>,
+    current: Vec<(u64, f64)>,
     /// Event-time index of the interval being accumulated; fixed by the
-    /// first record.
-    pub(crate) interval_idx: Option<u64>,
+    /// first record (or by the checkpoint resumed from).
+    interval_idx: Option<u64>,
     /// Records processed so far.
-    pub(crate) processed: u64,
-    /// `intervals_processed` at the last checkpoint write.
-    pub(crate) last_checkpoint: u64,
+    processed: u64,
 }
 
 impl BinnerState {
-    pub(crate) fn fresh() -> Self {
-        BinnerState { current: Vec::new(), interval_idx: None, processed: 0, last_checkpoint: 0 }
-    }
-
-    /// Resumes from a checkpoint: the in-flight interval's records are the
-    /// checkpoint gap and are gone; position and counters carry over.
-    pub(crate) fn from_checkpoint(ck: &Checkpoint) -> Self {
-        BinnerState {
-            current: Vec::new(),
-            interval_idx: ck.next_interval,
-            processed: ck.processed,
-            last_checkpoint: ck.snapshot.intervals_processed,
-        }
+    /// Feeds the accumulated interval to the engine and closes it, telling
+    /// the engine where the stream stands once it is done.
+    fn flush(
+        &mut self,
+        engine: &mut ShardedEngine,
+        next_interval: u64,
+    ) -> Result<IntervalReport, EngineError> {
+        engine.push_slice(&self.current)?;
+        self.current.clear();
+        engine.set_stream_position(Some(next_interval), self.processed);
+        engine.end_interval()
     }
 }
 
-/// Everything the detector loop needs besides its mutable state.
-pub(crate) struct LoopContext {
-    pub(crate) config: StreamingConfig,
-    pub(crate) counters: Arc<OverloadCounters>,
-    /// Lifecycle events (checkpoint written / degraded); `None` outside
-    /// supervision.
-    pub(crate) events: Option<Sender<LifecycleEvent>>,
-    /// Test-only fault injection, threaded through the supervisor.
-    pub(crate) fault: Option<FaultPlan>,
-}
-
-/// Why the detector loop returned.
-pub(crate) enum LoopEnd {
-    /// All record senders dropped; final partial interval flushed.
-    InputClosed,
-    /// The report receiver is gone; no point continuing.
-    ReportsGone,
-}
-
-/// The detector loop proper: bin records by event time, flush intervals
-/// through the detector, periodically checkpoint. Runs on the detector
-/// thread; the supervisor calls it inside `catch_unwind` so `detector`
-/// and `binner` live outside and can be rebuilt after a panic.
-pub(crate) fn run_loop(
-    detector: &mut SketchChangeDetector,
+/// The driver loop proper: bin records by event time and flush finished
+/// intervals through the engine. Returns when the input closes, the
+/// report receiver goes away, or the engine fails.
+fn run_loop(
+    engine: &mut ShardedEngine,
     binner: &mut BinnerState,
-    ctx: &LoopContext,
+    config: &StreamingConfig,
+    counters: &OverloadCounters,
     records: &Receiver<Msg>,
     reports: &Sender<IntervalReport>,
-) -> LoopEnd {
-    let interval_ms = ctx.config.interval_ms;
+) -> Result<(), EngineError> {
+    let metrics = config.engine.metrics.as_deref();
     while let Ok(msg) = records.recv() {
         binner.processed += 1;
-        if let Some(m) = &ctx.config.metrics {
+        if let Some(m) = metrics {
             m.stream.records_total.inc();
         }
-        if let Some(fault) = &ctx.fault {
-            fault.before_record(binner.processed);
-        }
-        let t = msg.record.timestamp_ms / interval_ms;
+        let t = msg.record.timestamp_ms / config.interval_ms;
         let idx = *binner.interval_idx.get_or_insert(t);
         if t > idx {
             // Flush the finished interval, then any empty ones the stream
             // skipped over (models advance through silence).
-            let mut report = detector.process_interval(&binner.current);
-            report.drops = ctx.counters.drain();
-            if let Some(m) = &ctx.config.metrics {
+            let mut report = binner.flush(engine, idx + 1)?;
+            report.drops = counters.drain();
+            if let Some(m) = metrics {
                 m.record_drops(&report.drops);
             }
-            binner.current.clear();
             if reports.send(report).is_err() {
-                return LoopEnd::ReportsGone;
+                return Ok(());
             }
-            for _ in (idx + 1)..t {
-                if reports.send(detector.process_interval(&[])).is_err() {
-                    return LoopEnd::ReportsGone;
+            for skipped in (idx + 1)..t {
+                if reports.send(binner.flush(engine, skipped + 1)?).is_err() {
+                    return Ok(());
                 }
             }
             binner.interval_idx = Some(t);
-            maybe_checkpoint(detector, binner, ctx);
         }
         // Late records (t < idx) fold into the current interval.
         binner.current.push((
-            ctx.config.key.key_of(&msg.record),
-            ctx.config.value.value_of(&msg.record) * msg.weight,
+            config.key.key_of(&msg.record),
+            config.value.value_of(&msg.record) * msg.weight,
         ));
     }
     // Senders dropped: flush the final partial interval. Counters are
     // drained unconditionally — even when every tail record was shed or
     // dropped (leaving nothing to process), the counts must surface in a
     // report so `processed + lost == sent` accounting holds.
-    let drops = ctx.counters.drain();
-    if let Some(m) = &ctx.config.metrics {
+    let drops = counters.drain();
+    if let Some(m) = metrics {
         m.record_drops(&drops);
     }
     if !binner.current.is_empty() {
-        let mut report = detector.process_interval(&binner.current);
+        let next = binner.interval_idx.map_or(0, |t| t + 1);
+        let mut report = binner.flush(engine, next)?;
         report.drops = drops;
-        binner.current.clear();
-        binner.interval_idx = binner.interval_idx.map(|t| t + 1);
+        binner.interval_idx = Some(next);
         let _ = reports.send(report);
-        maybe_checkpoint(detector, binner, ctx);
     } else if drops != DropStats::default() {
         // No records to process, so the detector is not advanced; the
         // trailing counts ride out on a synthetic counters-only report.
         let report = IntervalReport {
-            interval: detector.intervals_processed(),
+            interval: engine.intervals_closed() as usize,
             drops,
             ..IntervalReport::default()
         };
         let _ = reports.send(report);
     }
-    LoopEnd::InputClosed
-}
-
-/// Writes a checkpoint if the cadence says so. Write failures degrade
-/// (reported on the event channel when there is one) rather than kill the
-/// detector: losing durability is strictly better than losing detection.
-fn maybe_checkpoint(detector: &SketchChangeDetector, binner: &mut BinnerState, ctx: &LoopContext) {
-    let Some(policy) = &ctx.config.checkpoint else { return };
-    let done = detector.intervals_processed() as u64;
-    if done < binner.last_checkpoint + policy.every_intervals.max(1) {
-        return;
-    }
-    let ck = Checkpoint {
-        config: ctx.config.detector.clone(),
-        snapshot: detector.snapshot(),
-        next_interval: binner.interval_idx,
-        processed: binner.processed,
-        staggered: None,
-        glr: None,
-    };
-    match ck.write_atomic(&policy.path) {
-        // Lifecycle events are best-effort (try_send): an undrained event
-        // channel may lose events, never stall detection.
-        Ok(()) => {
-            binner.last_checkpoint = done;
-            if let Some(m) = &ctx.config.metrics {
-                m.supervisor.checkpoints_total.inc();
-            }
-            if let Some(events) = &ctx.events {
-                let _ = events.try_send(LifecycleEvent::CheckpointWritten { intervals: done });
-            }
-        }
-        Err(e) => {
-            if let Some(m) = &ctx.config.metrics {
-                m.supervisor.degraded_total.inc();
-            }
-            if let Some(events) = &ctx.events {
-                let _ = events.try_send(LifecycleEvent::Degraded {
-                    reason: format!("checkpoint write failed: {e}"),
-                });
-            }
-        }
-    }
+    Ok(())
 }
 
 /// Builds the record channel + counters + sender for a config.
-pub(crate) fn make_front_end(
+fn make_front_end(
     config: &StreamingConfig,
 ) -> (RecordSender, Receiver<Msg>, Arc<OverloadCounters>) {
     assert!(config.interval_ms > 0, "interval must be positive");
@@ -452,6 +368,35 @@ pub(crate) fn make_front_end(
     (sender, rx, counters)
 }
 
+/// Builds the engine and starts the driver thread, which returns the
+/// number of records it processed. An engine whose supervised detector
+/// gave up ends the thread quietly — the lifecycle events say why, and
+/// producers see their sends fail; any other engine failure is a panic
+/// that [`StreamingHandle::shutdown`] reports.
+pub(crate) fn launch(config: StreamingConfig, name: &str) -> StreamingHandle {
+    let (sender, record_rx, counters) = make_front_end(&config);
+    let (report_tx, report_rx) = bounded::<IntervalReport>(64);
+    let mut engine = ShardedEngine::new(config.engine.clone()).expect("valid engine config");
+    // A resumed engine puts the binner back where the checkpoint left it:
+    // the interval then in flight is the checkpoint gap and is gone;
+    // position and counters carry over.
+    let mut binner = BinnerState {
+        current: Vec::new(),
+        interval_idx: engine.resumed_interval(),
+        processed: engine.records_total(),
+    };
+    let thread = std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            match run_loop(&mut engine, &mut binner, &config, &counters, &record_rx, &report_tx) {
+                Ok(()) | Err(EngineError::DetectorGaveUp { .. }) => binner.processed,
+                Err(e) => panic!("{e}"),
+            }
+        })
+        .expect("spawn detector thread");
+    StreamingHandle { records: sender, reports: report_rx, thread }
+}
+
 /// Spawns the detector thread.
 ///
 /// For crash recovery (automatic restart from checkpoints), use
@@ -460,50 +405,34 @@ pub(crate) fn make_front_end(
 ///
 /// # Panics
 /// Panics if `interval_ms == 0`, `channel_capacity == 0`, or the sampling
-/// rate is out of range, or on an invalid detector configuration.
+/// rate is out of range, or on an invalid engine configuration.
 pub fn spawn(config: StreamingConfig) -> StreamingHandle {
-    let (sender, record_rx, counters) = make_front_end(&config);
-    let (report_tx, report_rx) = bounded::<IntervalReport>(64);
-    let mut detector = SketchChangeDetector::new(config.detector.clone());
-    if let Some(m) = &config.metrics {
-        detector.set_metrics(Arc::clone(&m.detector));
-    }
-    let ctx = LoopContext { config, counters, events: None, fault: None };
-
-    let thread = std::thread::Builder::new()
-        .name("scd-streaming-detector".into())
-        .spawn(move || {
-            let mut binner = BinnerState::fresh();
-            run_loop(&mut detector, &mut binner, &ctx, &record_rx, &report_tx);
-            binner.processed
-        })
-        .expect("spawn detector thread");
-
-    StreamingHandle { records: sender, reports: report_rx, thread }
+    launch(config, "scd-streaming-detector")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::KeyStrategy;
+    use crate::detector::{DetectorConfig, KeyStrategy};
     use scd_forecast::ModelSpec;
     use scd_sketch::SketchConfig;
 
     fn config() -> StreamingConfig {
         StreamingConfig {
-            detector: DetectorConfig {
-                sketch: SketchConfig { h: 3, k: 1024, seed: 3 },
-                model: ModelSpec::Ewma { alpha: 0.5 },
-                threshold: 0.3,
-                key_strategy: KeyStrategy::TwoPass,
-            },
+            engine: EngineConfig::new(
+                DetectorConfig {
+                    sketch: SketchConfig { h: 3, k: 1024, seed: 3 },
+                    model: ModelSpec::Ewma { alpha: 0.5 },
+                    threshold: 0.3,
+                    key_strategy: KeyStrategy::TwoPass,
+                },
+                1,
+            ),
             interval_ms: 1_000,
             key: KeySpec::DstIp,
             value: ValueSpec::Bytes,
             channel_capacity: 256,
             overload: OverloadPolicy::Block,
-            checkpoint: None,
-            metrics: None,
         }
     }
 

@@ -1,46 +1,29 @@
-//! Supervised streaming: panic recovery with checkpoint restarts.
+//! Supervision: the policy types of the one restart contract, and the
+//! supervised streaming driver.
 //!
-//! [`spawn`](crate::streaming::spawn) runs the detector on a bare thread —
-//! a panic there surfaces only at shutdown, and everything the detector
-//! knew dies with it. A monitoring deployment wants the opposite: the
-//! detector is the component *least* allowed to disappear, precisely
-//! because it is the thing watching everything else.
-//!
-//! [`spawn_supervised`] wraps the same detector loop in a supervisor that:
-//!
-//! 1. catches panics (`catch_unwind`) instead of unwinding the thread,
-//! 2. restarts the detector from its last on-disk
-//!    [`Checkpoint`] (or fresh, if none),
-//! 3. backs off exponentially between attempts and gives up after a
-//!    configurable budget, and
-//! 4. narrates everything on a dedicated [`LifecycleEvent`] channel, so
-//!    operators observe restarts instead of discovering them.
-//!
-//! Recovery is consulted at **startup** too, not only after a panic: if a
-//! checkpoint file already exists when [`spawn_supervised`] runs, the
-//! detector resumes from it — so a crashed or cleanly stopped *process*
-//! restarted with the same config picks up where it left off instead of
-//! starting over from interval 0.
+//! A monitoring deployment wants the detector to be the component *least*
+//! allowed to disappear, precisely because it is the thing watching
+//! everything else. The restart contract itself — catch the panic, back
+//! off, rebuild at the restart base, silently replay what was retained
+//! since, retry; checkpoint on a cadence; resume from the checkpoint at
+//! start-up; narrate every step — lives in one place, the detect stage
+//! ([`crate::engine::DetectStage`]), and every runtime gets it by setting
+//! [`Supervision`] on its [`EngineConfig`](crate::engine::EngineConfig).
+//! This module holds what that contract is configured with
+//! ([`RestartPolicy`], [`CheckpointPolicy`]), what it announces
+//! ([`LifecycleEvent`]), and [`spawn_supervised`]: the streaming driver
+//! with supervision set and an event receiver.
 //!
 //! The record channel lives *outside* the supervised region: producers
-//! keep their sender across restarts, and records queued at crash time
-//! are delivered to the restarted detector. What is lost is the
-//! checkpoint gap — intervals flushed after the last checkpoint — and the
-//! partially accumulated interval; the restarted detector resumes at the
-//! checkpointed position and re-emits from there, so the report stream
-//! has no holes, only a rewind.
+//! keep their sender across restarts, and nothing they sent is lost or
+//! re-emitted — a restart rebuilds only the detector, at the interval it
+//! had reached.
 
 use crate::channel::{bounded, Receiver, Sender};
-use crate::checkpoint::Checkpoint;
-use crate::detector::{IntervalReport, SketchChangeDetector};
-use crate::streaming::{
-    make_front_end, panic_message, run_loop, BinnerState, LoopContext, RecordSender, StreamFault,
-    StreamingConfig,
-};
+use crate::detector::IntervalReport;
+use crate::streaming::{launch, RecordSender, StreamFault, StreamingConfig, StreamingHandle};
 use scd_traffic::FaultPlan;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// What the supervisor announces on its event channel.
@@ -49,7 +32,7 @@ use std::time::Duration;
 /// channel is allowed to lose events, never to stall detection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LifecycleEvent {
-    /// The detector thread is up and consuming records.
+    /// The supervised stage is up (fresh or resumed).
     Started,
     /// A checkpoint was persisted after this many flushed intervals.
     CheckpointWritten {
@@ -60,8 +43,8 @@ pub enum LifecycleEvent {
     Restarted {
         /// Restart attempt number (1-based).
         attempt: u32,
-        /// Interval count the restarted detector resumed from (0 when no
-        /// checkpoint was available).
+        /// Interval count of the restart base the detector was rebuilt at
+        /// (0 when there was none yet); the intervals since were replayed.
         resumed_intervals: u64,
         /// The panic message that triggered the restart.
         panic: String,
@@ -128,42 +111,70 @@ impl RestartPolicy {
     }
 }
 
+/// When and where a supervised detect stage persists checkpoints.
+#[derive(Debug, Clone)]
+pub struct CheckpointPolicy {
+    /// Checkpoint file; written atomically (temp + rename).
+    pub path: PathBuf,
+    /// Write once this many intervals have gone through since the last
+    /// checkpoint (or the one resumed from); zero counts as one.
+    pub every: u64,
+}
+
+/// Supervision of a detect stage: set on an
+/// [`EngineConfig`](crate::engine::EngineConfig) through
+/// [`with_supervision`](crate::engine::EngineConfig::with_supervision).
+#[derive(Debug, Clone, Default)]
+pub struct Supervision {
+    /// Restart budget and backoff.
+    pub restart: RestartPolicy,
+    /// The checkpoint file a new process resumes from, and the cadence
+    /// the restart base is renewed on. Without one a new process starts
+    /// from interval 0.
+    pub checkpoint: Option<CheckpointPolicy>,
+    /// Test-only fault injection, consulted once per interval inside the
+    /// supervised region, at the driver's stream position. `None` in
+    /// production.
+    pub fault: Option<FaultPlan>,
+    /// Where [`LifecycleEvent`]s go, best-effort.
+    pub events: Option<Sender<LifecycleEvent>>,
+}
+
 /// Configuration of a supervised streaming detector.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// The streaming front end (set [`StreamingConfig::checkpoint`] to
-    /// make restarts resume instead of starting over).
+    /// The streaming front end. Give its engine a [`Supervision`] with a
+    /// [`CheckpointPolicy`] to make a new process resume instead of
+    /// starting over; `restart` and `fault` below override that
+    /// supervision's own.
     pub stream: StreamingConfig,
     /// Restart budget and backoff.
     pub restart: RestartPolicy,
-    /// Test-only fault injection, consulted once per record inside the
-    /// supervised region. `None` in production.
+    /// Test-only fault injection. `None` in production.
     pub fault: Option<FaultPlan>,
 }
 
 /// Handle to a supervised streaming detector.
 pub struct SupervisedHandle {
-    records: RecordSender,
-    reports: Receiver<IntervalReport>,
+    stream: StreamingHandle,
     events: Receiver<LifecycleEvent>,
-    thread: JoinHandle<u64>,
 }
 
 impl SupervisedHandle {
     /// Sends one record under the configured overload policy. Returns
     /// `false` once the supervisor has given up or shut down.
     pub fn send(&self, record: scd_traffic::FlowRecord) -> bool {
-        self.records.send(record)
+        self.stream.send(record)
     }
 
     /// A cloneable sender for feeding records from multiple threads.
     pub fn sender(&self) -> RecordSender {
-        self.records.clone()
+        self.stream.sender()
     }
 
     /// The report stream (survives restarts).
     pub fn reports(&self) -> &Receiver<IntervalReport> {
-        &self.reports
+        self.stream.reports()
     }
 
     /// The lifecycle event stream.
@@ -173,162 +184,32 @@ impl SupervisedHandle {
 
     /// Stops the detector, then drains and returns remaining reports,
     /// all undrained lifecycle events, and the processed-record count.
-    /// `Err` only if the *supervisor itself* panicked, which no detector
-    /// panic can cause.
+    /// `Err` only if the driver thread itself panicked, which no absorbed
+    /// detector panic can cause.
     pub fn shutdown(self) -> Result<(Vec<IntervalReport>, Vec<LifecycleEvent>, u64), StreamFault> {
-        drop(self.records);
-        let reports: Vec<IntervalReport> = self.reports.iter().collect();
-        let events: Vec<LifecycleEvent> = self.events.iter().collect();
-        match self.thread.join() {
-            Ok(processed) => Ok((reports, events, processed)),
-            Err(payload) => Err(StreamFault::Panicked(panic_message(payload.as_ref()))),
-        }
+        let (reports, processed) = self.stream.shutdown()?;
+        Ok((reports, self.events.iter().collect(), processed))
     }
 }
 
-fn emit(events: &Sender<LifecycleEvent>, event: LifecycleEvent) {
-    // Best-effort: losing an event beats stalling the detector.
-    let _ = events.try_send(event);
-}
-
-/// Spawns a streaming detector under supervision.
+/// Spawns a streaming detector under supervision:
+/// [`crate::streaming::spawn`] with [`Supervision`] set on the engine and
+/// the event stream handed back.
 ///
 /// # Panics
 /// Panics on an invalid configuration (same rules as
 /// [`crate::streaming::spawn`]).
 pub fn spawn_supervised(config: SupervisorConfig) -> SupervisedHandle {
-    let (sender, record_rx, counters) = make_front_end(&config.stream);
-    let (report_tx, report_rx) = bounded::<IntervalReport>(64);
-    let (event_tx, event_rx) = bounded::<LifecycleEvent>(256);
-    let restart = config.restart;
-    let ctx = LoopContext {
-        config: config.stream,
-        counters,
-        events: Some(event_tx.clone()),
+    let (event_tx, events) = bounded::<LifecycleEvent>(256);
+    let mut stream = config.stream;
+    let checkpoint = stream.engine.supervision.take().and_then(|sup| sup.checkpoint);
+    stream.engine.supervision = Some(Supervision {
+        restart: config.restart,
+        checkpoint,
         fault: config.fault,
-    };
-
-    let thread = std::thread::Builder::new()
-        .name("scd-supervised-detector".into())
-        .spawn(move || {
-            // Process-level resume: consult the configured checkpoint
-            // *before* the first record, so a restarted process continues
-            // where the previous one left off instead of starting over
-            // (and clobbering the old checkpoint at its first write). An
-            // unusable checkpoint degrades to a fresh start, same as on a
-            // mid-run restart.
-            let (mut detector, mut binner) = match recover(&ctx) {
-                Ok(Some(resumed)) => resumed,
-                Ok(None) => fresh_state(&ctx),
-                Err(reason) => {
-                    if let Some(m) = &ctx.config.metrics {
-                        m.supervisor.degraded_total.inc();
-                    }
-                    emit(&event_tx, LifecycleEvent::Degraded { reason });
-                    fresh_state(&ctx)
-                }
-            };
-            if let Some(m) = &ctx.config.metrics {
-                m.supervisor.started_total.inc();
-            }
-            emit(&event_tx, LifecycleEvent::Started);
-            let mut attempts = 0u32;
-            loop {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_loop(&mut detector, &mut binner, &ctx, &record_rx, &report_tx)
-                }));
-                match outcome {
-                    Ok(_) => break, // input closed or reports dropped: done
-                    Err(payload) => {
-                        attempts += 1;
-                        if attempts > restart.max_restarts {
-                            if let Some(m) = &ctx.config.metrics {
-                                m.supervisor.gave_up_total.inc();
-                            }
-                            emit(&event_tx, LifecycleEvent::GaveUp { attempts: attempts - 1 });
-                            break;
-                        }
-                        let backoff =
-                            restart.backoff_jittered(attempts, ctx.config.detector.sketch.seed);
-                        if let Some(m) = &ctx.config.metrics {
-                            m.supervisor.backoff_ms_total.add(backoff.as_millis() as u64);
-                        }
-                        std::thread::sleep(backoff);
-                        let panic = panic_message(payload.as_ref());
-                        // Rebuild state: from the last checkpoint when one
-                        // is readable, from scratch otherwise. The
-                        // half-mutated detector/binner from the panicked
-                        // run are discarded either way.
-                        match recover(&ctx) {
-                            Ok(Some((d, b))) => {
-                                detector = d;
-                                binner = b;
-                            }
-                            Ok(None) => {
-                                (detector, binner) = fresh_state(&ctx);
-                            }
-                            Err(reason) => {
-                                if let Some(m) = &ctx.config.metrics {
-                                    m.supervisor.degraded_total.inc();
-                                }
-                                emit(&event_tx, LifecycleEvent::Degraded { reason });
-                                (detector, binner) = fresh_state(&ctx);
-                            }
-                        }
-                        if let Some(m) = &ctx.config.metrics {
-                            m.supervisor.restarts_total.inc();
-                        }
-                        emit(
-                            &event_tx,
-                            LifecycleEvent::Restarted {
-                                attempt: attempts,
-                                resumed_intervals: detector.intervals_processed() as u64,
-                                panic,
-                            },
-                        );
-                    }
-                }
-            }
-            binner.processed
-        })
-        .expect("spawn supervisor thread");
-
-    SupervisedHandle { records: sender, reports: report_rx, events: event_rx, thread }
-}
-
-fn fresh_state(ctx: &LoopContext) -> (SketchChangeDetector, BinnerState) {
-    let mut detector = SketchChangeDetector::new(ctx.config.detector.clone());
-    // The metric sink is not detector state and is never checkpointed, so
-    // every rebuild — fresh or restored — re-attaches the same sink.
-    if let Some(m) = &ctx.config.metrics {
-        detector.set_metrics(Arc::clone(&m.detector));
-    }
-    (detector, BinnerState::fresh())
-}
-
-/// Loads the last checkpoint, if checkpointing is configured and a file
-/// exists. `Ok(None)` — nothing to resume from; `Err` — a checkpoint
-/// exists but is unusable (corrupt, or for a different config).
-fn recover(ctx: &LoopContext) -> Result<Option<(SketchChangeDetector, BinnerState)>, String> {
-    let Some(policy) = &ctx.config.checkpoint else {
-        return Ok(None);
-    };
-    if !policy.path.exists() {
-        return Ok(None);
-    }
-    let ck = Checkpoint::load(&policy.path)
-        .map_err(|e| format!("checkpoint unusable, restarting fresh: {e}"))?;
-    if ck.config != ctx.config.detector {
-        return Err("checkpoint is for a different detector config, restarting fresh".into());
-    }
-    let mut detector = ck
-        .restore_detector()
-        .map_err(|e| format!("checkpoint restore failed, restarting fresh: {e}"))?;
-    if let Some(m) = &ctx.config.metrics {
-        detector.set_metrics(Arc::clone(&m.detector));
-    }
-    let binner = BinnerState::from_checkpoint(&ck);
-    Ok(Some((detector, binner)))
+        events: Some(event_tx),
+    });
+    SupervisedHandle { stream: launch(stream, "scd-supervised-detector"), events }
 }
 
 #[cfg(test)]

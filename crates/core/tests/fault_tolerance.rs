@@ -3,9 +3,9 @@
 //! the acceptance criteria of the robustness milestone.
 
 use scd_core::{
-    spawn_streaming, spawn_supervised, Checkpoint, CheckpointPolicy, DetectorConfig, KeyStrategy,
-    LifecycleEvent, OverloadPolicy, RestartPolicy, SketchChangeDetector, StreamingConfig,
-    SupervisorConfig,
+    spawn_streaming, spawn_supervised, Checkpoint, CheckpointPolicy, DetectorConfig, EngineConfig,
+    KeyStrategy, LifecycleEvent, OverloadPolicy, RestartPolicy, SketchChangeDetector,
+    StreamingConfig, Supervision, SupervisorConfig,
 };
 use scd_forecast::ModelSpec;
 use scd_sketch::SketchConfig;
@@ -53,15 +53,17 @@ fn record(ts: u64, dst: u32, bytes: u64) -> FlowRecord {
 }
 
 fn streaming_config(checkpoint: Option<CheckpointPolicy>) -> StreamingConfig {
+    let mut engine = EngineConfig::new(detector_config(), 1);
+    if checkpoint.is_some() {
+        engine = engine.with_supervision(Supervision { checkpoint, ..Supervision::default() });
+    }
     StreamingConfig {
-        detector: detector_config(),
+        engine,
         interval_ms: 1_000,
         key: KeySpec::DstIp,
         value: ValueSpec::Bytes,
         channel_capacity: 256,
         overload: OverloadPolicy::Block,
-        checkpoint,
-        metrics: None,
     }
 }
 
@@ -115,10 +117,7 @@ fn supervised_detector_restarts_from_checkpoint_after_panic() {
     std::fs::remove_file(&path).ok();
     let every = 2u64;
     let handle = spawn_supervised(SupervisorConfig {
-        stream: streaming_config(Some(CheckpointPolicy {
-            path: path.clone(),
-            every_intervals: every,
-        })),
+        stream: streaming_config(Some(CheckpointPolicy { path: path.clone(), every })),
         restart: RestartPolicy::default(),
         // 5 records per interval: record 33 lands mid-interval-6, well
         // after several checkpoints exist.
@@ -221,7 +220,7 @@ fn corrupt_checkpoint_degrades_instead_of_crashing() {
             path: path.clone(),
             // Effectively never write, so the corrupt file stays in place
             // until the crash tries to read it.
-            every_intervals: 1_000_000,
+            every: 1_000_000,
         })),
         restart: RestartPolicy::default(),
         fault: Some(FaultPlan::panic_at(8, "crash into corrupt checkpoint")),
@@ -252,7 +251,7 @@ fn restart_budget_exhaustion_gives_up_cleanly() {
     let registry = scd_obs::Registry::new();
     let metrics = scd_core::PipelineMetrics::register(&registry);
     let mut stream = streaming_config(None);
-    stream.metrics = Some(std::sync::Arc::clone(&metrics));
+    stream.engine.metrics = Some(std::sync::Arc::clone(&metrics));
     let restart = RestartPolicy { max_restarts: 2, backoff_base_ms: 1, backoff_cap_ms: 5 };
     let handle = spawn_supervised(SupervisorConfig {
         stream,
@@ -362,7 +361,7 @@ fn intra_interval_order_is_irrelevant() {
 fn new_process_resumes_from_existing_checkpoint() {
     let path = temp_path("process-resume.ckpt");
     std::fs::remove_file(&path).ok();
-    let policy = || Some(CheckpointPolicy { path: path.clone(), every_intervals: 2 });
+    let policy = || Some(CheckpointPolicy { path: path.clone(), every: 2 });
 
     // First "process": 6 intervals, checkpointed every 2 (and once more at
     // the final flush).

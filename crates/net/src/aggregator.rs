@@ -30,11 +30,11 @@
 
 use crate::frame::{Frame, FrameError, VERSION};
 use crate::metrics::NetMetrics;
-use crate::supervise::{CheckpointEvery, SupervisedDetector};
 use crate::NetError;
 use scd_core::channel::{bounded, Receiver, Sender};
 use scd_core::detector::{DetectorConfig, IntervalReport};
-use scd_core::supervisor::RestartPolicy;
+use scd_core::supervisor::{CheckpointPolicy, LifecycleEvent, RestartPolicy, Supervision};
+use scd_core::{DetectStage, EngineConfig, PipelineMetrics};
 use scd_hash::HashRows;
 use scd_obs::{Budgets, Listener};
 use scd_sketch::{wire, KarySketch};
@@ -79,15 +79,18 @@ pub struct AggregatorConfig {
     /// buffered is flushed through the ladder and the summary is marked
     /// timed out.
     pub run_timeout: Duration,
-    /// Optional detector checkpointing (enables mid-stream restart
-    /// resume, exactly like the PR-1 streaming supervisor).
-    pub checkpoint: Option<CheckpointEvery>,
+    /// Optional detector checkpointing: a restarted aggregator process
+    /// resumes at the checkpointed interval.
+    pub checkpoint: Option<CheckpointPolicy>,
     /// Restart budget for absorbed detector panics.
     pub restart: RestartPolicy,
     /// Test-only detector fault injection (panic/stall per interval).
     pub fault: Option<FaultPlan>,
     /// Optional metric sink.
     pub metrics: Option<Arc<NetMetrics>>,
+    /// Optional metric sink of the detect stage: detector, turnover
+    /// timing and supervisor lifecycle counters.
+    pub detect_metrics: Option<Arc<PipelineMetrics>>,
 }
 
 impl AggregatorConfig {
@@ -105,6 +108,7 @@ impl AggregatorConfig {
             restart: RestartPolicy::default(),
             fault: None,
             metrics: None,
+            detect_metrics: None,
         }
     }
 }
@@ -136,6 +140,9 @@ pub struct AggregateSummary {
     /// Interval index the detector resumed from (0 unless a usable
     /// checkpoint existed at startup).
     pub resumed_from: u64,
+    /// What the detector's supervision announced, in order: checkpoints
+    /// written, restarts, and every degradation.
+    pub events: Vec<LifecycleEvent>,
 }
 
 /// One node's contribution to one interval.
@@ -200,12 +207,16 @@ impl Aggregator {
     /// out. Node loss is *not* an error — it produces recovered or
     /// flagged-partial intervals.
     pub fn run(mut self) -> Result<AggregateSummary, NetError> {
-        let mut detector = SupervisedDetector::new(
-            self.config.detector.clone(),
-            self.config.restart,
-            self.config.checkpoint.clone(),
-            self.config.fault.clone(),
-        )?;
+        let (event_tx, event_rx) = bounded::<LifecycleEvent>(256);
+        let mut stage =
+            EngineConfig::new(self.config.detector.clone(), 1).with_supervision(Supervision {
+                restart: self.config.restart,
+                checkpoint: self.config.checkpoint.clone(),
+                fault: self.config.fault.clone(),
+                events: Some(event_tx),
+            });
+        stage.metrics = self.config.detect_metrics.clone();
+        let (mut detector, _) = DetectStage::from_config(&stage)?;
         let resumed_from = detector.emitted();
         let rows = Arc::clone(detector.rows());
         let (tx, rx) = bounded::<Event>(1024);
@@ -220,15 +231,19 @@ impl Aggregator {
             serve_connection(stream, stop, &tx, &rows, expect, metrics.as_deref());
         });
 
-        let outcome = aggregate_loop(&self.config, &mut detector, &rx, resumed_from);
+        let mut events = Vec::new();
+        let outcome =
+            aggregate_loop(&self.config, &mut detector, &rx, resumed_from, &event_rx, &mut events);
         drop(rx); // unblocks reader threads stuck on a full event queue
         self.listener.shutdown();
         let (intervals, timed_out) = outcome?;
+        events.extend(std::iter::from_fn(|| event_rx.try_recv()));
         Ok(AggregateSummary {
             intervals,
             timed_out,
             detector_restarts: detector.restarts(),
             resumed_from,
+            events,
         })
     }
 }
@@ -241,9 +256,11 @@ struct NodeState {
 
 fn aggregate_loop(
     config: &AggregatorConfig,
-    detector: &mut SupervisedDetector,
+    detector: &mut DetectStage,
     rx: &Receiver<Event>,
     resumed_from: u64,
+    lifecycle: &Receiver<LifecycleEvent>,
+    events: &mut Vec<LifecycleEvent>,
 ) -> Result<(Vec<EmittedInterval>, bool), NetError> {
     let n = config.nodes as usize;
     let rows = Arc::clone(detector.rows());
@@ -329,6 +346,8 @@ fn aggregate_loop(
             next_emit += 1;
             waiting = None;
         }
+        // The lifecycle queue is best-effort and bounded: keep it drained.
+        events.extend(std::iter::from_fn(|| lifecycle.try_recv()));
 
         // Done when every node has signed off (or died) and everything
         // promised or buffered has been emitted.
@@ -397,7 +416,7 @@ fn bump(config: &AggregatorConfig, f: impl FnOnce(&NetMetrics)) {
 /// Walks one interval through recovery and the detector.
 fn emit_one(
     config: &AggregatorConfig,
-    detector: &mut SupervisedDetector,
+    detector: &mut DetectStage,
     rows: &Arc<HashRows>,
     t: u64,
     row: Vec<Option<NodeSlot>>,

@@ -8,7 +8,7 @@
 //! addition into exactly the sketch of the union stream. This crate is
 //! the transport and fault-tolerance layer around that observation:
 //!
-//! * [`IngestNode`] — one vantage point: local `ShardedEngine` ingest,
+//! * [`IngestNode`] — one vantage point: local `ShardedIngest` ingest,
 //!   per-interval `SCDSKT02` sketch frames over TCP, spool-then-send
 //!   reliability with jittered reconnect backoff, and ring-parity
 //!   material so a *lost* node's data remains reconstructible.
@@ -16,9 +16,10 @@
 //!   deadlines, a straggler grace window, `(node, interval)` dedup, and a
 //!   three-step degradation ladder (wait → recover from parity → emit an
 //!   explicitly flagged partial — never silently wrong).
-//! * [`SupervisedDetector`] — the aggregator's one global detector under
-//!   the same panic-absorbing, checkpoint-resuming supervision the PR-1
-//!   streaming pipeline uses, so detection restarts mid-stream.
+//! * [`SupervisedDetector`] — the aggregator's one global detector: the
+//!   same `scd_core` detect stage, under the same panic-absorbing,
+//!   checkpoint-resuming supervision, that every local runtime closes an
+//!   interval through — so detection restarts mid-stream.
 //! * [`Frame`] — the `SCDN` messages, carried in the workspace's shared
 //!   frame envelope (`scd_hash::envelope`).
 //! * [`NetMetrics`] — the plane's `scd-obs` metric inventory (lag,
@@ -49,14 +50,19 @@ pub mod frame;
 pub mod metrics;
 pub mod sender;
 pub mod spool;
-pub mod supervise;
 
 pub use aggregator::{AggregateSummary, Aggregator, AggregatorConfig, EmittedInterval};
 pub use frame::{Frame, FrameError, SCDN, VERSION};
 pub use metrics::{AggregatorMetrics, NetMetrics, SenderMetrics};
 pub use sender::{IngestNode, NodeConfig, NodeSummary};
 pub use spool::SpoolDir;
-pub use supervise::{CheckpointEvery, SupervisedDetector};
+
+/// The aggregator's global detector: `scd_core`'s detect stage, built
+/// supervised ([`DetectStage::new`](scd_core::DetectStage::new)).
+pub use scd_core::DetectStage as SupervisedDetector;
+
+/// Where and how often the aggregator's detector checkpoints.
+pub use scd_core::CheckpointPolicy as CheckpointEvery;
 
 /// Errors of the distributed plane.
 #[derive(Debug)]
@@ -132,6 +138,11 @@ impl From<scd_sketch::SketchError> for NetError {
 
 impl From<scd_core::engine::EngineError> for NetError {
     fn from(e: scd_core::engine::EngineError) -> Self {
-        NetError::Engine(e)
+        match e {
+            scd_core::engine::EngineError::DetectorGaveUp { attempts } => {
+                NetError::DetectorGaveUp { attempts }
+            }
+            e => NetError::Engine(e),
+        }
     }
 }

@@ -25,10 +25,8 @@ use crate::frame::{Frame, SCDN, VERSION};
 use crate::metrics::NetMetrics;
 use crate::spool::SpoolDir;
 use crate::NetError;
-use scd_core::engine::{EngineConfig, ShardedEngine};
+use scd_core::engine::ShardedIngest;
 use scd_core::supervisor::RestartPolicy;
-use scd_core::{DetectorConfig, KeyStrategy};
-use scd_forecast::ModelSpec;
 use scd_sketch::{wire, SketchConfig};
 use scd_traffic::{shard_of_key, Corruptor, NetFaultKind, NetFaultPlan};
 use std::io::{Read, Write};
@@ -46,7 +44,7 @@ pub struct NodeConfig {
     pub nodes: u32,
     /// Sketch family — must match the aggregator's exactly.
     pub sketch: SketchConfig,
-    /// Shard-worker threads for the local ingest engines.
+    /// Shard-worker threads for each of the two local ingest halves.
     pub shards: usize,
     /// Aggregator address (`host:port`).
     pub addr: String,
@@ -73,8 +71,8 @@ pub struct NodeSummary {
 /// One ingest vantage point of the distributed plane.
 pub struct IngestNode {
     config: NodeConfig,
-    data: ShardedEngine,
-    buddy: ShardedEngine,
+    data: ShardedIngest,
+    buddy: ShardedIngest,
     buddy_id: u32,
     spool: SpoolDir,
     conn: Option<TcpStream>,
@@ -89,7 +87,7 @@ pub struct IngestNode {
 const ACK_POLL: Duration = Duration::from_millis(10);
 
 impl IngestNode {
-    /// Builds the node's local engines, opens its spool, and connects to
+    /// Builds the node's two ingest halves, opens its spool, and connects to
     /// the aggregator (with retry/backoff). Frames already spooled by a
     /// previous incarnation of this node id are resent on connect.
     ///
@@ -103,17 +101,8 @@ impl IngestNode {
                 config.node, config.nodes
             )));
         }
-        // The engines' embedded detectors never run — `end_interval_sketch`
-        // harvests the merged sketch and key log instead. `NextInterval`
-        // picks the bounded first-seen-distinct key log.
-        let detector = DetectorConfig {
-            sketch: config.sketch,
-            model: ModelSpec::Ewma { alpha: 0.5 },
-            threshold: 0.05,
-            key_strategy: KeyStrategy::NextInterval,
-        };
-        let data = ShardedEngine::new(EngineConfig::new(detector.clone(), config.shards))?;
-        let buddy = ShardedEngine::new(EngineConfig::new(detector, config.shards))?;
+        let data = ShardedIngest::new(config.sketch, config.shards)?;
+        let buddy = ShardedIngest::new(config.sketch, config.shards)?;
         let spool = SpoolDir::open(&config.spool_dir, config.node)?;
         let buddy_id = (config.node + config.nodes - 1) % config.nodes;
         let mut node = IngestNode {
@@ -164,14 +153,14 @@ impl IngestNode {
         Ok(())
     }
 
-    /// Closes the current interval: harvests both engines, builds the
+    /// Closes the current interval: harvests both ingest halves, builds the
     /// parity sketch, spools the frame, and attempts transmission.
     /// Network failure is not an error here — the frame is durable in the
     /// spool and will be resent; only local failures (engine, disk)
     /// surface.
     ///
     /// # Errors
-    /// Engine harvest or spool I/O failures.
+    /// Ingest harvest or spool I/O failures.
     pub fn end_interval(&mut self) -> Result<(), NetError> {
         let (data_sketch, data_keys) = self.data.end_interval_sketch()?;
         let (buddy_sketch, buddy_keys) = self.buddy.end_interval_sketch()?;

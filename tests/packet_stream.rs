@@ -11,19 +11,20 @@ use sketch_change::traffic::routes::RouteTable;
 #[test]
 fn frames_to_alarms_through_streaming_detector() {
     let handle = spawn_streaming(StreamingConfig {
-        detector: DetectorConfig {
-            sketch: SketchConfig { h: 3, k: 2048, seed: 4 },
-            model: ModelSpec::Ewma { alpha: 0.5 },
-            threshold: 0.3,
-            key_strategy: KeyStrategy::TwoPass,
-        },
+        engine: EngineConfig::new(
+            DetectorConfig {
+                sketch: SketchConfig { h: 3, k: 2048, seed: 4 },
+                model: ModelSpec::Ewma { alpha: 0.5 },
+                threshold: 0.3,
+                key_strategy: KeyStrategy::TwoPass,
+            },
+            1,
+        ),
         interval_ms: 1_000,
         key: KeySpec::DstIp,
         value: ValueSpec::Bytes,
         channel_capacity: 1024,
         overload: OverloadPolicy::Block,
-        checkpoint: None,
-        metrics: None,
     });
 
     // Four event-time seconds of packets to two services; second 2 floods
