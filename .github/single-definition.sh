@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Fails if the duplicates PRs 13 and 19 removed come back: the envelope,
-# the accept loop, the supervised restart and the CLI's construction path
-# each have exactly one definition under crates/*/src.
+# Fails if the duplicates PRs 13, 19 and 20 removed come back: the envelope,
+# the accept loop, the supervised restart, the CLI's construction path and
+# the key -> shard mix each have exactly one definition under crates/*/src,
+# and `scd-benchmark` is the only thing that measures speed.
 # Non-test source = every crates/*/src file up to its `#[cfg(test)]`
 # (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
 set -euo pipefail
@@ -13,13 +14,15 @@ nontest() {
 }
 
 fail=0
-expect() { # expect COUNT PATTERN WHAT
-  local hits; hits=$(nontest | grep -E -- "$2" || true)
-  local n; n=$(printf '%s' "$hits" | grep -c . || true)
+check() { # check COUNT WHAT HITS: HITS must hold exactly COUNT non-empty lines
+  local n; n=$(printf '%s' "$3" | grep -c . || true)
   if [ "$n" -ne "$1" ]; then
-    echo "single-definition: expected $1 $3, found $n:"; printf '%s\n' "$hits" | sed 's/^/  /'
+    echo "single-definition: expected $1 $2, found $n:"; printf '%s\n' "$3" | sed 's/^/  /'
     fail=1
   fi
+}
+expect() { # expect COUNT PATTERN WHAT, over non-test source
+  check "$1" "$3" "$(nontest | grep -E -- "$2" || true)"
 }
 
 expect 1 '\.accept\(\)'                         'TcpListener accept call site(s)'
@@ -38,6 +41,13 @@ expect 1 '^crates/cli/src/.*[^>] DetectorConfig \{'       'DetectorConfig litera
 expect 0 '^crates/(cli|net)/src/.*SketchChangeDetector::new\(' 'bare detector(s) outside scd-core'
 expect 0 '^crates/net/src/.*(DetectorConfig \{|ModelSpec::)'   'detector configuration(s) invented for ingest'
 
+# One bench stack (PR 20): no bench target, no recorded microbenchmark
+# artifact, no env knob selecting one; one key -> shard mix.
+expect 1 'fn shard_of'                           'key-to-shard mix(es)'
+check 0 '[[bench]] target(s)'              "$(git grep -nE '^\[\[bench\]\]' -- 'crates/*/Cargo.toml' || true)"
+check 0 'tracked BENCH_*.json artifact(s)' "$(git ls-files -- 'BENCH_*.json')"
+check 0 'bench env knob reader(s)'         "$(git grep -n 'SCD_BENCH[_]' -- '*.rs' '*.yml' '*.sh' || true)"
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 6 ]; then
   echo "single-definition: expected six magics, found: $magics"; fail=1
@@ -52,5 +62,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, six magics; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, six magics; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob"
 exit "$fail"

@@ -4,14 +4,18 @@
 //! the option surface is tiny: `--scale`, `--intervals`, `--seed`,
 //! `--out`, and per-experiment extras.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
-/// Parsed `--key value` flags plus positional arguments.
+/// Parsed `--key value` flags plus positional arguments. Every accessor
+/// records the name it was asked for, so [`Args::done`] can name the
+/// flags no experiment looked at.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// Positional arguments in order (the first is the experiment name).
     pub positional: Vec<String>,
     flags: HashMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -43,7 +47,7 @@ impl Args {
     /// # Panics
     /// Panics with a usage message when the value does not parse.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.flags.get(name) {
+        match self.raw(name) {
             None => default,
             Some(raw) => raw.parse().unwrap_or_else(|_| {
                 panic!("flag --{name} expects a {}, got '{raw}'", std::any::type_name::<T>())
@@ -53,7 +57,28 @@ impl Args {
 
     /// True if the boolean flag is present.
     pub fn has(&self, name: &str) -> bool {
-        self.flags.contains_key(name)
+        self.raw(name).is_some()
+    }
+
+    fn raw(&self, name: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(name.to_string());
+        self.flags.get(name)
+    }
+
+    /// Call when the run `what` has ended: a flag that no experiment of
+    /// the run read (a misspelt `--sclae`) was silently ignored.
+    ///
+    /// # Errors
+    /// Names every flag that was given and never read.
+    pub fn done(&self, what: &str) -> Result<(), String> {
+        let read = self.read.borrow();
+        let mut unread: Vec<&str> =
+            self.flags.keys().map(String::as_str).filter(|name| !read.contains(*name)).collect();
+        unread.sort_unstable();
+        match unread.as_slice() {
+            [] => Ok(()),
+            names => Err(format!("unknown flag --{} for '{what}'", names.join(", --"))),
+        }
     }
 
     /// The common experiment knobs: `--scale` (traffic scale multiplier),
@@ -129,6 +154,21 @@ mod tests {
         assert_eq!(c.intervals(60), 240);
         assert_eq!(c.warm_up(300), 12);
         assert_eq!(c.warm_up(60), 60);
+    }
+
+    #[test]
+    fn done_names_the_flags_nobody_read() {
+        let a = parse("fig5 --sclae 4 --seed 9 --paper-search");
+        assert_eq!(a.common_scaled(4.0).scale, 4.0, "the misspelt flag changed nothing");
+        assert_eq!(a.done("fig5").unwrap_err(), "unknown flag --paper-search, --sclae for 'fig5'");
+        assert!(a.has("paper-search"));
+        assert_eq!(a.done("fig5").unwrap_err(), "unknown flag --sclae for 'fig5'");
+        // A flag counts as read even when it was absent or left at its default.
+        let b = parse("all --scale 2");
+        assert!(b.done("all").is_err());
+        let _ = b.get("scale", 1.0);
+        let _ = b.get("trials", 6usize);
+        assert_eq!(b.done("all"), Ok(()));
     }
 
     #[test]

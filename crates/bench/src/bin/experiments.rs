@@ -8,7 +8,8 @@
 //! Common flags: `--scale <x>` (traffic volume multiplier), `--seed <n>`,
 //! `--hours <h>` (trace length). Per-experiment flags are documented in the
 //! experiment modules (`--random-points`, `--paper-search`, `--router`,
-//! `--all-routers`, `--trials`, `--reps`).
+//! `--all-routers`, `--trials`, `--reps`). A flag that no experiment of
+//! the run read fails the process once the run has ended (exit 2).
 
 use scd_bench::args::Args;
 use scd_bench::experiments;
@@ -41,4 +42,8 @@ fn main() {
         }
     }
     eprintln!("\n[{name} finished in {:.1}s]", started.elapsed().as_secs_f64());
+    if let Err(unread) = args.done(name) {
+        eprintln!("{unread}");
+        std::process::exit(2);
+    }
 }

@@ -18,12 +18,15 @@
 //!   confirmed-on-clean reported separately — those are the close
 //!   detector agreeing the background shifted, not GLR noise).
 //!
-//! Run with `SCD_BENCH_JSON=BENCH_glr.json cargo bench --bench
-//! glr_delay`; `SCD_BENCH_SMOKE=1` shrinks trials and traffic for the
-//! CI gate, which asserts some swept threshold reaches a median delay
-//! under half an interval while raising at most one false provisional
-//! per clean interval.
+//! After Cao et al., *Sketching for Sequential Change-Point Detection*:
+//! the curve a threshold is picked from. `--trials` sets the trial seeds
+//! per threshold (default 6) and `--scale` the traffic volume (default
+//! 1.0 = 40 records/s); the run fails unless some swept threshold
+//! reaches a median delay under half an interval while raising at most
+//! one false provisional per clean interval.
 
+use crate::args::Args;
+use crate::table::{f, Table};
 use scd_core::{DetectorConfig, EngineConfig, GlrConfig, GlrEvent, KeyStrategy, ShardedEngine};
 use scd_forecast::ModelSpec;
 use scd_sketch::SketchConfig;
@@ -43,29 +46,17 @@ const VICTIM_RANK: usize = 5;
 /// Provisional-alarm thresholds swept.
 const THRESHOLDS: [f64; 5] = [2.0, 4.0, 8.0, 16.0, 32.0];
 
-fn smoke() -> bool {
-    std::env::var_os("SCD_BENCH_SMOKE").is_some()
-}
-
-fn trials() -> usize {
-    if smoke() {
-        3
-    } else {
-        6
-    }
-}
-
-fn traffic_config(seed: u64) -> scd_traffic::TrafficConfig {
+fn traffic_config(seed: u64, scale: f64) -> scd_traffic::TrafficConfig {
     let mut cfg = RouterProfile::Small.config(seed);
     cfg.n_flows = 400;
-    cfg.records_per_sec = if smoke() { 15.0 } else { 40.0 };
+    cfg.records_per_sec = 40.0 * scale;
     cfg.interval_secs = 60;
     cfg
 }
 
 fn detector_config() -> DetectorConfig {
     DetectorConfig {
-        sketch: SketchConfig { h: 5, k: if smoke() { 1 << 12 } else { 1 << 13 }, seed: 0x5CD },
+        sketch: SketchConfig { h: 5, k: 1 << 13, seed: 0x5CD },
         model: ModelSpec::Ewma { alpha: 0.4 },
         threshold: 0.05,
         key_strategy: KeyStrategy::TwoPass,
@@ -109,8 +100,8 @@ fn run_trace(trace: &[Vec<FlowRecord>], interval_secs: u32, threshold: f64) -> V
 
 /// One trial's labeled DoS trace: the surge is sized off the victim's own
 /// expected baseline, so every seed sees the same relative change.
-fn injected_trace(seed: u64) -> (Vec<Vec<FlowRecord>>, u32) {
-    let cfg = traffic_config(seed);
+fn injected_trace(seed: u64, scale: f64) -> (Vec<Vec<FlowRecord>>, u32) {
+    let cfg = traffic_config(seed, scale);
     let mut generator = TrafficGenerator::new(cfg);
     let baseline = generator.expected_rank_bytes(VICTIM_RANK, ONSET_INTERVAL).max(1.0);
     let event = AnomalyEvent {
@@ -124,8 +115,8 @@ fn injected_trace(seed: u64) -> (Vec<Vec<FlowRecord>>, u32) {
     (trace, cfg.interval_secs)
 }
 
-fn clean_trace(seed: u64) -> (Vec<Vec<FlowRecord>>, u32) {
-    let cfg = traffic_config(seed);
+fn clean_trace(seed: u64, scale: f64) -> (Vec<Vec<FlowRecord>>, u32) {
+    let cfg = traffic_config(seed, scale);
     let mut generator = TrafficGenerator::new(cfg);
     (generator.trace(INTERVALS), cfg.interval_secs)
 }
@@ -158,6 +149,12 @@ struct SweepRow {
     clean_intervals: usize,
 }
 
+impl SweepRow {
+    fn false_rate(&self) -> f64 {
+        self.false_provisionals as f64 / self.clean_intervals as f64
+    }
+}
+
 fn median(sorted: &[usize]) -> f64 {
     let n = sorted.len();
     if n % 2 == 1 {
@@ -167,11 +164,11 @@ fn median(sorted: &[usize]) -> f64 {
     }
 }
 
-fn run_sweep() -> Vec<SweepRow> {
-    let traces: Vec<_> = (0..trials())
+fn run_sweep(trials: usize, scale: f64) -> Vec<SweepRow> {
+    let traces: Vec<_> = (0..trials)
         .map(|i| {
             let seed = 0xB0A + i as u64 * 7919;
-            (injected_trace(seed), clean_trace(seed ^ 0xC1EA))
+            (injected_trace(seed, scale), clean_trace(seed ^ 0xC1EA, scale))
         })
         .collect();
     THRESHOLDS
@@ -202,84 +199,51 @@ fn run_sweep() -> Vec<SweepRow> {
                 early,
                 false_provisionals,
                 confirmed_clean,
-                clean_intervals: trials() * INTERVALS,
+                clean_intervals: trials * INTERVALS,
             }
         })
         .collect()
 }
 
-fn main() {
-    let rows = run_sweep();
-    println!(
-        "\nglr_delay (DoS at interval {ONSET_INTERVAL} of {INTERVALS}, {SLOTS} slots/interval, \
-         {} trials{})",
-        trials(),
-        if smoke() { ", smoke" } else { "" }
-    );
-    println!(
-        "  {:>9}  {:>12}  {:>9}  {:>16}  {:>15}",
-        "threshold", "median delay", "early", "false prov/intvl", "confirmed clean"
+/// Runs the threshold sweep and prints the delay / false-alarm curve.
+pub fn run(args: &Args) {
+    let trials = args.get("trials", 6usize);
+    let scale = args.get("scale", 1.0);
+    let rows = run_sweep(trials, scale);
+    let mut t = Table::new(
+        &format!(
+            "GLR detection delay (DoS at interval {ONSET_INTERVAL} of {INTERVALS}, \
+             {SLOTS} slots/interval, {trials} trials)"
+        ),
+        &["threshold", "median delay (slots)", "early", "false prov/interval", "confirmed clean"],
     );
     for row in &rows {
-        println!(
-            "  {:>9.1}  {:>7.1} slots  {:>6}/{}  {:>16.3}  {:>15}",
-            row.threshold,
-            median(&row.delays),
-            row.early,
-            row.delays.len(),
-            row.false_provisionals as f64 / row.clean_intervals as f64,
-            row.confirmed_clean,
-        );
+        t.row(&[
+            f(row.threshold, 1),
+            f(median(&row.delays), 1),
+            format!("{}/{}", row.early, row.delays.len()),
+            f(row.false_rate(), 4),
+            row.confirmed_clean.to_string(),
+        ]);
     }
+    t.print();
 
-    // The PR's acceptance bar: some swept threshold detects in under half
-    // an interval (median) while staying quiet on clean traffic.
-    let winner = rows.iter().find(|r| {
-        median(&r.delays) < SLOTS as f64 / 2.0
-            && r.false_provisionals as f64 / r.clean_intervals as f64 <= 1.0
-    });
-    let winner = winner.expect(
-        "no threshold reached median delay < 0.5 intervals with ≤1 false provisional/interval",
-    );
+    // The acceptance bar of the PR that added the layer: some swept
+    // threshold detects in under half an interval (median) while staying
+    // quiet on clean traffic.
+    let winner = rows
+        .iter()
+        .find(|r| median(&r.delays) < SLOTS as f64 / 2.0 && r.false_rate() <= 1.0)
+        .expect(
+            "no threshold reached median delay < 0.5 intervals with ≤1 false provisional/interval",
+        );
     println!(
-        "\n  threshold {:.1} detects in {:.1}/{SLOTS} slots (median) with {:.3} false \
+        "\nthreshold {:.1} detects in {:.1}/{SLOTS} slots (median) with {:.3} false \
          provisionals per clean interval",
         winner.threshold,
         median(&winner.delays),
-        winner.false_provisionals as f64 / winner.clean_intervals as f64
+        winner.false_rate()
     );
-
-    if let Some(path) = std::env::var_os("SCD_BENCH_JSON") {
-        let results: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"threshold\": {:.1}, \"median_delay_slots\": {:.1}, \
-                     \"early_detections\": {}, \"trials\": {}, \
-                     \"false_provisionals_per_interval\": {:.4}, \"confirmed_on_clean\": {}}}",
-                    r.threshold,
-                    median(&r.delays),
-                    r.early,
-                    r.delays.len(),
-                    r.false_provisionals as f64 / r.clean_intervals as f64,
-                    r.confirmed_clean
-                )
-            })
-            .collect();
-        let body = format!(
-            "{{\n  \"harness\": \"scd-bench glr_delay\",\n  \"cpus\": {},\n  \
-             \"slots_per_interval\": {SLOTS},\n  \"intervals\": {INTERVALS},\n  \
-             \"onset_interval\": {ONSET_INTERVAL},\n  \"trials\": {},\n  \"smoke\": {},\n  \
-             \"results\": [\n{}\n  ]\n}}\n",
-            std::thread::available_parallelism().map_or(0, usize::from),
-            trials(),
-            smoke(),
-            results.join(",\n")
-        );
-        let path = std::path::PathBuf::from(path);
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("\nwrote sweep results to {}", path.display()),
-            Err(e) => eprintln!("glr_delay: cannot write {}: {e}", path.display()),
-        }
-    }
+    let path = t.save_csv("glr_delay").expect("write results/");
+    println!("csv: {}", path.display());
 }

@@ -13,6 +13,7 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5to9;
 pub mod fig6;
+pub mod glr_delay;
 pub mod gridsearch;
 pub mod hh_vs_change;
 pub mod params;
@@ -49,6 +50,7 @@ pub fn registry() -> Vec<Experiment> {
             "Design-choice ablations (medians, hashing, strategies, intervals)",
             ablations::run,
         ),
+        ("glr_delay", "GLR detection delay vs false-alarm rate, threshold sweep", glr_delay::run),
     ]
 }
 

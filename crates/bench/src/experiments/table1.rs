@@ -15,11 +15,22 @@
 use crate::args::Args;
 use crate::table::{f, Table};
 use scd_hash::Hasher4;
-use scd_sketch::{KarySketch, SketchConfig};
+use scd_sketch::{CountMinSketch, CountSketch, KarySketch, SketchConfig};
 use std::time::Instant;
 
 /// Number of operations, as in the paper.
 const OPS: usize = 10_000_000;
+
+/// Seconds for `ops` calls of `op` over the table's key sequence.
+fn time_ops(ops: usize, mut op: impl FnMut(u64) -> u64) -> f64 {
+    let start = Instant::now();
+    let mut acc = 0u64;
+    for i in 0..ops as u64 {
+        acc ^= op(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) as u32 as u64);
+    }
+    std::hint::black_box(acc);
+    start.elapsed().as_secs_f64()
+}
 
 /// Runs the timing table.
 pub fn run(args: &Args) {
@@ -29,67 +40,59 @@ pub fn run(args: &Args) {
     // --- hash: equivalent of 8 independent 16-bit values per item.
     let h1 = Hasher4::new(1);
     let h2 = Hasher4::new(2);
-    let start = Instant::now();
-    let mut sink = 0u64;
-    for i in 0..ops as u64 {
-        let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        sink ^= h1.hash64(key as u32 as u64) ^ h2.hash64(key as u32 as u64);
-    }
-    let hash_secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(sink);
+    let hash_secs = time_ops(ops, |key| h1.hash64(key) ^ h2.hash64(key));
 
-    // --- UPDATE on an H=5, K=2^16 sketch.
-    let cfg = SketchConfig { h: 5, k: 1 << 16, seed: 3 };
-    let mut sketch = KarySketch::new(cfg);
-    let start = Instant::now();
-    for i in 0..ops as u64 {
-        let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) as u32 as u64;
+    // --- UPDATE on an H=5, K=2^16 sketch, then ESTIMATE with the stream
+    // total precomputed (as the paper does).
+    let mut sketch = KarySketch::new(SketchConfig { h: 5, k: 1 << 16, seed: 3 });
+    let update_secs = time_ops(ops, |key| {
         sketch.update(key, 1.0);
-    }
-    let update_secs = start.elapsed().as_secs_f64();
-
-    // --- ESTIMATE with the stream total precomputed (as the paper does).
+        0
+    });
     let est = sketch.estimator();
-    let start = Instant::now();
-    let mut acc = 0.0f64;
-    for i in 0..ops as u64 {
-        let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) as u32 as u64;
-        acc += est.estimate(key);
-    }
-    let estimate_secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(acc);
+    let estimate_secs = time_ops(ops, |key| est.estimate(key).to_bits());
+
+    // --- §3.1: k-ary operations are "simpler and more efficient than the
+    // corresponding operations on count sketches" (an extra sign hash per
+    // row); count-min is the floor (no sign work, min for median).
+    let mut cs = CountSketch::new(5, 1 << 16, 9);
+    let cs_update_secs = time_ops(ops, |key| {
+        cs.update(key, 1.0);
+        0
+    });
+    let cs_estimate_secs = time_ops(ops, |key| cs.estimate(key).to_bits());
+    let mut cm = CountMinSketch::new(5, 1 << 16, 8);
+    let cm_update_secs = time_ops(ops, |key| {
+        cm.update(key, 1.0);
+        0
+    });
+    let cm_estimate_secs = time_ops(ops, |key| cm.estimate(key).to_bits());
 
     let mut t = Table::new(
         "Table 1 — running time (seconds) for 10M operations",
         &["operation", "this host (s)", "ns/op", "paper: SGI R12k (s)", "paper: USparc-III (s)"],
     );
-    let per_op = |s: f64| f(s / ops as f64 * 1e9, 1);
-    t.row(&[
-        "compute 8 16-bit hash values".into(),
-        f(hash_secs, 3),
-        per_op(hash_secs),
-        "0.34".into(),
-        "0.89".into(),
-    ]);
-    t.row(&[
-        "UPDATE (H=5, K=2^16)".into(),
-        f(update_secs, 3),
-        per_op(update_secs),
-        "0.81".into(),
-        "0.45".into(),
-    ]);
-    t.row(&[
-        "ESTIMATE (H=5, K=2^16)".into(),
-        f(estimate_secs, 3),
-        per_op(estimate_secs),
-        "2.69".into(),
-        "1.46".into(),
-    ]);
+    for (name, secs, sgi, sparc) in [
+        ("compute 8 16-bit hash values", hash_secs, "0.34", "0.89"),
+        ("UPDATE (H=5, K=2^16)", update_secs, "0.81", "0.45"),
+        ("ESTIMATE (H=5, K=2^16)", estimate_secs, "2.69", "1.46"),
+        ("count sketch UPDATE (§3.1 baseline)", cs_update_secs, "-", "-"),
+        ("count sketch ESTIMATE (§3.1 baseline)", cs_estimate_secs, "-", "-"),
+        ("count-min UPDATE (baseline)", cm_update_secs, "-", "-"),
+        ("count-min ESTIMATE (baseline)", cm_estimate_secs, "-", "-"),
+    ] {
+        t.row(&[name.into(), f(secs, 3), f(secs / ops as f64 * 1e9, 1), sgi.into(), sparc.into()]);
+    }
     t.print();
     let path = t.save_csv("table1").expect("write results/");
     println!(
         "\nshape check: ESTIMATE/UPDATE ratio = {:.2} (paper: 3.3x / 3.2x)",
         estimate_secs / update_secs
+    );
+    println!(
+        "§3.1 check: count sketch / k-ary = {:.2}x UPDATE, {:.2}x ESTIMATE",
+        cs_update_secs / update_secs,
+        cs_estimate_secs / estimate_secs
     );
     println!("csv: {}", path.display());
 }

@@ -15,6 +15,5 @@
 
 pub mod args;
 pub mod experiments;
-pub mod microbench;
 pub mod runner;
 pub mod table;

@@ -28,9 +28,7 @@
 //!   ([`scd_hash::mix64`]) — not `key % N`, which stripes sequential IP
 //!   keys — followed by Lemire multiply-shift range reduction
 //!   ([`scd_hash::range_reduce`]): no division anywhere on the per-update
-//!   path. `scd_traffic::shard::shard_of_key` mirrors this exact mix so
-//!   externally pre-partitioned traces land as the engine would route
-//!   them.
+//!   path ([`scd_hash::shard_of`]).
 //! * The main thread keeps the key log for error reconstruction; workers
 //!   only ever see `(key, value)` pairs, so the merge point is the
 //!   *only* synchronization per interval. The log's shape is gated by

@@ -2,19 +2,8 @@
 //! detection pass will need to know about the keys that arrived.
 
 use crate::detector::KeyStrategy;
-use scd_hash::{mix64, range_reduce, MixBuildHasher};
+use scd_hash::{shard_of, MixBuildHasher};
 use std::collections::HashSet;
-
-/// Mixes the key so that structured key spaces (sequential IPs, aligned
-/// prefixes) still spread evenly across shards, then range-reduces with
-/// Lemire's multiply-shift — the `%` it replaces was the only integer
-/// division on the per-update path. Any deterministic partition is
-/// *correct* (linearity); balance is purely a throughput concern.
-/// `scd_traffic::shard::shard_of_key` must stay in lockstep with this.
-#[inline]
-pub(super) fn shard_of(key: u64, shards: usize) -> usize {
-    range_reduce(mix64(key), shards)
-}
 
 /// Key log for the detection pass, gated by [`KeyStrategy`].
 ///

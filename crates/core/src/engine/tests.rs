@@ -1,10 +1,10 @@
 //! In-module tests of the engine: routing, the ingest half, the shard
 //! merge, drive-mode identity and the GLR layer.
 
-use super::route::shard_of;
 use super::*;
 use crate::detector::{KeyStrategy, SketchChangeDetector};
 use scd_forecast::ModelSpec;
+use scd_hash::shard_of;
 use scd_sketch::SketchConfig;
 
 fn config(shards: usize) -> EngineConfig {

@@ -7,12 +7,12 @@
 //! an ingest node of the distributed plane puts it on the wire, and
 //! neither needs to know which.
 
-use super::route::{route_chunk, shard_of, KeyLog, RoutedChunk};
+use super::route::{route_chunk, KeyLog, RoutedChunk};
 use super::EngineError;
 use crate::channel::{bounded, Receiver, Sender};
 use crate::detector::KeyStrategy;
 use crate::telemetry::{PipelineMetrics, ShardStats};
-use scd_hash::HashRows;
+use scd_hash::{shard_of, HashRows};
 use scd_obs::Stopwatch;
 use scd_sketch::{BatchScratch, KarySketch, SketchConfig};
 use std::sync::Arc;
@@ -319,8 +319,8 @@ impl ShardedIngest {
     /// chunks of `items` into private per-shard buffers in parallel, then
     /// the buffers are shipped through the existing worker channels in
     /// producer order. This parallelizes the hash-and-route hop that
-    /// [`push_slice`](Self::push_slice) runs single-threaded — the side
-    /// `BENCH_ingest.json` showed eating all shard-scaling gains.
+    /// [`push_slice`](Self::push_slice) runs single-threaded — the hop
+    /// the interval ledger times as `engine.push_ns_per_record`.
     ///
     /// Reports are **bit-identical** to `push_slice` for any `f64` values,
     /// not merely for integer-valued cells: chunks are contiguous and

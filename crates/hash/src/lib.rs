@@ -65,7 +65,7 @@ pub use crc32::{crc32, Crc32};
 pub use poly::Poly4;
 pub use rows::HashRows;
 pub use simd::Variant;
-pub use splitmix::{mix64, range_reduce, MixBuildHasher, SplitMix64};
+pub use splitmix::{mix64, range_reduce, shard_of, MixBuildHasher, SplitMix64};
 pub use tabulation::Tab4;
 
 /// A seeded 4-universal hash function over `u64` keys.

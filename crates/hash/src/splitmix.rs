@@ -34,6 +34,18 @@ pub fn range_reduce(hash: u64, n: usize) -> usize {
     (((hash as u128) * (n as u128)) >> 64) as usize
 }
 
+/// The key → shard mix: [`mix64`] so that structured key spaces
+/// (sequential IPs, aligned prefixes) still spread evenly — `key % n`
+/// stripes them — then [`range_reduce`], so there is no integer division
+/// on the per-update path. Any deterministic partition is *correct*
+/// (linearity); balance is purely a throughput concern. The sharded
+/// engine routes updates with it and an ingest node filters the keys it
+/// owns with it; the two partitions are independent.
+#[inline]
+pub fn shard_of(key: u64, shards: usize) -> usize {
+    range_reduce(mix64(key), shards)
+}
+
 /// A `std::hash::BuildHasher` for `u64`-keyed sets based on [`mix64`].
 ///
 /// `HashSet<u64>`'s default SipHash is an order of magnitude slower than

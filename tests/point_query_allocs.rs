@@ -6,12 +6,16 @@
 //!
 //! The same counter holds the interval turnover — the real
 //! `SketchChangeDetector`, not a mirror of it — to the one allocation a
-//! report needs, on the plain path and on the archiving path, where the
-//! error sketch leaves with the caller every interval.
+//! report needs, on the plain path, on the archiving path, where the
+//! error sketch leaves with the caller every interval, and on the detect
+//! stage with every pipeline metric attached and a snapshot rendered.
 
 use sketch_change::archive::{ArchiveConfig, SketchArchive};
-use sketch_change::core::{DetectorConfig, KeyStrategy, SketchChangeDetector};
+use sketch_change::core::{
+    DetectStage, DetectorConfig, EngineConfig, KeyStrategy, PipelineMetrics, SketchChangeDetector,
+};
 use sketch_change::forecast::ModelSpec;
+use sketch_change::obs::Registry;
 use sketch_change::serve::SlimSketch;
 use sketch_change::sketch::{
     CountSketch, Deltoid, DeltoidConfig, EstimateScratch, KarySketch, PointEstimate, SketchConfig,
@@ -220,6 +224,42 @@ fn a_warm_archiving_turnover_reuses_the_table_the_archive_retired() {
             if t >= WARM_INTERVALS {
                 assert!(report.warmed_up && report.errors.len() == 300);
                 assert_eq!(archive.sketch_count(), 6, "{model}: the archive is at its budget");
+                assert_eq!(allocations, 1, "{model}, interval {t}: beyond the report's errors");
+            }
+        }
+    }
+}
+
+/// Watching the pipeline costs no heap. The same turnover through the
+/// real detect stage with every pipeline metric registered, each interval
+/// followed by the JSONL snapshot a `--metrics` run renders: the metric
+/// handles are fixed-size atomics and the snapshot goes into a reused
+/// buffer, so the close still allocates the report's `errors` vector and
+/// nothing else.
+#[test]
+fn a_warm_instrumented_turnover_allocates_only_its_report() {
+    for model in MODELS {
+        let (detector, observed, keys) = turnover_rig(model);
+        let registry = Registry::new();
+        let metrics = PipelineMetrics::register(&registry);
+        let config = EngineConfig::new(detector.config().clone(), 1).with_metrics(metrics);
+        let (mut stage, _) = DetectStage::from_config(&config).expect("no archive to reject");
+        // Span sums are wall-clock nanoseconds, so a snapshot's length
+        // varies by a few digits from run to run: room for several.
+        let mut line = String::with_capacity(64 * 1024);
+        for t in 0..WARM_INTERVALS + 8 {
+            let stream = keys.clone();
+            let mut report = None;
+            let allocations = allocations_in(|| {
+                report = Some(stage.observe(&observed[t % 4], stream).expect("unsupervised"));
+                line.clear();
+                registry.render_jsonl(t as u64, &mut line);
+            });
+            let report = report.expect("the closure ran");
+            assert!(line.len() < line.capacity() / 4, "{} bytes of snapshot", line.len());
+            if t >= WARM_INTERVALS {
+                assert!(report.warmed_up && report.alarms.is_empty() && report.errors.len() == 300);
+                assert!(line.contains(&format!("\"scd_engine_intervals_total\":{}", t + 1)));
                 assert_eq!(allocations, 1, "{model}, interval {t}: beyond the report's errors");
             }
         }
