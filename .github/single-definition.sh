@@ -2,7 +2,8 @@
 # Fails if the duplicates PRs 13, 19 and 20 removed come back: the envelope,
 # the accept loop, the supervised restart, the CLI's construction path and
 # the key -> shard mix each have exactly one definition under crates/*/src,
-# and `scd-benchmark` is the only thing that measures speed.
+# and `scd-benchmark` is the only thing that measures speed. Since PR 21 the
+# varint helpers of the packed sketch body are held to the same rule.
 # Non-test source = every crates/*/src file up to its `#[cfg(test)]`
 # (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
 set -euo pipefail
@@ -48,9 +49,16 @@ check 0 '[[bench]] target(s)'              "$(git grep -nE '^\[\[bench\]\]' -- '
 check 0 'tracked BENCH_*.json artifact(s)' "$(git ls-files -- 'BENCH_*.json')"
 check 0 'bench env knob reader(s)'         "$(git grep -n 'SCD_BENCH[_]' -- '*.rs' '*.yml' '*.sh' || true)"
 
+# One LEB128 writer, one reader, one zigzag pair (PR 21): in scd-hash::byteio
+# beside put_u64, not one copy per crate that grows a compact format.
+expect 1 'fn [a-z_]*leb128[a-z_]*\(&mut self'     'LEB128 reader(s)'
+expect 1 'fn put_[a-z_]*leb128'                  'LEB128 writer(s)'
+expect 2 'fn (un)?zigzag'                        'zigzag helper(s) (one each way)'
+expect 1 '>>= 7'                                 'varint shift loop(s)'
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
-if [ "$(wc -w <<<"$magics")" -ne 6 ]; then
-  echo "single-definition: expected six magics, found: $magics"; fail=1
+if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
+  echo "single-definition: expected seven magics, found: $magics"; fail=1
 fi
 
 # Retired magics may appear in tests only inside a test named *rejected*.
@@ -62,5 +70,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, six magics; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob"
 exit "$fail"

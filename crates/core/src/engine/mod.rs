@@ -602,7 +602,7 @@ impl ShardedEngine {
         };
         let observed =
             merged.get_or_insert_with(|| KarySketch::with_rows(Arc::clone(stage.rows())));
-        let keys = self.ingest.close_into(observed)?;
+        let keys = self.ingest.end_interval_sketch_into(observed)?;
         carry.hand_to(stage);
         let result = stage.observe(&*observed, keys);
         if let Ok(report) = &result {

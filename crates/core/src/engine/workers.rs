@@ -217,6 +217,11 @@ impl ShardedIngest {
         })
     }
 
+    /// The hash family every sketch this ingest half hands out is over.
+    pub fn rows(&self) -> &Arc<HashRows> {
+        &self.rows
+    }
+
     /// Total updates pushed over the ingest half's lifetime.
     pub fn records_total(&self) -> u64 {
         self.records_total
@@ -427,8 +432,17 @@ impl ShardedIngest {
     /// Closes the interval on this thread: the barrier, then the merge of
     /// the per-shard sketches into `observed` (every cell is overwritten),
     /// reusing the shard container and returning cleared shard sketches to
-    /// the workers — steady state allocates nothing.
-    pub(super) fn close_into(
+    /// the workers — steady state allocates nothing. For a caller that
+    /// keeps one table across intervals: the engine's inline backend, and
+    /// an ingest node, which only encodes the merged sketch.
+    ///
+    /// # Errors
+    /// [`EngineError::WorkerLost`] if a shard worker died mid-interval.
+    ///
+    /// # Panics
+    /// If `observed` is of another hash family than this ingest half
+    /// ([`rows`](Self::rows)).
+    pub fn end_interval_sketch_into(
         &mut self,
         observed: &mut KarySketch,
     ) -> Result<Vec<u64>, EngineError> {
@@ -453,10 +467,8 @@ impl ShardedIngest {
     /// # Errors
     /// [`EngineError::WorkerLost`] if a shard worker died mid-interval.
     pub fn end_interval_sketch(&mut self) -> Result<(KarySketch, Vec<u64>), EngineError> {
-        // The caller keeps the merged sketch (it crosses the wire), so it
-        // cannot come from a recycled merge buffer.
         let mut observed = KarySketch::with_rows(Arc::clone(&self.rows));
-        let keys = self.close_into(&mut observed)?;
+        let keys = self.end_interval_sketch_into(&mut observed)?;
         Ok((observed, keys))
     }
 

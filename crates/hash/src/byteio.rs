@@ -39,6 +39,31 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends a `u64` as unsigned LEB128: seven value bits per byte, low
+/// group first, the high bit set on every byte but the last. Always the
+/// shortest form, so a value has exactly one encoding.
+#[inline]
+pub fn put_uleb128(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Maps a signed integer onto the unsigned ones so small magnitudes of
+/// either sign get short LEB128 forms: 0, −1, 1, −2, … ↦ 0, 1, 2, 3, …
+#[inline]
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+#[inline]
+pub fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
+
 /// Error returned when a [`Cursor`] runs out of bytes mid-field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShortInput;
@@ -109,6 +134,31 @@ impl<'a> Cursor<'a> {
     pub fn f64(&mut self) -> Result<f64, ShortInput> {
         Ok(f64::from_bits(self.u64()?))
     }
+
+    /// Reads an unsigned LEB128 `u64` written by [`put_uleb128`]. Only
+    /// that shortest form is accepted: a value running past 64 bits or
+    /// padded with a trailing zero group is `Ok(None)`, an input ending
+    /// inside the value is [`ShortInput`]. Either way nothing is consumed.
+    #[inline]
+    pub fn uleb128(&mut self) -> Result<Option<u64>, ShortInput> {
+        let mut v = 0u64;
+        for (i, &byte) in self.data.iter().take(10).enumerate() {
+            let group = u64::from(byte & 0x7F);
+            v |= group << (7 * i);
+            if byte & 0x80 == 0 {
+                // A zero last group is padding; the tenth holds bit 63 alone.
+                if (byte == 0 && i > 0) || (i == 9 && group > 1) {
+                    return Ok(None);
+                }
+                self.data = &self.data[i + 1..];
+                return Ok(Some(v));
+            }
+        }
+        if self.data.len() < 10 {
+            return Err(ShortInput);
+        }
+        Ok(None) // ten continuation bytes: longer than any `u64`
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +189,40 @@ mod tests {
             put_f64(&mut buf, v);
             let got = Cursor::new(&buf).f64().unwrap();
             assert_eq!(got.to_bits(), v.to_bits());
+        }
+    }
+
+    #[test]
+    fn uleb128_round_trips_in_its_shortest_form_only() {
+        for v in [0, 1, 127, 128, 300, 1 << 53, u64::MAX - 1, u64::MAX] {
+            let mut buf = Vec::new();
+            put_uleb128(&mut buf, v);
+            assert_eq!(buf.len(), (64 - v.leading_zeros() as usize).div_ceil(7).max(1));
+            let mut c = Cursor::new(&buf);
+            assert_eq!(c.uleb128(), Ok(Some(v)));
+            assert_eq!(c.remaining(), 0);
+            // Cut anywhere inside the value: short, and nothing consumed.
+            for keep in 0..buf.len() {
+                let mut c = Cursor::new(&buf[..keep]);
+                assert_eq!(c.uleb128(), Err(ShortInput));
+                assert_eq!(c.remaining(), keep);
+            }
+        }
+        // Padded (0x80 0x00 is a two-byte zero), too long, and past 64 bits.
+        let eleven = [0x80u8; 11];
+        let past_64 = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02];
+        for bad in [&[0x80, 0x00][..], &[0xFF, 0x80, 0x00], &eleven, &past_64] {
+            let mut c = Cursor::new(bad);
+            assert_eq!(c.uleb128(), Ok(None), "{bad:02x?}");
+            assert_eq!(c.remaining(), bad.len());
+        }
+    }
+
+    #[test]
+    fn zigzag_orders_by_magnitude_and_inverts() {
+        assert_eq!([0, -1, 1, -2, 2].map(zigzag), [0, 1, 2, 3, 4]);
+        for v in [0, 1, -1, 1 << 53, -(1 << 53), i64::MAX, i64::MIN] {
+            assert_eq!(unzigzag(zigzag(v)), v);
         }
     }
 

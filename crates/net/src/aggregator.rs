@@ -532,8 +532,9 @@ fn serve_connection(
                     wire::from_bytes_with_rows(&parity, rows),
                 ) {
                     (Ok(d), Ok(p)) => (d, p),
-                    // The embedded sketch blob failed its own CRC or
-                    // family check: treat like any corrupt frame.
+                    // An embedded sketch blob — packed or dense, told
+                    // apart by its magic — failed its own CRC, family or
+                    // cell-body check: treat like any corrupt frame.
                     _ => return reject(),
                 };
                 // Ack at receipt: the frame is intact and queued for the

@@ -2,9 +2,11 @@
 //! and the aggregator, each one frame of `scd_hash::envelope`'s frame
 //! envelope.
 //!
-//! Interval payloads embed `SCDSKT02` sketch blobs, which carry their
-//! *own* magic and CRC: sketch bytes cross process, disk (spool) and
-//! network boundaries, and each hop re-verifies them.
+//! Interval payloads embed two `scd_sketch::wire` blobs, opaquely: the
+//! packed `SCDSKP01` an ingest node writes whenever its cells are
+//! integers, or the dense `SCDSKT02`. Either carries its *own* magic and
+//! CRC: sketch bytes cross process, disk (spool) and network boundaries,
+//! and each hop re-verifies them.
 //!
 //! A decode error tears down the connection — the sender reconnects and
 //! resends unacknowledged intervals from its spool, so a corrupted frame
@@ -20,8 +22,10 @@ pub use scd_hash::envelope::FrameError;
 /// rejects absurd length prefixes before any allocation happens.
 pub const SCDN: FrameSpec = FrameSpec { magic: *b"SCDN", max_payload: 64 << 20 };
 
-/// Protocol version announced in [`Frame::Hello`].
-pub const VERSION: u32 = 1;
+/// Protocol version announced in [`Frame::Hello`]. Version 2 nodes ship
+/// packed sketch blobs; a version 1 aggregator could not read them, so
+/// the mismatch is refused at the handshake.
+pub const VERSION: u32 = 2;
 
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,11 +54,12 @@ pub enum Frame {
         node: u32,
         /// Interval index (0-based, global).
         interval: u64,
-        /// `SCDSKT02` blob of the node's own data-shard sketch `D_i`.
+        /// Sketch blob (`SCDSKP01` or `SCDSKT02`) of the node's own
+        /// data-shard sketch `D_i`.
         data: Vec<u8>,
         /// First-seen-order distinct keys of the data shard.
         data_keys: Vec<u64>,
-        /// `SCDSKT02` blob of the parity sketch `P_i = D_{i−1} + D_i`.
+        /// Sketch blob of the parity sketch `P_i = D_{i−1} + D_i`.
         parity: Vec<u8>,
         /// First-seen-order distinct keys of the *buddy* shard `i−1` —
         /// exactly the key list the aggregator needs if node `i−1` is
@@ -106,8 +111,8 @@ impl Frame {
                 put_u32(&mut out, *version);
             }
             Frame::Interval { node, interval, data, data_keys, parity, parity_keys } => {
-                // Megabytes of sketch: size the frame once instead of
-                // growing (and re-copying) it blob by blob.
+                // Up to megabytes of sketch (dense blobs): size the frame
+                // once instead of growing (and re-copying) it blob by blob.
                 let keys = data_keys.len() + parity_keys.len();
                 out.reserve(64 + data.len() + parity.len() + 8 * keys);
                 put_u32(&mut out, *node);

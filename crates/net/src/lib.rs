@@ -9,9 +9,13 @@
 //! the transport and fault-tolerance layer around that observation:
 //!
 //! * [`IngestNode`] — one vantage point: local `ShardedIngest` ingest,
-//!   per-interval `SCDSKT02` sketch frames over TCP, spool-then-send
-//!   reliability with jittered reconnect backoff, and ring-parity
-//!   material so a *lost* node's data remains reconstructible.
+//!   one frame per interval over TCP carrying its sketches in the exact
+//!   packed form (`SCDSKP01`: the non-zero cells; tens of kilobytes where
+//!   the dense `SCDSKT02` tables are megabytes, which remain the fallback
+//!   for non-integer cells), spool-then-send reliability with jittered
+//!   reconnect backoff and no wait for an ack inside an interval close,
+//!   and ring-parity material so a *lost* node's data remains
+//!   reconstructible.
 //! * [`Aggregator`] — the combine-and-detect point: per-node liveness
 //!   deadlines, a straggler grace window, `(node, interval)` dedup, and a
 //!   three-step degradation ladder (wait → recover from parity → emit an
@@ -31,13 +35,16 @@
 //!
 //! Sketch cells here are sums of integer byte counts, each far below
 //! 2⁵³, so `f64` addition and subtraction on them are *exact*. That
-//! turns three usually-approximate statements into bit-identities,
+//! turns usually-approximate statements into bit-identities,
 //! which the integration tests assert literally:
 //!
 //! * COMBINE of per-node sketches equals the single-box sketch of the
 //!   concatenated trace, regardless of addition order.
 //! * Parity recovery `D_m = P_{m+1} − D_{m+1}` returns the lost sketch
 //!   bit for bit (`fl(fl(a+b)−b) = a` for exact integers).
+//! * The packed blob a node ships decodes to the node's table bit for
+//!   bit (an integer of magnitude ≤ 2⁵³ is one `f64` and back); a table
+//!   holding anything else ships dense.
 //! * Therefore a distributed run — healthy, or with one lost node
 //!   recovered from parity — produces `IntervalReport`s bit-identical
 //!   to the single-box run.

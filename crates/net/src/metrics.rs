@@ -14,6 +14,9 @@ pub struct SenderMetrics {
     pub frames_sent_total: Arc<Counter>,
     /// Interval frames resent from the spool.
     pub frames_resent_total: Arc<Counter>,
+    /// Bytes written to the aggregator connection: every frame, resends
+    /// and handshakes included.
+    pub bytes_sent_total: Arc<Counter>,
     /// Acks received from the aggregator.
     pub acks_total: Arc<Counter>,
     /// TCP (re)connects performed, including the first.
@@ -71,6 +74,10 @@ impl NetMetrics {
                 .counter("scd_net_frames_sent_total", "interval frames sent (first attempts)"),
             frames_resent_total: registry
                 .counter("scd_net_frames_resent_total", "interval frames resent from the spool"),
+            bytes_sent_total: registry.counter(
+                "scd_net_sender_bytes_sent_total",
+                "bytes written to the aggregator connection",
+            ),
             acks_total: registry.counter("scd_net_acks_total", "acks received"),
             connects_total: registry.counter("scd_net_connects_total", "TCP (re)connects"),
             connect_failures_total: registry

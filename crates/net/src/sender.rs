@@ -13,13 +13,18 @@
 //! list. Sketch cells are integer byte counts, so every cell of `P_i` is
 //! an exact `f64` sum and the aggregator can recover a lost node's data
 //! exactly: `D_{i−1} = P_i − D_i` cell for cell (IEEE-754 subtraction of
-//! exact integers below 2⁵³ is exact).
+//! exact integers below 2⁵³ is exact). For the same reason both sketches
+//! travel packed (`scd_sketch::wire::to_bytes_packed`: the non-zero cells
+//! only, bit-exact), and dense only if a cell is not such an integer.
 //!
 //! Reliability is spool-then-send: the frame hits the on-disk
 //! [`SpoolDir`] before the first transmission attempt and is deleted only
-//! on the aggregator's `Ack`. Connection loss triggers reconnects under
-//! the jittered [`RestartPolicy`] backoff; every reconnect resends the
-//! whole spool (the aggregator dedups by `(node, interval)`).
+//! on the aggregator's `Ack`. An interval close collects the acks that
+//! have already arrived and never waits for one; only
+//! [`finish`](IngestNode::finish) does. Connection loss triggers
+//! reconnects under the jittered [`RestartPolicy`] backoff; every
+//! reconnect resends the whole spool (the aggregator dedups by
+//! `(node, interval)`).
 
 use crate::frame::{Frame, SCDN, VERSION};
 use crate::metrics::NetMetrics;
@@ -27,7 +32,7 @@ use crate::spool::SpoolDir;
 use crate::NetError;
 use scd_core::engine::ShardedIngest;
 use scd_core::supervisor::RestartPolicy;
-use scd_sketch::{wire, SketchConfig};
+use scd_sketch::{wire, KarySketch, SketchConfig};
 use scd_traffic::{shard_of_key, Corruptor, NetFaultKind, NetFaultPlan};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -73,18 +78,27 @@ pub struct IngestNode {
     config: NodeConfig,
     data: ShardedIngest,
     buddy: ShardedIngest,
+    /// The two merged tables a close encodes, kept across intervals: the
+    /// blobs outlive the encode, the sketches need not.
+    data_sketch: KarySketch,
+    buddy_sketch: KarySketch,
     buddy_id: u32,
     spool: SpoolDir,
     conn: Option<TcpStream>,
+    /// Interval frames written to `conn` and not yet answered. The
+    /// aggregator acks every interval frame it receives, duplicates
+    /// included, so at zero no ack is on its way.
+    acks_owed: u64,
     inbuf: Vec<u8>,
     interval: u64,
     frame_seq: u64,
     connect_attempts: u32,
 }
 
-/// Read timeout on the node's socket: ack polling must never block an
-/// interval close for long.
-const ACK_POLL: Duration = Duration::from_millis(10);
+/// Read timeout on the node's socket, and so the length of one turn of
+/// [`IngestNode::finish`]'s wait for the last acks. An interval close
+/// never waits on it: its ack drain does not block.
+pub const ACK_POLL: Duration = Duration::from_millis(10);
 
 impl IngestNode {
     /// Builds the node's two ingest halves, opens its spool, and connects to
@@ -103,15 +117,20 @@ impl IngestNode {
         }
         let data = ShardedIngest::new(config.sketch, config.shards)?;
         let buddy = ShardedIngest::new(config.sketch, config.shards)?;
+        let data_sketch = KarySketch::with_rows(Arc::clone(data.rows()));
+        let buddy_sketch = KarySketch::with_rows(Arc::clone(buddy.rows()));
         let spool = SpoolDir::open(&config.spool_dir, config.node)?;
         let buddy_id = (config.node + config.nodes - 1) % config.nodes;
         let mut node = IngestNode {
             config,
             data,
             buddy,
+            data_sketch,
+            buddy_sketch,
             buddy_id,
             spool,
             conn: None,
+            acks_owed: 0,
             inbuf: Vec::new(),
             interval: 0,
             frame_seq: 0,
@@ -153,8 +172,9 @@ impl IngestNode {
         Ok(())
     }
 
-    /// Closes the current interval: harvests both ingest halves, builds the
-    /// parity sketch, spools the frame, and attempts transmission.
+    /// Closes the current interval: harvests both ingest halves into the
+    /// node's two tables, encodes data and parity, spools the frame, and
+    /// attempts transmission — then collects whatever acks are already in.
     /// Network failure is not an error here — the frame is durable in the
     /// spool and will be resent; only local failures (engine, disk)
     /// surface.
@@ -162,17 +182,17 @@ impl IngestNode {
     /// # Errors
     /// Ingest harvest or spool I/O failures.
     pub fn end_interval(&mut self) -> Result<(), NetError> {
-        let (data_sketch, data_keys) = self.data.end_interval_sketch()?;
-        let (buddy_sketch, buddy_keys) = self.buddy.end_interval_sketch()?;
-        // P_i = D_{i−1} + D_i: exact integer sums, so the aggregator's
-        // subtraction recovers the buddy's cells bit for bit.
-        let parity = data_sketch.combine(&[(1.0, &buddy_sketch), (1.0, &data_sketch)])?;
+        let data_keys = self.data.end_interval_sketch_into(&mut self.data_sketch)?;
+        let buddy_keys = self.buddy.end_interval_sketch_into(&mut self.buddy_sketch)?;
         let frame = Frame::Interval {
             node: self.config.node,
             interval: self.interval,
-            data: wire::to_bytes(&data_sketch),
+            data: wire::to_bytes_packed(&self.data_sketch),
             data_keys,
-            parity: wire::to_bytes(&parity),
+            // P_i = D_{i−1} + D_i, summed cell by cell as it is written:
+            // exact integer sums, so the aggregator's subtraction recovers
+            // the buddy's cells bit for bit.
+            parity: wire::to_bytes_packed_sum(&self.buddy_sketch, &self.data_sketch)?,
             parity_keys: buddy_keys,
         };
         let bytes = frame.encode();
@@ -183,7 +203,7 @@ impl IngestNode {
         if let Ok(false) = self.ensure_connected() {
             self.send_interval_bytes(&bytes, false);
         }
-        self.poll_acks();
+        self.poll_acks(false);
         self.resend_stale()?;
         self.interval += 1;
         if let Some(m) = &self.config.metrics {
@@ -205,12 +225,23 @@ impl IngestNode {
         self.send_plain(&bye);
         let mut last_resend = Instant::now();
         loop {
-            self.poll_acks();
+            // The one timed wait of the plane: a turn sleeps on the socket,
+            // so it ends when an ack lands, not a fixed nap later. With no
+            // socket to sleep on (lost, or refused on every reconnect) the
+            // nap is what keeps the loop from spinning.
+            self.poll_acks(true);
+            if self.conn.is_none() {
+                std::thread::sleep(ACK_POLL);
+            }
             let pending = self.spool.pending()?;
             if let Some(m) = &self.config.metrics {
                 m.sender.spool_pending.set(pending.len() as f64);
             }
-            if pending.is_empty() {
+            // Leave only once no ack is on its way (or the connection is
+            // gone): a socket dropped with unread bytes is reset, not
+            // closed, and a reset lets the aggregator's kernel discard the
+            // `Bye` it has not read yet.
+            if pending.is_empty() && (self.acks_owed == 0 || self.conn.is_none()) {
                 self.send_plain(&bye); // repeat in case the first copy died with a connection
                 return Ok(NodeSummary { intervals_total: self.interval, unacked: vec![] });
             }
@@ -232,13 +263,10 @@ impl IngestNode {
                         last_resend = Instant::now();
                     }
                 }
-                Err(_) => {
-                    // Connect budget exhausted; keep polling until the
-                    // deadline in case the aggregator comes back.
-                    std::thread::sleep(ACK_POLL);
-                }
+                // Connect budget exhausted; keep polling until the
+                // deadline in case the aggregator comes back.
+                Err(_) => {}
             }
-            std::thread::sleep(ACK_POLL);
         }
     }
 
@@ -259,6 +287,7 @@ impl IngestNode {
                     let _ = stream.set_nodelay(true);
                     let _ = stream.set_read_timeout(Some(ACK_POLL));
                     self.conn = Some(stream);
+                    self.acks_owed = 0;
                     self.inbuf.clear();
                     let hello = Frame::Hello {
                         node: self.config.node,
@@ -328,13 +357,13 @@ impl IngestNode {
         match action {
             Some(NetFaultKind::DropFrame) => return, // "sent" into the void
             Some(NetFaultKind::DuplicateFrame) => {
-                self.write_raw(bytes);
-                self.write_raw(bytes);
+                self.write_frame(bytes);
+                self.write_frame(bytes);
             }
             Some(NetFaultKind::CorruptByte { seed }) => {
                 let mut dirty = bytes.to_vec();
                 Corruptor::new(seed).flip_one_byte(&mut dirty);
-                self.write_raw(&dirty);
+                self.write_frame(&dirty);
             }
             Some(NetFaultKind::TruncateAndClose { keep }) => {
                 let keep = keep.min(bytes.len());
@@ -345,11 +374,9 @@ impl IngestNode {
             }
             Some(NetFaultKind::Delay(pause)) => {
                 std::thread::sleep(pause);
-                self.write_raw(bytes);
+                self.write_frame(bytes);
             }
-            None => {
-                self.write_raw(bytes);
-            }
+            None => self.write_frame(bytes),
         }
         if let Some(m) = &self.config.metrics {
             if resend {
@@ -357,6 +384,15 @@ impl IngestNode {
             } else {
                 m.sender.frames_sent_total.inc();
             }
+        }
+    }
+
+    /// Writes one whole interval frame, which the aggregator will answer
+    /// with one `Ack` (a corrupted copy is answered by a hang-up instead,
+    /// and a new connection owes nothing).
+    fn write_frame(&mut self, bytes: &[u8]) {
+        if self.write_raw(bytes) {
+            self.acks_owed += 1;
         }
     }
 
@@ -373,7 +409,12 @@ impl IngestNode {
     fn write_raw(&mut self, bytes: &[u8]) -> bool {
         let Some(conn) = &mut self.conn else { return false };
         match conn.write_all(bytes).and_then(|()| conn.flush()) {
-            Ok(()) => true,
+            Ok(()) => {
+                if let Some(m) = &self.config.metrics {
+                    m.sender.bytes_sent_total.add(bytes.len() as u64);
+                }
+                true
+            }
             Err(_) => {
                 self.conn = None;
                 false
@@ -381,20 +422,30 @@ impl IngestNode {
         }
     }
 
-    /// Drains whatever ack frames have arrived, without blocking longer
-    /// than the socket's short read timeout. Partial frames stay buffered
-    /// across polls, so a slow aggregator never desynchronizes the stream.
-    fn poll_acks(&mut self) {
+    /// Drains the ack frames the socket already holds and returns: the
+    /// reads are non-blocking, so an interval close never sleeps on an ack
+    /// that is still in flight — the next close (or `finish`) collects it.
+    /// With `wait`, the first read alone blocks, for at most [`ACK_POLL`]:
+    /// `finish`'s loop wakes when an ack arrives. Writes always block (the
+    /// socket is switched back before returning). Partial frames stay
+    /// buffered across polls, so a slow aggregator never desynchronizes
+    /// the stream.
+    fn poll_acks(&mut self, wait: bool) {
         let mut dead = false;
         if let Some(conn) = &mut self.conn {
             let mut chunk = [0u8; 4096];
-            loop {
+            let mut blocking = wait;
+            dead = conn.set_nonblocking(!blocking).is_err();
+            while !dead {
                 match conn.read(&mut chunk) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
+                    Ok(0) => dead = true,
+                    Ok(n) => {
+                        self.inbuf.extend_from_slice(&chunk[..n]);
+                        if blocking {
+                            blocking = false;
+                            dead = conn.set_nonblocking(true).is_err();
+                        }
                     }
-                    Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
                     Err(e)
                         if e.kind() == std::io::ErrorKind::WouldBlock
                             || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -402,12 +453,12 @@ impl IngestNode {
                         break
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
+                    Err(_) => dead = true,
                 }
             }
+            // A socket stuck non-blocking would fail the next large write
+            // half way through a frame: treat it as lost instead.
+            dead |= conn.set_nonblocking(false).is_err();
         }
         if dead {
             self.conn = None;
@@ -421,6 +472,7 @@ impl IngestNode {
             };
             match Frame::decode(&self.inbuf[..total]) {
                 Ok(Frame::Ack { interval }) => {
+                    self.acks_owed = self.acks_owed.saturating_sub(1);
                     let _ = self.spool.ack(interval);
                     if let Some(m) = &self.config.metrics {
                         m.sender.acks_total.inc();

@@ -9,19 +9,23 @@
 //!   partial whose report is exactly the detection over the surviving
 //!   shards — degraded, never silently wrong;
 //! * detector panics at the aggregator are absorbed: restore from
-//!   checkpoint, replay, resume mid-stream with unchanged output.
+//!   checkpoint, replay, resume mid-stream with unchanged output;
+//! * an interval close never waits for an ack, and ships the packed
+//!   sketch body whenever the cells are integers (a fraction of the dense
+//!   frame's bytes), the dense one when they are not — same reports.
 
 use scd_core::supervisor::RestartPolicy;
 use scd_core::{DetectorConfig, KeyStrategy, SketchChangeDetector};
 use scd_forecast::ModelSpec;
+use scd_net::sender::ACK_POLL;
 use scd_net::{
     AggregateSummary, Aggregator, AggregatorConfig, CheckpointEvery, Frame, IngestNode, NetMetrics,
-    NodeConfig, NodeSummary, SupervisedDetector, VERSION,
+    NodeConfig, NodeSummary, SpoolDir, SupervisedDetector, VERSION,
 };
 use scd_sketch::SketchConfig;
 use scd_traffic::{shard_of_key, FaultPlan, NetFaultPlan};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -577,4 +581,246 @@ fn supervised_detector_resumes_from_checkpoint_at_startup() {
         assert_eq!(got, expect, "resumed detector diverged at interval {t}");
     }
     let _ = std::fs::remove_file(&ck_path);
+}
+
+/// One attempt at the no-wait check: 20 closes against a peer that
+/// swallows every byte and never acknowledges one, then the same 20 spool
+/// stores on their own. Returns `(closes, stores)`.
+fn closes_against_a_mute_peer(attempt: u32) -> (Duration, Duration) {
+    const TINY: SketchConfig = SketchConfig { h: 1, k: 2, seed: 7 };
+    const CLOSES: u64 = 20;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        std::io::copy(&mut conn, &mut std::io::sink()).expect("swallow until the node hangs up")
+    });
+    let spool = spool_dir(&format!("no-ack-{attempt}"));
+    let mut node = IngestNode::new(NodeConfig {
+        node: 0,
+        nodes: NODES,
+        sketch: TINY,
+        shards: 2,
+        addr,
+        spool_dir: spool.clone(),
+        retry: RestartPolicy { max_restarts: 5, backoff_base_ms: 5, backoff_cap_ms: 100 },
+        fault: None,
+        metrics: None,
+    })
+    .expect("node up");
+    let began = Instant::now();
+    for _ in 0..CLOSES {
+        node.end_interval().expect("close interval");
+    }
+    let closes = began.elapsed();
+    drop(node);
+    assert!(peer.join().expect("peer thread") > 0, "the frames were sent");
+
+    // Nothing was acknowledged, so nothing may have left the spool.
+    let spooled = SpoolDir::open(&spool, 0).expect("spool");
+    assert_eq!(spooled.pending().expect("pending"), (0..CLOSES).collect::<Vec<_>>());
+    let frames: Vec<Vec<u8>> = (0..CLOSES).map(|t| spooled.load(t).expect("load")).collect();
+    let alone = SpoolDir::open(&spool.join("alone"), 0).expect("second spool");
+    let began = Instant::now();
+    for (t, frame) in frames.iter().enumerate() {
+        alone.store(t as u64, frame).expect("store");
+    }
+    let stores = began.elapsed();
+    let _ = std::fs::remove_dir_all(&spool);
+    (closes, stores)
+}
+
+/// An interval close drains the acks the socket already holds and moves
+/// on. Twenty closes with no ack ever arriving must cost less than half
+/// a read timeout each on top of their own spool writes (measured here,
+/// so a slow disk cannot fail this) — a close that waits for its ack
+/// sleeps a whole timeout every time, 200 ms in all, on any machine. A
+/// busy machine can steal a time slice from one attempt, not from three.
+#[test]
+fn a_close_never_waits_for_an_ack() {
+    let mut seen = Vec::new();
+    for attempt in 0..3 {
+        let (closes, stores) = closes_against_a_mute_peer(attempt);
+        if closes < 20 * ACK_POLL / 2 + stores {
+            return;
+        }
+        seen.push((closes, stores));
+    }
+    panic!("20 closes waited on acks that never came: (closes, their stores alone) = {seen:?}");
+}
+
+/// `finish` does not hang up while an ack is still owed. Closing a socket
+/// that holds unread bytes sends a reset instead of a clean close, and a
+/// reset lets the peer discard what it has not read yet — the final `Bye`,
+/// after which an aggregator sits out the node's whole liveness deadline.
+/// Since closes stopped waiting for acks, a resend's duplicate ack can be
+/// in flight when the spool is already empty; so the node counts the
+/// frames it wrote and leaves only when each has been answered. The peer
+/// here gets interval 0 twice, answers once, and must find the node still
+/// connected until it answers the second copy.
+#[test]
+fn finish_waits_for_the_ack_of_every_frame_it_wrote() {
+    const TINY: SketchConfig = SketchConfig { h: 1, k: 2, seed: 7 };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let ack = Frame::Ack { interval: 0 }.encode();
+        let mut intervals = 0;
+        while intervals < 2 {
+            let frame = Frame::read_from(&mut conn).expect("hello, then interval 0 twice");
+            intervals += usize::from(matches!(frame, Frame::Interval { .. }));
+        }
+        conn.write_all(&ack).expect("first ack");
+        // The spool is empty now, and one ack is still owed: for as long
+        // as we care to look, nothing but `Bye`s arrives, and no end of
+        // stream.
+        conn.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        let watched = Instant::now();
+        while watched.elapsed() < Duration::from_millis(300) {
+            let got = Frame::read_from(&mut conn);
+            let waiting = matches!(got, Ok(Frame::Bye { .. }) | Err(scd_net::FrameError::Idle));
+            assert!(waiting, "the node left with an ack still owed: {got:?}");
+        }
+        conn.write_all(&ack).expect("second ack");
+        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut byes = 0;
+        loop {
+            match Frame::read_from(&mut conn) {
+                Ok(Frame::Bye { .. }) => byes += 1,
+                other => break (byes, other),
+            }
+        }
+    });
+    let spool = spool_dir("owed-ack");
+    let mut node = IngestNode::new(NodeConfig {
+        node: 0,
+        nodes: NODES,
+        sketch: TINY,
+        shards: 1,
+        addr,
+        spool_dir: spool.clone(),
+        retry: RestartPolicy { max_restarts: 5, backoff_base_ms: 5, backoff_cap_ms: 100 },
+        fault: Some(NetFaultPlan::none().and_duplicate_at(0)),
+        metrics: None,
+    })
+    .expect("node up");
+    node.end_interval().expect("close interval");
+    let summary = node.finish(Duration::from_secs(10)).expect("finish");
+    assert!(summary.unacked.is_empty());
+    let (byes, end) = peer.join().expect("peer thread");
+    let _ = std::fs::remove_dir_all(&spool);
+    assert!(byes >= 1, "the closing Bye must follow the last ack");
+    assert!(matches!(end, Err(scd_net::FrameError::Closed)), "not a clean close: {end:?}");
+}
+
+/// A healthy ring, every node counted by `metrics`, against the single
+/// box over the same updates: returns the plane's summary and the
+/// reference reports.
+fn run_counted_ring(
+    tag: &str,
+    sketch: SketchConfig,
+    nodes: u32,
+    intervals: u64,
+    updates: fn(u64) -> Vec<(u64, f64)>,
+    metrics: &Arc<NetMetrics>,
+) -> (AggregateSummary, Vec<scd_core::IntervalReport>) {
+    let config = AggregatorConfig {
+        grace: Duration::from_secs(2),
+        node_deadline: Duration::from_secs(10),
+        run_timeout: Duration::from_secs(30),
+        ..AggregatorConfig::new(detector_config_with(sketch), nodes)
+    };
+    let aggregator = Aggregator::bind(config, "127.0.0.1:0").expect("bind");
+    let addr = aggregator.local_addr().expect("addr").to_string();
+    let agg_thread = std::thread::spawn(move || aggregator.run().expect("aggregate"));
+    let spool = spool_dir(tag);
+    let threads: Vec<_> = (0..nodes)
+        .map(|node| {
+            let config = NodeConfig {
+                node,
+                nodes,
+                sketch,
+                shards: 1,
+                addr: addr.clone(),
+                spool_dir: spool.clone(),
+                retry: RestartPolicy { max_restarts: 5, backoff_base_ms: 5, backoff_cap_ms: 100 },
+                fault: None,
+                metrics: Some(Arc::clone(metrics)),
+            };
+            std::thread::spawn(move || {
+                let mut node = IngestNode::new(config).expect("node up");
+                for t in 0..intervals {
+                    node.push_slice(&updates(t)).expect("push");
+                    node.end_interval().expect("close interval");
+                }
+                node.finish(Duration::from_secs(15)).expect("finish")
+            })
+        })
+        .collect();
+    for thread in threads {
+        let summary = thread.join().expect("node thread");
+        assert!(summary.unacked.is_empty(), "spool must drain: {:?}", summary.unacked);
+    }
+    let summary = agg_thread.join().expect("aggregator thread");
+    let _ = std::fs::remove_dir_all(&spool);
+    let mut detector = SketchChangeDetector::new(detector_config_with(sketch));
+    let reference = (0..intervals).map(|t| detector.process_interval(&updates(t))).collect();
+    (summary, reference)
+}
+
+fn assert_full_and_equal(summary: &AggregateSummary, reference: &[scd_core::IntervalReport]) {
+    assert!(!summary.timed_out);
+    assert_eq!(summary.intervals.len(), reference.len(), "every interval must be emitted");
+    for (emitted, expect) in summary.intervals.iter().zip(reference) {
+        assert!(emitted.missing.is_empty() && emitted.recovered.is_empty());
+        assert_eq!(emitted.report, *expect, "interval {} diverged", emitted.interval);
+    }
+}
+
+/// Interval frames the nodes put on the wire, resends included, and the
+/// size of one dense blob of `sketch`'s family.
+fn frames_and_dense_blob(metrics: &NetMetrics, sketch: SketchConfig) -> (u64, u64) {
+    let frames = metrics.sender.frames_sent_total.get() + metrics.sender.frames_resent_total.get();
+    (frames, scd_sketch::wire::to_bytes(&scd_sketch::KarySketch::new(sketch)).len() as u64)
+}
+
+/// Half-byte values (what reweighted sampling produces) leave fractional
+/// cells the packed body cannot carry: every frame falls back to the
+/// dense blobs, and the reports still equal the single box's.
+#[test]
+fn fractional_cells_ship_dense_and_still_match_the_single_box() {
+    fn halved(t: u64) -> Vec<(u64, f64)> {
+        interval_updates(t).into_iter().map(|(k, v)| (k, 0.5 * v)).collect()
+    }
+    let metrics = NetMetrics::register(&scd_obs::Registry::new());
+    let (summary, reference) =
+        run_counted_ring("fractional", SKETCH, NODES, INTERVALS, halved, &metrics);
+    assert_full_and_equal(&summary, &reference);
+    assert!(summary.intervals[4].report.alarms.iter().any(|a| a.key == 7));
+    let (frames, dense_blob) = frames_and_dense_blob(&metrics, SKETCH);
+    assert!(frames >= u64::from(NODES) * INTERVALS);
+    let sent = metrics.sender.bytes_sent_total.get();
+    assert!(sent >= frames * 2 * dense_blob, "{frames} frames in {sent} B: some went packed");
+}
+
+/// At the benchmark's shape (H = 5, K = 32 768, two nodes, ~5 000 records
+/// a shard over ~1 250 keys) an interval's cells are integers and ~7 %
+/// non-zero: the frames go packed, at under a tenth of the dense bytes.
+#[test]
+fn integer_intervals_ship_under_a_tenth_of_the_dense_bytes() {
+    const WIDE: SketchConfig = SketchConfig { h: 5, k: 32_768, seed: 0x5CD };
+    fn updates(t: u64) -> Vec<(u64, f64)> {
+        let mut rng = scd_hash::SplitMix64::new(0xFA21 + t);
+        (0..10_000).map(|_| (rng.next_below(2_500), (40 + rng.next_below(1_460)) as f64)).collect()
+    }
+    let metrics = NetMetrics::register(&scd_obs::Registry::new());
+    let (summary, reference) = run_counted_ring("packed-bytes", WIDE, 2, 3, updates, &metrics);
+    assert_full_and_equal(&summary, &reference);
+    let (frames, dense_blob) = frames_and_dense_blob(&metrics, WIDE);
+    assert!(frames >= 2 * 3);
+    // Every byte the nodes wrote — key lists, handshakes and any resend
+    // included — against the two dense blobs alone of as many frames.
+    let sent = metrics.sender.bytes_sent_total.get();
+    assert!(sent * 10 < frames * 2 * dense_blob, "{frames} frames took {sent} B");
 }

@@ -6,31 +6,68 @@
 //! matters: a deserialized sketch carries its hash-family identity
 //! `(H, K, seed)`, so an incompatible COMBINE is still caught.
 //!
-//! The `SCDSKT02` file envelope (`scd_hash::envelope`) around this body
-//! (little-endian):
+//! Two bodies share the file envelope (`scd_hash::envelope`) and the
+//! header (little-endian):
 //!
 //! ```text
 //! h       8  u64
 //! k       8  u64
 //! seed    8  u64
+//! ```
+//!
+//! **Dense, `SCDSKT02`** ([`to_bytes`]) — what archives and checkpoints
+//! embed, and what every table can be written as:
+//!
+//! ```text
 //! cells   H*K*8  f64 bits, row-major
 //! ```
 //!
-//! At the paper's `H = 5, K = 32768` a sketch serializes to 1.25 MiB + 36
-//! bytes — the "ship a sketch, not per-flow tables" story in §1.3.
-//! Deserialization re-derives the hash tables from the seed (~2 MiB of
-//! tabulation per row, built once per family thanks to the shared
-//! `Arc<HashRows>`); [`from_bytes_with_rows`] skips even that when the
-//! caller already holds the family.
+//! At the paper's `H = 5, K = 32768` that is 1.25 MiB + 36 bytes — the
+//! "ship a sketch, not per-flow tables" story in §1.3.
+//!
+//! **Packed, `SCDSKP01`** ([`to_bytes_packed`]) — what an ingest node
+//! ships. The update-optimised table is mostly zero cells around integer
+//! byte counts, and the form that travels need not be the form that is
+//! updated (SF-sketch): after the header come the non-zero cells only, in
+//! row-major order, to the end of the envelope:
+//!
+//! ```text
+//! gap     unsigned LEB128   zero cells skipped since the previous pair
+//! value   zigzag LEB128     the cell, a non-zero integer, |value| <= 2^53
+//! ```
+//!
+//! Every integer of magnitude up to 2⁵³ is one `f64` and back, so the
+//! packed body is *exact*: decoding gives the encoder's table bit for bit.
+//! A table holding anything else — a fractional cell from reweighted
+//! sampling, `-0.0`, a NaN, an infinity, an integer past 2⁵³ — is written
+//! dense instead, as is a table the packed body would not make shorter;
+//! [`from_bytes_with_rows`] reads either by its magic. A body has one
+//! encoding only (shortest LEB128 forms, no zero value, no gap past the
+//! table), and there is no cell count for a hostile sender to lie in: the
+//! table a decode fills is the receiver's own family's, sized before the
+//! first pair is read.
+//!
+//! Deserialization of a dense blob re-derives the hash tables from the
+//! seed (~2 MiB of tabulation per row, built once per family thanks to the
+//! shared `Arc<HashRows>`); [`from_bytes_with_rows`] skips even that when
+//! the caller already holds the family.
 
 use crate::error::SketchError;
 use crate::kary::{KarySketch, SketchConfig};
-use scd_hash::byteio::{put_f64, put_u64, Cursor, ShortInput};
-use scd_hash::envelope::{self, SealError};
+use scd_hash::byteio::{put_f64, put_u64, put_uleb128, unzigzag, zigzag, Cursor, ShortInput};
+use scd_hash::envelope::{self, SealError, FOOTER_LEN};
 use scd_hash::HashRows;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SCDSKT02";
+const PACKED_MAGIC: &[u8; 8] = b"SCDSKP01";
+
+/// Magic plus the `h ‖ k ‖ seed` header both bodies start with.
+const HEADER_LEN: usize = 32;
+
+/// Largest cell magnitude the packed body carries: up to here every
+/// integer is exactly one `f64`.
+const MAX_PACKED: u64 = 1 << 53;
 
 /// Errors from sketch (de)serialization.
 #[derive(Debug)]
@@ -46,6 +83,8 @@ pub enum WireError {
         /// Declared buckets.
         k: u64,
     },
+    /// A packed body breaks its own rules; the payload names which.
+    BadCell(&'static str),
     /// The serialized family does not match the one the caller supplied to
     /// [`from_bytes_with_rows`].
     FamilyMismatch,
@@ -60,6 +99,7 @@ impl std::fmt::Display for WireError {
             WireError::BadHeader { h, k } => {
                 write!(f, "invalid sketch header: H={h}, K={k}")
             }
+            WireError::BadCell(what) => write!(f, "packed sketch cells: {what}"),
             WireError::FamilyMismatch => {
                 write!(f, "serialized sketch belongs to a different hash family")
             }
@@ -86,74 +126,174 @@ impl From<ShortInput> for WireError {
 /// a defensive bound so corrupt headers cannot trigger huge allocations.
 const MAX_CELLS: u64 = 64 * 1024 * 1024;
 
-/// Serializes the sketch: envelope, header, raw cells.
-pub fn to_bytes(sketch: &KarySketch) -> Vec<u8> {
-    let (h, k, seed) = sketch.rows().identity();
-    let mut buf = Vec::with_capacity(36 + sketch.table().len() * 8);
-    buf.extend_from_slice(MAGIC);
+/// `(H, K, seed)`, as `HashRows::identity` gives it.
+type Identity = (usize, usize, u64);
+
+fn begin(magic: &[u8; 8], (h, k, seed): Identity, capacity: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(capacity);
+    buf.extend_from_slice(magic);
     put_u64(&mut buf, h as u64);
     put_u64(&mut buf, k as u64);
     put_u64(&mut buf, seed);
-    for &cell in sketch.table() {
+    buf
+}
+
+fn dense(family: Identity, cells: impl ExactSizeIterator<Item = f64>) -> Vec<u8> {
+    let mut buf = begin(MAGIC, family, HEADER_LEN + cells.len() * 8 + FOOTER_LEN);
+    for cell in cells {
         put_f64(&mut buf, cell);
     }
     envelope::seal(&mut buf);
     buf
 }
 
-/// Validated header + cell payload, shared by the two decode entry points.
-struct Decoded<'a> {
+/// The packed blob of `cells`, or `None` at the first cell it cannot
+/// carry exactly.
+fn packed(family: Identity, cells: impl Iterator<Item = f64>) -> Option<Vec<u8>> {
+    let mut buf = begin(PACKED_MAGIC, family, 4096);
+    let mut gap = 0u64;
+    for cell in cells {
+        if cell.to_bits() == 0 {
+            gap += 1;
+            continue;
+        }
+        // Through `i64` and back, bit for bit: stops `-0.0` (which would
+        // come back `+0.0`), fractions, NaN and the infinities.
+        let value = cell as i64;
+        if (value as f64).to_bits() != cell.to_bits() || value.unsigned_abs() > MAX_PACKED {
+            return None;
+        }
+        put_uleb128(&mut buf, gap);
+        put_uleb128(&mut buf, zigzag(value));
+        gap = 0;
+    }
+    envelope::seal(&mut buf);
+    Some(buf)
+}
+
+fn packed_or_dense(family: Identity, cells: impl ExactSizeIterator<Item = f64> + Clone) -> Vec<u8> {
+    let dense_len = HEADER_LEN + cells.len() * 8 + FOOTER_LEN;
+    match packed(family, cells.clone()) {
+        Some(blob) if blob.len() < dense_len => blob,
+        _ => dense(family, cells),
+    }
+}
+
+/// Serializes the sketch: envelope, header, raw cells.
+pub fn to_bytes(sketch: &KarySketch) -> Vec<u8> {
+    dense(sketch.rows().identity(), sketch.table().iter().copied())
+}
+
+/// Serializes the sketch for shipping: the packed body when it is exact
+/// and shorter, the dense [`to_bytes`] blob otherwise (module docs).
+pub fn to_bytes_packed(sketch: &KarySketch) -> Vec<u8> {
+    packed_or_dense(sketch.rows().identity(), sketch.table().iter().copied())
+}
+
+/// [`to_bytes_packed`] of the cell-wise sum `a + b`, each cell added as
+/// it is written: an ingest node's ring parity, without a third table.
+///
+/// # Errors
+/// [`SketchError::IncompatibleSketches`] if the hash families differ.
+pub fn to_bytes_packed_sum(a: &KarySketch, b: &KarySketch) -> Result<Vec<u8>, SketchError> {
+    a.check_family(b)?;
+    let cells = a.table().iter().zip(b.table()).map(|(x, y)| x + y);
+    Ok(packed_or_dense(a.rows().identity(), cells))
+}
+
+/// The header both bodies share, validated.
+struct Header {
     h: u64,
     k: u64,
     seed: u64,
-    cells: Cursor<'a>,
-    n_cells: usize,
 }
 
-fn decode(data: &[u8]) -> Result<Decoded<'_>, WireError> {
-    let mut cur = Cursor::new(envelope::open(MAGIC, data)?);
-    let h = cur.u64()?;
-    let k = cur.u64()?;
-    let seed = cur.u64()?;
-    if h == 0 || k == 0 || !k.is_power_of_two() || h.saturating_mul(k) > MAX_CELLS {
-        return Err(WireError::BadHeader { h, k });
+impl Header {
+    fn read(cur: &mut Cursor<'_>) -> Result<Header, WireError> {
+        let (h, k, seed) = (cur.u64()?, cur.u64()?, cur.u64()?);
+        if h == 0 || k == 0 || !k.is_power_of_two() || h.saturating_mul(k) > MAX_CELLS {
+            return Err(WireError::BadHeader { h, k });
+        }
+        Ok(Header { h, k, seed })
     }
-    let n_cells = (h * k) as usize;
-    if cur.remaining() != n_cells * 8 {
+
+    fn check_family(&self, rows: &HashRows) -> Result<(), WireError> {
+        let (h, k, seed) = rows.identity();
+        if (self.h, self.k, self.seed) != (h as u64, k as u64, seed) {
+            return Err(WireError::FamilyMismatch);
+        }
+        Ok(())
+    }
+}
+
+/// Opens a dense blob: the validated header and a cursor over exactly the
+/// `H × K` cells it declares.
+fn decode(data: &[u8]) -> Result<(Header, Cursor<'_>), WireError> {
+    let mut cur = Cursor::new(envelope::open(MAGIC, data)?);
+    let header = Header::read(&mut cur)?;
+    if cur.remaining() as u64 != header.h * header.k * 8 {
         return Err(SealError::Truncated.into());
     }
-    Ok(Decoded { h, k, seed, cells: cur, n_cells })
+    Ok((header, cur))
 }
 
-fn read_table(mut d: Decoded<'_>) -> Vec<f64> {
-    let mut table = Vec::with_capacity(d.n_cells);
-    for _ in 0..d.n_cells {
-        table.push(d.cells.f64().expect("cell count validated"));
+fn read_table(mut cells: Cursor<'_>) -> Vec<f64> {
+    let n_cells = cells.remaining() / 8;
+    let mut table = Vec::with_capacity(n_cells);
+    for _ in 0..n_cells {
+        table.push(cells.f64().expect("cell count validated"));
     }
     table
 }
 
-/// Deserializes a sketch, re-deriving its hash family from the header.
-pub fn from_bytes(data: &[u8]) -> Result<KarySketch, WireError> {
-    let d = decode(data)?;
-    let config = SketchConfig { h: d.h as usize, k: d.k as usize, seed: d.seed };
-    let mut sketch = KarySketch::new(config);
-    sketch.load_table(read_table(d));
+/// Fills a zeroed table of the receiver's own family from a packed blob.
+fn unpack(data: &[u8], rows: &Arc<HashRows>) -> Result<KarySketch, WireError> {
+    let mut cur = Cursor::new(envelope::open(PACKED_MAGIC, data)?);
+    Header::read(&mut cur)?.check_family(rows)?;
+    let mut sketch = KarySketch::with_rows(Arc::clone(rows));
+    let table = sketch.table_mut();
+    let mut next = 0u64;
+    while cur.remaining() > 0 {
+        let gap = cur.uleb128()?.ok_or(WireError::BadCell("gap is not a shortest-form LEB128"))?;
+        let value =
+            cur.uleb128()?.ok_or(WireError::BadCell("value is not a shortest-form LEB128"))?;
+        let value = unzigzag(value);
+        if value == 0 || value.unsigned_abs() > MAX_PACKED {
+            return Err(WireError::BadCell("value is zero or beyond 2^53"));
+        }
+        let at = next
+            .checked_add(gap)
+            .filter(|&at| at < table.len() as u64)
+            .ok_or(WireError::BadCell("gap runs past the table"))?;
+        table[at as usize] = value as f64;
+        next = at + 1;
+    }
     Ok(sketch)
 }
 
-/// Deserializes a sketch into an existing hash family, skipping the (large)
-/// table re-derivation. The serialized identity must match `rows` exactly;
-/// a mismatch is [`WireError::FamilyMismatch`]. This is the hot path for
-/// checkpoint restore, which decodes several sketches of one family.
+/// Deserializes a sketch, re-deriving its hash family from the header.
+pub fn from_bytes(data: &[u8]) -> Result<KarySketch, WireError> {
+    let (header, cells) = decode(data)?;
+    let config = SketchConfig { h: header.h as usize, k: header.k as usize, seed: header.seed };
+    let mut sketch = KarySketch::new(config);
+    sketch.load_table(read_table(cells));
+    Ok(sketch)
+}
+
+/// Deserializes a sketch — dense or packed, told apart by the magic — into
+/// an existing hash family, skipping the (large) table re-derivation. The
+/// serialized identity must match `rows` exactly; a mismatch is
+/// [`WireError::FamilyMismatch`], found before anything is allocated. This
+/// is the hot path for checkpoint restore, which decodes several sketches
+/// of one family, and for the aggregator, which decodes two per frame.
 pub fn from_bytes_with_rows(data: &[u8], rows: &Arc<HashRows>) -> Result<KarySketch, WireError> {
-    let d = decode(data)?;
-    let (h, k, seed) = rows.identity();
-    if (d.h, d.k, d.seed) != (h as u64, k as u64, seed) {
-        return Err(WireError::FamilyMismatch);
+    if data.starts_with(PACKED_MAGIC) {
+        return unpack(data, rows);
     }
+    let (header, cells) = decode(data)?;
+    header.check_family(rows)?;
     let mut sketch = KarySketch::with_rows(Arc::clone(rows));
-    sketch.load_table(read_table(d));
+    sketch.load_table(read_table(cells));
     Ok(sketch)
 }
 

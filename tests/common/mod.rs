@@ -125,6 +125,18 @@ pub fn interval_frame() -> Frame {
     }
 }
 
+/// [`interval_frame`] as an ingest node ships it: both blobs packed.
+pub fn packed_interval_frame() -> Frame {
+    Frame::Interval {
+        node: 1,
+        interval: 7,
+        data: sketch::wire::to_bytes_packed(&sample_sketch(7)),
+        data_keys: items(7).into_iter().map(|(k, _)| k).collect(),
+        parity: sketch::wire::to_bytes_packed(&sample_sketch(8)),
+        parity_keys: items(8).into_iter().map(|(k, _)| k).collect(),
+    }
+}
+
 pub fn changed_keys_request() -> Request {
     Request::ChangedKeys { from: 3, to: 9, threshold: 0.05 }
 }

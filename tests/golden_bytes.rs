@@ -4,8 +4,10 @@
 //! the shared envelope code may change how bytes are produced, never which
 //! bytes: each digest below was recorded from the byte-at-a-time CRC and
 //! the hand-rolled per-format envelopes, and a kernel or encoder that
-//! writes anything else fails here. The digest is FNV-1a/64 written in
-//! this file, so it shares no code with the checksum under test.
+//! writes anything else fails here (the two `SCDSKP01` digests are as old
+//! as that format: recorded from its first encoder). The digest is
+//! FNV-1a/64 written in this file, so it shares no code with the checksum
+//! under test.
 
 mod common;
 
@@ -39,6 +41,16 @@ fn sketch_blob_is_golden() {
     let bytes = sketch::to_bytes(&sample_sketch(1));
     assert_eq!(&bytes[..8], b"SCDSKT02");
     assert_eq!(digest(&bytes), (40_996, 0x346A_8250_6FF4_55AE), "SCDSKT02");
+}
+
+#[test]
+fn packed_sketch_blob_is_golden() {
+    let sketch = sample_sketch(1);
+    let bytes = sketch::wire::to_bytes_packed(&sketch);
+    assert_eq!(&bytes[..8], b"SCDSKP01");
+    assert_eq!(digest(&bytes), (602, 0x7C57_A8D1_6FED_12BF), "SCDSKP01");
+    let back = sketch::wire::from_bytes_with_rows(&bytes, sketch.rows()).expect("decodes");
+    assert_eq!(sketch::to_bytes(&back), sketch::to_bytes(&sketch), "packed is exact");
 }
 
 #[test]
@@ -78,6 +90,15 @@ fn net_frame_is_golden() {
     let bytes = interval_frame().encode();
     assert_eq!(&bytes[..4], b"SCDN");
     assert_eq!(digest(&bytes), (82_689, 0x388B_9029_273E_5D1C), "SCDN");
+}
+
+/// `Frame::encode` carries blobs opaquely: packing them changes the
+/// frame's length and digest, not its layout.
+#[test]
+fn packed_net_frame_is_golden() {
+    let bytes = packed_interval_frame().encode();
+    assert_eq!(&bytes[..4], b"SCDN");
+    assert_eq!(digest(&bytes), (1_896, 0xFAF6_1010_193E_7C3A), "SCDN carrying SCDSKP01 blobs");
 }
 
 #[test]

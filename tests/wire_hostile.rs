@@ -1,6 +1,6 @@
 //! One hostile-input suite for every persisted and transmitted format.
 //!
-//! The six formats share two envelopes (`scd_hash::envelope`), so they
+//! The seven formats share two envelopes (`scd_hash::envelope`), so they
 //! share one contract: whatever arrives — a flipped bit, a cut, a stray
 //! byte, a foreign magic, a length or count that promises more than the
 //! input holds — decoding returns a typed error, never panics, never
@@ -21,15 +21,17 @@ use common::*;
 use sketch_change::archive::{wire as archive_wire, ArchiveConfig, SketchArchive};
 use sketch_change::core::{Checkpoint, DetectorConfig, KeyStrategy, SketchChangeDetector};
 use sketch_change::forecast::ModelSpec;
+use sketch_change::hash::byteio::{put_uleb128, zigzag};
 use sketch_change::hash::envelope::{self, FrameSpec, FOOTER_LEN, FRAME_HEADER_LEN};
-use sketch_change::hash::SplitMix64;
-use sketch_change::net::{Frame, SCDN};
+use sketch_change::hash::{HashRows, SplitMix64};
+use sketch_change::net::{Frame, FrameError, SCDN};
 use sketch_change::serve::{Request, Response, SCDQ};
 use sketch_change::sketch::{self, KarySketch, SketchConfig};
 use sketch_change::traffic::{io, Corruptor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Read;
+use std::sync::{Arc, OnceLock};
 
 /// Counts nothing but the largest single request made on this thread —
 /// enough to catch a decoder sizing a buffer from a hostile length.
@@ -138,6 +140,40 @@ fn tiny_checkpoint() -> Checkpoint {
     }
 }
 
+/// A packed blob fills a table the receiver already holds the rows for:
+/// the two families the fixtures come in, built once.
+fn rows_of(tiny: bool) -> &'static Arc<HashRows> {
+    static ROWS: [OnceLock<Arc<HashRows>>; 2] = [OnceLock::new(), OnceLock::new()];
+    ROWS[usize::from(tiny)]
+        .get_or_init(|| Arc::clone(if tiny { tiny_sketch(0) } else { sample_sketch(1) }.rows()))
+}
+
+fn decode_packed(blob: &[u8], tiny: bool) -> Verdict {
+    verdict(sketch::wire::from_bytes_with_rows(blob, rows_of(tiny)))
+}
+
+/// What the aggregator does with an interval frame: open it, then open
+/// both blobs against its own family.
+fn decode_shipped(frame: Result<Frame, FrameError>) -> Verdict {
+    match frame {
+        Ok(Frame::Interval { data, parity, .. }) => {
+            decode_packed(&data, true).and(decode_packed(&parity, true))
+        }
+        other => verdict(other),
+    }
+}
+
+fn tiny_packed_interval_frame() -> Frame {
+    Frame::Interval {
+        node: 0,
+        interval: 3,
+        data: sketch::wire::to_bytes_packed(&tiny_sketch(0)),
+        data_keys: vec![1, 2],
+        parity: sketch::wire::to_bytes_packed(&tiny_sketch(1)),
+        parity_keys: vec![3],
+    }
+}
+
 fn tiny_interval_frame() -> Frame {
     Frame::Interval {
         node: 0,
@@ -153,7 +189,8 @@ fn tiny_interval_frame() -> Frame {
 /// flip and every truncation; the golden-sized ones a seeded sample.
 ///
 /// Count offsets, by format:
-/// * sketch — `h`, `k` right after the 8-byte magic;
+/// * sketch, dense or packed — `h`, `k` right after the 8-byte magic (a
+///   packed body has no count of its own: its table is the receiver's);
 /// * archive — `n_epochs` after magic + 3×u32 config + u64 next interval,
 ///   then the first epoch's `n_notable` after its start and length;
 /// * checkpoint — the model spec's `u32` length after magic + sketch
@@ -192,6 +229,11 @@ fn cases() -> Vec<Case> {
     let sketch_case = |name, s: &KarySketch| {
         file(name, sketch::to_bytes(s), |b| verdict(sketch::from_bytes(b)), &[(8, 8), (16, 8)])
     };
+    let packed_case = |name, s: &KarySketch, decode| {
+        let clean = sketch::wire::to_bytes_packed(s);
+        assert!(clean.starts_with(b"SCDSKP01"), "{name}: the fixture must pack");
+        file(name, clean, decode, &[(8, 8), (16, 8)])
+    };
     let archive_case = |name, a: &SketchArchive<KarySketch>| {
         let bytes = archive_wire::to_bytes(a);
         let counts = [(28, 4), (48, 4), (first_blob_len(&bytes), 8)];
@@ -209,6 +251,8 @@ fn cases() -> Vec<Case> {
     vec![
         sketch_case("SCDSKT02 (tiny)", &tiny_sketch(0)),
         sketch_case("SCDSKT02", &sample_sketch(1)),
+        packed_case("SCDSKP01 (tiny)", &tiny_sketch(0), |b| decode_packed(b, true)),
+        packed_case("SCDSKP01", &sample_sketch(1), |b| decode_packed(b, false)),
         trace_case("SCDTRC02 (tiny)", &sample_trace()[..5]),
         trace_case("SCDTRC02", &sample_trace()),
         archive_case("SCDARCH1 (tiny)", &tiny_archive()),
@@ -219,6 +263,12 @@ fn cases() -> Vec<Case> {
         scdn("SCDN ack", Frame::Ack { interval: 7 }),
         scdn("SCDN interval (tiny)", tiny_interval_frame()),
         scdn("SCDN interval", interval_frame()),
+        // A packed frame, opened the way the aggregator opens it.
+        Case {
+            decode: |b| decode_shipped(Frame::decode(b)),
+            stream: Some(|mut r| decode_shipped(Frame::read_from(&mut r))),
+            ..scdn("SCDN packed interval (tiny)", tiny_packed_interval_frame())
+        },
         Case {
             name: "SCDQ request",
             clean: changed_keys_request().encode(),
@@ -396,9 +446,11 @@ fn one_appended_byte_is_a_typed_error() {
 #[test]
 fn a_foreign_magic_is_named_as_such() {
     for case in cases() {
-        // Other formats' magics, then no format's.
+        // Other formats' magics (of formats read by one decoder each: a
+        // sketch blob under the other sketch magic is a checksum error),
+        // then no format's.
         let foreign: [&[u8]; 3] = match case.wrap {
-            Wrap::File => [b"SCDARCH1", b"SCDSKT02", &[0; 8]],
+            Wrap::File => [b"SCDARCH1", b"SCDCKPT2", &[0; 8]],
             Wrap::Frame(_) => [b"SCDN", b"SCDQ", &[0; 4]],
         };
         for magic in foreign.into_iter().filter(|m| !case.clean.starts_with(m)) {
@@ -446,4 +498,51 @@ fn counts_larger_than_the_bytes_remaining_are_typed_errors() {
         }
         case.assert_pristine();
     }
+}
+
+/// The packed cell body's own rules, each broken once under a valid
+/// checksum: a typed error every time, and never a table beyond the
+/// receiver's own (the allocation bound rides on `assert_rejected`).
+#[test]
+fn packed_cell_bodies_that_break_their_rules_are_typed_errors() {
+    let all = cases();
+    let case = all.iter().find(|c| c.name == "SCDSKP01 (tiny)").expect("the tiny packed row");
+    let cells = 2 * 8; // `tiny_sketch` is H = 2, K = 8
+    let body = |pairs: &[u8]| {
+        case.resealed(|bytes| {
+            bytes.truncate(32); // magic ‖ h ‖ k ‖ seed
+            bytes.extend_from_slice(pairs);
+        })
+    };
+    let pair = |gap: u64, value: i64| {
+        let mut out = Vec::new();
+        put_uleb128(&mut out, gap);
+        put_uleb128(&mut out, zigzag(value));
+        out
+    };
+    // The harness is not vacuous: bodies that keep the rules decode.
+    let last_cell = [pair(0, -3), pair(cells - 2, 1 << 53)].concat();
+    for good in [&[][..], &pair(5, 7), &last_cell] {
+        assert_eq!((case.decode)(&body(good)), Ok(()), "a valid body {good:02x?}");
+    }
+    let two_53_plus_1 = pair(0, (1 << 53) + 1);
+    let past_the_end = [last_cell.clone(), pair(0, 1)].concat();
+    let trailing_byte = [pair(5, 7), vec![0]].concat();
+    let overlong = [vec![0x80; 10], vec![0x00, 0x02]].concat();
+    let broken: [(&str, &[u8]); 10] = [
+        ("a gap of exactly H*K", &pair(cells, 1)),
+        ("a gap of u64::MAX", &pair(u64::MAX, 1)),
+        ("a pair behind the last cell", &past_the_end),
+        ("a zero value", &[0x00, 0x00]),
+        ("a value of 2^53 + 1", &two_53_plus_1),
+        ("a zero-padded gap", &[0x80, 0x00, 0x02]),
+        ("a zero-padded value", &[0x00, 0x82, 0x00]),
+        ("an eleven-byte varint", &overlong),
+        ("a gap with no value", &[0x03]),
+        ("one trailing byte", &trailing_byte),
+    ];
+    for (what, pairs) in broken {
+        case.assert_rejected(&body(pairs), what);
+    }
+    case.assert_pristine();
 }
