@@ -3,7 +3,9 @@
 # the accept loop, the supervised restart, the CLI's construction path and
 # the key -> shard mix each have exactly one definition under crates/*/src,
 # and `scd-benchmark` is the only thing that measures speed. Since PR 21 the
-# varint helpers of the packed sketch body are held to the same rule.
+# varint helpers of the packed sketch body are held to the same rule. So are
+# the queues: std's `sync_channel` is the only one, a stream starts one way,
+# and the aggregator waits on its queue, not on a nap.
 # Non-test source = every crates/*/src file up to its `#[cfg(test)]`
 # (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
 set -euo pipefail
@@ -56,6 +58,11 @@ expect 1 'fn put_[a-z_]*leb128'                  'LEB128 writer(s)'
 expect 2 'fn (un)?zigzag'                        'zigzag helper(s) (one each way)'
 expect 1 '>>= 7'                                 'varint shift loop(s)'
 
+# One queue type, one way to start a stream, no nap in the aggregator.
+expect 0 'pub fn bounded[<(]'                   'vendored bounded-channel constructor(s)'
+expect 0 'fn spawn_supervised'                   'second stream entry point(s)'
+expect 0 '^crates/net/src/aggregator\.rs:.*thread::sleep' 'sleep(s) in the aggregator main loop'
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -70,5 +77,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap"
 exit "$fail"

@@ -4,7 +4,7 @@
 //! the interval it just explained. This crate keeps those intervals
 //! around: every per-interval sketch the engine produces is [`push`]ed
 //! into a [`SketchArchive`], which retains history under a **fixed
-//! sketch-count budget** by decaying resolution with age — the item
+//! sketch-count budget** by decaying resolution with age — the time
 //! aggregation of Matusevych, Smola & Ahmed's *Hokusai* (UAI 2012)
 //! adapted to the paper's linear sketches.
 //!

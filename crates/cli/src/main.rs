@@ -30,10 +30,10 @@ use flags::{FlagError, Flags};
 use scd_archive::ArchiveConfig;
 use scd_core::gridsearch::{search_model, GridSearchConfig};
 use scd_core::{
-    segment_records, spawn_supervised, Alarm, CheckpointPolicy, DetectorConfig, EngineConfig,
+    segment_records, spawn_streaming, Alarm, CheckpointPolicy, DetectorConfig, EngineConfig,
     GlrConfig, GlrEvent, KeyStrategy, LifecycleEvent, OverloadPolicy, RestartPolicy,
     ReversibleChangeDetector, ReversibleConfig, ShardedEngine, StaggeredDetector, StreamSegmenter,
-    StreamingConfig, Supervision, SupervisorConfig,
+    StreamingConfig, Supervision,
 };
 use scd_core::{IntervalReport, PipelineMetrics};
 use scd_forecast::{ModelKind, ModelSpec};
@@ -179,6 +179,24 @@ fn read_intervals(path: &str, interval: u32) -> Result<Intervals, Box<dyn std::e
     Ok(segmenter.finish())
 }
 
+/// `Err` naming `why` unless `ok`: a flag value outside the range the
+/// library asserts on is a usage error (exit 1), never a panic.
+fn ensure(ok: bool, why: impl FnOnce() -> String) -> Result<(), FlagError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(FlagError(why()))
+    }
+}
+
+/// `--interval S`, which every trace command requires: whole seconds, at
+/// least one.
+fn interval_flag(flags: &Flags) -> Result<u32, FlagError> {
+    let secs: u32 = flags.require("interval")?;
+    ensure(secs >= 1, || "--interval must be at least 1 second".into())?;
+    Ok(secs)
+}
+
 // The shared flag groups. A command passes `Setup::from_flags` the ones it
 // honours; what it does not honour it never reads, so `Flags::done`
 // rejects it by name.
@@ -246,6 +264,8 @@ impl Setup {
         let honours = |group: u32| honours & group != 0;
         let seed: u64 = flags.get("sketch-seed", 0x5CD)?;
         let sketch = SketchConfig { h: flags.get("h", 5)?, k: flags.get("k", 32_768)?, seed };
+        ensure(sketch.h >= 1, || "--h must be at least 1".into())?;
+        ensure(sketch.k.is_power_of_two(), || format!("--k {} is not a power of two", sketch.k))?;
         let strategy = if honours(STRATEGY) { flags.raw("strategy") } else { None };
         let key_strategy = match strategy {
             None | Some("twopass") => KeyStrategy::TwoPass,
@@ -254,6 +274,9 @@ impl Setup {
                 let rate: f64 = s["sampled:".len()..]
                     .parse()
                     .map_err(|_| FlagError(format!("bad sampled rate in '{s}'")))?;
+                ensure((0.0..=1.0).contains(&rate), || {
+                    format!("sampled rate {rate} not in [0, 1]")
+                })?;
                 KeyStrategy::Sampled { rate, seed: seed ^ 1 }
             }
             Some(other) => return Err(FlagError(format!("unknown strategy '{other}'")).into()),
@@ -265,6 +288,8 @@ impl Setup {
                 threshold: flags.get("threshold", 0.05)?,
                 key_strategy,
             };
+            let t = detector.threshold;
+            ensure(t > 0.0 && t.is_finite(), || format!("--threshold {t} must be positive"))?;
             (Some(detector), flags.get("top", 10)?)
         } else {
             (None, 0)
@@ -301,6 +326,11 @@ impl Setup {
                 .into());
             }
             if slots > 0 {
+                let t = config.threshold;
+                ensure(t > 0.0 && t.is_finite(), || {
+                    format!("--glr-threshold {t} must be positive")
+                })?;
+                ensure(config.max_window >= 1, || "--glr-window must be at least 1 slot".into())?;
                 (glr_slots, glr) = (slots, Some(config));
             }
         }
@@ -598,7 +628,7 @@ fn info(flags: &Flags) -> CliResult {
 
 fn tune(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
-    let interval: u32 = flags.require("interval")?;
+    let interval = interval_flag(flags)?;
     let kind: ModelKind = flags.require::<String>("model")?.parse()?;
     let quiet = flags.has("quiet");
     let paper = flags.has("paper");
@@ -628,7 +658,7 @@ fn tune(flags: &Flags) -> CliResult {
 
 fn detect(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
-    let interval: u32 = flags.require("interval")?;
+    let interval = interval_flag(flags)?;
     // Two detectors still run outside the engine (a `Deltoid`- or
     // lane-typed engine would make the shared code branch on its caller —
     // ROADMAP item 1): the reversible (group-testing) sketch, which
@@ -748,7 +778,7 @@ fn print_alarms(interval: usize, alarms: &[Alarm], top: usize) {
 /// wire format — the per-router half of the distributed COMBINE workflow.
 fn sketch(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
-    let interval: u32 = flags.require("interval")?;
+    let interval = interval_flag(flags)?;
     let at: usize = flags.require("at")?;
     let out: String = flags.require("out")?;
     let setup = Setup::from_flags(flags, 0, 1)?;
@@ -810,8 +840,9 @@ fn combine(flags: &Flags) -> CliResult {
 /// off. Lifecycle events and drop counters are reported at the end.
 fn stream(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
-    let interval: u32 = flags.require("interval")?;
+    let interval = interval_flag(flags)?;
     let capacity: usize = flags.get("capacity", 4096)?;
+    ensure(capacity >= 1, || "--capacity must be at least 1".into())?;
     let setup = Setup::from_flags(flags, STREAM, 1)?;
 
     let overload = match flags.raw("policy").unwrap_or("block") {
@@ -848,17 +879,17 @@ fn stream(flags: &Flags) -> CliResult {
     };
 
     let mut out = setup.open()?;
-    let handle = spawn_supervised(SupervisorConfig {
-        stream: StreamingConfig {
-            engine: setup.engine_config(&out),
-            interval_ms: u64::from(interval) * 1000,
-            key: KeySpec::DstIp,
-            value: ValueSpec::Bytes,
-            channel_capacity: capacity,
-            overload,
-        },
-        restart: RestartPolicy::default(),
-        fault: None,
+    let mut engine = setup.engine_config(&out);
+    // Always supervised, checkpoint or not: a detector panic is absorbed
+    // and narrated in the lifecycle lines.
+    engine.supervision.get_or_insert_with(Supervision::default);
+    let handle = spawn_streaming(StreamingConfig {
+        engine,
+        interval_ms: u64::from(interval) * 1000,
+        key: KeySpec::DstIp,
+        value: ValueSpec::Bytes,
+        channel_capacity: capacity,
+        overload,
     });
     let mut reports = Vec::new();
     let mut events = Vec::new();
@@ -873,13 +904,11 @@ fn stream(flags: &Flags) -> CliResult {
             if !handle.send(record) {
                 return Ok(false); // detector gave up; shutdown() reports why
             }
-            while let Some(report) = handle.reports().try_recv() {
+            for report in handle.reports().try_iter() {
                 out.record(report.interval as u64, &report)?;
                 reports.push(report);
             }
-            while let Some(event) = handle.events().try_recv() {
-                events.push(event);
-            }
+            events.extend(handle.events().try_iter());
             Ok(true)
         };
         if chunked {
@@ -991,7 +1020,7 @@ fn metrics(flags: &Flags) -> CliResult {
 /// trace; the shard routing inside the node keeps contributions disjoint.
 fn ingest_node(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
-    let interval: u32 = flags.require("interval")?;
+    let interval = interval_flag(flags)?;
     let node: u32 = flags.require("node")?;
     let nodes: u32 = flags.require("nodes")?;
     let addr: String = flags.require("connect")?;
@@ -1103,7 +1132,7 @@ fn aggregate(flags: &Flags) -> CliResult {
 /// throughput, never output.
 fn archive(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
-    let interval: u32 = flags.require("interval")?;
+    let interval = interval_flag(flags)?;
     let file: String = flags.require("out")?;
     let setup = Setup::from_flags(flags, ARCHIVE, 4)?;
     flags.done()?;
@@ -1217,7 +1246,7 @@ fn query(flags: &Flags) -> CliResult {
 /// own archive so offline `scd query` can cross-check served answers.
 fn serve(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
-    let interval: u32 = flags.require("interval")?;
+    let interval = interval_flag(flags)?;
     let listen: String = flags.require("listen")?;
     let pace_ms: u64 = flags.get("pace-ms", 0)?;
     let linger_secs: u64 = flags.get("linger-secs", 0)?;

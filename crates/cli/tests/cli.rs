@@ -154,6 +154,29 @@ fn helpful_errors() {
     ]));
     assert!(!ok && stderr.contains("unknown flag --sharts"), "{stderr}");
     assert!(stdout.is_empty() && !digest.exists(), "a rejected run must not start: {stdout}");
+    // A value out of the range the library asserts on is a usage error
+    // that names the flag (exit 1), not a panic (exit 101).
+    let refused = |args: &[&str], named: &str| {
+        let out = scd().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(named) && !stderr.contains("panicked"), "{args:?}: {stderr}");
+    };
+    for cmd in ["detect", "tune", "stream"] {
+        refused(&[cmd, "--trace", trace_s, "--interval", "0", "--model", "ewma"], "--interval");
+    }
+    let out_of_range: [(&[&str], &str); 6] = [
+        (&["--k", "1000"], "--k 1000"),
+        (&["--h", "0"], "--h"),
+        (&["--strategy", "sampled:2"], "sampled rate 2"),
+        (&["--threshold", "0"], "--threshold"),
+        (&["--glr", "2", "--glr-window", "0"], "--glr-window"),
+        (&["--glr", "2", "--glr-threshold", "0"], "--glr-threshold"),
+    ];
+    for (extra, named) in out_of_range {
+        refused(&[&["detect"][..], &replay, extra].concat(), named);
+    }
+    refused(&[&["stream"][..], &replay, &["--capacity", "0"]].concat(), "--capacity");
     // ... and one it does honour is acted on: `archive` used to drop every
     // one of these on the floor and exit 0 with no metrics file.
     let (hist, metrics) = (trace.with_extension("scda"), trace.with_extension("jsonl"));

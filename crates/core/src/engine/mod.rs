@@ -16,14 +16,16 @@
 //!
 //! Design notes:
 //!
-//! * Workers are long-lived `std::thread`s fed update batches over the
-//!   bounded channels of [`crate::channel`] — one queue per shard, so a
-//!   slow shard back-pressures only its own feeder, and batching keeps
-//!   the channel's mutex off the per-update hot path. Workers fold each
-//!   batch with `KarySketch::update_batch` (hash the block row-major,
-//!   then scatter one `K`-sized row at a time) and return the spent
-//!   `Vec` on a recycle channel, so steady-state ingest allocates
-//!   nothing per batch.
+//! * Workers are long-lived `std::thread`s fed update batches over
+//!   bounded `std::sync::mpsc::sync_channel`s — one work queue and one
+//!   result queue per shard, so a slow shard back-pressures only its own
+//!   feeder, and batching keeps the queue off the per-update hot path.
+//!   Workers fold each batch with `KarySketch::update_batch` (hash the
+//!   block row-major, then scatter one `K`-sized row at a time) and
+//!   return the spent `Vec` to a shared recycle pool, so steady-state
+//!   ingest allocates nothing per batch. A worker's statistics ride with
+//!   its interval sketch; its cleared sketch comes back with the next
+//!   `Flush`.
 //! * Keys are partitioned by the SplitMix64 finalizer
 //!   ([`scd_hash::mix64`]) — not `key % N`, which stripes sequential IP
 //!   keys — followed by Lemire multiply-shift range reduction
@@ -64,7 +66,6 @@ pub use slots::GlrEngineSnapshot;
 pub use stage::{notable_keys, DetectStage, IntervalObserver, MEMORY_BASE_EVERY};
 pub use workers::ShardedIngest;
 
-use crate::channel::{bounded, Receiver, Sender};
 use crate::checkpoint::Checkpoint;
 use crate::detector::{DetectorConfig, DetectorSnapshot, IntervalReport};
 use crate::glr::{GlrConfig, GlrEvent, GlrRestoreError};
@@ -75,9 +76,10 @@ use scd_archive::{ArchiveConfig, ArchiveError, SketchArchive};
 use scd_obs::Stopwatch;
 use scd_sketch::KarySketch;
 use slots::GlrRuntime;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use workers::{merge_shards, recycle_shards};
+use workers::merge_shards;
 
 /// Configuration for a [`ShardedEngine`].
 #[derive(Debug, Clone)]
@@ -239,10 +241,10 @@ enum DetectMsg {
     /// checkpoint written after it.
     Interval { sketches: Vec<KarySketch>, keys: Vec<u64>, carry: Carry },
     /// Checkpoint request: reply with the detector's snapshot.
-    Snapshot(Sender<DetectorSnapshot>),
+    Snapshot(SyncSender<DetectorSnapshot>),
     /// Hand the archive back (end of run). Subsequent intervals are no
     /// longer archived.
-    TakeArchive(Sender<Option<SketchArchive<KarySketch>>>),
+    TakeArchive(SyncSender<Option<SketchArchive<KarySketch>>>),
 }
 
 /// What rides along with a closed interval for a supervised stage: the
@@ -276,9 +278,10 @@ enum DetectBackend {
     },
     Pipelined {
         /// `Option` so `Drop` can hang up before joining.
-        detect_tx: Option<Sender<DetectMsg>>,
+        detect_tx: Option<SyncSender<DetectMsg>>,
         report_rx: Receiver<Result<IntervalReport, EngineError>>,
-        /// Emptied shard-sketch containers coming back for reuse.
+        /// Merged (so cleared) shard sketches coming back, in their
+        /// container, for the workers' next `Flush`.
         vec_return: Receiver<Vec<KarySketch>>,
         /// Intervals handed off whose reports have not been received.
         in_flight: usize,
@@ -287,14 +290,14 @@ enum DetectBackend {
 }
 
 /// The pipelined detect thread: owns the stage, merges shard sketches
-/// into a recycled buffer, runs the turnover, returns cleared sketches to
-/// the workers, and ships one report per interval.
+/// into a recycled buffer, hands the cleared sketches back for the
+/// workers' next interval, runs the turnover, and ships one report per
+/// interval.
 fn detect_loop(
     mut stage: DetectStage,
-    spare_txs: Vec<Sender<KarySketch>>,
     detect_rx: Receiver<DetectMsg>,
-    report_tx: Sender<Result<IntervalReport, EngineError>>,
-    vec_return: Sender<Vec<KarySketch>>,
+    report_tx: SyncSender<Result<IntervalReport, EngineError>>,
+    vec_return: SyncSender<Vec<KarySketch>>,
     metrics: Option<Arc<PipelineMetrics>>,
 ) {
     let mut merged = KarySketch::with_rows(Arc::clone(stage.rows()));
@@ -306,7 +309,6 @@ fn detect_loop(
                 if let Some(m) = &metrics {
                     m.engine.combine_ns.record(sw.elapsed_ns());
                 }
-                recycle_shards(&mut sketches, &spare_txs);
                 let _ = vec_return.try_send(sketches);
                 carry.hand_to(&mut stage);
                 let result = stage.observe(&merged, keys);
@@ -409,19 +411,16 @@ impl ShardedEngine {
             // Depth-1 interval queue: ingest can run at most one interval
             // ahead of detection (the double buffer), and a full queue
             // back-pressures the handoff instead of growing memory.
-            let (detect_tx, detect_rx) = bounded::<DetectMsg>(1);
+            let (detect_tx, detect_rx) = sync_channel(1);
             // Reports outstanding never exceed intervals in flight
             // (queue + processing + handoff), so the detect thread never
             // blocks here during shutdown.
-            let (report_tx, report_rx) = bounded::<Result<IntervalReport, EngineError>>(4);
-            let (vec_tx, vec_rx) = bounded::<Vec<KarySketch>>(2);
-            let spare_txs = ingest.spare_txs();
+            let (report_tx, report_rx) = sync_channel(4);
+            let (vec_tx, vec_rx) = sync_channel(2);
             let metrics = config.metrics.clone();
             let thread = std::thread::Builder::new()
                 .name("scd-detect".into())
-                .spawn(move || {
-                    detect_loop(stage, spare_txs, detect_rx, report_tx, vec_tx, metrics);
-                })
+                .spawn(move || detect_loop(stage, detect_rx, report_tx, vec_tx, metrics))
                 .expect("spawn detect thread");
             DetectBackend::Pipelined {
                 detect_tx: Some(detect_tx),
@@ -468,7 +467,7 @@ impl ShardedEngine {
         match &mut self.detect {
             DetectBackend::Inline { stage, .. } => Ok(stage.detector().snapshot()),
             DetectBackend::Pipelined { detect_tx, .. } => {
-                let (reply_tx, reply_rx) = bounded(1);
+                let (reply_tx, reply_rx) = sync_channel(1);
                 detect_tx
                     .as_ref()
                     .expect("sender live until drop")
@@ -498,7 +497,7 @@ impl ShardedEngine {
         match &mut self.detect {
             DetectBackend::Inline { stage, .. } => stage.archive.take(),
             DetectBackend::Pipelined { detect_tx, .. } => {
-                let (reply_tx, reply_rx) = bounded(1);
+                let (reply_tx, reply_rx) = sync_channel(1);
                 detect_tx.as_ref()?.send(DetectMsg::TakeArchive(reply_tx)).ok()?;
                 reply_rx.recv().ok().flatten()
             }
@@ -611,7 +610,8 @@ impl ShardedEngine {
         result
     }
 
-    /// Pipeline-mode handoff: flush the shards, ship the interval's
+    /// Pipeline-mode handoff: flush the shards — handing back the cleared
+    /// sketches the detect thread has returned — ship the interval's
     /// sketches and key log to the detect thread, and return immediately
     /// so ingest of the next interval overlaps detection of this one.
     fn ship_interval(&mut self) -> Result<(), EngineError> {
@@ -649,12 +649,6 @@ impl ShardedEngine {
             self.glr_on_report(r);
         }
         report
-    }
-
-    /// Whether a GLR sequential-detection layer is running
-    /// ([`EngineConfig::with_glr`]).
-    pub fn glr_enabled(&self) -> bool {
-        self.glr.is_some()
     }
 
     /// Closes the current GLR base slot and runs the sequential statistic
@@ -802,24 +796,6 @@ impl ShardedEngine {
         items: &[(u64, f64)],
     ) -> Result<IntervalReport, EngineError> {
         self.push_slice(items)?;
-        self.end_interval()
-    }
-
-    /// [`process_interval`](Self::process_interval) with the
-    /// multi-producer source plane: routes via
-    /// [`push_slice_parallel`](Self::push_slice_parallel), then closes the
-    /// interval. Bit-identical reports; the whole source side runs on
-    /// `producers` threads.
-    ///
-    /// # Errors
-    /// As [`push_slice_parallel`](Self::push_slice_parallel) and
-    /// [`end_interval`](Self::end_interval).
-    pub fn process_interval_parallel(
-        &mut self,
-        items: &[(u64, f64)],
-        producers: usize,
-    ) -> Result<IntervalReport, EngineError> {
-        self.push_slice_parallel(items, producers)?;
         self.end_interval()
     }
 }

@@ -26,16 +26,15 @@
 use super::slots::GlrEngineSnapshot;
 use super::{EngineConfig, EngineError};
 use crate::checkpoint::Checkpoint;
-use crate::detector::{DetectorConfig, DetectorSnapshot, IntervalReport, SketchChangeDetector};
+use crate::detector::{DetectorSnapshot, IntervalReport, SketchChangeDetector};
 use crate::glr::GlrConfig;
 use crate::streaming::panic_message;
-use crate::supervisor::{CheckpointPolicy, LifecycleEvent, RestartPolicy, Supervision};
+use crate::supervisor::{LifecycleEvent, Supervision};
 use crate::telemetry::{PipelineMetrics, SupervisorMetrics};
 use scd_archive::{ArchiveError, SketchArchive};
 use scd_hash::HashRows;
 use scd_obs::{Counter, Stopwatch};
 use scd_sketch::KarySketch;
-use scd_traffic::FaultPlan;
 use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -212,22 +211,6 @@ pub struct DetectStage {
 }
 
 impl DetectStage {
-    /// A supervised stage with no archive, observer or metrics — the
-    /// shape an aggregation point needs. See [`from_config`](Self::from_config).
-    ///
-    /// # Errors
-    /// As [`from_config`](Self::from_config).
-    pub fn new(
-        detector: DetectorConfig,
-        restart: RestartPolicy,
-        checkpoint: Option<CheckpointPolicy>,
-        fault: Option<FaultPlan>,
-    ) -> Result<DetectStage, EngineError> {
-        let supervision = Supervision { restart, checkpoint, fault, events: None };
-        let config = EngineConfig::new(detector, 1).with_supervision(supervision);
-        Ok(DetectStage::from_config(&config)?.0)
-    }
-
     /// Builds the stage an engine with this configuration runs. Under
     /// supervision with a checkpoint path, an existing usable checkpoint
     /// is resumed from — and handed back, so the driver can restore its
@@ -239,7 +222,8 @@ impl DetectStage {
     /// compaction.
     ///
     /// # Panics
-    /// On an invalid [`DetectorConfig`], like [`SketchChangeDetector::new`].
+    /// On an invalid [`DetectorConfig`](crate::DetectorConfig), like
+    /// [`SketchChangeDetector::new`].
     pub fn from_config(
         config: &EngineConfig,
     ) -> Result<(DetectStage, Option<Checkpoint>), EngineError> {

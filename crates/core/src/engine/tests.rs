@@ -195,7 +195,7 @@ fn push_slice_parallel_matches_push_slice() {
 }
 
 #[test]
-fn process_interval_parallel_matches_pipelined_and_sequential() {
+fn parallel_source_matches_pipelined_and_sequential() {
     // Parallel source on/off × pipeline on/off: all four engines must
     // emit the same reports.
     let mut cfg = config(4);
@@ -209,7 +209,8 @@ fn process_interval_parallel_matches_pipelined_and_sequential() {
         let items: Vec<(u64, f64)> =
             (0..900u64).map(|i| (i % 240, ((i * 7 + t * 29) % 500) as f64)).collect();
         reports[0].push(seq.process_interval(&items).unwrap());
-        reports[1].push(par.process_interval_parallel(&items, 3).unwrap());
+        par.push_slice_parallel(&items, 3).unwrap();
+        reports[1].push(par.end_interval().unwrap());
         pipe.push_slice(&items).unwrap();
         if let Some(r) = pipe.end_interval_overlapped().unwrap() {
             reports[2].push(r);
@@ -253,11 +254,12 @@ fn harvested_sketch_feeds_external_detector_identically() {
     let mut ingest = ShardedIngest::new(sketch, 4).unwrap();
     let mut reference = ShardedEngine::new(config(4)).unwrap();
     let mut external = SketchChangeDetector::new(config(1).detector);
+    let mut sketch = KarySketch::with_rows(Arc::clone(ingest.rows()));
     for t in 0..6u64 {
         let items: Vec<(u64, f64)> =
             (0..300u64).map(|i| (i % 120, ((i * 17 + t * 5) % 300) as f64)).collect();
         ingest.push_slice(&items).unwrap();
-        let (sketch, keys) = ingest.end_interval_sketch().unwrap();
+        let keys = ingest.end_interval_sketch_into(&mut sketch).unwrap();
         let harvested = external.process_observed(&sketch, keys);
         let direct = reference.process_interval(&items).unwrap();
         assert_eq!(harvested, direct, "interval {t}");

@@ -6,32 +6,47 @@
 //! paper's one hand-off (§2.2): an engine gives it to its detect stage,
 //! an ingest node of the distributed plane puts it on the wire, and
 //! neither needs to know which.
+//!
+//! Per shard there is one work queue and one result queue; the batch
+//! recycle pool is shared. A worker's statistics travel with its interval
+//! sketch, and the cleared sketch of the interval before travels back with
+//! the `Flush` that asks for the next one.
 
 use super::route::{route_chunk, KeyLog, RoutedChunk};
 use super::EngineError;
-use crate::channel::{bounded, Receiver, Sender};
 use crate::detector::KeyStrategy;
 use crate::telemetry::{PipelineMetrics, ShardStats};
 use scd_hash::{shard_of, HashRows};
 use scd_obs::Stopwatch;
 use scd_sketch::{BatchScratch, KarySketch, SketchConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 enum WorkerMsg {
     Batch(Vec<(u64, f64)>),
-    /// Interval boundary: ship the accumulated sketch and start fresh.
-    Flush,
+    /// Interval boundary: ship the accumulated sketch and start the next
+    /// interval on the cleared one handed back here (a fresh one when none
+    /// has come back yet).
+    Flush(Option<KarySketch>),
+}
+
+/// A worker's answer to `Flush`: its interval sketch and, when telemetry
+/// is enabled, what it folded into it.
+struct Flushed {
+    sketch: KarySketch,
+    stats: Option<ShardStats>,
 }
 
 struct Worker {
     /// `Option` so `Drop` can hang up (dropping the sender ends the
     /// worker's receive loop) before joining.
-    tx: Option<Sender<WorkerMsg>>,
-    results: Receiver<KarySketch>,
-    /// Per-interval shard statistics, shipped just before the sketch
-    /// (present only when telemetry is enabled).
-    stats: Option<Receiver<ShardStats>>,
+    tx: Option<SyncSender<WorkerMsg>>,
+    results: Receiver<Flushed>,
+    /// Messages sent and not yet received — the queue depth a `SyncSender`
+    /// cannot report (present only when telemetry is enabled).
+    depth: Option<Arc<AtomicUsize>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -48,24 +63,12 @@ pub(super) fn merge_shards(merged: &mut KarySketch, shard_sketches: &mut [KarySk
         .expect("an engine has at least one shard, all over one hash family by construction");
 }
 
-/// Hands each spent (already zeroed, see [`merge_shards`]) shard sketch
-/// back to its worker's spare queue (dropped, not blocked on, if the queue
-/// is full).
-pub(super) fn recycle_shards(
-    shard_sketches: &mut Vec<KarySketch>,
-    spare_txs: &[Sender<KarySketch>],
-) {
-    for (shard, sketch) in shard_sketches.drain(..).enumerate() {
-        let _ = spare_txs[shard].try_send(sketch);
-    }
-}
-
 /// The ingest half of a [`ShardedEngine`](super::ShardedEngine), usable on
 /// its own: feed updates with [`push`](Self::push) /
 /// [`push_slice`](Self::push_slice), close each interval with
-/// [`end_interval_sketch`](Self::end_interval_sketch), and get back the
-/// merged observed sketch and the interval's key log. It owns no detector
-/// and never emits a report.
+/// [`end_interval_sketch_into`](Self::end_interval_sketch_into), and get
+/// back the merged observed sketch and the interval's key log. It owns no
+/// detector and never emits a report.
 pub struct ShardedIngest {
     pub(super) shards: usize,
     batch: usize,
@@ -80,10 +83,9 @@ pub struct ShardedIngest {
     pub(super) records_total: u64,
     /// Telemetry sink; `None` keeps every metric branch off the hot path.
     metrics: Option<Arc<PipelineMetrics>>,
-    /// Reused container for the per-interval shard sketches.
+    /// The shard sketches of the last inline close, merged and cleared:
+    /// each goes back to its worker with the next `Flush`.
     shard_bufs: Vec<KarySketch>,
-    /// Return paths handing cleared shard sketches back to workers.
-    spare_txs: Vec<Sender<KarySketch>>,
 }
 
 impl ShardedIngest {
@@ -119,28 +121,13 @@ impl ShardedIngest {
         // flight at once (per shard: the queue plus the one the worker is
         // folding), so a worker's `try_send` only ever drops a Vec in
         // degenerate races, never in steady state.
-        let (recycle_tx, recycle_rx) = bounded::<Vec<(u64, f64)>>(shards * (queue_capacity + 1));
+        let (recycle_tx, recycle_rx) = sync_channel(shards * (queue_capacity + 1));
         let mut workers = Vec::with_capacity(shards);
-        let mut spare_txs = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, rx) = bounded::<WorkerMsg>(queue_capacity);
-            let (result_tx, result_rx) = bounded::<KarySketch>(1);
-            // Cleared sketches coming back from the merge point; capacity
-            // 2 covers the double buffer (one accumulating, one in the
-            // detect path).
-            let (spare_tx, spare_rx) = bounded::<KarySketch>(2);
-            spare_txs.push(spare_tx);
-            // Shard statistics ride a side channel, shipped just before
-            // the sketch: the engine's blocking sketch recv at the barrier
-            // therefore guarantees the stats message is already queued.
-            // Capacity 2 covers the flush in progress plus the next one.
-            let (stats_tx, stats_rx) = match &metrics {
-                Some(_) => {
-                    let (tx, rx) = bounded::<ShardStats>(2);
-                    (Some(tx), Some(rx))
-                }
-                None => (None, None),
-            };
+            let (tx, rx) = sync_channel::<WorkerMsg>(queue_capacity);
+            let (result_tx, results) = sync_channel(1);
+            let depth = metrics.as_ref().map(|_| Arc::new(AtomicUsize::new(0)));
+            let received = depth.clone();
             let rows = Arc::clone(&rows);
             let recycle = recycle_tx.clone();
             let thread = std::thread::Builder::new()
@@ -150,10 +137,14 @@ impl ShardedIngest {
                     let mut scratch = BatchScratch::new();
                     // Private accumulator: no atomics, no sharing until
                     // the interval flush.
-                    let mut stats = stats_tx.as_ref().map(|_| ShardStats::default());
-                    loop {
-                        match rx.recv() {
-                            Ok(WorkerMsg::Batch(mut batch)) => {
+                    let mut stats = received.is_some().then(ShardStats::default);
+                    // Ends when the engine hangs up: drain complete, exit.
+                    while let Ok(msg) = rx.recv() {
+                        if let Some(depth) = &received {
+                            depth.fetch_sub(1, Ordering::Relaxed);
+                        }
+                        match msg {
+                            WorkerMsg::Batch(mut batch) => {
                                 match stats.as_mut() {
                                     Some(st) => {
                                         let sw = Stopwatch::start();
@@ -168,36 +159,21 @@ impl ShardedIngest {
                                 // Pool full (or engine gone): drop the Vec.
                                 let _ = recycle.try_send(batch);
                             }
-                            Ok(WorkerMsg::Flush) => {
-                                if let (Some(st), Some(tx)) = (stats.as_mut(), stats_tx.as_ref()) {
-                                    // Dropped (never blocked on) only if
-                                    // the engine stopped consuming.
-                                    let _ = tx.try_send(std::mem::take(st));
-                                }
-                                // Start the next interval on a recycled
-                                // (already cleared) sketch when one has
-                                // come back from the merge point.
-                                let fresh = match spare_rx.try_recv() {
-                                    Some(spare) => spare,
-                                    None => sketch.zero_like(),
+                            WorkerMsg::Flush(spare) => {
+                                let fresh = spare.unwrap_or_else(|| sketch.zero_like());
+                                let flushed = Flushed {
+                                    sketch: std::mem::replace(&mut sketch, fresh),
+                                    stats: stats.as_mut().map(std::mem::take),
                                 };
-                                let full = std::mem::replace(&mut sketch, fresh);
-                                if result_tx.send(full).is_err() {
+                                if result_tx.send(flushed).is_err() {
                                     break;
                                 }
                             }
-                            // Engine hung up: drain complete, exit.
-                            Err(_) => break,
                         }
                     }
                 })
                 .expect("spawn shard worker");
-            workers.push(Worker {
-                tx: Some(tx),
-                results: result_rx,
-                stats: stats_rx,
-                thread: Some(thread),
-            });
+            workers.push(Worker { tx: Some(tx), results, depth, thread: Some(thread) });
         }
         // The engine holds only the Receiver; worker clones keep the pool
         // alive, and it drains with them on shutdown.
@@ -213,7 +189,6 @@ impl ShardedIngest {
             records_total: 0,
             metrics,
             shard_bufs: Vec::with_capacity(shards),
-            spare_txs,
         })
     }
 
@@ -227,14 +202,12 @@ impl ShardedIngest {
         self.records_total
     }
 
-    /// The return paths that hand cleared shard sketches back to the
-    /// workers — cloned for a detect thread that does its own merging.
-    pub(super) fn spare_txs(&self) -> Vec<Sender<KarySketch>> {
-        self.spare_txs.clone()
-    }
-
     fn send(&mut self, shard: usize, msg: WorkerMsg) -> Result<(), EngineError> {
-        let tx = self.workers[shard].tx.as_ref().expect("sender live until drop");
+        let worker = &self.workers[shard];
+        if let Some(depth) = &worker.depth {
+            depth.fetch_add(1, Ordering::Relaxed);
+        }
+        let tx = worker.tx.as_ref().expect("sender live until drop");
         tx.send(msg).map_err(|_| EngineError::WorkerLost { shard })
     }
 
@@ -243,13 +216,13 @@ impl ShardedIngest {
     fn fresh_batch(&self) -> Vec<(u64, f64)> {
         match self.recycle.try_recv() {
             // Cleared by the worker; len 0, capacity already ≈ batch.
-            Some(spent) => {
+            Ok(spent) => {
                 if let Some(m) = &self.metrics {
                     m.engine.recycle_hits_total.inc();
                 }
                 spent
             }
-            None => {
+            Err(_) => {
                 if let Some(m) = &self.metrics {
                     m.engine.recycle_misses_total.inc();
                 }
@@ -378,20 +351,21 @@ impl ShardedIngest {
     }
 
     /// Flushes every shard's pending batch and requests the interval
-    /// sketches.
-    fn flush_all(&mut self) -> Result<(), EngineError> {
+    /// sketches, handing each worker its cleared sketch from `spares` (in
+    /// shard order; a worker whose spare is missing starts on a fresh one).
+    fn flush_all(&mut self, spares: &mut Vec<KarySketch>) -> Result<(), EngineError> {
+        let mut spares = spares.drain(..);
         let mut deepest = 0usize;
         for shard in 0..self.shards {
             if !self.pending[shard].is_empty() {
                 self.flush_shard(shard)?;
             }
-            if self.metrics.is_some() {
+            if let Some(depth) = &self.workers[shard].depth {
                 // Sampled right before Flush lands: how far the slowest
                 // shard is lagging the interval boundary.
-                let tx = self.workers[shard].tx.as_ref().expect("sender live until drop");
-                deepest = deepest.max(tx.len());
+                deepest = deepest.max(depth.load(Ordering::Relaxed));
             }
-            self.send(shard, WorkerMsg::Flush)?;
+            self.send(shard, WorkerMsg::Flush(spares.next()))?;
         }
         if let Some(m) = &self.metrics {
             m.engine.queue_depth.set(deepest as f64);
@@ -401,27 +375,24 @@ impl ShardedIngest {
 
     /// Collects the per-shard interval sketches in shard order. This is
     /// the COMBINE barrier, so it doubles as the telemetry aggregation
-    /// point: each worker shipped its [`ShardStats`] before its sketch,
-    /// so after the blocking sketch recv the stats are guaranteed queued.
+    /// point: each worker's [`ShardStats`] arrive with its sketch.
     fn collect_shards(&self, out: &mut Vec<KarySketch>) -> Result<(), EngineError> {
-        out.clear();
         for (shard, worker) in self.workers.iter().enumerate() {
-            out.push(worker.results.recv().map_err(|_| EngineError::WorkerLost { shard })?);
-            if let (Some(stats_rx), Some(m)) = (&worker.stats, &self.metrics) {
-                if let Some(st) = stats_rx.try_recv() {
-                    st.merge_into(&m.engine);
-                }
+            let flushed = worker.results.recv().map_err(|_| EngineError::WorkerLost { shard })?;
+            if let (Some(st), Some(m)) = (flushed.stats, &self.metrics) {
+                st.merge_into(&m.engine);
             }
+            out.push(flushed.sketch);
         }
         Ok(())
     }
 
-    /// The interval-close barrier: flushes every shard, collects the
-    /// per-shard sketches in shard order into `bufs` and takes the
-    /// interval's key log.
+    /// The interval-close barrier: flushes every shard — each worker takes
+    /// back its cleared sketch from `bufs` — collects the per-shard
+    /// sketches in shard order into `bufs` and takes the interval's key log.
     pub(super) fn close(&mut self, bufs: &mut Vec<KarySketch>) -> Result<Vec<u64>, EngineError> {
         let sw = Stopwatch::start();
-        self.flush_all()?;
+        self.flush_all(bufs)?;
         self.collect_shards(bufs)?;
         if let Some(m) = &self.metrics {
             m.engine.barrier_ns.record(sw.elapsed_ns());
@@ -431,10 +402,13 @@ impl ShardedIngest {
 
     /// Closes the interval on this thread: the barrier, then the merge of
     /// the per-shard sketches into `observed` (every cell is overwritten),
-    /// reusing the shard container and returning cleared shard sketches to
-    /// the workers — steady state allocates nothing. For a caller that
-    /// keeps one table across intervals: the engine's inline backend, and
-    /// an ingest node, which only encodes the merged sketch.
+    /// and hands back the interval's key log — the pair a detect stage
+    /// consumes, whether it sits in this process or behind an aggregator
+    /// that COMBINEs several nodes' sketches first. The shard container and
+    /// the cleared shard sketches are kept for the next close, so steady
+    /// state allocates nothing. For a caller that keeps one table across
+    /// intervals: the engine's inline backend, and an ingest node, which
+    /// only encodes the merged sketch.
     ///
     /// # Errors
     /// [`EngineError::WorkerLost`] if a shard worker died mid-interval.
@@ -453,23 +427,8 @@ impl ShardedIngest {
         if let Some(m) = &self.metrics {
             m.engine.combine_ns.record(sw.elapsed_ns());
         }
-        recycle_shards(&mut bufs, &self.spare_txs);
         self.shard_bufs = bufs;
         Ok(keys)
-    }
-
-    /// Closes the interval: flushes every shard, merges the per-shard
-    /// sketches in shard order, and hands back the merged observed sketch
-    /// plus the interval's key log — the pair a detect stage consumes,
-    /// whether it sits in this process or behind an aggregator that
-    /// COMBINEs several nodes' sketches first.
-    ///
-    /// # Errors
-    /// [`EngineError::WorkerLost`] if a shard worker died mid-interval.
-    pub fn end_interval_sketch(&mut self) -> Result<(KarySketch, Vec<u64>), EngineError> {
-        let mut observed = KarySketch::with_rows(Arc::clone(&self.rows));
-        let keys = self.end_interval_sketch_into(&mut observed)?;
-        Ok((observed, keys))
     }
 
     /// Hangs up every queue first (lets all workers start draining), then

@@ -45,9 +45,14 @@
 //!   `scd-archive` multi-resolution history of error sketches.
 //! * A fault-tolerance layer for the §6 online deployment: [`checkpoint`]
 //!   (CRC-guarded atomic snapshots of the full detector state),
-//!   [`supervisor`] (panic recovery with checkpoint restarts and a
-//!   lifecycle event stream), and [`streaming`]'s overload policies
-//!   (block / drop / sample, with per-interval shed accounting).
+//!   [`supervisor`] (the policy of the one restart contract every detect
+//!   stage keeps: panic recovery from checkpoints and a lifecycle event
+//!   stream), and [`streaming`] (the record-stream driver, started one
+//!   way — [`spawn_streaming`] — with its overload policies: block / drop /
+//!   sample, with per-interval shed accounting).
+//!
+//! Every queue between threads is a bounded
+//! `std::sync::mpsc::sync_channel`.
 //!
 //! # Example
 //!
@@ -76,7 +81,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod channel;
 pub mod checkpoint;
 pub mod detector;
 pub mod engine;
@@ -119,10 +123,7 @@ pub use streaming::{
     spawn as spawn_streaming, OverloadPolicy, RecordSender, StreamFault, StreamingConfig,
     StreamingHandle,
 };
-pub use supervisor::{
-    spawn_supervised, CheckpointPolicy, LifecycleEvent, RestartPolicy, SupervisedHandle,
-    Supervision, SupervisorConfig,
-};
+pub use supervisor::{CheckpointPolicy, LifecycleEvent, RestartPolicy, Supervision};
 pub use telemetry::{
     DetectorMetrics, EngineMetrics, GlrMetrics, PipelineMetrics, StreamMetrics, SupervisorMetrics,
 };

@@ -4,7 +4,7 @@
 //! The offline pipeline consumes pre-binned intervals; a live deployment
 //! consumes a **stream of flow records** and must bin, rotate, and detect
 //! as time advances. [`spawn`] runs the detector on its own thread behind
-//! a bounded channel ([`crate::channel`]):
+//! a bounded `std::sync::mpsc::sync_channel`:
 //!
 //! ```text
 //! capture thread ──records──► [channel] ──► detector thread ──reports──►
@@ -33,24 +33,40 @@
 //! each finished interval to a [`ShardedEngine`] built from
 //! [`StreamingConfig::engine`]. Shards, the key strategy, telemetry,
 //! checkpointing and restarts are that engine's configuration
-//! ([`crate::supervisor::Supervision`]); the driver only tells it where
-//! the stream stands, so a checkpoint can carry the position back.
+//! ([`crate::supervisor::Supervision`], read from nowhere else); the
+//! driver only tells it where the stream stands, so a checkpoint can carry
+//! the position back. A supervised engine's lifecycle events come back on
+//! [`StreamingHandle::events`] unless the supervision names its own
+//! sender.
+//!
+//! The record channel lives *outside* the supervised region: producers
+//! keep their sender across restarts, and nothing they sent is lost or
+//! re-emitted — a restart rebuilds only the detector, at the interval it
+//! had reached.
 //!
 //! Shutdown: drop the record sender (or call
 //! [`StreamingHandle::shutdown`]). The detector flushes the final partial
-//! interval, emits its report, and the thread ends. A detector panic is
-//! returned as a typed [`StreamFault`] — shutting down is never itself a
-//! panic.
+//! interval, emits its report, and the thread ends. A detector panic the
+//! supervision did not absorb is returned as a typed [`StreamFault`] —
+//! shutting down is never itself a panic.
 
-use crate::channel::{bounded, Receiver, Sender, TrySendError};
 use crate::detector::{DropStats, IntervalReport};
 use crate::engine::{EngineConfig, EngineError, ShardedEngine};
 use crate::sampling::UpdateSampler;
+use crate::supervisor::LifecycleEvent;
 use scd_hash::SplitMix64;
 use scd_traffic::{FlowRecord, KeySpec, ValueSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+
+/// Capacity of the report queue the driver fills as intervals close.
+const REPORT_CAPACITY: usize = 64;
+
+/// Capacity of the lifecycle event queue [`spawn`] hands back; events
+/// beyond it are dropped, never waited on.
+const EVENT_CAPACITY: usize = 256;
 
 /// What the record sender does when the detector cannot keep up.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,7 +103,7 @@ pub struct StreamingConfig {
     pub key: KeySpec,
     /// Value projection from records.
     pub value: ValueSpec,
-    /// Record-channel capacity (backpressure bound).
+    /// Record-channel capacity (backpressure bound); must be positive.
     pub channel_capacity: usize,
     /// Overload behaviour of [`RecordSender::send`].
     pub overload: OverloadPolicy,
@@ -133,7 +149,7 @@ impl OverloadCounters {
 /// [`OverloadPolicy`] to every record. Clone freely for multiple
 /// producers.
 pub struct RecordSender {
-    tx: Sender<Msg>,
+    tx: SyncSender<Msg>,
     policy: OverloadPolicy,
     counters: Arc<OverloadCounters>,
 }
@@ -157,11 +173,11 @@ impl RecordSender {
             OverloadPolicy::Block => self.tx.send(Msg { record, weight: 1.0 }).is_ok(),
             OverloadPolicy::DropNewest => match self.tx.try_send(Msg { record, weight: 1.0 }) {
                 Ok(()) => true,
-                Err(TrySendError::Full) => {
+                Err(TrySendError::Full(_)) => {
                     self.counters.dropped.fetch_add(1, Ordering::Relaxed);
                     true
                 }
-                Err(TrySendError::Disconnected) => false,
+                Err(TrySendError::Disconnected(_)) => false,
             },
             OverloadPolicy::Sample { rate, .. } => {
                 // The same Bernoulli predicate as the record sampler and
@@ -219,12 +235,16 @@ pub struct StreamingHandle {
     records: RecordSender,
     /// Interval reports arrive here as event time advances.
     reports: Receiver<IntervalReport>,
+    /// Lifecycle events of a supervised engine that named no sender of its
+    /// own; otherwise nothing ever arrives here.
+    events: Receiver<LifecycleEvent>,
     thread: JoinHandle<u64>,
 }
 
 impl StreamingHandle {
     /// Sends one record under the configured overload policy. Returns
-    /// `false` if the detector thread has already stopped.
+    /// `false` once the detector thread has stopped (a supervised one that
+    /// gave up included).
     pub fn send(&self, record: FlowRecord) -> bool {
         self.records.send(record)
     }
@@ -234,19 +254,28 @@ impl StreamingHandle {
         self.records.clone()
     }
 
-    /// The report stream.
+    /// The report stream (it survives restarts).
     pub fn reports(&self) -> &Receiver<IntervalReport> {
         &self.reports
     }
 
-    /// Stops the detector, drains remaining reports, and returns them with
-    /// the total number of records processed. A detector panic surfaces as
-    /// `Err(StreamFault::Panicked)` — this method itself never panics.
-    pub fn shutdown(self) -> Result<(Vec<IntervalReport>, u64), StreamFault> {
+    /// The lifecycle event stream: empty unless the engine is supervised
+    /// and its [`Supervision::events`](crate::supervisor::Supervision::events)
+    /// was left unset for [`spawn`] to fill in.
+    pub fn events(&self) -> &Receiver<LifecycleEvent> {
+        &self.events
+    }
+
+    /// Stops the detector, then drains and returns the remaining reports,
+    /// the undrained lifecycle events and the total number of records
+    /// processed. A detector panic surfaces as `Err(StreamFault::Panicked)`
+    /// — this method itself never panics, and no panic a supervised
+    /// detector absorbed can cause one.
+    pub fn shutdown(self) -> Result<(Vec<IntervalReport>, Vec<LifecycleEvent>, u64), StreamFault> {
         drop(self.records);
         let remaining: Vec<IntervalReport> = self.reports.iter().collect();
         match self.thread.join() {
-            Ok(processed) => Ok((remaining, processed)),
+            Ok(processed) => Ok((remaining, self.events.try_iter().collect(), processed)),
             Err(payload) => Err(StreamFault::Panicked(panic_message(payload.as_ref()))),
         }
     }
@@ -288,7 +317,7 @@ fn run_loop(
     config: &StreamingConfig,
     counters: &OverloadCounters,
     records: &Receiver<Msg>,
-    reports: &Sender<IntervalReport>,
+    reports: &SyncSender<IntervalReport>,
 ) -> Result<(), EngineError> {
     let metrics = config.engine.metrics.as_deref();
     while let Ok(msg) = records.recv() {
@@ -349,10 +378,19 @@ fn run_loop(
     Ok(())
 }
 
-/// Builds the record channel + counters + sender for a config.
-fn make_front_end(
-    config: &StreamingConfig,
-) -> (RecordSender, Receiver<Msg>, Arc<OverloadCounters>) {
+/// Spawns the detector thread: builds the engine from
+/// [`StreamingConfig::engine`] and starts the driver, which ends when every
+/// record sender is gone. A supervised engine — supervision is read from
+/// the engine config and nowhere else — absorbs detector panics within its
+/// restart budget; one that gives up ends the thread quietly (the lifecycle
+/// events say why, and producers see their sends fail). Any other engine
+/// failure is a panic that [`StreamingHandle::shutdown`] reports.
+///
+/// # Panics
+/// Panics if `interval_ms == 0`, `channel_capacity == 0` (a zero-capacity
+/// `sync_channel` would be a rendezvous, not a queue), or the sampling
+/// rate is out of range, or on an invalid engine configuration.
+pub fn spawn(mut config: StreamingConfig) -> StreamingHandle {
     assert!(config.interval_ms > 0, "interval must be positive");
     assert!(config.channel_capacity > 0, "channel capacity must be positive");
     let sampler_seed = match config.overload {
@@ -362,20 +400,16 @@ fn make_front_end(
         }
         _ => 0,
     };
-    let (tx, rx) = bounded::<Msg>(config.channel_capacity);
+    let (tx, record_rx) = sync_channel(config.channel_capacity);
     let counters = Arc::new(OverloadCounters::new(sampler_seed));
-    let sender = RecordSender { tx, policy: config.overload, counters: Arc::clone(&counters) };
-    (sender, rx, counters)
-}
-
-/// Builds the engine and starts the driver thread, which returns the
-/// number of records it processed. An engine whose supervised detector
-/// gave up ends the thread quietly — the lifecycle events say why, and
-/// producers see their sends fail; any other engine failure is a panic
-/// that [`StreamingHandle::shutdown`] reports.
-pub(crate) fn launch(config: StreamingConfig, name: &str) -> StreamingHandle {
-    let (sender, record_rx, counters) = make_front_end(&config);
-    let (report_tx, report_rx) = bounded::<IntervalReport>(64);
+    let records = RecordSender { tx, policy: config.overload, counters: Arc::clone(&counters) };
+    let (report_tx, reports) = sync_channel(REPORT_CAPACITY);
+    // A sender the caller set stays in effect; unused, ours hangs up and
+    // `events()` stays empty.
+    let (event_tx, events) = sync_channel(EVENT_CAPACITY);
+    if let Some(supervision) = &mut config.engine.supervision {
+        supervision.events.get_or_insert(event_tx);
+    }
     let mut engine = ShardedEngine::new(config.engine.clone()).expect("valid engine config");
     // A resumed engine puts the binner back where the checkpoint left it:
     // the interval then in flight is the checkpoint gap and is gone;
@@ -386,7 +420,7 @@ pub(crate) fn launch(config: StreamingConfig, name: &str) -> StreamingHandle {
         processed: engine.records_total(),
     };
     let thread = std::thread::Builder::new()
-        .name(name.into())
+        .name("scd-streaming-detector".into())
         .spawn(move || {
             match run_loop(&mut engine, &mut binner, &config, &counters, &record_rx, &report_tx) {
                 Ok(()) | Err(EngineError::DetectorGaveUp { .. }) => binner.processed,
@@ -394,20 +428,7 @@ pub(crate) fn launch(config: StreamingConfig, name: &str) -> StreamingHandle {
             }
         })
         .expect("spawn detector thread");
-    StreamingHandle { records: sender, reports: report_rx, thread }
-}
-
-/// Spawns the detector thread.
-///
-/// For crash recovery (automatic restart from checkpoints), use
-/// [`crate::supervisor::spawn_supervised`] instead; this plain variant
-/// reports a detector panic once, at [`StreamingHandle::shutdown`].
-///
-/// # Panics
-/// Panics if `interval_ms == 0`, `channel_capacity == 0`, or the sampling
-/// rate is out of range, or on an invalid engine configuration.
-pub fn spawn(config: StreamingConfig) -> StreamingHandle {
-    launch(config, "scd-streaming-detector")
+    StreamingHandle { records, reports, events, thread }
 }
 
 #[cfg(test)]
@@ -464,7 +485,7 @@ mod tests {
                 }
             }
         }
-        let (reports, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
         assert_eq!(processed, 5 * 40 + 10);
         assert_eq!(reports.len(), 5, "one report per event-time interval");
         let spike_report = &reports[3];
@@ -481,7 +502,7 @@ mod tests {
         let handle = spawn(config());
         handle.send(record(100, 5, 1_000));
         handle.send(record(5_100, 5, 1_000)); // skips intervals 1..=4
-        let (reports, _) = handle.shutdown().expect("clean shutdown");
+        let (reports, ..) = handle.shutdown().expect("clean shutdown");
         // Interval 0 + three empty (1,2,3,4) + final partial (5) = 6.
         assert_eq!(reports.len(), 6);
         // The disappearance registers as a negative error in interval 1.
@@ -496,7 +517,7 @@ mod tests {
         let handle = spawn(config());
         handle.send(record(2_500, 1, 10));
         handle.send(record(1_900, 1, 10)); // late by 600ms: accepted
-        let (reports, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
         assert_eq!(processed, 2);
         assert_eq!(reports.len(), 1);
     }
@@ -504,7 +525,7 @@ mod tests {
     #[test]
     fn shutdown_with_no_records_is_clean() {
         let handle = spawn(config());
-        let (reports, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
         assert!(reports.is_empty());
         assert_eq!(processed, 0);
     }
@@ -515,7 +536,7 @@ mod tests {
         for t in 0..4u64 {
             handle.send(record(t * 1000 + 10, 2, 100));
         }
-        let (reports, _) = handle.shutdown().expect("clean shutdown");
+        let (reports, ..) = handle.shutdown().expect("clean shutdown");
         let idx: Vec<usize> = reports.iter().map(|r| r.interval).collect();
         assert_eq!(idx, vec![0, 1, 2, 3]);
     }
@@ -528,7 +549,7 @@ mod tests {
                 handle.send(record(t * 1000 + i, 7, 100));
             }
         }
-        let (reports, _) = handle.shutdown().expect("clean shutdown");
+        let (reports, ..) = handle.shutdown().expect("clean shutdown");
         assert!(reports.iter().all(|r| r.drops == DropStats::default()));
     }
 
@@ -543,7 +564,7 @@ mod tests {
             handle.send(record(i % 1000, 7, 100));
         }
         handle.send(record(1_500, 7, 100));
-        let (reports, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
         let admitted: u64 = reports.iter().map(|r| r.drops.sampled_in).sum();
         let shed: u64 = reports.iter().map(|r| r.drops.shed).sum();
         assert_eq!(admitted + shed, 2_001, "every record is either admitted or shed");
@@ -565,7 +586,7 @@ mod tests {
             assert!(handle.send(record(i % 500, 9, 10)));
         }
         handle.send(record(2_000, 9, 10)); // flush boundary
-        let (reports, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
         let total_dropped: u64 = reports.iter().map(|r| r.drops.dropped).sum();
         assert_eq!(processed + total_dropped, 10_001);
     }

@@ -1,5 +1,4 @@
-//! Supervision: the policy types of the one restart contract, and the
-//! supervised streaming driver.
+//! Supervision: the policy types of the one restart contract.
 //!
 //! A monitoring deployment wants the detector to be the component *least*
 //! allowed to disappear, precisely because it is the thing watching
@@ -10,20 +9,14 @@
 //! ([`crate::engine::DetectStage`]), and every runtime gets it by setting
 //! [`Supervision`] on its [`EngineConfig`](crate::engine::EngineConfig).
 //! This module holds what that contract is configured with
-//! ([`RestartPolicy`], [`CheckpointPolicy`]), what it announces
-//! ([`LifecycleEvent`]), and [`spawn_supervised`]: the streaming driver
-//! with supervision set and an event receiver.
-//!
-//! The record channel lives *outside* the supervised region: producers
-//! keep their sender across restarts, and nothing they sent is lost or
-//! re-emitted — a restart rebuilds only the detector, at the interval it
-//! had reached.
+//! ([`Supervision`]: [`RestartPolicy`], [`CheckpointPolicy`], a fault
+//! plan), and what it announces ([`LifecycleEvent`]). A streaming detector
+//! is supervised the same way: [`crate::streaming::spawn`] with
+//! supervision set on its engine.
 
-use crate::channel::{bounded, Receiver, Sender};
-use crate::detector::IntervalReport;
-use crate::streaming::{launch, RecordSender, StreamFault, StreamingConfig, StreamingHandle};
 use scd_traffic::FaultPlan;
 use std::path::PathBuf;
+use std::sync::mpsc::SyncSender;
 use std::time::Duration;
 
 /// What the supervisor announces on its event channel.
@@ -136,80 +129,10 @@ pub struct Supervision {
     /// supervised region, at the driver's stream position. `None` in
     /// production.
     pub fault: Option<FaultPlan>,
-    /// Where [`LifecycleEvent`]s go, best-effort.
-    pub events: Option<Sender<LifecycleEvent>>,
-}
-
-/// Configuration of a supervised streaming detector.
-#[derive(Debug, Clone)]
-pub struct SupervisorConfig {
-    /// The streaming front end. Give its engine a [`Supervision`] with a
-    /// [`CheckpointPolicy`] to make a new process resume instead of
-    /// starting over; `restart` and `fault` below override that
-    /// supervision's own.
-    pub stream: StreamingConfig,
-    /// Restart budget and backoff.
-    pub restart: RestartPolicy,
-    /// Test-only fault injection. `None` in production.
-    pub fault: Option<FaultPlan>,
-}
-
-/// Handle to a supervised streaming detector.
-pub struct SupervisedHandle {
-    stream: StreamingHandle,
-    events: Receiver<LifecycleEvent>,
-}
-
-impl SupervisedHandle {
-    /// Sends one record under the configured overload policy. Returns
-    /// `false` once the supervisor has given up or shut down.
-    pub fn send(&self, record: scd_traffic::FlowRecord) -> bool {
-        self.stream.send(record)
-    }
-
-    /// A cloneable sender for feeding records from multiple threads.
-    pub fn sender(&self) -> RecordSender {
-        self.stream.sender()
-    }
-
-    /// The report stream (survives restarts).
-    pub fn reports(&self) -> &Receiver<IntervalReport> {
-        self.stream.reports()
-    }
-
-    /// The lifecycle event stream.
-    pub fn events(&self) -> &Receiver<LifecycleEvent> {
-        &self.events
-    }
-
-    /// Stops the detector, then drains and returns remaining reports,
-    /// all undrained lifecycle events, and the processed-record count.
-    /// `Err` only if the driver thread itself panicked, which no absorbed
-    /// detector panic can cause.
-    pub fn shutdown(self) -> Result<(Vec<IntervalReport>, Vec<LifecycleEvent>, u64), StreamFault> {
-        let (reports, processed) = self.stream.shutdown()?;
-        Ok((reports, self.events.iter().collect(), processed))
-    }
-}
-
-/// Spawns a streaming detector under supervision:
-/// [`crate::streaming::spawn`] with [`Supervision`] set on the engine and
-/// the event stream handed back.
-///
-/// # Panics
-/// Panics on an invalid configuration (same rules as
-/// [`crate::streaming::spawn`]).
-pub fn spawn_supervised(config: SupervisorConfig) -> SupervisedHandle {
-    let (event_tx, events) = bounded::<LifecycleEvent>(256);
-    let mut stream = config.stream;
-    let checkpoint = stream.engine.supervision.take().and_then(|sup| sup.checkpoint);
-    stream.engine.supervision = Some(Supervision {
-        restart: config.restart,
-        checkpoint,
-        fault: config.fault,
-        events: Some(event_tx),
-    });
-    SupervisedHandle { stream: launch(stream, "scd-supervised-detector"), events }
+    /// Where [`LifecycleEvent`]s go, best-effort. Left unset on a
+    /// streaming engine, [`crate::streaming::spawn`] points it at
+    /// [`StreamingHandle::events`](crate::streaming::StreamingHandle::events).
+    pub events: Option<SyncSender<LifecycleEvent>>,
 }
 
 #[cfg(test)]

@@ -3,14 +3,15 @@
 //! the acceptance criteria of the robustness milestone.
 
 use scd_core::{
-    spawn_streaming, spawn_supervised, Checkpoint, CheckpointPolicy, DetectorConfig, EngineConfig,
-    KeyStrategy, LifecycleEvent, OverloadPolicy, RestartPolicy, SketchChangeDetector,
-    StreamingConfig, Supervision, SupervisorConfig,
+    spawn_streaming, Checkpoint, CheckpointPolicy, DetectorConfig, EngineConfig, KeyStrategy,
+    LifecycleEvent, OverloadPolicy, RestartPolicy, SketchChangeDetector, StreamingConfig,
+    Supervision,
 };
 use scd_forecast::ModelSpec;
 use scd_sketch::SketchConfig;
 use scd_traffic::{Corruptor, FaultPlan, FlowRecord, KeySpec, ValueSpec};
 use std::path::PathBuf;
+use std::sync::mpsc::sync_channel;
 
 fn detector_config() -> DetectorConfig {
     DetectorConfig {
@@ -52,19 +53,28 @@ fn record(ts: u64, dst: u32, bytes: u64) -> FlowRecord {
     }
 }
 
-fn streaming_config(checkpoint: Option<CheckpointPolicy>) -> StreamingConfig {
-    let mut engine = EngineConfig::new(detector_config(), 1);
-    if checkpoint.is_some() {
-        engine = engine.with_supervision(Supervision { checkpoint, ..Supervision::default() });
-    }
+fn streaming_config() -> StreamingConfig {
     StreamingConfig {
-        engine,
+        engine: EngineConfig::new(detector_config(), 1),
         interval_ms: 1_000,
         key: KeySpec::DstIp,
         value: ValueSpec::Bytes,
         channel_capacity: 256,
         overload: OverloadPolicy::Block,
     }
+}
+
+/// A supervised streaming detector's config: the restart budget, fault
+/// plan and checkpoint policy all sit on the engine's [`Supervision`].
+fn supervised(
+    checkpoint: Option<CheckpointPolicy>,
+    restart: RestartPolicy,
+    fault: Option<FaultPlan>,
+) -> StreamingConfig {
+    let mut config = streaming_config();
+    let supervision = Supervision { restart, checkpoint, fault, events: None };
+    config.engine = config.engine.with_supervision(supervision);
+    config
 }
 
 /// Acceptance criterion 1: kill the detector mid-stream, restore from the
@@ -116,13 +126,13 @@ fn supervised_detector_restarts_from_checkpoint_after_panic() {
     let path = temp_path("supervised-restart.ckpt");
     std::fs::remove_file(&path).ok();
     let every = 2u64;
-    let handle = spawn_supervised(SupervisorConfig {
-        stream: streaming_config(Some(CheckpointPolicy { path: path.clone(), every })),
-        restart: RestartPolicy::default(),
+    let handle = spawn_streaming(supervised(
+        Some(CheckpointPolicy { path: path.clone(), every }),
+        RestartPolicy::default(),
         // 5 records per interval: record 33 lands mid-interval-6, well
         // after several checkpoints exist.
-        fault: Some(FaultPlan::panic_at(33, "injected detector crash")),
-    });
+        Some(FaultPlan::panic_at(33, "injected detector crash")),
+    ));
     for t in 0..12u64 {
         for i in 0..5u64 {
             assert!(handle.send(record(t * 1_000 + i * 100, (i % 3) as u32, 500 + t)));
@@ -174,11 +184,11 @@ fn supervised_detector_restarts_from_checkpoint_after_panic() {
 /// — and says so via `resumed_intervals: 0`.
 #[test]
 fn restart_without_checkpoint_starts_fresh() {
-    let handle = spawn_supervised(SupervisorConfig {
-        stream: streaming_config(None),
-        restart: RestartPolicy::default(),
-        fault: Some(FaultPlan::panic_at(12, "crash with no durability")),
-    });
+    let handle = spawn_streaming(supervised(
+        None,
+        RestartPolicy::default(),
+        Some(FaultPlan::panic_at(12, "crash with no durability")),
+    ));
     for t in 0..6u64 {
         for i in 0..5u64 {
             handle.send(record(t * 1_000 + i * 100, 1, 100));
@@ -215,16 +225,16 @@ fn corrupt_checkpoint_degrades_instead_of_crashing() {
     assert!(Checkpoint::from_bytes(&bytes).is_err(), "flip must be detected");
     std::fs::write(&path, &bytes).expect("write corrupt file");
 
-    let handle = spawn_supervised(SupervisorConfig {
-        stream: streaming_config(Some(CheckpointPolicy {
+    let handle = spawn_streaming(supervised(
+        Some(CheckpointPolicy {
             path: path.clone(),
             // Effectively never write, so the corrupt file stays in place
             // until the crash tries to read it.
             every: 1_000_000,
-        })),
-        restart: RestartPolicy::default(),
-        fault: Some(FaultPlan::panic_at(8, "crash into corrupt checkpoint")),
-    });
+        }),
+        RestartPolicy::default(),
+        Some(FaultPlan::panic_at(8, "crash into corrupt checkpoint")),
+    ));
     for t in 0..5u64 {
         for i in 0..5u64 {
             handle.send(record(t * 1_000 + i * 100, 2, 300));
@@ -250,16 +260,14 @@ fn corrupt_checkpoint_degrades_instead_of_crashing() {
 fn restart_budget_exhaustion_gives_up_cleanly() {
     let registry = scd_obs::Registry::new();
     let metrics = scd_core::PipelineMetrics::register(&registry);
-    let mut stream = streaming_config(None);
-    stream.engine.metrics = Some(std::sync::Arc::clone(&metrics));
     let restart = RestartPolicy { max_restarts: 2, backoff_base_ms: 1, backoff_cap_ms: 5 };
-    let handle = spawn_supervised(SupervisorConfig {
-        stream,
+    let mut stream = supervised(
+        None,
         restart,
-        fault: Some(
-            FaultPlan::panic_at(1, "first").and_panic_at(1, "second").and_panic_at(1, "third"),
-        ),
-    });
+        Some(FaultPlan::panic_at(1, "first").and_panic_at(1, "second").and_panic_at(1, "third")),
+    );
+    stream.engine.metrics = Some(std::sync::Arc::clone(&metrics));
+    let handle = spawn_streaming(stream);
     // Keep sending until the dead detector disconnects the channel.
     let mut refused = false;
     for i in 0..10_000u64 {
@@ -294,17 +302,14 @@ fn supervised_clean_run_matches_plain_run() {
             }
         }
     };
-    let plain = spawn_streaming(streaming_config(None));
+    let plain = spawn_streaming(streaming_config());
     send_all(&|r| plain.send(r));
-    let (plain_reports, plain_n) = plain.shutdown().expect("clean");
+    let (plain_reports, plain_events, plain_n) = plain.shutdown().expect("clean");
+    assert!(plain_events.is_empty(), "an unsupervised stream announces nothing");
 
-    let supervised = spawn_supervised(SupervisorConfig {
-        stream: streaming_config(None),
-        restart: RestartPolicy::default(),
-        fault: None,
-    });
-    send_all(&|r| supervised.send(r));
-    let (sup_reports, events, sup_n) = supervised.shutdown().expect("clean");
+    let sup = spawn_streaming(supervised(None, RestartPolicy::default(), None));
+    send_all(&|r| sup.send(r));
+    let (sup_reports, events, sup_n) = sup.shutdown().expect("clean");
 
     assert_eq!(plain_reports, sup_reports);
     assert_eq!(plain_n, sup_n);
@@ -316,7 +321,7 @@ fn supervised_clean_run_matches_plain_run() {
 /// report sequence stays sequential.
 #[test]
 fn out_of_order_records_keep_interval_sequence() {
-    let handle = spawn_streaming(streaming_config(None));
+    let handle = spawn_streaming(streaming_config());
     // Interval 0 arrives interleaved out of order.
     for ts in [700u64, 100, 900, 300, 500] {
         handle.send(record(ts, 1, 100));
@@ -325,7 +330,7 @@ fn out_of_order_records_keep_interval_sequence() {
     handle.send(record(2_200, 1, 100));
     handle.send(record(1_800, 1, 100)); // late: folds into interval 2
     handle.send(record(2_600, 1, 100));
-    let (reports, processed) = handle.shutdown().expect("clean");
+    let (reports, _, processed) = handle.shutdown().expect("clean");
     assert_eq!(processed, 8);
     let idx: Vec<usize> = reports.iter().map(|r| r.interval).collect();
     assert_eq!(idx, vec![0, 1, 2], "sequential intervals: {idx:?}");
@@ -339,12 +344,12 @@ fn out_of_order_records_keep_interval_sequence() {
 #[test]
 fn intra_interval_order_is_irrelevant() {
     let run = |order: &[u64]| {
-        let handle = spawn_streaming(streaming_config(None));
+        let handle = spawn_streaming(streaming_config());
         for &i in order {
             handle.send(record(i * 7 % 1_000, (i % 5) as u32, 100 + i));
         }
         handle.send(record(1_500, 0, 1)); // flush boundary
-        let (reports, _) = handle.shutdown().expect("clean");
+        let (reports, ..) = handle.shutdown().expect("clean");
         reports
     };
     let forward: Vec<u64> = (0..60).collect();
@@ -365,11 +370,7 @@ fn new_process_resumes_from_existing_checkpoint() {
 
     // First "process": 6 intervals, checkpointed every 2 (and once more at
     // the final flush).
-    let first = spawn_supervised(SupervisorConfig {
-        stream: streaming_config(policy()),
-        restart: RestartPolicy::default(),
-        fault: None,
-    });
+    let first = spawn_streaming(supervised(policy(), RestartPolicy::default(), None));
     for t in 0..6u64 {
         for i in 0..5u64 {
             assert!(first.send(record(t * 1_000 + i * 100, (i % 3) as u32, 400 + t)));
@@ -380,11 +381,7 @@ fn new_process_resumes_from_existing_checkpoint() {
 
     // Second "process", same config and checkpoint path, fed the next
     // stretch of the stream.
-    let second = spawn_supervised(SupervisorConfig {
-        stream: streaming_config(policy()),
-        restart: RestartPolicy::default(),
-        fault: None,
-    });
+    let second = spawn_streaming(supervised(policy(), RestartPolicy::default(), None));
     for t in 6..9u64 {
         for i in 0..5u64 {
             assert!(second.send(record(t * 1_000 + i * 100, (i % 3) as u32, 400 + t)));
@@ -410,7 +407,7 @@ fn new_process_resumes_from_existing_checkpoint() {
 /// `processed + lost == sent` holds.
 #[test]
 fn fully_shed_tail_still_surfaces_drop_counters() {
-    let mut cfg = streaming_config(None);
+    let mut cfg = streaming_config();
     // Rate low enough that (deterministically, for this seed) all 50
     // records are shed.
     cfg.overload = OverloadPolicy::Sample { rate: 1e-9, seed: 7 };
@@ -418,9 +415,49 @@ fn fully_shed_tail_still_surfaces_drop_counters() {
     for i in 0..50u64 {
         assert!(handle.send(record(i * 10, 1, 100)));
     }
-    let (reports, processed) = handle.shutdown().expect("clean");
+    let (reports, _, processed) = handle.shutdown().expect("clean");
     assert_eq!(processed, 0, "every record should have been shed");
     let shed: u64 = reports.iter().map(|r| r.drops.shed).sum();
     let admitted: u64 = reports.iter().map(|r| r.drops.sampled_in).sum();
     assert_eq!(shed + admitted, 50, "tail counters lost: {reports:?}");
+}
+
+/// One way to start a stream: what the caller sets on the engine's
+/// [`Supervision`] is what runs. Its event sender receives the lifecycle
+/// (the handle's own stream stays empty), its restart budget of one gives
+/// up at the second panic, and its fault plan is the one that fires.
+#[test]
+fn the_callers_supervision_is_the_one_in_effect() {
+    let (events_tx, events) = sync_channel(64);
+    let mut config = streaming_config();
+    config.engine = config.engine.with_supervision(Supervision {
+        restart: RestartPolicy { max_restarts: 1, backoff_base_ms: 1, backoff_cap_ms: 1 },
+        checkpoint: None,
+        fault: Some(FaultPlan::panic_at(7, "first").and_panic_at(7, "second")),
+        events: Some(events_tx),
+    });
+    let handle = spawn_streaming(config);
+    let mut refused = false;
+    for i in 0..10_000u64 {
+        if !handle.send(record(i * 250, 1, 10)) {
+            refused = true;
+            break;
+        }
+    }
+    assert!(refused, "a budget of one must give up at the second panic");
+    let (_reports, own_events, _) = handle.shutdown().expect("supervisor survives");
+    assert!(own_events.is_empty(), "the handle took events meant for the caller: {own_events:?}");
+    let events: Vec<LifecycleEvent> = events.try_iter().collect();
+    assert_eq!(
+        events,
+        vec![
+            LifecycleEvent::Started,
+            LifecycleEvent::Restarted {
+                attempt: 1,
+                resumed_intervals: 0,
+                panic: "injected fault: first".into()
+            },
+            LifecycleEvent::GaveUp { attempts: 1 },
+        ]
+    );
 }

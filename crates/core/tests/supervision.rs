@@ -9,16 +9,17 @@
 
 use scd_archive::ArchiveConfig;
 use scd_core::{
-    spawn_supervised, CheckpointPolicy, DetectStage, DetectorConfig, EngineConfig, EngineError,
+    spawn_streaming, CheckpointPolicy, DetectStage, DetectorConfig, EngineConfig, EngineError,
     GlrConfig, GlrEvent, IntervalObserver, IntervalReport, KeyStrategy, LifecycleEvent,
     OverloadPolicy, PipelineMetrics, RestartPolicy, ShardedEngine, SketchChangeDetector,
-    StreamingConfig, Supervision, SupervisorConfig,
+    StreamingConfig, Supervision,
 };
 use scd_forecast::ModelSpec;
 use scd_hash::SplitMix64;
 use scd_sketch::{KarySketch, SketchConfig};
 use scd_traffic::{FaultPlan, FlowRecord, KeySpec, ValueSpec};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -98,7 +99,7 @@ struct Outcome {
 fn run(shape: Shape, strategy: KeyStrategy, path: Option<&Path>, fault: FaultPlan) -> Outcome {
     let registry = scd_obs::Registry::new();
     let metrics = PipelineMetrics::register(&registry);
-    let (event_tx, event_rx) = scd_core::channel::bounded(1024);
+    let (event_tx, event_rx) = sync_channel(1024);
     let supervision = Supervision {
         restart: RESTART,
         checkpoint: path.map(|p| CheckpointPolicy { path: p.to_path_buf(), every: EVERY }),
@@ -118,7 +119,6 @@ fn run(shape: Shape, strategy: KeyStrategy, path: Option<&Path>, fault: FaultPla
     }
     let mut reports = Vec::new();
     let mut failure = None;
-    let mut events = Vec::new();
     match shape {
         Shape::Stage => {
             let (mut stage, _) = DetectStage::from_config(&config).expect("stage");
@@ -169,19 +169,15 @@ fn run(shape: Shape, strategy: KeyStrategy, path: Option<&Path>, fault: FaultPla
             }
         }
         Shape::Streaming => {
-            // `spawn_supervised` keeps the engine's checkpoint policy and
-            // brings its own restart policy, fault plan and event channel.
-            let handle = spawn_supervised(SupervisorConfig {
-                stream: StreamingConfig {
-                    engine: config,
-                    interval_ms: 1_000,
-                    key: KeySpec::DstIp,
-                    value: ValueSpec::Bytes,
-                    channel_capacity: 64,
-                    overload: OverloadPolicy::Block,
-                },
-                restart: RESTART,
-                fault: Some(fault),
+            // The engine's supervision is the streaming detector's: its
+            // restart policy, fault plan and event sender are all in effect.
+            let handle = spawn_streaming(StreamingConfig {
+                engine: config,
+                interval_ms: 1_000,
+                key: KeySpec::DstIp,
+                value: ValueSpec::Bytes,
+                channel_capacity: 64,
+                overload: OverloadPolicy::Block,
             });
             'feed: for t in 0..INTERVALS {
                 for (i, (key, value)) in interval_updates(t).into_iter().enumerate() {
@@ -198,16 +194,15 @@ fn run(shape: Shape, strategy: KeyStrategy, path: Option<&Path>, fault: FaultPla
                     if !handle.send(record) {
                         break 'feed;
                     }
-                    reports.extend(std::iter::from_fn(|| handle.reports().try_recv()));
-                    events.extend(std::iter::from_fn(|| handle.events().try_recv()));
+                    reports.extend(handle.reports().try_iter());
                 }
             }
-            let (tail, tail_events, _) = handle.shutdown().expect("driver survives");
+            let (tail, own_events, _) = handle.shutdown().expect("driver survives");
             reports.extend(tail);
-            events.extend(tail_events);
+            assert!(own_events.is_empty(), "the handle took events meant for the sender set");
         }
     }
-    events.extend(std::iter::from_fn(|| event_rx.try_recv()));
+    let events: Vec<LifecycleEvent> = event_rx.try_iter().collect();
     let gave_up = match failure {
         None => events.iter().any(|e| matches!(e, LifecycleEvent::GaveUp { .. })),
         Some(EngineError::DetectorGaveUp { .. }) => true,
@@ -409,9 +404,10 @@ fn a_supervised_stage_without_a_checkpoint_path_retains_a_cadence_not_the_run() 
     // rebuilds the exact detector: reports == the uninterrupted reference.
     let restart = RestartPolicy { max_restarts: 1, backoff_base_ms: 1, backoff_cap_ms: 1 };
     let fault = FaultPlan::panic_at(150, "three quarters in");
-    let mut stage =
-        DetectStage::new(detector_config(KeyStrategy::TwoPass), restart, None, Some(fault))
-            .unwrap();
+    let supervision = Supervision { restart, fault: Some(fault), ..Supervision::default() };
+    let engine =
+        EngineConfig::new(detector_config(KeyStrategy::TwoPass), 1).with_supervision(supervision);
+    let (mut stage, _) = DetectStage::from_config(&engine).unwrap();
     let mut reference = SketchChangeDetector::new(detector_config(KeyStrategy::TwoPass));
     let mut most = 0;
     for t in 0..200u64 {
@@ -433,7 +429,7 @@ fn a_supervised_stage_without_a_checkpoint_path_retains_a_cadence_not_the_run() 
 fn a_checkpoint_that_cannot_be_written_degrades_once_a_write_and_still_bounds_retention() {
     let dir = std::env::temp_dir().join(format!("scd-stage-no-such-dir-{}", std::process::id()));
     let policy = CheckpointPolicy { path: dir.join("detector.ckpt"), every: 3 };
-    let (events_tx, events) = scd_core::channel::bounded(64);
+    let (events_tx, events) = sync_channel(64);
     let supervision = Supervision {
         restart: RestartPolicy { max_restarts: 1, backoff_base_ms: 1, backoff_cap_ms: 1 },
         checkpoint: Some(policy),
@@ -453,7 +449,7 @@ fn a_checkpoint_that_cannot_be_written_degrades_once_a_write_and_still_bounds_re
         assert_eq!(report, reference.process_interval(&items), "interval {t}");
         assert!(stage.retained() <= 3, "retained {} intervals", stage.retained());
     }
-    let events: Vec<LifecycleEvent> = std::iter::from_fn(|| events.try_recv()).collect();
+    let events: Vec<LifecycleEvent> = events.try_iter().collect();
     let degraded = events.iter().filter(|e| matches!(e, LifecycleEvent::Degraded { .. })).count();
     assert_eq!(degraded, 4, "one per failed write (intervals 3, 6, 9, 12): {events:?}");
     assert!(

@@ -31,7 +31,6 @@
 use crate::frame::{Frame, FrameError, VERSION};
 use crate::metrics::NetMetrics;
 use crate::NetError;
-use scd_core::channel::{bounded, Receiver, Sender};
 use scd_core::detector::{DetectorConfig, IntervalReport};
 use scd_core::supervisor::{CheckpointPolicy, LifecycleEvent, RestartPolicy, Supervision};
 use scd_core::{DetectStage, EngineConfig, PipelineMetrics};
@@ -43,6 +42,7 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,6 +60,11 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 /// reconnects racing the teardown of connections the node abandoned.
 const CONNECTIONS_PER_NODE: usize = 4;
 
+/// Longest the main loop waits for a reader-thread event before it looks
+/// at the clock again: the resolution of grace windows, node deadlines and
+/// the run timeout. An event wakes it at once.
+const TICK: Duration = Duration::from_millis(5);
+
 /// Configuration of the aggregation point.
 #[derive(Debug, Clone)]
 pub struct AggregatorConfig {
@@ -73,8 +78,6 @@ pub struct AggregatorConfig {
     /// Silence longer than this marks a node down (a node that never
     /// connected is measured from aggregator start).
     pub node_deadline: Duration,
-    /// Main-loop poll cadence.
-    pub tick: Duration,
     /// Hard wall-clock bound on the whole run; on expiry everything
     /// buffered is flushed through the ladder and the summary is marked
     /// timed out.
@@ -102,7 +105,6 @@ impl AggregatorConfig {
             nodes,
             grace: Duration::from_millis(500),
             node_deadline: Duration::from_secs(2),
-            tick: Duration::from_millis(5),
             run_timeout: Duration::from_secs(60),
             checkpoint: None,
             restart: RestartPolicy::default(),
@@ -207,7 +209,7 @@ impl Aggregator {
     /// out. Node loss is *not* an error — it produces recovered or
     /// flagged-partial intervals.
     pub fn run(mut self) -> Result<AggregateSummary, NetError> {
-        let (event_tx, event_rx) = bounded::<LifecycleEvent>(256);
+        let (event_tx, event_rx) = sync_channel(256);
         let mut stage =
             EngineConfig::new(self.config.detector.clone(), 1).with_supervision(Supervision {
                 restart: self.config.restart,
@@ -219,7 +221,7 @@ impl Aggregator {
         let (mut detector, _) = DetectStage::from_config(&stage)?;
         let resumed_from = detector.emitted();
         let rows = Arc::clone(detector.rows());
-        let (tx, rx) = bounded::<Event>(1024);
+        let (tx, rx) = sync_channel(1024);
         let expect = Expect {
             nodes: self.config.nodes,
             h: self.config.detector.sketch.h as u64,
@@ -227,17 +229,20 @@ impl Aggregator {
             seed: self.config.detector.sketch.seed,
         };
         let metrics = self.config.metrics.clone();
+        let readers = tx.clone();
         self.listener.start(move |stream, stop| {
-            serve_connection(stream, stop, &tx, &rows, expect, metrics.as_deref());
+            serve_connection(stream, stop, &readers, &rows, expect, metrics.as_deref());
         });
 
         let mut events = Vec::new();
         let outcome =
             aggregate_loop(&self.config, &mut detector, &rx, resumed_from, &event_rx, &mut events);
-        drop(rx); // unblocks reader threads stuck on a full event queue
+        // `tx` lived this long so the loop's wait never sees a hung-up
+        // queue; dropping `rx` unblocks reader threads stuck on a full one.
+        drop((tx, rx));
         self.listener.shutdown();
         let (intervals, timed_out) = outcome?;
-        events.extend(std::iter::from_fn(|| event_rx.try_recv()));
+        events.extend(event_rx.try_iter());
         Ok(AggregateSummary {
             intervals,
             timed_out,
@@ -274,8 +279,10 @@ fn aggregate_loop(
     let mut timed_out = false;
 
     loop {
-        // Drain everything the reader threads produced since last tick.
-        while let Some(event) = rx.try_recv() {
+        // Wait for the next reader-thread event (at most a tick), then
+        // drain everything queued behind it.
+        let first = rx.recv_timeout(TICK).ok();
+        for event in first.into_iter().chain(rx.try_iter()) {
             match event {
                 Event::Seen { node } => {
                     if let Some(state) = nodes.get_mut(node as usize) {
@@ -347,7 +354,7 @@ fn aggregate_loop(
             waiting = None;
         }
         // The lifecycle queue is best-effort and bounded: keep it drained.
-        events.extend(std::iter::from_fn(|| lifecycle.try_recv()));
+        events.extend(lifecycle.try_iter());
 
         // Done when every node has signed off (or died) and everything
         // promised or buffered has been emitted.
@@ -361,10 +368,9 @@ fn aggregate_loop(
                 // Second pass after the forced flush: stop for real.
                 break;
             }
+            // One more emit sweep with the ladder forced open.
             timed_out = true;
-            continue; // one more emit sweep with the ladder forced open
         }
-        std::thread::sleep(config.tick);
     }
     Ok((emitted, timed_out))
 }
@@ -494,7 +500,7 @@ struct Expect {
 fn serve_connection(
     mut stream: TcpStream,
     stop: &AtomicBool,
-    tx: &Sender<Event>,
+    tx: &SyncSender<Event>,
     rows: &Arc<HashRows>,
     expect: Expect,
     metrics: Option<&NetMetrics>,

@@ -20,10 +20,10 @@
 //!   deadlines, a straggler grace window, `(node, interval)` dedup, and a
 //!   three-step degradation ladder (wait → recover from parity → emit an
 //!   explicitly flagged partial — never silently wrong).
-//! * [`SupervisedDetector`] — the aggregator's one global detector: the
-//!   same `scd_core` detect stage, under the same panic-absorbing,
-//!   checkpoint-resuming supervision, that every local runtime closes an
-//!   interval through — so detection restarts mid-stream.
+//!   Its one global detector is the same `scd_core::DetectStage`, under
+//!   the same panic-absorbing, checkpoint-resuming supervision, that every
+//!   local runtime closes an interval through — so detection restarts
+//!   mid-stream.
 //! * [`Frame`] — the `SCDN` messages, carried in the workspace's shared
 //!   frame envelope (`scd_hash::envelope`).
 //! * [`NetMetrics`] — the plane's `scd-obs` metric inventory (lag,
@@ -63,13 +63,6 @@ pub use frame::{Frame, FrameError, SCDN, VERSION};
 pub use metrics::{AggregatorMetrics, NetMetrics, SenderMetrics};
 pub use sender::{IngestNode, NodeConfig, NodeSummary};
 pub use spool::SpoolDir;
-
-/// The aggregator's global detector: `scd_core`'s detect stage, built
-/// supervised ([`DetectStage::new`](scd_core::DetectStage::new)).
-pub use scd_core::DetectStage as SupervisedDetector;
-
-/// Where and how often the aggregator's detector checkpoints.
-pub use scd_core::CheckpointPolicy as CheckpointEvery;
 
 /// Errors of the distributed plane.
 #[derive(Debug)]

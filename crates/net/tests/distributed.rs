@@ -15,12 +15,15 @@
 //!   frame's bytes), the dense one when they are not — same reports.
 
 use scd_core::supervisor::RestartPolicy;
-use scd_core::{DetectorConfig, KeyStrategy, SketchChangeDetector};
+use scd_core::{
+    CheckpointPolicy, DetectStage, DetectorConfig, EngineConfig, KeyStrategy, SketchChangeDetector,
+    Supervision,
+};
 use scd_forecast::ModelSpec;
 use scd_net::sender::ACK_POLL;
 use scd_net::{
-    AggregateSummary, Aggregator, AggregatorConfig, CheckpointEvery, Frame, IngestNode, NetMetrics,
-    NodeConfig, NodeSummary, SpoolDir, SupervisedDetector, VERSION,
+    AggregateSummary, Aggregator, AggregatorConfig, Frame, IngestNode, NetMetrics, NodeConfig,
+    NodeSummary, SpoolDir, VERSION,
 };
 use scd_sketch::SketchConfig;
 use scd_traffic::{shard_of_key, FaultPlan, NetFaultPlan};
@@ -513,7 +516,7 @@ fn detector_panics_restart_from_checkpoint_with_unchanged_reports() {
         AggregatorConfig {
             grace: Duration::from_secs(2),
             node_deadline: Duration::from_secs(10),
-            checkpoint: Some(CheckpointEvery { path: ck_path.clone(), every: 2 }),
+            checkpoint: Some(CheckpointPolicy { path: ck_path.clone(), every: 2 }),
             restart: RestartPolicy { max_restarts: 3, backoff_base_ms: 1, backoff_cap_ms: 5 },
             fault: Some(FaultPlan::panic_at(3, "injected detector panic")),
             ..AggregatorConfig::new(detector_config(), NODES)
@@ -539,15 +542,14 @@ fn supervised_detector_resumes_from_checkpoint_at_startup() {
         std::env::temp_dir().join(format!("scd-net-test-resume-{}.ck", std::process::id()));
     let _ = std::fs::remove_file(&ck_path);
     let config = detector_config();
-    let every = CheckpointEvery { path: ck_path.clone(), every: 2 };
+    let every = CheckpointPolicy { path: ck_path.clone(), every: 2 };
     let mut reference = SketchChangeDetector::new(config.clone());
-    let mut first = SupervisedDetector::new(
-        config.clone(),
-        RestartPolicy::default(),
-        Some(every.clone()),
-        None,
-    )
-    .expect("fresh");
+    let stage = |checkpoint: CheckpointPolicy| {
+        let supervision = Supervision { checkpoint: Some(checkpoint), ..Supervision::default() };
+        let engine = EngineConfig::new(config.clone(), 1).with_supervision(supervision);
+        DetectStage::from_config(&engine)
+    };
+    let mut first = stage(every.clone()).expect("fresh").0;
     let sketch_of = |updates: &[(u64, f64)], rows: &std::sync::Arc<scd_hash::HashRows>| {
         let mut s = scd_sketch::KarySketch::with_rows(std::sync::Arc::clone(rows));
         let mut keys = Vec::new();
@@ -570,8 +572,7 @@ fn supervised_detector_resumes_from_checkpoint_at_startup() {
     }
     drop(first);
     // A restarted process resumes at interval 4 and stays bit-identical.
-    let mut second = SupervisedDetector::new(config, RestartPolicy::default(), Some(every), None)
-        .expect("resumed");
+    let mut second = stage(every).expect("resumed").0;
     assert_eq!(second.emitted(), 4, "startup must consult the checkpoint");
     for t in 4..INTERVALS {
         let updates = interval_updates(t);

@@ -67,7 +67,7 @@ fn frames_to_alarms_through_streaming_detector() {
             }
         }
     }
-    let (reports, processed) = handle.shutdown().expect("clean shutdown");
+    let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
     assert_eq!(processed, 4 * 60 + 40);
     assert_eq!(reports.len(), 4);
     assert!(
