@@ -5,7 +5,9 @@
 # and `scd-benchmark` is the only thing that measures speed. Since PR 21 the
 # varint helpers of the packed sketch body are held to the same rule. So are
 # the queues: std's `sync_channel` is the only one, a stream starts one way,
-# and the aggregator waits on its queue, not on a nap.
+# and the aggregator waits on its queue, not on a nap. And the packed body
+# has one walker, shared by decode, the aggregator's receipt check and its
+# COMBINE; a node resends on proof of loss, not on staleness.
 # Non-test source = every crates/*/src file up to its `#[cfg(test)]`
 # (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
 set -euo pipefail
@@ -57,11 +59,13 @@ expect 1 'fn [a-z_]*leb128[a-z_]*\(&mut self'     'LEB128 reader(s)'
 expect 1 'fn put_[a-z_]*leb128'                  'LEB128 writer(s)'
 expect 2 'fn (un)?zigzag'                        'zigzag helper(s) (one each way)'
 expect 1 '>>= 7'                                 'varint shift loop(s)'
+expect 2 'cur\.uleb128\(\)\?'                   'LEB128 read(s) of the one packed-body walker (gap, value)'
 
 # One queue type, one way to start a stream, no nap in the aggregator.
 expect 0 'pub fn bounded[<(]'                   'vendored bounded-channel constructor(s)'
 expect 0 'fn spawn_supervised'                   'second stream entry point(s)'
 expect 0 '^crates/net/src/aggregator\.rs:.*thread::sleep' 'sleep(s) in the aggregator main loop'
+expect 0 'fn resend_stale'                       'resend(s) of a frame for being unacknowledged a while'
 
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
@@ -77,5 +81,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend"
 exit "$fail"

@@ -25,7 +25,9 @@
 //!   return the spent `Vec` to a shared recycle pool, so steady-state
 //!   ingest allocates nothing per batch. A worker's statistics ride with
 //!   its interval sketch; its cleared sketch comes back with the next
-//!   `Flush`.
+//!   `Flush`. One shard has no worker: the pushing thread folds each
+//!   batch itself, and the close trades the shard table for a cleared
+//!   spare.
 //! * Keys are partitioned by the SplitMix64 finalizer
 //!   ([`scd_hash::mix64`]) — not `key % N`, which stripes sequential IP
 //!   keys — followed by Lemire multiply-shift range reduction
@@ -50,10 +52,11 @@
 //! The module is split along its seams: `route` decides which shard an
 //! update goes to and what the key log keeps; `workers` is the ingest
 //! half ([`ShardedIngest`]: shard workers, recycle pool, the close
-//! barrier); `stage` is the detect side ([`DetectStage`]: detector,
-//! archive, observer, supervision); `slots` is the GLR layer; and this
-//! file is the public [`ShardedEngine`], which joins an ingest half to a
-//! stage — inline, or across a detect thread.
+//! barrier; one shard folds on the pushing thread); `stage` is the detect
+//! side ([`DetectStage`]: detector, archive, observer, supervision);
+//! `slots` is the GLR layer; and this file is the public
+//! [`ShardedEngine`], which joins an ingest half to a stage — inline, or
+//! across a detect thread.
 
 mod route;
 mod slots;
@@ -84,8 +87,8 @@ use workers::merge_shards;
 /// Configuration for a [`ShardedEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker thread count `N ≥ 1`. `1` degenerates to the
-    /// single-threaded pipeline plus one handoff (the bench baseline).
+    /// Shard count `N ≥ 1`, one worker thread each. `1` degenerates to
+    /// the single-threaded pipeline: no worker, the pushing thread folds.
     pub shards: usize,
     /// Updates per batch message. Larger batches amortize channel
     /// locking; smaller ones bound worker lag at interval boundaries.
@@ -371,8 +374,9 @@ impl std::fmt::Debug for ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Spawns the worker pool. Workers live for the engine's lifetime —
-    /// interval boundaries reuse them; nothing is spawned per interval.
+    /// Spawns the worker pool (none for one shard). Workers live for the
+    /// engine's lifetime — interval boundaries reuse them; nothing is
+    /// spawned per interval.
     /// Under [`Supervision`] with a checkpoint path, an existing usable
     /// checkpoint is resumed from: the detector, the GLR layer,
     /// [`records_total`](Self::records_total) and the driver's

@@ -7,10 +7,18 @@
 //! an ingest node of the distributed plane puts it on the wire, and
 //! neither needs to know which.
 //!
-//! Per shard there is one work queue and one result queue; the batch
-//! recycle pool is shared. A worker's statistics travel with its interval
-//! sketch, and the cleared sketch of the interval before travels back with
-//! the `Flush` that asks for the next one.
+//! With two or more shards there is one worker thread per shard, with one
+//! work queue and one result queue each; the batch recycle pool is shared.
+//! A worker's statistics travel with its interval sketch, and the cleared
+//! sketch of the interval before travels back with the `Flush` that asks
+//! for the next one.
+//!
+//! One shard has nothing to fan out: a worker would overlap only the copy
+//! of records into its batch, and the close would then wait for it. So a
+//! one-shard half has no worker. The pushing thread folds each batch into
+//! the shard table itself, and the close hands that table over in exchange
+//! for the cleared spare. Batches, their order and the key log are the
+//! same either way, so every table is bit-identical.
 
 use super::route::{route_chunk, KeyLog, RoutedChunk};
 use super::EngineError;
@@ -50,17 +58,237 @@ struct Worker {
     thread: Option<JoinHandle<()>>,
 }
 
+/// Folds one batch into a shard table — on a worker, or on the pushing
+/// thread of a one-shard half — timing it when `stats` is kept.
+fn fold(
+    sketch: &mut KarySketch,
+    scratch: &mut BatchScratch,
+    stats: Option<&mut ShardStats>,
+    batch: &[(u64, f64)],
+) {
+    match stats {
+        Some(st) => {
+            let sw = Stopwatch::start();
+            sketch.update_batch(batch, scratch);
+            st.fold_ns.record(sw.elapsed_ns());
+            st.batches += 1;
+            st.records += batch.len() as u64;
+        }
+        None => sketch.update_batch(batch, scratch),
+    }
+}
+
+/// The one shard of a one-shard half, folded on the pushing thread.
+struct InlineShard {
+    table: KarySketch,
+    scratch: BatchScratch,
+    /// What was folded this interval (present only when telemetry is
+    /// enabled).
+    stats: Option<ShardStats>,
+}
+
+impl InlineShard {
+    fn fold(&mut self, batch: &[(u64, f64)]) {
+        fold(&mut self.table, &mut self.scratch, self.stats.as_mut(), batch);
+    }
+
+    /// The close: the shard table leaves in `bufs`, and the cleared spare
+    /// `bufs` held takes its place (a fresh table before one comes back).
+    fn hand_over(&mut self, bufs: &mut Vec<KarySketch>, metrics: Option<&PipelineMetrics>) {
+        let spare = bufs.pop().unwrap_or_else(|| self.table.zero_like());
+        bufs.clear();
+        bufs.push(std::mem::replace(&mut self.table, spare));
+        if let (Some(st), Some(m)) = (self.stats.as_mut(), metrics) {
+            std::mem::take(st).merge_into(&m.engine);
+        }
+    }
+}
+
+/// The worker threads of a half with two or more shards.
+struct Pool {
+    workers: Vec<Worker>,
+    /// Spent batch `Vec`s coming back from workers for reuse.
+    recycle: Receiver<Vec<(u64, f64)>>,
+}
+
+impl Pool {
+    /// One worker per shard, for the ingest half's lifetime — interval
+    /// boundaries reuse them; nothing is spawned per interval.
+    fn spawn(rows: &Arc<HashRows>, shards: usize, queue_capacity: usize, telemetry: bool) -> Pool {
+        // Recycle pool: big enough to hold every batch that can be in
+        // flight at once (per shard: the queue plus the one the worker is
+        // folding), so a worker's `try_send` only ever drops a Vec in
+        // degenerate races, never in steady state. The half holds only the
+        // Receiver; worker clones keep the pool alive, and it drains with
+        // them on shutdown.
+        let (recycle_tx, recycle) = sync_channel(shards * (queue_capacity + 1));
+        let workers = (0..shards)
+            .map(|shard| {
+                let (tx, rx) = sync_channel::<WorkerMsg>(queue_capacity);
+                let (result_tx, results) = sync_channel(1);
+                let depth = telemetry.then(|| Arc::new(AtomicUsize::new(0)));
+                let received = depth.clone();
+                let rows = Arc::clone(rows);
+                let recycle = recycle_tx.clone();
+                let thread = std::thread::Builder::new()
+                    .name(format!("scd-shard-{shard}"))
+                    .spawn(move || {
+                        let mut sketch = KarySketch::with_rows(rows);
+                        let mut scratch = BatchScratch::new();
+                        // Private accumulator: no atomics, no sharing until
+                        // the interval flush.
+                        let mut stats = received.is_some().then(ShardStats::default);
+                        // Ends when the half hangs up: drain complete, exit.
+                        while let Ok(msg) = rx.recv() {
+                            if let Some(depth) = &received {
+                                depth.fetch_sub(1, Ordering::Relaxed);
+                            }
+                            match msg {
+                                WorkerMsg::Batch(mut batch) => {
+                                    fold(&mut sketch, &mut scratch, stats.as_mut(), &batch);
+                                    batch.clear();
+                                    // Pool full (or half gone): drop the Vec.
+                                    let _ = recycle.try_send(batch);
+                                }
+                                WorkerMsg::Flush(spare) => {
+                                    let fresh = spare.unwrap_or_else(|| sketch.zero_like());
+                                    let flushed = Flushed {
+                                        sketch: std::mem::replace(&mut sketch, fresh),
+                                        stats: stats.as_mut().map(std::mem::take),
+                                    };
+                                    if result_tx.send(flushed).is_err() {
+                                        break;
+                                    }
+                                }
+                            }
+                        }
+                    })
+                    .expect("spawn shard worker");
+                Worker { tx: Some(tx), results, depth, thread: Some(thread) }
+            })
+            .collect();
+        Pool { workers, recycle }
+    }
+
+    fn send(&self, shard: usize, msg: WorkerMsg) -> Result<(), EngineError> {
+        let worker = &self.workers[shard];
+        if let Some(depth) = &worker.depth {
+            depth.fetch_add(1, Ordering::Relaxed);
+        }
+        let tx = worker.tx.as_ref().expect("sender live until drop");
+        tx.send(msg).map_err(|_| EngineError::WorkerLost { shard })
+    }
+
+    /// Ships `pending` to `shard`'s worker, leaving in its place a batch
+    /// `Vec` recycled from a worker when one is waiting, freshly allocated
+    /// otherwise (start-up and after drops).
+    fn ship(
+        &self,
+        shard: usize,
+        pending: &mut Vec<(u64, f64)>,
+        batch: usize,
+        metrics: Option<&PipelineMetrics>,
+    ) -> Result<(), EngineError> {
+        let replacement = match self.recycle.try_recv() {
+            // Cleared by the worker; len 0, capacity already ≈ batch.
+            Ok(spent) => {
+                if let Some(m) = metrics {
+                    m.engine.recycle_hits_total.inc();
+                }
+                spent
+            }
+            Err(_) => {
+                if let Some(m) = metrics {
+                    m.engine.recycle_misses_total.inc();
+                }
+                Vec::with_capacity(batch)
+            }
+        };
+        self.send(shard, WorkerMsg::Batch(std::mem::replace(pending, replacement)))
+    }
+
+    /// Ships each shard's pending batch and, right behind it, the request
+    /// for its interval sketch, handing each worker its cleared sketch from
+    /// `bufs` (in shard order; a worker whose spare is missing starts on a
+    /// fresh one) — a worker finds the request queued when the batch is
+    /// folded, instead of sleeping in between. Then collects the interval
+    /// sketches into `bufs` in shard order. This is the COMBINE barrier,
+    /// so it doubles as the telemetry aggregation point: each worker's
+    /// [`ShardStats`] arrive with its sketch.
+    fn harvest(
+        &self,
+        pending: &mut [Vec<(u64, f64)>],
+        batch: usize,
+        bufs: &mut Vec<KarySketch>,
+        metrics: Option<&PipelineMetrics>,
+    ) -> Result<(), EngineError> {
+        let mut spares = bufs.drain(..);
+        let mut deepest = 0usize;
+        for (shard, worker) in self.workers.iter().enumerate() {
+            if !pending[shard].is_empty() {
+                self.ship(shard, &mut pending[shard], batch, metrics)?;
+            }
+            if let Some(depth) = &worker.depth {
+                // Sampled right before Flush lands: how far the slowest
+                // shard is lagging the interval boundary.
+                deepest = deepest.max(depth.load(Ordering::Relaxed));
+            }
+            self.send(shard, WorkerMsg::Flush(spares.next()))?;
+        }
+        drop(spares);
+        if let Some(m) = metrics {
+            m.engine.queue_depth.set(deepest as f64);
+        }
+        for (shard, worker) in self.workers.iter().enumerate() {
+            let flushed = worker.results.recv().map_err(|_| EngineError::WorkerLost { shard })?;
+            if let (Some(st), Some(m)) = (flushed.stats, metrics) {
+                st.merge_into(&m.engine);
+            }
+            bufs.push(flushed.sketch);
+        }
+        Ok(())
+    }
+
+    /// Hangs up every queue first (lets all workers start draining), then
+    /// joins. Idempotent.
+    fn shutdown(&mut self) {
+        for worker in &mut self.workers {
+            worker.tx.take();
+        }
+        for worker in &mut self.workers {
+            if let Some(thread) = worker.thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+}
+
+/// Where an ingest half's batches are folded.
+enum Folding {
+    /// One shard: on the pushing thread. Boxed: the telemetry histogram
+    /// rides inline and would dwarf the `Workers` variant.
+    Inline(Box<InlineShard>),
+    /// Two or more shards: on one worker thread each.
+    Workers(Pool),
+}
+
 /// Merges per-shard sketches in fixed shard order and leaves them zeroed
-/// for their workers' next interval — one sweep ([`KarySketch::merge_draining`]:
+/// for their next interval — one sweep ([`KarySketch::merge_draining`]:
 /// each shard tile is cleared while the merge still has it in cache).
 /// f64 addition is not associative in general, so a deterministic order
 /// keeps reruns (and the sequential-vs-pipelined comparison) reproducible
 /// — both backends call this exact routine, which is what makes their
-/// reports bit-identical.
+/// reports bit-identical. One shard's table *is* the merge: the two tables
+/// trade places, bit-identical to the copy, and only a clear is left.
 pub(super) fn merge_shards(merged: &mut KarySketch, shard_sketches: &mut [KarySketch]) {
-    merged
-        .merge_draining(shard_sketches)
-        .expect("an engine has at least one shard, all over one hash family by construction");
+    const SAME_FAMILY: &str = "an engine has at least one shard, all over one hash family";
+    if let [only] = shard_sketches {
+        merged.check_family(only).expect(SAME_FAMILY);
+        std::mem::swap(merged, only);
+        only.clear();
+        return;
+    }
+    merged.merge_draining(shard_sketches).expect(SAME_FAMILY);
 }
 
 /// The ingest half of a [`ShardedEngine`](super::ShardedEngine), usable on
@@ -73,25 +301,24 @@ pub struct ShardedIngest {
     pub(super) shards: usize,
     batch: usize,
     rows: Arc<HashRows>,
-    workers: Vec<Worker>,
+    folding: Folding,
     /// Per-shard batch under construction.
     pending: Vec<Vec<(u64, f64)>>,
-    /// Spent batch `Vec`s coming back from workers for reuse.
-    recycle: Receiver<Vec<(u64, f64)>>,
     /// Key log for error reconstruction, shaped by the key strategy.
     keys: KeyLog,
     pub(super) records_total: u64,
     /// Telemetry sink; `None` keeps every metric branch off the hot path.
     metrics: Option<Arc<PipelineMetrics>>,
     /// The shard sketches of the last inline close, merged and cleared:
-    /// each goes back to its worker with the next `Flush`.
+    /// each goes back to its shard at the next close.
     shard_bufs: Vec<KarySketch>,
 }
 
 impl ShardedIngest {
-    /// An ingest half over `sketch`'s hash family with `shards` workers,
+    /// An ingest half over `sketch`'s hash family with `shards` shards,
     /// the default batching parameters and the bounded key log: distinct
     /// keys in first-seen order, which is all a shipped interval needs.
+    /// One shard folds on the pushing thread; more spawn a worker each.
     ///
     /// # Errors
     /// [`EngineError::BadConfig`] for zero shards.
@@ -101,8 +328,8 @@ impl ShardedIngest {
         ShardedIngest::build(rows, keys, shards, 512, 8, None)
     }
 
-    /// Spawns the worker pool. Workers live for the ingest half's lifetime
-    /// — interval boundaries reuse them; nothing is spawned per interval.
+    /// Spawns the worker pool — none for one shard. Workers live for the
+    /// ingest half's lifetime.
     pub(super) fn build(
         rows: Arc<HashRows>,
         keys: KeyLog,
@@ -117,74 +344,21 @@ impl ShardedIngest {
         if batch == 0 || queue_capacity == 0 {
             return Err(EngineError::BadConfig("batch and queue_capacity must be positive".into()));
         }
-        // Recycle pool: big enough to hold every batch that can be in
-        // flight at once (per shard: the queue plus the one the worker is
-        // folding), so a worker's `try_send` only ever drops a Vec in
-        // degenerate races, never in steady state.
-        let (recycle_tx, recycle_rx) = sync_channel(shards * (queue_capacity + 1));
-        let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = sync_channel::<WorkerMsg>(queue_capacity);
-            let (result_tx, results) = sync_channel(1);
-            let depth = metrics.as_ref().map(|_| Arc::new(AtomicUsize::new(0)));
-            let received = depth.clone();
-            let rows = Arc::clone(&rows);
-            let recycle = recycle_tx.clone();
-            let thread = std::thread::Builder::new()
-                .name(format!("scd-shard-{shard}"))
-                .spawn(move || {
-                    let mut sketch = KarySketch::with_rows(rows);
-                    let mut scratch = BatchScratch::new();
-                    // Private accumulator: no atomics, no sharing until
-                    // the interval flush.
-                    let mut stats = received.is_some().then(ShardStats::default);
-                    // Ends when the engine hangs up: drain complete, exit.
-                    while let Ok(msg) = rx.recv() {
-                        if let Some(depth) = &received {
-                            depth.fetch_sub(1, Ordering::Relaxed);
-                        }
-                        match msg {
-                            WorkerMsg::Batch(mut batch) => {
-                                match stats.as_mut() {
-                                    Some(st) => {
-                                        let sw = Stopwatch::start();
-                                        sketch.update_batch(&batch, &mut scratch);
-                                        st.fold_ns.record(sw.elapsed_ns());
-                                        st.batches += 1;
-                                        st.records += batch.len() as u64;
-                                    }
-                                    None => sketch.update_batch(&batch, &mut scratch),
-                                }
-                                batch.clear();
-                                // Pool full (or engine gone): drop the Vec.
-                                let _ = recycle.try_send(batch);
-                            }
-                            WorkerMsg::Flush(spare) => {
-                                let fresh = spare.unwrap_or_else(|| sketch.zero_like());
-                                let flushed = Flushed {
-                                    sketch: std::mem::replace(&mut sketch, fresh),
-                                    stats: stats.as_mut().map(std::mem::take),
-                                };
-                                if result_tx.send(flushed).is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                })
-                .expect("spawn shard worker");
-            workers.push(Worker { tx: Some(tx), results, depth, thread: Some(thread) });
-        }
-        // The engine holds only the Receiver; worker clones keep the pool
-        // alive, and it drains with them on shutdown.
-        drop(recycle_tx);
+        let folding = if shards == 1 {
+            Folding::Inline(Box::new(InlineShard {
+                table: KarySketch::with_rows(Arc::clone(&rows)),
+                scratch: BatchScratch::new(),
+                stats: metrics.is_some().then(ShardStats::default),
+            }))
+        } else {
+            Folding::Workers(Pool::spawn(&rows, shards, queue_capacity, metrics.is_some()))
+        };
         Ok(ShardedIngest {
             shards,
             batch,
             rows,
-            workers,
+            folding,
             pending: (0..shards).map(|_| Vec::new()).collect(),
-            recycle: recycle_rx,
             keys,
             records_total: 0,
             metrics,
@@ -202,41 +376,20 @@ impl ShardedIngest {
         self.records_total
     }
 
-    fn send(&mut self, shard: usize, msg: WorkerMsg) -> Result<(), EngineError> {
-        let worker = &self.workers[shard];
-        if let Some(depth) = &worker.depth {
-            depth.fetch_add(1, Ordering::Relaxed);
-        }
-        let tx = worker.tx.as_ref().expect("sender live until drop");
-        tx.send(msg).map_err(|_| EngineError::WorkerLost { shard })
-    }
-
-    /// A batch `Vec` to build into: recycled from a worker when one is
-    /// waiting, freshly allocated otherwise (start-up and after drops).
-    fn fresh_batch(&self) -> Vec<(u64, f64)> {
-        match self.recycle.try_recv() {
-            // Cleared by the worker; len 0, capacity already ≈ batch.
-            Ok(spent) => {
-                if let Some(m) = &self.metrics {
-                    m.engine.recycle_hits_total.inc();
-                }
-                spent
-            }
-            Err(_) => {
-                if let Some(m) = &self.metrics {
-                    m.engine.recycle_misses_total.inc();
-                }
-                Vec::with_capacity(self.batch)
-            }
-        }
-    }
-
-    /// Ships `pending[shard]` to its worker, replacing it with a recycled
-    /// (or fresh) buffer.
+    /// Folds `pending[shard]`: in place for one shard, otherwise by
+    /// shipping it to its worker.
     fn flush_shard(&mut self, shard: usize) -> Result<(), EngineError> {
-        let replacement = self.fresh_batch();
-        let batch = std::mem::replace(&mut self.pending[shard], replacement);
-        self.send(shard, WorkerMsg::Batch(batch))
+        let pending = &mut self.pending[shard];
+        match &mut self.folding {
+            Folding::Inline(one) => {
+                one.fold(pending);
+                pending.clear();
+                Ok(())
+            }
+            Folding::Workers(pool) => {
+                pool.ship(shard, pending, self.batch, self.metrics.as_deref())
+            }
+        }
     }
 
     /// Routes one update to its shard. Blocks (backpressure) if that
@@ -260,8 +413,8 @@ impl ShardedIngest {
     /// [`push`](Self::push), and the API the CLI and trace replay feed.
     /// Equivalent to pushing each item in order (same batches, same key
     /// log, bit-identical reports), but the loop stays inside one call:
-    /// no per-update function boundary, and the single-shard case
-    /// degenerates to `extend_from_slice` memcpys with no routing at all.
+    /// no per-update function boundary, and a one-shard half folds whole
+    /// batches straight from the slice, with no routing and no copy.
     ///
     /// # Errors
     /// [`EngineError::WorkerLost`] if a shard's worker has died.
@@ -270,15 +423,23 @@ impl ShardedIngest {
         for &(key, _) in items {
             self.keys.record(key);
         }
-        if self.shards == 1 {
+        if let Folding::Inline(one) = &mut self.folding {
+            let pending = &mut self.pending[0];
             let mut rest = items;
             while !rest.is_empty() {
-                let room = self.batch - self.pending[0].len();
+                if pending.is_empty() && rest.len() >= self.batch {
+                    let (head, tail) = rest.split_at(self.batch);
+                    one.fold(head);
+                    rest = tail;
+                    continue;
+                }
+                let room = self.batch - pending.len();
                 let (head, tail) = rest.split_at(room.min(rest.len()));
-                self.pending[0].extend_from_slice(head);
+                pending.extend_from_slice(head);
                 rest = tail;
-                if self.pending[0].len() >= self.batch {
-                    self.flush_shard(0)?;
+                if pending.len() >= self.batch {
+                    one.fold(pending);
+                    pending.clear();
                 }
             }
             return Ok(());
@@ -295,14 +456,15 @@ impl ShardedIngest {
 
     /// Multi-producer bulk push: `producers` threads route contiguous
     /// chunks of `items` into private per-shard buffers in parallel, then
-    /// the buffers are shipped through the existing worker channels in
-    /// producer order. This parallelizes the hash-and-route hop that
+    /// the buffers are folded in producer order — shipped through the
+    /// worker channels, or folded on this thread for one shard. This
+    /// parallelizes the hash-and-route hop that
     /// [`push_slice`](Self::push_slice) runs single-threaded — the hop
     /// the interval ledger times as `engine.push_ns_per_record`.
     ///
     /// Reports are **bit-identical** to `push_slice` for any `f64` values,
     /// not merely for integer-valued cells: chunks are contiguous and
-    /// shipped in chunk order, so every shard worker folds exactly the
+    /// folded in chunk order, so every shard table folds exactly the
     /// per-shard subsequence it would have seen from the sequential call,
     /// and the key log is absorbed in the same stream order (see
     /// `KeyLog::absorb`). Falls back to `push_slice` when the slice is
@@ -341,60 +503,35 @@ impl ShardedIngest {
         });
         for (bufs, log) in routed {
             self.keys.absorb(log);
-            for (shard, buf) in bufs.into_iter().enumerate() {
-                if !buf.is_empty() {
-                    self.send(shard, WorkerMsg::Batch(buf))?;
+            for (shard, buf) in bufs.into_iter().enumerate().filter(|(_, buf)| !buf.is_empty()) {
+                match &mut self.folding {
+                    Folding::Inline(one) => one.fold(&buf),
+                    Folding::Workers(pool) => pool.send(shard, WorkerMsg::Batch(buf))?,
                 }
             }
         }
         Ok(())
     }
 
-    /// Flushes every shard's pending batch and requests the interval
-    /// sketches, handing each worker its cleared sketch from `spares` (in
-    /// shard order; a worker whose spare is missing starts on a fresh one).
-    fn flush_all(&mut self, spares: &mut Vec<KarySketch>) -> Result<(), EngineError> {
-        let mut spares = spares.drain(..);
-        let mut deepest = 0usize;
-        for shard in 0..self.shards {
-            if !self.pending[shard].is_empty() {
-                self.flush_shard(shard)?;
-            }
-            if let Some(depth) = &self.workers[shard].depth {
-                // Sampled right before Flush lands: how far the slowest
-                // shard is lagging the interval boundary.
-                deepest = deepest.max(depth.load(Ordering::Relaxed));
-            }
-            self.send(shard, WorkerMsg::Flush(spares.next()))?;
-        }
-        if let Some(m) = &self.metrics {
-            m.engine.queue_depth.set(deepest as f64);
-        }
-        Ok(())
-    }
-
-    /// Collects the per-shard interval sketches in shard order. This is
-    /// the COMBINE barrier, so it doubles as the telemetry aggregation
-    /// point: each worker's [`ShardStats`] arrive with its sketch.
-    fn collect_shards(&self, out: &mut Vec<KarySketch>) -> Result<(), EngineError> {
-        for (shard, worker) in self.workers.iter().enumerate() {
-            let flushed = worker.results.recv().map_err(|_| EngineError::WorkerLost { shard })?;
-            if let (Some(st), Some(m)) = (flushed.stats, &self.metrics) {
-                st.merge_into(&m.engine);
-            }
-            out.push(flushed.sketch);
-        }
-        Ok(())
-    }
-
-    /// The interval-close barrier: flushes every shard — each worker takes
-    /// back its cleared sketch from `bufs` — collects the per-shard
-    /// sketches in shard order into `bufs` and takes the interval's key log.
+    /// The interval-close barrier: folds every shard's pending batch and
+    /// hands each shard its cleared sketch from `bufs`, collects the
+    /// per-shard sketches in shard order into `bufs` and takes the
+    /// interval's key log.
     pub(super) fn close(&mut self, bufs: &mut Vec<KarySketch>) -> Result<Vec<u64>, EngineError> {
         let sw = Stopwatch::start();
-        self.flush_all(bufs)?;
-        self.collect_shards(bufs)?;
-        if let Some(m) = &self.metrics {
+        let metrics = self.metrics.as_deref();
+        match &mut self.folding {
+            Folding::Inline(one) => {
+                let pending = &mut self.pending[0];
+                if !pending.is_empty() {
+                    one.fold(pending);
+                    pending.clear();
+                }
+                one.hand_over(bufs, metrics);
+            }
+            Folding::Workers(pool) => pool.harvest(&mut self.pending, self.batch, bufs, metrics)?,
+        }
+        if let Some(m) = metrics {
             m.engine.barrier_ns.record(sw.elapsed_ns());
         }
         Ok(self.keys.take())
@@ -408,7 +545,8 @@ impl ShardedIngest {
     /// the cleared shard sketches are kept for the next close, so steady
     /// state allocates nothing. For a caller that keeps one table across
     /// intervals: the engine's inline backend, and an ingest node, which
-    /// only encodes the merged sketch.
+    /// only encodes the merged sketch. With one shard, `observed` and the
+    /// shard table trade places: no copy.
     ///
     /// # Errors
     /// [`EngineError::WorkerLost`] if a shard worker died mid-interval.
@@ -431,16 +569,11 @@ impl ShardedIngest {
         Ok(keys)
     }
 
-    /// Hangs up every queue first (lets all workers start draining), then
-    /// joins. Idempotent.
+    /// Hangs up every worker queue first (lets all workers start
+    /// draining), then joins. Idempotent; nothing to do for one shard.
     pub(super) fn shutdown(&mut self) {
-        for worker in &mut self.workers {
-            worker.tx.take();
-        }
-        for worker in &mut self.workers {
-            if let Some(thread) = worker.thread.take() {
-                let _ = thread.join();
-            }
+        if let Folding::Workers(pool) = &mut self.folding {
+            pool.shutdown();
         }
     }
 }

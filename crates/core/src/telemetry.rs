@@ -238,10 +238,10 @@ impl PipelineMetrics {
     }
 }
 
-/// A shard worker's private per-interval statistics: accumulated with
-/// plain (non-atomic) arithmetic on the worker thread, shipped at the
-/// interval flush, and folded into the shared [`EngineMetrics`] at the
-/// COMBINE barrier. `Default` + `mem::take` keeps the worker's copy
+/// A shard's private per-interval statistics: accumulated with plain
+/// (non-atomic) arithmetic on the thread that folds the shard — its
+/// worker, or the pushing thread of a one-shard half — and folded into
+/// the shared [`EngineMetrics`] at the COMBINE barrier. `Default` + `mem::take` keeps the worker's copy
 /// alive across intervals with no allocation (the histogram is a fixed
 /// inline array).
 #[derive(Debug, Clone, Default)]

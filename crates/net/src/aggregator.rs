@@ -27,6 +27,13 @@
 //! Duplicates (resent spool frames) are dropped by `(node, interval)`;
 //! every received interval frame is acknowledged, including duplicates
 //! and stale arrivals, so node spools always drain.
+//!
+//! A node's sketch blobs stay the bytes that arrived. The receipt check
+//! walks each blob the way the decoder would, writing no table; emit adds
+//! each present node's data cells straight into `So(t)` — for a packed
+//! blob, its non-zero cells only; and only step 2 decodes, the successor's
+//! parity and data, to subtract them. A slot is tens of kilobytes where
+//! two decoded tables were megabytes, however far the nodes run ahead.
 
 use crate::frame::{Frame, FrameError, VERSION};
 use crate::metrics::NetMetrics;
@@ -147,11 +154,13 @@ pub struct AggregateSummary {
     pub events: Vec<LifecycleEvent>,
 }
 
-/// One node's contribution to one interval.
+/// One node's contribution to one interval, its sketch blobs kept as the
+/// bytes that arrived (checked at receipt): emit adds the data blob's
+/// cells straight into `So(t)`, and only recovery decodes a parity blob.
 struct NodeSlot {
-    data: KarySketch,
+    data: Vec<u8>,
     data_keys: Vec<u64>,
-    parity: KarySketch,
+    parity: Vec<u8>,
     parity_keys: Vec<u64>,
 }
 
@@ -268,7 +277,7 @@ fn aggregate_loop(
     events: &mut Vec<LifecycleEvent>,
 ) -> Result<(Vec<EmittedInterval>, bool), NetError> {
     let n = config.nodes as usize;
-    let rows = Arc::clone(detector.rows());
+    let mut observed = KarySketch::with_rows(Arc::clone(detector.rows()));
     let start = Instant::now();
     let mut slots: BTreeMap<u64, Vec<Option<NodeSlot>>> = BTreeMap::new();
     let mut nodes: Vec<NodeState> =
@@ -348,7 +357,7 @@ fn aggregate_loop(
                 break;
             }
             let row = slots.remove(&t).unwrap_or_else(|| none_row(n));
-            let out = emit_one(config, detector, &rows, t, row)?;
+            let out = emit_one(config, detector, &mut observed, t, row)?;
             emitted.push(out);
             next_emit += 1;
             waiting = None;
@@ -419,46 +428,38 @@ fn bump(config: &AggregatorConfig, f: impl FnOnce(&NetMetrics)) {
     }
 }
 
-/// Walks one interval through recovery and the detector.
+/// Walks one interval through recovery and the detector: `observed` is
+/// the recycled `So(t)`, overwritten here.
 fn emit_one(
     config: &AggregatorConfig,
     detector: &mut DetectStage,
-    rows: &Arc<HashRows>,
+    observed: &mut KarySketch,
     t: u64,
     row: Vec<Option<NodeSlot>>,
 ) -> Result<EmittedInterval, NetError> {
     let n = row.len();
-    // Reconstruct what parity can cover. Only an *originally delivered*
-    // successor counts: a reconstructed node carries no parity of its own,
-    // so two adjacent losses leave the earlier one unrecoverable.
-    let mut reconstructed: Vec<Option<(KarySketch, Vec<u64>)>> = Vec::with_capacity(n);
-    for m in 0..n {
-        if row[m].is_some() {
-            reconstructed.push(None);
-            continue;
-        }
-        let succ = &row[(m + 1) % n];
-        match succ {
-            Some(s) => {
-                // D_m = P_{m+1} − D_{m+1}: exact for integer cells.
-                let mut d = KarySketch::with_rows(Arc::clone(rows));
-                d.sub_into(&s.parity, &s.data)?;
-                reconstructed.push(Some((d, s.parity_keys.clone())));
-            }
-            None => reconstructed.push(None),
-        }
-    }
-    let mut observed = KarySketch::with_rows(Arc::clone(rows));
+    let rows = Arc::clone(observed.rows());
+    observed.clear();
     let mut keys: Vec<u64> = Vec::new();
     let mut missing: Vec<u32> = Vec::new();
     let mut recovered: Vec<u32> = Vec::new();
     for m in 0..n {
         if let Some(slot) = &row[m] {
-            observed.add_scaled(&slot.data, 1.0)?;
+            // COMBINE straight from the blob's cells.
+            wire::add_into(&slot.data, observed)?;
             keys.extend_from_slice(&slot.data_keys);
-        } else if let Some((d, ks)) = &reconstructed[m] {
-            observed.add_scaled(d, 1.0)?;
-            keys.extend_from_slice(ks);
+        } else if let Some(succ) = &row[(m + 1) % n] {
+            // Recovery, the one place a blob is decoded: D_m = P_{m+1} −
+            // D_{m+1}, exact for integer cells. Only an *originally
+            // delivered* successor counts — a reconstructed node carries
+            // no parity of its own, so two adjacent losses leave the
+            // earlier one unrecoverable.
+            let parity = wire::from_bytes_with_rows(&succ.parity, &rows)?;
+            let data = wire::from_bytes_with_rows(&succ.data, &rows)?;
+            let mut d = KarySketch::with_rows(Arc::clone(&rows));
+            d.sub_into(&parity, &data)?;
+            observed.add_scaled(&d, 1.0)?;
+            keys.extend_from_slice(&succ.parity_keys);
             recovered.push(m as u32);
         } else {
             missing.push(m as u32);
@@ -474,7 +475,7 @@ fn emit_one(
         }
     });
     let before = detector.restarts();
-    let report = detector.observe(observed, keys)?;
+    let report = detector.observe(&*observed, keys)?;
     let after = detector.restarts();
     if after > before {
         bump(config, |m| {
@@ -533,16 +534,15 @@ fn serve_connection(
                 if from != node {
                     return reject();
                 }
-                let (data, parity) = match (
-                    wire::from_bytes_with_rows(&data, rows),
-                    wire::from_bytes_with_rows(&parity, rows),
-                ) {
-                    (Ok(d), Ok(p)) => (d, p),
-                    // An embedded sketch blob — packed or dense, told
-                    // apart by its magic — failed its own CRC, family or
-                    // cell-body check: treat like any corrupt frame.
-                    _ => return reject(),
-                };
+                // An embedded sketch blob — packed or dense, told apart
+                // by its magic — that fails its own CRC, family or
+                // cell-body check is treated like any corrupt frame. The
+                // check writes no table: the slot keeps the bytes.
+                if wire::validate_with_rows(&data, rows).is_err()
+                    || wire::validate_with_rows(&parity, rows).is_err()
+                {
+                    return reject();
+                }
                 // Ack at receipt: the frame is intact and queued for the
                 // plane, so the node may drop its spool copy.
                 let ack = Frame::Ack { interval }.encode();

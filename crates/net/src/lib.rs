@@ -8,18 +8,21 @@
 //! addition into exactly the sketch of the union stream. This crate is
 //! the transport and fault-tolerance layer around that observation:
 //!
-//! * [`IngestNode`] — one vantage point: local `ShardedIngest` ingest,
-//!   one frame per interval over TCP carrying its sketches in the exact
-//!   packed form (`SCDSKP01`: the non-zero cells; tens of kilobytes where
-//!   the dense `SCDSKT02` tables are megabytes, which remain the fallback
-//!   for non-integer cells), spool-then-send reliability with jittered
-//!   reconnect backoff and no wait for an ack inside an interval close,
-//!   and ring-parity material so a *lost* node's data remains
-//!   reconstructible.
+//! * [`IngestNode`] — one vantage point: local `ShardedIngest` ingest
+//!   (folded on the node's own thread at `shards: 1`), one frame per
+//!   interval over TCP carrying its sketches in the exact packed form
+//!   (`SCDSKP01`: the non-zero cells; tens of kilobytes where the dense
+//!   `SCDSKT02` tables are megabytes, which remain the fallback for
+//!   non-integer cells), spool-then-send reliability with jittered
+//!   reconnect backoff, no wait for an ack inside an interval close, a
+//!   resend only on proof of loss, and ring-parity material so a *lost*
+//!   node's data remains reconstructible.
 //! * [`Aggregator`] — the combine-and-detect point: per-node liveness
 //!   deadlines, a straggler grace window, `(node, interval)` dedup, and a
 //!   three-step degradation ladder (wait → recover from parity → emit an
-//!   explicitly flagged partial — never silently wrong).
+//!   explicitly flagged partial — never silently wrong). It keeps each
+//!   node's blobs as they arrived, checked at receipt, COMBINEs straight
+//!   from their cells, and decodes only to recover.
 //!   Its one global detector is the same `scd_core::DetectStage`, under
 //!   the same panic-absorbing, checkpoint-resuming supervision, that every
 //!   local runtime closes an interval through — so detection restarts

@@ -24,7 +24,14 @@
 //! [`finish`](IngestNode::finish) does. Connection loss triggers
 //! reconnects under the jittered [`RestartPolicy`] backoff; every
 //! reconnect resends the whole spool (the aggregator dedups by
-//! `(node, interval)`).
+//! `(node, interval)`), and so does `finish` while acks are missing.
+//!
+//! On a live connection a frame is resent on proof of loss, never for
+//! being slow. TCP delivers in order, and the aggregator acks every frame
+//! at receipt, in order, so the acks answer the frames written, oldest
+//! first. A spooled interval is lost only when its latest transmission on
+//! this connection precedes one that was acknowledged: the frame was
+//! dropped before it reached the socket. A close resends exactly those.
 
 use crate::frame::{Frame, SCDN, VERSION};
 use crate::metrics::NetMetrics;
@@ -34,6 +41,7 @@ use scd_core::engine::ShardedIngest;
 use scd_core::supervisor::RestartPolicy;
 use scd_sketch::{wire, KarySketch, SketchConfig};
 use scd_traffic::{shard_of_key, Corruptor, NetFaultKind, NetFaultPlan};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -49,7 +57,8 @@ pub struct NodeConfig {
     pub nodes: u32,
     /// Sketch family — must match the aggregator's exactly.
     pub sketch: SketchConfig,
-    /// Shard-worker threads for each of the two local ingest halves.
+    /// Shards of each of the two local ingest halves: one folds on the
+    /// node's own thread, more run a worker thread each.
     pub shards: usize,
     /// Aggregator address (`host:port`).
     pub addr: String,
@@ -84,13 +93,22 @@ pub struct IngestNode {
     buddy_sketch: KarySketch,
     buddy_id: u32,
     spool: SpoolDir,
+    /// The spooled intervals not yet acknowledged, each with the number
+    /// of its latest transmission on this connection (`None`: not sent on
+    /// it yet).
+    unacked: BTreeMap<u64, Option<u64>>,
     conn: Option<TcpStream>,
-    /// Interval frames written to `conn` and not yet answered. The
-    /// aggregator acks every interval frame it receives, duplicates
-    /// included, so at zero no ack is on its way.
-    acks_owed: u64,
+    /// The numbers of the interval frames written to `conn` and not yet
+    /// answered, oldest first. The aggregator acks every interval frame
+    /// it receives, in order, duplicates included: the next ack answers
+    /// the front one, and when this is empty no ack is on its way.
+    awaiting: VecDeque<u64>,
+    /// The latest transmission on this connection an ack has answered.
+    acked_through: Option<u64>,
     inbuf: Vec<u8>,
     interval: u64,
+    /// Transmissions so far, each numbered by the count before it: what
+    /// the fault plan and the loss rule both go by.
     frame_seq: u64,
     connect_attempts: u32,
 }
@@ -120,6 +138,7 @@ impl IngestNode {
         let data_sketch = KarySketch::with_rows(Arc::clone(data.rows()));
         let buddy_sketch = KarySketch::with_rows(Arc::clone(buddy.rows()));
         let spool = SpoolDir::open(&config.spool_dir, config.node)?;
+        let unacked = spool.pending()?.into_iter().map(|interval| (interval, None)).collect();
         let buddy_id = (config.node + config.nodes - 1) % config.nodes;
         let mut node = IngestNode {
             config,
@@ -129,8 +148,10 @@ impl IngestNode {
             buddy_sketch,
             buddy_id,
             spool,
+            unacked,
             conn: None,
-            acks_owed: 0,
+            awaiting: VecDeque::new(),
+            acked_through: None,
             inbuf: Vec::new(),
             interval: 0,
             frame_seq: 0,
@@ -174,7 +195,8 @@ impl IngestNode {
 
     /// Closes the current interval: harvests both ingest halves into the
     /// node's two tables, encodes data and parity, spools the frame, and
-    /// attempts transmission — then collects whatever acks are already in.
+    /// attempts transmission — then collects whatever acks are already in
+    /// and resends the intervals they prove lost.
     /// Network failure is not an error here — the frame is durable in the
     /// spool and will be resent; only local failures (engine, disk)
     /// surface.
@@ -197,17 +219,18 @@ impl IngestNode {
         };
         let bytes = frame.encode();
         self.spool.store(self.interval, &bytes)?;
+        self.unacked.insert(self.interval, None);
         // A reconnect resends the entire spool (current frame included);
         // otherwise transmit the new frame directly. A failed connect
         // leaves the frame spooled; the next interval retries.
         if let Ok(false) = self.ensure_connected() {
-            self.send_interval_bytes(&bytes, false);
+            self.send_interval_bytes(self.interval, &bytes, false);
         }
         self.poll_acks(false);
-        self.resend_stale()?;
+        self.resend_lost();
         self.interval += 1;
         if let Some(m) = &self.config.metrics {
-            m.sender.spool_pending.set(self.spool.pending().map_or(0.0, |p| p.len() as f64));
+            m.sender.spool_pending.set(self.unacked.len() as f64);
         }
         Ok(())
     }
@@ -241,7 +264,7 @@ impl IngestNode {
             // gone): a socket dropped with unread bytes is reset, not
             // closed, and a reset lets the aggregator's kernel discard the
             // `Bye` it has not read yet.
-            if pending.is_empty() && (self.acks_owed == 0 || self.conn.is_none()) {
+            if pending.is_empty() && (self.awaiting.is_empty() || self.conn.is_none()) {
                 self.send_plain(&bye); // repeat in case the first copy died with a connection
                 return Ok(NodeSummary { intervals_total: self.interval, unacked: vec![] });
             }
@@ -287,7 +310,9 @@ impl IngestNode {
                     let _ = stream.set_nodelay(true);
                     let _ = stream.set_read_timeout(Some(ACK_POLL));
                     self.conn = Some(stream);
-                    self.acks_owed = 0;
+                    self.awaiting.clear();
+                    self.acked_through = None;
+                    self.unacked.values_mut().for_each(|sent| *sent = None);
                     self.inbuf.clear();
                     let hello = Frame::Hello {
                         node: self.config.node,
@@ -329,41 +354,50 @@ impl IngestNode {
     fn resend_all(&mut self) -> Result<(), NetError> {
         for interval in self.spool.pending()? {
             if let Ok(bytes) = self.spool.load(interval) {
-                self.send_interval_bytes(&bytes, true);
+                self.send_interval_bytes(interval, &bytes, true);
             }
         }
         Ok(())
     }
 
-    /// Resends spooled frames older than the interval just shipped —
-    /// their ack has had a full interval to arrive, so the original
-    /// transmission is presumed lost (dropped frame, or a connection
-    /// death we have not noticed yet).
-    fn resend_stale(&mut self) -> Result<(), NetError> {
-        for interval in self.spool.pending()? {
-            if interval < self.interval {
-                if let Ok(bytes) = self.spool.load(interval) {
-                    self.send_interval_bytes(&bytes, true);
-                }
+    /// Resends the spooled intervals whose latest transmission on this
+    /// connection precedes an acknowledged one: with in-order delivery and
+    /// in-order acks, those never reached the aggregator (module docs).
+    /// An interval whose ack is merely late is left alone.
+    fn resend_lost(&mut self) {
+        let Some(acked) = self.acked_through else { return };
+        let lost: Vec<u64> = self
+            .unacked
+            .iter()
+            .filter(|(_, sent)| sent.is_some_and(|seq| seq < acked))
+            .map(|(&interval, _)| interval)
+            .collect();
+        for interval in lost {
+            if let Ok(bytes) = self.spool.load(interval) {
+                self.send_interval_bytes(interval, &bytes, true);
             }
         }
-        Ok(())
     }
 
-    /// Transmits one interval frame, consulting the fault plan.
-    fn send_interval_bytes(&mut self, bytes: &[u8], resend: bool) {
-        let action = self.config.fault.as_ref().and_then(|f| f.action_for(self.frame_seq));
+    /// Transmits one interval frame, consulting the fault plan, and
+    /// records it as `interval`'s latest transmission — a dropped frame
+    /// included: it counts as sent, and the loss rule finds it out.
+    fn send_interval_bytes(&mut self, interval: u64, bytes: &[u8], resend: bool) {
+        let seq = self.frame_seq;
         self.frame_seq += 1;
-        match action {
+        if let Some(sent) = self.unacked.get_mut(&interval) {
+            *sent = Some(seq);
+        }
+        match self.config.fault.as_ref().and_then(|f| f.action_for(seq)) {
             Some(NetFaultKind::DropFrame) => return, // "sent" into the void
             Some(NetFaultKind::DuplicateFrame) => {
-                self.write_frame(bytes);
-                self.write_frame(bytes);
+                self.write_frame(seq, bytes);
+                self.write_frame(seq, bytes);
             }
             Some(NetFaultKind::CorruptByte { seed }) => {
                 let mut dirty = bytes.to_vec();
                 Corruptor::new(seed).flip_one_byte(&mut dirty);
-                self.write_frame(&dirty);
+                self.write_frame(seq, &dirty);
             }
             Some(NetFaultKind::TruncateAndClose { keep }) => {
                 let keep = keep.min(bytes.len());
@@ -374,9 +408,9 @@ impl IngestNode {
             }
             Some(NetFaultKind::Delay(pause)) => {
                 std::thread::sleep(pause);
-                self.write_frame(bytes);
+                self.write_frame(seq, bytes);
             }
-            None => self.write_frame(bytes),
+            None => self.write_frame(seq, bytes),
         }
         if let Some(m) = &self.config.metrics {
             if resend {
@@ -387,12 +421,12 @@ impl IngestNode {
         }
     }
 
-    /// Writes one whole interval frame, which the aggregator will answer
-    /// with one `Ack` (a corrupted copy is answered by a hang-up instead,
-    /// and a new connection owes nothing).
-    fn write_frame(&mut self, bytes: &[u8]) {
+    /// Writes one whole interval frame, transmission `seq`, which the
+    /// aggregator will answer with one `Ack` (a corrupted copy is answered
+    /// by a hang-up instead, and a new connection owes nothing).
+    fn write_frame(&mut self, seq: u64, bytes: &[u8]) {
         if self.write_raw(bytes) {
-            self.acks_owed += 1;
+            self.awaiting.push_back(seq);
         }
     }
 
@@ -472,7 +506,10 @@ impl IngestNode {
             };
             match Frame::decode(&self.inbuf[..total]) {
                 Ok(Frame::Ack { interval }) => {
-                    self.acks_owed = self.acks_owed.saturating_sub(1);
+                    if let Some(seq) = self.awaiting.pop_front() {
+                        self.acked_through = Some(seq);
+                    }
+                    self.unacked.remove(&interval);
                     let _ = self.spool.ack(interval);
                     if let Some(m) = &self.config.metrics {
                         m.sender.acks_total.inc();

@@ -2,10 +2,11 @@
 //!
 //! An ingest node writes every interval frame to its spool *before*
 //! attempting the network send, and deletes it only when the aggregator's
-//! `Ack` arrives. Crashes, disconnects and dropped frames all reduce to
-//! the same recovery: on reconnect, resend whatever the spool still holds
-//! (oldest first). The aggregator deduplicates by `(node, interval)`, so
-//! resending is always safe.
+//! `Ack` arrives. Crashes and disconnects reduce to the same recovery: on
+//! reconnect, resend whatever the spool still holds (oldest first); a
+//! frame dropped on a live connection is read back and resent once a
+//! later ack proves it lost. The aggregator deduplicates by
+//! `(node, interval)`, so resending is always safe.
 //!
 //! Files are written tmp-then-rename: a crash mid-write leaves a `.tmp`
 //! orphan, never a half-written `.frm` that a restart would try to

@@ -51,6 +51,12 @@
 //! seed (~2 MiB of tabulation per row, built once per family thanks to the
 //! shared `Arc<HashRows>`); [`from_bytes_with_rows`] skips even that when
 //! the caller already holds the family.
+//!
+//! A receiver that only sums blobs need not decode them at all:
+//! [`validate_with_rows`] checks a blob as the decoder would, writing
+//! nothing, and [`add_into`] adds its cells straight into a sum — for a
+//! packed blob, its non-zero cells only. Decode, validation and that
+//! COMBINE share one walk over the packed body.
 
 use crate::error::SketchError;
 use crate::kary::{KarySketch, SketchConfig};
@@ -237,6 +243,13 @@ fn decode(data: &[u8]) -> Result<(Header, Cursor<'_>), WireError> {
     Ok((header, cur))
 }
 
+/// Opens a dense blob of `rows`' family: a cursor over exactly its cells.
+fn dense_cells<'a>(data: &'a [u8], rows: &HashRows) -> Result<Cursor<'a>, WireError> {
+    let (header, cells) = decode(data)?;
+    header.check_family(rows)?;
+    Ok(cells)
+}
+
 fn read_table(mut cells: Cursor<'_>) -> Vec<f64> {
     let n_cells = cells.remaining() / 8;
     let mut table = Vec::with_capacity(n_cells);
@@ -246,12 +259,23 @@ fn read_table(mut cells: Cursor<'_>) -> Vec<f64> {
     table
 }
 
-/// Fills a zeroed table of the receiver's own family from a packed blob.
-fn unpack(data: &[u8], rows: &Arc<HashRows>) -> Result<KarySketch, WireError> {
+/// Opens a packed blob of `rows`' family: a cursor at its first pair.
+fn packed_pairs<'a>(data: &'a [u8], rows: &HashRows) -> Result<Cursor<'a>, WireError> {
     let mut cur = Cursor::new(envelope::open(PACKED_MAGIC, data)?);
     Header::read(&mut cur)?.check_family(rows)?;
-    let mut sketch = KarySketch::with_rows(Arc::clone(rows));
-    let table = sketch.table_mut();
+    Ok(cur)
+}
+
+/// The one walk over a packed body, shared by decode, validation and
+/// COMBINE: checks every pair against the body's rules (module docs) and
+/// hands each non-zero cell of a `cells`-cell table to `cell` as
+/// `(index, value)`, in row-major order. On an error, the cells before
+/// it have been handed over.
+fn walk_pairs(
+    mut cur: Cursor<'_>,
+    cells: usize,
+    mut cell: impl FnMut(usize, f64),
+) -> Result<(), WireError> {
     let mut next = 0u64;
     while cur.remaining() > 0 {
         let gap = cur.uleb128()?.ok_or(WireError::BadCell("gap is not a shortest-form LEB128"))?;
@@ -263,12 +287,12 @@ fn unpack(data: &[u8], rows: &Arc<HashRows>) -> Result<KarySketch, WireError> {
         }
         let at = next
             .checked_add(gap)
-            .filter(|&at| at < table.len() as u64)
+            .filter(|&at| at < cells as u64)
             .ok_or(WireError::BadCell("gap runs past the table"))?;
-        table[at as usize] = value as f64;
+        cell(at as usize, value as f64);
         next = at + 1;
     }
-    Ok(sketch)
+    Ok(())
 }
 
 /// Deserializes a sketch, re-deriving its hash family from the header.
@@ -285,16 +309,60 @@ pub fn from_bytes(data: &[u8]) -> Result<KarySketch, WireError> {
 /// serialized identity must match `rows` exactly; a mismatch is
 /// [`WireError::FamilyMismatch`], found before anything is allocated. This
 /// is the hot path for checkpoint restore, which decodes several sketches
-/// of one family, and for the aggregator, which decodes two per frame.
+/// of one family, and for the aggregator's parity recovery.
 pub fn from_bytes_with_rows(data: &[u8], rows: &Arc<HashRows>) -> Result<KarySketch, WireError> {
     if data.starts_with(PACKED_MAGIC) {
-        return unpack(data, rows);
+        let pairs = packed_pairs(data, rows)?;
+        let mut sketch = KarySketch::with_rows(Arc::clone(rows));
+        let table = sketch.table_mut();
+        walk_pairs(pairs, table.len(), |at, value| table[at] = value)?;
+        return Ok(sketch);
     }
-    let (header, cells) = decode(data)?;
-    header.check_family(rows)?;
+    let cells = dense_cells(data, rows)?;
     let mut sketch = KarySketch::with_rows(Arc::clone(rows));
     sketch.load_table(read_table(cells));
     Ok(sketch)
+}
+
+/// Checks a blob — dense or packed — against `rows`' family the way
+/// [`from_bytes_with_rows`] decodes it, without building a table: it
+/// rejects exactly what that decoder rejects, with the same error, and
+/// allocates nothing. What an aggregator runs at receipt, before it keeps
+/// the bytes for [`add_into`].
+///
+/// # Errors
+/// As [`from_bytes_with_rows`].
+pub fn validate_with_rows(data: &[u8], rows: &HashRows) -> Result<(), WireError> {
+    if data.starts_with(PACKED_MAGIC) {
+        return walk_pairs(packed_pairs(data, rows)?, rows.h() * rows.k(), |_, _| {});
+    }
+    dense_cells(data, rows).map(drop)
+}
+
+/// **COMBINE** straight from a blob: `sketch += S` for the sketch `S` the
+/// blob holds, without decoding `S` into a table of its own — a packed
+/// blob costs its non-zero cells only. Per cell this is the addition
+/// [`KarySketch::add_scaled`]`(S, 1.0)` performs, so the sum is
+/// bit-identical to decoding first: a skipped zero cell would add `+0.0`,
+/// which changes no cell but `-0.0`, and a sum that starts from a zeroed
+/// table never holds `-0.0`.
+///
+/// # Errors
+/// As [`from_bytes_with_rows`] against `sketch`'s family. Envelope, header
+/// and family errors leave `sketch` untouched; a broken packed body is
+/// found part way, so run [`validate_with_rows`] first where a partial sum
+/// matters.
+pub fn add_into(data: &[u8], sketch: &mut KarySketch) -> Result<(), WireError> {
+    if data.starts_with(PACKED_MAGIC) {
+        let pairs = packed_pairs(data, sketch.rows())?;
+        let table = sketch.table_mut();
+        return walk_pairs(pairs, table.len(), |at, value| table[at] += value);
+    }
+    let mut cells = dense_cells(data, sketch.rows())?;
+    for cell in sketch.table_mut() {
+        *cell += cells.f64().expect("cell count validated");
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,12 +3,14 @@
 //! The packed body exists to be shorter, never to be different: whatever
 //! `to_bytes_packed` writes decodes to the encoder's table **bit for
 //! bit**, a table it cannot carry exactly is written dense, and it is
-//! never longer than dense. Cases come from a seeded `SplitMix64`, so a
-//! failure names the case that produced it.
+//! never longer than dense. A receiver that only sums blobs reads them
+//! without decoding, and must see what the decoder sees. Cases come from
+//! a seeded `SplitMix64`, so a failure names the case that produced it.
 
-use scd_hash::SplitMix64;
+use scd_hash::{envelope, SplitMix64};
 use scd_sketch::wire::{
-    from_bytes, from_bytes_with_rows, to_bytes, to_bytes_packed, to_bytes_packed_sum,
+    add_into, from_bytes, from_bytes_with_rows, to_bytes, to_bytes_packed, to_bytes_packed_sum,
+    validate_with_rows,
 };
 use scd_sketch::{KarySketch, SketchConfig};
 use std::sync::Arc;
@@ -153,4 +155,42 @@ fn packed_blobs_need_the_receivers_own_family() {
     let other = Arc::clone(empty(9).rows());
     assert!(format!("{:?}", from_bytes_with_rows(&blob, &other).unwrap_err())
         .contains("FamilyMismatch"));
+}
+
+/// The receiver's two readers agree with the decoder: COMBINE straight from
+/// the blobs is the COMBINE of the decoded tables, bit for bit, packed and
+/// dense alike; and validation rejects exactly what decoding rejects, with
+/// the same error, for flipped bits under the original checksum and under
+/// a recomputed one.
+#[test]
+fn combine_from_blobs_and_validation_agree_with_decoding() {
+    let verdict = |r: Result<(), scd_sketch::WireError>| r.map_err(|e| format!("{e:?}"));
+    let mut rng = SplitMix64::new(0xC0B1);
+    for h in [1, 5, 9] {
+        let rows = Arc::clone(empty(h).rows());
+        let mut decoded = KarySketch::with_rows(Arc::clone(&rows));
+        let mut direct = KarySketch::with_rows(Arc::clone(&rows));
+        for case in 0..CASES {
+            let mut s = integer_table(&mut rng, h, [0, 1, 7, 50, 100][(case % 5) as usize]);
+            if case % 4 == 3 {
+                s.table_mut()[case as usize] = case as f64 + 0.5; // ships dense
+            }
+            let blob = to_bytes_packed(&s);
+            decoded.add_scaled(&from_bytes_with_rows(&blob, &rows).unwrap(), 1.0).unwrap();
+            add_into(&blob, &mut direct).unwrap();
+            assert_eq!(bits(&direct), bits(&decoded), "H={h} case {case}");
+            assert_eq!(verdict(validate_with_rows(&blob, &rows)), Ok(()));
+            for _ in 0..32 {
+                let mut bad = blob.clone();
+                let at = rng.next_below(bad.len() as u64) as usize;
+                bad[at] ^= 1 << rng.next_below(8);
+                if rng.next_below(2) == 0 {
+                    bad.truncate(bad.len() - envelope::FOOTER_LEN);
+                    envelope::seal(&mut bad);
+                }
+                let decodes = verdict(from_bytes_with_rows(&bad, &rows).map(drop));
+                assert_eq!(verdict(validate_with_rows(&bad, &rows)), decodes, "H={h} at {at}");
+            }
+        }
+    }
 }

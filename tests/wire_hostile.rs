@@ -7,9 +7,10 @@
 //! sizes an allocation by a number the input has not earned, and leaves
 //! nothing behind that would stop the pristine bytes decoding next. Each
 //! row of [`cases`] is one format instance; every check runs over every
-//! row, through the buffer decoder and (where the format has one) the
-//! stream reader fed by a reader that dribbles 1..=n bytes at a time and
-//! interrupts itself.
+//! row, through the buffer decoder, (where the format has one) the stream
+//! reader fed by a reader that dribbles 1..=n bytes at a time and
+//! interrupts itself, and (for a sketch blob) the aggregator's receipt
+//! check, which must reject what the decoder rejects and allocate nothing.
 //!
 //! Checks that only make sense for one format (hostile sketch `H`/`K`,
 //! archive budgets, crossed SCDQ roles, invalid UTF-8, …) live in that
@@ -33,30 +34,37 @@ use std::cell::Cell;
 use std::io::Read;
 use std::sync::{Arc, OnceLock};
 
-/// Counts nothing but the largest single request made on this thread —
-/// enough to catch a decoder sizing a buffer from a hostile length.
+/// Counts the largest single request made on this thread — enough to
+/// catch a decoder sizing a buffer from a hostile length — and how many
+/// requests were made, for the reader that must make none.
 struct PeakRequest;
 
 thread_local! {
     static PEAK: Cell<usize> = const { Cell::new(0) };
+    static REQUESTS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_request(size: usize) {
+    PEAK.with(|p| p.set(p.get().max(size)));
+    REQUESTS.with(|r| r.set(r.get() + 1));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the only added
-// behaviour is a store to a destructor-free thread-local `Cell`.
+// behaviour is stores to destructor-free thread-local `Cell`s.
 unsafe impl GlobalAlloc for PeakRequest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        PEAK.with(|p| p.set(p.get().max(layout.size())));
+        note_request(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        PEAK.with(|p| p.set(p.get().max(layout.size())));
+        note_request(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        PEAK.with(|p| p.set(p.get().max(new_size)));
+        note_request(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -96,6 +104,9 @@ struct Case {
     decode: fn(&[u8]) -> Verdict,
     /// The format's stream reader, if it has one.
     stream: Option<fn(&mut dyn Read) -> Verdict>,
+    /// For a sketch blob, the family the aggregator's receipt check
+    /// (`wire::validate_with_rows`) reads it against.
+    family: Option<&'static Arc<HashRows>>,
     /// `(offset, width)` of every length prefix or element count in
     /// `clean` that sizes something: each is overwritten with all-ones
     /// (and the checksum recomputed) to claim more than the input holds.
@@ -206,6 +217,7 @@ fn cases() -> Vec<Case> {
         wrap: Wrap::File,
         decode,
         stream: None,
+        family: None,
         counts: counts.to_vec(),
     };
     // The u64 length in front of the first embedded sketch blob.
@@ -223,16 +235,18 @@ fn cases() -> Vec<Case> {
             wrap: Wrap::Frame(SCDN),
             decode: |b| verdict(Frame::decode(b)),
             stream: Some(|mut r| verdict(Frame::read_from(&mut r))),
+            family: None,
             counts,
         }
     };
-    let sketch_case = |name, s: &KarySketch| {
-        file(name, sketch::to_bytes(s), |b| verdict(sketch::from_bytes(b)), &[(8, 8), (16, 8)])
+    let sketch_case = |name, s: &KarySketch, tiny| Case {
+        family: Some(rows_of(tiny)),
+        ..file(name, sketch::to_bytes(s), |b| verdict(sketch::from_bytes(b)), &[(8, 8), (16, 8)])
     };
-    let packed_case = |name, s: &KarySketch, decode| {
+    let packed_case = |name, s: &KarySketch, tiny, decode| {
         let clean = sketch::wire::to_bytes_packed(s);
         assert!(clean.starts_with(b"SCDSKP01"), "{name}: the fixture must pack");
-        file(name, clean, decode, &[(8, 8), (16, 8)])
+        Case { family: Some(rows_of(tiny)), ..file(name, clean, decode, &[(8, 8), (16, 8)]) }
     };
     let archive_case = |name, a: &SketchArchive<KarySketch>| {
         let bytes = archive_wire::to_bytes(a);
@@ -249,10 +263,10 @@ fn cases() -> Vec<Case> {
         ..file(name, io::to_binary(records), |b| verdict(io::from_binary(b)), &[])
     };
     vec![
-        sketch_case("SCDSKT02 (tiny)", &tiny_sketch(0)),
-        sketch_case("SCDSKT02", &sample_sketch(1)),
-        packed_case("SCDSKP01 (tiny)", &tiny_sketch(0), |b| decode_packed(b, true)),
-        packed_case("SCDSKP01", &sample_sketch(1), |b| decode_packed(b, false)),
+        sketch_case("SCDSKT02 (tiny)", &tiny_sketch(0), true),
+        sketch_case("SCDSKT02", &sample_sketch(1), false),
+        packed_case("SCDSKP01 (tiny)", &tiny_sketch(0), true, |b| decode_packed(b, true)),
+        packed_case("SCDSKP01", &sample_sketch(1), false, |b| decode_packed(b, false)),
         trace_case("SCDTRC02 (tiny)", &sample_trace()[..5]),
         trace_case("SCDTRC02", &sample_trace()),
         archive_case("SCDARCH1 (tiny)", &tiny_archive()),
@@ -275,6 +289,7 @@ fn cases() -> Vec<Case> {
             wrap: Wrap::Frame(SCDQ),
             decode: |b| verdict(Request::decode(b)),
             stream: Some(|mut r| verdict(Request::read_from(&mut r))),
+            family: None,
             counts: vec![],
         },
         Case {
@@ -283,6 +298,7 @@ fn cases() -> Vec<Case> {
             wrap: Wrap::Frame(SCDQ),
             decode: |b| verdict(Response::decode(b)),
             stream: Some(|mut r| verdict(Response::read_from(&mut r))),
+            family: None,
             counts: vec![(FRAME_HEADER_LEN + 64, 8)],
         },
     ]
@@ -311,9 +327,21 @@ impl Read for DribbleReader<'_> {
 }
 
 impl Case {
+    /// The aggregator's receipt check, for a sketch blob: it writes no
+    /// table, so it must not allocate at all.
+    fn receipt_check(&self, bytes: &[u8]) -> Option<Verdict> {
+        let rows = self.family?;
+        REQUESTS.with(|r| r.set(0));
+        let got = sketch::wire::validate_with_rows(bytes, rows);
+        let requests = REQUESTS.with(Cell::get);
+        assert_eq!(requests, 0, "{}: the receipt check allocated", self.name);
+        Some(verdict(got))
+    }
+
     /// Every way this case's bytes can be decoded, each under the
     /// allocation bound: the buffer decoder, then the stream reader
-    /// dribbled a byte at a time and in larger gulps.
+    /// dribbled a byte at a time and in larger gulps, then the receipt
+    /// check.
     fn verdicts(&self, bytes: &[u8]) -> Vec<(String, Verdict)> {
         let guarded = |how: String, run: &dyn Fn() -> Verdict| {
             PEAK.with(|p| p.set(0));
@@ -337,6 +365,7 @@ impl Case {
                 }));
             }
         }
+        all.extend(self.receipt_check(bytes).map(|got| ("receipt check".into(), got)));
         all
     }
 
@@ -437,6 +466,9 @@ fn one_appended_byte_is_a_typed_error() {
         // byte is the next frame's problem. Buffers must be exact.
         let got = (case.decode)(&longer);
         assert!(got.is_err(), "{}: a trailing byte decoded successfully", case.name);
+        if let Some(got) = case.receipt_check(&longer) {
+            assert!(got.is_err(), "{}: a trailing byte passed the receipt check", case.name);
+        }
         if let (Wrap::File, Some(stream)) = (case.wrap, case.stream) {
             assert!(stream(&mut &longer[..]).is_err(), "{}: trailing byte via stream", case.name);
         }
