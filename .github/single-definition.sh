@@ -7,7 +7,10 @@
 # the queues: std's `sync_channel` is the only one, a stream starts one way,
 # and the aggregator waits on its queue, not on a nap. And the packed body
 # has one walker, shared by decode, the aggregator's receipt check and its
-# COMBINE; a node resends on proof of loss, not on staleness.
+# COMBINE; a node resends on proof of loss, not on staleness. A hash family
+# is built in one place, the `HashRows::shared` registry, so a process
+# holds one copy of each; and its tables hold 32-bit entries, gathered
+# eight keys at a time, never 64-bit ones.
 # Non-test source = every crates/*/src file up to its `#[cfg(test)]`
 # (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
 set -euo pipefail
@@ -67,6 +70,10 @@ expect 0 'fn spawn_supervised'                   'second stream entry point(s)'
 expect 0 '^crates/net/src/aggregator\.rs:.*thread::sleep' 'sleep(s) in the aggregator main loop'
 expect 0 'fn resend_stale'                       'resend(s) of a frame for being unacknowledged a while'
 
+# One hash family per process, at the width its buckets use.
+expect 1 'HashRows::new\('                     'hash family build(s) outside the HashRows::shared registry'
+expect 0 '_mm256_i32gather_epi64'               '64-bit tabulation-entry gather(s)'
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -81,5 +88,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather"
 exit "$fail"

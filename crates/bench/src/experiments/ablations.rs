@@ -71,7 +71,7 @@ fn hash_ablation(args: &Args) {
         &["scheme", "ns/op"],
     );
     let start = Instant::now();
-    let mut acc = 0u64;
+    let mut acc = 0u32;
     for i in 0..reps {
         acc ^= tab.hash32(i as u32);
     }

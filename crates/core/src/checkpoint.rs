@@ -423,7 +423,7 @@ fn take_glr(cur: &mut Cursor<'_>) -> Result<(GlrConfig, GlrEngineSnapshot), Chec
         hint_keys,
         cooldown,
     };
-    let rows = Arc::new(HashRows::new(h, k, seed));
+    let rows = HashRows::shared(h, k, seed);
     let slot = cur.u64()?;
     let cooldown_left = cur.u64()?;
     let base_count = cur.u64()?;
@@ -510,11 +510,9 @@ impl Checkpoint {
         };
         let config =
             DetectorConfig { sketch: SketchConfig { h, k, seed }, model, threshold, key_strategy };
-        // One hash family for every embedded sketch: decoding through
-        // `from_bytes_with_rows` both enforces that each blob matches the
-        // config's family and avoids re-deriving tabulation tables per
-        // sketch.
-        let rows = Arc::new(HashRows::new(h, k, seed));
+        // The config's family for every embedded sketch: decoding through
+        // `from_bytes_with_rows` enforces that each blob matches it.
+        let rows = HashRows::shared(h, k, seed);
         let snapshot = take_detector_snapshot(&mut cur, &rows)?;
         let next_interval = opt_u64(&mut cur)?;
         let processed = cur.u64()?;

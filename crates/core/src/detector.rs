@@ -214,7 +214,7 @@ impl SketchChangeDetector {
             KeyStrategy::Sampled { seed, .. } => seed,
             _ => 0,
         };
-        let rows = Arc::new(HashRows::new(config.sketch.h, config.sketch.k, config.sketch.seed));
+        let rows = HashRows::shared(config.sketch.h, config.sketch.k, config.sketch.seed);
         SketchChangeDetector {
             config,
             rows,
@@ -517,13 +517,7 @@ impl SketchChangeDetector {
         if sketches.iter().any(|s| s.rows().identity() != identity) {
             return Err(RestoreError::FamilyMismatch);
         }
-        // Reuse the snapshot's hash family when one is present: rebuilding
-        // tabulation tables is the expensive part of detector construction,
-        // and restart latency is on the supervisor's critical path.
-        let rows = match sketches.first() {
-            Some(s) => Arc::clone(s.rows()),
-            None => Arc::new(HashRows::new(config.sketch.h, config.sketch.k, config.sketch.seed)),
-        };
+        let rows = HashRows::shared(config.sketch.h, config.sketch.k, config.sketch.seed);
         let model = config.model.restore(snapshot.model).map_err(RestoreError::Model)?;
         Ok(SketchChangeDetector {
             config,

@@ -323,7 +323,7 @@ impl ShardedIngest {
     /// # Errors
     /// [`EngineError::BadConfig`] for zero shards.
     pub fn new(sketch: SketchConfig, shards: usize) -> Result<Self, EngineError> {
-        let rows = Arc::new(HashRows::new(sketch.h, sketch.k, sketch.seed));
+        let rows = HashRows::shared(sketch.h, sketch.k, sketch.seed);
         let keys = KeyLog::for_strategy(&KeyStrategy::NextInterval);
         ShardedIngest::build(rows, keys, shards, 512, 8, None)
     }

@@ -274,7 +274,7 @@ impl GlrDetector {
     /// [`GlrConfig`] field docs).
     pub fn new(config: GlrConfig) -> Self {
         config.validate();
-        let rows = Arc::new(HashRows::new(config.sketch.h, config.sketch.k, config.sketch.seed));
+        let rows = HashRows::shared(config.sketch.h, config.sketch.k, config.sketch.seed);
         let r = config.projections;
         GlrDetector {
             proj_salt: config.sketch.seed ^ PROJ_SALT,
@@ -521,7 +521,7 @@ impl GlrDetector {
     pub fn restore(config: GlrConfig, snap: GlrSnapshot) -> Result<Self, GlrRestoreError> {
         config.validate();
         let r = config.projections;
-        let rows = Arc::new(HashRows::new(config.sketch.h, config.sketch.k, config.sketch.seed));
+        let rows = HashRows::shared(config.sketch.h, config.sketch.k, config.sketch.seed);
         let family = rows.identity();
         let check_slot = |s: &GlrSlotSnapshot, what: &str| -> Result<(), GlrRestoreError> {
             if s.proj.len() != r {

@@ -77,7 +77,7 @@ impl ReversibleChangeDetector {
             "threshold parameter T must be positive"
         );
         let model = config.model.build();
-        let rows = Arc::new(HashRows::new(config.deltoid.h, config.deltoid.k, config.deltoid.seed));
+        let rows = HashRows::shared(config.deltoid.h, config.deltoid.k, config.deltoid.seed);
         ReversibleChangeDetector { config, rows, model, intervals_processed: 0 }
     }
 

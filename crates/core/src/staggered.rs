@@ -85,7 +85,7 @@ impl StaggeredDetector {
             "staggered detection currently supports the two-pass strategy"
         );
         let detectors = (0..lanes).map(|_| SketchChangeDetector::new(config.clone())).collect();
-        let rows = Arc::new(HashRows::new(config.sketch.h, config.sketch.k, config.sketch.seed));
+        let rows = HashRows::shared(config.sketch.h, config.sketch.k, config.sketch.seed);
         StaggeredDetector { lanes: detectors, rows, recent_slots: Vec::new(), slot: 0 }
     }
 
@@ -146,7 +146,7 @@ impl StaggeredDetector {
                 snap.recent_slots.len()
             )));
         }
-        let rows = Arc::new(HashRows::new(config.sketch.h, config.sketch.k, config.sketch.seed));
+        let rows = HashRows::shared(config.sketch.h, config.sketch.k, config.sketch.seed);
         for (sketch, _) in &snap.recent_slots {
             if sketch.rows().identity() != rows.identity() {
                 return Err(RestoreError::BadConfig(

@@ -21,7 +21,7 @@
 //!   moment estimation* (the paper's reference \[33\]): for a 32-bit key
 //!   split into 16-bit characters `c0, c1`, the hash is
 //!   `T0[c0] ^ T1[c1] ^ T2[c0 + c1]` with three precomputed tables of
-//!   64-bit entries. Three cache-friendly lookups per key; this is the
+//!   32-bit entries. Three cache-friendly lookups per key; this is the
 //!   construction the paper's Table 1 benchmarks. Keys wider than 32 bits
 //!   fall back to [`Poly4`] transparently via [`Hasher4`].
 //!
@@ -42,8 +42,10 @@
 //! assert!(b < 1024);
 //! assert_eq!(b, Hasher4::new(0xC0FFEE).bucket(192_168_0_1, 1024));
 //!
-//! // H = 5 independent rows, as a k-ary sketch uses.
-//! let rows = HashRows::new(5, 1024, 42);
+//! // H = 5 independent rows, as a k-ary sketch uses: one family per
+//! // `(H, K, seed)` per process, shared by every sketch built on it.
+//! let rows = HashRows::shared(5, 1024, 42);
+//! assert!(std::sync::Arc::ptr_eq(&rows, &HashRows::shared(5, 1024, 42)));
 //! let mut buckets = [0usize; 5];
 //! rows.buckets(10_0_0_7, &mut buckets);
 //! assert!(buckets.iter().all(|&b| b < 1024));
@@ -90,22 +92,25 @@ impl Hasher4 {
         Hasher4 { tab: Tab4::new(tab_seed), poly: Poly4::new(poly_seed) }
     }
 
-    /// Returns 64 output bits. Keys `< 2^32` use tabulation; larger keys use
-    /// the polynomial scheme. Within each sub-domain the family is 4-wise
-    /// independent; across the two sub-domains values are independent because
-    /// the two schemes are seeded independently.
+    /// Returns the hash of `key`. Keys `< 2^32` use tabulation and get 32
+    /// uniform bits (the upper 32 are zero); larger keys use the polynomial
+    /// scheme and get a value below `2^61 - 1`, uniform in its low bits.
+    /// Either way the low 32 bits — all a bucket of `K ≤ 2^32` reads — are
+    /// uniform. Within each sub-domain the family is 4-wise independent;
+    /// across the two sub-domains values are independent because the two
+    /// schemes are seeded independently.
     #[inline]
     pub fn hash64(&self, key: u64) -> u64 {
         if key <= u32::MAX as u64 {
-            self.tab.hash32(key as u32)
+            self.tab.hash32(key as u32) as u64
         } else {
             self.poly.hash64(key)
         }
     }
 
-    /// Maps `key` into `[0, k)`. `k` must be a power of two (the paper uses
-    /// `K ∈ {1024, …, 65536}`); this lets bucketing be a mask instead of a
-    /// division on the per-record hot path.
+    /// Maps `key` into `[0, k)`. `k` must be a power of two no larger than
+    /// `2^32` (the paper uses `K ∈ {1024, …, 65536}`); this lets bucketing
+    /// be a mask instead of a division on the per-record hot path.
     #[inline]
     pub fn bucket(&self, key: u64, k: usize) -> usize {
         debug_assert!(k.is_power_of_two(), "K must be a power of two, got {k}");

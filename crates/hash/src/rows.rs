@@ -10,27 +10,67 @@
 //! linearity that the forecasting layer depends on) if they share the same
 //! rows. `HashRows` therefore exposes an [`identity`](HashRows::identity)
 //! fingerprint that the sketch layer checks before combining.
+//!
+//! A family is ~1 MiB of tabulation tables per row and never changes once
+//! built, so a process holds one per identity: [`HashRows::shared`] hands
+//! out the live `Arc` of a family, or builds it. The registry keeps only
+//! `Weak`s, so a family is freed when its last sketch goes.
 
 use crate::splitmix::SplitMix64;
 use crate::Hasher4;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
+/// Largest `K` a family serves: tabulation entries are 32 bits wide.
+const MAX_K: usize = 1 << 32;
+
+/// `(H, K, seed)`, as [`HashRows::identity`] gives it.
+type Identity = (usize, usize, u64);
+
+/// Every family handed out by [`HashRows::shared`], by identity; the dead
+/// ones are swept at the next build.
+static FAMILIES: Mutex<Vec<(Identity, Weak<HashRows>)>> = Mutex::new(Vec::new());
 
 /// A family of `H` independent 4-universal hash functions into `[0, K)`.
 #[derive(Clone)]
 pub struct HashRows {
     hashers: Vec<Hasher4>,
     k: usize,
-    identity: (usize, usize, u64),
+    identity: Identity,
 }
 
 impl HashRows {
-    /// Builds `h` rows bucketing into `[0, k)`. `k` must be a power of two;
-    /// `h` must be at least 1.
+    /// The process's family of identity `(h, k, seed)`: the one every live
+    /// holder shares, or a new one when nothing holds it. Sketches combine
+    /// only within a family, and a family is the largest fixed cost of a
+    /// sketch, so this — not [`new`](Self::new) — is how to get one.
     ///
     /// # Panics
-    /// Panics if `h == 0` or `k` is not a power of two.
+    /// As [`new`](Self::new).
+    pub fn shared(h: usize, k: usize, seed: u64) -> Arc<HashRows> {
+        let identity = (h, k, seed);
+        // A panic in `new` leaves the map as it was, so a poisoned lock is
+        // still a consistent one.
+        let mut families = FAMILIES.lock().unwrap_or_else(PoisonError::into_inner);
+        let live = families.iter().find(|(id, _)| *id == identity).and_then(|(_, w)| w.upgrade());
+        if let Some(rows) = live {
+            return rows;
+        }
+        let rows = Arc::new(HashRows::new(h, k, seed));
+        families.retain(|(_, family)| family.strong_count() > 0);
+        families.push((identity, Arc::downgrade(&rows)));
+        rows
+    }
+
+    /// Builds `h` rows bucketing into `[0, k)`, unshared: a family of its
+    /// own. `k` must be a power of two no larger than `2^32`; `h` must be at
+    /// least 1.
+    ///
+    /// # Panics
+    /// Panics if `h == 0`, or `k` is not a power of two, or `k > 2^32`.
     pub fn new(h: usize, k: usize, seed: u64) -> Self {
         assert!(h >= 1, "need at least one hash row");
         assert!(k.is_power_of_two(), "K must be a power of two, got {k}");
+        assert!(k <= MAX_K, "K must be at most 2^32 (32-bit tabulation entries), got {k}");
         let mut sm = SplitMix64::new(seed ^ 0x5EED_0F5E_ED00);
         let hashers = (0..h).map(|_| Hasher4::new(sm.next_u64())).collect();
         HashRows { hashers, k, identity: (h, k, seed) }
@@ -52,7 +92,7 @@ impl HashRows {
     /// compute identical bucket mappings, so sketches built on them are
     /// combinable.
     #[inline]
-    pub fn identity(&self) -> (usize, usize, u64) {
+    pub fn identity(&self) -> Identity {
         self.identity
     }
 
@@ -78,7 +118,7 @@ impl HashRows {
     /// `out[row * keys.len() + i]` is the bucket of `keys[i]` in `row`.
     ///
     /// This is the batched form of [`buckets`](Self::buckets), restructured
-    /// key-innermost: each row's ~2 MiB of tabulation tables is walked in
+    /// key-innermost: each row's ~1 MiB of tabulation tables is walked in
     /// one pass over the whole block, instead of being evicted and
     /// re-fetched `H − 1` rows later for every single key. The sketch
     /// layer's `update_batch` builds on exactly this layout — row-major
@@ -187,5 +227,11 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn rejects_zero_rows() {
         let _ = HashRows::new(0, 1024, 0);
+    }
+
+    #[test]
+    fn the_largest_k_is_served() {
+        let rows = HashRows::new(1, 1 << 32, 4);
+        assert!((0..1000u64).any(|key| rows.bucket(0, key) >= 1 << 31));
     }
 }

@@ -114,11 +114,11 @@ pub fn active() -> Variant {
 }
 
 /// AVX2 batch bucketing for [`crate::Hasher4`]: the hash phase of
-/// `update_batch`/`estimate_batch`. Groups of four tabulation-domain keys
-/// are hashed with three `vpgatherdq` table gathers + two XORs + one mask;
-/// any group containing a `Poly4`-domain key (> `u32::MAX`) falls back to
-/// the scalar path for that group. Bit-identical to the scalar loop —
-/// everything here is integer data movement.
+/// `update_batch`/`estimate_batch`. Groups of eight tabulation-domain keys
+/// are hashed with three `vpgatherdd` gathers of 32-bit table entries, two
+/// XORs and one mask; any group containing a `Poly4`-domain key
+/// (> `u32::MAX`) falls back to the scalar path for that group. Bit-identical
+/// to the scalar loop — everything here is integer data movement.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod hash_avx2 {
     use crate::Hasher4;
@@ -130,36 +130,51 @@ pub(crate) mod hash_avx2 {
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn bucket_batch(hasher: &Hasher4, keys: &[u64], k: usize, out: &mut [usize]) {
         let (t0, t1, t2) = hasher.tab.tables();
-        let char_mask = _mm_set1_epi32(0xFFFF);
-        let k_mask = _mm256_set1_epi64x(k as i64 - 1);
+        let char_mask = _mm256_set1_epi32(0xFFFF);
+        // A tabulation hash is 32 bits wide, so the mask's low 32 bits are
+        // all of it that can matter.
+        let k_mask = _mm256_set1_epi32((k as u64 - 1) as u32 as i32);
         let mut i = 0;
-        while i + 4 <= keys.len() {
-            let g = [keys[i], keys[i + 1], keys[i + 2], keys[i + 3]];
-            if (g[0] | g[1] | g[2] | g[3]) > u32::MAX as u64 {
+        while i + 8 <= keys.len() {
+            let group = &keys[i..i + 8];
+            let slots = &mut out[i..i + 8];
+            // SAFETY (of the loads): `group` holds eight u64s, two 32-byte
+            // unaligned loads.
+            let lo = _mm256_loadu_si256(group.as_ptr() as *const __m256i);
+            let hi = _mm256_loadu_si256(group.as_ptr().add(4) as *const __m256i);
+            let high_halves = _mm256_srli_epi64::<32>(_mm256_or_si256(lo, hi));
+            if _mm256_testz_si256(high_halves, high_halves) == 0 {
                 // Mixed-domain group: at least one Poly4 key.
-                for (slot, &key) in out[i..i + 4].iter_mut().zip(&g) {
+                for (slot, &key) in slots.iter_mut().zip(group) {
                     *slot = hasher.bucket(key, k);
                 }
-                i += 4;
+                i += 8;
                 continue;
             }
-            let k32 = _mm_set_epi32(g[3] as i32, g[2] as i32, g[1] as i32, g[0] as i32);
-            let c0 = _mm_and_si128(k32, char_mask);
-            let c1 = _mm_srli_epi32::<16>(k32);
-            let d = _mm_add_epi32(c0, c1);
+            // The low half of each key, in key order: per 128-bit lane the
+            // shuffle takes [lo0 lo1 hi0 hi1 | lo2 lo3 hi2 hi3], and the
+            // permute puts the four `lo` keys ahead of the four `hi` ones.
+            let halves = _mm256_castps_si256(_mm256_shuffle_ps::<0b10_00_10_00>(
+                _mm256_castsi256_ps(lo),
+                _mm256_castsi256_ps(hi),
+            ));
+            let k32 = _mm256_permute4x64_epi64::<0b11_01_10_00>(halves);
+            let c0 = _mm256_and_si256(k32, char_mask);
+            let c1 = _mm256_srli_epi32::<16>(k32);
+            let d = _mm256_add_epi32(c0, c1);
             // Indices are in range by construction: c0, c1 < 2^16 and
             // d <= 2*(2^16 - 1) < DERIVED_LEN.
-            let v0 = _mm256_i32gather_epi64::<8>(t0.as_ptr() as *const i64, c0);
-            let v1 = _mm256_i32gather_epi64::<8>(t1.as_ptr() as *const i64, c1);
-            let v2 = _mm256_i32gather_epi64::<8>(t2.as_ptr() as *const i64, d);
-            let hash = _mm256_xor_si256(_mm256_xor_si256(v0, v1), v2);
-            let bucket = _mm256_and_si256(hash, k_mask);
-            let mut lanes = [0u64; 4];
-            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, bucket);
-            for (slot, &b) in out[i..i + 4].iter_mut().zip(&lanes) {
-                *slot = b as usize;
-            }
-            i += 4;
+            let v0 = _mm256_i32gather_epi32::<4>(t0.as_ptr() as *const i32, c0);
+            let v1 = _mm256_i32gather_epi32::<4>(t1.as_ptr() as *const i32, c1);
+            let v2 = _mm256_i32gather_epi32::<4>(t2.as_ptr() as *const i32, d);
+            let bucket = _mm256_and_si256(_mm256_xor_si256(_mm256_xor_si256(v0, v1), v2), k_mask);
+            // SAFETY (of the stores): `usize` is 64 bits on x86_64 and
+            // `slots` holds eight of them, two 32-byte unaligned stores.
+            let first = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(bucket));
+            let second = _mm256_cvtepu32_epi64(_mm256_extracti128_si256::<1>(bucket));
+            _mm256_storeu_si256(slots.as_mut_ptr() as *mut __m256i, first);
+            _mm256_storeu_si256(slots.as_mut_ptr().add(4) as *mut __m256i, second);
+            i += 8;
         }
         for (slot, &key) in out[i..].iter_mut().zip(&keys[i..]) {
             *slot = hasher.bucket(key, k);

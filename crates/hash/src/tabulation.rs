@@ -9,23 +9,28 @@
 //! h(key) = T0[c0] ^ T1[c1] ^ T2[c0 + c1]
 //! ```
 //!
-//! with three tables of uniformly random 64-bit entries. Thorup & Zhang
+//! with three tables of uniformly random 32-bit entries. Thorup & Zhang
 //! prove this family is 4-universal: among any four distinct keys, at least
 //! one of the three coordinates `(c0, c1, c0+c1)` takes some value at
 //! exactly one key, so that key's table entry is uniform and independent of
 //! the other three hash values; peeling repeats the argument.
 //!
-//! Memory: `2·2^16 + (2^17 - 1)` entries of 8 bytes ≈ 2 MiB per function —
+//! Memory: `2·2^16 + (2^17 - 1)` entries of 4 bytes ≈ 1 MiB per function —
 //! the "constant, small amount of memory" regime the paper targets. Each
-//! hash costs three L1/L2 loads and two XORs; the 64 output bits provide
-//! four independent 16-bit values per evaluation, mirroring the paper's
-//! "each hash computation produces 8 independent 16-bit hash values"
-//! batching trick (§5.3).
+//! hash costs three L1/L2 loads and two XORs. The 32 output bits are all a
+//! bucket ever reads: a sketch masks the hash to `log₂ K` bits, and `K` is
+//! at most `2^32` (`HashRows` rejects more), so wider entries would only
+//! carry bits every mask discards. Bit `i` of an XOR reads only bit `i` of
+//! its operands, so keeping the low half of each entry keeps the low half
+//! of every hash: the buckets are the ones 64-bit entries drawn from the
+//! same stream give. One evaluation yields two independent 16-bit values,
+//! a quarter of the paper's "each hash computation produces 8 independent
+//! 16-bit hash values" (§5.3).
 //!
-//! Table entries are filled from [`SplitMix64`]; we rely on the entries
-//! being i.i.d. uniform (the information-theoretic form of the
+//! Table entries are the low halves of [`SplitMix64`] outputs; we rely on
+//! the entries being i.i.d. uniform (the information-theoretic form of the
 //! Thorup–Zhang theorem) rather than on their space-efficient
-//! pseudo-random filling, since 2 MiB of true tables is cheap on modern
+//! pseudo-random filling, since 1 MiB of true tables is cheap on modern
 //! hosts and keeps the proof obligations minimal.
 
 use crate::splitmix::SplitMix64;
@@ -38,22 +43,23 @@ const DERIVED_LEN: usize = (1 << (CHAR_BITS + 1)) - 1; // c0 + c1 <= 2*(2^16 - 1
 /// Tabulation-based 4-universal hash function for 32-bit keys.
 #[derive(Clone)]
 pub struct Tab4 {
-    t0: Box<[u64]>,
-    t1: Box<[u64]>,
-    t2: Box<[u64]>,
+    t0: Box<[u32]>,
+    t1: Box<[u32]>,
+    t2: Box<[u32]>,
 }
 
 impl Tab4 {
-    /// Builds the three tables from a seed (deterministic; ≈2 MiB).
+    /// Builds the three tables from a seed (deterministic; ≈1 MiB).
     pub fn new(seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
-        let mut fill = |len: usize| -> Box<[u64]> { (0..len).map(|_| rng.next_u64()).collect() };
+        let mut fill =
+            |len: usize| -> Box<[u32]> { (0..len).map(|_| rng.next_u64() as u32).collect() };
         Tab4 { t0: fill(TABLE_LEN), t1: fill(TABLE_LEN), t2: fill(DERIVED_LEN) }
     }
 
-    /// Hashes a 32-bit key to 64 uniform bits.
+    /// Hashes a 32-bit key to 32 uniform bits.
     #[inline]
-    pub fn hash32(&self, key: u32) -> u64 {
+    pub fn hash32(&self, key: u32) -> u32 {
         let c0 = key & CHAR_MASK;
         let c1 = key >> CHAR_BITS;
         let d = c0 + c1;
@@ -62,22 +68,22 @@ impl Tab4 {
         self.t0[c0 as usize] ^ self.t1[c1 as usize] ^ self.t2[d as usize]
     }
 
-    /// Maps a 32-bit key into `[0, k)` for power-of-two `k`.
+    /// Maps a 32-bit key into `[0, k)` for power-of-two `k ≤ 2^32`.
     #[inline]
     pub fn bucket32(&self, key: u32, k: usize) -> usize {
         debug_assert!(k.is_power_of_two());
-        (self.hash32(key) & (k as u64 - 1)) as usize
+        (self.hash32(key) as u64 & (k as u64 - 1)) as usize
     }
 
     /// The three lookup tables `(T0, T1, T2)`, for the crate's SIMD batch
     /// kernel (which gathers from them directly).
-    pub(crate) fn tables(&self) -> (&[u64], &[u64], &[u64]) {
+    pub(crate) fn tables(&self) -> (&[u32], &[u32], &[u32]) {
         (&self.t0, &self.t1, &self.t2)
     }
 
     /// Approximate heap footprint in bytes (for capacity planning).
     pub fn memory_bytes(&self) -> usize {
-        (self.t0.len() + self.t1.len() + self.t2.len()) * std::mem::size_of::<u64>()
+        (self.t0.len() + self.t1.len() + self.t2.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -105,7 +111,7 @@ mod tests {
         let a = Tab4::new(1);
         let b = Tab4::new(2);
         let same = (0..1000u32).filter(|&k| a.hash32(k) == b.hash32(k)).count();
-        assert_eq!(same, 0, "64-bit outputs from independent seeds should not collide");
+        assert_eq!(same, 0, "32-bit outputs from independent seeds should not collide");
     }
 
     #[test]
@@ -135,10 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_is_about_two_mib() {
+    fn memory_is_about_one_mib() {
         let t = Tab4::new(0);
         let mb = t.memory_bytes();
-        assert!(mb > 2_000_000 && mb < 2_200_000, "memory {mb}");
+        assert!(mb > 1_000_000 && mb < 1_100_000, "memory {mb}");
     }
 
     /// Statistical check of 4-wise independence on one bit: for four fixed
@@ -155,8 +161,8 @@ mod tests {
         let mut ones = 0u32;
         for seed in 0..trials {
             let t = Tab4::new(seed as u64 * 7919 + 1);
-            let parity = keys.iter().fold(0u64, |acc, &k| acc ^ t.hash32(k)) & 1;
-            ones += parity as u32;
+            let parity = keys.iter().fold(0u32, |acc, &k| acc ^ t.hash32(k)) & 1;
+            ones += parity;
         }
         // Without the derived table, parity would be 0 for every seed.
         // With 4-universality it is a fair coin: expect ~1000, sd ~22.
@@ -179,7 +185,7 @@ mod tests {
                 let c1 = (key >> CHAR_BITS) as usize;
                 t.t0[c0] ^ t.t1[c1]
             };
-            let parity = keys.iter().fold(0u64, |acc, &k| acc ^ two_table(k));
+            let parity = keys.iter().fold(0u32, |acc, &k| acc ^ two_table(k));
             assert_eq!(parity, 0, "rectangle XOR must cancel without derived char");
         }
     }

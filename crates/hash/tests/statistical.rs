@@ -72,7 +72,7 @@ fn four_key_and_probability(bit_of: impl Fn(u64, u64) -> u64) {
 
 #[test]
 fn tabulation_four_key_joint_bit() {
-    four_key_and_probability(|seed, key| Tab4::new(seed).hash32(key as u32) & 1);
+    four_key_and_probability(|seed, key| u64::from(Tab4::new(seed).hash32(key as u32) & 1));
 }
 
 #[test]
@@ -102,6 +102,7 @@ fn bit_balance_over_keys() {
 /// Flipping one input bit should flip roughly half the output bits on
 /// average (avalanche) — not implied by 4-universality but expected from
 /// these constructions and relied on when masking buckets from low bits.
+/// The keys here are tabulation-domain, whose hash is 32 bits wide.
 #[test]
 fn avalanche_on_single_bit_flips() {
     let h = Hasher4::new(777);
@@ -117,7 +118,7 @@ fn avalanche_on_single_bit_flips() {
         }
     }
     let avg = total_flips as f64 / cases as f64;
-    assert!((avg - 32.0).abs() < 2.0, "average flipped output bits {avg}, expected ~32");
+    assert!((avg - 16.0).abs() < 1.0, "average flipped output bits {avg}, expected ~16");
 }
 
 /// Bucket masks of each row in a family must look independent: the

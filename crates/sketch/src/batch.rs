@@ -1,7 +1,7 @@
 //! Reusable scratch space for batched sketch updates and estimates.
 //!
 //! The per-update `update(key, value)` loop is bound by cache behaviour,
-//! not arithmetic: for every arrival it touches `H` sets of ~2 MiB
+//! not arithmetic: for every arrival it touches `H` sets of ~1 MiB
 //! tabulation tables *and* `H` sketch rows, so at `H = 5` the working set
 //! thrashes between six unrelated memory regions per update. The batched
 //! path splits the work into two cache-friendly phases over a block of

@@ -28,7 +28,7 @@ pub struct CountMinSketch {
 impl CountMinSketch {
     /// Creates an empty Count-Min sketch with `h` rows of `k` buckets.
     pub fn new(h: usize, k: usize, seed: u64) -> Self {
-        let rows = Arc::new(HashRows::new(h, k, seed));
+        let rows = HashRows::shared(h, k, seed);
         let len = rows.h() * rows.k();
         CountMinSketch { rows, table: vec![0.0; len] }
     }

@@ -33,7 +33,7 @@ pub struct CountSketch {
 impl CountSketch {
     /// Creates an empty count sketch with `h` rows of `k` buckets.
     pub fn new(h: usize, k: usize, seed: u64) -> Self {
-        let rows = Arc::new(HashRows::new(h, k, seed));
+        let rows = HashRows::shared(h, k, seed);
         let mut sm = SplitMix64::new(seed ^ 0x5163_4E00);
         let signs = (0..h).map(|_| Hasher4::new(sm.next_u64())).collect();
         let len = rows.h() * rows.k();

@@ -66,13 +66,11 @@ impl Deltoid {
     /// Panics if `key_bits` is 0 or exceeds 64, or `k` is not a power of
     /// two.
     pub fn new(config: DeltoidConfig) -> Self {
-        let rows = Arc::new(HashRows::new(config.h, config.k, config.seed));
-        Self::with_rows(rows, config.key_bits)
+        Self::with_rows(HashRows::shared(config.h, config.k, config.seed), config.key_bits)
     }
 
-    /// Creates an empty deltoid over an existing hash family — avoids
-    /// re-deriving tabulation tables when many deltoids share one family
-    /// (one observed sketch per interval, plus model history).
+    /// Creates an empty deltoid over the hash family `rows` — what a caller
+    /// that already holds the family uses, skipping the registry lookup.
     ///
     /// # Panics
     /// Panics if `key_bits` is 0 or exceeds 64.

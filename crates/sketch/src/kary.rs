@@ -63,16 +63,15 @@ pub struct KarySketch {
 }
 
 impl KarySketch {
-    /// Creates an empty sketch with freshly derived hash rows.
+    /// Creates an empty sketch over the process's hash family for `config`
+    /// ([`HashRows::shared`]): every sketch of one configuration shares one
+    /// set of tabulation tables.
     pub fn new(config: SketchConfig) -> Self {
-        let rows = Arc::new(HashRows::new(config.h, config.k, config.seed));
-        Self::with_rows(rows)
+        Self::with_rows(HashRows::shared(config.h, config.k, config.seed))
     }
 
-    /// Creates an empty sketch sharing an existing hash family. Sharing the
-    /// `Arc` avoids re-deriving (and re-storing) tabulation tables when many
-    /// sketches per family are alive — e.g. one observed sketch per interval
-    /// plus model history.
+    /// Creates an empty sketch over the hash family `rows` — what a caller
+    /// that already holds the family uses, skipping the registry lookup.
     pub fn with_rows(rows: Arc<HashRows>) -> Self {
         let len = rows.h() * rows.k();
         KarySketch { rows, table: vec![0.0; len] }
@@ -694,7 +693,7 @@ mod tests {
 
     #[test]
     fn shared_rows_combine_without_reseeding() {
-        let rows = Arc::new(scd_hash::HashRows::new(3, 256, 77));
+        let rows = scd_hash::HashRows::shared(3, 256, 77);
         let mut a = KarySketch::with_rows(Arc::clone(&rows));
         let mut b = KarySketch::with_rows(Arc::clone(&rows));
         a.update(5, 2.0);

@@ -47,10 +47,11 @@
 //! table a decode fills is the receiver's own family's, sized before the
 //! first pair is read.
 //!
-//! Deserialization of a dense blob re-derives the hash tables from the
-//! seed (~2 MiB of tabulation per row, built once per family thanks to the
-//! shared `Arc<HashRows>`); [`from_bytes_with_rows`] skips even that when
-//! the caller already holds the family.
+//! [`from_bytes`] takes the hash family the header names from
+//! `HashRows::shared`: a family the process already holds is reused, and
+//! only one nothing holds is derived from the seed (~1 MiB of tabulation
+//! per row). [`from_bytes_with_rows`] skips even the lookup when the
+//! caller already holds the family.
 //!
 //! A receiver that only sums blobs need not decode them at all:
 //! [`validate_with_rows`] checks a blob as the decoder would, writing
@@ -295,7 +296,7 @@ fn walk_pairs(
     Ok(())
 }
 
-/// Deserializes a sketch, re-deriving its hash family from the header.
+/// Deserializes a sketch over the process's hash family for its header.
 pub fn from_bytes(data: &[u8]) -> Result<KarySketch, WireError> {
     let (header, cells) = decode(data)?;
     let config = SketchConfig { h: header.h as usize, k: header.k as usize, seed: header.seed };
@@ -305,7 +306,7 @@ pub fn from_bytes(data: &[u8]) -> Result<KarySketch, WireError> {
 }
 
 /// Deserializes a sketch — dense or packed, told apart by the magic — into
-/// an existing hash family, skipping the (large) table re-derivation. The
+/// an existing hash family, skipping the family lookup. The
 /// serialized identity must match `rows` exactly; a mismatch is
 /// [`WireError::FamilyMismatch`], found before anything is allocated. This
 /// is the hot path for checkpoint restore, which decodes several sketches
