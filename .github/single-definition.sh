@@ -10,7 +10,9 @@
 # COMBINE; a node resends on proof of loss, not on staleness. A hash family
 # is built in one place, the `HashRows::shared` registry, so a process
 # holds one copy of each; and its tables hold 32-bit entries, gathered
-# eight keys at a time, never 64-bit ones.
+# eight keys at a time, never 64-bit ones. The detector ranks only what is
+# read: `IntervalReport::rank_errors` is the one full-list sort by rank
+# order, so the key scan (`detect`) sorts no full list.
 # Non-test source = every crates/*/src file up to its `#[cfg(test)]`
 # (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
 set -euo pipefail
@@ -74,6 +76,14 @@ expect 0 'fn resend_stale'                       'resend(s) of a frame for being
 expect 1 'HashRows::new\('                     'hash family build(s) outside the HashRows::shared registry'
 expect 0 '_mm256_i32gather_epi64'               '64-bit tabulation-entry gather(s)'
 
+# One full-list ranking, and it is not on the detection path.
+expect 1 'fn rank_errors'                        'full-list ranking method(s)'
+sorts=$(nontest | awk 'match($0, /fn [a-z0-9_]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
+  /errors\.sort[a-z_]*\(.*report_order/ { print name ": " $0 }')
+check 1 'full-list sort(s) by report_order' "$sorts"
+check 0 'full-list sort(s) by report_order outside rank_errors' \
+  "$(printf '%s\n' "$sorts" | grep -v '^rank_errors: ' || true)"
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -88,5 +98,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect"
 exit "$fail"

@@ -47,7 +47,10 @@ pub fn make_trace(
 pub struct IntervalOutcome {
     /// Interval index in the trace.
     pub t: usize,
-    /// Per-key forecast errors, sorted by decreasing |error|.
+    /// Per-key forecast errors, ranked: decreasing |error|, ties by
+    /// ascending key. The per-flow detector reports them ranked; a sketch
+    /// report's are in scan order until [`run_sketch`] ranks them, which is
+    /// what lets an experiment read a top-N as a prefix.
     pub errors: Vec<(u64, f64)>,
     /// Second moment of the errors: exact for per-flow, `ESTIMATEF2` for
     /// sketches.
@@ -84,8 +87,9 @@ pub fn run_sketch(
     });
     let mut out = Vec::new();
     for (t, items) in trace.intervals.iter().enumerate() {
-        let rep = det.process_interval(items);
+        let mut rep = det.process_interval(items);
         if rep.warmed_up && t >= warm_up {
+            rep.rank_errors();
             out.push(IntervalOutcome { t, errors: rep.errors, f2: rep.error_f2 });
         }
     }

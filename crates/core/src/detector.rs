@@ -82,7 +82,12 @@ impl DropStats {
 }
 
 /// Everything the detector can say about one interval.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// `==` compares [`errors`](Self::errors) as ranked lists — the same
+/// `(key, estimate)` pairs in any order are equal — and every other field
+/// as written: two runtimes that scan one interval's keys in different
+/// orders (a single box and a fan-in aggregator, say) report equal.
+#[derive(Debug, Clone, Default)]
 pub struct IntervalReport {
     /// Interval index (0-based, counting processed intervals).
     pub interval: usize,
@@ -93,11 +98,15 @@ pub struct IntervalReport {
     pub error_f2: f64,
     /// The alarm threshold `TA = T·√(max(F2, 0))`.
     pub alarm_threshold: f64,
-    /// Keys whose |estimated error| ≥ `TA`, sorted by decreasing |error|.
+    /// Keys whose |estimated error| ≥ `TA` (and is nonzero), sorted by
+    /// decreasing |error|, ties by ascending key.
     pub alarms: Vec<Alarm>,
-    /// Estimated forecast error for every scanned key (deduplicated),
-    /// sorted by decreasing |error|. This is the raw material for the
-    /// paper's top-N comparisons.
+    /// Estimated forecast error for every scanned key (deduplicated), in
+    /// scan order: the order each key was first seen in the interval's key
+    /// stream. The detector does not rank it — nothing on the detection
+    /// path reads more than the alarms and a short top-k. Call
+    /// [`rank_errors`](Self::rank_errors) for the paper's top-N
+    /// comparisons, which read it by decreasing |error|.
     pub errors: Vec<(u64, f64)>,
     /// Scanned keys whose estimated error came back non-finite
     /// (NaN/±inf). They are excluded from `errors` and can never alarm;
@@ -111,15 +120,31 @@ pub struct IntervalReport {
 }
 
 impl IntervalReport {
+    /// Sorts [`errors`](Self::errors) by decreasing |error|, ties by
+    /// ascending key — the order the paper's top-N figures read and the
+    /// order [`alarms`](Self::alarms) are in. This is the one full-list
+    /// ranking; the detector never pays for it.
+    pub fn rank_errors(&mut self) {
+        self.errors.sort_unstable_by_key(report_order);
+    }
+
+    /// A ranked copy of `errors`, leaving `self` as it is.
+    fn ranked_errors(&self) -> Vec<(u64, f64)> {
+        let mut ranked = IntervalReport { errors: self.errors.clone(), ..Default::default() };
+        ranked.rank_errors();
+        ranked.errors
+    }
+
     /// A canonical one-line digest of the report, with every float
     /// rendered by its exact bit pattern and the (potentially long)
     /// alarm/error lists compressed to a length + CRC-32 over their
-    /// `(key, f64-bits)` pairs in report order. Equal reports produce
-    /// equal lines, and any difference in interval index, warm-up state,
-    /// `F2`, threshold, alarm set, error list, or drop accounting changes
-    /// the line — which is what lets two runs (e.g. single-node vs
-    /// distributed COMBINE) be diffed for bit-identity from the shell
-    /// without serializing whole reports.
+    /// `(key, f64-bits)` pairs in rank order (`errors` is digested as
+    /// [`rank_errors`](Self::rank_errors) would leave it, whatever order
+    /// it is in). Equal reports produce equal lines, and any difference
+    /// in interval index, warm-up state, `F2`, threshold, alarm set, error
+    /// list, or drop accounting changes the line — which is what lets two
+    /// runs (e.g. single-node vs distributed COMBINE) be diffed for
+    /// bit-identity from the shell without serializing whole reports.
     pub fn canonical_line(&self) -> String {
         let mut buf = Vec::with_capacity(self.alarms.len() * 24);
         for a in &self.alarms {
@@ -129,7 +154,7 @@ impl IntervalReport {
         }
         let alarms_crc = scd_hash::crc32(&buf);
         buf.clear();
-        for &(key, err) in &self.errors {
+        for &(key, err) in &self.ranked_errors() {
             buf.extend_from_slice(&key.to_le_bytes());
             buf.extend_from_slice(&err.to_bits().to_le_bytes());
         }
@@ -148,6 +173,31 @@ impl IntervalReport {
             self.drops.sampled_in,
             self.drops.shed,
         )
+    }
+}
+
+impl PartialEq for IntervalReport {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured so a new field cannot be left out of the comparison.
+        let IntervalReport {
+            interval,
+            warmed_up,
+            error_f2,
+            alarm_threshold,
+            alarms,
+            errors,
+            non_finite_errors,
+            drops,
+        } = self;
+        *interval == other.interval
+            && *warmed_up == other.warmed_up
+            && *error_f2 == other.error_f2
+            && *alarm_threshold == other.alarm_threshold
+            && *alarms == other.alarms
+            && *non_finite_errors == other.non_finite_errors
+            && *drops == other.drops
+            && errors.len() == other.errors.len()
+            && (*errors == other.errors || self.ranked_errors() == other.ranked_errors())
     }
 }
 
@@ -414,6 +464,7 @@ impl SketchChangeDetector {
     }
 
     /// Change-detection module: threshold selection + batched key scan.
+    /// `errors` leaves in scan order; only the alarms are ranked.
     fn detect(
         &mut self,
         interval: usize,
@@ -422,13 +473,13 @@ impl SketchChangeDetector {
         f2: f64,
     ) -> IntervalReport {
         let alarm_threshold = self.config.threshold * f2.max(0.0).sqrt();
-        // Non-finite estimates are dropped *before* the sort: they carry
-        // no magnitude information, and a NaN would outrank +inf and stall
-        // the take_while alarm scan below. A single poisoned cell must
-        // degrade one key's estimate, not panic the whole scan (under the
-        // supervisor that panic is a poison pill — the checkpoint restores
-        // the same state and the restart loop burns the entire budget
-        // re-dying on the same interval).
+        // Non-finite estimates are dropped from `errors`: they carry no
+        // magnitude information and can never alarm, and a NaN would rank
+        // above +inf. A single poisoned cell must degrade one key's
+        // estimate, not panic the whole scan (under the supervisor that
+        // panic is a poison pill — the checkpoint restores the same state
+        // and the restart loop burns the entire budget re-dying on the
+        // same interval).
         let mut non_finite_errors = 0u64;
         let mut errors = Vec::with_capacity(keys.len());
         error_sketch.estimator().estimate_tiles(keys, &mut self.scratch, |keys, estimates| {
@@ -440,19 +491,20 @@ impl SketchChangeDetector {
                 }
             }
         });
-        errors.sort_unstable_by_key(report_order);
         // |error| must meet the threshold *and* be nonzero: when an interval
         // is predicted perfectly, F2 = 0 makes TA = 0, and flows with zero
-        // error must not alarm.
-        let alarms: Vec<Alarm> = errors
-            .iter()
-            .take_while(|(_, e)| e.abs() >= alarm_threshold && e.abs() > 0.0)
-            .map(|&(key, estimated_error)| Alarm {
-                key,
-                estimated_error,
-                threshold: alarm_threshold,
-            })
-            .collect();
+        // error must not alarm. The rule is monotone in |error|, so the
+        // keys it selects are exactly the alarming prefix of the ranked
+        // list, and ranking just them gives that prefix. Counted first, so
+        // the alarm vector is allocated once at its final size.
+        let alarming = |&&(_, e): &&(u64, f64)| e.abs() >= alarm_threshold && e.abs() > 0.0;
+        let mut alarms = Vec::with_capacity(errors.iter().filter(alarming).count());
+        alarms.extend(errors.iter().filter(alarming).map(|&(key, estimated_error)| Alarm {
+            key,
+            estimated_error,
+            threshold: alarm_threshold,
+        }));
+        alarms.sort_unstable_by_key(|a| report_order(&(a.key, a.estimated_error)));
         if let Some(m) = &self.metrics {
             m.intervals_total.inc();
             m.keys_scanned_total.add(keys.len() as u64);
@@ -534,13 +586,15 @@ impl SketchChangeDetector {
     }
 }
 
-/// The order of [`IntervalReport::errors`] as an integer sort key:
-/// decreasing `|error|`, ties by ascending key. For finite values the bit
-/// pattern of `|e|` orders exactly as `total_cmp` orders `|e|` (and `-0.0`
-/// folds onto `+0.0`), and scanned keys are distinct, so this is a strict
-/// total order: an unstable sort yields the one sequence a stable
-/// `total_cmp` sort would.
-fn report_order(&(key, error): &(u64, f64)) -> (Reverse<u64>, u64) {
+/// Rank order — of [`IntervalReport::alarms`], of
+/// [`IntervalReport::errors`] once ranked, and of the notable keys an
+/// archive is offered — as an integer sort key: decreasing `|error|`, ties
+/// by ascending key. For finite values the bit pattern of `|e|` orders
+/// exactly as `total_cmp` orders `|e|` (and `-0.0` folds onto `+0.0`), and
+/// scanned keys are distinct, so this is a strict total order: an unstable
+/// sort or a selection yields the one sequence a stable `total_cmp` sort
+/// would.
+pub(crate) fn report_order(&(key, error): &(u64, f64)) -> (Reverse<u64>, u64) {
     (Reverse(error.abs().to_bits()), key)
 }
 
@@ -659,8 +713,9 @@ mod tests {
     fn errors_sorted_by_magnitude() {
         let mut det = SketchChangeDetector::new(config(KeyStrategy::TwoPass));
         det.process_interval(&[(1, 100.0), (2, 100.0), (3, 100.0)]);
-        let report = det.process_interval(&[(1, 500.0), (2, 150.0), (3, 100.0)]);
+        let mut report = det.process_interval(&[(1, 500.0), (2, 150.0), (3, 100.0)]);
         assert!(report.warmed_up);
+        report.rank_errors();
         let mags: Vec<f64> = report.errors.iter().map(|(_, e)| e.abs()).collect();
         for w in mags.windows(2) {
             assert!(w[0] >= w[1], "not sorted: {mags:?}");

@@ -26,7 +26,7 @@
 use super::slots::GlrEngineSnapshot;
 use super::{EngineConfig, EngineError};
 use crate::checkpoint::Checkpoint;
-use crate::detector::{DetectorSnapshot, IntervalReport, SketchChangeDetector};
+use crate::detector::{report_order, DetectorSnapshot, IntervalReport, SketchChangeDetector};
 use crate::glr::GlrConfig;
 use crate::streaming::panic_message;
 use crate::supervisor::{LifecycleEvent, Supervision};
@@ -36,6 +36,7 @@ use scd_hash::HashRows;
 use scd_obs::{Counter, Stopwatch};
 use scd_sketch::KarySketch;
 use std::borrow::Borrow;
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -50,13 +51,28 @@ const NOTABLE_KEYS_OFFERED: usize = 256;
 pub const MEMORY_BASE_EVERY: u64 = 8;
 
 /// The notable-key directory entries the engine offers an archive for one
-/// interval: the report's top error keys (already sorted by the detector),
-/// truncated to the engine-internal offer cap (256), with errors folded to
-/// magnitude.
+/// interval: the report's top error keys in rank order (what
+/// [`IntervalReport::rank_errors`] would put first), capped at the
+/// engine-internal offer limit (256), with errors folded to magnitude.
+/// `errors` is in scan order, so this selects: one pass keeps the best 256
+/// seen so far in a bounded heap, and only those are sorted — no full sort
+/// and no copy of the list.
 /// Exposed so out-of-engine archive replicas (e.g. a serving plane fed by
 /// an [`IntervalObserver`]) file exactly the entries the engine would.
 pub fn notable_keys(report: &IntervalReport) -> Vec<(u64, f64)> {
-    report.errors.iter().take(NOTABLE_KEYS_OFFERED).map(|&(key, err)| (key, err.abs())).collect()
+    // A max-heap on the rank key keeps the worst kept entry on top, where
+    // a better one replaces it.
+    let mut best = BinaryHeap::with_capacity(NOTABLE_KEYS_OFFERED.min(report.errors.len()));
+    for entry in &report.errors {
+        let rank = report_order(entry);
+        if best.len() < NOTABLE_KEYS_OFFERED {
+            best.push(rank);
+        } else if let Some(mut worst) = best.peek_mut().filter(|worst| rank < **worst) {
+            *worst = rank;
+        }
+    }
+    // The rank key holds the bits of |error|: the magnitude comes back out.
+    best.into_sorted_vec().into_iter().map(|(bits, key)| (key, f64::from_bits(bits.0))).collect()
 }
 
 /// Observer of interval boundaries on a [`DetectStage`].

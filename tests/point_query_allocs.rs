@@ -6,9 +6,10 @@
 //!
 //! The same counter holds the interval turnover — the real
 //! `SketchChangeDetector`, not a mirror of it — to the one allocation a
-//! report needs, on the plain path, on the archiving path, where the
-//! error sketch leaves with the caller every interval, and on the detect
-//! stage with every pipeline metric attached and a snapshot rendered.
+//! report needs (two once it alarms), on the plain path, on the archiving
+//! path, where the error sketch leaves with the caller every interval, and
+//! on the detect stage with every pipeline metric attached and a snapshot
+//! rendered.
 
 use sketch_change::archive::{ArchiveConfig, SketchArchive};
 use sketch_change::core::{
@@ -186,6 +187,32 @@ fn a_warm_turnover_allocates_only_its_report() {
             if t >= WARM_INTERVALS {
                 assert!(report.warmed_up && report.alarms.is_empty() && report.errors.len() == 300);
                 assert_eq!(allocations, 1, "{model}, interval {t}: beyond the report's errors");
+            }
+        }
+    }
+}
+
+/// With a bar low enough to alarm, a warm turnover allocates `errors` and
+/// `alarms` and nothing else: the alarms are selected straight into a
+/// vector of their final size and ranked in place — no intermediate list,
+/// no growth, no sorted copy of `errors`.
+#[test]
+fn a_warm_alarming_turnover_allocates_only_its_two_lists() {
+    for model in MODELS {
+        let (rig, observed, keys) = turnover_rig(model);
+        let mut detector =
+            SketchChangeDetector::new(DetectorConfig { threshold: 0.02, ..rig.config().clone() });
+        for t in 0..WARM_INTERVALS + 8 {
+            let stream = keys.clone();
+            let mut report = None;
+            let allocations = allocations_in(|| {
+                report = Some(detector.process_observed(&observed[t % 4], stream));
+            });
+            let report = report.expect("the closure ran");
+            if t >= WARM_INTERVALS {
+                assert!(report.warmed_up && report.errors.len() == 300);
+                assert!(report.alarms.len() > 8, "{model}: {} alarms", report.alarms.len());
+                assert_eq!(allocations, 2, "{model}, interval {t}: beyond errors and alarms");
             }
         }
     }
