@@ -59,6 +59,24 @@ for model in ewma:0.5 'arima1:0.5,0.2/0.3'; do
 done
 echo "cli-identity: detect — $n runs, digests independent of the engine's shape"
 
+# The sparse close: ~220 records an interval into K = 65 536 buckets, so every
+# shard merge walks only the lines its interval wrote — the merge counter
+# must say so — and the digests are still the default engine's.
+S="--trace t.bin --interval 60 --threshold 0.4 --k 65536 --model ewma:0.5"
+# shellcheck disable=SC2086
+both w1 rep -- detect $S --report-out @.rep
+# shellcheck disable=SC2086
+both w2 rep -- detect $S --shards 2 --pipeline --report-out @.rep
+same w1.new.rep w2.new.rep "digests of the line-walked 2-shard merge vs the default engine"
+# shellcheck disable=SC2086
+"$SCD" detect $S --shards 2 --pipeline --metrics walk.jsonl > /dev/null
+counter() { tail -1 walk.jsonl | grep -oE "\"$1\":[0-9]+" | cut -d: -f2; }
+walks=$(counter scd_engine_sparse_merges_total) closes=$(counter scd_engine_intervals_total)
+if [ -z "$walks" ] || [ "$walks" != "$closes" ]; then
+  echo "cli-identity: ${walks:-no} line-walked merges of ${closes:-?} closes at --k 65536"; exit 1
+fi
+echo "cli-identity: detect --k 65536 — all $closes merges walked lines, digests independent of the shape"
+
 # archive, serve, stream: the bytes they leave behind.
 # shellcheck disable=SC2086
 both a scda -- archive $T --model ewma:0.5 --out @.scda --shards 4 --budget 16 --full-res 4

@@ -12,7 +12,9 @@
 # holds one copy of each; and its tables hold 32-bit entries, gathered
 # eight keys at a time, never 64-bit ones. The detector ranks only what is
 # read: `IntervalReport::rank_errors` is the one full-list sort by rank
-# order, so the key scan (`detect`) sorts no full list.
+# order, so the key scan (`detect`) sorts no full list. And the shard merge
+# sweeps the whole table in one place, the dense branch of `merge_shards`;
+# every other close walks only the lines its interval wrote.
 # Non-test source = every crates/*/src file up to its `#[cfg(test)]`
 # (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
 set -euo pipefail
@@ -84,6 +86,13 @@ check 1 'full-list sort(s) by report_order' "$sorts"
 check 0 'full-list sort(s) by report_order outside rank_errors' \
   "$(printf '%s\n' "$sorts" | grep -v '^rank_errors: ' || true)"
 
+# One full merge-and-clear sweep, and only where `merge_shards` chooses it.
+sweeps=$(nontest | awk 'match($0, /fn [a-z0-9_]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
+  /\.merge_draining\(/ { print name ": " $0 }')
+check 1 'full merge-and-clear sweep call site(s)' "$sweeps"
+check 0 'full merge-and-clear sweep call site(s) outside merge_shards' \
+  "$(printf '%s\n' "$sweeps" | grep -v '^merge_shards: ' || true)"
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -98,5 +107,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards"
 exit "$fail"

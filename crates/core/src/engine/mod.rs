@@ -21,9 +21,10 @@
 //!   result queue per shard, so a slow shard back-pressures only its own
 //!   feeder, and batching keeps the queue off the per-update hot path.
 //!   Workers fold each batch with `KarySketch::update_batch` (hash the
-//!   block row-major, then scatter one `K`-sized row at a time) and
-//!   return the spent `Vec` to a shared recycle pool, so steady-state
-//!   ingest allocates nothing per batch. A worker's statistics ride with
+//!   block row-major, then scatter one `K`-sized row at a time), mark the
+//!   64-byte lines it wrote while the table is sparse, and return the
+//!   spent `Vec` to a shared recycle pool, so steady-state ingest
+//!   allocates nothing per batch. A worker's statistics ride with
 //!   its interval sketch; its cleared sketch comes back with the next
 //!   `Flush`. One shard has no worker: the pushing thread folds each
 //!   batch itself, and the close trades the shard table for a cleared
@@ -52,7 +53,9 @@
 //! The module is split along its seams: `route` decides which shard an
 //! update goes to and what the key log keeps; `workers` is the ingest
 //! half ([`ShardedIngest`]: shard workers, recycle pool, the close
-//! barrier; one shard folds on the pushing thread); `stage` is the detect
+//! barrier; one shard folds on the pushing thread); `table` is the shard
+//! tables, which know the lines they wrote, and the one shard merge, which
+//! walks only those lines while it can; `stage` is the detect
 //! side ([`DetectStage`]: detector, archive, observer, supervision);
 //! `slots` is the GLR layer; and this file is the public
 //! [`ShardedEngine`], which joins an ingest half to a stage — inline, or
@@ -61,6 +64,7 @@
 mod route;
 mod slots;
 mod stage;
+mod table;
 #[cfg(test)]
 mod tests;
 mod workers;
@@ -76,13 +80,12 @@ use crate::supervisor::Supervision;
 use crate::telemetry::PipelineMetrics;
 use route::KeyLog;
 use scd_archive::{ArchiveConfig, ArchiveError, SketchArchive};
-use scd_obs::Stopwatch;
 use scd_sketch::KarySketch;
 use slots::GlrRuntime;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use workers::merge_shards;
+use table::{merge_shards, ShardTable};
 
 /// Configuration for a [`ShardedEngine`].
 #[derive(Debug, Clone)]
@@ -239,10 +242,10 @@ impl From<ArchiveError> for EngineError {
 /// `Snapshot` request reflects every interval handed off before it, even
 /// ones still being processed when the request was sent.
 enum DetectMsg {
-    /// A closed interval: the per-shard sketches (in shard order), the
+    /// A closed interval: the per-shard tables (in shard order), the
     /// interval's key log, and what a supervised stage carries into a
     /// checkpoint written after it.
-    Interval { sketches: Vec<KarySketch>, keys: Vec<u64>, carry: Carry },
+    Interval { tables: Vec<ShardTable>, keys: Vec<u64>, carry: Carry },
     /// Checkpoint request: reply with the detector's snapshot.
     Snapshot(SyncSender<DetectorSnapshot>),
     /// Hand the archive back (end of run). Subsequent intervals are no
@@ -271,50 +274,104 @@ impl Carry {
 /// Where detection runs: inline on the caller's thread (sequential, the
 /// default) or on a dedicated thread overlapped with ingest.
 enum DetectBackend {
-    Inline {
-        /// Boxed: the stage carries the detector's recycled workspaces
-        /// inline, dwarfing the `Pipelined` variant otherwise.
-        stage: Box<DetectStage>,
-        /// Recycled merge destination — the "observed" sketch. `None`
-        /// only before the first interval.
-        merged: Option<KarySketch>,
-    },
-    Pipelined {
-        /// `Option` so `Drop` can hang up before joining.
-        detect_tx: Option<SyncSender<DetectMsg>>,
-        report_rx: Receiver<Result<IntervalReport, EngineError>>,
-        /// Merged (so cleared) shard sketches coming back, in their
-        /// container, for the workers' next `Flush`.
-        vec_return: Receiver<Vec<KarySketch>>,
-        /// Intervals handed off whose reports have not been received.
-        in_flight: usize,
-        thread: Option<JoinHandle<()>>,
-    },
+    /// Boxed: the stage carries the detector's recycled workspaces inline,
+    /// dwarfing the `Pipelined` variant otherwise. The merge destination
+    /// is the ingest half's ([`ShardedIngest::end_interval_sketch`]).
+    Inline(Box<DetectStage>),
+    Pipelined(Pipeline),
 }
 
-/// The pipelined detect thread: owns the stage, merges shard sketches
-/// into a recycled buffer, hands the cleared sketches back for the
-/// workers' next interval, runs the turnover, and ships one report per
-/// interval.
+/// The pipelined backend's end of the detect thread.
+struct Pipeline {
+    /// `Option` so `Drop` can hang up before joining.
+    detect_tx: Option<SyncSender<DetectMsg>>,
+    report_rx: Receiver<Result<IntervalReport, EngineError>>,
+    /// Merged (so cleared) shard tables coming back, in their container,
+    /// for the workers' next `Flush`.
+    table_return: Receiver<Vec<ShardTable>>,
+    /// Intervals handed off whose reports have not been received.
+    in_flight: usize,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Pipeline {
+    /// Starts the detect thread on `stage`.
+    fn spawn(stage: DetectStage, metrics: Option<Arc<PipelineMetrics>>) -> Pipeline {
+        // Depth-1 interval queue: ingest can run at most one interval
+        // ahead of detection (the double buffer), and a full queue
+        // back-pressures the handoff instead of growing memory.
+        let (detect_tx, detect_rx) = sync_channel(1);
+        // Reports outstanding never exceed intervals in flight
+        // (queue + processing + handoff), so the detect thread never
+        // blocks here during shutdown.
+        let (report_tx, report_rx) = sync_channel(4);
+        let (table_tx, table_return) = sync_channel(2);
+        let thread = std::thread::Builder::new()
+            .name("scd-detect".into())
+            .spawn(move || detect_loop(stage, detect_rx, report_tx, table_tx, metrics))
+            .expect("spawn detect thread");
+        Pipeline {
+            detect_tx: Some(detect_tx),
+            report_rx,
+            table_return,
+            in_flight: 0,
+            thread: Some(thread),
+        }
+    }
+
+    fn send(&self, msg: DetectMsg) -> Result<(), EngineError> {
+        let tx = self.detect_tx.as_ref().expect("sender live until drop");
+        tx.send(msg).map_err(|_| EngineError::DetectorLost)
+    }
+
+    /// The handoff: flush the shards — handing back the cleared tables the
+    /// detect thread has returned — and ship the interval's tables and key
+    /// log to the detect thread, which merges them. Returns at once, so
+    /// ingest of the next interval overlaps detection of this one.
+    fn ship(&mut self, ingest: &mut ShardedIngest, carry: Carry) -> Result<(), EngineError> {
+        let mut tables = self.table_return.try_recv().unwrap_or_default();
+        let keys = ingest.close(&mut tables)?;
+        self.send(DetectMsg::Interval { tables, keys, carry })?;
+        self.in_flight += 1;
+        Ok(())
+    }
+
+    /// Receives the oldest outstanding report (blocking).
+    fn recv(&mut self) -> Result<IntervalReport, EngineError> {
+        let report = self.report_rx.recv().map_err(|_| EngineError::DetectorLost)?;
+        self.in_flight -= 1;
+        report
+    }
+
+    /// Hangs up — dropping the sender ends the detect thread's receive
+    /// loop — and joins. Its report queue can absorb every in-flight
+    /// interval, so it never blocks on the way out.
+    fn shutdown(&mut self) {
+        self.detect_tx.take();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The pipelined detect thread: owns the stage, merges shard tables into
+/// a recycled destination, hands the cleared tables back for the workers'
+/// next interval, runs the turnover, and ships one report per interval.
 fn detect_loop(
     mut stage: DetectStage,
     detect_rx: Receiver<DetectMsg>,
     report_tx: SyncSender<Result<IntervalReport, EngineError>>,
-    vec_return: SyncSender<Vec<KarySketch>>,
+    table_return: SyncSender<Vec<ShardTable>>,
     metrics: Option<Arc<PipelineMetrics>>,
 ) {
-    let mut merged = KarySketch::with_rows(Arc::clone(stage.rows()));
+    let mut merged = ShardTable::new(Arc::clone(stage.rows()));
     while let Ok(msg) = detect_rx.recv() {
         match msg {
-            DetectMsg::Interval { mut sketches, keys, carry } => {
-                let sw = Stopwatch::start();
-                merge_shards(&mut merged, &mut sketches);
-                if let Some(m) = &metrics {
-                    m.engine.combine_ns.record(sw.elapsed_ns());
-                }
-                let _ = vec_return.try_send(sketches);
+            DetectMsg::Interval { mut tables, keys, carry } => {
+                merge_shards(&mut merged, &mut tables, metrics.as_deref());
+                let _ = table_return.try_send(tables);
                 carry.hand_to(&mut stage);
-                let result = stage.observe(&merged, keys);
+                let result = stage.observe(merged.sketch(), keys);
                 if report_tx.send(result).is_err() {
                     break; // engine gone
                 }
@@ -362,11 +419,11 @@ impl std::fmt::Debug for ShardedEngine {
         let mut d = f.debug_struct("ShardedEngine");
         d.field("shards", &self.shards()).field("records_total", &self.records_total());
         match &self.detect {
-            DetectBackend::Inline { stage, .. } => {
+            DetectBackend::Inline(stage) => {
                 d.field("intervals_processed", &stage.emitted());
             }
-            DetectBackend::Pipelined { in_flight, .. } => {
-                d.field("pipeline", &true).field("in_flight", in_flight);
+            DetectBackend::Pipelined(pipe) => {
+                d.field("pipeline", &true).field("in_flight", &pipe.in_flight);
             }
         }
         d.finish()
@@ -412,29 +469,9 @@ impl ShardedEngine {
         let carries_glr = glr.is_some()
             && config.supervision.as_ref().is_some_and(|sup| sup.checkpoint.is_some());
         let detect = if config.pipeline {
-            // Depth-1 interval queue: ingest can run at most one interval
-            // ahead of detection (the double buffer), and a full queue
-            // back-pressures the handoff instead of growing memory.
-            let (detect_tx, detect_rx) = sync_channel(1);
-            // Reports outstanding never exceed intervals in flight
-            // (queue + processing + handoff), so the detect thread never
-            // blocks here during shutdown.
-            let (report_tx, report_rx) = sync_channel(4);
-            let (vec_tx, vec_rx) = sync_channel(2);
-            let metrics = config.metrics.clone();
-            let thread = std::thread::Builder::new()
-                .name("scd-detect".into())
-                .spawn(move || detect_loop(stage, detect_rx, report_tx, vec_tx, metrics))
-                .expect("spawn detect thread");
-            DetectBackend::Pipelined {
-                detect_tx: Some(detect_tx),
-                report_rx,
-                vec_return: vec_rx,
-                in_flight: 0,
-                thread: Some(thread),
-            }
+            DetectBackend::Pipelined(Pipeline::spawn(stage, config.metrics.clone()))
         } else {
-            DetectBackend::Inline { stage: Box::new(stage), merged: None }
+            DetectBackend::Inline(Box::new(stage))
         };
         Ok(ShardedEngine {
             ingest,
@@ -456,7 +493,7 @@ impl ShardedEngine {
 
     /// Whether detection runs on its own thread, overlapped with ingest.
     pub fn is_pipelined(&self) -> bool {
-        matches!(self.detect, DetectBackend::Pipelined { .. })
+        matches!(self.detect, DetectBackend::Pipelined(_))
     }
 
     /// A checkpointable snapshot of the detector, in either mode. In
@@ -468,15 +505,11 @@ impl ShardedEngine {
     /// # Errors
     /// [`EngineError::DetectorLost`] if the detect thread has died.
     pub fn detector_snapshot(&mut self) -> Result<DetectorSnapshot, EngineError> {
-        match &mut self.detect {
-            DetectBackend::Inline { stage, .. } => Ok(stage.detector().snapshot()),
-            DetectBackend::Pipelined { detect_tx, .. } => {
+        match &self.detect {
+            DetectBackend::Inline(stage) => Ok(stage.detector().snapshot()),
+            DetectBackend::Pipelined(pipe) => {
                 let (reply_tx, reply_rx) = sync_channel(1);
-                detect_tx
-                    .as_ref()
-                    .expect("sender live until drop")
-                    .send(DetectMsg::Snapshot(reply_tx))
-                    .map_err(|_| EngineError::DetectorLost)?;
+                pipe.send(DetectMsg::Snapshot(reply_tx))?;
                 reply_rx.recv().map_err(|_| EngineError::DetectorLost)
             }
         }
@@ -487,8 +520,8 @@ impl ShardedEngine {
     /// [`take_archive`](Self::take_archive) after draining).
     pub fn archive(&self) -> Option<&SketchArchive<KarySketch>> {
         match &self.detect {
-            DetectBackend::Inline { stage, .. } => stage.archive.as_ref(),
-            DetectBackend::Pipelined { .. } => None,
+            DetectBackend::Inline(stage) => stage.archive.as_ref(),
+            DetectBackend::Pipelined(_) => None,
         }
     }
 
@@ -499,10 +532,10 @@ impl ShardedEngine {
     /// [`drain`](Self::drain) first to collect their reports).
     pub fn take_archive(&mut self) -> Option<SketchArchive<KarySketch>> {
         match &mut self.detect {
-            DetectBackend::Inline { stage, .. } => stage.archive.take(),
-            DetectBackend::Pipelined { detect_tx, .. } => {
+            DetectBackend::Inline(stage) => stage.archive.take(),
+            DetectBackend::Pipelined(pipe) => {
                 let (reply_tx, reply_rx) = sync_channel(1);
-                detect_tx.as_ref()?.send(DetectMsg::TakeArchive(reply_tx)).ok()?;
+                pipe.detect_tx.as_ref()?.send(DetectMsg::TakeArchive(reply_tx)).ok()?;
                 reply_rx.recv().ok().flatten()
             }
         }
@@ -595,64 +628,46 @@ impl ShardedEngine {
         Carry { next_interval, processed, glr }
     }
 
-    /// Sequential-mode interval close: merge and detect on this thread,
-    /// reusing the merge buffer and returning cleared shard sketches to
-    /// the workers — steady state allocates nothing on the turnover path.
-    fn end_interval_inline(&mut self) -> Result<IntervalReport, EngineError> {
+    /// Closes the interval on its backend. Inline, the ingest half merges
+    /// the shard tables and the stage detects on this thread — steady
+    /// state allocates nothing on the turnover path — and the report comes
+    /// back. Pipelined, the interval is shipped to the detect thread and
+    /// `None` comes back.
+    fn close(&mut self) -> Result<Option<IntervalReport>, EngineError> {
         let carry = self.note_interval_close();
-        let DetectBackend::Inline { stage, merged } = &mut self.detect else {
-            unreachable!("inline close on pipelined backend")
-        };
-        let observed =
-            merged.get_or_insert_with(|| KarySketch::with_rows(Arc::clone(stage.rows())));
-        let keys = self.ingest.end_interval_sketch_into(observed)?;
-        carry.hand_to(stage);
-        let result = stage.observe(&*observed, keys);
-        if let Ok(report) = &result {
-            self.glr_on_report(report);
-        }
-        result
-    }
-
-    /// Pipeline-mode handoff: flush the shards — handing back the cleared
-    /// sketches the detect thread has returned — ship the interval's
-    /// sketches and key log to the detect thread, and return immediately
-    /// so ingest of the next interval overlaps detection of this one.
-    fn ship_interval(&mut self) -> Result<(), EngineError> {
-        let carry = self.note_interval_close();
-        let mut bufs = match &mut self.detect {
-            DetectBackend::Pipelined { vec_return, .. } => {
-                vec_return.try_recv().unwrap_or_default()
+        match &mut self.detect {
+            DetectBackend::Inline(stage) => {
+                let (observed, keys) = self.ingest.end_interval_sketch()?;
+                carry.hand_to(stage);
+                let report = stage.observe(observed, keys)?;
+                if let Some(glr) = &mut self.glr {
+                    glr.on_report(&report, self.metrics.as_deref());
+                }
+                Ok(Some(report))
             }
-            DetectBackend::Inline { .. } => unreachable!("handoff on inline backend"),
-        };
-        let keys = self.ingest.close(&mut bufs)?;
-        let DetectBackend::Pipelined { detect_tx, in_flight, .. } = &mut self.detect else {
-            unreachable!("handoff on inline backend")
-        };
-        detect_tx
-            .as_ref()
-            .expect("sender live until drop")
-            .send(DetectMsg::Interval { sketches: bufs, keys, carry })
-            .map_err(|_| EngineError::DetectorLost)?;
-        *in_flight += 1;
-        Ok(())
+            DetectBackend::Pipelined(pipe) => {
+                pipe.ship(&mut self.ingest, carry)?;
+                Ok(None)
+            }
+        }
     }
 
-    /// Receives one outstanding report from the detect thread (blocking).
-    fn recv_report(&mut self) -> Result<IntervalReport, EngineError> {
-        let report = {
-            let DetectBackend::Pipelined { report_rx, in_flight, .. } = &mut self.detect else {
-                unreachable!("no reports outstanding on inline backend")
-            };
-            let report = report_rx.recv().map_err(|_| EngineError::DetectorLost)?;
-            *in_flight -= 1;
-            report
-        };
-        if let Ok(r) = &report {
-            self.glr_on_report(r);
+    /// Receives reports from the detect thread (blocking) until at most
+    /// `keep` intervals are in flight, resolving GLR provisionals against
+    /// each, and returns the last one (`None` if none was received —
+    /// always in sequential mode).
+    fn receive_until(&mut self, keep: usize) -> Result<Option<IntervalReport>, EngineError> {
+        let mut last = None;
+        if let DetectBackend::Pipelined(pipe) = &mut self.detect {
+            while pipe.in_flight > keep {
+                let report = pipe.recv()?;
+                if let Some(glr) = &mut self.glr {
+                    glr.on_report(&report, self.metrics.as_deref());
+                }
+                last = Some(report);
+            }
         }
-        report
+        Ok(last)
     }
 
     /// Closes the current GLR base slot and runs the sequential statistic
@@ -665,14 +680,6 @@ impl ShardedEngine {
     pub fn end_glr_slot(&mut self) {
         if let Some(glr) = &mut self.glr {
             glr.close_slot(self.metrics.as_deref());
-        }
-    }
-
-    /// Resolves pending provisional alarms against a freshly delivered
-    /// interval report.
-    fn glr_on_report(&mut self, report: &IntervalReport) {
-        if let Some(glr) = &mut self.glr {
-            glr.on_report(report, self.metrics.as_deref());
         }
     }
 
@@ -729,13 +736,9 @@ impl ShardedEngine {
     /// restart budget;
     /// [`EngineError::Archive`] if the archive rejects the error sketch.
     pub fn end_interval(&mut self) -> Result<IntervalReport, EngineError> {
-        match &self.detect {
-            DetectBackend::Inline { .. } => self.end_interval_inline(),
-            DetectBackend::Pipelined { .. } => {
-                self.ship_interval()?;
-                let report = self.drain()?;
-                Ok(report.expect("interval just shipped yields a report"))
-            }
+        match self.close()? {
+            Some(report) => Ok(report),
+            None => Ok(self.drain()?.expect("interval just shipped yields a report")),
         }
     }
 
@@ -751,25 +754,16 @@ impl ShardedEngine {
     /// # Errors
     /// As [`end_interval`](Self::end_interval).
     pub fn end_interval_overlapped(&mut self) -> Result<Option<IntervalReport>, EngineError> {
-        match &self.detect {
-            DetectBackend::Inline { .. } => self.end_interval_inline().map(Some),
-            // The GLR state a close carries into a checkpoint must have seen
-            // every earlier report, so such an engine never runs ahead.
-            DetectBackend::Pipelined { .. } if self.carries_glr => self.end_interval().map(Some),
-            DetectBackend::Pipelined { .. } => {
-                self.ship_interval()?;
-                let outstanding = match &self.detect {
-                    DetectBackend::Pipelined { in_flight, .. } => *in_flight,
-                    DetectBackend::Inline { .. } => unreachable!(),
-                };
-                // Keep exactly one interval in flight: ship t, then wait
-                // for t − 1 (already overlapped with t's ingest).
-                if outstanding > 1 {
-                    self.recv_report().map(Some)
-                } else {
-                    Ok(None)
-                }
-            }
+        // The GLR state a close carries into a checkpoint must have seen
+        // every earlier report, so such an engine never runs ahead.
+        if self.carries_glr {
+            return self.end_interval().map(Some);
+        }
+        match self.close()? {
+            Some(report) => Ok(Some(report)),
+            // Keep exactly one interval in flight: ship t, then wait for
+            // t − 1 (already overlapped with t's ingest).
+            None => self.receive_until(1),
         }
     }
 
@@ -780,10 +774,7 @@ impl ShardedEngine {
     /// [`EngineError::DetectorLost`] if the detect thread died, plus any
     /// detection/archive error from the drained interval.
     pub fn drain(&mut self) -> Result<Option<IntervalReport>, EngineError> {
-        let mut last = None;
-        while matches!(&self.detect, DetectBackend::Pipelined { in_flight, .. } if *in_flight > 0) {
-            last = Some(self.recv_report()?);
-        }
+        let last = self.receive_until(0)?;
         if let Some(observer) = &self.observer {
             observer.flush();
         }
@@ -810,11 +801,8 @@ impl Drop for ShardedEngine {
         // ends its receive loop. Its report queue can absorb every
         // in-flight interval, so it never blocks on the way out.
         self.ingest.shutdown();
-        if let DetectBackend::Pipelined { detect_tx, thread, .. } = &mut self.detect {
-            detect_tx.take();
-            if let Some(thread) = thread.take() {
-                let _ = thread.join();
-            }
+        if let DetectBackend::Pipelined(pipe) = &mut self.detect {
+            pipe.shutdown();
         }
     }
 }

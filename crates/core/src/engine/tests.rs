@@ -5,6 +5,7 @@ use super::*;
 use crate::detector::{KeyStrategy, SketchChangeDetector};
 use scd_forecast::ModelSpec;
 use scd_hash::shard_of;
+use scd_hash::SplitMix64;
 use scd_sketch::SketchConfig;
 
 fn config(shards: usize) -> EngineConfig {
@@ -37,40 +38,92 @@ fn rejects_degenerate_configs() {
     assert!(matches!(ShardedEngine::new(bad_archive), Err(EngineError::Archive(_))));
 }
 
-/// The one-sweep merge is the assign + add-scaled sequence it
-/// replaced, cell for cell, and hands the shards back cleared — at a
-/// table of two tiles and a tail, with fractional cells so that the
-/// order of the adds shows in the low bits.
+/// How one interval of the merge property test fills its shards.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Fill {
+    /// A handful of records per shard: every table stays sparse.
+    Sparse,
+    /// Thousands of records per shard: every table goes dense.
+    Dense,
+    /// Shard 0 folds a few small batches, then one that carries it past
+    /// the sparse limit; the others stay sparse.
+    Crossing,
+}
+
+/// The merge of [`merge_shards`], whichever path it takes — the line walk,
+/// the full sweep or the one-shard swap — is today's sweep bit for bit:
+/// `assign_from(shard 0)` then `add_scaled(shard i, 1.0)` in shard order,
+/// and every shard reads all-zero bits afterwards. The destination is
+/// recycled through sparse → dense → sparse runs and starts out holding
+/// NaN it knows nothing about; values are fractional and negative, so
+/// the order of the adds shows in the low bits. `K = 2` and `4` make
+/// tables that end mid-line.
 #[test]
-fn merge_shards_is_assign_then_add_and_leaves_the_shards_zero() {
-    let proto = KarySketch::new(SketchConfig { h: 5, k: 512, seed: 4 });
-    assert!(proto.table().len() > 2 * scd_sketch::batch::SWEEP_TILE);
+fn merge_shards_walks_lines_bit_identically_to_the_sweep() {
+    use Fill::{Crossing, Dense, Sparse};
+    let plan = [Sparse, Sparse, Dense, Sparse, Sparse, Crossing, Sparse, Sparse];
+    // Which closes may take the line walk on a 4 Ki-bucket table: every
+    // table must know its lines, the destination included — after a dense
+    // close it does not, and the next close sweeps to learn them again.
+    // One shard swaps instead, and walks when it clears the table that
+    // held the merge before.
+    let walks_many = [false, true, false, false, true, false, false, true];
+    let walks_one = [false, true, true, false, true, true, false, true];
+    let bits = |s: &KarySketch| s.table().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut rng = SplitMix64::new(0x11E5);
     for shards in [1usize, 2, 3, 7] {
-        let mut sketches: Vec<KarySketch> = (0..shards)
-            .map(|shard| {
-                let mut sketch = proto.zero_like();
-                for (i, cell) in sketch.table_mut().iter_mut().enumerate() {
-                    *cell = ((i * 31 + shard * 17) % 1013) as f64 / 7.0 - 60.0;
+        for h in [1usize, 5, 9, 25] {
+            for k in [2usize, 4, 4096] {
+                let rows = scd_hash::HashRows::shared(h, k, 4);
+                let registry = scd_obs::Registry::new();
+                let metrics = PipelineMetrics::register(&registry);
+                let mut tables: Vec<ShardTable> =
+                    (0..shards).map(|_| ShardTable::new(Arc::clone(&rows))).collect();
+                let mut stale = KarySketch::with_rows(Arc::clone(&rows));
+                stale.table_mut().fill(f64::NAN);
+                let mut merged = ShardTable::unknown(stale);
+                let mut scratch = scd_sketch::BatchScratch::new();
+                for (t, fill) in plan.into_iter().enumerate() {
+                    let what = format!("{shards} shards, H={h}, K={k}, close {t} ({fill:?})");
+                    for (shard, table) in tables.iter_mut().enumerate() {
+                        let mut batches = match (fill, shard) {
+                            (Sparse, _) | (Crossing, 1..) => vec![3, 4],
+                            (Dense, _) => vec![512, 512, 300],
+                            (Crossing, 0) => vec![2, 3, 2, 700],
+                        };
+                        let turn = t % batches.len();
+                        batches.rotate_left(turn);
+                        for n in batches {
+                            let items: Vec<(u64, f64)> = (0..n)
+                                .map(|_| {
+                                    let value = rng.next_below(4001) as f64 / 8.0 - 250.03;
+                                    (rng.next_u64(), value)
+                                })
+                                .collect();
+                            table.update_batch(&items, &mut scratch);
+                            assert!(table.lines_cover_cells(), "{what}: shard {shard} fold");
+                        }
+                    }
+                    let mut expected = KarySketch::with_rows(Arc::clone(&rows));
+                    expected.assign_from(tables[0].sketch()).unwrap();
+                    for table in &tables[1..] {
+                        expected.add_scaled(table.sketch(), 1.0).unwrap();
+                    }
+                    let walked_before = metrics.engine.sparse_merges_total.get();
+                    merge_shards(&mut merged, &mut tables, Some(&metrics));
+                    assert_eq!(bits(merged.sketch()), bits(&expected), "{what}");
+                    assert!(merged.lines_cover_cells(), "{what}: destination");
+                    for (shard, table) in tables.iter().enumerate() {
+                        let zero = table.sketch().table().iter().all(|x| x.to_bits() == 0);
+                        assert!(zero && table.is_sparse(), "{what}: shard {shard} not cleared");
+                    }
+                    if k == 4096 {
+                        let walks = if shards == 1 { walks_one[t] } else { walks_many[t] };
+                        let walked = metrics.engine.sparse_merges_total.get() > walked_before;
+                        assert_eq!(walked, walks, "{what}: line walk taken");
+                    }
                 }
-                sketch
-            })
-            .collect();
-        let mut expected = proto.zero_like();
-        expected.assign_from(&sketches[0]).unwrap();
-        for sketch in &sketches[1..] {
-            expected.add_scaled(sketch, 1.0).unwrap();
-        }
-        // A recycled destination: stale cells must not survive.
-        let mut merged = proto.zero_like();
-        merged.table_mut().fill(f64::NAN);
-        merge_shards(&mut merged, &mut sketches);
-        let bits = |s: &KarySketch| s.table().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&merged), bits(&expected), "{shards} shards");
-        for (shard, sketch) in sketches.iter().enumerate() {
-            assert!(
-                sketch.table().iter().all(|x| x.to_bits() == 0),
-                "shard {shard} of {shards} not cleared"
-            );
+            }
         }
     }
 }
@@ -285,7 +338,6 @@ fn drop_joins_workers_cleanly() {
 }
 
 use crate::glr::{GlrConfig, GlrEvent};
-use scd_hash::SplitMix64;
 
 fn glr_cfg() -> GlrConfig {
     GlrConfig {

@@ -9,9 +9,10 @@
 //!
 //! With two or more shards there is one worker thread per shard, with one
 //! work queue and one result queue each; the batch recycle pool is shared.
-//! A worker's statistics travel with its interval sketch, and the cleared
-//! sketch of the interval before travels back with the `Flush` that asks
-//! for the next one.
+//! A worker's statistics travel with its interval table (the sketch and
+//! the lines its folds wrote, `table.rs`), and the cleared table of the
+//! interval before travels back with the `Flush` that asks for the next
+//! one.
 //!
 //! One shard has nothing to fan out: a worker would overlap only the copy
 //! of records into its batch, and the close would then wait for it. So a
@@ -21,6 +22,7 @@
 //! same either way, so every table is bit-identical.
 
 use super::route::{route_chunk, KeyLog, RoutedChunk};
+use super::table::{merge_shards, ShardTable};
 use super::EngineError;
 use crate::detector::KeyStrategy;
 use crate::telemetry::{PipelineMetrics, ShardStats};
@@ -34,16 +36,16 @@ use std::thread::JoinHandle;
 
 enum WorkerMsg {
     Batch(Vec<(u64, f64)>),
-    /// Interval boundary: ship the accumulated sketch and start the next
+    /// Interval boundary: ship the accumulated table and start the next
     /// interval on the cleared one handed back here (a fresh one when none
     /// has come back yet).
-    Flush(Option<KarySketch>),
+    Flush(Option<ShardTable>),
 }
 
-/// A worker's answer to `Flush`: its interval sketch and, when telemetry
+/// A worker's answer to `Flush`: its interval table and, when telemetry
 /// is enabled, what it folded into it.
 struct Flushed {
-    sketch: KarySketch,
+    table: ShardTable,
     stats: Option<ShardStats>,
 }
 
@@ -61,7 +63,7 @@ struct Worker {
 /// Folds one batch into a shard table — on a worker, or on the pushing
 /// thread of a one-shard half — timing it when `stats` is kept.
 fn fold(
-    sketch: &mut KarySketch,
+    table: &mut ShardTable,
     scratch: &mut BatchScratch,
     stats: Option<&mut ShardStats>,
     batch: &[(u64, f64)],
@@ -69,18 +71,18 @@ fn fold(
     match stats {
         Some(st) => {
             let sw = Stopwatch::start();
-            sketch.update_batch(batch, scratch);
+            table.update_batch(batch, scratch);
             st.fold_ns.record(sw.elapsed_ns());
             st.batches += 1;
             st.records += batch.len() as u64;
         }
-        None => sketch.update_batch(batch, scratch),
+        None => table.update_batch(batch, scratch),
     }
 }
 
 /// The one shard of a one-shard half, folded on the pushing thread.
 struct InlineShard {
-    table: KarySketch,
+    table: ShardTable,
     scratch: BatchScratch,
     /// What was folded this interval (present only when telemetry is
     /// enabled).
@@ -94,7 +96,7 @@ impl InlineShard {
 
     /// The close: the shard table leaves in `bufs`, and the cleared spare
     /// `bufs` held takes its place (a fresh table before one comes back).
-    fn hand_over(&mut self, bufs: &mut Vec<KarySketch>, metrics: Option<&PipelineMetrics>) {
+    fn hand_over(&mut self, bufs: &mut Vec<ShardTable>, metrics: Option<&PipelineMetrics>) {
         let spare = bufs.pop().unwrap_or_else(|| self.table.zero_like());
         bufs.clear();
         bufs.push(std::mem::replace(&mut self.table, spare));
@@ -133,7 +135,7 @@ impl Pool {
                 let thread = std::thread::Builder::new()
                     .name(format!("scd-shard-{shard}"))
                     .spawn(move || {
-                        let mut sketch = KarySketch::with_rows(rows);
+                        let mut table = ShardTable::new(rows);
                         let mut scratch = BatchScratch::new();
                         // Private accumulator: no atomics, no sharing until
                         // the interval flush.
@@ -145,15 +147,15 @@ impl Pool {
                             }
                             match msg {
                                 WorkerMsg::Batch(mut batch) => {
-                                    fold(&mut sketch, &mut scratch, stats.as_mut(), &batch);
+                                    fold(&mut table, &mut scratch, stats.as_mut(), &batch);
                                     batch.clear();
                                     // Pool full (or half gone): drop the Vec.
                                     let _ = recycle.try_send(batch);
                                 }
                                 WorkerMsg::Flush(spare) => {
-                                    let fresh = spare.unwrap_or_else(|| sketch.zero_like());
+                                    let fresh = spare.unwrap_or_else(|| table.zero_like());
                                     let flushed = Flushed {
-                                        sketch: std::mem::replace(&mut sketch, fresh),
+                                        table: std::mem::replace(&mut table, fresh),
                                         stats: stats.as_mut().map(std::mem::take),
                                     };
                                     if result_tx.send(flushed).is_err() {
@@ -208,18 +210,18 @@ impl Pool {
     }
 
     /// Ships each shard's pending batch and, right behind it, the request
-    /// for its interval sketch, handing each worker its cleared sketch from
+    /// for its interval table, handing each worker its cleared table from
     /// `bufs` (in shard order; a worker whose spare is missing starts on a
     /// fresh one) — a worker finds the request queued when the batch is
     /// folded, instead of sleeping in between. Then collects the interval
-    /// sketches into `bufs` in shard order. This is the COMBINE barrier,
+    /// tables into `bufs` in shard order. This is the COMBINE barrier,
     /// so it doubles as the telemetry aggregation point: each worker's
-    /// [`ShardStats`] arrive with its sketch.
+    /// [`ShardStats`] arrive with its table.
     fn harvest(
         &self,
         pending: &mut [Vec<(u64, f64)>],
         batch: usize,
-        bufs: &mut Vec<KarySketch>,
+        bufs: &mut Vec<ShardTable>,
         metrics: Option<&PipelineMetrics>,
     ) -> Result<(), EngineError> {
         let mut spares = bufs.drain(..);
@@ -244,7 +246,7 @@ impl Pool {
             if let (Some(st), Some(m)) = (flushed.stats, metrics) {
                 st.merge_into(&m.engine);
             }
-            bufs.push(flushed.sketch);
+            bufs.push(flushed.table);
         }
         Ok(())
     }
@@ -272,25 +274,6 @@ enum Folding {
     Workers(Pool),
 }
 
-/// Merges per-shard sketches in fixed shard order and leaves them zeroed
-/// for their next interval — one sweep ([`KarySketch::merge_draining`]:
-/// each shard tile is cleared while the merge still has it in cache).
-/// f64 addition is not associative in general, so a deterministic order
-/// keeps reruns (and the sequential-vs-pipelined comparison) reproducible
-/// — both backends call this exact routine, which is what makes their
-/// reports bit-identical. One shard's table *is* the merge: the two tables
-/// trade places, bit-identical to the copy, and only a clear is left.
-pub(super) fn merge_shards(merged: &mut KarySketch, shard_sketches: &mut [KarySketch]) {
-    const SAME_FAMILY: &str = "an engine has at least one shard, all over one hash family";
-    if let [only] = shard_sketches {
-        merged.check_family(only).expect(SAME_FAMILY);
-        std::mem::swap(merged, only);
-        only.clear();
-        return;
-    }
-    merged.merge_draining(shard_sketches).expect(SAME_FAMILY);
-}
-
 /// The ingest half of a [`ShardedEngine`](super::ShardedEngine), usable on
 /// its own: feed updates with [`push`](Self::push) /
 /// [`push_slice`](Self::push_slice), close each interval with
@@ -309,9 +292,12 @@ pub struct ShardedIngest {
     pub(super) records_total: u64,
     /// Telemetry sink; `None` keeps every metric branch off the hot path.
     metrics: Option<Arc<PipelineMetrics>>,
-    /// The shard sketches of the last inline close, merged and cleared:
-    /// each goes back to its shard at the next close.
-    shard_bufs: Vec<KarySketch>,
+    /// The shard tables of the last merge on this side, cleared: each
+    /// goes back to its shard at the next close.
+    shard_bufs: Vec<ShardTable>,
+    /// The merge destination of [`end_interval_sketch`](Self::end_interval_sketch),
+    /// built at its first call (an engine's detect thread keeps its own).
+    merged: Option<ShardTable>,
 }
 
 impl ShardedIngest {
@@ -346,7 +332,7 @@ impl ShardedIngest {
         }
         let folding = if shards == 1 {
             Folding::Inline(Box::new(InlineShard {
-                table: KarySketch::with_rows(Arc::clone(&rows)),
+                table: ShardTable::new(Arc::clone(&rows)),
                 scratch: BatchScratch::new(),
                 stats: metrics.is_some().then(ShardStats::default),
             }))
@@ -363,6 +349,7 @@ impl ShardedIngest {
             records_total: 0,
             metrics,
             shard_bufs: Vec::with_capacity(shards),
+            merged: None,
         })
     }
 
@@ -514,10 +501,10 @@ impl ShardedIngest {
     }
 
     /// The interval-close barrier: folds every shard's pending batch and
-    /// hands each shard its cleared sketch from `bufs`, collects the
-    /// per-shard sketches in shard order into `bufs` and takes the
+    /// hands each shard its cleared table from `bufs`, collects the
+    /// per-shard tables in shard order into `bufs` and takes the
     /// interval's key log.
-    pub(super) fn close(&mut self, bufs: &mut Vec<KarySketch>) -> Result<Vec<u64>, EngineError> {
+    pub(super) fn close(&mut self, bufs: &mut Vec<ShardTable>) -> Result<Vec<u64>, EngineError> {
         let sw = Stopwatch::start();
         let metrics = self.metrics.as_deref();
         match &mut self.folding {
@@ -538,15 +525,31 @@ impl ShardedIngest {
     }
 
     /// Closes the interval on this thread: the barrier, then the merge of
-    /// the per-shard sketches into `observed` (every cell is overwritten),
-    /// and hands back the interval's key log — the pair a detect stage
-    /// consumes, whether it sits in this process or behind an aggregator
-    /// that COMBINEs several nodes' sketches first. The shard container and
-    /// the cleared shard sketches are kept for the next close, so steady
-    /// state allocates nothing. For a caller that keeps one table across
-    /// intervals: the engine's inline backend, and an ingest node, which
-    /// only encodes the merged sketch. With one shard, `observed` and the
+    /// the per-shard tables into a table this ingest half keeps, and hands
+    /// back that merged observed sketch with the interval's key log — the
+    /// pair a detect stage consumes, whether it sits in this process or
+    /// behind an aggregator that COMBINEs several nodes' sketches first.
+    /// The sketch stays valid until the next close. The merge touches only
+    /// the lines this interval and the one before wrote while every table
+    /// is sparse, and sweeps the whole table otherwise; the shard tables
+    /// and the merge destination are kept for the next close, so steady
+    /// state allocates nothing. With one shard, the destination and the
     /// shard table trade places: no copy.
+    ///
+    /// # Errors
+    /// [`EngineError::WorkerLost`] if a shard worker died mid-interval.
+    pub fn end_interval_sketch(&mut self) -> Result<(&KarySketch, Vec<u64>), EngineError> {
+        let mut bufs = std::mem::take(&mut self.shard_bufs);
+        let keys = self.close(&mut bufs)?;
+        let merged = self.merged.get_or_insert_with(|| ShardTable::new(Arc::clone(&self.rows)));
+        merge_shards(merged, &mut bufs, self.metrics.as_deref());
+        self.shard_bufs = bufs;
+        Ok((merged.sketch(), keys))
+    }
+
+    /// [`end_interval_sketch`](Self::end_interval_sketch) into a table the
+    /// caller keeps: every cell of `observed` is overwritten with the
+    /// merged sketch (one copy of the table).
     ///
     /// # Errors
     /// [`EngineError::WorkerLost`] if a shard worker died mid-interval.
@@ -558,14 +561,10 @@ impl ShardedIngest {
         &mut self,
         observed: &mut KarySketch,
     ) -> Result<Vec<u64>, EngineError> {
-        let mut bufs = std::mem::take(&mut self.shard_bufs);
-        let keys = self.close(&mut bufs)?;
-        let sw = Stopwatch::start();
-        merge_shards(observed, &mut bufs);
-        if let Some(m) = &self.metrics {
-            m.engine.combine_ns.record(sw.elapsed_ns());
-        }
-        self.shard_bufs = bufs;
+        let (merged, keys) = self.end_interval_sketch()?;
+        observed
+            .assign_from(merged)
+            .expect("the observed sketch is over this ingest half's family");
         Ok(keys)
     }
 

@@ -38,6 +38,9 @@ pub struct EngineMetrics {
     pub barrier_ns: Arc<Histogram>,
     /// COMBINE of the per-shard sketches in shard order (ns).
     pub combine_ns: Arc<Histogram>,
+    /// Shard merges that walked only the lines the interval wrote instead
+    /// of sweeping the whole table (every table sparse).
+    pub sparse_merges_total: Arc<Counter>,
     /// Detector turnover — forecast, fused error/F2 sweep, key scan (ns).
     pub detect_ns: Arc<Histogram>,
     /// Archive push + compaction (ns); empty when no archive runs.
@@ -158,6 +161,10 @@ impl PipelineMetrics {
                 .histogram("scd_engine_barrier_ns", "interval-close flush+collect barrier (ns)"),
             combine_ns: registry
                 .histogram("scd_engine_combine_ns", "per-interval shard COMBINE (ns)"),
+            sparse_merges_total: registry.counter(
+                "scd_engine_sparse_merges_total",
+                "shard merges that walked only the lines the interval wrote",
+            ),
             detect_ns: registry
                 .histogram("scd_engine_detect_ns", "per-interval detector turnover (ns)"),
             archive_ns: registry

@@ -39,7 +39,7 @@ use crate::spool::SpoolDir;
 use crate::NetError;
 use scd_core::engine::ShardedIngest;
 use scd_core::supervisor::RestartPolicy;
-use scd_sketch::{wire, KarySketch, SketchConfig};
+use scd_sketch::{wire, SketchConfig};
 use scd_traffic::{shard_of_key, Corruptor, NetFaultKind, NetFaultPlan};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -85,12 +85,9 @@ pub struct NodeSummary {
 /// One ingest vantage point of the distributed plane.
 pub struct IngestNode {
     config: NodeConfig,
+    /// The two ingest halves; each keeps the merged table a close encodes.
     data: ShardedIngest,
     buddy: ShardedIngest,
-    /// The two merged tables a close encodes, kept across intervals: the
-    /// blobs outlive the encode, the sketches need not.
-    data_sketch: KarySketch,
-    buddy_sketch: KarySketch,
     buddy_id: u32,
     spool: SpoolDir,
     /// The spooled intervals not yet acknowledged, each with the number
@@ -135,8 +132,6 @@ impl IngestNode {
         }
         let data = ShardedIngest::new(config.sketch, config.shards)?;
         let buddy = ShardedIngest::new(config.sketch, config.shards)?;
-        let data_sketch = KarySketch::with_rows(Arc::clone(data.rows()));
-        let buddy_sketch = KarySketch::with_rows(Arc::clone(buddy.rows()));
         let spool = SpoolDir::open(&config.spool_dir, config.node)?;
         let unacked = spool.pending()?.into_iter().map(|interval| (interval, None)).collect();
         let buddy_id = (config.node + config.nodes - 1) % config.nodes;
@@ -144,8 +139,6 @@ impl IngestNode {
             config,
             data,
             buddy,
-            data_sketch,
-            buddy_sketch,
             buddy_id,
             spool,
             unacked,
@@ -204,17 +197,17 @@ impl IngestNode {
     /// # Errors
     /// Ingest harvest or spool I/O failures.
     pub fn end_interval(&mut self) -> Result<(), NetError> {
-        let data_keys = self.data.end_interval_sketch_into(&mut self.data_sketch)?;
-        let buddy_keys = self.buddy.end_interval_sketch_into(&mut self.buddy_sketch)?;
+        let (data, data_keys) = self.data.end_interval_sketch()?;
+        let (buddy, buddy_keys) = self.buddy.end_interval_sketch()?;
         let frame = Frame::Interval {
             node: self.config.node,
             interval: self.interval,
-            data: wire::to_bytes_packed(&self.data_sketch),
+            data: wire::to_bytes_packed(data),
             data_keys,
             // P_i = D_{i−1} + D_i, summed cell by cell as it is written:
             // exact integer sums, so the aggregator's subtraction recovers
             // the buddy's cells bit for bit.
-            parity: wire::to_bytes_packed_sum(&self.buddy_sketch, &self.data_sketch)?,
+            parity: wire::to_bytes_packed_sum(buddy, data)?,
             parity_keys: buddy_keys,
         };
         let bytes = frame.encode();

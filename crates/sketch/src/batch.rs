@@ -48,6 +48,13 @@ impl BatchScratch {
             + self.buckets.capacity() * std::mem::size_of::<usize>()
     }
 
+    /// The bucket block of the last batch folded with this scratch:
+    /// row-major, `H` rows of one bucket per item — what a caller that
+    /// tracks which cells a fold wrote reads back instead of hashing again.
+    pub fn buckets(&self) -> &[usize] {
+        &self.buckets
+    }
+
     /// Fills `keys` and resizes `buckets` for a block of `items` over `h`
     /// rows, returning `(keys, buckets)` ready for
     /// `HashRows::buckets_batch`.

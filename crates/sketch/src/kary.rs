@@ -25,6 +25,7 @@ use crate::error::SketchError;
 use crate::linear::median_over_rows;
 use crate::simd;
 use scd_hash::HashRows;
+use std::borrow::BorrowMut;
 use std::sync::Arc;
 
 /// Shape and seeding of a k-ary sketch.
@@ -344,17 +345,24 @@ impl KarySketch {
     /// left all-zero, each of its tiles cleared while the merge still has
     /// it in cache instead of by a second pass over the table.
     ///
+    /// The shards may be anything that lends its sketch out — a table that
+    /// carries bookkeeping of its own beside the cells, say.
+    ///
     /// # Errors
     /// [`SketchError::IncompatibleSketches`] on any identity mismatch and
     /// [`SketchError::EmptyCombination`] for an empty shard list; `self`
     /// and the shards are untouched on error.
-    pub fn merge_draining(&mut self, shards: &mut [KarySketch]) -> Result<(), SketchError> {
+    pub fn merge_draining<S: BorrowMut<KarySketch>>(
+        &mut self,
+        shards: &mut [S],
+    ) -> Result<(), SketchError> {
         for s in shards.iter() {
-            self.check_family(s)?;
+            self.check_family(s.borrow())?;
         }
         let Some((first, rest)) = shards.split_first_mut() else {
             return Err(SketchError::EmptyCombination);
         };
+        let first = first.borrow_mut();
         let variant = simd::active();
         for tile in sweep_tiles(self.table.len()) {
             let dst = &mut self.table[tile.clone()];
@@ -362,7 +370,7 @@ impl KarySketch {
             dst.copy_from_slice(src);
             src.fill(0.0);
             for s in rest.iter_mut() {
-                let src = &mut s.table[tile.clone()];
+                let src = &mut s.borrow_mut().table[tile.clone()];
                 simd::add_scaled(variant, dst, src, 1.0);
                 src.fill(0.0);
             }

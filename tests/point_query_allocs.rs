@@ -9,13 +9,16 @@
 //! report needs (two once it alarms), on the plain path, on the archiving
 //! path, where the error sketch leaves with the caller every interval, and
 //! on the detect stage with every pipeline metric attached and a snapshot
-//! rendered.
+//! rendered — and the engine's close on the sparse shape, where the shard
+//! merge walks only the lines its interval wrote, adds nothing to that.
 
 use sketch_change::archive::{ArchiveConfig, SketchArchive};
 use sketch_change::core::{
-    DetectStage, DetectorConfig, EngineConfig, KeyStrategy, PipelineMetrics, SketchChangeDetector,
+    DetectStage, DetectorConfig, EngineConfig, KeyStrategy, PipelineMetrics, ShardedEngine,
+    SketchChangeDetector,
 };
 use sketch_change::forecast::ModelSpec;
+use sketch_change::hash::shard_of;
 use sketch_change::obs::Registry;
 use sketch_change::serve::SlimSketch;
 use sketch_change::sketch::{
@@ -290,5 +293,59 @@ fn a_warm_instrumented_turnover_allocates_only_its_report() {
                 assert_eq!(allocations, 1, "{model}, interval {t}: beyond the report's errors");
             }
         }
+    }
+}
+
+/// The sparse close allocates nothing on the closing thread beyond what
+/// any turnover does. A warm inline engine at `K = 65 536` — 300 keys an
+/// interval, so every shard table stays sparse — closes with its report's
+/// `errors` vector as the one allocation: barrier, shard merge and clear
+/// included, at one shard (the table swap) and at two (the line walk). The
+/// merge counter shows every measured close walked.
+///
+/// A thread's first wait on a `std::sync::mpsc` queue allocates the queue's
+/// waiter entry, once. So the warm-up starts with one interval per shard
+/// that buries that shard alone in records: the close then waits on each
+/// worker's result queue at least once before anything is counted.
+#[test]
+fn a_warm_sparse_close_allocates_only_its_report() {
+    for shards in [1usize, 2] {
+        let metrics = PipelineMetrics::register(&Registry::new());
+        let detector = DetectorConfig {
+            sketch: SketchConfig { h: 5, k: 65_536, seed: 7 },
+            model: ModelSpec::parse("ewma:0.5").expect("a valid model spec"),
+            threshold: 100.0,
+            key_strategy: KeyStrategy::TwoPass,
+        };
+        let config = EngineConfig::new(detector, shards).with_metrics(metrics.clone());
+        let mut engine = ShardedEngine::new(config).expect("a valid engine");
+        let keys: Vec<u64> = (0..900u64).map(|i| (i % 300) * 13 + 1).collect();
+        let mut walked_before = 0;
+        for t in 0..WARM_INTERVALS + 8 {
+            let mut items: Vec<(u64, f64)> =
+                keys.iter().map(|&key| (key, ((key + 7 * t as u64) % 41 + 1) as f64)).collect();
+            if t < shards {
+                let buried = (1u64 << 40..).filter(|&key| shard_of(key, shards) == t);
+                items.extend(buried.take(200_000).map(|key| (key, 1.0)));
+            }
+            engine.push_slice(&items).expect("workers alive");
+            if t == WARM_INTERVALS {
+                walked_before = metrics.engine.sparse_merges_total.get();
+            }
+            let mut report = None;
+            let allocations = allocations_in(|| {
+                report = Some(engine.end_interval().expect("workers alive"));
+            });
+            let report = report.expect("the closure ran");
+            if t >= WARM_INTERVALS {
+                assert!(report.warmed_up && report.alarms.is_empty() && report.errors.len() == 300);
+                assert_eq!(
+                    allocations, 1,
+                    "{shards} shards, interval {t}: beyond the report's errors"
+                );
+            }
+        }
+        let walked = metrics.engine.sparse_merges_total.get() - walked_before;
+        assert_eq!(walked, 8, "{shards} shards: line walks");
     }
 }
