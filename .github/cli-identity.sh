@@ -59,6 +59,14 @@ for model in ewma:0.5 'arima1:0.5,0.2/0.3'; do
 done
 echo "cli-identity: detect — $n runs, digests independent of the engine's shape"
 
+# tune: the spec, energy and candidate count the grid search prints, for
+# every model family and for one ARIMA at the paper's depth.
+for model in ma sma ewma nshw arima0 arima1 shw; do
+  both tune-$model -- tune --trace t.bin --interval 60 --model $model
+done
+both tune-arima0-paper -- tune --trace t.bin --interval 60 --model arima0 --paper
+echo "cli-identity: tune — every model family${PARENT:+ and --paper, same output as the parent binary}"
+
 # The sparse close: ~220 records an interval into K = 65 536 buckets, so every
 # shard merge walks only the lines its interval wrote — the merge counter
 # must say so — and the digests are still the default engine's.

@@ -14,7 +14,9 @@
 # read: `IntervalReport::rank_errors` is the one full-list sort by rank
 # order, so the key scan (`detect`) sorts no full list. And the shard merge
 # sweeps the whole table in one place, the dense branch of `merge_shards`;
-# every other close walks only the lines its interval wrote.
+# every other close walks only the lines its interval wrote. The grid search
+# scores candidates from observed sketches, so it names no detector type,
+# and one walker narrows every multi-pass grid.
 # Non-test source = every crates/*/src file up to its `#[cfg(test)]`
 # (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
 set -euo pipefail
@@ -93,6 +95,11 @@ check 1 'full merge-and-clear sweep call site(s)' "$sweeps"
 check 0 'full merge-and-clear sweep call site(s) outside merge_shards' \
   "$(printf '%s\n' "$sweeps" | grep -v '^merge_shards: ' || true)"
 
+# One objective over observed sketches, one multi-pass grid walker.
+expect 0 '^crates/core/src/gridsearch\.rs:.*(SketchChangeDetector|DetectorConfig|KeyStrategy)' \
+  'detector type(s) in the grid search'
+expect 1 'half_range /='                         'multi-pass grid walker(s) (per-pass range narrowing)'
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -107,5 +114,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker"
 exit "$fail"

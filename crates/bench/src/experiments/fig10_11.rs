@@ -19,7 +19,6 @@ use scd_sketch::SketchConfig;
 use scd_traffic::RouterProfile;
 
 const PHIS: [f64; 5] = [0.01, 0.02, 0.05, 0.07, 0.1];
-const KS: [usize; 3] = [8192, 32_768, 65_536];
 
 /// Mean per-interval alarm count at threshold `phi` for one error-list run.
 fn mean_alarms(outcomes: &[IntervalOutcome], phi: f64) -> f64 {
@@ -90,14 +89,10 @@ fn run_panel(args: &Args, interval_secs: u32, fig: &str) {
             "FP@0.07",
         ],
     );
-    for &k in &KS {
-        let sk = run_sketch(
-            &trace,
-            &spec,
-            SketchConfig { h: 5, k, seed: common.seed ^ 0x0F16_0010 },
-            warm,
-        );
-        let pairs = paired(&pf, &sk);
+    // Panel (a)'s H = 5 runs, read again: the same trace, spec, seed and
+    // warm-up would give the same outcomes.
+    for (&(k, _), sk) in combos.iter().zip(&sketch_runs).filter(|((_, h), _)| *h == 5) {
+        let pairs = paired(&pf, sk);
         let mut row = vec![k.to_string()];
         for &phi in &PHIS[..4] {
             let fns: Vec<f64> = pairs

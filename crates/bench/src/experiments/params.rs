@@ -16,18 +16,11 @@ use std::sync::Mutex;
 /// completes in minutes. Select the paper's with `--paper-search`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SearchDepth {
-    /// 10 subdivisions (7 for ARIMA), 2 passes — §4.2.
+    /// [`GridSearchConfig::paper_default`]: 10 subdivisions (7 for ARIMA),
+    /// 2 passes — §4.2.
     Paper,
-    /// 10 subdivisions (5 for ARIMA), 2 passes.
+    /// [`GridSearchConfig::fast`]: 10 subdivisions (5 for ARIMA), 2 passes.
     Fast,
-}
-
-fn search_config(interval_secs: u32, depth: SearchDepth) -> GridSearchConfig {
-    let mut cfg = GridSearchConfig::paper_default(interval_secs);
-    if depth == SearchDepth::Fast {
-        cfg.arima_subdivisions = 5;
-    }
-    cfg
 }
 
 type CacheKey = (ModelKind, u32, u64, usize, SearchDepth);
@@ -43,7 +36,10 @@ pub fn tuned(kind: ModelKind, trace: &Trace, seed: u64, depth: SearchDepth) -> M
     {
         return cached;
     }
-    let cfg = search_config(trace.interval_secs, depth);
+    let cfg = match depth {
+        SearchDepth::Paper => GridSearchConfig::paper_default(trace.interval_secs),
+        SearchDepth::Fast => GridSearchConfig::fast(trace.interval_secs),
+    };
     let result = search_model(kind, &cfg, &trace.intervals);
     CACHE
         .lock()

@@ -638,10 +638,8 @@ fn tune(flags: &Flags) -> CliResult {
     if intervals.is_empty() {
         return Err(FlagError("trace produced no intervals".into()).into());
     }
-    let mut cfg = GridSearchConfig::paper_default(interval);
-    if !paper {
-        cfg.arima_subdivisions = 5; // fast default; --paper restores 7
-    }
+    let depth = if paper { GridSearchConfig::paper_default } else { GridSearchConfig::fast };
+    let mut cfg = depth(interval);
     // Don't demand a full hour of warm-up from short traces.
     cfg.warm_up_intervals = cfg.warm_up_intervals.min(intervals.len() / 4);
     let result = search_model(kind, &cfg, &intervals);

@@ -11,7 +11,10 @@
 //!
 //! The window stores `(key, value)` update batches, not per-flow state —
 //! bounded by `window × records-per-interval`, the same data a two-pass
-//! deployment already buffers for key replay.
+//! deployment already buffers for key replay. A retune hands the window to
+//! the search in place, and the search folds each interval once. A window
+//! of observed sketches instead would cost `H·K·8` bytes per interval
+//! whatever the traffic.
 
 use crate::detector::{DetectorConfig, IntervalReport, SketchChangeDetector};
 use crate::gridsearch::{search_model, GridSearchConfig};
@@ -102,15 +105,15 @@ impl AdaptiveDetector {
     /// Re-fits parameters on the retained window and swaps in a fresh
     /// detector, replayed over the window so its model is warm.
     fn retune(&mut self) {
-        let window: Vec<Vec<(u64, f64)>> = self.history.iter().cloned().collect();
+        let window = &*self.history.make_contiguous();
         // Tune with no warm-up skip: the window *is* the recent history.
         let mut search = self.config.search;
         search.warm_up_intervals = 0;
-        let result = search_model(self.kind, &search, &window);
+        let result = search_model(self.kind, &search, window);
         let mut cfg = self.config.detector.clone();
         cfg.model = result.spec;
         let mut fresh = SketchChangeDetector::new(cfg);
-        for items in &window {
+        for items in window {
             let _ = fresh.process_interval(items);
         }
         self.inner = fresh;
@@ -203,5 +206,38 @@ mod tests {
     #[should_panic(expected = "retune_every")]
     fn zero_schedule_rejected() {
         let _ = AdaptiveDetector::new(config(0, 4));
+    }
+
+    #[test]
+    fn reports_are_pinned_under_every_key_strategy() {
+        // A digest of every report's canonical line over four retunes of
+        // fractional traffic with a spike, as the detector gave it when
+        // the search ran a whole detector per candidate. `Sampled` replays
+        // advance its sampler, so it is the strategy most likely to drift.
+        for (strategy, digest) in [
+            (KeyStrategy::TwoPass, 0xdc15_5f66),
+            (KeyStrategy::NextInterval, 0x12c3_c4d9),
+            (KeyStrategy::Sampled { rate: 0.5, seed: 9 }, 0xa6f2_459a),
+        ] {
+            let mut cfg = config(5, 6);
+            cfg.detector.key_strategy = strategy;
+            let mut det = AdaptiveDetector::new(cfg);
+            let mut lines = String::new();
+            for t in 0..24 {
+                let mut items: Vec<(u64, f64)> = (0..8u64)
+                    .map(|k| {
+                        let phase = 0.45 * t as f64 + k as f64;
+                        (k * 0x9E37_79B9 + 11, 250.5 + 37.25 * k as f64 + 60.125 * phase.sin())
+                    })
+                    .collect();
+                if t == 17 {
+                    items[3].1 *= 20.0;
+                }
+                lines.push_str(&det.process_interval(&items).canonical_line());
+                lines.push('\n');
+            }
+            assert_eq!(det.retunes(), 4, "{strategy:?}");
+            assert_eq!(scd_hash::crc32(lines.as_bytes()), digest, "{strategy:?}");
+        }
     }
 }
