@@ -1,11 +1,14 @@
 //! Shared machinery for the relative-difference CDF experiments
 //! (Figures 1–3): random model parameters, sketch-vs-per-flow total-energy
 //! comparison, and CDF summarization.
+//!
+//! The sketch energy is the grid search's objective: each trace is folded
+//! once per shape and every spec scored from that fold, with no detector.
 
 use crate::args::CommonArgs;
-use crate::runner::{make_trace, run_perflow, run_sketch, Trace};
+use crate::runner::{default_workers, make_trace, parallel_map, perflow_energy, Trace};
 use crate::table::{f, Table};
-use scd_core::gridsearch::random_spec;
+use scd_core::gridsearch::{estimated_total_energy, observe, random_spec};
 use scd_core::metrics;
 use scd_forecast::{ModelKind, ModelSpec};
 use scd_sketch::SketchConfig;
@@ -41,45 +44,42 @@ pub fn build_traces(
         .collect()
 }
 
-/// One relative-difference sample: run both schemes with `spec` on `trace`
-/// and compare total energies (√Σ F2) over post-warm-up intervals.
-pub fn relative_difference_sample(
-    trace: &Trace,
-    spec: &ModelSpec,
-    sketch: SketchConfig,
-    warm_up: usize,
-) -> f64 {
-    let pf = run_perflow(trace, spec, warm_up);
-    let sk = run_sketch(trace, spec, sketch, warm_up);
-    let pf_energy = metrics::total_energy(&pf.iter().map(|o| o.f2).collect::<Vec<_>>());
-    let sk_energy = metrics::total_energy(&sk.iter().map(|o| o.f2).collect::<Vec<_>>());
-    metrics::relative_difference(sk_energy, pf_energy)
-}
-
-/// Collects relative-difference samples for `kind` across all traces with
-/// `n_random` random parameter points each (the paper's "random"
-/// experiment design).
+/// Collects relative-difference samples of total energy `√Σ F2` for `kind`
+/// across all traces with `n_random` random parameter points each (the
+/// paper's "random" experiment design): one list per shape in `shapes`.
 pub fn samples_for_model(
     kind: ModelKind,
     traces: &[Trace],
-    sketch: SketchConfig,
+    shapes: &[SketchConfig],
     n_random: usize,
     warm_up: usize,
     seed: u64,
-) -> Vec<f64> {
+) -> Vec<Vec<f64>> {
     let mut rng = Rng::new(seed ^ 0xCDF);
-    let mut specs = Vec::new();
-    for _ in 0..n_random {
-        specs.push(random_spec(kind, 10, &mut rng));
-    }
-    let jobs: Vec<(usize, ModelSpec)> = traces
-        .iter()
-        .enumerate()
-        .flat_map(|(ti, _)| specs.iter().cloned().map(move |s| (ti, s)))
-        .collect();
-    crate::runner::parallel_map(jobs, crate::runner::default_workers(), |(ti, spec)| {
-        relative_difference_sample(&traces[ti], &spec, sketch, warm_up)
-    })
+    let specs: Vec<ModelSpec> = (0..n_random).map(|_| random_spec(kind, 10, &mut rng)).collect();
+    let workers = default_workers();
+    let jobs = |n: usize| (0..traces.len()).flat_map(move |ti| (0..n).map(move |j| (ti, j)));
+
+    let perflow = parallel_map(jobs(specs.len()).collect(), workers, |(ti, si)| {
+        perflow_energy(&traces[ti], &specs[si], warm_up)
+    });
+    let sketch = parallel_map(jobs(shapes.len()).collect(), workers, |(ti, hi)| {
+        let observed = observe(shapes[hi], &traces[ti].intervals);
+        specs
+            .iter()
+            .map(|spec| estimated_total_energy(spec, &observed, warm_up).sqrt())
+            .collect::<Vec<f64>>()
+    });
+    (0..shapes.len())
+        .map(|hi| {
+            jobs(specs.len())
+                .map(|(ti, si)| {
+                    let sk = sketch[ti * shapes.len() + hi][si];
+                    metrics::relative_difference(sk, perflow[ti * specs.len() + si])
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Prints a CDF summary row set and saves the full CDF as CSV.
@@ -115,4 +115,62 @@ pub fn report_cdf(title: &str, curves: &[(String, Vec<f64>)], csv_name: &str) {
     }
     let path = csv.save_csv(csv_name).expect("write results/");
     println!("csv: {}\n", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn samples_are_pinned() {
+        // Recorded from a whole detector run per (trace, spec, shape) on
+        // per-record traces.
+        let pinned: [(ModelKind, [[u64; 4]; 2]); 2] = [
+            (
+                ModelKind::Ewma,
+                [
+                    [
+                        0x3fa4a3284036bc52,
+                        0x3f6e6918e7079c3f,
+                        0x3fab2f7c8ed4caeb,
+                        0xbf9a368b1721efe4,
+                    ],
+                    [
+                        0xbf893140fadb136d,
+                        0xbf829c7b7cba5956,
+                        0xbf788b9f1a5c4c4e,
+                        0xbf7671168e7997a6,
+                    ],
+                ],
+            ),
+            (
+                ModelKind::Arima0,
+                [
+                    [
+                        0x3f857ccec4108ac9,
+                        0x3fe34fc982980ee0,
+                        0xbfe1d51dea5a5c30,
+                        0xbfd8f39c8a10bd55,
+                    ],
+                    [
+                        0xbfa8ee46c36e3107,
+                        0xbfaa151edc2855c8,
+                        0xbfab73e36b5df8ef,
+                        0xbfb6845209f575ab,
+                    ],
+                ],
+            ),
+        ];
+        let traces: Vec<Trace> = [11, 12]
+            .iter()
+            .map(|&seed| make_trace(RouterProfile::Small, 300, 10, 0.2, seed))
+            .collect();
+        let shapes = [(1, 1024), (5, 8192)].map(|(h, k)| SketchConfig { h, k, seed: 0x5EED });
+        for (kind, want) in pinned {
+            let got = samples_for_model(kind, &traces, &shapes, 2, 3, 7);
+            let got: Vec<Vec<u64>> =
+                got.iter().map(|s| s.iter().map(|x| x.to_bits()).collect()).collect();
+            assert_eq!(got, want, "{}", kind.name());
+        }
+    }
 }

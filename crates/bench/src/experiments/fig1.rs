@@ -31,9 +31,9 @@ pub fn run(args: &Args) {
     let curves: Vec<(String, Vec<f64>)> = ModelKind::ALL
         .iter()
         .map(|&kind| {
-            let samples =
-                cdf::samples_for_model(kind, &traces, sketch, n_random, warm_up, common.seed);
-            (kind.name().to_string(), samples)
+            let mut samples =
+                cdf::samples_for_model(kind, &traces, &[sketch], n_random, warm_up, common.seed);
+            (kind.name().to_string(), samples.remove(0))
         })
         .collect();
 

@@ -23,15 +23,12 @@ pub fn run(args: &Args) {
         ("(a) Model=EWMA", ModelKind::Ewma, 1024usize),
         ("(b) Model=ARIMA0", ModelKind::Arima0, 8192),
     ] {
-        let curves: Vec<(String, Vec<f64>)> = [1usize, 5, 9, 25]
-            .iter()
-            .map(|&h| {
-                let sketch = SketchConfig { h, k, seed: common.seed ^ 0x0F16_0002 };
-                let samples =
-                    cdf::samples_for_model(kind, &traces, sketch, n_random, warm_up, common.seed);
-                (format!("H={h}, K={k}"), samples)
-            })
-            .collect();
+        let shapes =
+            [1usize, 5, 9, 25].map(|h| SketchConfig { h, k, seed: common.seed ^ 0x0F16_0002 });
+        let samples =
+            cdf::samples_for_model(kind, &traces, &shapes, n_random, warm_up, common.seed);
+        let curves: Vec<(String, Vec<f64>)> =
+            shapes.iter().map(|s| format!("H={}, K={k}", s.h)).zip(samples).collect();
         cdf::report_cdf(
             &format!("Figure 2 {panel} — varying H"),
             &curves,

@@ -21,15 +21,12 @@ pub fn run(args: &Args) {
     for (panel, kind) in
         [("(a) Model=EWMA", ModelKind::Ewma), ("(b) Model=ARIMA0", ModelKind::Arima0)]
     {
-        let curves: Vec<(String, Vec<f64>)> = [1024usize, 8192, 65_536]
-            .iter()
-            .map(|&k| {
-                let sketch = SketchConfig { h: 5, k, seed: common.seed ^ 0x0F16_0003 };
-                let samples =
-                    cdf::samples_for_model(kind, &traces, sketch, n_random, warm_up, common.seed);
-                (format!("H=5, K={k}"), samples)
-            })
-            .collect();
+        let seed = common.seed ^ 0x0F16_0003;
+        let shapes = [1024usize, 8192, 65_536].map(|k| SketchConfig { h: 5, k, seed });
+        let samples =
+            cdf::samples_for_model(kind, &traces, &shapes, n_random, warm_up, common.seed);
+        let curves: Vec<(String, Vec<f64>)> =
+            shapes.iter().map(|s| format!("H=5, K={}", s.k)).zip(samples).collect();
         cdf::report_cdf(
             &format!("Figure 3 {panel} — varying K"),
             &curves,

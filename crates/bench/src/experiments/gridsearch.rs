@@ -11,21 +11,11 @@
 
 use crate::args::Args;
 use crate::experiments::params::{tuned, SearchDepth};
-use crate::runner::{make_trace, run_perflow};
+use crate::runner::{make_trace, perflow_energy};
 use crate::table::{f, Table};
 use scd_core::gridsearch::random_spec;
-use scd_core::metrics;
 use scd_forecast::ModelKind;
 use scd_traffic::{Rng, RouterProfile};
-
-fn perflow_energy(
-    trace: &crate::runner::Trace,
-    spec: &scd_forecast::ModelSpec,
-    warm: usize,
-) -> f64 {
-    let pf = run_perflow(trace, spec, warm);
-    metrics::total_energy(&pf.iter().map(|o| o.f2).collect::<Vec<_>>())
-}
 
 /// Regenerates the §5.1.1 comparison.
 pub fn run(args: &Args) {

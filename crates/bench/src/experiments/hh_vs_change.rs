@@ -92,18 +92,6 @@ pub fn run(args: &Args) {
                 labeled += 1;
                 if hh.iter().any(|&(k, _)| k == key) {
                     hh_found += 1;
-                    if std::env::var("HH_DEBUG").is_ok() {
-                        let pos = hh.iter().position(|&(k, _)| k == key).unwrap();
-                        let vol: f64 = trace.intervals[outcome.t]
-                            .iter()
-                            .filter(|&&(k, _)| k == key)
-                            .map(|&(_, v)| v)
-                            .sum();
-                        eprintln!(
-                            "t={} victim {key:#x} in HH top-{n} at pos {pos}, volume {vol:.0}",
-                            outcome.t
-                        );
-                    }
                 }
                 if outcome.errors.iter().take(n).any(|&(k, _)| k == key) {
                     ch_found += 1;

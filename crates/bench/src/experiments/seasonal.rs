@@ -9,9 +9,8 @@
 //! of total error energy and alarm counts.
 
 use crate::args::Args;
-use crate::runner::run_perflow;
+use crate::runner::perflow_energy;
 use crate::table::{f, Table};
-use scd_core::metrics;
 use scd_forecast::ModelSpec;
 use scd_traffic::RouterProfile;
 
@@ -57,8 +56,7 @@ pub fn run(args: &Args) {
     );
     let mut baseline = None;
     for spec in &candidates {
-        let pf = run_perflow(&trace, spec, warm);
-        let energy = metrics::total_energy(&pf.iter().map(|o| o.f2).collect::<Vec<_>>());
+        let energy = perflow_energy(&trace, spec, warm);
         let base = *baseline.get_or_insert(energy);
         t.row(&[spec.describe(), f(energy, 0), format!("{:+.1}%", 100.0 * (energy - base) / base)]);
     }
@@ -81,8 +79,7 @@ pub fn run(args: &Args) {
     );
     let mut baseline = None;
     for spec in &candidates {
-        let pf = run_perflow(&agg_trace, spec, warm);
-        let energy = metrics::total_energy(&pf.iter().map(|o| o.f2).collect::<Vec<_>>());
+        let energy = perflow_energy(&agg_trace, spec, warm);
         let base = *baseline.get_or_insert(energy);
         t2.row(&[
             spec.describe(),

@@ -1,10 +1,11 @@
 //! Shared comparison runner: trace generation, per-flow reference runs,
 //! sketch runs, and their per-interval error lists.
 
-use scd_core::{DetectorConfig, KeyStrategy, PerFlowDetector, SketchChangeDetector};
+use scd_core::{metrics, DetectorConfig, KeyStrategy, PerFlowDetector, SketchChangeDetector};
 use scd_forecast::ModelSpec;
 use scd_sketch::SketchConfig;
-use scd_traffic::{to_updates, KeySpec, RouterProfile, TrafficGenerator, ValueSpec};
+use scd_traffic::{KeySpec, RouterProfile, TrafficGenerator, ValueSpec};
+use std::collections::HashMap;
 
 /// A generated per-interval update trace plus its provenance.
 #[derive(Debug, Clone)]
@@ -21,6 +22,10 @@ pub struct Trace {
 
 /// Generates the update trace for a router profile at the given interval
 /// length, deterministic in `seed`.
+///
+/// Each interval holds one byte total per key, in first-seen order: the
+/// same bits as per-record updates for every detector, since integer
+/// sums below 2⁵³ never round and both detectors dedup keys first.
 pub fn make_trace(
     profile: RouterProfile,
     interval_secs: u32,
@@ -36,7 +41,17 @@ pub fn make_trace(
         .map(|t| {
             let r = generator.interval_records(t);
             records += r.len();
-            to_updates(&r, KeySpec::DstIp, ValueSpec::Bytes)
+            let mut slot: HashMap<u64, usize> = HashMap::new();
+            let mut totals: Vec<(u64, f64)> = Vec::new();
+            for rec in &r {
+                let key = KeySpec::DstIp.key_of(rec);
+                let i = *slot.entry(key).or_insert_with(|| {
+                    totals.push((key, 0.0));
+                    totals.len() - 1
+                });
+                totals[i].1 += ValueSpec::Bytes.value_of(rec);
+            }
+            totals
         })
         .collect();
     Trace { intervals, interval_secs, profile, records }
@@ -69,6 +84,14 @@ pub fn run_perflow(trace: &Trace, model: &ModelSpec, warm_up: usize) -> Vec<Inte
         }
     }
     out
+}
+
+/// Total per-flow error energy `√Σ_t F2(t)` over the warmed-up intervals
+/// at index ≥ `warm_up`: the reference side of the §5.1 energy
+/// comparisons.
+pub fn perflow_energy(trace: &Trace, model: &ModelSpec, warm_up: usize) -> f64 {
+    let f2: Vec<f64> = run_perflow(trace, model, warm_up).iter().map(|o| o.f2).collect();
+    metrics::total_energy(&f2)
 }
 
 /// Runs sketch-based detection (offline two-pass, as in all the paper's
@@ -159,7 +182,7 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scd_core::metrics;
+    use scd_traffic::to_updates;
 
     #[test]
     fn trace_generation_is_deterministic() {
@@ -168,6 +191,56 @@ mod tests {
         assert_eq!(a.intervals, b.intervals);
         assert_eq!(a.records, b.records);
         assert!(a.records > 0);
+    }
+
+    /// An outcome list as bits: per interval its index, F2 and every
+    /// ranked error.
+    fn outcome_bits(outcomes: &[IntervalOutcome]) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for o in outcomes {
+            bits.extend([o.t as u64, o.f2.to_bits(), o.errors.len() as u64]);
+            bits.extend(o.errors.iter().flat_map(|&(k, e)| [k, e.to_bits()]));
+        }
+        bits
+    }
+
+    #[test]
+    fn per_key_totals_give_per_record_bits() {
+        let (profile, secs, n, scale, seed) = (RouterProfile::Medium, 300, 8, 0.3, 21);
+        let totals = make_trace(profile, secs, n, scale, seed);
+        let mut cfg = profile.config(seed).scaled(scale);
+        cfg.interval_secs = secs;
+        let mut generator = TrafficGenerator::new(cfg);
+        let per_record = Trace {
+            intervals: (0..n)
+                .map(|t| {
+                    to_updates(&generator.interval_records(t), KeySpec::DstIp, ValueSpec::Bytes)
+                })
+                .collect(),
+            ..totals.clone()
+        };
+        let updates = |t: &Trace| t.intervals.iter().map(Vec::len).sum::<usize>();
+        assert_eq!(updates(&per_record), totals.records);
+        assert!(updates(&totals) * 2 < totals.records, "the totals fold repeated keys");
+        for (tot, rec) in totals.intervals.iter().zip(&per_record.intervals) {
+            let mut seen = std::collections::HashSet::new();
+            let first_seen: Vec<u64> =
+                rec.iter().map(|&(k, _)| k).filter(|&k| seen.insert(k)).collect();
+            assert_eq!(tot.iter().map(|&(k, _)| k).collect::<Vec<_>>(), first_seen);
+        }
+        for model in [ModelSpec::Ewma { alpha: 0.4 }, ModelSpec::Nshw { alpha: 0.5, beta: 0.2 }] {
+            assert_eq!(
+                outcome_bits(&run_perflow(&totals, &model, 2)),
+                outcome_bits(&run_perflow(&per_record, &model, 2)),
+            );
+            for (h, k) in [(1, 1024), (5, 8192)] {
+                let sketch = SketchConfig { h, k, seed: 3 };
+                assert_eq!(
+                    outcome_bits(&run_sketch(&totals, &model, sketch, 2)),
+                    outcome_bits(&run_sketch(&per_record, &model, sketch, 2)),
+                );
+            }
+        }
     }
 
     #[test]

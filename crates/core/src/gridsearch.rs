@@ -102,8 +102,9 @@ pub struct GridSearchResult {
 
 /// Folds each interval's updates into its observed sketch `So(t)` with
 /// the per-record `update` loop of the detector's `process_interval`, so
-/// every cell has the bits the detector would give it.
-fn observe(sketch: SketchConfig, intervals: &[Vec<(u64, f64)>]) -> Vec<KarySketch> {
+/// every cell has the bits the detector would give it. Costs `H·K·8`
+/// bytes per interval.
+pub fn observe(sketch: SketchConfig, intervals: &[Vec<(u64, f64)>]) -> Vec<KarySketch> {
     intervals
         .iter()
         .map(|items| {
@@ -121,7 +122,10 @@ fn observe(sketch: SketchConfig, intervals: &[Vec<(u64, f64)>]) -> Vec<KarySketc
 /// the forecast step and `ESTIMATEF2` of the detector's turnover, with
 /// nothing else. Non-finite energies (explosive ARIMA candidates) map to
 /// `+∞` so they lose every comparison without poisoning NaN orderings.
-fn estimated_total_energy(
+///
+/// This is the one sketch-energy objective: the search minimises it, and
+/// its square root is the sketch side of the §5.1 energy comparisons.
+pub fn estimated_total_energy(
     spec: &ModelSpec,
     observed: &[KarySketch],
     warm_up_intervals: usize,

@@ -113,17 +113,18 @@ impl PerFlowDetector {
         }
 
         let mut errors = Vec::new();
-        let mut f2 = 0.0;
         let mut any_warm = false;
         for (&key, model) in &mut self.models {
             let value = observed.get(&key).copied().unwrap_or(0.0);
             if let Some((_forecast, e)) = model.step(&value) {
                 any_warm = true;
-                f2 += e * e;
                 errors.push((key, e));
             }
         }
         errors.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then_with(|| a.0.cmp(&b.0)));
+        // F2 in ranked order, not map order: the map's order is seeded per
+        // process, and the sum's low bits depend on its order.
+        let f2 = errors.iter().fold(0.0, |f2, &(_, e)| f2 + e * e);
         PerFlowReport { interval: t, warmed_up: any_warm, error_f2: f2, errors }
     }
 
@@ -206,6 +207,31 @@ mod tests {
         let r2 = det.process_interval(&[(1, 1.0)]);
         assert!(!r0.warmed_up && !r1.warmed_up);
         assert!(r2.warmed_up, "NSHW warm after two observations");
+    }
+
+    #[test]
+    fn error_f2_is_summed_in_rank_order() {
+        // 1 500 keys whose errors span twelve orders of magnitude, so the
+        // sum's low bits depend on its order.
+        let mut rng = scd_traffic::Rng::new(0x1E);
+        let intervals: Vec<Vec<(u64, f64)>> = (0..3)
+            .map(|_| {
+                (0..1_500u64)
+                    .map(|key| {
+                        let scale = 10f64.powi(rng.below(12) as i32);
+                        (key * 7_919, rng.uniform_in(0.0, 1.0) * scale)
+                    })
+                    .collect()
+            })
+            .collect();
+        let run = || PerFlowDetector::new(ewma()).run(&intervals);
+        let (a, b) = (run(), run());
+        for (ra, rb) in a.iter().zip(&b).skip(1) {
+            assert!(ra.errors.len() >= 1_000);
+            let want = ra.errors.iter().fold(0.0, |f2, &(_, e)| f2 + e * e);
+            assert_eq!(ra.error_f2.to_bits(), want.to_bits(), "interval {}", ra.interval);
+            assert_eq!(ra.error_f2.to_bits(), rb.error_f2.to_bits(), "interval {}", ra.interval);
+        }
     }
 
     #[test]
