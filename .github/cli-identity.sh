@@ -95,6 +95,16 @@ both s scda -- serve $T --model ewma:0.5 --out @.scda --shards 2 --pipeline --bu
 both st ck -- stream $T --model ewma:0.5 --checkpoint @.ck --every 2
 same a.new.scda s.new.scda "archive --out vs serve --out"
 
+# The publish lane on dense fractional error sketches: ARIMA1 at K = 65 536,
+# where the pipelined serve runs its observer (the slim projection) and its
+# archive push on the lane, and the archive command runs both inline.
+F="--trace t.bin --interval 60 --threshold 0.4 --k 65536 --model arima1:0.5,0.2/0.3 --budget 16 --full-res 4"
+# shellcheck disable=SC2086
+both fa scda -- archive $F --out @.scda
+# shellcheck disable=SC2086
+both fs scda -- serve $F --out @.scda --shards 2 --pipeline --listen 127.0.0.1:$((PORT + 2)) 2> /dev/null
+same fa.new.scda fs.new.scda "archive --out vs serve --pipeline --out (arima1, --k 65536)"
+
 # What only exists since every command builds its engine one way.
 # shellcheck disable=SC2086
 "$SCD" stream $T --model ewma:0.5 --shards 2 --report-out stream.rep > /dev/null

@@ -56,10 +56,10 @@
 //! barrier; one shard folds on the pushing thread); `table` is the shard
 //! tables, which know the lines they wrote, and the one shard merge, which
 //! walks only those lines while it can; `stage` is the detect
-//! side ([`DetectStage`]: detector, archive, observer, supervision);
-//! `slots` is the GLR layer; and this file is the public
-//! [`ShardedEngine`], which joins an ingest half to a stage — inline, or
-//! across a detect thread.
+//! side ([`DetectStage`]: detector and supervision, and the one publish
+//! step: observer, then archive); `slots` is the GLR layer; and this file
+//! is the public [`ShardedEngine`], which joins an ingest half to a stage
+//! — inline, or across a detect thread and a publish lane.
 
 mod route;
 mod slots;
@@ -82,6 +82,7 @@ use route::KeyLog;
 use scd_archive::{ArchiveConfig, ArchiveError, SketchArchive};
 use scd_sketch::KarySketch;
 use slots::GlrRuntime;
+use stage::{Publisher, Turnover};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -117,8 +118,9 @@ pub struct EngineConfig {
     pub metrics: Option<Arc<PipelineMetrics>>,
     /// When set, the observer is invoked at every interval close with the
     /// report and the interval's error sketch — the hook a serving plane
-    /// uses to publish read-optimized snapshots. Observing never changes
-    /// a report.
+    /// uses to publish read-optimized snapshots — on the caller's thread,
+    /// or on the publish lane when pipelined. Observing never changes a
+    /// report.
     pub observer: Option<Arc<dyn IntervalObserver>>,
     /// When set, a [`GlrDetector`](crate::glr::GlrDetector) rides the ingest path: every pushed
     /// update also feeds the sequential statistic, and
@@ -203,7 +205,8 @@ pub enum EngineError {
         /// Index of the dead shard.
         shard: usize,
     },
-    /// The pipelined detect thread died (panicked); in-flight intervals
+    /// The pipelined detect thread or publish lane died (panicked — a
+    /// detector outside supervision, or an observer); in-flight intervals
     /// and their reports are lost.
     DetectorLost,
     /// A supervised detector exhausted its restart budget.
@@ -220,7 +223,9 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::BadConfig(why) => write!(f, "invalid engine config: {why}"),
             EngineError::WorkerLost { shard } => write!(f, "shard {shard} worker died"),
-            EngineError::DetectorLost => write!(f, "pipelined detect thread died"),
+            EngineError::DetectorLost => {
+                write!(f, "pipelined detect thread or publish lane died")
+            }
             EngineError::DetectorGaveUp { attempts } => {
                 write!(f, "detector gave up after absorbing {attempts} panics")
             }
@@ -248,8 +253,8 @@ enum DetectMsg {
     Interval { tables: Vec<ShardTable>, keys: Vec<u64>, carry: Carry },
     /// Checkpoint request: reply with the detector's snapshot.
     Snapshot(SyncSender<DetectorSnapshot>),
-    /// Hand the archive back (end of run). Subsequent intervals are no
-    /// longer archived.
+    /// Hand the archive back (end of run) — passed on to the publish lane,
+    /// which holds it. Subsequent intervals are no longer archived.
     TakeArchive(SyncSender<Option<SketchArchive<KarySketch>>>),
 }
 
@@ -272,7 +277,8 @@ impl Carry {
 }
 
 /// Where detection runs: inline on the caller's thread (sequential, the
-/// default) or on a dedicated thread overlapped with ingest.
+/// default) or on a detect thread and a publish lane overlapped with
+/// ingest.
 enum DetectBackend {
     /// Boxed: the stage carries the detector's recycled workspaces inline,
     /// dwarfing the `Pipelined` variant otherwise. The merge destination
@@ -281,41 +287,65 @@ enum DetectBackend {
     Pipelined(Pipeline),
 }
 
-/// The pipelined backend's end of the detect thread.
+/// What the detect thread hands the publish lane, in interval order.
+enum PublishMsg {
+    /// One interval's turnover (report and `Se(t)`), or the error that
+    /// took its place.
+    Interval(Result<Turnover, EngineError>),
+    /// Hand the archive back (end of run), after every interval before it.
+    TakeArchive(SyncSender<Option<SketchArchive<KarySketch>>>),
+}
+
+/// The pipelined backend: ingest ‖ merge + detect ‖ publish, one thread
+/// each after the shard workers, joined by bounded queues.
 struct Pipeline {
     /// `Option` so `Drop` can hang up before joining.
     detect_tx: Option<SyncSender<DetectMsg>>,
+    /// Reports, in interval order, once the lane has published them.
     report_rx: Receiver<Result<IntervalReport, EngineError>>,
     /// Merged (so cleared) shard tables coming back, in their container,
     /// for the workers' next `Flush`.
     table_return: Receiver<Vec<ShardTable>>,
     /// Intervals handed off whose reports have not been received.
     in_flight: usize,
-    thread: Option<JoinHandle<()>>,
+    /// The detect thread, then the publish lane: joined in that order.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Pipeline {
-    /// Starts the detect thread on `stage`.
-    fn spawn(stage: DetectStage, metrics: Option<Arc<PipelineMetrics>>) -> Pipeline {
+    /// Starts the detect thread on `stage` and the publish lane on its
+    /// publisher.
+    fn spawn(mut stage: DetectStage, metrics: Option<Arc<PipelineMetrics>>) -> Pipeline {
+        let publisher = std::mem::take(&mut stage.publisher);
+        let want_error = publisher.wants_error();
         // Depth-1 interval queue: ingest can run at most one interval
         // ahead of detection (the double buffer), and a full queue
-        // back-pressures the handoff instead of growing memory.
+        // back-pressures the handoff instead of growing memory. The lane's
+        // queue does the same one stage on.
         let (detect_tx, detect_rx) = sync_channel(1);
-        // Reports outstanding never exceed intervals in flight
-        // (queue + processing + handoff), so the detect thread never
+        let (publish_tx, publish_rx) = sync_channel(1);
+        // Reports outstanding never exceed intervals in flight (at most
+        // two: the one shipped and the one before it), so the lane never
         // blocks here during shutdown.
         let (report_tx, report_rx) = sync_channel(4);
         let (table_tx, table_return) = sync_channel(2);
-        let thread = std::thread::Builder::new()
+        let (spare_tx, spare_rx) = sync_channel(2);
+        let detect = std::thread::Builder::new()
             .name("scd-detect".into())
-            .spawn(move || detect_loop(stage, detect_rx, report_tx, table_tx, metrics))
+            .spawn(move || {
+                detect_loop(stage, want_error, detect_rx, publish_tx, spare_rx, table_tx, metrics)
+            })
             .expect("spawn detect thread");
+        let publish = std::thread::Builder::new()
+            .name("scd-publish".into())
+            .spawn(move || publish_loop(publisher, publish_rx, report_tx, spare_tx))
+            .expect("spawn publish lane");
         Pipeline {
             detect_tx: Some(detect_tx),
             report_rx,
             table_return,
             in_flight: 0,
-            thread: Some(thread),
+            threads: vec![detect, publish],
         }
     }
 
@@ -336,7 +366,8 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Receives the oldest outstanding report (blocking).
+    /// Receives the oldest outstanding report (blocking) — published: the
+    /// observer has seen its interval and the archive holds it.
     fn recv(&mut self) -> Result<IntervalReport, EngineError> {
         let report = self.report_rx.recv().map_err(|_| EngineError::DetectorLost)?;
         self.in_flight -= 1;
@@ -344,11 +375,12 @@ impl Pipeline {
     }
 
     /// Hangs up — dropping the sender ends the detect thread's receive
-    /// loop — and joins. Its report queue can absorb every in-flight
-    /// interval, so it never blocks on the way out.
+    /// loop, which drops the lane's sender in turn — and joins both. The
+    /// report queue can absorb every in-flight interval, so neither blocks
+    /// on the way out.
     fn shutdown(&mut self) {
         self.detect_tx.take();
-        if let Some(thread) = self.thread.take() {
+        for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
     }
@@ -356,32 +388,66 @@ impl Pipeline {
 
 /// The pipelined detect thread: owns the stage, merges shard tables into
 /// a recycled destination, hands the cleared tables back for the workers'
-/// next interval, runs the turnover, and ships one report per interval.
+/// next interval, runs the turnover, and moves the report and `Se(t)` to
+/// the publish lane, taking back the tables the lane returns for its next
+/// error sketch. It never waits for the lane except on its bounded queue.
 fn detect_loop(
     mut stage: DetectStage,
+    want_error: bool,
     detect_rx: Receiver<DetectMsg>,
-    report_tx: SyncSender<Result<IntervalReport, EngineError>>,
+    publish_tx: SyncSender<PublishMsg>,
+    spares: Receiver<KarySketch>,
     table_return: SyncSender<Vec<ShardTable>>,
     metrics: Option<Arc<PipelineMetrics>>,
 ) {
     let mut merged = ShardTable::new(Arc::clone(stage.rows()));
     while let Ok(msg) = detect_rx.recv() {
-        match msg {
+        let forward = match msg {
             DetectMsg::Interval { mut tables, keys, carry } => {
                 merge_shards(&mut merged, &mut tables, metrics.as_deref());
                 let _ = table_return.try_send(tables);
                 carry.hand_to(&mut stage);
-                let result = stage.observe(merged.sketch(), keys);
-                if report_tx.send(result).is_err() {
-                    break; // engine gone
-                }
+                stage.recycle(spares.try_iter().last());
+                PublishMsg::Interval(stage.detect(merged.sketch(), keys, want_error))
             }
             DetectMsg::Snapshot(reply) => {
                 let _ = reply.send(stage.detector().snapshot());
+                continue;
             }
-            DetectMsg::TakeArchive(reply) => {
-                let _ = reply.send(stage.archive.take());
+            DetectMsg::TakeArchive(reply) => PublishMsg::TakeArchive(reply),
+        };
+        if publish_tx.send(forward).is_err() {
+            break; // lane gone
+        }
+    }
+}
+
+/// The publish lane: runs [`Publisher::publish`] on each turnover in
+/// interval order — observer, then archive — beside detection of the next
+/// interval, returns the spare table to the detector, and passes the
+/// report (moved, never copied) on to the engine.
+fn publish_loop(
+    mut publisher: Publisher,
+    publish_rx: Receiver<PublishMsg>,
+    report_tx: SyncSender<Result<IntervalReport, EngineError>>,
+    spare_tx: SyncSender<KarySketch>,
+) {
+    while let Ok(msg) = publish_rx.recv() {
+        let result = match msg {
+            PublishMsg::Interval(turnover) => turnover.and_then(|(report, error)| {
+                let spare = publisher.publish(&report, error)?;
+                if let Some(table) = spare {
+                    let _ = spare_tx.try_send(table);
+                }
+                Ok(report)
+            }),
+            PublishMsg::TakeArchive(reply) => {
+                let _ = reply.send(publisher.archive.take());
+                continue;
             }
+        };
+        if report_tx.send(result).is_err() {
+            break; // engine gone
         }
     }
 }
@@ -516,11 +582,11 @@ impl ShardedEngine {
     }
 
     /// The error-sketch archive, if configured. `None` in pipeline mode
-    /// (the archive lives on the detect thread — use
+    /// (the archive lives on the publish lane — use
     /// [`take_archive`](Self::take_archive) after draining).
     pub fn archive(&self) -> Option<&SketchArchive<KarySketch>> {
         match &self.detect {
-            DetectBackend::Inline(stage) => stage.archive.as_ref(),
+            DetectBackend::Inline(stage) => stage.publisher.archive.as_ref(),
             DetectBackend::Pipelined(_) => None,
         }
     }
@@ -528,11 +594,11 @@ impl ShardedEngine {
     /// Takes ownership of the archive (e.g. to persist it via
     /// `scd_archive::wire::write_atomic` after a run). Subsequent
     /// intervals are no longer archived. In pipeline mode this waits for
-    /// every interval already handed off (call
+    /// the lane to publish every interval already handed off (call
     /// [`drain`](Self::drain) first to collect their reports).
     pub fn take_archive(&mut self) -> Option<SketchArchive<KarySketch>> {
         match &mut self.detect {
-            DetectBackend::Inline(stage) => stage.archive.take(),
+            DetectBackend::Inline(stage) => stage.publisher.archive.take(),
             DetectBackend::Pipelined(pipe) => {
                 let (reply_tx, reply_rx) = sync_channel(1);
                 pipe.detect_tx.as_ref()?.send(DetectMsg::TakeArchive(reply_tx)).ok()?;
@@ -719,11 +785,11 @@ impl ShardedEngine {
 
     /// Closes the interval: flushes every shard, merges the per-shard
     /// sketches in shard order, and runs the detection pipeline on the
-    /// merged observed sketch — then archives the resulting error sketch
-    /// when an archive is configured.
+    /// merged observed sketch — then publishes it: the observer sees it,
+    /// and the archive takes the resulting error sketch when configured.
     ///
-    /// In pipeline mode this waits for the interval's own report (no
-    /// overlap); use
+    /// In pipeline mode this waits for the interval's own report, which
+    /// comes back once the publish lane is done with it (no overlap); use
     /// [`end_interval_overlapped`](Self::end_interval_overlapped) to keep
     /// ingest and detection concurrent. When mixing the two styles, call
     /// [`drain`](Self::drain) before this method — a report still pending
@@ -767,11 +833,13 @@ impl ShardedEngine {
         }
     }
 
-    /// Waits for the last in-flight interval and returns its report
-    /// (`None` when nothing is outstanding — always in sequential mode).
+    /// Waits for the last in-flight interval to be published and returns
+    /// its report (`None` when nothing is outstanding — always in
+    /// sequential mode), then flushes the observer.
     ///
     /// # Errors
-    /// [`EngineError::DetectorLost`] if the detect thread died, plus any
+    /// [`EngineError::DetectorLost`] if the detect thread or the publish
+    /// lane died, plus any
     /// detection/archive error from the drained interval.
     pub fn drain(&mut self) -> Result<Option<IntervalReport>, EngineError> {
         let last = self.receive_until(0)?;

@@ -77,12 +77,15 @@ pub fn notable_keys(report: &IntervalReport) -> Vec<(u64, f64)> {
 
 /// Observer of interval boundaries on a [`DetectStage`].
 ///
-/// Called synchronously on the thread that ran detection — the caller's
-/// thread in sequential mode, the detect thread in pipeline mode — once
-/// per closed interval, *after* the detector produced the report and
-/// *before* the stage's own archive consumes the error sketch.
-/// Implementations must therefore be cheap-or-offloaded: a slow observer
-/// stalls the turnover (in pipeline mode, the whole detect stage).
+/// Called once per closed interval, in interval order, *after* the
+/// detector produced the report and *before* the stage's own archive
+/// consumes the error sketch. It runs where the stage publishes: on the
+/// caller's thread inline (and for a stage driven directly, like the
+/// fan-in aggregator's), on the publish lane when the engine is
+/// pipelined — beside detection of the next interval, not on the detect
+/// thread. A slow observer stalls the publish step; pipelined, that is
+/// the lane, which back-pressures detection only once it falls an
+/// interval behind.
 ///
 /// `error` is the interval's forecast-error sketch `Se(t)` labeled with
 /// the detector interval `t` it covers; `None` while the model is warming
@@ -123,7 +126,59 @@ fn archive_error(
 
 /// One turnover's product: the report and, when asked for, the error
 /// sketch it was computed from.
-type Turnover = (IntervalReport, Option<(usize, KarySketch)>);
+pub(super) type Turnover = (IntervalReport, Option<(usize, KarySketch)>);
+
+/// What runs after detection, on the report and `Se(t)`: the observer,
+/// then the archive. Inline it runs on the caller's thread right after
+/// the turnover; a pipelined engine moves it to its publish lane.
+#[derive(Default)]
+pub(super) struct Publisher {
+    /// The error-sketch archive, if configured (and not yet taken).
+    pub(super) archive: Option<SketchArchive<KarySketch>>,
+    observer: Option<Arc<dyn IntervalObserver>>,
+    metrics: Option<Arc<PipelineMetrics>>,
+}
+
+impl Publisher {
+    /// Whether the turnover must hand `Se(t)` over: the archive, the
+    /// observer or both read it.
+    pub(super) fn wants_error(&self) -> bool {
+        self.archive.is_some() || self.observer.is_some()
+    }
+
+    /// The one publish step: the observer sees the interval, then the
+    /// archive takes `Se(t)` (timed, footprint gauges refreshed). Returns
+    /// the table the detector writes its next error sketch into: the one
+    /// the archive's last compaction retired (an archive at its budget
+    /// merges two epochs into one per push), or `Se(t)` itself when only
+    /// the observer read it — so no path allocates a table per interval.
+    ///
+    /// # Errors
+    /// [`EngineError::Archive`] if the archive rejects the error sketch.
+    pub(super) fn publish(
+        &mut self,
+        report: &IntervalReport,
+        error: Option<(usize, KarySketch)>,
+    ) -> Result<Option<KarySketch>, EngineError> {
+        // Observer first: it borrows the error sketch the archive is about
+        // to consume.
+        if let Some(observer) = &self.observer {
+            observer.interval_closed(report, error.as_ref().map(|&(t, ref e)| (t, e)));
+        }
+        let Some(archive) = &mut self.archive else {
+            return Ok(error.map(|(_, e)| e));
+        };
+        let sw = Stopwatch::start();
+        archive_error(archive, report, error)?;
+        if let Some(m) = &self.metrics {
+            m.engine.archive_ns.record(sw.elapsed_ns());
+            m.engine.archive_sketches.set(archive.sketch_count() as f64);
+            m.engine.archive_bytes.set(archive.memory_bytes() as f64);
+            m.engine.archive_merges.set(archive.merges_total() as f64);
+        }
+        Ok(archive.take_retired())
+    }
+}
 
 /// Both detector entry points run the same turnover, so the report is
 /// bit-identical whether or not the error sketch is wanted.
@@ -219,9 +274,8 @@ fn load_checkpoint(
 /// one directly.
 pub struct DetectStage {
     detector: SketchChangeDetector,
-    /// The error-sketch archive, if configured (and not yet taken).
-    pub(super) archive: Option<SketchArchive<KarySketch>>,
-    observer: Option<Arc<dyn IntervalObserver>>,
+    /// Observer and archive; moved to the publish lane when pipelined.
+    pub(super) publisher: Publisher,
     metrics: Option<Arc<PipelineMetrics>>,
     supervisor: Option<Supervisor>,
 }
@@ -278,13 +332,13 @@ impl DetectStage {
         if let Some(m) = &config.metrics {
             detector.set_metrics(Arc::clone(&m.detector));
         }
-        let stage = DetectStage {
-            detector,
+        let publisher = Publisher {
             archive,
             observer: config.observer.clone(),
             metrics: config.metrics.clone(),
-            supervisor,
         };
+        let stage =
+            DetectStage { detector, publisher, metrics: config.metrics.clone(), supervisor };
         Ok((stage, resumed))
     }
 
@@ -335,11 +389,12 @@ impl DetectStage {
         }
     }
 
-    /// Runs one interval through the detector, archiving the error sketch
-    /// when an archive is configured. The detect and archive stages get
-    /// separate timings; archive footprint gauges refresh after every
-    /// push. Under supervision a detector panic is absorbed — restart
-    /// base, silent replay, retry — up to the restart budget.
+    /// Runs one interval through the detector, then publishes it — the
+    /// observer, then the archive — in order on this thread. The detect and
+    /// archive stages get separate timings; archive footprint gauges
+    /// refresh after every push. Under supervision a detector panic is
+    /// absorbed — restart base, silent replay, retry — up to the restart
+    /// budget.
     ///
     /// # Errors
     /// [`EngineError::Archive`] if the archive rejects the error sketch;
@@ -349,7 +404,23 @@ impl DetectStage {
         observed: impl Borrow<KarySketch>,
         keys: Vec<u64>,
     ) -> Result<IntervalReport, EngineError> {
-        let observed = observed.borrow();
+        let want_error = self.publisher.wants_error();
+        let (report, error) = self.detect(observed.borrow(), keys, want_error)?;
+        let spare = self.publisher.publish(&report, error)?;
+        self.recycle(spare);
+        Ok(report)
+    }
+
+    /// The detect half of [`observe`](Self::observe): the turnover (timed,
+    /// supervised when configured) and the restart-base cadence, handing
+    /// back the report and — when `want_error` — `Se(t)` for
+    /// [`Publisher::publish`].
+    pub(super) fn detect(
+        &mut self,
+        observed: &KarySketch,
+        keys: Vec<u64>,
+        want_error: bool,
+    ) -> Result<Turnover, EngineError> {
         // A detector that gave up stays down: the interval it failed on is
         // a hole no later interval may be reported across.
         if let Some(sup) = self.supervisor.as_ref().filter(|sup| sup.spent()) {
@@ -358,16 +429,8 @@ impl DetectStage {
         if let Some(m) = &self.metrics {
             m.engine.intervals_total.inc();
         }
-        // The error sketch is wanted by the archive, the observer, or both.
-        let want_error = self.archive.is_some() || self.observer.is_some();
-        // An archive at its budget retires one table per push (compaction
-        // merges two epochs into one): that table is the detector's next
-        // error buffer, so this path allocates no table per interval.
-        if let Some(retired) = self.archive.as_mut().and_then(SketchArchive::take_retired) {
-            self.detector.recycle_error_buffer(retired);
-        }
         let sw = Stopwatch::start();
-        let (report, archived) = if self.supervisor.is_some() {
+        let turnover = if self.supervisor.is_some() {
             self.supervised_turnover(observed, keys, want_error)?
         } else {
             turnover(&mut self.detector, observed, keys, want_error)
@@ -375,26 +438,16 @@ impl DetectStage {
         if let Some(m) = &self.metrics {
             m.engine.detect_ns.record(sw.elapsed_ns());
         }
-        // Observer first: it borrows the error sketch the archive is about
-        // to consume.
-        if let Some(observer) = &self.observer {
-            observer.interval_closed(&report, archived.as_ref().map(|&(t, ref e)| (t, e)));
+        self.rebase_if_due(&turnover.0);
+        Ok(turnover)
+    }
+
+    /// Offers the detector a table for its next error sketch (what
+    /// [`Publisher::publish`] handed back).
+    pub(super) fn recycle(&mut self, spare: Option<KarySketch>) {
+        if let Some(table) = spare {
+            self.detector.recycle_error_buffer(table);
         }
-        if let Some(archive) = &mut self.archive {
-            let sw = Stopwatch::start();
-            archive_error(archive, &report, archived)?;
-            if let Some(m) = &self.metrics {
-                m.engine.archive_ns.record(sw.elapsed_ns());
-                m.engine.archive_sketches.set(archive.sketch_count() as f64);
-                m.engine.archive_bytes.set(archive.memory_bytes() as f64);
-                m.engine.archive_merges.set(archive.merges_total() as f64);
-            }
-        } else if let Some((_, error)) = archived {
-            // Only the observer wanted it, and it has looked.
-            self.detector.recycle_error_buffer(error);
-        }
-        self.rebase_if_due(&report);
-        Ok(report)
     }
 
     /// The turnover under supervision: only the fault hook and the

@@ -219,7 +219,7 @@ impl std::fmt::Display for StreamFault {
 impl std::error::Error for StreamFault {}
 
 /// Renders a panic payload (from `join` or `catch_unwind`) as text.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

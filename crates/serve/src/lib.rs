@@ -20,7 +20,7 @@
 //!   that converts every interval close into an immutable [`ServingView`]
 //!   (slim sketch + interval report + a copy-on-write replica of the
 //!   error-sketch archive), published by swapping one `Arc`: readers
-//!   never block the detecting thread, and a reader mid-query keeps its
+//!   never block the thread that publishes, and a reader mid-query keeps its
 //!   interval-consistent world alive for as long as it needs it.
 //! * [`QueryServer`] / [`QueryClient`] — a multi-client TCP query
 //!   service speaking [`proto`]'s `SCDQ` frames (length-prefixed,

@@ -22,8 +22,9 @@ pub struct ServeMetrics {
     /// Heap bytes of the serving replica archive plus the live slim
     /// sketch.
     pub view_bytes: Arc<Gauge>,
-    /// Nanoseconds spent building and publishing one snapshot (replica
-    /// push + slim rebuild + swap), on the detecting thread.
+    /// Nanoseconds spent building and publishing one snapshot: the fat →
+    /// slim projection on the observer's thread, plus replica push and
+    /// swap wherever the plane applies them. No table is copied.
     pub snapshot_ns: Arc<Histogram>,
     /// Connections accepted by the query listener.
     pub connections_total: Arc<Counter>,

@@ -108,22 +108,7 @@ impl SlimSketch {
             fat.rows().identity(),
             "slim sketch must sync against its own hash family"
         );
-        let k = self.k();
-        let mut max_abs = 0.0f64;
-        for (row, row_sum) in self.row_sums.iter_mut().enumerate() {
-            let src = &fat.table()[row * k..(row + 1) * k];
-            let dst = &mut self.table[row * k..(row + 1) * k];
-            // Accumulate the row total in element order — row 0 then
-            // matches `KarySketch::sum` bit for bit.
-            let mut total = 0.0f64;
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = s as f32;
-                total += s;
-                max_abs = max_abs.max(s.abs());
-            }
-            *row_sum = total;
-        }
-        self.max_abs = max_abs;
+        self.max_abs = project(fat.table(), self.rows.k(), &mut self.table, &mut self.row_sums);
         self.roundings = 1;
     }
 
@@ -317,6 +302,62 @@ impl SlimSketch {
     }
 }
 
+/// Rows [`project`] advances together: enough independent add chains to
+/// hide an add's latency, few enough that their totals and maxima stay in
+/// registers.
+const PROJECT_ROWS: usize = 8;
+
+/// Projects the row-major `totals.len() × k` table `src` into `dst` in
+/// one pass, writes each row's total to `totals`, and returns the largest
+/// `|cell|`. Every row's total advances one column at a time from `0.0`,
+/// in column order — the additions of a row-by-row loop, in its order, so
+/// its bits — but up to [`PROJECT_ROWS`] rows' chains run side by side
+/// instead of one after another. The maximum is order-free (`f64::max`
+/// skips NaN), so it keeps per-row maxima.
+fn project(src: &[f64], k: usize, dst: &mut [f32], totals: &mut [f64]) -> f64 {
+    let span = PROJECT_ROWS * k;
+    let groups = src.chunks(span).zip(dst.chunks_mut(span)).zip(totals.chunks_mut(PROJECT_ROWS));
+    let mut max_abs = 0.0f64;
+    for ((src, dst), totals) in groups {
+        let group_max = match totals.len() {
+            1 => project_group::<1>(src, k, dst, totals),
+            2 => project_group::<2>(src, k, dst, totals),
+            3 => project_group::<3>(src, k, dst, totals),
+            4 => project_group::<4>(src, k, dst, totals),
+            5 => project_group::<5>(src, k, dst, totals),
+            6 => project_group::<6>(src, k, dst, totals),
+            7 => project_group::<7>(src, k, dst, totals),
+            _ => project_group::<PROJECT_ROWS>(src, k, dst, totals),
+        };
+        max_abs = max_abs.max(group_max);
+    }
+    max_abs
+}
+
+/// [`project`] over exactly `R` rows.
+fn project_group<const R: usize>(
+    src: &[f64],
+    k: usize,
+    dst: &mut [f32],
+    totals: &mut [f64],
+) -> f64 {
+    let src: [&[f64]; R] = std::array::from_fn(|r| &src[r * k..(r + 1) * k]);
+    let mut dst_rows = dst.chunks_exact_mut(k);
+    let dst: [&mut [f32]; R] = std::array::from_fn(|_| dst_rows.next().expect("R rows"));
+    let mut sums = [0.0f64; R];
+    let mut maxima = [0.0f64; R];
+    for col in 0..k {
+        for r in 0..R {
+            let s = src[r][col];
+            dst[r][col] = s as f32;
+            sums[r] += s;
+            maxima[r] = maxima[r].max(s.abs());
+        }
+    }
+    totals.copy_from_slice(&sums);
+    maxima.into_iter().fold(0.0, f64::max)
+}
+
 impl PointEstimate for SlimSketch {
     fn estimate(&self, key: u64) -> f64 {
         SlimSketch::estimate(self, key)
@@ -479,6 +520,92 @@ mod tests {
             assert_eq!(rs, f.sum(), "every row total equals the stream total");
         }
         assert_eq!(slim.memory_bytes() * 2, f.memory_bytes());
+    }
+
+    /// The row-by-row projection `sync` ran before the one-pass
+    /// [`project`]: each row's total one serial chain, rows in turn.
+    fn reference_project(src: &[f64], k: usize, dst: &mut [f32], totals: &mut [f64]) -> f64 {
+        let mut max_abs = 0.0f64;
+        for (row, row_sum) in totals.iter_mut().enumerate() {
+            let mut total = 0.0f64;
+            for (d, &s) in dst[row * k..(row + 1) * k].iter_mut().zip(&src[row * k..(row + 1) * k])
+            {
+                *d = s as f32;
+                total += s;
+                max_abs = max_abs.max(s.abs());
+            }
+            *row_sum = total;
+        }
+        max_abs
+    }
+
+    /// A table that reaches every corner of the `f64 → f32` projection:
+    /// signed zeros, subnormals, integers above 2²⁴, huge and fractional
+    /// values in every row; ±inf and NaN only in odd rows, so even rows
+    /// keep finite totals whose bits mean something.
+    fn awkward_table(h: usize, k: usize, seed: u64) -> Vec<f64> {
+        let mut rng = scd_hash::SplitMix64::new(seed);
+        (0..h * k)
+            .map(|i| {
+                let r = rng.next_u64();
+                let odd_row = (i / k) % 2 == 1;
+                match r % 13 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::MIN_POSITIVE / 3.0,
+                    3 => -f64::from_bits(1),
+                    4 => 16_777_217.0 + (r >> 40) as f64,
+                    5 => -1.0e300 * ((r >> 50) as f64 + 1.0),
+                    6 if odd_row => f64::INFINITY,
+                    7 if odd_row => f64::NEG_INFINITY,
+                    8 if odd_row => f64::NAN,
+                    _ => ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1.0e6,
+                }
+            })
+            .collect()
+    }
+
+    fn bits64(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn bits32(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The one-pass projection is the row-by-row loop, bit for bit: every
+    /// register, every row total and the magnitude ceiling — and, where
+    /// `K` can shape a sketch, the whole synced state down to
+    /// `error_bound()`. `K = 7` is no hash family's width, so it runs
+    /// through the projection alone.
+    #[test]
+    fn one_pass_sync_matches_row_by_row_loop() {
+        for h in [1usize, 3, 5, 9, 25] {
+            for k in [1usize, 7, 1024] {
+                let src = awkward_table(h, k, (h * 1000 + k) as u64);
+                let (mut want, mut got) = (vec![0.0f32; h * k], vec![0.0f32; h * k]);
+                let (mut want_sums, mut got_sums) = (vec![0.0; h], vec![0.0; h]);
+                let want_max = reference_project(&src, k, &mut want, &mut want_sums);
+                let got_max = project(&src, k, &mut got, &mut got_sums);
+                let shape = format!("H = {h}, K = {k}");
+                assert_eq!(bits32(&got), bits32(&want), "{shape}: registers");
+                assert_eq!(bits64(&got_sums), bits64(&want_sums), "{shape}: row totals");
+                assert_eq!(got_max.to_bits(), want_max.to_bits(), "{shape}: max_abs");
+                assert!(want_sums.iter().step_by(2).all(|s| s.is_finite()), "{shape}");
+                if !k.is_power_of_two() {
+                    continue;
+                }
+                let mut f = KarySketch::new(SketchConfig { h, k, seed: 5 });
+                f.table_mut().copy_from_slice(&src);
+                let slim = SlimSketch::from_fat(&f);
+                assert_eq!(bits32(slim.table()), bits32(&want), "{shape}: sync registers");
+                assert_eq!(bits64(slim.row_sums()), bits64(&want_sums), "{shape}: sync totals");
+                assert_eq!(slim.max_abs.to_bits(), want_max.to_bits(), "{shape}: sync max_abs");
+                assert_eq!(slim.roundings, 1, "{shape}");
+                let bound = 1.0 * want_max * 2f64.powi(-24) / (1.0 - 1.0 / k as f64);
+                assert_eq!(slim.error_bound().to_bits(), bound.to_bits(), "{shape}: bound");
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,15 @@
 //!
 //! # Handoff semantics
 //!
-//! The engine invokes [`ServingPlane::interval_closed`] synchronously on
-//! the detecting thread, *before* the engine's own archive consumes the
-//! error sketch. Per closed interval the plane:
+//! The engine invokes [`ServingPlane::interval_closed`] once per closed
+//! interval, in order, where it publishes — the caller's thread inline,
+//! the publish lane of a pipelined engine — *before* the engine's own
+//! archive consumes the error sketch. Per closed interval the plane:
 //!
-//! 1. advances its **replica archive** — a `SketchArchive<`[`SlimEpoch`]`>`
+//! 1. projects the error sketch fat → slim ([`SlimSketch::from_fat`]) on
+//!    that calling thread: the one table-sized step, and the last read of
+//!    the fat table, which the plane never copies or keeps;
+//! 2. advances its **replica archive** — a `SketchArchive<`[`SlimEpoch`]`>`
 //!    fed the exact push sequence of the engine's archive (zero back-fill
 //!    for warm-up and NextInterval-lag gaps, then the interval's sketch
 //!    with the same [`notable_keys`] directory entries), except that each
@@ -17,30 +21,27 @@
 //!    every historical query (`range_sketch` / `key_history` /
 //!    `changed_keys`) answers from `f32` with the composed
 //!    [`SlimSketch::error_bound`] envelope — still bit-identical to the
-//!    fat archive for integer-count streams;
-//! 2. rebuilds the **slim sketch** ([`SlimSketch::from_fat`]) — the same
-//!    allocation serves live point queries *and* sits in the archive as
-//!    the newest epoch ([`SharedSketch::from_arc`]);
+//!    fat archive for integer-count streams. The same allocation serves
+//!    live point queries *and* sits in the archive as the newest epoch
+//!    ([`SharedSketch::from_arc`]);
 //! 3. publishes a new [`ServingView`] by swapping one `Arc` pointer.
 //!
 //! # Inline vs background rebuild
 //!
 //! With [`RebuildMode::Inline`] all three steps run inside the observer
 //! hook — deterministic, and fine when the interval budget dwarfs the
-//! rebuild cost. With [`RebuildMode::Background`] the hook only copies
-//! the error sketch into a recycled buffer (the pipeline engine's
-//! double-buffering idiom: a bounded pool of `KarySketch` buffers cycles
-//! between the detecting thread and the rebuild thread) and enqueues it;
-//! a dedicated `scd-serve-rebuild` thread performs the back-fill, slim
-//! projection, and publish. Ingest then pays one table `memcpy` and a
-//! channel send per interval instead of the full rebuild. The queue is
-//! bounded (capacity [`REBUILD_QUEUE`]), so a slow rebuild back-pressures
-//! the observer rather than growing without bound, and published views
-//! lag ingest by at most that many intervals —
-//! [`ServingPlane::flush`] (also called by `ShardedEngine::drain`)
-//! blocks until the view has caught up. Jobs apply FIFO through the same
-//! code path as inline mode, so final state is **bit-identical** across
-//! modes.
+//! rebuild cost. With [`RebuildMode::Background`] the hook projects and
+//! enqueues an `Arc<SlimSketch>`; a dedicated `scd-serve-rebuild` thread
+//! performs the back-fill, archive push and publish. The queue is bounded
+//! (capacity [`REBUILD_QUEUE`]), so a slow rebuild back-pressures the
+//! observer rather than growing without bound, and published views lag
+//! ingest by at most that many intervals — [`ServingPlane::flush`] (also
+//! called by `ShardedEngine::drain`) blocks until the view has caught up.
+//! Jobs apply FIFO through the same code path as inline mode, so final
+//! state is **bit-identical** across modes. A rebuild thread that dies
+//! (a sketch over a foreign hash family reaches the replica's push) books
+//! its panic message; every later hand-off and flush panics with it
+//! instead of waiting.
 //!
 //! Because the replica's element type is copy-on-write
 //! ([`SharedSketch`]), publishing a view clones the archive as an `Arc`
@@ -53,21 +54,19 @@ use crate::metrics::ServeMetrics;
 use crate::shared::SharedSketch;
 use crate::slim::{SlimEpoch, SlimSketch};
 use scd_archive::{ArchiveConfig, ArchiveError, SketchArchive};
+use scd_core::streaming::panic_message;
 use scd_core::{notable_keys, IntervalObserver, IntervalReport};
 use scd_obs::Stopwatch;
 use scd_sketch::KarySketch;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 
 /// Background-rebuild queue depth, in intervals. A full queue blocks the
 /// observer (bounded lag, never unbounded memory); published views trail
 /// ingest by at most this many intervals plus the one in flight.
 pub const REBUILD_QUEUE: usize = 2;
-
-/// Recycled snapshot buffers kept when idle: the queue depth plus the one
-/// the rebuild thread holds.
-const POOL_CAP: usize = REBUILD_QUEUE + 1;
 
 /// One interval's immutable serving state: everything a query needs,
 /// frozen at an interval boundary. Cheap to clone (Arc bumps all the way
@@ -94,18 +93,20 @@ pub struct ServingView {
 /// When the fat→slim rebuild runs relative to the ingest path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebuildMode {
-    /// Rebuild inside the observer hook, on the detecting thread. Every
-    /// published view is current the moment `interval_closed` returns.
+    /// Rebuild inside the observer hook, on the observer's thread (the
+    /// publish lane of a pipelined engine). Every published view is
+    /// current the moment `interval_closed` returns.
     Inline,
-    /// Hand the snapshot to a dedicated rebuild thread; ingest pays one
-    /// buffer copy. Views lag by at most [`REBUILD_QUEUE`] + 1 intervals;
+    /// Project on the observer's thread and hand the slim sketch to a
+    /// dedicated rebuild thread for the archive push and publish. Views
+    /// lag by at most [`REBUILD_QUEUE`] + 1 intervals;
     /// [`ServingPlane::flush`] waits for them. Final state is
     /// bit-identical to [`Inline`](Self::Inline).
     Background,
 }
 
 /// Writer-side state: the replica archive advanced under a mutex held
-/// only by whichever thread applies interval closes (the detecting
+/// only by whichever thread applies interval closes (the observer's
 /// thread inline, the rebuild thread in background mode).
 #[derive(Debug)]
 struct Replica {
@@ -123,11 +124,24 @@ struct PlaneShared {
     metrics: Option<Arc<ServeMetrics>>,
 }
 
-/// One queued interval close for the rebuild thread.
+/// One interval close, projected: the report and `Se(t)`'s slim form —
+/// what [`PlaneShared::apply`] publishes, and what the rebuild queue holds.
 #[derive(Debug)]
 struct Job {
     report: IntervalReport,
-    error: Option<(usize, KarySketch)>,
+    slim: Option<(usize, Arc<SlimSketch>)>,
+    /// Nanoseconds the projection took, booked into the snapshot time.
+    project_ns: u64,
+}
+
+impl Job {
+    /// Projects `Se(t)` fat → slim on the calling thread: the one
+    /// table-sized step of a close, and the last read of the fat table.
+    fn project(report: &IntervalReport, error: Option<(usize, &KarySketch)>) -> Job {
+        let sw = Stopwatch::start();
+        let slim = error.map(|(t, err)| (t, Arc::new(SlimSketch::from_fat(err))));
+        Job { report: report.clone(), slim, project_ns: sw.elapsed_ns() }
+    }
 }
 
 /// Submit/complete accounting for [`ServingPlane::flush`].
@@ -135,15 +149,36 @@ struct Job {
 struct Progress {
     submitted: u64,
     processed: u64,
+    /// The panic that ended the rebuild thread, if one did: every later
+    /// hand-off and flush raises it instead of waiting.
+    failed: Option<String>,
+}
+
+impl Progress {
+    /// Panics with the rebuild thread's own message once it has died.
+    /// The guard is released first, so the lock is not poisoned.
+    fn check(progress: MutexGuard<'_, Progress>) -> MutexGuard<'_, Progress> {
+        match progress.failed.clone() {
+            None => progress,
+            Some(why) => {
+                drop(progress);
+                panic!("serving plane rebuild thread died: {why}");
+            }
+        }
+    }
 }
 
 /// Rebuild-thread plumbing shared with the observer side.
 #[derive(Debug)]
 struct RebuildShared {
-    /// Recycled snapshot buffers (the double-buffering pool).
-    pool: Mutex<Vec<KarySketch>>,
     progress: Mutex<Progress>,
     done: Condvar,
+}
+
+impl RebuildShared {
+    fn progress(&self) -> MutexGuard<'_, Progress> {
+        Progress::check(self.progress.lock().expect("rebuild progress lock poisoned"))
+    }
 }
 
 #[derive(Debug)]
@@ -163,27 +198,26 @@ pub struct ServingPlane {
 }
 
 impl PlaneShared {
-    /// Applies one interval close to the replica and publishes the new
-    /// view — the single code path both rebuild modes funnel through, so
-    /// their final state is bit-identical by construction.
-    fn apply(&self, report: &IntervalReport, error: Option<(usize, &KarySketch)>) {
+    /// Applies one projected interval close to the replica and publishes
+    /// the new view — the single code path both rebuild modes funnel
+    /// through, so their final state is bit-identical by construction.
+    fn apply(&self, job: Job) {
         let sw = Stopwatch::start();
         let mut replica = self.replica.lock().expect("serving replica lock poisoned");
         let mut slim = replica.last_slim.clone();
-        if let Some((t, err)) = error {
+        if let Some((t, fresh)) = job.slim {
             // Mirror the engine's `archive_error` push sequence exactly:
             // zero back-fill up to t, then the interval's sketch with the
             // same notable-key directory entries — but store each epoch
             // as its slim f32 projection.
-            let zero = SharedSketch::new(SlimSketch::zeroed(err.rows()));
+            let zero = SharedSketch::new(SlimSketch::zeroed(fresh.rows()));
             while replica.archive.next_interval() < t as u64 {
                 replica
                     .archive
                     .push(zero.clone(), &[])
                     .expect("replica push cannot fail after back-fill");
             }
-            let notable = notable_keys(report);
-            let fresh = Arc::new(SlimSketch::from_fat(err));
+            let notable = notable_keys(&job.report);
             replica
                 .archive
                 .push(SharedSketch::from_arc(Arc::clone(&fresh)), &notable)
@@ -191,19 +225,20 @@ impl PlaneShared {
             slim = Some(fresh);
         }
         replica.last_slim = slim.clone();
+        let interval = job.report.interval;
         let view = ServingView {
-            interval: Some(report.interval as u64),
-            report: Some(report.clone()),
+            interval: Some(interval as u64),
+            report: Some(job.report),
             slim,
             archive: replica.archive.clone(),
         };
         if let Some(m) = &self.metrics {
             m.snapshots_total.inc();
-            m.view_interval.set(report.interval as f64);
+            m.view_interval.set(interval as f64);
             m.view_epochs.set(view.archive.sketch_count() as f64);
             let slim_bytes = view.slim.as_ref().map_or(0, |s| s.memory_bytes());
             m.view_bytes.set((view.archive.memory_bytes() + slim_bytes) as f64);
-            m.snapshot_ns.record(sw.elapsed_ns());
+            m.snapshot_ns.record(job.project_ns + sw.elapsed_ns());
         }
         drop(replica);
         let view = Arc::new(view);
@@ -263,7 +298,6 @@ impl ServingPlane {
     fn spawn_rebuild(shared: &Arc<PlaneShared>) -> Background {
         let (tx, rx) = mpsc::sync_channel::<Job>(REBUILD_QUEUE);
         let rebuild = Arc::new(RebuildShared {
-            pool: Mutex::new(Vec::new()),
             progress: Mutex::new(Progress::default()),
             done: Condvar::new(),
         });
@@ -273,19 +307,22 @@ impl ServingPlane {
             .name("scd-serve-rebuild".into())
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    plane.apply(&job.report, job.error.as_ref().map(|&(t, ref e)| (t, e)));
-                    if let Some((_, buf)) = job.error {
-                        let mut pool = rb.pool.lock().expect("rebuild pool lock poisoned");
-                        if pool.len() < POOL_CAP {
-                            pool.push(buf);
-                        }
-                    }
+                    // A panic here (a foreign hash family, say) ends the
+                    // thread, and is booked first: a flush or a hand-off
+                    // after it raises the message instead of waiting.
+                    let applied = catch_unwind(AssertUnwindSafe(|| plane.apply(job)));
                     let mut progress = rb.progress.lock().expect("rebuild progress lock poisoned");
-                    progress.processed += 1;
+                    match applied {
+                        Ok(()) => progress.processed += 1,
+                        Err(payload) => progress.failed = Some(panic_message(payload.as_ref())),
+                    }
                     if let Some(m) = &plane.metrics {
                         m.rebuild_lag.set((progress.submitted - progress.processed) as f64);
                     }
                     rb.done.notify_all();
+                    if progress.failed.is_some() {
+                        return;
+                    }
                 }
             })
             .expect("spawn scd-serve-rebuild thread");
@@ -326,42 +363,43 @@ impl Drop for ServingPlane {
 
 impl IntervalObserver for ServingPlane {
     fn interval_closed(&self, report: &IntervalReport, error: Option<(usize, &KarySketch)>) {
+        // The projection is the last read of the fat `Se(t)`: it runs here,
+        // on the caller's thread, in both modes.
+        let job = Job::project(report, error);
         let Some(bg) = &self.background else {
-            self.shared.apply(report, error);
+            self.shared.apply(job);
             return;
         };
-        // Background handoff: copy the error sketch into a recycled
-        // buffer (one memcpy — the only table-sized work left on the
-        // ingest path) and enqueue. The bounded send back-pressures when
-        // the rebuild falls REBUILD_QUEUE intervals behind.
-        let error = error.map(|(t, err)| {
-            let pooled = bg.shared.pool.lock().expect("rebuild pool lock poisoned").pop();
-            let mut buf = pooled.unwrap_or_else(|| err.zero_like());
-            buf.assign_from(err).expect("rebuild buffer family matches the engine's");
-            (t, buf)
-        });
+        // Background handoff: enqueue the slim projection. The bounded send
+        // back-pressures when the rebuild falls REBUILD_QUEUE intervals
+        // behind.
         {
-            let mut progress = bg.shared.progress.lock().expect("rebuild progress lock poisoned");
+            let mut progress = bg.shared.progress();
             progress.submitted += 1;
             if let Some(m) = &self.shared.metrics {
                 m.rebuild_lag.set((progress.submitted - progress.processed) as f64);
             }
         }
-        bg.tx
-            .as_ref()
-            .expect("rebuild channel open while plane is live")
-            .send(Job { report: report.clone(), error })
-            .expect("rebuild thread alive while plane is live");
+        let tx = bg.tx.as_ref().expect("rebuild channel open while plane is live");
+        if tx.send(job).is_err() {
+            // The thread died and booked why: raise that here.
+            drop(bg.shared.progress());
+            panic!("serving plane rebuild thread is gone");
+        }
     }
 
     /// Blocks until every submitted interval is reflected in the
     /// published view (no-op inline). After `flush`, [`view`](Self::view)
     /// is exactly as fresh as an inline plane's would be.
+    ///
+    /// # Panics
+    /// With the rebuild thread's own message, if it died.
     fn flush(&self) {
         let Some(bg) = &self.background else { return };
-        let mut progress = bg.shared.progress.lock().expect("rebuild progress lock poisoned");
+        let mut progress = bg.shared.progress();
         while progress.processed < progress.submitted {
-            progress = bg.shared.done.wait(progress).expect("rebuild progress lock poisoned");
+            let woke = bg.shared.done.wait(progress).expect("rebuild progress lock poisoned");
+            progress = Progress::check(woke);
         }
     }
 }
@@ -571,6 +609,36 @@ mod tests {
         for key in 0..40u64 {
             assert_eq!(sa.estimate(key).to_bits(), sb.estimate(key).to_bits(), "key {key}");
         }
+    }
+
+    /// A rebuild thread that dies — here a sketch over a second hash
+    /// family reaches the replica's push — surfaces: `flush` panics with
+    /// its message, and so does the next hand-off. Neither waits.
+    #[test]
+    fn a_dead_rebuild_thread_surfaces_its_panic() {
+        let (tx, rx) = mpsc::sync_channel(1);
+        std::thread::spawn(move || {
+            let plane =
+                ServingPlane::with_options(archive_cfg(), None, RebuildMode::Background).unwrap();
+            let mut foreign = KarySketch::new(SketchConfig { h: 3, k: 256, seed: 12 });
+            foreign.update(7, 1.0);
+            plane.interval_closed(&report_at(0), Some((0, &error_sketch(0))));
+            plane.interval_closed(&report_at(1), Some((1, &foreign)));
+            let message = |p: Box<dyn std::any::Any + Send>| panic_message(p.as_ref());
+            let flushed = catch_unwind(AssertUnwindSafe(|| plane.flush())).map_err(message);
+            let next =
+                catch_unwind(AssertUnwindSafe(|| plane.interval_closed(&report_at(2), None)))
+                    .map_err(message);
+            drop(plane);
+            tx.send((flushed, next)).unwrap();
+        });
+        let (flushed, next) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a dead rebuild thread left flush waiting");
+        let why = flushed.unwrap_err();
+        assert!(why.contains("rebuild thread died"), "{why}");
+        assert!(why.contains("replica push cannot fail"), "{why}");
+        assert!(next.unwrap_err().contains("rebuild thread died"));
     }
 
     /// `flush` drains the rebuild queue: after it returns, the view is
