@@ -19,7 +19,9 @@
 # and one walker narrows every multi-pass grid; the §5 energy figures read
 # that one objective and one per-flow energy, and run no detector. The
 # close publishes through one step, whose archive push has one caller, and
-# the serving plane copies no fat table.
+# the serving plane copies no fat table. Each elementwise sketch sweep is its
+# scalar loop compiled for AVX2, so no float arithmetic intrinsic is written
+# by hand and no kernel enables `fma`, which would let LLVM fuse and move bits.
 # Non-test source = every crates/*/src file up to its `#[cfg(test)]`
 # (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
 set -euo pipefail
@@ -117,6 +119,12 @@ check 1 'call site(s) of archive_error in scd-core' \
   "$(nontest | grep -E '^crates/core/src/.*archive_error\(' | grep -v 'fn archive_error' || true)"
 expect 0 '^crates/serve/src/.*assign_from\('    'fat-table copy(ies) in the serving plane'
 
+# One body per elementwise sweep: the scalar loop, compiled for AVX2 with
+# nothing else enabled. Gathers and the median network's min/max stay
+# intrinsics; arithmetic does not.
+expect 0 '_mm256_(add|sub|mul|div)_p[sd]'       'hand-written float arithmetic intrinsic(s)'
+expect 0 'target_feature\(enable *= *"[^"]*fma' 'target_feature list(s) enabling fma'
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -131,5 +139,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature"
 exit "$fail"

@@ -1,22 +1,30 @@
 //! Runtime SIMD dispatch for the workspace's hot kernels.
 //!
-//! The workspace stays std-only, so SIMD is explicit `core::arch` x86_64
-//! intrinsics behind runtime feature detection — no nightly `std::simd`,
-//! no new dependencies. One [`Variant`] is resolved per process (detected
-//! once, cached): AVX2 when the CPU reports it, scalar otherwise. The
-//! `SCD_SIMD` environment variable overrides detection (`SCD_SIMD=scalar`
-//! forces the fallback — this is how CI exercises the scalar paths on
-//! AVX2 runners; `SCD_SIMD=avx2` is honored only when the CPU can
-//! actually run it). The CRC-32 carry-less-multiply kernel lives here too
-//! and follows the same variant: it runs under [`Variant::Avx2`] on hosts
-//! that also report `pclmulqdq` + `sse4.1` ([`clmul_supported`]).
+//! The workspace stays std-only — no nightly `std::simd`, no new
+//! dependencies — so an x86_64 kernel takes one of two forms, both behind
+//! runtime feature detection. An elementwise sweep is its scalar loop
+//! compiled a second time inside a `#[target_feature(enable = "avx2")]`
+//! function, which LLVM vectorises (the sketch's sweeps, `scd_sketch::simd`).
+//! A kernel the compiler cannot produce at speed from a scalar body is
+//! explicit `core::arch` intrinsics: the gathers (this module's tabulation
+//! hash, the sketch's cell gathers), the lanewise median network and the
+//! CRC-32 carry-less multiply. One [`Variant`] is resolved per process
+//! (detected once, cached): AVX2 when the CPU reports it, scalar
+//! otherwise. The `SCD_SIMD` environment variable overrides detection
+//! (`SCD_SIMD=scalar` forces the fallback — this is how CI exercises the
+//! scalar paths on AVX2 runners; `SCD_SIMD=avx2` is honored only when the
+//! CPU can actually run it). The CRC-32 carry-less-multiply kernel lives
+//! here too and follows the same variant: it runs under [`Variant::Avx2`]
+//! on hosts that also report `pclmulqdq` + `sse4.1` ([`clmul_supported`]).
 //!
 //! **Exactness contract.** Every SIMD kernel in this workspace is
 //! *bit-identical* to its scalar reference: integer kernels (tabulation
 //! gathers, XORs, masks) are pure data movement; floating-point kernels
 //! perform exactly the scalar operation sequence per element — separate
-//! multiply and add instructions (never FMA, which Rust also never
-//! contracts to), same operand order, divisions kept as divisions.
+//! multiply and add instructions (never FMA: Rust never contracts to it,
+//! and no kernel enables the `fma` feature), same operand order, divisions
+//! kept as divisions. A compiled sweep is that sequence by construction:
+//! it is the scalar loop, with lanes that are independent cells.
 //! Reductions whose reassociation would change results (row sums, squared
 //! sums) stay scalar. Identity is enforced by exact `==` property tests
 //! in each crate, run against both variants.
@@ -96,20 +104,8 @@ pub fn active() -> Variant {
     *ACTIVE.get_or_init(|| match std::env::var("SCD_SIMD") {
         Ok(v) if v.eq_ignore_ascii_case("scalar") => Variant::Scalar,
         Ok(v) if v.eq_ignore_ascii_case("avx2") && avx2_supported() => Variant::Avx2,
-        Ok(_) => {
-            if avx2_supported() {
-                Variant::Avx2
-            } else {
-                Variant::Scalar
-            }
-        }
-        Err(_) => {
-            if avx2_supported() {
-                Variant::Avx2
-            } else {
-                Variant::Scalar
-            }
-        }
+        _ if avx2_supported() => Variant::Avx2,
+        _ => Variant::Scalar,
     })
 }
 

@@ -3,29 +3,46 @@
 //! read path — with runtime dispatch shared with `scd-hash` (see
 //! [`scd_hash::simd`]).
 //!
-//! **Exactness.** Every kernel here is *bit-identical* to the scalar loop
-//! it replaces, by construction:
+//! **One body, compiled twice.** Each elementwise sweep — [`axpy`],
+//! [`scale_assign`], [`add_scaled`], [`scale`], [`sub`],
+//! [`estimate_transform`], [`add_scaled_f32`], [`scale_f32`] and
+//! [`sub_f32`] — is written once, as its scalar loop. [`Variant::Avx2`]
+//! runs that loop inside a `#[target_feature(enable = "avx2")]` function,
+//! where LLVM vectorises it to 256-bit lanes (its own unrolling and
+//! epilogue included); any other variant runs it as it is. Every kernel
+//! is *bit-identical* to the scalar loop by construction, not by a second
+//! implementation kept in step with the first:
 //!
-//! * Each element undergoes exactly the scalar operation sequence —
-//!   separate `vmulpd`/`vaddpd`/`vsubpd`/`vdivpd` instructions with the
-//!   scalar operand order, never FMA (Rust also never contracts `a*b + c`
-//!   to FMA, so scalar and vector lanes round identically).
-//! * Lanes are independent: vectorization reorders *which element is
-//!   processed when*, never *the operations applied to one element*, so
-//!   there is no floating-point reassociation.
+//! * Lanes are independent cells: vectorisation reorders *which cell is
+//!   processed when*, never *the operations applied to one cell*, so
+//!   there is no floating-point reassociation — each lane runs the
+//!   scalar `vmulpd`/`vaddpd`/`vsubpd`/`vdivpd` sequence with the
+//!   scalar operand order.
+//! * Never FMA. Rust never contracts `a*b + c` into a fused multiply-add,
+//!   and `avx2` is the only feature the compiled copy enables — never
+//!   `fma` — so no multiply and add can be fused behind the loop's back
+//!   (a fused pair rounds once instead of twice and moves bits).
 //! * Reductions whose accumulation order matters ([`KarySketch::sum`],
 //!   squared-sum rows in `ESTIMATEF2`) deliberately stay scalar in
 //!   `kary.rs`; this module ships sweeps, gathers and one order-free
 //!   reduction — [`median_rows`], the per-key median across rows, whose
 //!   `min`/`max` exchanges select among the inputs and round nothing.
 //!
-//! Identity is enforced by exact `==` tests in `tests/simd_identity.rs`
-//! with both variants forced directly.
+//! **What stays hand-written.** Three kernels are explicit `core::arch`
+//! intrinsics, each for a measured reason: the two gathers ([`gather`],
+//! [`gather_widen_f32`]), because LLVM emits no `vgather` for an indexed
+//! load, and the lanewise median network behind [`median_rows`], which
+//! compiled from its scalar form ran about 2.2× slower. Both are exact
+//! without any argument about rounding: a gather is data movement, and a
+//! `min`/`max` exchange selects.
+//!
+//! Identity is enforced by exact tests in `tests/simd_identity.rs` and
+//! `tests/simd_identity_f32.rs` with both variants forced directly.
 //!
 //! [`KarySketch::sum`]: crate::KarySketch::sum
 
-// The crate otherwise denies unsafe code; intrinsics require it. All
-// unsafe here is behind runtime AVX2 detection.
+// The crate otherwise denies unsafe code; the target-feature calls and the
+// intrinsics require it. All unsafe here is behind runtime AVX2 detection.
 #![allow(unsafe_code)]
 
 use crate::median;
@@ -45,99 +62,104 @@ fn use_avx2(variant: Variant) -> bool {
     }
 }
 
-/// Fused `dst[i] = (dst[i]·a) + b·src[i]` — the sweep behind
-/// [`KarySketch::axpy_assign`](crate::KarySketch::axpy_assign).
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn axpy(variant: Variant, dst: &mut [f64], a: f64, src: &[f64], b: f64) {
-    assert_eq!(dst.len(), src.len(), "slice lengths must match");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(variant) {
-        // SAFETY: AVX2 support verified at runtime; lengths checked above.
-        unsafe { avx2::axpy(dst, a, src, b) };
-        return;
-    }
-    let _ = variant;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        let scaled = *d * a;
-        *d = scaled + b * s;
+/// Defines an elementwise sweep `pub fn name(variant, args…)` from its
+/// scalar body alone. When `use_avx2` holds, the body runs inside a copy
+/// compiled with `avx2` enabled and nothing else (a stray `fma` would let
+/// LLVM fuse a multiply and an add and move bits); otherwise it runs as
+/// it is.
+macro_rules! sweep {
+    ($(#[$doc:meta])* pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
+        $(#[$doc])*
+        pub fn $name(variant: Variant, $($arg: $ty),*) {
+            #[inline(always)]
+            fn body($($arg: $ty),*) $body
+
+            #[cfg(target_arch = "x86_64")]
+            if use_avx2(variant) {
+                /// # Safety
+                /// AVX2 must be supported.
+                #[target_feature(enable = "avx2")]
+                unsafe fn avx2($($arg: $ty),*) {
+                    body($($arg),*)
+                }
+                // SAFETY: AVX2 support verified at runtime.
+                unsafe { avx2($($arg),*) };
+                return;
+            }
+            let _ = variant;
+            body($($arg),*)
+        }
+    };
+}
+
+sweep! {
+    /// Fused `dst[i] = (dst[i]·a) + b·src[i]` — the sweep behind
+    /// [`KarySketch::axpy_assign`](crate::KarySketch::axpy_assign).
+    ///
+    /// # Panics
+    /// Panics if the slice lengths differ.
+    pub fn axpy(dst: &mut [f64], a: f64, src: &[f64], b: f64) {
+        assert_eq!(dst.len(), src.len(), "slice lengths must match");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            let scaled = *d * a;
+            *d = scaled + b * s;
+        }
     }
 }
 
-/// `dst[i] = src[i]·c` — the sweep behind
-/// [`KarySketch::scale_assign`](crate::KarySketch::scale_assign).
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn scale_assign(variant: Variant, dst: &mut [f64], src: &[f64], c: f64) {
-    assert_eq!(dst.len(), src.len(), "slice lengths must match");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(variant) {
-        // SAFETY: AVX2 support verified at runtime; lengths checked above.
-        unsafe { avx2::scale_assign(dst, src, c) };
-        return;
-    }
-    let _ = variant;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = s * c;
+sweep! {
+    /// `dst[i] = src[i]·c` — the sweep behind
+    /// [`KarySketch::scale_assign`](crate::KarySketch::scale_assign).
+    ///
+    /// # Panics
+    /// Panics if the slice lengths differ.
+    pub fn scale_assign(dst: &mut [f64], src: &[f64], c: f64) {
+        assert_eq!(dst.len(), src.len(), "slice lengths must match");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = s * c;
+        }
     }
 }
 
-/// `dst[i] += c·src[i]` — the sweep behind
-/// [`KarySketch::add_scaled`](crate::KarySketch::add_scaled), each term
-/// of the blocked `COMBINE` and shard merge, and most of every forecast
-/// model's blocked step.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn add_scaled(variant: Variant, dst: &mut [f64], src: &[f64], c: f64) {
-    assert_eq!(dst.len(), src.len(), "slice lengths must match");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(variant) {
-        // SAFETY: AVX2 support verified at runtime; lengths checked above.
-        unsafe { avx2::add_scaled(dst, src, c) };
-        return;
-    }
-    let _ = variant;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += c * s;
+sweep! {
+    /// `dst[i] += c·src[i]` — the sweep behind
+    /// [`KarySketch::add_scaled`](crate::KarySketch::add_scaled), each term
+    /// of the blocked `COMBINE` and shard merge, and most of every forecast
+    /// model's blocked step.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths differ.
+    pub fn add_scaled(dst: &mut [f64], src: &[f64], c: f64) {
+        assert_eq!(dst.len(), src.len(), "slice lengths must match");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += c * s;
+        }
     }
 }
 
-/// `dst[i] *= c` — the sweep behind
-/// [`KarySketch::scale`](crate::KarySketch::scale).
-pub fn scale(variant: Variant, dst: &mut [f64], c: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(variant) {
-        // SAFETY: AVX2 support verified at runtime.
-        unsafe { avx2::scale(dst, c) };
-        return;
-    }
-    let _ = variant;
-    for d in dst.iter_mut() {
-        *d *= c;
+sweep! {
+    /// `dst[i] *= c` — the sweep behind
+    /// [`KarySketch::scale`](crate::KarySketch::scale).
+    pub fn scale(dst: &mut [f64], c: f64) {
+        for d in dst.iter_mut() {
+            *d *= c;
+        }
     }
 }
 
-/// `dst[i] = a[i] − b[i]` — the sweep behind
-/// [`KarySketch::sub_into`](crate::KarySketch::sub_into) and the error
-/// tile (`Se = So − Sf`) of every forecast model's blocked step.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn sub(variant: Variant, dst: &mut [f64], a: &[f64], b: &[f64]) {
-    assert_eq!(dst.len(), a.len(), "slice lengths must match");
-    assert_eq!(dst.len(), b.len(), "slice lengths must match");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(variant) {
-        // SAFETY: AVX2 support verified at runtime; lengths checked above.
-        unsafe { avx2::sub(dst, a, b) };
-        return;
-    }
-    let _ = variant;
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = x - y;
+sweep! {
+    /// `dst[i] = a[i] − b[i]` — the sweep behind
+    /// [`KarySketch::sub_into`](crate::KarySketch::sub_into) and the error
+    /// tile (`Se = So − Sf`) of every forecast model's blocked step.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths differ.
+    pub fn sub(dst: &mut [f64], a: &[f64], b: &[f64]) {
+        assert_eq!(dst.len(), a.len(), "slice lengths must match");
+        assert_eq!(dst.len(), b.len(), "slice lengths must match");
+        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+            *d = x - y;
+        }
     }
 }
 
@@ -163,22 +185,17 @@ pub fn gather(variant: Variant, out: &mut [f64], cells: &[f64], buckets: &[usize
     }
 }
 
-/// `vals[i] = (vals[i] − sum/kf) / (1 − 1/kf)` — the per-cell estimator
-/// transform of `ESTIMATE`, applied to a whole gathered block. The two
-/// derived constants are computed once; each element then performs the
-/// identical subtract-and-divide the scalar formula performs.
-pub fn estimate_transform(variant: Variant, vals: &mut [f64], sum: f64, kf: f64) {
-    let mean = sum / kf;
-    let denom = 1.0 - 1.0 / kf;
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(variant) {
-        // SAFETY: AVX2 support verified at runtime.
-        unsafe { avx2::estimate_transform(vals, mean, denom) };
-        return;
-    }
-    let _ = variant;
-    for v in vals.iter_mut() {
-        *v = (*v - mean) / denom;
+sweep! {
+    /// `vals[i] = (vals[i] − sum/kf) / (1 − 1/kf)` — the per-cell estimator
+    /// transform of `ESTIMATE`, applied to a whole gathered block. The two
+    /// derived constants are computed once; each element then performs the
+    /// identical subtract-and-divide the scalar formula performs.
+    pub fn estimate_transform(vals: &mut [f64], sum: f64, kf: f64) {
+        let mean = sum / kf;
+        let denom = 1.0 - 1.0 / kf;
+        for v in vals.iter_mut() {
+            *v = (*v - mean) / denom;
+        }
     }
 }
 
@@ -266,59 +283,44 @@ fn median_groups(
     i
 }
 
-/// `dst[i] += c·src[i]` in **`f32`** — the merge sweep behind the slim
-/// archive's epoch combines (`SlimSketch::add_scaled`). Eight lanes per
-/// AVX2 step (twice the `f64` kernels' four): separate `vmulps`/`vaddps`
-/// with the scalar operand order, never FMA, so each lane rounds exactly
-/// like the scalar loop.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn add_scaled_f32(variant: Variant, dst: &mut [f32], src: &[f32], c: f32) {
-    assert_eq!(dst.len(), src.len(), "slice lengths must match");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(variant) {
-        // SAFETY: AVX2 support verified at runtime; lengths checked above.
-        unsafe { avx2::add_scaled_f32(dst, src, c) };
-        return;
-    }
-    let _ = variant;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += c * s;
+sweep! {
+    /// `dst[i] += c·src[i]` in **`f32`** — the merge sweep behind the slim
+    /// archive's epoch combines (`SlimSketch::add_scaled`). Eight lanes per
+    /// AVX2 step (twice the `f64` sweeps' four): separate `vmulps`/`vaddps`
+    /// with the scalar operand order, never FMA, so each lane rounds exactly
+    /// like the scalar loop.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths differ.
+    pub fn add_scaled_f32(dst: &mut [f32], src: &[f32], c: f32) {
+        assert_eq!(dst.len(), src.len(), "slice lengths must match");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += c * s;
+        }
     }
 }
 
-/// `dst[i] *= c` in **`f32`** — the decay sweep behind
-/// `SlimSketch::scale`.
-pub fn scale_f32(variant: Variant, dst: &mut [f32], c: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(variant) {
-        // SAFETY: AVX2 support verified at runtime.
-        unsafe { avx2::scale_f32(dst, c) };
-        return;
-    }
-    let _ = variant;
-    for d in dst.iter_mut() {
-        *d *= c;
+sweep! {
+    /// `dst[i] *= c` in **`f32`** — the decay sweep behind
+    /// `SlimSketch::scale`.
+    pub fn scale_f32(dst: &mut [f32], c: f32) {
+        for d in dst.iter_mut() {
+            *d *= c;
+        }
     }
 }
 
-/// `dst[i] = a[i] − b[i]` in **`f32`** — the slim difference sweep.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn sub_f32(variant: Variant, dst: &mut [f32], a: &[f32], b: &[f32]) {
-    assert_eq!(dst.len(), a.len(), "slice lengths must match");
-    assert_eq!(dst.len(), b.len(), "slice lengths must match");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(variant) {
-        // SAFETY: AVX2 support verified at runtime; lengths checked above.
-        unsafe { avx2::sub_f32(dst, a, b) };
-        return;
-    }
-    let _ = variant;
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = x - y;
+sweep! {
+    /// `dst[i] = a[i] − b[i]` in **`f32`** — the slim difference sweep.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths differ.
+    pub fn sub_f32(dst: &mut [f32], a: &[f32], b: &[f32]) {
+        assert_eq!(dst.len(), a.len(), "slice lengths must match");
+        assert_eq!(dst.len(), b.len(), "slice lengths must match");
+        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+            *d = x - y;
+        }
     }
 }
 
@@ -326,7 +328,9 @@ pub fn sub_f32(variant: Variant, dst: &mut [f32], a: &[f32], b: &[f32]) {
 /// of the slim batch estimator: eight `f32` cells gathered per AVX2 step
 /// (`vgatherdps`), then widened to `f64` (`vcvtps2pd`, exact by IEEE-754
 /// — every `f32` is representable in `f64`), so the estimator arithmetic
-/// itself stays in `f64` exactly like the scalar slim path.
+/// itself stays in `f64` exactly like the scalar slim path. A table past
+/// 2³¹ cells, whose indices do not fit `vgatherdps`' `i32` lanes, takes
+/// the scalar loop, with the same bits.
 ///
 /// # Panics
 /// Panics if the lengths differ or any bucket is out of range.
@@ -334,9 +338,9 @@ pub fn gather_widen_f32(variant: Variant, out: &mut [f64], cells: &[f32], bucket
     assert_eq!(out.len(), buckets.len(), "slice lengths must match");
     assert!(buckets.iter().all(|&b| b < cells.len()), "bucket out of range");
     #[cfg(target_arch = "x86_64")]
-    if use_avx2(variant) {
+    if use_avx2(variant) && indices_fit_i32(cells.len()) {
         // SAFETY: AVX2 support verified at runtime; every index was just
-        // bounds-checked against `cells`.
+        // bounds-checked against `cells`, whose length keeps it in `i32`.
         unsafe { avx2::gather_widen_f32(out, cells, buckets) };
         return;
     }
@@ -346,108 +350,18 @@ pub fn gather_widen_f32(variant: Variant, out: &mut [f64], cells: &[f32], bucket
     }
 }
 
+/// Whether every index below `len` fits an `i32` lane — the narrowing
+/// `vgatherdps` needs: `len ≤ 2³¹`, so the largest index is `i32::MAX`.
+fn indices_fit_i32(len: usize) -> bool {
+    len <= 1 << 31
+}
+
+/// The kernels the compiler cannot produce at speed from a scalar body.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{median, MAX_ROWS};
     #[allow(clippy::wildcard_imports)]
     use core::arch::x86_64::*;
-
-    /// # Safety
-    /// AVX2 must be supported; `dst.len() == src.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy(dst: &mut [f64], a: f64, src: &[f64], b: f64) {
-        let n = dst.len();
-        let av = _mm256_set1_pd(a);
-        let bv = _mm256_set1_pd(b);
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = _mm256_loadu_pd(dst.as_ptr().add(i));
-            let s = _mm256_loadu_pd(src.as_ptr().add(i));
-            let scaled = _mm256_mul_pd(d, av);
-            let r = _mm256_add_pd(scaled, _mm256_mul_pd(bv, s));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), r);
-            i += 4;
-        }
-        while i < n {
-            let scaled = dst[i] * a;
-            dst[i] = scaled + b * src[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be supported; `dst.len() == src.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_assign(dst: &mut [f64], src: &[f64], c: f64) {
-        let n = dst.len();
-        let cv = _mm256_set1_pd(c);
-        let mut i = 0;
-        while i + 4 <= n {
-            let s = _mm256_loadu_pd(src.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_mul_pd(s, cv));
-            i += 4;
-        }
-        while i < n {
-            dst[i] = src[i] * c;
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be supported; `dst.len() == src.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_scaled(dst: &mut [f64], src: &[f64], c: f64) {
-        let n = dst.len();
-        let cv = _mm256_set1_pd(c);
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = _mm256_loadu_pd(dst.as_ptr().add(i));
-            let s = _mm256_loadu_pd(src.as_ptr().add(i));
-            let r = _mm256_add_pd(d, _mm256_mul_pd(cv, s));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), r);
-            i += 4;
-        }
-        while i < n {
-            dst[i] += c * src[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be supported.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale(dst: &mut [f64], c: f64) {
-        let n = dst.len();
-        let cv = _mm256_set1_pd(c);
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = _mm256_loadu_pd(dst.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_mul_pd(d, cv));
-            i += 4;
-        }
-        while i < n {
-            dst[i] *= c;
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be supported; all three slices must share one length.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sub(dst: &mut [f64], a: &[f64], b: &[f64]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let x = _mm256_loadu_pd(a.as_ptr().add(i));
-            let y = _mm256_loadu_pd(b.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_sub_pd(x, y));
-            i += 4;
-        }
-        while i < n {
-            dst[i] = a[i] - b[i];
-            i += 1;
-        }
-    }
 
     /// # Safety
     /// AVX2 must be supported; `out.len() == buckets.len()` and every
@@ -471,72 +385,16 @@ mod avx2 {
     }
 
     /// # Safety
-    /// AVX2 must be supported; `dst.len() == src.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_scaled_f32(dst: &mut [f32], src: &[f32], c: f32) {
-        let n = dst.len();
-        let cv = _mm256_set1_ps(c);
-        let mut i = 0;
-        while i + 8 <= n {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            let r = _mm256_add_ps(d, _mm256_mul_ps(cv, s));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), r);
-            i += 8;
-        }
-        while i < n {
-            dst[i] += c * src[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be supported.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_f32(dst: &mut [f32], c: f32) {
-        let n = dst.len();
-        let cv = _mm256_set1_ps(c);
-        let mut i = 0;
-        while i + 8 <= n {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_mul_ps(d, cv));
-            i += 8;
-        }
-        while i < n {
-            dst[i] *= c;
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be supported; all three slices must share one length.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sub_f32(dst: &mut [f32], a: &[f32], b: &[f32]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            let x = _mm256_loadu_ps(a.as_ptr().add(i));
-            let y = _mm256_loadu_ps(b.as_ptr().add(i));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_sub_ps(x, y));
-            i += 8;
-        }
-        while i < n {
-            dst[i] = a[i] - b[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
     /// AVX2 must be supported; `out.len() == buckets.len()` and every
-    /// bucket must be `< cells.len()`.
+    /// bucket must be `< cells.len() ≤ 2³¹` (see `super::indices_fit_i32`).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gather_widen_f32(out: &mut [f64], cells: &[f32], buckets: &[usize]) {
         let n = out.len();
         let mut i = 0;
         while i + 8 <= n {
-            // Bucket indices are `usize` (bounds-checked < cells.len() ≤
-            // i32::MAX in any real sketch shape); narrow to the eight i32
-            // lanes `vgatherdps` indexes with.
+            // Bucket indices are `usize`, each `< cells.len() ≤ 2³¹`, so
+            // narrowing to the eight i32 lanes `vgatherdps` indexes with
+            // keeps every one.
             let b = buckets.as_ptr().add(i);
             let idx = _mm256_setr_epi32(
                 *b as i32,
@@ -558,26 +416,6 @@ mod avx2 {
         }
         while i < n {
             out[i] = f64::from(cells[buckets[i]]);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be supported.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn estimate_transform(vals: &mut [f64], mean: f64, denom: f64) {
-        let n = vals.len();
-        let mv = _mm256_set1_pd(mean);
-        let dv = _mm256_set1_pd(denom);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(vals.as_ptr().add(i));
-            let r = _mm256_div_pd(_mm256_sub_pd(v, mv), dv);
-            _mm256_storeu_pd(vals.as_mut_ptr().add(i), r);
-            i += 4;
-        }
-        while i < n {
-            vals[i] = (vals[i] - mean) / denom;
             i += 1;
         }
     }
@@ -612,5 +450,23 @@ mod avx2 {
             i += 4;
         }
         i
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::indices_fit_i32;
+
+    /// The AVX2 widening gather narrows every bucket to `i32`, so it may run
+    /// only while the largest bucket, `len − 1`, is at most `i32::MAX`. (The
+    /// scalar fallback past 2³¹ cells is not driven end to end here: that
+    /// would take an 8 GiB table.)
+    #[test]
+    fn widening_gather_takes_avx2_only_while_indices_fit_i32() {
+        assert!(indices_fit_i32(0));
+        assert!(indices_fit_i32(1 << 31));
+        assert_eq!(i32::try_from((1usize << 31) - 1), Ok(i32::MAX));
+        assert!(!indices_fit_i32((1 << 31) + 1));
+        assert!(!indices_fit_i32(usize::MAX));
     }
 }

@@ -4,10 +4,12 @@
 //! is CI's `SCD_SIMD=scalar` run of the whole suite, which drives every
 //! *dispatched* path through the scalar kernels on AVX2 runners.)
 //!
-//! Values are signed and fractional; lengths cover empty, sub-lane, odd,
-//! and the paper's sketch shapes H·K for H ∈ {1, 5, 9, 25}. On hosts
-//! without AVX2 the forced-AVX2 call falls back to scalar and the tests
-//! degrade to scalar == scalar.
+//! Values are signed and fractional, plus an awkward palette (±0,
+//! subnormals, ±inf, NaN) for every sweep; lengths cover every length
+//! 0..=40 — each residue of the vectoriser's unrolled body and of its
+//! epilogue — odd lengths, and the paper's sketch shapes H·K for
+//! H ∈ {1, 5, 9, 25}. On hosts without AVX2 the forced-AVX2 call falls
+//! back to scalar and the tests degrade to scalar == scalar.
 
 use scd_hash::SplitMix64;
 use scd_sketch::simd::{self, Variant};
@@ -16,10 +18,12 @@ const PAPER_H: [usize; 4] = [1, 5, 9, 25];
 const K: usize = 128;
 
 /// Lengths exercising the 4-lane remainder handling plus full sketch
-/// tables for every paper H.
+/// tables for every paper H, then every length up to 40: ten 4-lane
+/// steps, past one unrolled body of four vectors and every epilogue.
 fn lengths() -> Vec<usize> {
     let mut ls = vec![0, 1, 2, 3, 4, 5, 7, 13, 100, 257];
     ls.extend(PAPER_H.iter().map(|h| h * K));
+    ls.extend(0..=40);
     ls
 }
 
@@ -238,4 +242,86 @@ fn median_rows_variants_match_median_inplace_bit_for_bit() {
             }
         }
     }
+}
+
+/// One sweep under test, applied to a cell table under a forced variant.
+type Sweep<'a> = &'a dyn Fn(Variant, &mut [f64]);
+
+/// Same bits, lane by lane — except that a NaN need only meet a NaN: Rust
+/// leaves NaN payloads unspecified, so a compiled loop may carry either
+/// operand's.
+fn assert_same_bits(scalar: &[f64], vector: &[f64], what: &str) {
+    assert_eq!(scalar.len(), vector.len(), "{what}");
+    for (i, (s, v)) in scalar.iter().zip(vector).enumerate() {
+        if s.is_nan() {
+            assert!(v.is_nan(), "{what} i={i}: NaN vs {v}");
+        } else {
+            assert_eq!(s.to_bits(), v.to_bits(), "{what} i={i}: {s} vs {v}");
+        }
+    }
+}
+
+/// Every `f64` sweep, fed the awkward palette as cells and as
+/// coefficients: signed zeros, subnormals, infinities, NaNs, products that
+/// overflow and a transform whose denominator is zero.
+#[test]
+fn sweeps_agree_on_awkward_values() {
+    const COEFFS: [f64; 8] =
+        [1.0, -0.0, 0.0, 5e-324, f64::MAX, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let mut rng = SplitMix64::new(0xAA);
+    for n in lengths() {
+        let base = awkward_values(&mut rng, n);
+        let src = awkward_values(&mut rng, n);
+        for (i, &c) in COEFFS.iter().enumerate() {
+            let d = COEFFS[(i + 3) % COEFFS.len()];
+            let what = format!("n={n} c={c} d={d}");
+            let sweeps: [(&str, Sweep); 6] = [
+                ("axpy", &|v, out| simd::axpy(v, out, c, &src, d)),
+                ("scale_assign", &|v, out| simd::scale_assign(v, out, &src, c)),
+                ("add_scaled", &|v, out| simd::add_scaled(v, out, &src, c)),
+                ("scale", &|v, out| simd::scale(v, out, c)),
+                ("sub", &|v, out| simd::sub(v, out, &base, &src)),
+                ("estimate_transform", &|v, out| simd::estimate_transform(v, out, c, d)),
+            ];
+            for (name, sweep) in sweeps {
+                let mut scalar = base.clone();
+                let mut vector = base.clone();
+                sweep(Variant::Scalar, &mut scalar);
+                sweep(Variant::Avx2, &mut vector);
+                assert_same_bits(&scalar, &vector, &format!("{name} {what}"));
+            }
+        }
+    }
+}
+
+/// One `#[should_panic]` test per sweep and variant: a length mismatch
+/// panics as each sweep's `# Panics` says, instead of `zip` stopping at
+/// the shorter slice.
+macro_rules! length_mismatch_panics {
+    ($($scalar:ident, $avx2:ident: |$v:ident| $call:expr;)*) => {$(
+        #[test]
+        #[should_panic(expected = "slice lengths must match")]
+        fn $scalar() {
+            let $v = Variant::Scalar;
+            $call;
+        }
+
+        #[test]
+        #[should_panic(expected = "slice lengths must match")]
+        fn $avx2() {
+            let $v = Variant::Avx2;
+            $call;
+        }
+    )*};
+}
+
+length_mismatch_panics! {
+    axpy_length_mismatch_panics_scalar, axpy_length_mismatch_panics_avx2:
+        |v| simd::axpy(v, &mut [0.0; 8], 1.0, &[0.0; 9], 1.0);
+    scale_assign_length_mismatch_panics_scalar, scale_assign_length_mismatch_panics_avx2:
+        |v| simd::scale_assign(v, &mut [0.0; 8], &[0.0; 7], 1.0);
+    add_scaled_length_mismatch_panics_scalar, add_scaled_length_mismatch_panics_avx2:
+        |v| simd::add_scaled(v, &mut [0.0; 8], &[0.0; 9], 1.0);
+    sub_length_mismatch_panics_scalar, sub_length_mismatch_panics_avx2:
+        |v| simd::sub(v, &mut [0.0; 8], &[0.0; 8], &[0.0; 9]);
 }

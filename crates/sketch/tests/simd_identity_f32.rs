@@ -6,8 +6,10 @@
 //!
 //! Values are signed and fractional (exact in `f32`, with enough
 //! mantissa variety that any operand-order or rounding divergence would
-//! show); lengths cover empty, sub-lane, the 8-lane remainders 1..=9,
-//! odd, and the paper's sketch shapes H·K for H ∈ {1, 5, 9, 25}.
+//! show), plus an awkward `f32` palette (±0, subnormals, ±inf, NaN) for
+//! every sweep; lengths cover every length 0..=72 — each residue of the
+//! vectoriser's unrolled 8-lane body and of its epilogue — odd lengths,
+//! and the paper's sketch shapes H·K for H ∈ {1, 5, 9, 25}.
 
 use scd_hash::SplitMix64;
 use scd_sketch::simd::{self, Variant};
@@ -16,10 +18,12 @@ const PAPER_H: [usize; 4] = [1, 5, 9, 25];
 const K: usize = 128;
 
 /// Lengths exercising every 8-lane remainder plus full sketch tables for
-/// every paper H.
+/// every paper H, then every length up to 72: nine 8-lane steps, past one
+/// unrolled body of four vectors and every epilogue.
 fn lengths() -> Vec<usize> {
     let mut ls = vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17, 100, 257];
     ls.extend(PAPER_H.iter().map(|h| h * K));
+    ls.extend(0..=72);
     ls
 }
 
@@ -180,4 +184,104 @@ fn tiled_estimate_over_f32_cells_matches_per_key_formula() {
             }
         }
     }
+}
+
+/// The `f32` palette of awkward values: signed zeros, exact duplicates,
+/// subnormals, the largest finite value, infinities and NaNs (two
+/// payloads), salted with ordinary values.
+fn awkward_values(rng: &mut SplitMix64, n: usize) -> Vec<f32> {
+    const PALETTE: [f32; 12] = [
+        0.0,
+        -0.0,
+        1.5,
+        1.5,
+        -1.5,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 2.0,
+        1e-45,
+        f32::MAX,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    (0..n)
+        .map(|_| match rng.next_below(16) as usize {
+            12 => f32::from_bits(0xFFC0_1234),
+            pick if pick < PALETTE.len() => PALETTE[pick],
+            _ => (rng.next_below(2_000) as f32 - 1_000.0) / 8.0,
+        })
+        .collect()
+}
+
+/// One sweep under test, applied to a cell table under a forced variant.
+type Sweep<'a> = &'a dyn Fn(Variant, &mut [f32]);
+
+/// Same bits, lane by lane — except that a NaN need only meet a NaN: Rust
+/// leaves NaN payloads unspecified, so a compiled loop may carry either
+/// operand's.
+fn assert_same_bits(scalar: &[f32], vector: &[f32], what: &str) {
+    assert_eq!(scalar.len(), vector.len(), "{what}");
+    for (i, (s, v)) in scalar.iter().zip(vector).enumerate() {
+        if s.is_nan() {
+            assert!(v.is_nan(), "{what} i={i}: NaN vs {v}");
+        } else {
+            assert_eq!(s.to_bits(), v.to_bits(), "{what} i={i}: {s} vs {v}");
+        }
+    }
+}
+
+/// Every `f32` sweep, fed the awkward palette as cells and as
+/// coefficients: signed zeros, subnormals, infinities, NaNs and products
+/// that overflow.
+#[test]
+fn f32_sweeps_agree_on_awkward_values() {
+    const COEFFS: [f32; 8] =
+        [1.0, -0.0, 0.0, 1e-45, f32::MAX, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let mut rng = SplitMix64::new(0xFA);
+    for n in lengths() {
+        let base = awkward_values(&mut rng, n);
+        let src = awkward_values(&mut rng, n);
+        for &c in &COEFFS {
+            let sweeps: [(&str, Sweep); 3] = [
+                ("add_scaled_f32", &|v, out| simd::add_scaled_f32(v, out, &src, c)),
+                ("scale_f32", &|v, out| simd::scale_f32(v, out, c)),
+                ("sub_f32", &|v, out| simd::sub_f32(v, out, &base, &src)),
+            ];
+            for (name, sweep) in sweeps {
+                let mut scalar = base.clone();
+                let mut vector = base.clone();
+                sweep(Variant::Scalar, &mut scalar);
+                sweep(Variant::Avx2, &mut vector);
+                assert_same_bits(&scalar, &vector, &format!("{name} n={n} c={c}"));
+            }
+        }
+    }
+}
+
+/// One `#[should_panic]` test per sweep and variant: a length mismatch
+/// panics as each sweep's `# Panics` says, instead of `zip` stopping at
+/// the shorter slice.
+macro_rules! length_mismatch_panics {
+    ($($scalar:ident, $avx2:ident: |$v:ident| $call:expr;)*) => {$(
+        #[test]
+        #[should_panic(expected = "slice lengths must match")]
+        fn $scalar() {
+            let $v = Variant::Scalar;
+            $call;
+        }
+
+        #[test]
+        #[should_panic(expected = "slice lengths must match")]
+        fn $avx2() {
+            let $v = Variant::Avx2;
+            $call;
+        }
+    )*};
+}
+
+length_mismatch_panics! {
+    add_scaled_f32_length_mismatch_panics_scalar, add_scaled_f32_length_mismatch_panics_avx2:
+        |v| simd::add_scaled_f32(v, &mut [0.0; 16], &[0.0; 17], 1.0);
+    sub_f32_length_mismatch_panics_scalar, sub_f32_length_mismatch_panics_avx2:
+        |v| simd::sub_f32(v, &mut [0.0; 16], &[0.0; 15], &[0.0; 16]);
 }
