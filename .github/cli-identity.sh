@@ -59,6 +59,15 @@ for model in ewma:0.5 'arima1:0.5,0.2/0.3'; do
 done
 echo "cli-identity: detect — $n runs, digests independent of the engine's shape"
 
+# The two detect paths that build no engine: staggered lanes and the
+# reversible (deltoid) detector. Their stdout is all they leave behind.
+# shellcheck disable=SC2086
+both stagger -- detect $T --model ewma:0.5 --stagger 4
+# shellcheck disable=SC2086
+both reversible -- detect $T --model ewma:0.5 --strategy reversible
+grep -q ' ALARM ' stagger.new.txt reversible.new.txt
+echo "cli-identity: detect --stagger 4 / --strategy reversible${PARENT:+ — same output as the parent binary}"
+
 # tune: the spec, energy and candidate count the grid search prints, for
 # every model family and for one ARIMA at the paper's depth.
 for model in ma sma ewma nshw arima0 arima1 shw; do

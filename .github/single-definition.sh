@@ -22,14 +22,21 @@
 # the serving plane copies no fat table. Each elementwise sketch sweep is its
 # scalar loop compiled for AVX2, so no float arithmetic intrinsic is written
 # by hand and no kernel enables `fma`, which would let LLVM fuse and move bits.
-# Non-test source = every crates/*/src file up to its `#[cfg(test)]`
-# (a `tests.rs` that is a `#[cfg(test)] mod` of its parent is all test).
+# An ingest half has one way in, `push_slice`: no per-record `push` on the
+# engine, its ingest half or an ingest node, and `EngineConfig` has no
+# batching knob; the net plane has no frame nothing sends.
+# Non-test source = every crates/*/src file up to a `#[cfg(test)]` followed
+# by `mod tests {` (a `#[cfg(test)] mod tests;` declaration does not end it,
+# and the `tests.rs` it names is all test).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 nontest() {
   find crates -path '*/src/*' -name '*.rs' ! -name tests.rs -print0 | sort -z |
-    xargs -0 awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live { print FILENAME ":" FNR ":" $0 }'
+    xargs -0 awk 'FNR == 1 { live = 1; held = "" }
+      held != "" { if ($0 ~ /^mod tests \{/) live = 0; else print held; held = "" }
+      live && /^#\[cfg\(test\)\]/ { held = FILENAME ":" FNR ":" $0; next }
+      live { print FILENAME ":" FNR ":" $0 }'
 }
 
 fail=0
@@ -125,6 +132,14 @@ expect 0 '^crates/serve/src/.*assign_from\('    'fat-table copy(ies) in the serv
 expect 0 '_mm256_(add|sub|mul|div)_p[sd]'       'hand-written float arithmetic intrinsic(s)'
 expect 0 'target_feature\(enable *= *"[^"]*fma' 'target_feature list(s) enabling fma'
 
+# One way into an ingest half, no batching knob, no frame nothing sends.
+expect 0 '^crates/(core/src/engine/|net/src/sender\.rs).*pub fn push\(' \
+  'per-record push entry point(s) into an ingest half'
+expect 0 '^crates/net/src/.*Heartbeat'           'Heartbeat frame(s) in the net plane'
+check 0 'batch or queue_capacity field(s) in EngineConfig' \
+  "$(nontest | awk '/pub struct EngineConfig \{/ { inside = 1; next } inside && /:[0-9]+:\}$/ { inside = 0 }
+      inside && /:[0-9]+: *pub (batch|queue_capacity):/' || true)"
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -139,5 +154,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame"
 exit "$fail"

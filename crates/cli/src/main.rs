@@ -537,11 +537,17 @@ fn generate(flags: &Flags) -> CliResult {
     let seed: u64 = flags.get("seed", 2003)?;
     let dos = flags.raw("dos");
     flags.done()?;
+    ensure(scale > 0.0 && scale.is_finite(), || format!("--scale {scale} must be positive"))?;
+    ensure(interval >= 1, || "--interval must be at least 1 second".into())?;
+    let n_intervals = ((hours * 3600.0) / f64::from(interval)).round().max(1.0);
+    ensure(hours > 0.0 && n_intervals <= f64::from(u32::MAX), || {
+        format!("--hours {hours} must be positive and at most 2^32 intervals")
+    })?;
+    let n_intervals = n_intervals as usize;
 
     let mut cfg = profile.config(seed).scaled(scale);
     cfg.interval_secs = interval;
     let mut generator = TrafficGenerator::new(cfg);
-    let n_intervals = ((hours * 3600.0) / interval as f64).round().max(1.0) as usize;
 
     // Optional DoS schedule: RANK:START:DUR:MULT, comma separated.
     let mut events = Vec::new();
@@ -557,6 +563,12 @@ fn generate(flags: &Flags) -> CliResult {
             let start: usize = fields[1].parse().map_err(|_| FlagError(part.into()))?;
             let duration: usize = fields[2].parse().map_err(|_| FlagError(part.into()))?;
             let mult: f64 = fields[3].parse().map_err(|_| FlagError(part.into()))?;
+            ensure(rank < cfg.n_flows, || {
+                format!("--dos rank {rank} is past the profile's {} destinations", cfg.n_flows)
+            })?;
+            ensure(duration >= 1 && start.checked_add(duration).is_some(), || {
+                format!("--dos '{part}' must last at least one interval")
+            })?;
             let baseline = generator.expected_rank_bytes(rank, start).max(10_000.0);
             events.push(AnomalyEvent {
                 kind: AnomalyKind::DosAttack { byte_rate: baseline * mult, flows: 50 },

@@ -177,6 +177,20 @@ fn helpful_errors() {
         refused(&[&["detect"][..], &replay, extra].concat(), named);
     }
     refused(&[&["stream"][..], &replay, &["--capacity", "0"]].concat(), "--capacity");
+    // `generate` refuses what its generator would panic on, and writes
+    // nothing. The small profile has 4 000 destinations, ranks 0..4000.
+    let generated = trace.with_extension("gen.bin");
+    let generate = ["generate", "--profile", "small", "--out", generated.to_str().unwrap()];
+    let bad_generate: [(&[&str], &str); 4] = [
+        (&["--scale", "0"], "--scale"),
+        (&["--interval", "0"], "--interval"),
+        (&["--hours", "inf"], "--hours"),
+        (&["--dos", "4000:3:1:30"], "--dos rank 4000"),
+    ];
+    for (extra, named) in bad_generate {
+        refused(&[&generate[..], extra].concat(), named);
+        assert!(!generated.exists(), "{extra:?}: a refused generate wrote a trace");
+    }
     // ... and one it does honour is acted on: `archive` used to drop every
     // one of these on the floor and exit 0 with no metrics file.
     let (hist, metrics) = (trace.with_extension("scda"), trace.with_extension("jsonl"));

@@ -38,7 +38,7 @@ use crate::detector::{
 };
 use crate::engine::GlrEngineSnapshot;
 use crate::glr::{GlrConfig, GlrSlotSnapshot, GlrSnapshot, ProvisionalAlarm};
-use crate::staggered::{StaggeredDetector, StaggeredSnapshot};
+use crate::staggered::StaggeredSnapshot;
 use scd_forecast::{ModelSpec, ModelState, NshwParts, ShwParts};
 use scd_hash::byteio::{self, Cursor};
 use scd_hash::envelope::{
@@ -68,7 +68,7 @@ pub struct Checkpoint {
     /// Records processed up to the last completed interval.
     pub processed: u64,
     /// Staggered-lane state (lane count + full snapshot), when the run
-    /// used [`StaggeredDetector`].
+    /// used [`StaggeredDetector`](crate::staggered::StaggeredDetector).
     pub staggered: Option<(usize, StaggeredSnapshot)>,
     /// GLR sequential-layer state (configuration + engine snapshot), when
     /// the run used `--glr`.
@@ -542,24 +542,13 @@ impl Checkpoint {
         SketchChangeDetector::restore(self.config.clone(), self.snapshot.clone())
             .map_err(CheckpointError::Restore)
     }
-
-    /// Rebuilds the staggered-lane detector when this checkpoint carries
-    /// one (`None` for runs without `--stagger`).
-    pub fn restore_staggered(&self) -> Result<Option<StaggeredDetector>, CheckpointError> {
-        self.staggered
-            .as_ref()
-            .map(|(lanes, snap)| {
-                StaggeredDetector::restore(self.config.clone(), *lanes, snap.clone())
-                    .map_err(CheckpointError::Restore)
-            })
-            .transpose()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detector::KeyStrategy;
+    use crate::staggered::StaggeredDetector;
     use scd_forecast::ModelSpec;
 
     fn sample_checkpoint(model: ModelSpec, strategy: KeyStrategy) -> Checkpoint {
@@ -795,8 +784,11 @@ mod tests {
             assert_eq!(a.end_slot(), b.end_slot(), "GLR diverged at slot {s}");
         }
 
-        let mut stag_ref = ck.restore_staggered().expect("restore reference").unwrap();
-        let mut stag_dec = decoded.restore_staggered().expect("restore decoded").unwrap();
+        let staggered = |ck: &Checkpoint| {
+            let (lanes, snap) = ck.staggered.clone().expect("staggered section");
+            StaggeredDetector::restore(ck.config.clone(), lanes, snap).expect("restore lanes")
+        };
+        let (mut stag_ref, mut stag_dec) = (staggered(&ck), staggered(&decoded));
         for s in 7..20u64 {
             assert_eq!(
                 stag_ref.process_slot(&slot_items(s)),

@@ -94,12 +94,6 @@ pub struct EngineConfig {
     /// Shard count `N ≥ 1`, one worker thread each. `1` degenerates to
     /// the single-threaded pipeline: no worker, the pushing thread folds.
     pub shards: usize,
-    /// Updates per batch message. Larger batches amortize channel
-    /// locking; smaller ones bound worker lag at interval boundaries.
-    pub batch: usize,
-    /// Per-shard queue capacity in batches. A full queue back-pressures
-    /// [`ShardedEngine::push`] (blocking send), never drops.
-    pub queue_capacity: usize,
     /// The detection pipeline the merged sketches feed.
     pub detector: DetectorConfig,
     /// When set, archive every interval's error sketch for historical
@@ -138,14 +132,10 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// A config with the default batching parameters (512-update
-    /// batches, 8 batches in flight per shard), no archive, and
-    /// sequential (non-pipelined) detection.
+    /// A config with no archive and sequential (non-pipelined) detection.
     pub fn new(detector: DetectorConfig, shards: usize) -> Self {
         EngineConfig {
             shards,
-            batch: 512,
-            queue_capacity: 8,
             detector,
             archive: None,
             pipeline: false,
@@ -453,7 +443,7 @@ fn publish_loop(
 }
 
 /// The sharded parallel ingest engine: feed updates with
-/// [`push`](Self::push), close each interval with
+/// [`push_slice`](Self::push_slice), close each interval with
 /// [`end_interval`](Self::end_interval) (or, in pipeline mode,
 /// [`end_interval_overlapped`](Self::end_interval_overlapped) +
 /// [`drain`](Self::drain)), read reports identical to the
@@ -506,16 +496,14 @@ impl ShardedEngine {
     /// [`resumed_interval`](Self::resumed_interval) all continue from it.
     ///
     /// # Errors
-    /// [`EngineError::BadConfig`] for zero shards/batch/queue, or an
-    /// archive config that cannot sustain compaction.
+    /// [`EngineError::BadConfig`] for zero shards, or an archive config
+    /// that cannot sustain compaction.
     pub fn new(config: EngineConfig) -> Result<Self, EngineError> {
         let (stage, resumed) = DetectStage::from_config(&config)?;
         let mut ingest = ShardedIngest::build(
             Arc::clone(stage.rows()),
             KeyLog::for_strategy(&config.detector.key_strategy),
             config.shards,
-            config.batch,
-            config.queue_capacity,
             config.metrics.clone(),
         )?;
         let mut glr = config.glr.clone().map(GlrRuntime::new);
@@ -557,11 +545,6 @@ impl ShardedEngine {
         self.ingest.shards
     }
 
-    /// Whether detection runs on its own thread, overlapped with ingest.
-    pub fn is_pipelined(&self) -> bool {
-        matches!(self.detect, DetectBackend::Pipelined(_))
-    }
-
     /// A checkpointable snapshot of the detector, in either mode. In
     /// pipeline mode this round-trips through the detect thread's
     /// message queue, so it reflects every interval handed off so far —
@@ -578,16 +561,6 @@ impl ShardedEngine {
                 pipe.send(DetectMsg::Snapshot(reply_tx))?;
                 reply_rx.recv().map_err(|_| EngineError::DetectorLost)
             }
-        }
-    }
-
-    /// The error-sketch archive, if configured. `None` in pipeline mode
-    /// (the archive lives on the publish lane — use
-    /// [`take_archive`](Self::take_archive) after draining).
-    pub fn archive(&self) -> Option<&SketchArchive<KarySketch>> {
-        match &self.detect {
-            DetectBackend::Inline(stage) => stage.publisher.archive.as_ref(),
-            DetectBackend::Pipelined(_) => None,
         }
     }
 
@@ -636,22 +609,9 @@ impl ShardedEngine {
         self.position = Some((next_interval, processed));
     }
 
-    /// Routes one update to its shard. Blocks (backpressure) if that
-    /// shard's queue is full — the engine never silently drops.
-    ///
-    /// # Errors
-    /// [`EngineError::WorkerLost`] if the shard's worker has died.
-    #[inline]
-    pub fn push(&mut self, key: u64, value: f64) -> Result<(), EngineError> {
-        if let Some(glr) = &mut self.glr {
-            glr.det.observe(key, value);
-        }
-        self.ingest.push(key, value)
-    }
-
-    /// Routes a whole slice of updates — the bulk form of
-    /// [`push`](Self::push), and the API the CLI and trace replay feed
-    /// (see [`ShardedIngest::push_slice`]).
+    /// Routes a slice of updates to their shards, in order (see
+    /// [`ShardedIngest::push_slice`]); the GLR layer, when enabled,
+    /// observes them too.
     ///
     /// # Errors
     /// [`EngineError::WorkerLost`] if a shard's worker has died.
@@ -853,7 +813,8 @@ impl ShardedEngine {
     /// sharded drop-in for `SketchChangeDetector::process_interval`.
     ///
     /// # Errors
-    /// As [`push`](Self::push) and [`end_interval`](Self::end_interval).
+    /// As [`push_slice`](Self::push_slice) and
+    /// [`end_interval`](Self::end_interval).
     pub fn process_interval(
         &mut self,
         items: &[(u64, f64)],

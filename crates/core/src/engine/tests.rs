@@ -26,10 +26,6 @@ fn rejects_degenerate_configs() {
         ShardedEngine::new(EngineConfig { shards: 0, ..config(1) }),
         Err(EngineError::BadConfig(_))
     ));
-    assert!(matches!(
-        ShardedEngine::new(EngineConfig { batch: 0, ..config(2) }),
-        Err(EngineError::BadConfig(_))
-    ));
     let bad_archive = config(2).with_archive(ArchiveConfig {
         max_sketches: 2,
         full_resolution: 4,
@@ -174,9 +170,10 @@ fn shard_routing_spreads_sequential_ip_streams() {
 
 #[test]
 fn push_slice_matches_per_update_push() {
-    // Same stream through push_slice (in uneven chunks) and through
-    // per-update push must produce identical reports — the bulk path
-    // is a pure restructuring, for every key strategy.
+    // Same stream through push_slice in uneven chunks and one update at
+    // a time must produce identical reports — where a slice ends is not
+    // part of the stream, for every key strategy. Each chunk is longer
+    // than a batch, so shards flush mid-slice.
     for strategy in [
         KeyStrategy::TwoPass,
         KeyStrategy::NextInterval,
@@ -185,17 +182,16 @@ fn push_slice_matches_per_update_push() {
         for shards in [1usize, 4] {
             let mut cfg = config(shards);
             cfg.detector.key_strategy = strategy;
-            cfg.batch = 64; // force mid-slice flushes
             let mut bulk = ShardedEngine::new(cfg.clone()).unwrap();
             let mut scalar = ShardedEngine::new(cfg).unwrap();
             for t in 0..6u64 {
                 let items: Vec<(u64, f64)> =
-                    (0..500u64).map(|i| (i % 170, ((i * 31 + t * 13) % 400) as f64)).collect();
-                for chunk in items.chunks(93) {
+                    (0..3_000u64).map(|i| (i % 170, ((i * 31 + t * 13) % 400) as f64)).collect();
+                for chunk in items.chunks(700) {
                     bulk.push_slice(chunk).unwrap();
                 }
-                for &(key, value) in &items {
-                    scalar.push(key, value).unwrap();
+                for item in &items {
+                    scalar.push_slice(std::slice::from_ref(item)).unwrap();
                 }
                 let a = bulk.end_interval().unwrap();
                 let b = scalar.end_interval().unwrap();
@@ -222,11 +218,12 @@ fn push_slice_parallel_matches_push_slice() {
             for producers in [2usize, 3, 8] {
                 let mut cfg = config(shards);
                 cfg.detector.key_strategy = strategy;
-                cfg.batch = 64;
                 let mut par = ShardedEngine::new(cfg.clone()).unwrap();
                 let mut seq = ShardedEngine::new(cfg).unwrap();
                 for t in 0..4u64 {
-                    let items: Vec<(u64, f64)> = (0..700u64)
+                    // Long enough for eight producers of a batch or more
+                    // each, or the parallel path falls back to push_slice.
+                    let items: Vec<(u64, f64)> = (0..4_500u64)
                         .map(|i| (i % 170, ((i * 31 + t * 13) % 400) as f64 + 0.25))
                         .collect();
                     // Mix a partial push first so the parallel path has
@@ -251,8 +248,7 @@ fn push_slice_parallel_matches_push_slice() {
 fn parallel_source_matches_pipelined_and_sequential() {
     // Parallel source on/off × pipeline on/off: all four engines must
     // emit the same reports.
-    let mut cfg = config(4);
-    cfg.batch = 64;
+    let cfg = config(4);
     let mut seq = ShardedEngine::new(cfg.clone()).unwrap();
     let mut par = ShardedEngine::new(cfg.clone()).unwrap();
     let mut pipe = ShardedEngine::new(cfg.clone().with_pipeline()).unwrap();
@@ -260,7 +256,7 @@ fn parallel_source_matches_pipelined_and_sequential() {
     let mut reports: Vec<Vec<IntervalReport>> = vec![Vec::new(); 4];
     for t in 0..6u64 {
         let items: Vec<(u64, f64)> =
-            (0..900u64).map(|i| (i % 240, ((i * 7 + t * 29) % 500) as f64)).collect();
+            (0..2_000u64).map(|i| (i % 240, ((i * 7 + t * 29) % 500) as f64)).collect();
         reports[0].push(seq.process_interval(&items).unwrap());
         par.push_slice_parallel(&items, 3).unwrap();
         reports[1].push(par.end_interval().unwrap());
@@ -307,13 +303,12 @@ fn harvested_sketch_feeds_external_detector_identically() {
     let mut ingest = ShardedIngest::new(sketch, 4).unwrap();
     let mut reference = ShardedEngine::new(config(4)).unwrap();
     let mut external = SketchChangeDetector::new(config(1).detector);
-    let mut sketch = KarySketch::with_rows(Arc::clone(ingest.rows()));
     for t in 0..6u64 {
         let items: Vec<(u64, f64)> =
             (0..300u64).map(|i| (i % 120, ((i * 17 + t * 5) % 300) as f64)).collect();
         ingest.push_slice(&items).unwrap();
-        let keys = ingest.end_interval_sketch_into(&mut sketch).unwrap();
-        let harvested = external.process_observed(&sketch, keys);
+        let (sketch, keys) = ingest.end_interval_sketch().unwrap();
+        let harvested = external.process_observed(sketch, keys);
         let direct = reference.process_interval(&items).unwrap();
         assert_eq!(harvested, direct, "interval {t}");
     }
@@ -332,7 +327,7 @@ fn the_ingest_half_rejects_a_degenerate_pool() {
 #[test]
 fn drop_joins_workers_cleanly() {
     let mut engine = ShardedEngine::new(config(4)).unwrap();
-    engine.push(1, 1.0).unwrap();
+    engine.push_slice(&[(1, 1.0)]).unwrap();
     // Dropping with a batch in flight and no flush must not hang.
     drop(engine);
 }

@@ -34,6 +34,14 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// Updates per batch message: large enough to amortize the channel, small
+/// enough to bound a worker's lag at the close.
+const BATCH: usize = 512;
+
+/// Batches in flight per shard. A full queue back-pressures the pushing
+/// thread (a blocking send), never drops.
+const QUEUE_CAPACITY: usize = 8;
+
 enum WorkerMsg {
     Batch(Vec<(u64, f64)>),
     /// Interval boundary: ship the accumulated table and start the next
@@ -116,17 +124,17 @@ struct Pool {
 impl Pool {
     /// One worker per shard, for the ingest half's lifetime — interval
     /// boundaries reuse them; nothing is spawned per interval.
-    fn spawn(rows: &Arc<HashRows>, shards: usize, queue_capacity: usize, telemetry: bool) -> Pool {
+    fn spawn(rows: &Arc<HashRows>, shards: usize, telemetry: bool) -> Pool {
         // Recycle pool: big enough to hold every batch that can be in
         // flight at once (per shard: the queue plus the one the worker is
         // folding), so a worker's `try_send` only ever drops a Vec in
         // degenerate races, never in steady state. The half holds only the
         // Receiver; worker clones keep the pool alive, and it drains with
         // them on shutdown.
-        let (recycle_tx, recycle) = sync_channel(shards * (queue_capacity + 1));
+        let (recycle_tx, recycle) = sync_channel(shards * (QUEUE_CAPACITY + 1));
         let workers = (0..shards)
             .map(|shard| {
-                let (tx, rx) = sync_channel::<WorkerMsg>(queue_capacity);
+                let (tx, rx) = sync_channel::<WorkerMsg>(QUEUE_CAPACITY);
                 let (result_tx, results) = sync_channel(1);
                 let depth = telemetry.then(|| Arc::new(AtomicUsize::new(0)));
                 let received = depth.clone();
@@ -188,11 +196,10 @@ impl Pool {
         &self,
         shard: usize,
         pending: &mut Vec<(u64, f64)>,
-        batch: usize,
         metrics: Option<&PipelineMetrics>,
     ) -> Result<(), EngineError> {
         let replacement = match self.recycle.try_recv() {
-            // Cleared by the worker; len 0, capacity already ≈ batch.
+            // Cleared by the worker; len 0, capacity already ≈ BATCH.
             Ok(spent) => {
                 if let Some(m) = metrics {
                     m.engine.recycle_hits_total.inc();
@@ -203,7 +210,7 @@ impl Pool {
                 if let Some(m) = metrics {
                     m.engine.recycle_misses_total.inc();
                 }
-                Vec::with_capacity(batch)
+                Vec::with_capacity(BATCH)
             }
         };
         self.send(shard, WorkerMsg::Batch(std::mem::replace(pending, replacement)))
@@ -220,7 +227,6 @@ impl Pool {
     fn harvest(
         &self,
         pending: &mut [Vec<(u64, f64)>],
-        batch: usize,
         bufs: &mut Vec<ShardTable>,
         metrics: Option<&PipelineMetrics>,
     ) -> Result<(), EngineError> {
@@ -228,7 +234,7 @@ impl Pool {
         let mut deepest = 0usize;
         for (shard, worker) in self.workers.iter().enumerate() {
             if !pending[shard].is_empty() {
-                self.ship(shard, &mut pending[shard], batch, metrics)?;
+                self.ship(shard, &mut pending[shard], metrics)?;
             }
             if let Some(depth) = &worker.depth {
                 // Sampled right before Flush lands: how far the slowest
@@ -275,14 +281,12 @@ enum Folding {
 }
 
 /// The ingest half of a [`ShardedEngine`](super::ShardedEngine), usable on
-/// its own: feed updates with [`push`](Self::push) /
-/// [`push_slice`](Self::push_slice), close each interval with
-/// [`end_interval_sketch_into`](Self::end_interval_sketch_into), and get
-/// back the merged observed sketch and the interval's key log. It owns no
-/// detector and never emits a report.
+/// its own: feed updates with [`push_slice`](Self::push_slice), close each
+/// interval with [`end_interval_sketch`](Self::end_interval_sketch), and
+/// get back the merged observed sketch and the interval's key log. It owns
+/// no detector and never emits a report.
 pub struct ShardedIngest {
     pub(super) shards: usize,
-    batch: usize,
     rows: Arc<HashRows>,
     folding: Folding,
     /// Per-shard batch under construction.
@@ -301,9 +305,9 @@ pub struct ShardedIngest {
 }
 
 impl ShardedIngest {
-    /// An ingest half over `sketch`'s hash family with `shards` shards,
-    /// the default batching parameters and the bounded key log: distinct
-    /// keys in first-seen order, which is all a shipped interval needs.
+    /// An ingest half over `sketch`'s hash family with `shards` shards and
+    /// the bounded key log: distinct keys in first-seen order, which is all
+    /// a shipped interval needs.
     /// One shard folds on the pushing thread; more spawn a worker each.
     ///
     /// # Errors
@@ -311,7 +315,7 @@ impl ShardedIngest {
     pub fn new(sketch: SketchConfig, shards: usize) -> Result<Self, EngineError> {
         let rows = HashRows::shared(sketch.h, sketch.k, sketch.seed);
         let keys = KeyLog::for_strategy(&KeyStrategy::NextInterval);
-        ShardedIngest::build(rows, keys, shards, 512, 8, None)
+        ShardedIngest::build(rows, keys, shards, None)
     }
 
     /// Spawns the worker pool — none for one shard. Workers live for the
@@ -320,15 +324,10 @@ impl ShardedIngest {
         rows: Arc<HashRows>,
         keys: KeyLog,
         shards: usize,
-        batch: usize,
-        queue_capacity: usize,
         metrics: Option<Arc<PipelineMetrics>>,
     ) -> Result<Self, EngineError> {
         if shards == 0 {
             return Err(EngineError::BadConfig("shards must be at least 1".into()));
-        }
-        if batch == 0 || queue_capacity == 0 {
-            return Err(EngineError::BadConfig("batch and queue_capacity must be positive".into()));
         }
         let folding = if shards == 1 {
             Folding::Inline(Box::new(InlineShard {
@@ -337,11 +336,10 @@ impl ShardedIngest {
                 stats: metrics.is_some().then(ShardStats::default),
             }))
         } else {
-            Folding::Workers(Pool::spawn(&rows, shards, queue_capacity, metrics.is_some()))
+            Folding::Workers(Pool::spawn(&rows, shards, metrics.is_some()))
         };
         Ok(ShardedIngest {
             shards,
-            batch,
             rows,
             folding,
             pending: (0..shards).map(|_| Vec::new()).collect(),
@@ -373,35 +371,16 @@ impl ShardedIngest {
                 pending.clear();
                 Ok(())
             }
-            Folding::Workers(pool) => {
-                pool.ship(shard, pending, self.batch, self.metrics.as_deref())
-            }
+            Folding::Workers(pool) => pool.ship(shard, pending, self.metrics.as_deref()),
         }
     }
 
-    /// Routes one update to its shard. Blocks (backpressure) if that
-    /// shard's queue is full — ingest never silently drops.
-    ///
-    /// # Errors
-    /// [`EngineError::WorkerLost`] if the shard's worker has died.
-    #[inline]
-    pub fn push(&mut self, key: u64, value: f64) -> Result<(), EngineError> {
-        self.keys.record(key);
-        self.records_total += 1;
-        let shard = shard_of(key, self.shards);
-        self.pending[shard].push((key, value));
-        if self.pending[shard].len() >= self.batch {
-            self.flush_shard(shard)?;
-        }
-        Ok(())
-    }
-
-    /// Routes a whole slice of updates — the bulk form of
-    /// [`push`](Self::push), and the API the CLI and trace replay feed.
-    /// Equivalent to pushing each item in order (same batches, same key
-    /// log, bit-identical reports), but the loop stays inside one call:
-    /// no per-update function boundary, and a one-shard half folds whole
-    /// batches straight from the slice, with no routing and no copy.
+    /// Routes a slice of updates to their shards, in order — the one way
+    /// into an ingest half. Where a slice ends does not matter: any split
+    /// of the same stream gives the same batches, the same key log and
+    /// bit-identical tables. A one-shard half folds whole batches straight
+    /// from the slice, with no routing and no copy. Blocks (backpressure)
+    /// while a shard's queue is full — ingest never silently drops.
     ///
     /// # Errors
     /// [`EngineError::WorkerLost`] if a shard's worker has died.
@@ -414,17 +393,17 @@ impl ShardedIngest {
             let pending = &mut self.pending[0];
             let mut rest = items;
             while !rest.is_empty() {
-                if pending.is_empty() && rest.len() >= self.batch {
-                    let (head, tail) = rest.split_at(self.batch);
+                if pending.is_empty() && rest.len() >= BATCH {
+                    let (head, tail) = rest.split_at(BATCH);
                     one.fold(head);
                     rest = tail;
                     continue;
                 }
-                let room = self.batch - pending.len();
+                let room = BATCH - pending.len();
                 let (head, tail) = rest.split_at(room.min(rest.len()));
                 pending.extend_from_slice(head);
                 rest = tail;
-                if pending.len() >= self.batch {
+                if pending.len() >= BATCH {
                     one.fold(pending);
                     pending.clear();
                 }
@@ -434,7 +413,7 @@ impl ShardedIngest {
         for &(key, value) in items {
             let shard = shard_of(key, self.shards);
             self.pending[shard].push((key, value));
-            if self.pending[shard].len() >= self.batch {
+            if self.pending[shard].len() >= BATCH {
                 self.flush_shard(shard)?;
             }
         }
@@ -465,7 +444,7 @@ impl ShardedIngest {
         producers: usize,
     ) -> Result<(), EngineError> {
         let producers = producers.max(1);
-        if producers == 1 || items.len() < producers * self.batch.max(256) {
+        if producers == 1 || items.len() < producers * BATCH {
             return self.push_slice(items);
         }
         // Anything still pending is earlier in the stream than `items`:
@@ -516,7 +495,7 @@ impl ShardedIngest {
                 }
                 one.hand_over(bufs, metrics);
             }
-            Folding::Workers(pool) => pool.harvest(&mut self.pending, self.batch, bufs, metrics)?,
+            Folding::Workers(pool) => pool.harvest(&mut self.pending, bufs, metrics)?,
         }
         if let Some(m) = metrics {
             m.engine.barrier_ns.record(sw.elapsed_ns());
@@ -545,27 +524,6 @@ impl ShardedIngest {
         merge_shards(merged, &mut bufs, self.metrics.as_deref());
         self.shard_bufs = bufs;
         Ok((merged.sketch(), keys))
-    }
-
-    /// [`end_interval_sketch`](Self::end_interval_sketch) into a table the
-    /// caller keeps: every cell of `observed` is overwritten with the
-    /// merged sketch (one copy of the table).
-    ///
-    /// # Errors
-    /// [`EngineError::WorkerLost`] if a shard worker died mid-interval.
-    ///
-    /// # Panics
-    /// If `observed` is of another hash family than this ingest half
-    /// ([`rows`](Self::rows)).
-    pub fn end_interval_sketch_into(
-        &mut self,
-        observed: &mut KarySketch,
-    ) -> Result<Vec<u64>, EngineError> {
-        let (merged, keys) = self.end_interval_sketch()?;
-        observed
-            .assign_from(merged)
-            .expect("the observed sketch is over this ingest half's family");
-        Ok(keys)
     }
 
     /// Hangs up every worker queue first (lets all workers start

@@ -71,11 +71,6 @@ impl PerFlowDetector {
         PerFlowDetector { model_spec: model, models: HashMap::new(), intervals_processed: 0 }
     }
 
-    /// Number of flows currently tracked.
-    pub fn tracked_flows(&self) -> usize {
-        self.models.len()
-    }
-
     /// Number of intervals fed so far.
     pub fn intervals_processed(&self) -> usize {
         self.intervals_processed
@@ -178,7 +173,7 @@ mod tests {
         det.process_interval(&[(1, 1.0)]);
         det.process_interval(&[(1, 1.0), (2, 2.0)]);
         det.process_interval(&[(3, 3.0)]);
-        assert_eq!(det.tracked_flows(), 3);
+        assert_eq!(det.models.len(), 3);
     }
 
     #[test]

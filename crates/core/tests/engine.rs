@@ -76,20 +76,25 @@ fn sharded_reports_bit_identical_to_single_threaded() {
 #[test]
 fn archive_answers_historical_change_query() {
     let archive_cfg = ArchiveConfig { max_sketches: 12, full_resolution: 4, keys_per_epoch: 32 };
-    let mut engine = ShardedEngine::new(
-        EngineConfig::new(detector_config(KeyStrategy::TwoPass), 4).with_archive(archive_cfg),
-    )
-    .unwrap();
     let burst_key = 0xABCD_u64;
-    // Burst at interval 20; query mid-run while 20 is still inside the
-    // full-resolution window, then again at the end once it has decayed
-    // into a dyadic epoch.
-    for t in 0..23u64 {
-        let burst = (t == 20).then_some((burst_key, 3_000_000.0));
-        engine.process_interval(&interval_updates(t, burst)).unwrap();
-    }
+    // The archive after the first `intervals` intervals, with a burst at
+    // interval 20.
+    let archive_after = |intervals: u64| {
+        let mut engine = ShardedEngine::new(
+            EngineConfig::new(detector_config(KeyStrategy::TwoPass), 4).with_archive(archive_cfg),
+        )
+        .unwrap();
+        for t in 0..intervals {
+            let burst = (t == 20).then_some((burst_key, 3_000_000.0));
+            engine.process_interval(&interval_updates(t, burst)).unwrap();
+        }
+        engine.take_archive().expect("archive configured")
+    };
+    // Query after 23 intervals, while 20 is still inside the
+    // full-resolution window, then after 64, once it has decayed into a
+    // dyadic epoch.
     {
-        let archive = engine.archive().expect("archive configured");
+        let archive = archive_after(23);
         // At full resolution the error history pinpoints the burst to
         // its exact interval…
         let history = archive.key_history(burst_key, 16, 23).unwrap();
@@ -102,10 +107,7 @@ fn archive_answers_historical_change_query() {
         let correction: f64 = history.iter().filter(|p| p.start > 20).map(|p| p.total).sum();
         assert!(correction < -500_000.0, "no post-burst correction visible: {history:?}");
     }
-    for t in 23..64u64 {
-        engine.process_interval(&interval_updates(t, None)).unwrap();
-    }
-    let archive = engine.take_archive().expect("archive configured");
+    let archive = archive_after(64);
     assert!(archive.sketch_count() <= 12, "budget exceeded: {}", archive.sketch_count());
     assert_eq!(archive.coverage(), Some((0, 64)), "archive must track detector intervals");
     // The window [16, 32) now lives in the decayed region; the burst's

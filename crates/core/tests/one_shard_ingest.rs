@@ -37,7 +37,9 @@ enum Feed {
 
 fn feed(ingest: &mut ShardedIngest, how: Feed, items: &[(u64, f64)]) {
     match how {
-        Feed::Push => items.iter().for_each(|&(k, v)| ingest.push(k, v).unwrap()),
+        Feed::Push => {
+            items.iter().for_each(|item| ingest.push_slice(std::slice::from_ref(item)).unwrap())
+        }
         // Split unevenly, so batches straddle calls.
         Feed::PushSlice => items.chunks(777).for_each(|c| ingest.push_slice(c).unwrap()),
         Feed::Parallel => {
@@ -64,11 +66,10 @@ fn one_shard_spawns_no_worker() {
     use std::time::{Duration, Instant};
     let shard_threads =
         || thread_names().into_iter().filter(|n| n.starts_with("scd-shard-")).count();
-    let mut observed = KarySketch::new(SKETCH);
     let mut ingest = ShardedIngest::new(SKETCH, 1).unwrap();
     for (t, how) in [Feed::Push, Feed::PushSlice, Feed::Parallel].into_iter().enumerate() {
         feed(&mut ingest, how, &records(t as u64, 5_000, false));
-        ingest.end_interval_sketch_into(&mut observed).unwrap();
+        ingest.end_interval_sketch().unwrap();
         assert_eq!(shard_threads(), 0, "interval {t} ({how:?}): a one-shard half runs a worker");
     }
     drop(ingest);
@@ -88,15 +89,15 @@ fn one_shard_tables_and_key_logs_equal_the_per_record_reference() {
     for fractional in [false, true] {
         for how in [Feed::Push, Feed::PushSlice, Feed::Parallel] {
             let mut ingest = ShardedIngest::new(SKETCH, 1).unwrap();
-            let mut observed = KarySketch::with_rows(Arc::clone(ingest.rows()));
             // Enough intervals that every table comes round again, each
             // shorter and longer than a batch in turn.
             for t in 0..5u64 {
                 let items = records(t, [3_000, 200, 4_321, 0, 1_025][t as usize], fractional);
                 feed(&mut ingest, how, &items);
-                let keys = ingest.end_interval_sketch_into(&mut observed).unwrap();
+                let rows = Arc::clone(ingest.rows());
+                let (observed, keys) = ingest.end_interval_sketch().unwrap();
 
-                let mut reference = KarySketch::with_rows(Arc::clone(ingest.rows()));
+                let mut reference = KarySketch::with_rows(rows);
                 let mut seen = HashSet::new();
                 let mut first_seen = Vec::new();
                 for &(key, value) in &items {
@@ -108,7 +109,7 @@ fn one_shard_tables_and_key_logs_equal_the_per_record_reference() {
                 let bits =
                     |s: &KarySketch| s.table().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
                 let what = format!("{how:?}, fractional {fractional}, interval {t}");
-                assert!(bits(&observed) == bits(&reference), "{what}: the table differs");
+                assert!(bits(observed) == bits(&reference), "{what}: the table differs");
                 assert_eq!(keys, first_seen, "{what}: the key log differs");
             }
             assert_eq!(ingest.records_total(), 3_000 + 200 + 4_321 + 1_025);

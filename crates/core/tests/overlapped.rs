@@ -67,13 +67,13 @@ fn interval_updates(t: u64) -> Vec<(u64, f64)> {
 /// and returns the reports in interval order.
 fn run_pipelined(config: EngineConfig, intervals: u64) -> Vec<IntervalReport> {
     let mut engine = ShardedEngine::new(config.with_pipeline()).unwrap();
-    assert!(engine.is_pipelined());
     let mut reports = Vec::new();
     for t in 0..intervals {
         engine.push_slice(&interval_updates(t)).unwrap();
-        if let Some(report) = engine.end_interval_overlapped().unwrap() {
-            reports.push(report);
-        }
+        let report = engine.end_interval_overlapped().unwrap();
+        // Pipelined, each close returns the interval before it.
+        assert_eq!(report.is_none(), t == 0, "interval {t}");
+        reports.extend(report);
     }
     if let Some(last) = engine.drain().unwrap() {
         reports.push(last);
@@ -83,7 +83,6 @@ fn run_pipelined(config: EngineConfig, intervals: u64) -> Vec<IntervalReport> {
 
 fn run_sequential(config: EngineConfig, intervals: u64) -> Vec<IntervalReport> {
     let mut engine = ShardedEngine::new(config).unwrap();
-    assert!(!engine.is_pipelined());
     (0..intervals).map(|t| engine.process_interval(&interval_updates(t)).unwrap()).collect()
 }
 
@@ -135,7 +134,6 @@ fn pipelined_archive_matches_sequential_archive() {
             .with_archive(archive_cfg);
 
     let mut pipelined = ShardedEngine::new(config.clone().with_pipeline()).unwrap();
-    assert!(pipelined.archive().is_none(), "pipeline mode has no inline archive handle");
     for t in 0..12u64 {
         pipelined.push_slice(&interval_updates(t)).unwrap();
         pipelined.end_interval_overlapped().unwrap();

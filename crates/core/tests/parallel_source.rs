@@ -94,7 +94,7 @@ fn chunked_reader_feed_is_bit_identical() {
     }
 }
 
-/// Per-shard (parallel) trace synthesis feeding the engine == sequential
+/// Per-producer (range) trace synthesis feeding the engine == sequential
 /// synthesis feeding the engine, across shard counts and pipeline mode.
 #[test]
 fn parallel_synthesis_feed_is_bit_identical() {
@@ -107,9 +107,17 @@ fn parallel_synthesis_feed_is_bit_identical() {
     let sequential: Vec<Vec<(u64, f64)>> = (0..6)
         .map(|t| scd_traffic::to_updates(&g.interval_records(t), KeySpec::DstIp, ValueSpec::Bytes))
         .collect();
+    // Four producers' contiguous counter ranges, concatenated in order.
     let parallel: Vec<Vec<(u64, f64)>> = (0..6)
         .map(|t| {
-            scd_traffic::to_updates(&g.par_interval_records(t, 4), KeySpec::DstIp, ValueSpec::Bytes)
+            let n = g.interval_len(t);
+            let chunk = n.div_ceil(4);
+            let records: Vec<FlowRecord> = (0..4)
+                .flat_map(|w| {
+                    g.interval_records_range(t, (w * chunk).min(n), ((w + 1) * chunk).min(n))
+                })
+                .collect();
+            scd_traffic::to_updates(&records, KeySpec::DstIp, ValueSpec::Bytes)
         })
         .collect();
     assert_eq!(sequential, parallel, "synthesis diverged before the engine");

@@ -14,12 +14,6 @@ pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
-/// Appends a `u16` little-endian.
-#[inline]
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a `u32` little-endian.
 #[inline]
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -111,12 +105,6 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    #[inline]
-    pub fn u16(&mut self) -> Result<u16, ShortInput> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("length checked")))
-    }
-
     /// Reads a little-endian `u32`.
     #[inline]
     pub fn u32(&mut self) -> Result<u32, ShortInput> {
@@ -169,13 +157,11 @@ mod tests {
     fn round_trips_every_width() {
         let mut buf = Vec::new();
         put_u8(&mut buf, 0xAB);
-        put_u16(&mut buf, 0xBEEF);
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, 0x0123_4567_89AB_CDEF);
         put_f64(&mut buf, -1234.5678);
         let mut c = Cursor::new(&buf);
         assert_eq!(c.u8().unwrap(), 0xAB);
-        assert_eq!(c.u16().unwrap(), 0xBEEF);
         assert_eq!(c.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(c.u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(c.f64().unwrap(), -1234.5678);
@@ -230,7 +216,8 @@ mod tests {
     fn short_reads_error_instead_of_panicking() {
         let buf = [1u8, 2, 3];
         let mut c = Cursor::new(&buf);
-        assert!(c.u16().is_ok());
+        assert_eq!(c.u8().unwrap(), 1);
+        assert_eq!(c.u8().unwrap(), 2);
         assert_eq!(c.u64(), Err(ShortInput));
         // The failed read consumes nothing; the last byte is still there.
         assert_eq!(c.u8().unwrap(), 3);

@@ -127,13 +127,6 @@ impl Poly4 {
         add_mod(add_mod(self.p0.eval(c0), self.p1.eval(c1)), self.p2.eval(d))
     }
 
-    /// Hashes a key already known to be below `2^61 - 1` through a single
-    /// polynomial — slightly cheaper, used by the tabulation table filler.
-    #[inline]
-    pub fn hash_field(&self, key: u64) -> u64 {
-        self.p0.eval(key % MERSENNE_P)
-    }
-
     /// Maps `key` into `[0, k)` for power-of-two `k`.
     #[inline]
     pub fn bucket(&self, key: u64, k: usize) -> usize {

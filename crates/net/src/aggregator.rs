@@ -554,11 +554,6 @@ fn serve_connection(
                     return;
                 }
             }
-            Ok(Frame::Heartbeat { node: from }) => {
-                if from == node && tx.send(Event::Seen { node }).is_err() {
-                    return;
-                }
-            }
             Ok(Frame::Bye { node: from, intervals_total }) => {
                 if from == node && tx.send(Event::Bye { node, total: intervals_total }).is_err() {
                     return;

@@ -66,11 +66,6 @@ pub enum Frame {
         /// lost and its data sketch must be recovered from `P_i − D_i`.
         parity_keys: Vec<u64>,
     },
-    /// Liveness signal while no interval is ready to ship.
-    Heartbeat {
-        /// Sending node id.
-        node: u32,
-    },
     /// Clean end of stream: the node has shipped (though not necessarily
     /// had acknowledged) this many intervals.
     Bye {
@@ -92,7 +87,7 @@ impl Frame {
         match self {
             Frame::Hello { .. } => 0,
             Frame::Interval { .. } => 1,
-            Frame::Heartbeat { .. } => 2,
+            // 2 is unassigned: it decodes as `BadType(2)`.
             Frame::Bye { .. } => 3,
             Frame::Ack { .. } => 4,
         }
@@ -122,7 +117,6 @@ impl Frame {
                 put_blob(&mut out, parity);
                 put_keys(&mut out, parity_keys);
             }
-            Frame::Heartbeat { node } => put_u32(&mut out, *node),
             Frame::Bye { node, intervals_total } => {
                 put_u32(&mut out, *node);
                 put_u64(&mut out, *intervals_total);
@@ -173,7 +167,6 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             parity: envelope::blob(&mut cur)?.to_vec(),
             parity_keys: envelope::keys(&mut cur)?,
         },
-        2 => Frame::Heartbeat { node: cur.u32()? },
         3 => Frame::Bye { node: cur.u32()?, intervals_total: cur.u64()? },
         4 => Frame::Ack { interval: cur.u64()? },
         other => return Err(FrameError::BadType(other)),
@@ -199,7 +192,6 @@ mod tests {
                 parity: vec![9, 8],
                 parity_keys: vec![],
             },
-            Frame::Heartbeat { node: 0 },
             Frame::Bye { node: 2, intervals_total: 100 },
             Frame::Ack { interval: 7 },
         ]
@@ -217,10 +209,12 @@ mod tests {
 
     #[test]
     fn unknown_type_is_rejected() {
-        let mut bytes = Frame::Heartbeat { node: 1 }.encode();
-        bytes[4] = 9;
-        bytes.truncate(bytes.len() - 4);
-        envelope::seal(&mut bytes);
-        assert!(matches!(Frame::decode(&bytes), Err(FrameError::BadType(9))));
+        for ty in [2u8, 9] {
+            let mut bytes = Frame::Ack { interval: 1 }.encode();
+            bytes[4] = ty;
+            bytes.truncate(bytes.len() - 4);
+            envelope::seal(&mut bytes);
+            assert!(matches!(Frame::decode(&bytes), Err(FrameError::BadType(t)) if t == ty));
+        }
     }
 }

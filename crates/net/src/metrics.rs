@@ -27,7 +27,8 @@ pub struct SenderMetrics {
     pub backoff_ms_total: Arc<Counter>,
     /// Intervals currently spooled awaiting ack — the node's lag.
     pub spool_pending: Arc<Gauge>,
-    /// Heartbeats sent.
+    /// Rounds of [`IngestNode::finish`](crate::IngestNode::finish) that
+    /// resent the whole spool and a `Bye` while acks were missing.
     pub heartbeats_total: Arc<Counter>,
 }
 
@@ -86,7 +87,8 @@ impl NetMetrics {
                 .counter("scd_net_backoff_ms_total", "milliseconds slept in reconnect backoff"),
             spool_pending: registry
                 .gauge("scd_net_spool_pending", "intervals spooled awaiting ack"),
-            heartbeats_total: registry.counter("scd_net_heartbeats_total", "heartbeats sent"),
+            heartbeats_total: registry
+                .counter("scd_net_heartbeats_total", "finish rounds that resent the spool and Bye"),
         };
         let aggregator = AggregatorMetrics {
             frames_total: registry.counter("scd_net_agg_frames_total", "interval frames accepted"),

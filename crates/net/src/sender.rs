@@ -88,6 +88,9 @@ pub struct IngestNode {
     /// The two ingest halves; each keeps the merged table a close encodes.
     data: ShardedIngest,
     buddy: ShardedIngest,
+    /// What a pushed slice holds for each half, in stream order; reused.
+    data_items: Vec<(u64, f64)>,
+    buddy_items: Vec<(u64, f64)>,
     buddy_id: u32,
     spool: SpoolDir,
     /// The spooled intervals not yet acknowledged, each with the number
@@ -139,6 +142,8 @@ impl IngestNode {
             config,
             data,
             buddy,
+            data_items: Vec::new(),
+            buddy_items: Vec::new(),
             buddy_id,
             spool,
             unacked,
@@ -159,30 +164,27 @@ impl IngestNode {
         self.buddy_id
     }
 
-    /// Offers one update from the mirrored stream. The node keeps only
-    /// the updates landing in its data or buddy shard; everything else
-    /// is some other node's responsibility and is ignored.
+    /// Offers a slice of updates from the mirrored stream. The node keeps
+    /// only the updates landing in its data or buddy shard, each half its
+    /// own subsequence in stream order; everything else is some other
+    /// node's responsibility and is ignored.
     ///
     /// # Errors
     /// [`NetError::Engine`] if a local shard worker died.
-    pub fn push(&mut self, key: u64, value: f64) -> Result<(), NetError> {
-        let shard = shard_of_key(key, self.config.nodes as usize) as u32;
-        if shard == self.config.node {
-            self.data.push(key, value)?;
-        } else if shard == self.buddy_id {
-            self.buddy.push(key, value)?;
-        }
-        Ok(())
-    }
-
-    /// Offers a whole slice of updates (see [`push`](Self::push)).
-    ///
-    /// # Errors
-    /// As [`push`](Self::push).
     pub fn push_slice(&mut self, items: &[(u64, f64)]) -> Result<(), NetError> {
+        let nodes = self.config.nodes as usize;
+        self.data_items.clear();
+        self.buddy_items.clear();
         for &(key, value) in items {
-            self.push(key, value)?;
+            let shard = shard_of_key(key, nodes) as u32;
+            if shard == self.config.node {
+                self.data_items.push((key, value));
+            } else if shard == self.buddy_id {
+                self.buddy_items.push((key, value));
+            }
         }
+        self.data.push_slice(&self.data_items)?;
+        self.buddy.push_slice(&self.buddy_items)?;
         Ok(())
     }
 

@@ -16,9 +16,7 @@
 //!   rescans a row for its total;
 //! * **synced at interval boundaries** — [`SlimSketch::from_fat`] /
 //!   [`SlimSketch::sync`] rebuild it from the fat sketch at interval
-//!   close (the handoff the serving plane publishes), and
-//!   [`SlimSketch::update`] mirrors write-path updates in between for
-//!   intra-interval freshness.
+//!   close (the handoff the serving plane publishes).
 //!
 //! Since PR 9 the slim sketch is also a full [`LinearSketch`]: COMBINE
 //! runs **lanewise in `f32`** (through the eight-lane kernels in
@@ -69,8 +67,8 @@ pub struct SlimSketch {
     /// last [`sync`](Self::sync).
     max_abs: f64,
     /// Rounded `f32` operations a cell may have absorbed since the last
-    /// sync: 1 for the sync itself, one per incremental update, and two
-    /// (multiply + add) per [`add_scaled`](Self::add_scaled) term.
+    /// sync: 1 for the sync itself, one per [`scale`](Self::scale), and
+    /// two (multiply + add) per [`add_scaled`](Self::add_scaled) term.
     roundings: u64,
 }
 
@@ -141,29 +139,6 @@ impl SlimSketch {
     /// The maintained stream total (row 0's running sum; no row scan).
     pub fn sum(&self) -> f64 {
         self.row_sums[0]
-    }
-
-    /// The maintained per-row totals (one `f64` per hash row).
-    pub fn row_sums(&self) -> &[f64] {
-        &self.row_sums
-    }
-
-    /// Mirrors one write-path `UPDATE` into the slim table — the
-    /// intra-interval freshness path when the serving plane tracks
-    /// updates between syncs. Arithmetic is performed in `f64` and
-    /// rounded once per cell, so integer streams below 2²⁴ stay exact.
-    #[inline]
-    pub fn update(&mut self, key: u64, value: f64) {
-        let k = self.k();
-        for row in 0..self.h() {
-            let bucket = self.rows.bucket(row, key);
-            let cell = &mut self.table[row * k + bucket];
-            let next = f64::from(*cell) + value;
-            *cell = next as f32;
-            self.max_abs = self.max_abs.max(next.abs());
-            self.row_sums[row] += value;
-        }
-        self.roundings += 1;
     }
 
     /// In-place `self += c · other`, **lanewise in `f32`** (the eight-lane
@@ -276,7 +251,7 @@ impl SlimSketch {
 
     /// A conservative bound on `|slim.estimate(key) − fat.estimate(key)|`
     /// against the `f64` state that would result from the same operation
-    /// sequence (sync, updates, combines) in full precision.
+    /// sequence (sync, combines) in full precision.
     ///
     /// Each cell has absorbed at most `roundings` rounded `f32`
     /// operations, each off by at most half an ulp at the envelope's
@@ -441,30 +416,6 @@ mod tests {
         }
     }
 
-    /// Mirroring updates incrementally lands in the same state as
-    /// rebuilding from the fat sketch, for integer streams.
-    #[test]
-    fn incremental_update_matches_rebuild_on_integer_streams() {
-        let mut f = fat(9);
-        for key in 0..64u64 {
-            f.update(key, (key + 1) as f64);
-        }
-        let mut incremental = SlimSketch::from_fat(&f);
-        for key in 0..64u64 {
-            let v = ((key * 13) % 200 + 1) as f64;
-            f.update(key, v);
-            incremental.update(key, v);
-        }
-        let rebuilt = SlimSketch::from_fat(&f);
-        for key in 0..64u64 {
-            let (a, b) = (incremental.estimate(key), rebuilt.estimate(key));
-            assert_eq!(a.to_bits(), b.to_bits(), "key {key}: incremental {a} vs rebuilt {b}");
-        }
-        // The incremental bound is wider (one rounding per update) but
-        // still finite and monotone in the update count.
-        assert!(incremental.error_bound() >= rebuilt.error_bound());
-    }
-
     /// `estimate_batch` is a pure restructuring of the scalar loop —
     /// across several of the batch estimator's tiles, over keys the
     /// sketch holds and keys it never saw.
@@ -508,15 +459,12 @@ mod tests {
         let mut f = fat(11);
         let mut slim = SlimSketch::from_fat(&f);
         for key in 0..100u64 {
-            let v = (key % 10 + 1) as f64;
-            f.update(key, v);
-            slim.update(key, v);
+            f.update(key, (key % 10 + 1) as f64);
         }
-        assert_eq!(slim.sum(), f.sum());
         slim.sync(&f);
         assert_eq!(slim.sum().to_bits(), f.sum().to_bits());
-        assert_eq!(slim.row_sums().len(), slim.h());
-        for &rs in slim.row_sums() {
+        assert_eq!(slim.row_sums.len(), slim.h());
+        for &rs in &slim.row_sums {
             assert_eq!(rs, f.sum(), "every row total equals the stream total");
         }
         assert_eq!(slim.memory_bytes() * 2, f.memory_bytes());
@@ -599,7 +547,7 @@ mod tests {
                 f.table_mut().copy_from_slice(&src);
                 let slim = SlimSketch::from_fat(&f);
                 assert_eq!(bits32(slim.table()), bits32(&want), "{shape}: sync registers");
-                assert_eq!(bits64(slim.row_sums()), bits64(&want_sums), "{shape}: sync totals");
+                assert_eq!(bits64(&slim.row_sums), bits64(&want_sums), "{shape}: sync totals");
                 assert_eq!(slim.max_abs.to_bits(), want_max.to_bits(), "{shape}: sync max_abs");
                 assert_eq!(slim.roundings, 1, "{shape}");
                 let bound = 1.0 * want_max * 2f64.powi(-24) / (1.0 - 1.0 / k as f64);

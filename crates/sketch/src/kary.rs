@@ -290,23 +290,6 @@ impl KarySketch {
         Ok(())
     }
 
-    /// Fused in-place `self ← a·self + b·x` in one sweep.
-    ///
-    /// Per cell this performs `(y·a) + (b·x)` — exactly the three rounded
-    /// operations, in the same order, that [`scale`](Self::scale)`(a)`
-    /// followed by [`add_scaled`](Self::add_scaled)`(x, b)` performs (Rust
-    /// never contracts to a fused multiply-add), so the result is
-    /// **bit-identical** to the two-pass form while touching the table
-    /// once.
-    ///
-    /// # Errors
-    /// [`SketchError::IncompatibleSketches`] if the hash families differ.
-    pub fn axpy_assign(&mut self, a: f64, x: &KarySketch, b: f64) -> Result<(), SketchError> {
-        self.check_family(x)?;
-        simd::axpy(simd::active(), &mut self.table, a, &x.table, b);
-        Ok(())
-    }
-
     /// **COMBINE** into a caller-recycled table: `self ← Σ_i c_i · S_i` in
     /// a single sweep over the output (every cell accumulates its terms in
     /// term order starting from zero — the same floating-point sequence as
@@ -391,24 +374,6 @@ impl KarySketch {
         self.check_family(b)?;
         simd::sub(simd::active(), &mut self.table, &a.table, &b.table);
         Ok(())
-    }
-
-    /// [`sub_into`](Self::sub_into) followed by
-    /// [`estimate_f2`](Self::estimate_f2): writes `a − b` into `self` and
-    /// returns `ESTIMATEF2(self)`. `scratch` is not touched (the per-row
-    /// moments live on the stack); the parameter stays for callers that
-    /// pass theirs.
-    ///
-    /// # Errors
-    /// [`SketchError::IncompatibleSketches`] if any hash family differs.
-    pub fn sub_into_estimate_f2(
-        &mut self,
-        a: &KarySketch,
-        b: &KarySketch,
-        _scratch: &mut EstimateScratch,
-    ) -> Result<f64, SketchError> {
-        self.sub_into(a, b)?;
-        Ok(self.estimate_f2())
     }
 
     /// The identity check every in-place kernel starts with: `Ok` when

@@ -5,8 +5,8 @@
 //!
 //! **One body, compiled twice.** Each elementwise sweep — [`axpy`],
 //! [`scale_assign`], [`add_scaled`], [`scale`], [`sub`],
-//! [`estimate_transform`], [`add_scaled_f32`], [`scale_f32`] and
-//! [`sub_f32`] — is written once, as its scalar loop. [`Variant::Avx2`]
+//! [`estimate_transform`], [`add_scaled_f32`] and [`scale_f32`] — is
+//! written once, as its scalar loop. [`Variant::Avx2`]
 //! runs that loop inside a `#[target_feature(enable = "avx2")]` function,
 //! where LLVM vectorises it to 256-bit lanes (its own unrolling and
 //! epilogue included); any other variant runs it as it is. Every kernel
@@ -93,8 +93,8 @@ macro_rules! sweep {
 }
 
 sweep! {
-    /// Fused `dst[i] = (dst[i]·a) + b·src[i]` — the sweep behind
-    /// [`KarySketch::axpy_assign`](crate::KarySketch::axpy_assign).
+    /// Fused `dst[i] = (dst[i]·a) + b·src[i]` — the EWMA and Holt-Winters
+    /// forecast step.
     ///
     /// # Panics
     /// Panics if the slice lengths differ.
@@ -306,20 +306,6 @@ sweep! {
     pub fn scale_f32(dst: &mut [f32], c: f32) {
         for d in dst.iter_mut() {
             *d *= c;
-        }
-    }
-}
-
-sweep! {
-    /// `dst[i] = a[i] − b[i]` in **`f32`** — the slim difference sweep.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths differ.
-    pub fn sub_f32(dst: &mut [f32], a: &[f32], b: &[f32]) {
-        assert_eq!(dst.len(), a.len(), "slice lengths must match");
-        assert_eq!(dst.len(), b.len(), "slice lengths must match");
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d = x - y;
         }
     }
 }

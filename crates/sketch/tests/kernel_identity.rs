@@ -2,10 +2,9 @@
 //! allocating counterparts.
 //!
 //! Every kernel added for the zero-allocation turnover path
-//! (`scale_assign`, `axpy_assign`, `combine_into`, `sub_into`,
-//! `sub_into_estimate_f2`, `estimate_batch`) is a pure re-scheduling of
-//! the floating-point operations its allocating counterpart performs —
-//! same operations, same order, per cell. These tests pin that contract
+//! (`scale_assign`, `combine_into`, `sub_into`, `estimate_batch`) is a
+//! pure re-scheduling of the floating-point operations its allocating
+//! counterpart performs — same operations, same order, per cell. These tests pin that contract
 //! with exact `f64` equality (no epsilon) across the paper's sketch
 //! shapes (H ∈ {1, 5, 9, 25}) with signed fractional values.
 
@@ -149,25 +148,6 @@ fn combine_into_matches_allocating_combine_exactly() {
 }
 
 #[test]
-fn axpy_assign_matches_scale_then_add_scaled_exactly() {
-    let mut rng = SplitMix64::new(0xA599);
-    for &h in &PAPER_H {
-        let cfg = SketchConfig { h, k: 128, seed: 0xFACE ^ h as u64 };
-        let x = populated(&mut rng, cfg, 150);
-        let base = populated(&mut rng, cfg, 150);
-        for &(a, b) in &[(0.75, 0.25), (-1.5, 2.0), (0.0, 1.0), (1.0, 0.0)] {
-            let mut two_pass = base.clone();
-            two_pass.scale(a);
-            two_pass.add_scaled(&x, b).unwrap();
-
-            let mut fused = base.clone();
-            fused.axpy_assign(a, &x, b).unwrap();
-            assert_eq!(two_pass.table(), fused.table(), "H={h} a={a} b={b}");
-        }
-    }
-}
-
-#[test]
 fn scale_assign_and_assign_from_match_clone_path_exactly() {
     let mut rng = SplitMix64::new(0x5CA1);
     for &h in &PAPER_H {
@@ -202,7 +182,7 @@ fn sub_into_matches_combine_exactly() {
 }
 
 #[test]
-fn fused_sub_estimate_f2_matches_two_step_path_exactly() {
+fn sub_into_then_estimate_f2_matches_two_step_path_exactly() {
     let mut rng = SplitMix64::new(0xF2F2);
     for &h in &PAPER_H {
         let cfg = SketchConfig { h, k: 256, seed: 0xF00D ^ h as u64 };
@@ -214,11 +194,12 @@ fn fused_sub_estimate_f2_matches_two_step_path_exactly() {
 
         let mut error = populated(&mut rng, cfg, 40);
         let mut scratch = EstimateScratch::new();
-        let fused_f2 = error.sub_into_estimate_f2(&observed, &forecast, &mut scratch).unwrap();
+        error.sub_into(&observed, &forecast).unwrap();
+        let fused_f2 = error.estimate_f2();
         assert_eq!(two_step.table(), error.table(), "H={h} error sketch");
         assert!(expected_f2 == fused_f2, "H={h} F2: {expected_f2} vs {fused_f2}");
 
-        // And the fused error sketch answers key queries identically.
+        // And the in-place error sketch answers key queries identically.
         let mut out = Vec::new();
         let keys: Vec<u64> = (0..32).map(|_| rng.next_u64()).collect();
         error.estimate_batch(&keys, &mut scratch, &mut out);
@@ -233,11 +214,8 @@ fn kernels_reject_mismatched_hash_families() {
     let a = KarySketch::new(SketchConfig { h: 3, k: 64, seed: 1 });
     let b = KarySketch::new(SketchConfig { h: 3, k: 64, seed: 2 });
     let mut dst = a.clone();
-    let mut scratch = EstimateScratch::new();
     assert!(dst.assign_from(&b).is_err());
     assert!(dst.scale_assign(&b, 1.0).is_err());
-    assert!(dst.axpy_assign(1.0, &b, 1.0).is_err());
     assert!(dst.sub_into(&a, &b).is_err());
-    assert!(dst.sub_into_estimate_f2(&b, &a, &mut scratch).is_err());
     assert!(dst.combine_into(&[(1.0, &a), (1.0, &b)]).is_err());
 }

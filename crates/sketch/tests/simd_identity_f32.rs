@@ -73,20 +73,6 @@ fn scale_f32_variants_are_bit_identical() {
 }
 
 #[test]
-fn sub_f32_variants_are_bit_identical() {
-    let mut rng = SplitMix64::new(0xF3);
-    for n in lengths() {
-        let a = values(&mut rng, n);
-        let b = values(&mut rng, n);
-        let mut scalar = vec![f32::NAN; n];
-        let mut vector = vec![0.0; n];
-        simd::sub_f32(Variant::Scalar, &mut scalar, &a, &b);
-        simd::sub_f32(Variant::Avx2, &mut vector, &a, &b);
-        assert_eq!(scalar, vector, "n={n}");
-    }
-}
-
-#[test]
 fn gather_widen_f32_variants_are_bit_identical() {
     let mut rng = SplitMix64::new(0xF4);
     for &k in &[1usize, 64, 1024, 65_536] {
@@ -242,10 +228,9 @@ fn f32_sweeps_agree_on_awkward_values() {
         let base = awkward_values(&mut rng, n);
         let src = awkward_values(&mut rng, n);
         for &c in &COEFFS {
-            let sweeps: [(&str, Sweep); 3] = [
+            let sweeps: [(&str, Sweep); 2] = [
                 ("add_scaled_f32", &|v, out| simd::add_scaled_f32(v, out, &src, c)),
                 ("scale_f32", &|v, out| simd::scale_f32(v, out, c)),
-                ("sub_f32", &|v, out| simd::sub_f32(v, out, &base, &src)),
             ];
             for (name, sweep) in sweeps {
                 let mut scalar = base.clone();
@@ -282,6 +267,4 @@ macro_rules! length_mismatch_panics {
 length_mismatch_panics! {
     add_scaled_f32_length_mismatch_panics_scalar, add_scaled_f32_length_mismatch_panics_avx2:
         |v| simd::add_scaled_f32(v, &mut [0.0; 16], &[0.0; 17], 1.0);
-    sub_f32_length_mismatch_panics_scalar, sub_f32_length_mismatch_panics_avx2:
-        |v| simd::sub_f32(v, &mut [0.0; 16], &[0.0; 15], &[0.0; 16]);
 }

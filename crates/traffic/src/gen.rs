@@ -7,7 +7,6 @@
 //! and every *record* within an interval is a pure function of
 //! `(seed, interval, index)` via counter-based RNG streams, so traces can
 //! be produced out of order, in parallel (see
-//! [`TrafficGenerator::par_interval_records`] and
 //! [`TrafficGenerator::interval_records_range`]), or streamed without
 //! storage — parallel output is bit-identical to sequential.
 //!
@@ -271,74 +270,9 @@ impl TrafficGenerator {
         self.interval_records_range(t, 0, n)
     }
 
-    /// Generates interval `t` with `threads` producer threads, each owning
-    /// a contiguous counter range of the interval's record stream. The
-    /// in-order concatenation of the per-producer ranges is *exactly* the
-    /// sequential `interval_records(t)` vector (not merely the same
-    /// multiset) because every record is a pure function of `(seed, t, i)`.
-    pub fn par_interval_records(&self, t: usize, threads: usize) -> Vec<FlowRecord> {
-        let n = self.interval_len(t);
-        let threads = threads.max(1).min(n.max(1));
-        if threads == 1 {
-            return self.interval_records_range(t, 0, n);
-        }
-        let chunk = n.div_ceil(threads);
-        let mut parts: Vec<Vec<FlowRecord>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = (w * chunk).min(n);
-                    let hi = ((w + 1) * chunk).min(n);
-                    scope.spawn(move || self.interval_records_range(t, lo, hi))
-                })
-                .collect();
-            for handle in handles {
-                parts.push(handle.join().expect("producer thread panicked"));
-            }
-        });
-        let mut out = Vec::with_capacity(n);
-        for part in parts {
-            out.extend(part);
-        }
-        out
-    }
-
     /// Generates a full trace of `intervals` consecutive intervals.
     pub fn trace(&mut self, intervals: usize) -> Vec<Vec<FlowRecord>> {
         (0..intervals).map(|t| self.interval_records(t)).collect()
-    }
-
-    /// Generates a full trace with `threads` producer threads, striding
-    /// intervals across threads (intervals were already independent).
-    /// Bit-identical to [`TrafficGenerator::trace`].
-    pub fn par_trace(&self, intervals: usize, threads: usize) -> Vec<Vec<FlowRecord>> {
-        let threads = threads.max(1).min(intervals.max(1));
-        if threads == 1 {
-            return (0..intervals)
-                .map(|t| self.interval_records_range(t, 0, self.interval_len(t)))
-                .collect();
-        }
-        let mut out: Vec<Vec<FlowRecord>> = vec![Vec::new(); intervals];
-        std::thread::scope(|scope| {
-            let mut rest: &mut [Vec<FlowRecord>] = &mut out;
-            let mut handles = Vec::with_capacity(threads);
-            for w in 0..threads {
-                // Contiguous interval ranges, one per thread.
-                let lo = w * intervals / threads;
-                let hi = (w + 1) * intervals / threads;
-                let (mine, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                handles.push(scope.spawn(move || {
-                    for (slot, t) in mine.iter_mut().zip(lo..hi) {
-                        *slot = self.interval_records_range(t, 0, self.interval_len(t));
-                    }
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("producer thread panicked");
-            }
-        });
-        out
     }
 }
 
@@ -469,21 +403,6 @@ mod tests {
                     .collect();
                 assert_eq!(merged, full, "{parts}-way partition of interval {t}");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_synthesis_is_bit_identical_to_sequential() {
-        let mut g = TrafficGenerator::new(small_config());
-        for t in [0usize, 5] {
-            let full = g.interval_records(t);
-            for threads in [1usize, 2, 3, 8, 64] {
-                assert_eq!(g.par_interval_records(t, threads), full, "{threads} threads");
-            }
-        }
-        let trace = g.trace(9);
-        for threads in [1usize, 2, 4, 16] {
-            assert_eq!(g.par_trace(9, threads), trace, "{threads} threads");
         }
     }
 

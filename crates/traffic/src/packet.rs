@@ -176,29 +176,6 @@ pub fn parse_ipv4(packet: &[u8]) -> Result<PacketSummary, PacketError> {
     Ok(PacketSummary { src_ip, dst_ip, src_port, dst_port, protocol, total_length })
 }
 
-impl PacketSummary {
-    /// The `(key, value)` update under a key spec, with value = packet
-    /// size (the §2.1 per-packet update).
-    pub fn to_update(&self, key: crate::record::KeySpec) -> (u64, f64) {
-        use crate::record::KeySpec;
-        let key = match key {
-            KeySpec::DstIp => self.dst_ip as u64,
-            KeySpec::SrcIp => self.src_ip as u64,
-            KeySpec::SrcDstPair => ((self.src_ip as u64) << 32) | self.dst_ip as u64,
-            KeySpec::DstIpPort => ((self.dst_ip as u64) << 16) | self.dst_port as u64,
-            KeySpec::DstPrefix(len) => {
-                let len = len.min(32);
-                if len == 0 {
-                    0
-                } else {
-                    (self.dst_ip >> (32 - len)) as u64
-                }
-            }
-        };
-        (key, self.total_length as f64)
-    }
-}
-
 /// Test/bench helper: builds a syntactically valid Ethernet+IPv4+TCP frame.
 pub fn build_frame(
     src_ip: u32,
@@ -238,7 +215,6 @@ pub fn build_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::KeySpec;
 
     #[test]
     fn parses_well_formed_tcp_frame() {
@@ -336,17 +312,6 @@ mod tests {
         let p = parse_ipv4(&pkt).unwrap();
         assert_eq!(p.src_port, 123);
         assert_eq!(p.dst_port, 456);
-    }
-
-    #[test]
-    fn update_projection_uses_packet_size() {
-        let frame = build_frame(0x0A000001, 0xC0A80102, 1, 2, 6, 50);
-        let p = parse_ethernet(&frame).unwrap();
-        let (key, value) = p.to_update(KeySpec::DstIp);
-        assert_eq!(key, 0xC0A80102);
-        assert_eq!(value, 78.0); // 20 + 8 + 50
-        let (pk, _) = p.to_update(KeySpec::DstPrefix(16));
-        assert_eq!(pk, 0xC0A8);
     }
 
     #[test]
