@@ -24,7 +24,11 @@
 # by hand and no kernel enables `fma`, which would let LLVM fuse and move bits.
 # An ingest half has one way in, `push_slice`: no per-record `push` on the
 # engine, its ingest half or an ingest node, and `EngineConfig` has no
-# batching knob; the net plane has no frame nothing sends.
+# batching knob; the net plane has no frame nothing sends. The key log is
+# the fold's combiner: the engine routes a key to its shard in one place,
+# the combiner's, so `push_slice` and the parallel producers share it and no
+# second per-record routing loop exists, and the router keeps no per-record
+# key set.
 # Non-test source = every crates/*/src file up to a `#[cfg(test)]` followed
 # by `mod tests {` (a `#[cfg(test)] mod tests;` declaration does not end it,
 # and the `tests.rs` it names is all test).
@@ -140,6 +144,10 @@ check 0 'batch or queue_capacity field(s) in EngineConfig' \
   "$(nontest | awk '/pub struct EngineConfig \{/ { inside = 1; next } inside && /:[0-9]+:\}$/ { inside = 0 }
       inside && /:[0-9]+: *pub (batch|queue_capacity):/' || true)"
 
+# One router: the combiner's, with no per-record key set beside it.
+expect 1 '^crates/core/src/engine/.*shard_of\('  'shard_of call site(s) in the engine (the combiner routes)'
+expect 0 '^crates/core/src/engine/route\.rs:.*HashSet' 'HashSet(s) in the engine router'
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -154,5 +162,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it"
 exit "$fail"

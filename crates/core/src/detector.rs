@@ -228,6 +228,9 @@ pub struct SketchChangeDetector {
     scratch: EstimateScratch,
     /// Persistent dedup set, cleared (not freed) every interval.
     seen: HashSet<u64, MixBuildHasher>,
+    /// The keys the scan queries: the interval's distinct keys in
+    /// first-seen order, rebuilt (not reallocated) every interval.
+    scan: Vec<u64>,
     /// Telemetry sink. Like the workspaces above, this is not detector
     /// *state*: it is never checkpointed (a restored detector starts with
     /// `None`; re-attach via [`SketchChangeDetector::set_metrics`]), and
@@ -275,6 +278,7 @@ impl SketchChangeDetector {
             error_spare: None,
             scratch: EstimateScratch::new(),
             seen: HashSet::with_hasher(MixBuildHasher),
+            scan: Vec::new(),
             metrics: None,
         }
     }
@@ -313,15 +317,18 @@ impl SketchChangeDetector {
         for &(key, value) in items {
             observed.update(key, value);
         }
-        let keys = items.iter().map(|&(k, _)| k).collect();
-        self.process_observed(&observed, keys)
+        let keys: Vec<u64> = items.iter().map(|&(k, _)| k).collect();
+        self.turnover(&observed, &keys, false).0
     }
 
     /// Feeds one interval whose observed sketch was built externally —
     /// e.g. aggregated from remote routers via COMBINE, or assembled from
     /// per-slot sketches by [`crate::staggered::StaggeredDetector`]. `keys`
-    /// is the key stream for error reconstruction (the two-pass replay
-    /// list; deduplication is the caller's concern only for efficiency).
+    /// is the key stream for error reconstruction: any list whose first
+    /// occurrences are the interval's keys in first-seen order — every
+    /// arrival, the distinct keys, or an ingest half's cache misses. The
+    /// detector deduplicates it before querying, so repeats cost only a
+    /// set probe each.
     ///
     /// # Panics
     /// Panics if `observed` was built over a different hash family than
@@ -329,7 +336,7 @@ impl SketchChangeDetector {
     pub fn process_observed(&mut self, observed: &KarySketch, keys: Vec<u64>) -> IntervalReport {
         // Not wanting the error sketch back lets the turnover recycle its
         // buffer: the steady-state path performs zero heap allocations.
-        self.turnover(observed, keys, false).0
+        self.turnover(observed, &keys, false).0
     }
 
     /// Like [`process_observed`](Self::process_observed), but additionally
@@ -350,7 +357,7 @@ impl SketchChangeDetector {
         observed: &KarySketch,
         keys: Vec<u64>,
     ) -> (IntervalReport, Option<(usize, KarySketch)>) {
-        self.turnover(observed, keys, true)
+        self.turnover(observed, &keys, true)
     }
 
     /// Offers a table for the next interval's error sketch — the way a
@@ -367,20 +374,23 @@ impl SketchChangeDetector {
         }
     }
 
-    /// The interval turnover: one error-only model step, F2, key scan.
+    /// The interval turnover behind every entry point: one error-only model
+    /// step, F2, and the key scan over `keys` (see
+    /// [`process_observed`](Self::process_observed) for what they may be),
+    /// handing back the error sketch too when `want_error`.
     ///
     /// The step streams each of the model's live tables through the cache
     /// once and writes `Se(t)` into a recycled table; `ESTIMATEF2` then
     /// reads that table back while it is still cache-warm. With the
-    /// estimate scratch and the persistent dedup set that makes a warm
-    /// steady-state turnover perform **zero heap allocations** beyond the
-    /// report's own output vectors — with `want_error = true` as long as
-    /// the caller returns a table through
+    /// estimate scratch, the persistent dedup set and the recycled scan
+    /// list that makes a warm steady-state turnover perform **zero heap
+    /// allocations** beyond the report's own output vectors — with
+    /// `want_error = true` as long as the caller returns a table through
     /// [`recycle_error_buffer`](Self::recycle_error_buffer).
-    fn turnover(
+    pub(crate) fn turnover(
         &mut self,
         observed: &KarySketch,
-        mut keys: Vec<u64>,
+        keys: &[u64],
         want_error: bool,
     ) -> (IntervalReport, Option<(usize, KarySketch)>) {
         assert_eq!(
@@ -409,15 +419,16 @@ impl SketchChangeDetector {
             KeyStrategy::TwoPass | KeyStrategy::Sampled { .. } => match stepped {
                 None => (IntervalReport { interval: t, ..Default::default() }, None),
                 Some((error, f2)) => {
-                    self.dedup_in_place(&mut keys);
+                    let mut scan = self.dedup(keys);
                     if let KeyStrategy::Sampled { rate, .. } = self.config.key_strategy {
                         // One shared Bernoulli predicate with the record
                         // sampler — see `UpdateSampler::keep` for the
                         // strict-< semantics this fixes.
                         let sampler = &mut self.sampler;
-                        keys.retain(|_| UpdateSampler::keep(rate, sampler));
+                        scan.retain(|_| UpdateSampler::keep(rate, sampler));
                     }
-                    let report = self.detect(t, &error, &keys, f2);
+                    let report = self.detect(t, &error, &scan, f2);
+                    self.scan = scan;
                     if want_error {
                         (report, Some((t, error)))
                     } else {
@@ -434,11 +445,12 @@ impl SketchChangeDetector {
                         None,
                     ),
                     Some((prev_t, error)) => {
-                        self.dedup_in_place(&mut keys);
+                        let scan = self.dedup(keys);
                         // F2 is a pure function of the sketch, so computing
                         // it at query time (not build time) changes nothing.
                         let f2 = error.estimate_f2();
-                        let report = self.detect(prev_t, &error, &keys, f2);
+                        let report = self.detect(prev_t, &error, &scan, f2);
+                        self.scan = scan;
                         if want_error {
                             (report, Some((prev_t, error)))
                         } else {
@@ -455,12 +467,17 @@ impl SketchChangeDetector {
         }
     }
 
-    /// Deduplicates `keys` in place, preserving first-seen order, using the
-    /// persistent set (cleared, never freed — no steady-state allocation).
-    fn dedup_in_place(&mut self, keys: &mut Vec<u64>) {
+    /// The distinct keys of `keys` in first-seen order, in the recycled
+    /// scan list (hand it back to `self.scan` when done), deduplicated
+    /// with the persistent set — both cleared, never freed, so steady
+    /// state allocates nothing.
+    fn dedup(&mut self, keys: &[u64]) -> Vec<u64> {
+        let mut scan = std::mem::take(&mut self.scan);
+        scan.clear();
         self.seen.clear();
         let seen = &mut self.seen;
-        keys.retain(|k| seen.insert(*k));
+        scan.extend(keys.iter().copied().filter(|&key| seen.insert(key)));
+        scan
     }
 
     /// Change-detection module: threshold selection + batched key scan.
@@ -581,6 +598,7 @@ impl SketchChangeDetector {
             error_spare: None,
             scratch: EstimateScratch::new(),
             seen: HashSet::with_hasher(MixBuildHasher),
+            scan: Vec::new(),
             metrics: None,
         })
     }

@@ -34,14 +34,20 @@
 //!   keys — followed by Lemire multiply-shift range reduction
 //!   ([`scd_hash::range_reduce`]): no division anywhere on the per-update
 //!   path ([`scd_hash::shard_of`]).
-//! * The main thread keeps the key log for error reconstruction; workers
-//!   only ever see `(key, value)` pairs, so the merge point is the
-//!   *only* synchronization per interval. The log's shape is gated by
-//!   the key strategy: `TwoPass` keeps the §3.3 arrival-order replay
-//!   list, while `Sampled`/`NextInterval` — whose detection pass dedups
-//!   before querying — keep only first-seen-order *distinct* keys
-//!   (bounded by the key population, not the record count, and
-//!   bit-identical because deduplication is idempotent).
+//! * The key log is the fold's combiner. Each routing producer keeps a
+//!   direct-mapped cache of 4 096 `(key, partial sum)` slots: a hit adds
+//!   to its slot, a miss logs the key and evicts the resident sum into
+//!   its shard's batch as one update, and the close flushes every cache.
+//!   Workers only ever see `(key, value)` pairs, so the merge point is
+//!   the *only* synchronization per interval. The misses, in stream
+//!   order, hold every key's first occurrence, so they deduplicate to the
+//!   interval's distinct keys in first-seen order — what every key
+//!   strategy scans, since the detector deduplicates before querying.
+//!   The cache is taken only while every value of the interval is an
+//!   integer and their Σ|v| stays below 2⁵³, where every cell is an exact
+//!   integer sum in any grouping; the first slice that breaks that
+//!   flushes the caches, and the rest of the interval folds per record
+//!   in stream order. Either way every cell keeps its bits.
 //! * When an [`ArchiveConfig`] is supplied, every interval's forecast
 //!   error sketch `Se(t)` — handed back by
 //!   [`SketchChangeDetector::process_observed_archiving`](crate::SketchChangeDetector::process_observed_archiving) — is pushed
@@ -78,7 +84,6 @@ use crate::detector::{DetectorConfig, DetectorSnapshot, IntervalReport};
 use crate::glr::{GlrConfig, GlrEvent, GlrRestoreError};
 use crate::supervisor::Supervision;
 use crate::telemetry::PipelineMetrics;
-use route::KeyLog;
 use scd_archive::{ArchiveConfig, ArchiveError, SketchArchive};
 use scd_sketch::KarySketch;
 use slots::GlrRuntime;
@@ -272,7 +277,7 @@ impl Carry {
 enum DetectBackend {
     /// Boxed: the stage carries the detector's recycled workspaces inline,
     /// dwarfing the `Pipelined` variant otherwise. The merge destination
-    /// is the ingest half's ([`ShardedIngest::end_interval_sketch`]).
+    /// and the key log are the ingest half's (`end_interval_merged`).
     Inline(Box<DetectStage>),
     Pipelined(Pipeline),
 }
@@ -296,6 +301,8 @@ struct Pipeline {
     /// Merged (so cleared) shard tables coming back, in their container,
     /// for the workers' next `Flush`.
     table_return: Receiver<Vec<ShardTable>>,
+    /// Scanned key logs coming back, for the ingest half's next interval.
+    key_return: Receiver<Vec<u64>>,
     /// Intervals handed off whose reports have not been received.
     in_flight: usize,
     /// The detect thread, then the publish lane: joined in that order.
@@ -319,11 +326,13 @@ impl Pipeline {
         // blocks here during shutdown.
         let (report_tx, report_rx) = sync_channel(4);
         let (table_tx, table_return) = sync_channel(2);
+        let (key_tx, key_return) = sync_channel(2);
         let (spare_tx, spare_rx) = sync_channel(2);
+        let returns = Returns { tables: table_tx, keys: key_tx };
         let detect = std::thread::Builder::new()
             .name("scd-detect".into())
             .spawn(move || {
-                detect_loop(stage, want_error, detect_rx, publish_tx, spare_rx, table_tx, metrics)
+                detect_loop(stage, want_error, detect_rx, publish_tx, spare_rx, returns, metrics)
             })
             .expect("spawn detect thread");
         let publish = std::thread::Builder::new()
@@ -334,6 +343,7 @@ impl Pipeline {
             detect_tx: Some(detect_tx),
             report_rx,
             table_return,
+            key_return,
             in_flight: 0,
             threads: vec![detect, publish],
         }
@@ -344,13 +354,15 @@ impl Pipeline {
         tx.send(msg).map_err(|_| EngineError::DetectorLost)
     }
 
-    /// The handoff: flush the shards — handing back the cleared tables the
-    /// detect thread has returned — and ship the interval's tables and key
-    /// log to the detect thread, which merges them. Returns at once, so
-    /// ingest of the next interval overlaps detection of this one.
+    /// The handoff: flush the shards — handing back the cleared tables and
+    /// key log the detect thread has returned — and ship the interval's
+    /// tables and key log to the detect thread, which merges them. Returns
+    /// at once, so ingest of the next interval overlaps detection of this
+    /// one.
     fn ship(&mut self, ingest: &mut ShardedIngest, carry: Carry) -> Result<(), EngineError> {
         let mut tables = self.table_return.try_recv().unwrap_or_default();
-        let keys = ingest.close(&mut tables)?;
+        let mut keys = self.key_return.try_recv().unwrap_or_default();
+        ingest.close(&mut tables, &mut keys)?;
         self.send(DetectMsg::Interval { tables, keys, carry })?;
         self.in_flight += 1;
         Ok(())
@@ -376,18 +388,27 @@ impl Pipeline {
     }
 }
 
+/// What the detect thread hands back to the ingest side for reuse.
+struct Returns {
+    /// The cleared shard tables, as soon as they are merged.
+    tables: SyncSender<Vec<ShardTable>>,
+    /// The key log, once scanned.
+    keys: SyncSender<Vec<u64>>,
+}
+
 /// The pipelined detect thread: owns the stage, merges shard tables into
 /// a recycled destination, hands the cleared tables back for the workers'
-/// next interval, runs the turnover, and moves the report and `Se(t)` to
-/// the publish lane, taking back the tables the lane returns for its next
-/// error sketch. It never waits for the lane except on its bounded queue.
+/// next interval, runs the turnover (handing the key log back after it),
+/// and moves the report and `Se(t)` to the publish lane, taking back the
+/// tables the lane returns for its next error sketch. It never waits for
+/// the lane except on its bounded queue.
 fn detect_loop(
     mut stage: DetectStage,
     want_error: bool,
     detect_rx: Receiver<DetectMsg>,
     publish_tx: SyncSender<PublishMsg>,
     spares: Receiver<KarySketch>,
-    table_return: SyncSender<Vec<ShardTable>>,
+    returns: Returns,
     metrics: Option<Arc<PipelineMetrics>>,
 ) {
     let mut merged = ShardTable::new(Arc::clone(stage.rows()));
@@ -395,10 +416,12 @@ fn detect_loop(
         let forward = match msg {
             DetectMsg::Interval { mut tables, keys, carry } => {
                 merge_shards(&mut merged, &mut tables, metrics.as_deref());
-                let _ = table_return.try_send(tables);
+                let _ = returns.tables.try_send(tables);
                 carry.hand_to(&mut stage);
                 stage.recycle(spares.try_iter().last());
-                PublishMsg::Interval(stage.detect(merged.sketch(), keys, want_error))
+                let turnover = stage.detect(merged.sketch(), &keys, want_error);
+                let _ = returns.keys.try_send(keys);
+                PublishMsg::Interval(turnover)
             }
             DetectMsg::Snapshot(reply) => {
                 let _ = reply.send(stage.detector().snapshot());
@@ -500,12 +523,8 @@ impl ShardedEngine {
     /// that cannot sustain compaction.
     pub fn new(config: EngineConfig) -> Result<Self, EngineError> {
         let (stage, resumed) = DetectStage::from_config(&config)?;
-        let mut ingest = ShardedIngest::build(
-            Arc::clone(stage.rows()),
-            KeyLog::for_strategy(&config.detector.key_strategy),
-            config.shards,
-            config.metrics.clone(),
-        )?;
+        let mut ingest =
+            ShardedIngest::build(Arc::clone(stage.rows()), config.shards, config.metrics.clone())?;
         let mut glr = config.glr.clone().map(GlrRuntime::new);
         let closed = stage.emitted();
         if let Some(Checkpoint { glr: Some((_, snapshot)), .. }) = &resumed {
@@ -663,7 +682,7 @@ impl ShardedEngine {
         let carry = self.note_interval_close();
         match &mut self.detect {
             DetectBackend::Inline(stage) => {
-                let (observed, keys) = self.ingest.end_interval_sketch()?;
+                let (observed, keys) = self.ingest.end_interval_merged()?;
                 carry.hand_to(stage);
                 let report = stage.observe(observed, keys)?;
                 if let Some(glr) = &mut self.glr {

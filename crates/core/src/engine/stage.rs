@@ -180,21 +180,6 @@ impl Publisher {
     }
 }
 
-/// Both detector entry points run the same turnover, so the report is
-/// bit-identical whether or not the error sketch is wanted.
-fn turnover(
-    detector: &mut SketchChangeDetector,
-    observed: &KarySketch,
-    keys: Vec<u64>,
-    want_error: bool,
-) -> Turnover {
-    if want_error {
-        detector.process_observed_archiving(observed, keys)
-    } else {
-        (detector.process_observed(observed, keys), None)
-    }
-}
-
 /// The one place a detector panic is caught: the primary attempt and the
 /// silent replay both run through it.
 fn guarded<R>(work: impl FnOnce() -> R) -> Result<R, String> {
@@ -394,7 +379,8 @@ impl DetectStage {
     /// archive stages get separate timings; archive footprint gauges
     /// refresh after every push. Under supervision a detector panic is
     /// absorbed — restart base, silent replay, retry — up to the restart
-    /// budget.
+    /// budget. `keys` is the interval's key stream, as
+    /// [`SketchChangeDetector::process_observed`] takes it.
     ///
     /// # Errors
     /// [`EngineError::Archive`] if the archive rejects the error sketch;
@@ -402,7 +388,7 @@ impl DetectStage {
     pub fn observe(
         &mut self,
         observed: impl Borrow<KarySketch>,
-        keys: Vec<u64>,
+        keys: &[u64],
     ) -> Result<IntervalReport, EngineError> {
         let want_error = self.publisher.wants_error();
         let (report, error) = self.detect(observed.borrow(), keys, want_error)?;
@@ -418,7 +404,7 @@ impl DetectStage {
     pub(super) fn detect(
         &mut self,
         observed: &KarySketch,
-        keys: Vec<u64>,
+        keys: &[u64],
         want_error: bool,
     ) -> Result<Turnover, EngineError> {
         // A detector that gave up stays down: the interval it failed on is
@@ -433,7 +419,7 @@ impl DetectStage {
         let turnover = if self.supervisor.is_some() {
             self.supervised_turnover(observed, keys, want_error)?
         } else {
-            turnover(&mut self.detector, observed, keys, want_error)
+            self.detector.turnover(observed, keys, want_error)
         };
         if let Some(m) = &self.metrics {
             m.engine.detect_ns.record(sw.elapsed_ns());
@@ -456,7 +442,7 @@ impl DetectStage {
     fn supervised_turnover(
         &mut self,
         observed: &KarySketch,
-        keys: Vec<u64>,
+        keys: &[u64],
         want_error: bool,
     ) -> Result<Turnover, EngineError> {
         loop {
@@ -467,12 +453,12 @@ impl DetectStage {
                 if let Some(fault) = fault {
                     fault.before_record(at);
                 }
-                turnover(detector, observed, keys.clone(), want_error)
+                detector.turnover(observed, keys, want_error)
             });
             match attempt {
                 Ok(done) => {
                     let sup = self.supervisor.as_mut().expect("supervised turnover");
-                    sup.retained.push((observed.clone(), keys));
+                    sup.retained.push((observed.clone(), keys.to_vec()));
                     return Ok(done);
                 }
                 Err(panic) => self.restart(panic)?,
@@ -523,7 +509,7 @@ impl DetectStage {
                     if let Some(fault) = fault {
                         fault.before_record(at);
                     }
-                    let _ = detector.process_observed(sketch, keys.clone());
+                    let _ = detector.turnover(sketch, keys, false);
                 }
                 detector
             });

@@ -21,21 +21,24 @@
 //! for the cleared spare. Batches, their order and the key log are the
 //! same either way, so every table is bit-identical.
 
-use super::route::{route_chunk, KeyLog, RoutedChunk};
+use super::route::{Gate, Producer};
 use super::table::{merge_shards, ShardTable};
 use super::EngineError;
-use crate::detector::KeyStrategy;
 use crate::telemetry::{PipelineMetrics, ShardStats};
-use scd_hash::{shard_of, HashRows};
+use scd_hash::{HashRows, MixBuildHasher};
 use scd_obs::Stopwatch;
 use scd_sketch::{BatchScratch, KarySketch, SketchConfig};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Updates per batch message: large enough to amortize the channel, small
-/// enough to bound a worker's lag at the close.
+/// Updates per batch message on the pushing thread: large enough to
+/// amortize the channel, small enough to bound a worker's lag at the close.
+/// Routing a batch's worth of records adds at most one update each, so a
+/// batch never outgrows `2 * BATCH`, the capacity every batch `Vec` starts
+/// with. A parallel producer ships what it routed as one message.
 const BATCH: usize = 512;
 
 /// Batches in flight per shard. A full queue back-pressures the pushing
@@ -82,7 +85,7 @@ fn fold(
             table.update_batch(batch, scratch);
             st.fold_ns.record(sw.elapsed_ns());
             st.batches += 1;
-            st.records += batch.len() as u64;
+            st.updates += batch.len() as u64;
         }
         None => table.update_batch(batch, scratch),
     }
@@ -199,7 +202,7 @@ impl Pool {
         metrics: Option<&PipelineMetrics>,
     ) -> Result<(), EngineError> {
         let replacement = match self.recycle.try_recv() {
-            // Cleared by the worker; len 0, capacity already ≈ BATCH.
+            // Cleared by the worker; len 0, capacity at least 2 × BATCH.
             Ok(spent) => {
                 if let Some(m) = metrics {
                     m.engine.recycle_hits_total.inc();
@@ -210,7 +213,7 @@ impl Pool {
                 if let Some(m) = metrics {
                     m.engine.recycle_misses_total.inc();
                 }
-                Vec::with_capacity(BATCH)
+                Vec::with_capacity(2 * BATCH)
             }
         };
         self.send(shard, WorkerMsg::Batch(std::mem::replace(pending, replacement)))
@@ -280,19 +283,54 @@ enum Folding {
     Workers(Pool),
 }
 
+impl Folding {
+    /// Folds `batch` into `shard`'s table: in place for one shard, leaving
+    /// `batch` empty with its capacity, otherwise by shipping it to the
+    /// shard's worker, leaving a recycled `Vec` in its place.
+    fn take(
+        &mut self,
+        shard: usize,
+        batch: &mut Vec<(u64, f64)>,
+        metrics: Option<&PipelineMetrics>,
+    ) -> Result<(), EngineError> {
+        match self {
+            Folding::Inline(one) => {
+                one.fold(batch);
+                batch.clear();
+                Ok(())
+            }
+            Folding::Workers(pool) => pool.ship(shard, batch, metrics),
+        }
+    }
+}
+
 /// The ingest half of a [`ShardedEngine`](super::ShardedEngine), usable on
 /// its own: feed updates with [`push_slice`](Self::push_slice), close each
 /// interval with [`end_interval_sketch`](Self::end_interval_sketch), and
-/// get back the merged observed sketch and the interval's key log. It owns
-/// no detector and never emits a report.
+/// get back the merged observed sketch and the interval's distinct keys.
+/// It owns no detector and never emits a report.
 pub struct ShardedIngest {
     pub(super) shards: usize,
     rows: Arc<HashRows>,
     folding: Folding,
-    /// Per-shard batch under construction.
+    /// Per-shard batch under construction, always shorter than `BATCH`
+    /// between calls.
     pending: Vec<Vec<(u64, f64)>>,
-    /// Key log for error reconstruction, shaped by the key strategy.
-    keys: KeyLog,
+    /// The routing producers, kept with their caches, batches and miss
+    /// lists across calls and intervals: [`push_slice`](Self::push_slice)
+    /// routes through the first, and
+    /// [`push_slice_parallel`](Self::push_slice_parallel) lends one to each
+    /// of its threads.
+    producers: Vec<Producer>,
+    /// Whether this interval's values still let the producers combine.
+    gate: Gate,
+    /// The interval's key log: every cache miss, in stream order.
+    keys: Vec<u64>,
+    /// The last closed interval's key log, kept for reuse.
+    closed_keys: Vec<u64>,
+    /// What [`end_interval_sketch`](Self::end_interval_sketch) deduplicates
+    /// the key log with — cleared each close, never freed.
+    seen: HashSet<u64, MixBuildHasher>,
     pub(super) records_total: u64,
     /// Telemetry sink; `None` keeps every metric branch off the hot path.
     metrics: Option<Arc<PipelineMetrics>>,
@@ -305,24 +343,20 @@ pub struct ShardedIngest {
 }
 
 impl ShardedIngest {
-    /// An ingest half over `sketch`'s hash family with `shards` shards and
-    /// the bounded key log: distinct keys in first-seen order, which is all
-    /// a shipped interval needs.
+    /// An ingest half over `sketch`'s hash family with `shards` shards.
     /// One shard folds on the pushing thread; more spawn a worker each.
     ///
     /// # Errors
     /// [`EngineError::BadConfig`] for zero shards.
     pub fn new(sketch: SketchConfig, shards: usize) -> Result<Self, EngineError> {
         let rows = HashRows::shared(sketch.h, sketch.k, sketch.seed);
-        let keys = KeyLog::for_strategy(&KeyStrategy::NextInterval);
-        ShardedIngest::build(rows, keys, shards, None)
+        ShardedIngest::build(rows, shards, None)
     }
 
     /// Spawns the worker pool — none for one shard. Workers live for the
     /// ingest half's lifetime.
     pub(super) fn build(
         rows: Arc<HashRows>,
-        keys: KeyLog,
         shards: usize,
         metrics: Option<Arc<PipelineMetrics>>,
     ) -> Result<Self, EngineError> {
@@ -342,8 +376,12 @@ impl ShardedIngest {
             shards,
             rows,
             folding,
-            pending: (0..shards).map(|_| Vec::new()).collect(),
-            keys,
+            pending: (0..shards).map(|_| Vec::with_capacity(2 * BATCH)).collect(),
+            producers: vec![Producer::new(shards)],
+            gate: Gate::new(),
+            keys: Vec::new(),
+            closed_keys: Vec::new(),
+            seen: HashSet::with_hasher(MixBuildHasher),
             records_total: 0,
             metrics,
             shard_bufs: Vec::with_capacity(shards),
@@ -356,85 +394,101 @@ impl ShardedIngest {
         &self.rows
     }
 
-    /// Total updates pushed over the ingest half's lifetime.
+    /// Total records pushed over the ingest half's lifetime.
     pub fn records_total(&self) -> u64 {
         self.records_total
     }
 
-    /// Folds `pending[shard]`: in place for one shard, otherwise by
-    /// shipping it to its worker.
-    fn flush_shard(&mut self, shard: usize) -> Result<(), EngineError> {
-        let pending = &mut self.pending[shard];
-        match &mut self.folding {
-            Folding::Inline(one) => {
-                one.fold(pending);
-                pending.clear();
-                Ok(())
-            }
-            Folding::Workers(pool) => pool.ship(shard, pending, self.metrics.as_deref()),
+    /// Counts `records` pushed, here and in the engine's telemetry.
+    fn count(&mut self, records: usize) {
+        self.records_total += records as u64;
+        if let Some(m) = &self.metrics {
+            m.engine.records_total.add(records as u64);
         }
+    }
+
+    /// Folds `pending[shard]` (see [`Folding::take`]).
+    fn flush_shard(&mut self, shard: usize) -> Result<(), EngineError> {
+        self.folding.take(shard, &mut self.pending[shard], self.metrics.as_deref())
+    }
+
+    /// Folds producer `p`'s non-empty batches, in shard order (see
+    /// [`Folding::take`]).
+    fn drain(&mut self, p: usize) -> Result<(), EngineError> {
+        let metrics = self.metrics.as_deref();
+        for (shard, batch) in self.producers[p].out.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                self.folding.take(shard, batch, metrics)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Empties every producer's cache into the shard batches (see
+    /// `Combiner::flush`). What the caches hold is earlier in the stream
+    /// than anything not yet routed.
+    fn flush_producers(&mut self, combining: bool) -> Result<(), EngineError> {
+        for p in 0..self.producers.len() {
+            let producer = &mut self.producers[p];
+            producer.combiner.flush(combining, &mut producer.out);
+            self.drain(p)?;
+        }
+        Ok(())
+    }
+
+    /// Runs `items` through the exactness gate. When they close it, the
+    /// caches are flushed first, so `items` and the rest of the interval
+    /// fold per record after everything combined before them.
+    fn admit(&mut self, items: &[(u64, f64)]) -> Result<bool, EngineError> {
+        if self.gate.combining() && !self.gate.admit(items) {
+            self.flush_producers(true)?;
+        }
+        Ok(self.gate.combining())
     }
 
     /// Routes a slice of updates to their shards, in order — the one way
     /// into an ingest half. Where a slice ends does not matter: any split
-    /// of the same stream gives the same batches, the same key log and
-    /// bit-identical tables. A one-shard half folds whole batches straight
-    /// from the slice, with no routing and no copy. Blocks (backpressure)
+    /// of the same stream gives bit-identical tables and a key log that
+    /// deduplicates to the same first-seen list. Blocks (backpressure)
     /// while a shard's queue is full — ingest never silently drops.
     ///
     /// # Errors
     /// [`EngineError::WorkerLost`] if a shard's worker has died.
     pub fn push_slice(&mut self, items: &[(u64, f64)]) -> Result<(), EngineError> {
-        self.records_total += items.len() as u64;
-        for &(key, _) in items {
-            self.keys.record(key);
-        }
-        if let Folding::Inline(one) = &mut self.folding {
-            let pending = &mut self.pending[0];
-            let mut rest = items;
-            while !rest.is_empty() {
-                if pending.is_empty() && rest.len() >= BATCH {
-                    let (head, tail) = rest.split_at(BATCH);
-                    one.fold(head);
-                    rest = tail;
-                    continue;
+        self.count(items.len());
+        let combining = self.admit(items)?;
+        // A batch's worth of records at a time, so no batch outgrows
+        // `2 * BATCH` and the workers fold while this thread routes.
+        for block in items.chunks(BATCH) {
+            let first = &mut self.producers[0].combiner;
+            first.route(block, combining, &mut self.pending, &mut self.keys);
+            for shard in 0..self.shards {
+                if self.pending[shard].len() >= BATCH {
+                    self.flush_shard(shard)?;
                 }
-                let room = BATCH - pending.len();
-                let (head, tail) = rest.split_at(room.min(rest.len()));
-                pending.extend_from_slice(head);
-                rest = tail;
-                if pending.len() >= BATCH {
-                    one.fold(pending);
-                    pending.clear();
-                }
-            }
-            return Ok(());
-        }
-        for &(key, value) in items {
-            let shard = shard_of(key, self.shards);
-            self.pending[shard].push((key, value));
-            if self.pending[shard].len() >= BATCH {
-                self.flush_shard(shard)?;
             }
         }
         Ok(())
     }
 
     /// Multi-producer bulk push: `producers` threads route contiguous
-    /// chunks of `items` into private per-shard buffers in parallel, then
-    /// the buffers are folded in producer order — shipped through the
-    /// worker channels, or folded on this thread for one shard. This
-    /// parallelizes the hash-and-route hop that
-    /// [`push_slice`](Self::push_slice) runs single-threaded — the hop
-    /// the interval ledger times as `engine.push_ns_per_record`.
+    /// chunks of `items` through their own caches into their own per-shard
+    /// batches in parallel, then the batches are folded in producer order —
+    /// shipped through the worker channels, or folded on this thread for
+    /// one shard. This parallelizes the combine-and-route hop that
+    /// [`push_slice`](Self::push_slice) runs single-threaded — the hop the
+    /// interval ledger times as `engine.push_ns_per_record`.
     ///
-    /// Reports are **bit-identical** to `push_slice` for any `f64` values,
-    /// not merely for integer-valued cells: chunks are contiguous and
-    /// folded in chunk order, so every shard table folds exactly the
-    /// per-shard subsequence it would have seen from the sequential call,
-    /// and the key log is absorbed in the same stream order (see
-    /// `KeyLog::absorb`). Falls back to `push_slice` when the slice is
-    /// too small to amortize thread spawns.
+    /// Tables are **bit-identical** to `push_slice`'s for any `f64` values,
+    /// not merely for integer-valued cells. While the exactness gate holds
+    /// (every value this interval an integer, Σ|v| below 2⁵³) every cell is
+    /// an exact integer sum, whatever the grouping. The first slice that
+    /// breaks it flushes every cache, and from there chunks are contiguous
+    /// and folded in chunk order, so every shard table folds exactly the
+    /// per-shard subsequence it would have seen from the sequential call.
+    /// The producers' miss lists are appended in chunk order, so the key
+    /// log deduplicates to the same first-seen list. Falls back to
+    /// `push_slice` when the slice is too small to amortize thread spawns.
     ///
     /// # Errors
     /// [`EngineError::WorkerLost`] if a shard's worker has died.
@@ -447,6 +501,8 @@ impl ShardedIngest {
         if producers == 1 || items.len() < producers * BATCH {
             return self.push_slice(items);
         }
+        self.count(items.len());
+        let combining = self.admit(items)?;
         // Anything still pending is earlier in the stream than `items`:
         // flush it first so per-shard fold order stays the sequential one.
         for shard in 0..self.shards {
@@ -454,37 +510,44 @@ impl ShardedIngest {
                 self.flush_shard(shard)?;
             }
         }
-        self.records_total += items.len() as u64;
-        let shards = self.shards;
+        while self.producers.len() < producers {
+            self.producers.push(Producer::new(self.shards));
+        }
         let chunk = items.len().div_ceil(producers);
-        let routed: Vec<RoutedChunk> = std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|c| {
-                    let log = self.keys.fresh_like();
-                    scope.spawn(move || route_chunk(c, shards, log))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("producer thread panicked")).collect()
-        });
-        for (bufs, log) in routed {
-            self.keys.absorb(log);
-            for (shard, buf) in bufs.into_iter().enumerate().filter(|(_, buf)| !buf.is_empty()) {
-                match &mut self.folding {
-                    Folding::Inline(one) => one.fold(&buf),
-                    Folding::Workers(pool) => pool.send(shard, WorkerMsg::Batch(buf))?,
-                }
+        // Each producer routes one contiguous range of the stream; the
+        // first on this thread.
+        let route = |p: &mut Producer, part| {
+            p.combiner.route(part, combining, &mut p.out, &mut p.misses);
+        };
+        let mut lent = self.producers.iter_mut().zip(items.chunks(chunk));
+        let (first, head) = lent.next().expect("a non-empty slice");
+        std::thread::scope(|scope| {
+            for (producer, part) in lent {
+                scope.spawn(move || route(producer, part));
             }
+            route(first, head);
+        });
+        for p in 0..producers {
+            let misses = &mut self.producers[p].misses;
+            self.keys.extend_from_slice(misses);
+            misses.clear();
+            self.drain(p)?;
         }
         Ok(())
     }
 
-    /// The interval-close barrier: folds every shard's pending batch and
-    /// hands each shard its cleared table from `bufs`, collects the
-    /// per-shard tables in shard order into `bufs` and takes the
-    /// interval's key log.
-    pub(super) fn close(&mut self, bufs: &mut Vec<ShardTable>) -> Result<Vec<u64>, EngineError> {
+    /// The interval-close barrier: flushes every producer's cache, folds
+    /// every shard's pending batch and hands each shard its cleared table
+    /// from `bufs`, collects the per-shard tables in shard order into
+    /// `bufs`, and trades the interval's key log for the cleared `keys`.
+    pub(super) fn close(
+        &mut self,
+        bufs: &mut Vec<ShardTable>,
+        keys: &mut Vec<u64>,
+    ) -> Result<(), EngineError> {
         let sw = Stopwatch::start();
+        self.flush_producers(self.gate.combining())?;
+        self.gate.reset();
         let metrics = self.metrics.as_deref();
         match &mut self.folding {
             Folding::Inline(one) => {
@@ -500,29 +563,47 @@ impl ShardedIngest {
         if let Some(m) = metrics {
             m.engine.barrier_ns.record(sw.elapsed_ns());
         }
-        Ok(self.keys.take())
+        keys.clear();
+        std::mem::swap(&mut self.keys, keys);
+        Ok(())
     }
 
-    /// Closes the interval on this thread: the barrier, then the merge of
-    /// the per-shard tables into a table this ingest half keeps, and hands
-    /// back that merged observed sketch with the interval's key log — the
-    /// pair a detect stage consumes, whether it sits in this process or
-    /// behind an aggregator that COMBINEs several nodes' sketches first.
-    /// The sketch stays valid until the next close. The merge touches only
-    /// the lines this interval and the one before wrote while every table
-    /// is sparse, and sweeps the whole table otherwise; the shard tables
-    /// and the merge destination are kept for the next close, so steady
-    /// state allocates nothing. With one shard, the destination and the
-    /// shard table trade places: no copy.
+    /// The barrier and the merge of the per-shard tables into a table this
+    /// ingest half keeps: the interval's merged observed sketch and its key
+    /// log (the cache misses in stream order, which deduplicate to its
+    /// distinct keys in first-seen order), both valid until the next close.
+    /// The merge touches only the lines this interval and the one before
+    /// wrote while every table is sparse, and sweeps the whole table
+    /// otherwise; the shard tables, the merge destination and the key log
+    /// are kept for the next close, so steady state allocates nothing.
+    /// With one shard, the destination and the shard table trade places:
+    /// no copy.
+    pub(super) fn end_interval_merged(&mut self) -> Result<(&KarySketch, &[u64]), EngineError> {
+        let mut bufs = std::mem::take(&mut self.shard_bufs);
+        let mut keys = std::mem::take(&mut self.closed_keys);
+        self.close(&mut bufs, &mut keys)?;
+        let merged = self.merged.get_or_insert_with(|| ShardTable::new(Arc::clone(&self.rows)));
+        merge_shards(merged, &mut bufs, self.metrics.as_deref());
+        self.shard_bufs = bufs;
+        self.closed_keys = keys;
+        Ok((merged.sketch(), &self.closed_keys))
+    }
+
+    /// Closes the interval on this thread (see `end_interval_merged`) and
+    /// hands back the merged observed sketch with the interval's distinct
+    /// keys in first-seen order — the pair a detect stage consumes, whether
+    /// it sits in this process or behind an aggregator that COMBINEs
+    /// several nodes' sketches first. The sketch stays valid until the next
+    /// close.
     ///
     /// # Errors
     /// [`EngineError::WorkerLost`] if a shard worker died mid-interval.
     pub fn end_interval_sketch(&mut self) -> Result<(&KarySketch, Vec<u64>), EngineError> {
-        let mut bufs = std::mem::take(&mut self.shard_bufs);
-        let keys = self.close(&mut bufs)?;
-        let merged = self.merged.get_or_insert_with(|| ShardTable::new(Arc::clone(&self.rows)));
-        merge_shards(merged, &mut bufs, self.metrics.as_deref());
-        self.shard_bufs = bufs;
+        self.end_interval_merged()?;
+        let seen = &mut self.seen;
+        seen.clear();
+        let keys = self.closed_keys.iter().copied().filter(|&key| seen.insert(key)).collect();
+        let merged = self.merged.as_ref().expect("merged at this close");
         Ok((merged.sketch(), keys))
     }
 

@@ -27,8 +27,13 @@ use std::sync::Arc;
 pub struct EngineMetrics {
     /// Intervals closed by the engine.
     pub intervals_total: Arc<Counter>,
-    /// Updates folded by shard workers (from merged `ShardStats`).
+    /// Records pushed into the ingest half (counted on the pushing
+    /// thread).
     pub records_total: Arc<Counter>,
+    /// Updates the shard tables folded (from merged `ShardStats`): one per
+    /// record past the combiner's exactness gate, one per evicted partial
+    /// sum before it.
+    pub updates_folded_total: Arc<Counter>,
     /// Batches folded by shard workers.
     pub batches_total: Arc<Counter>,
     /// Per-batch sketch fold time on the shard workers (ns).
@@ -152,7 +157,9 @@ impl PipelineMetrics {
             intervals_total: registry
                 .counter("scd_engine_intervals_total", "intervals closed by the engine"),
             records_total: registry
-                .counter("scd_engine_records_total", "updates folded by shard workers"),
+                .counter("scd_engine_records_total", "records pushed into the ingest half"),
+            updates_folded_total: registry
+                .counter("scd_engine_updates_folded_total", "updates folded into shard tables"),
             batches_total: registry
                 .counter("scd_engine_batches_total", "batches folded by shard workers"),
             ingest_batch_ns: registry
@@ -256,7 +263,7 @@ pub(crate) struct ShardStats {
     /// Batches folded this interval.
     pub(crate) batches: u64,
     /// Updates folded this interval.
-    pub(crate) records: u64,
+    pub(crate) updates: u64,
     /// Per-batch fold latency.
     pub(crate) fold_ns: LocalHistogram,
 }
@@ -265,7 +272,7 @@ impl ShardStats {
     /// Folds this shard's interval into the shared engine metrics.
     pub(crate) fn merge_into(&self, engine: &EngineMetrics) {
         engine.batches_total.add(self.batches);
-        engine.records_total.add(self.records);
+        engine.updates_folded_total.add(self.updates);
         engine.ingest_batch_ns.merge_local(&self.fold_ns);
     }
 }

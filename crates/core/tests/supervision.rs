@@ -128,7 +128,9 @@ fn run(shape: Shape, strategy: KeyStrategy, path: Option<&Path>, fault: FaultPla
                 let mut observed = KarySketch::with_rows(Arc::clone(stage.rows()));
                 items.iter().for_each(|&(key, value)| observed.update(key, value));
                 stage.set_position(Some(t + 1), (t + 1) * PER);
-                match stage.observe(observed, items.iter().map(|&(key, _)| key).collect()) {
+                match stage
+                    .observe(observed, &items.iter().map(|&(key, _)| key).collect::<Vec<_>>())
+                {
                     Ok(report) => reports.push(report),
                     Err(e) => {
                         failure = Some(e);
@@ -412,7 +414,7 @@ fn a_supervised_stage_without_a_checkpoint_path_retains_a_cadence_not_the_run() 
     let mut most = 0;
     for t in 0..200u64 {
         let (observed, keys, items) = stage_interval(&stage, t);
-        let report = stage.observe(observed, keys).unwrap();
+        let report = stage.observe(observed, &keys).unwrap();
         assert_eq!(report, reference.process_interval(&items), "interval {t}");
         most = most.max(stage.retained());
     }
@@ -445,7 +447,7 @@ fn a_checkpoint_that_cannot_be_written_degrades_once_a_write_and_still_bounds_re
     let mut reference = SketchChangeDetector::new(detector_config(KeyStrategy::TwoPass));
     for t in 0..12u64 {
         let (observed, keys, items) = stage_interval(&stage, t);
-        let report = stage.observe(observed, keys).unwrap();
+        let report = stage.observe(observed, &keys).unwrap();
         assert_eq!(report, reference.process_interval(&items), "interval {t}");
         assert!(stage.retained() <= 3, "retained {} intervals", stage.retained());
     }

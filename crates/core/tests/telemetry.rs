@@ -158,3 +158,43 @@ fn recorded_metrics_match_the_traffic() {
     registry.render_prometheus(&mut exposition);
     scd_obs::validate_exposition(&exposition).expect("exposition is well-formed");
 }
+
+/// `scd_engine_records_total` counts records pushed and
+/// `scd_engine_updates_folded_total` what the shard tables folded. On
+/// integer traffic the combining cache folds a key's records into one
+/// update while it stays resident, so the tables fold fewer updates than
+/// records were pushed; a fractional value sends every record of its
+/// interval down the per-record path, one update each.
+#[test]
+fn updates_folded_are_counted_beside_records_pushed() {
+    for fractional in [false, true] {
+        for shards in [1usize, SHARDS] {
+            let registry = Registry::new();
+            let metrics = PipelineMetrics::register(&registry);
+            let config = EngineConfig::new(
+                detector_config(ModelSpec::Ewma { alpha: 0.4 }, KeyStrategy::TwoPass),
+                shards,
+            )
+            .with_metrics(Arc::clone(&metrics));
+            let mut engine = ShardedEngine::new(config).unwrap();
+            let mut pushed = 0u64;
+            for t in 0..INTERVALS {
+                let mut items = interval_updates(t);
+                if fractional {
+                    items.iter_mut().for_each(|(_, v)| *v += 0.5);
+                }
+                pushed += items.len() as u64;
+                engine.push_slice(&items).unwrap();
+                engine.end_interval().unwrap();
+            }
+            let folded = metrics.engine.updates_folded_total.get();
+            let what = format!("fractional {fractional}, {shards} shard(s)");
+            assert_eq!(metrics.engine.records_total.get(), pushed, "{what}: records pushed");
+            if fractional {
+                assert_eq!(folded, pushed, "{what}: one update folded per record");
+            } else {
+                assert!(folded < pushed, "{what}: {folded} updates folded for {pushed} records");
+            }
+        }
+    }
+}

@@ -475,7 +475,7 @@ fn emit_one(
         }
     });
     let before = detector.restarts();
-    let report = detector.observe(&*observed, keys)?;
+    let report = detector.observe(&*observed, &keys)?;
     let after = detector.restarts();
     if after > before {
         bump(config, |m| {

@@ -566,7 +566,7 @@ fn supervised_detector_resumes_from_checkpoint_at_startup() {
     for t in 0..4u64 {
         let updates = interval_updates(t);
         let (s, keys) = sketch_of(&updates, first.rows());
-        let got = first.observe(s, keys).expect("observe");
+        let got = first.observe(s, &keys).expect("observe");
         let expect = reference.process_interval(&updates);
         assert_eq!(got, expect);
     }
@@ -577,7 +577,7 @@ fn supervised_detector_resumes_from_checkpoint_at_startup() {
     for t in 4..INTERVALS {
         let updates = interval_updates(t);
         let (s, keys) = sketch_of(&updates, second.rows());
-        let got = second.observe(s, keys).expect("observe");
+        let got = second.observe(s, &keys).expect("observe");
         let expect = reference.process_interval(&updates);
         assert_eq!(got, expect, "resumed detector diverged at interval {t}");
     }

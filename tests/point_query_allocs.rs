@@ -278,10 +278,9 @@ fn a_warm_instrumented_turnover_allocates_only_its_report() {
         // varies by a few digits from run to run: room for several.
         let mut line = String::with_capacity(64 * 1024);
         for t in 0..WARM_INTERVALS + 8 {
-            let stream = keys.clone();
             let mut report = None;
             let allocations = allocations_in(|| {
-                report = Some(stage.observe(&observed[t % 4], stream).expect("unsupervised"));
+                report = Some(stage.observe(&observed[t % 4], &keys).expect("unsupervised"));
                 line.clear();
                 registry.render_jsonl(t as u64, &mut line);
             });
@@ -347,5 +346,48 @@ fn a_warm_sparse_close_allocates_only_its_report() {
         }
         let walked = metrics.engine.sparse_merges_total.get() - walked_before;
         assert_eq!(walked, 8, "{shards} shards: line walks");
+    }
+}
+
+/// A warm push allocates nothing on the pushing thread. Every routing
+/// producer keeps its combining cache and batches across calls and
+/// intervals, and the key log (the cache misses) trades places with the
+/// log the last close scanned instead of regrowing every interval. At two
+/// shards the batches that leave for the workers are replaced from the
+/// recycle pool, which the warm-up's burst interval fills.
+#[test]
+fn a_warm_push_allocates_nothing() {
+    for shards in [1usize, 2] {
+        let detector = DetectorConfig {
+            sketch: SketchConfig { h: 5, k: 4096, seed: 7 },
+            model: ModelSpec::parse("ewma:0.5").expect("a valid model spec"),
+            threshold: 100.0,
+            key_strategy: KeyStrategy::TwoPass,
+        };
+        let mut engine =
+            ShardedEngine::new(EngineConfig::new(detector, shards)).expect("an engine");
+        // 5 000 records over 1 500 keys: enough that keys collide in the
+        // cache and every shard ships batches mid-interval.
+        let interval = |t: u64| -> Vec<(u64, f64)> {
+            (0..5_000u64).map(|i| ((i * i + t) % 1_500 * 13 + 1, (i % 41 + 1) as f64)).collect()
+        };
+        for t in 0..WARM_INTERVALS as u64 + 8 {
+            let mut items = interval(t);
+            if t == 0 {
+                items.extend((1u64 << 40..).take(200_000).map(|key| (key, 1.0)));
+            }
+            let allocations = allocations_in(|| {
+                for slice in items.chunks(700) {
+                    engine.push_slice(slice).expect("workers alive");
+                }
+            });
+            engine.end_interval().expect("workers alive");
+            if t >= WARM_INTERVALS as u64 {
+                assert_eq!(
+                    allocations, 0,
+                    "{shards} shard(s), interval {t}: a warm push allocated"
+                );
+            }
+        }
     }
 }
