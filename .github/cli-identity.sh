@@ -22,6 +22,17 @@ cd "$W"
 
 # same A B WHAT: two files are byte-identical.
 same() { cmp -s "$1" "$2" || { echo "cli-identity: $3 differ ($1 vs $2)"; cmp "$1" "$2" || true; exit 1; }; }
+# kib OLD NEW WHAT: the archive's resident footprint (`archive: ... N KiB`)
+# is a measurement, not an answer: it may fall from the parent's but not
+# rise, and is masked in both files before their bytes are compared.
+kib() {
+  local re='^(archive: intervals .* epochs, )([0-9.]+)( KiB)'
+  local was now; was=$(sed -nE "s/$re.*/\2/p" "$1") now=$(sed -nE "s/$re.*/\2/p" "$2")
+  if [ -n "$was$now" ] && ! awk -v a="$was" -v b="$now" 'BEGIN { exit !(b <= a) }'; then
+    echo "cli-identity: archive footprint rose from $was to $now KiB: $3"; exit 1
+  fi
+  sed -i -E "s/$re/\1…\3/" "$1" "$2"
+}
 # Runs "$@" under this binary into OUT.new.* and, with a parent, under the
 # parent into OUT.old.*; then compares stdout and every named file.
 both() { # both OUT FILES... -- ARGS...
@@ -31,6 +42,7 @@ both() { # both OUT FILES... -- ARGS...
   [ -n "$PARENT" ] || return 0
   "$PARENT" "${@//@/$out.old}" > "$out.old.txt"
   sed "s/$out\.old/$out.new/g" "$out.old.txt" > "$out.old.norm"
+  kib "$out.old.norm" "$out.new.txt" "scd $*"
   same "$out.old.norm" "$out.new.txt" "stdout of: scd $*"
   for f in "${files[@]}"; do same "$out.old.$f" "$out.new.$f" "$f of: scd $*"; done
 }
@@ -113,6 +125,27 @@ both fa scda -- archive $F --out @.scda
 # shellcheck disable=SC2086
 both fs scda -- serve $F --out @.scda --shards 2 --pipeline --listen 127.0.0.1:$((PORT + 2)) 2> /dev/null
 same fa.new.scda fs.new.scda "archive --out vs serve --pipeline --out (arima1, --k 65536)"
+
+# Answers from those dumps, whose older epochs load packed: every `scd query`
+# kind — changed keys, key history, and the historical estimate, which reads
+# the window's range sketch — over the whole coverage, windows that snap to
+# merged epochs, and the newest epoch alone; with a parent, its answers from
+# its own dump, byte for byte.
+for dump in fa fs; do
+  for window in "0 30" "3 11" "12 14" "20 29" "29 30"; do
+    read -r from to <<< "$window"
+    Q="query --archive @.scda --from $from --to $to"
+    # shellcheck disable=SC2086
+    both $dump -- $Q --threshold 0.4 --top 1000
+    for key in 85.137.174.224 34.52.173.162; do
+      # shellcheck disable=SC2086
+      both $dump -- $Q --key $key
+      # shellcheck disable=SC2086
+      both $dump -- $Q --estimate $key
+    done
+  done
+done
+echo "cli-identity: query — changed keys, key history, estimate on the --k 65536 dumps${PARENT:+, same answers as the parent binary}"
 
 # What only exists since every command builds its engine one way.
 # shellcheck disable=SC2086

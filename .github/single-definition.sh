@@ -28,7 +28,8 @@
 # the fold's combiner: the engine routes a key to its shard in one place,
 # the combiner's, so `push_slice` and the parallel producers share it and no
 # second per-record routing loop exists, and the router keeps no per-record
-# key set.
+# key set. An archive epoch packs through one routine and merges packed
+# through one, whichever element type (fat `f64`, slim `f32`) it holds.
 # Non-test source = every crates/*/src file up to a `#[cfg(test)]` followed
 # by `mod tests {` (a `#[cfg(test)] mod tests;` declaration does not end it,
 # and the `tests.rs` it names is all test).
@@ -148,6 +149,11 @@ check 0 'batch or queue_capacity field(s) in EngineConfig' \
 expect 1 '^crates/core/src/engine/.*shard_of\('  'shard_of call site(s) in the engine (the combiner routes)'
 expect 0 '^crates/core/src/engine/route\.rs:.*HashSet' 'HashSet(s) in the engine router'
 
+# One pack routine and one packed merge: scd-archive's epoch store, shared
+# by the engine's fat archive and the serving replica's slim one.
+expect 1 'fn pack_cells'                         'archive pack routine(s)'
+expect 1 'fn merge_cells'                        'archive packed-merge routine(s)'
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -162,5 +168,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it; one pack routine, one packed merge"
 exit "$fail"

@@ -1,14 +1,18 @@
 //! The archive proper: dyadic epochs, budget-driven compaction, queries.
 
-use scd_sketch::{LinearSketch, SecondMoment, SketchError};
+use crate::store::{merge_cells, pack_cells, pack_limit, Packed, Table};
+use scd_sketch::{CellTable, SecondMoment, SketchError};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Retention policy for a [`SketchArchive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchiveConfig {
-    /// Hard budget on retained sketches. Memory is `max_sketches` times
-    /// one sketch (plus the key directory), forever, regardless of how
-    /// many intervals have been pushed.
+    /// Hard budget on retained sketches. Memory is at most `max_sketches`
+    /// times one sketch (plus the key directory), forever, regardless of
+    /// how many intervals have been pushed — less when epochs pack (see
+    /// [`SketchArchive::memory_bytes`]).
     pub max_sketches: usize,
     /// The most recent `full_resolution` intervals are never merged: the
     /// detector's recent past stays queryable at native resolution.
@@ -98,19 +102,20 @@ impl From<SketchError> for ArchiveError {
 }
 
 /// One retained span of history: the COMBINE of `len` consecutive
-/// interval sketches starting at interval `start`.
+/// interval sketches starting at interval `start`, held dense or packed
+/// (see [`SketchArchive::memory_bytes`]).
 #[derive(Debug, Clone)]
-pub struct Epoch<L> {
+pub struct Epoch<L: CellTable> {
     pub(crate) start: u64,
     pub(crate) len: u64,
-    pub(crate) sketch: L,
+    pub(crate) table: Table<L>,
     /// Directory of this epoch's most salient keys, `(key, weight)` with
     /// nonnegative weights, sorted by weight descending then key
     /// ascending, at most `keys_per_epoch` entries.
     pub(crate) notable: Vec<(u64, f64)>,
 }
 
-impl<L> Epoch<L> {
+impl<L: CellTable> Epoch<L> {
     /// First interval covered (inclusive).
     pub fn start(&self) -> u64 {
         self.start
@@ -131,9 +136,23 @@ impl<L> Epoch<L> {
         self.start + self.len
     }
 
-    /// The summed sketch for the covered span.
-    pub fn sketch(&self) -> &L {
-        &self.sketch
+    /// The summed sketch for the covered span while it is held dense —
+    /// always for the newest epoch, which is stored exactly as pushed —
+    /// and `None` while it is packed. [`SketchArchive::dense_sketch`]
+    /// gives any epoch's table.
+    pub fn sketch(&self) -> Option<&L> {
+        match &self.table {
+            Table::Dense(sketch) => Some(sketch),
+            Table::Packed(_) => None,
+        }
+    }
+
+    /// The epoch's written cells and read scalars while it is packed.
+    pub fn packed(&self) -> Option<&Packed<L>> {
+        match &self.table {
+            Table::Dense(_) => None,
+            Table::Packed(packed) => Some(packed),
+        }
     }
 
     /// The epoch's key directory (weight-ranked).
@@ -159,28 +178,54 @@ fn rank_notable(entries: impl IntoIterator<Item = (u64, f64)>, cap: usize) -> Ve
     ranked
 }
 
+/// Packed tables a merge freed, kept for the next pack or merge to fill
+/// (at most this many).
+const SPARE_PACKED: usize = 2;
+
 /// A fixed-budget, multi-resolution store of per-interval sketches.
 ///
 /// Intervals are pushed in order (`0, 1, 2, …`); the archive keeps them
 /// as a deque of contiguous [`Epoch`]s, oldest first, and compacts by
 /// COMBINE when the deque outgrows [`ArchiveConfig::max_sketches`].
-#[derive(Debug, Clone)]
-pub struct SketchArchive<L> {
+#[derive(Debug)]
+pub struct SketchArchive<L: CellTable> {
     config: ArchiveConfig,
     epochs: VecDeque<Epoch<L>>,
     next_interval: u64,
     /// Epoch merges performed since construction (compaction work done —
     /// the telemetry layer reads this once per interval).
     merges: u64,
-    /// The sketch the latest merge emptied of its meaning: its cells were
-    /// added into its buddy and no epoch refers to it any more. Held (one
-    /// at most, the newest) so a producer can reuse the allocation —
+    /// The dense table the latest push emptied of its meaning — the
+    /// demoted newest epoch's once it packed, or a merged buddy's — that
+    /// no epoch refers to any more. Held (one at most, the newest) so a
+    /// producer can reuse the allocation —
     /// [`take_retired`](SketchArchive::take_retired). Not history: never
-    /// serialized.
+    /// serialized, never cloned.
     retired: Option<L>,
+    /// Unshared packed tables merges freed, refilled by the next pack or
+    /// merge instead of allocating. Not history either.
+    spare: Vec<Arc<Packed<L>>>,
+    /// The pack sweep's written-register masks, one per 64 registers.
+    masks: Vec<u64>,
 }
 
-impl<L: LinearSketch> SketchArchive<L> {
+/// A snapshot: the epochs (a packed one as a pointer bump), not the
+/// retired table or the spare packed tables.
+impl<L: CellTable> Clone for SketchArchive<L> {
+    fn clone(&self) -> Self {
+        SketchArchive {
+            config: self.config,
+            epochs: self.epochs.clone(),
+            next_interval: self.next_interval,
+            merges: self.merges,
+            retired: None,
+            spare: Vec::new(),
+            masks: Vec::new(),
+        }
+    }
+}
+
+impl<L: CellTable> SketchArchive<L> {
     /// Creates an empty archive.
     ///
     /// # Errors
@@ -193,6 +238,8 @@ impl<L: LinearSketch> SketchArchive<L> {
             next_interval: 0,
             merges: 0,
             retired: None,
+            spare: Vec::new(),
+            masks: Vec::new(),
         })
     }
 
@@ -219,11 +266,12 @@ impl<L: LinearSketch> SketchArchive<L> {
                 }
             }
             expected_start = Some(epoch.end());
-            if let Some(first) = epochs.first() {
-                if first.sketch.identity() != epoch.sketch.identity() {
+            if let (Some(first), Some(sketch)) = (epochs.first(), epoch.sketch()) {
+                let first = first.sketch().expect("decoded epochs are dense");
+                if first.identity() != sketch.identity() {
                     return Err(SketchError::IncompatibleSketches {
-                        left: first.sketch.identity(),
-                        right: epoch.sketch.identity(),
+                        left: first.identity(),
+                        right: sketch.identity(),
                     }
                     .into());
                 }
@@ -242,7 +290,12 @@ impl<L: LinearSketch> SketchArchive<L> {
             next_interval,
             merges: 0,
             retired: None,
+            spare: Vec::new(),
+            masks: Vec::new(),
         };
+        for i in 0..archive.epochs.len().saturating_sub(1) {
+            archive.settle(i);
+        }
         archive.compact();
         Ok(archive)
     }
@@ -283,15 +336,23 @@ impl<L: LinearSketch> SketchArchive<L> {
         self.epochs.iter()
     }
 
-    /// Heap bytes held: every epoch's sketch table plus the key
-    /// directory. Bounded by `max_sketches · sketch_size + max_sketches ·
-    /// keys_per_epoch · 16` regardless of stream length. (The one spare
-    /// sketch [`take_retired`](Self::take_retired) may be holding is not
-    /// history and is not counted.)
+    /// Heap bytes held: every epoch's table plus the key directory.
+    ///
+    /// The newest epoch is the dense table as pushed. Every older one is
+    /// held **packed** — the registers whose bits are not `+0.0`, at 4
+    /// bytes of index plus the register each — whenever that is at most
+    /// half its dense bytes, and dense otherwise; whether it packs depends
+    /// on its own written-register count alone, looked at when a push
+    /// demotes it and after every merge. So the bound is
+    /// `Σ min(dense, packed)`-like and never above the dense
+    /// `max_sketches · sketch_size + max_sketches · keys_per_epoch · 16`.
+    /// (The retired table [`take_retired`](Self::take_retired) may be
+    /// holding and spare packed capacity are not history and are not
+    /// counted.)
     pub fn memory_bytes(&self) -> usize {
         self.epochs
             .iter()
-            .map(|e| e.sketch.memory_bytes() + e.notable.len() * std::mem::size_of::<(u64, f64)>())
+            .map(|e| e.table.bytes() + e.notable.len() * std::mem::size_of::<(u64, f64)>())
             .sum()
     }
 
@@ -305,10 +366,11 @@ impl<L: LinearSketch> SketchArchive<L> {
     /// [`ArchiveError::Sketch`] if `sketch` belongs to a different hash
     /// family than the epochs already archived.
     pub fn push(&mut self, sketch: L, notable: &[(u64, f64)]) -> Result<u64, ArchiveError> {
-        if let Some(back) = self.epochs.back() {
-            if back.sketch.identity() != sketch.identity() {
+        if !self.epochs.is_empty() {
+            let back = self.newest();
+            if back.identity() != sketch.identity() {
                 return Err(SketchError::IncompatibleSketches {
-                    left: back.sketch.identity(),
+                    left: back.identity(),
                     right: sketch.identity(),
                 }
                 .into());
@@ -316,10 +378,117 @@ impl<L: LinearSketch> SketchArchive<L> {
         }
         let t = self.next_interval;
         let notable = rank_notable(notable.iter().copied(), self.config.keys_per_epoch);
-        self.epochs.push_back(Epoch { start: t, len: 1, sketch, notable });
+        self.epochs.push_back(Epoch { start: t, len: 1, table: Table::Dense(sketch), notable });
         self.next_interval = t + 1;
+        if self.epochs.len() >= 2 {
+            self.settle(self.epochs.len() - 2);
+        }
         self.compact();
         Ok(t)
+    }
+
+    /// The newest epoch's table, which is always dense.
+    ///
+    /// # Panics
+    /// On an empty archive.
+    fn newest(&self) -> &L {
+        let back = self.epochs.back().expect("a non-empty archive");
+        back.sketch().expect("the newest epoch is held as pushed")
+    }
+
+    /// A dense table of the archive's family whose contents will be
+    /// overwritten: the retired one if held, else a fresh zeroed one.
+    fn blank(&mut self) -> L {
+        match self.retired.take() {
+            Some(table) => table,
+            None => self.newest().zero_like(),
+        }
+    }
+
+    /// An empty packed table: a spare if one is held.
+    fn spare(&mut self) -> Arc<Packed<L>> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Takes back a packed table no epoch holds any more, unless a
+    /// snapshot still shares it.
+    fn recycle(&mut self, mut packed: Arc<Packed<L>>) {
+        if self.spare.len() < SPARE_PACKED && Arc::get_mut(&mut packed).is_some() {
+            self.spare.push(packed);
+        }
+    }
+
+    /// Holds epoch `i` packed if its written registers fit
+    /// [`pack_limit`], dense otherwise — the one storage rule, applied to
+    /// every epoch but the newest. A dense table that packs is retired.
+    fn settle(&mut self, i: usize) {
+        let limit = pack_limit::<L::Cell>(self.newest().cells().len());
+        if let Table::Packed(packed) = &self.epochs[i].table {
+            if limit.is_some_and(|limit| packed.cells.len() <= limit) {
+                return;
+            }
+            let packed = Arc::clone(packed);
+            let mut dense = self.blank();
+            packed.unpack_into(&mut dense);
+            self.epochs[i].table = Table::Dense(dense);
+            self.recycle(packed);
+            return;
+        }
+        let Some(limit) = limit else { return };
+        let mut packed = self.spare();
+        let into = Arc::get_mut(&mut packed).expect("a spare is unshared");
+        let Table::Dense(sketch) = &self.epochs[i].table else { unreachable!("not packed") };
+        if !pack_cells(sketch.cells(), limit, &mut self.masks, &mut into.cells) {
+            self.recycle(packed);
+            return;
+        }
+        into.totals = sketch.totals();
+        if let Table::Dense(old) =
+            std::mem::replace(&mut self.epochs[i].table, Table::Packed(packed))
+        {
+            self.retired = Some(old);
+        }
+    }
+
+    /// `left + 1.0·right`, held however the two are: a dense add when both
+    /// are dense, the packed merge when both are packed, and otherwise the
+    /// packed one unpacked into a spare dense table and added densely.
+    fn merge_tables(&mut self, left: Table<L>, right: Table<L>) -> Table<L> {
+        match (left, right) {
+            (Table::Dense(mut left), Table::Dense(right)) => {
+                left.add_scaled(&right, 1.0).expect("identities checked at push");
+                self.retired = Some(right);
+                Table::Dense(left)
+            }
+            (Table::Packed(left), Table::Packed(right)) => {
+                let (_, k, _) = self.newest().identity();
+                let mut merged = self.spare();
+                let out = Arc::get_mut(&mut merged).expect("a spare is unshared");
+                merge_cells(&left.cells, &right.cells, &mut out.cells);
+                let cells = &out.cells;
+                out.totals =
+                    L::merged_totals(&left.totals, &right.totals, |row| cells.row_sum(row, k));
+                self.recycle(left);
+                self.recycle(right);
+                Table::Packed(merged)
+            }
+            (Table::Dense(mut left), Table::Packed(right)) => {
+                let mut scratch = self.blank();
+                right.unpack_into(&mut scratch);
+                left.add_scaled(&scratch, 1.0).expect("identities checked at push");
+                self.retired = Some(scratch);
+                self.recycle(right);
+                Table::Dense(left)
+            }
+            (Table::Packed(left), Table::Dense(right)) => {
+                let mut sum = self.blank();
+                left.unpack_into(&mut sum);
+                sum.add_scaled(&right, 1.0).expect("identities checked at push");
+                self.retired = Some(right);
+                self.recycle(left);
+                Table::Dense(sum)
+            }
+        }
     }
 
     fn compact(&mut self) {
@@ -358,25 +527,27 @@ impl<L: LinearSketch> SketchArchive<L> {
             }
         }
         let right = self.epochs.remove(pick + 1).expect("pick+1 < unprotected ≤ len");
-        let left = &mut self.epochs[pick];
-        left.sketch.add_scaled(&right.sketch, 1.0).expect("identities checked at push");
-        left.len += right.len;
-        left.notable = rank_notable(
+        let left = self.epochs.remove(pick).expect("pick < unprotected ≤ len");
+        let notable = rank_notable(
             left.notable.iter().chain(right.notable.iter()).copied(),
             self.config.keys_per_epoch,
         );
+        let table = self.merge_tables(left.table, right.table);
+        let merged = Epoch { start: left.start, len: left.len + right.len, table, notable };
+        self.epochs.insert(pick, merged);
+        self.settle(pick);
         self.merges += 1;
-        self.retired = Some(right.sketch);
         true
     }
 
-    /// Hands out the sketch the latest compaction merge retired, if it has
-    /// not been taken yet. In steady state an archive at its budget
-    /// retires exactly one sketch per [`push`](Self::push), so whoever
-    /// produces the pushed sketches can write the next one into this
-    /// allocation instead of a fresh one. The contents are the retired
-    /// epoch's stale cells: overwrite them all, and check
-    /// [`identity`](LinearSketch::identity) before trusting the shape.
+    /// Hands out the dense table the latest push retired, if it has not
+    /// been taken yet. In steady state an archive at its budget retires
+    /// exactly one table per [`push`](Self::push) — the demoted newest
+    /// epoch's when it packs, a merged buddy's when epochs stay dense —
+    /// so whoever produces the pushed sketches can write the next one
+    /// into this allocation instead of a fresh one. The contents are
+    /// stale cells: overwrite them all, and check
+    /// [`identity`](scd_sketch::LinearSketch::identity) before trusting the shape.
     pub fn take_retired(&mut self) -> Option<L> {
         self.retired.take()
     }
@@ -408,10 +579,24 @@ impl<L: LinearSketch> SketchArchive<L> {
     /// # Errors
     /// [`ArchiveError::EmptyRange`] / [`ArchiveError::OutOfRange`] on a
     /// degenerate or non-intersecting window.
+    ///
+    /// The sum is [`combine`](scd_sketch::LinearSketch::combine)'s: a zeroed accumulator, each
+    /// epoch added with coefficient 1 in order — a packed epoch by adding
+    /// its written registers alone, which leaves the accumulator's bits
+    /// exactly where the dense add would (it starts at `+0.0`, so it never
+    /// holds the `−0.0` an absent `+0.0` would change).
     pub fn range_sketch(&self, from: u64, to: u64) -> Result<RangeSketch<L>, ArchiveError> {
         let (lo, hi) = self.select(from, to)?;
-        let terms: Vec<(f64, &L)> = self.epochs.range(lo..hi).map(|e| (1.0, &e.sketch)).collect();
-        let sketch = L::combine(&terms)?;
+        let mut sketch = self.newest().zero_like();
+        for epoch in self.epochs.range(lo..hi) {
+            match &epoch.table {
+                Table::Dense(dense) => sketch.add_scaled(dense, 1.0)?,
+                Table::Packed(packed) => {
+                    packed.cells.add_into(sketch.cells_mut());
+                    sketch.absorb_totals(&packed.totals);
+                }
+            }
+        }
         Ok(RangeSketch {
             sketch,
             covered: (self.epochs[lo].start, self.epochs[hi - 1].end()),
@@ -446,18 +631,39 @@ impl<L: LinearSketch> SketchArchive<L> {
         to: u64,
     ) -> Result<Vec<HistoryPoint>, ArchiveError> {
         let (lo, hi) = self.select(from, to)?;
+        let family = self.newest();
         Ok(self
             .epochs
             .range(lo..hi)
             .map(|e| {
-                let total = e.sketch.estimate(key);
+                let total = match &e.table {
+                    Table::Dense(sketch) => sketch.estimate(key),
+                    Table::Packed(packed) => packed.estimate(family, key),
+                };
                 HistoryPoint { start: e.start, len: e.len, total, mean: total / e.len as f64 }
             })
             .collect())
     }
+
+    /// `epoch`'s table dense: borrowed while it is held dense, otherwise
+    /// unpacked into a new table of the archive's family — every register
+    /// and read scalar the dense table had.
+    ///
+    /// # Panics
+    /// If `epoch` is not one of this archive's.
+    pub fn dense_sketch<'a>(&'a self, epoch: &'a Epoch<L>) -> Cow<'a, L> {
+        match &epoch.table {
+            Table::Dense(sketch) => Cow::Borrowed(sketch),
+            Table::Packed(packed) => {
+                let mut sketch = self.newest().zero_like();
+                packed.unpack_into(&mut sketch);
+                Cow::Owned(sketch)
+            }
+        }
+    }
 }
 
-impl<L: LinearSketch + SecondMoment> SketchArchive<L> {
+impl<L: CellTable + SecondMoment> SketchArchive<L> {
     /// Top changed keys over a past window, by the live detector's alarm
     /// rule applied to the range sketch: `TA = threshold · √max(F2, 0)`,
     /// keys with `|estimate| ≥ TA` (and nonzero) reported in decreasing

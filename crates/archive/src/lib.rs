@@ -31,8 +31,21 @@
 //!   epoch across a window: forecast-error history at the archive's
 //!   decayed resolution.
 //!
-//! The archive is generic over any [`LinearSketch`](scd_sketch::LinearSketch) (k-ary, count,
-//! count-min, deltoid); change queries additionally need
+//! **Epochs keep only their written cells.** A register no key hashed to
+//! is `+0.0` and stays `+0.0` through every buddy merge, and most of an
+//! error sketch is such registers. So every epoch but the newest — which
+//! stays exactly as pushed — is held *packed* (the `(index, value)` pairs
+//! of the registers whose bits are not `+0.0`, plus the scalars reads
+//! take) whenever that is at most half its dense bytes. Every read,
+//! merge and dump keeps the dense archive's bits; the epoch store's
+//! module docs say why, and [`SketchArchive::memory_bytes`] gives the
+//! budget.
+//!
+//! The archive is generic over any [`CellTable`](scd_sketch::CellTable) —
+//! a [`LinearSketch`](scd_sketch::LinearSketch) that lends out its
+//! registers, its read scalars and its estimator: the k-ary and count
+//! sketches here, the serving plane's `f32` slim sketch in `scd-serve`.
+//! Change queries additionally need
 //! [`SecondMoment`](scd_sketch::SecondMoment) for the threshold. The
 //! [`wire`] module gives k-ary archives a checksummed on-disk format
 //! with atomic writes, mirroring `scd-core`'s checkpoints.
@@ -65,10 +78,12 @@
 #![warn(missing_docs)]
 
 pub mod archive;
+mod store;
 pub mod wire;
 
 pub use archive::{
     ArchiveConfig, ArchiveError, ChangeQueryReport, Epoch, HistoryPoint, KeyChange, RangeSketch,
     SketchArchive,
 };
+pub use store::Packed;
 pub use wire::ArchiveWireError;

@@ -25,6 +25,7 @@
 //! across the remaining blobs.
 
 use crate::archive::{ArchiveConfig, ArchiveError, Epoch, SketchArchive};
+use crate::store::Table;
 use scd_hash::byteio::{self, Cursor};
 use scd_hash::envelope::{self, BadField, SealError};
 use scd_sketch::{wire as sketch_wire, KarySketch};
@@ -118,7 +119,7 @@ pub fn to_bytes(archive: &SketchArchive<KarySketch>) -> Vec<u8> {
             byteio::put_u64(&mut out, key);
             byteio::put_f64(&mut out, weight);
         }
-        envelope::put_blob(&mut out, &sketch_wire::to_bytes(epoch.sketch()));
+        envelope::put_blob(&mut out, &sketch_wire::to_bytes(&archive.dense_sketch(epoch)));
     }
     envelope::seal(&mut out);
     out
@@ -194,7 +195,7 @@ pub fn from_bytes(data: &[u8]) -> Result<SketchArchive<KarySketch>, ArchiveWireE
             }
             Some(rows) => sketch_wire::from_bytes_with_rows(blob, rows)?,
         };
-        epochs.push(Epoch { start, len, sketch, notable });
+        epochs.push(Epoch { start, len, table: Table::Dense(sketch), notable });
     }
     if cur.remaining() != 0 {
         return Err(ArchiveWireError::Malformed(format!("{} trailing bytes", cur.remaining())));
@@ -245,7 +246,7 @@ mod tests {
             assert_eq!(a.start(), b.start());
             assert_eq!(a.len(), b.len());
             assert_eq!(a.notable(), b.notable());
-            assert_eq!(a.sketch().table(), b.sketch().table());
+            assert_eq!(original.dense_sketch(a).table(), back.dense_sketch(b).table());
         }
         // Queries agree bit for bit.
         let qa = original.changed_keys(8, 24, 0.05, &[]).unwrap();

@@ -93,7 +93,11 @@ impl StreamSegmenter {
                 // its bin instead of riding the run.
                 self.hi_ms = self.lo_ms.saturating_add(self.interval_ms);
                 if self.current >= self.bins.len() {
+                    // A new bin is sized like the one before it: intervals
+                    // of one trace tend to hold alike record counts.
+                    let previous = self.bins.last().map_or(0, Vec::len);
                     self.bins.resize_with(self.current + 1, Vec::new);
+                    self.bins[self.current].reserve(previous);
                 }
             }
             // The first record chose the bin, so it always rides the run.
@@ -105,10 +109,8 @@ impl StreamSegmenter {
                 .max(1);
             let (inside, rest) = records.split_at(run);
             let (key, value) = (self.key, self.value);
-            let bin = &mut self.bins[self.current];
-            for r in inside {
-                bin.push((key.key_of(r), value.value_of(r)));
-            }
+            self.bins[self.current]
+                .extend(inside.iter().map(|r| (key.key_of(r), value.value_of(r))));
             records = rest;
         }
     }

@@ -60,7 +60,7 @@ fn archived_epochs() -> Vec<KarySketch> {
         archive.push(s, &[(t, 1.0)]).unwrap();
     }
     let back = scd_archive::wire::from_bytes(&scd_archive::wire::to_bytes(&archive)).unwrap();
-    back.epochs().map(|epoch| epoch.sketch().clone()).collect()
+    back.epochs().map(|epoch| back.dense_sketch(epoch).into_owned()).collect()
 }
 
 #[test]

@@ -53,5 +53,5 @@ pub use metrics::ServeMetrics;
 pub use proto::{ProtoError, Request, Response, SCDQ};
 pub use server::{answer, QueryServer, ServerOptions};
 pub use shared::SharedSketch;
-pub use slim::{SlimEpoch, SlimSketch};
+pub use slim::{SlimEpoch, SlimSketch, SlimTotals};
 pub use view::{RebuildMode, ServingPlane, ServingView};

@@ -17,7 +17,7 @@
 //! `L` fed the same pushes — the property the soak test leans on when it
 //! diffs served answers against offline `scd query`.
 
-use scd_sketch::{LinearSketch, PointEstimate, SecondMoment, SketchError};
+use scd_sketch::{CellTable, LinearSketch, PointEstimate, SecondMoment, SketchError};
 use std::sync::Arc;
 
 /// A [`LinearSketch`] behind an [`Arc`] with copy-on-write mutation. See
@@ -79,6 +79,45 @@ impl<L: LinearSketch> LinearSketch for SharedSketch<L> {
 
     fn memory_bytes(&self) -> usize {
         self.0.memory_bytes()
+    }
+}
+
+/// Reads forward; writes go through [`Arc::make_mut`], like every other
+/// mutation.
+impl<L: CellTable> CellTable for SharedSketch<L> {
+    type Cell = L::Cell;
+    type Totals = L::Totals;
+
+    fn cells(&self) -> &[L::Cell] {
+        self.0.cells()
+    }
+
+    fn cells_mut(&mut self) -> &mut [L::Cell] {
+        Arc::make_mut(&mut self.0).cells_mut()
+    }
+
+    fn totals(&self) -> L::Totals {
+        self.0.totals()
+    }
+
+    fn set_totals(&mut self, totals: &L::Totals) {
+        Arc::make_mut(&mut self.0).set_totals(totals);
+    }
+
+    fn absorb_totals(&mut self, other: &L::Totals) {
+        Arc::make_mut(&mut self.0).absorb_totals(other);
+    }
+
+    fn merged_totals(
+        left: &L::Totals,
+        right: &L::Totals,
+        row_sum: impl Fn(usize) -> f64,
+    ) -> L::Totals {
+        L::merged_totals(left, right, row_sum)
+    }
+
+    fn estimate_from(&self, key: u64, totals: &L::Totals, cell: impl Fn(usize) -> f64) -> f64 {
+        self.0.estimate_from(key, totals, cell)
     }
 }
 

@@ -32,13 +32,18 @@
 //! below 2²⁴ (packet/byte counts in one interval) every rounding is
 //! exact and slim answers equal fat answers **bit for bit** — the
 //! property tests below assert both regimes.
+//!
+//! The row totals and the envelope are one [`SlimTotals`], which is what
+//! the replica archive keeps beside an older epoch's written `f32` cells
+//! when it packs the epoch ([`CellTable`]): a packed epoch answers, merges
+//! and widens its envelope exactly as the dense one would.
 
 use crate::shared::SharedSketch;
 use scd_hash::HashRows;
 use scd_sketch::batch::estimate_tiles;
 use scd_sketch::{
-    median_over_rows, simd, EstimateScratch, KarySketch, LinearSketch, PointEstimate, SecondMoment,
-    SketchError,
+    estimate_cells, median_over_rows, simd, CellTable, EstimateScratch, KarySketch, LinearSketch,
+    PointEstimate, SecondMoment, SketchError,
 };
 use std::sync::Arc;
 
@@ -58,18 +63,41 @@ pub struct SlimSketch {
     rows: Arc<HashRows>,
     /// Row-major `H × K` register table, `f32`.
     table: Vec<f32>,
+    /// What reads take besides the registers.
+    totals: SlimTotals,
+}
+
+/// A slim sketch's scalars, maintained beside its `f32` registers and
+/// kept beside a packed archive epoch's written cells: per-row totals and
+/// the rounding envelope.
+#[derive(Debug, Clone, Default)]
+pub struct SlimTotals {
     /// Per-row totals `Σ_j T[i][j]`, carried in full `f64` precision —
     /// row 0 is the stream total the fat sketch recomputes by scanning,
     /// and each row's own total feeds its `ESTIMATEF2` term.
     row_sums: Vec<f64>,
     /// Largest `|cell|` magnitude the envelope must cover — an upper
     /// bound on every cell (and every rounded intermediate) since the
-    /// last [`sync`](Self::sync).
+    /// last [`sync`](SlimSketch::sync).
     max_abs: f64,
     /// Rounded `f32` operations a cell may have absorbed since the last
-    /// sync: 1 for the sync itself, one per [`scale`](Self::scale), and
-    /// two (multiply + add) per [`add_scaled`](Self::add_scaled) term.
+    /// sync: 1 for the sync itself, one per [`scale`](SlimSketch::scale),
+    /// and two (multiply + add) per [`add_scaled`](SlimSketch::add_scaled)
+    /// term.
     roundings: u64,
+}
+
+impl SlimTotals {
+    /// The scalar half of `self += cf · other`: per-row totals fold
+    /// linearly in `f64`, and the envelope widens so the result's bound
+    /// dominates both constituents'.
+    fn absorb(&mut self, other: &SlimTotals, cf: f32) {
+        for (dst, &src) in self.row_sums.iter_mut().zip(&other.row_sums) {
+            *dst += f64::from(cf) * src;
+        }
+        self.max_abs += f64::from(cf).abs() * other.max_abs;
+        self.roundings = self.roundings + other.roundings + 2;
+    }
 }
 
 impl SlimSketch {
@@ -88,9 +116,7 @@ impl SlimSketch {
         SlimSketch {
             rows: Arc::clone(rows),
             table: vec![0.0; rows.h() * rows.k()],
-            row_sums: vec![0.0; rows.h()],
-            max_abs: 0.0,
-            roundings: 0,
+            totals: SlimTotals { row_sums: vec![0.0; rows.h()], max_abs: 0.0, roundings: 0 },
         }
     }
 
@@ -106,8 +132,9 @@ impl SlimSketch {
             fat.rows().identity(),
             "slim sketch must sync against its own hash family"
         );
-        self.max_abs = project(fat.table(), self.rows.k(), &mut self.table, &mut self.row_sums);
-        self.roundings = 1;
+        let totals = &mut self.totals;
+        totals.max_abs = project(fat.table(), self.rows.k(), &mut self.table, &mut totals.row_sums);
+        totals.roundings = 1;
     }
 
     /// Number of hash rows `H`.
@@ -138,7 +165,12 @@ impl SlimSketch {
 
     /// The maintained stream total (row 0's running sum; no row scan).
     pub fn sum(&self) -> f64 {
-        self.row_sums[0]
+        self.totals.row_sums[0]
+    }
+
+    /// The maintained per-row totals `Σ_j T[i][j]`.
+    pub fn row_sums(&self) -> &[f64] {
+        &self.totals.row_sums
     }
 
     /// In-place `self += c · other`, **lanewise in `f32`** (the eight-lane
@@ -162,12 +194,7 @@ impl SlimSketch {
         #[allow(clippy::cast_possible_truncation)]
         let cf = c as f32;
         simd::add_scaled_f32(simd::active(), &mut self.table, &other.table, cf);
-        let ca = f64::from(cf).abs();
-        for (dst, &src) in self.row_sums.iter_mut().zip(&other.row_sums) {
-            *dst += f64::from(cf) * src;
-        }
-        self.max_abs += ca * other.max_abs;
-        self.roundings = self.roundings + other.roundings + 2;
+        self.totals.absorb(&other.totals, cf);
         Ok(())
     }
 
@@ -179,11 +206,12 @@ impl SlimSketch {
         #[allow(clippy::cast_possible_truncation)]
         let cf = c as f32;
         simd::scale_f32(simd::active(), &mut self.table, cf);
-        for s in &mut self.row_sums {
+        let totals = &mut self.totals;
+        for s in &mut totals.row_sums {
             *s *= f64::from(cf);
         }
-        self.max_abs *= f64::from(cf).abs().max(1.0);
-        self.roundings += 1;
+        totals.max_abs *= f64::from(cf).abs().max(1.0);
+        totals.roundings += 1;
     }
 
     /// **ESTIMATE** against the slim table: the paper's
@@ -193,13 +221,8 @@ impl SlimSketch {
     /// cells' storage rounding, bounded by
     /// [`error_bound`](Self::error_bound).
     pub fn estimate(&self, key: u64) -> f64 {
-        let k = self.k() as f64;
-        let kk = self.k();
-        let sum = self.row_sums[0];
-        median_over_rows(self.h(), |row| {
-            let cell = f64::from(self.table[row * kk + self.rows.bucket(row, key)]);
-            (cell - sum / k) / (1.0 - 1.0 / k)
-        })
+        let table = &self.table;
+        self.estimate_from(key, &self.totals, |cell| f64::from(table[cell]))
     }
 
     /// **ESTIMATE** over a block of keys: fills `out` with one estimate
@@ -216,7 +239,7 @@ impl SlimSketch {
         estimate_tiles(
             &self.rows,
             &self.table,
-            self.row_sums[0],
+            self.sum(),
             simd::gather_widen_f32,
             keys,
             scratch,
@@ -244,7 +267,7 @@ impl SlimSketch {
                     v * v
                 })
                 .sum();
-            let sum = self.row_sums[row];
+            let sum = self.totals.row_sums[row];
             (k / (k - 1.0)) * sq - (sum * sum) / (k - 1.0)
         })
     }
@@ -273,7 +296,8 @@ impl SlimSketch {
     /// estimate.
     pub fn error_bound(&self) -> f64 {
         let k = self.k() as f64;
-        (self.roundings as f64) * self.max_abs * 2f64.powi(-24) / (1.0 - 1.0 / k)
+        let SlimTotals { max_abs, roundings, .. } = self.totals;
+        (roundings as f64) * max_abs * 2f64.powi(-24) / (1.0 - 1.0 / k)
     }
 }
 
@@ -371,6 +395,48 @@ impl LinearSketch for SlimSketch {
     }
 }
 
+/// The archive hooks: `f32` registers, and the scalars a slim read takes
+/// — per-row totals and the envelope — carried beside a packed epoch and
+/// folded as [`add_scaled`](SlimSketch::add_scaled) folds them.
+impl CellTable for SlimSketch {
+    type Cell = f32;
+    type Totals = SlimTotals;
+
+    fn cells(&self) -> &[f32] {
+        &self.table
+    }
+
+    fn cells_mut(&mut self) -> &mut [f32] {
+        &mut self.table
+    }
+
+    fn totals(&self) -> SlimTotals {
+        self.totals.clone()
+    }
+
+    fn set_totals(&mut self, totals: &SlimTotals) {
+        self.totals.clone_from(totals);
+    }
+
+    fn absorb_totals(&mut self, other: &SlimTotals) {
+        self.totals.absorb(other, 1.0);
+    }
+
+    fn merged_totals(
+        left: &SlimTotals,
+        right: &SlimTotals,
+        _: impl Fn(usize) -> f64,
+    ) -> SlimTotals {
+        let mut merged = left.clone();
+        merged.absorb(right, 1.0);
+        merged
+    }
+
+    fn estimate_from(&self, key: u64, totals: &SlimTotals, cell: impl Fn(usize) -> f64) -> f64 {
+        estimate_cells(&self.rows, key, totals.row_sums[0], cell)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,8 +529,8 @@ mod tests {
         }
         slim.sync(&f);
         assert_eq!(slim.sum().to_bits(), f.sum().to_bits());
-        assert_eq!(slim.row_sums.len(), slim.h());
-        for &rs in &slim.row_sums {
+        assert_eq!(slim.totals.row_sums.len(), slim.h());
+        for &rs in &slim.totals.row_sums {
             assert_eq!(rs, f.sum(), "every row total equals the stream total");
         }
         assert_eq!(slim.memory_bytes() * 2, f.memory_bytes());
@@ -547,9 +613,17 @@ mod tests {
                 f.table_mut().copy_from_slice(&src);
                 let slim = SlimSketch::from_fat(&f);
                 assert_eq!(bits32(slim.table()), bits32(&want), "{shape}: sync registers");
-                assert_eq!(bits64(&slim.row_sums), bits64(&want_sums), "{shape}: sync totals");
-                assert_eq!(slim.max_abs.to_bits(), want_max.to_bits(), "{shape}: sync max_abs");
-                assert_eq!(slim.roundings, 1, "{shape}");
+                assert_eq!(
+                    bits64(&slim.totals.row_sums),
+                    bits64(&want_sums),
+                    "{shape}: sync totals"
+                );
+                assert_eq!(
+                    slim.totals.max_abs.to_bits(),
+                    want_max.to_bits(),
+                    "{shape}: sync max_abs"
+                );
+                assert_eq!(slim.totals.roundings, 1, "{shape}");
                 let bound = 1.0 * want_max * 2f64.powi(-24) / (1.0 - 1.0 / k as f64);
                 assert_eq!(slim.error_bound().to_bits(), bound.to_bits(), "{shape}: bound");
             }

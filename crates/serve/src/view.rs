@@ -90,6 +90,21 @@ pub struct ServingView {
     pub archive: SketchArchive<SlimEpoch>,
 }
 
+impl ServingView {
+    /// Heap bytes the view holds: the replica archive's, plus the live
+    /// slim sketch's unless it is the archive's newest epoch — the same
+    /// allocation, which the archive already counts.
+    pub fn memory_bytes(&self) -> usize {
+        let newest = self.archive.epochs().last().and_then(|epoch| epoch.sketch());
+        let slim_bytes = match (&self.slim, newest) {
+            (Some(slim), Some(newest)) if std::ptr::eq::<SlimSketch>(&**slim, newest.get()) => 0,
+            (Some(slim), _) => slim.memory_bytes(),
+            (None, _) => 0,
+        };
+        self.archive.memory_bytes() + slim_bytes
+    }
+}
+
 /// When the fat→slim rebuild runs relative to the ingest path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebuildMode {
@@ -222,6 +237,9 @@ impl PlaneShared {
                 .archive
                 .push(SharedSketch::from_arc(Arc::clone(&fresh)), &notable)
                 .expect("replica push cannot fail after back-fill");
+            // The table the push retired (the demoted epoch's, once it
+            // packed) feeds no producer here: free it now, not a push later.
+            drop(replica.archive.take_retired());
             slim = Some(fresh);
         }
         replica.last_slim = slim.clone();
@@ -236,8 +254,7 @@ impl PlaneShared {
             m.snapshots_total.inc();
             m.view_interval.set(interval as f64);
             m.view_epochs.set(view.archive.sketch_count() as f64);
-            let slim_bytes = view.slim.as_ref().map_or(0, |s| s.memory_bytes());
-            m.view_bytes.set((view.archive.memory_bytes() + slim_bytes) as f64);
+            m.view_bytes.set(view.memory_bytes() as f64);
             m.snapshot_ns.record(job.project_ns + sw.elapsed_ns());
         }
         drop(replica);
@@ -536,7 +553,7 @@ mod tests {
         let view = plane.view();
         let slim = view.slim.as_ref().unwrap();
         let epoch = view.archive.epochs().last().unwrap();
-        assert!(std::ptr::eq::<SlimSketch>(slim.as_ref(), epoch.sketch().get()));
+        assert!(std::ptr::eq::<SlimSketch>(slim.as_ref(), epoch.sketch().unwrap().get()));
     }
 
     /// The replica's notable-key directory matches `notable_keys` on the
@@ -565,6 +582,34 @@ mod tests {
         registry.render_prometheus(&mut text);
         assert!(text.contains("scd_serve_snapshots_total 2"));
         assert!(text.contains("scd_serve_view_interval 1"));
+    }
+
+    /// The live slim sketch is the archive's newest epoch, one allocation,
+    /// so the view's bytes count it once — also through a report-only
+    /// interval, which serves the same slim sketch on.
+    #[test]
+    fn view_bytes_count_the_shared_newest_epoch_once() {
+        let registry = scd_obs::Registry::new();
+        let metrics = ServeMetrics::register(&registry);
+        let plane = ServingPlane::with_metrics(archive_cfg(), Some(Arc::clone(&metrics))).unwrap();
+        plane.interval_closed(&report_at(0), Some((0, &error_sketch(0))));
+        plane.interval_closed(&report_at(1), Some((1, &error_sketch(5))));
+        plane.interval_closed(&report_at(2), None);
+        let view = plane.view();
+        let archive_bytes = view.archive.memory_bytes();
+        assert_eq!(view.memory_bytes(), archive_bytes);
+        let mut text = String::new();
+        registry.render_prometheus(&mut text);
+        assert!(text.contains(&format!("scd_serve_view_bytes {archive_bytes}\n")), "{text}");
+        // A slim sketch the archive does not hold is counted on its own.
+        let detached = ServingView {
+            slim: Some(Arc::new((**view.slim.as_ref().unwrap()).clone())),
+            ..(*view).clone()
+        };
+        assert_eq!(
+            detached.memory_bytes(),
+            archive_bytes + detached.slim.as_ref().unwrap().memory_bytes()
+        );
     }
 
     /// Background rebuild lands in the same published state as inline,

@@ -8,7 +8,7 @@
 use scd_archive::{ArchiveConfig, KeyChange, SketchArchive};
 use scd_hash::SplitMix64;
 use scd_serve::{SlimEpoch, SlimSketch};
-use scd_sketch::{KarySketch, LinearSketch, SecondMoment, SketchConfig};
+use scd_sketch::{CellTable, KarySketch, SecondMoment, SketchConfig};
 
 /// Fractional volumes over 600 keys, so slim cells really round. (The
 /// batch estimator's tile edges are `scd-sketch`'s `kernel_identity` and
@@ -23,7 +23,7 @@ fn interval_updates(t: u64) -> Vec<(u64, f64)> {
 /// The pre-batching `changed_keys`, kept as the oracle: dedup in
 /// first-seen order, one `estimate` per key, the live alarm rule, a
 /// stable `total_cmp` sort.
-fn per_key_oracle<L: LinearSketch + SecondMoment>(
+fn per_key_oracle<L: CellTable + SecondMoment>(
     archive: &SketchArchive<L>,
     (from, to): (u64, u64),
     threshold: f64,
@@ -46,7 +46,7 @@ fn per_key_oracle<L: LinearSketch + SecondMoment>(
     changes
 }
 
-fn batched_answers_equal_the_per_key_oracle<L: LinearSketch + SecondMoment>(
+fn batched_answers_equal_the_per_key_oracle<L: CellTable + SecondMoment>(
     epoch: impl Fn(&KarySketch) -> L,
 ) {
     let config = ArchiveConfig { max_sketches: 8, full_resolution: 3, keys_per_epoch: 512 };

@@ -98,10 +98,27 @@ impl CountSketch {
     /// Point query: `median_i sign_i(key) · T[i][h_i(key)]`. Unbiased with
     /// variance ≤ `F2 / K` per row.
     pub fn estimate(&self, key: u64) -> f64 {
+        let table = &self.table;
+        self.estimate_cells(key, |cell| table[cell])
+    }
+
+    /// [`estimate`](Self::estimate) over a table of this family whose
+    /// register `i·K + b` reads `cell(i·K + b)`.
+    pub(crate) fn estimate_cells(&self, key: u64, cell: impl Fn(usize) -> f64) -> f64 {
         let k = self.k();
         median_over_rows(self.h(), |row| {
-            self.sign(row, key) * self.table[row * k + self.rows.bucket(row, key)]
+            self.sign(row, key) * cell(row * k + self.rows.bucket(row, key))
         })
+    }
+
+    /// Raw counter table (row-major, length `H·K`).
+    pub fn table(&self) -> &[f64] {
+        &self.table
+    }
+
+    /// The counter table, writable in place; the shape is fixed.
+    pub fn table_mut(&mut self) -> &mut [f64] {
+        &mut self.table
     }
 
     /// Second-moment estimate: `median_i Σ_j T[i][j]²` (the AMS estimator

@@ -458,6 +458,21 @@ impl std::fmt::Debug for KarySketch {
     }
 }
 
+/// **ESTIMATE** over any store of a `rows`-shaped table:
+/// `median_i (T[i][h_i(key)] − sum/K) / (1 − 1/K)`, where `cell(i·K + b)`
+/// reads register `T[i][b]` widened to `f64`. The one definition of the
+/// estimator: the fat sketch's [`Estimator`], the serving plane's slim
+/// sketch and an archive's packed epochs all read through it, so a table
+/// answers with the same bits whichever way it is stored.
+#[inline]
+pub fn estimate_cells(rows: &HashRows, key: u64, sum: f64, cell: impl Fn(usize) -> f64) -> f64 {
+    let k = rows.k() as f64;
+    let kk = rows.k();
+    median_over_rows(rows.h(), |row| {
+        (cell(row * kk + rows.bucket(row, key)) - sum / k) / (1.0 - 1.0 / k)
+    })
+}
+
 /// Point-query handle with the stream total precomputed (paper §3.1:
 /// `sum(S)` "only needs to be computed once before any ESTIMATE is
 /// called").
@@ -470,12 +485,8 @@ impl Estimator<'_> {
     /// Unbiased estimate of the value associated with `key`:
     /// `median_i (T[i][h_i(key)] − sum/K) / (1 − 1/K)`.
     pub fn estimate(&self, key: u64) -> f64 {
-        let k = self.sketch.k() as f64;
-        let kk = self.sketch.k();
-        median_over_rows(self.sketch.h(), |row| {
-            let cell = self.sketch.table[row * kk + self.sketch.rows.bucket(row, key)];
-            (cell - self.sum / k) / (1.0 - 1.0 / k)
-        })
+        let table = &self.sketch.table;
+        estimate_cells(&self.sketch.rows, key, self.sum, |cell| table[cell])
     }
 
     /// [`estimate`](Self::estimate) for every key, tile by tile: `emit`

@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod cells;
 pub mod countmin;
 pub mod countsketch;
 pub mod deltoid;
@@ -62,11 +63,12 @@ pub mod simd;
 pub mod wire;
 
 pub use batch::{BatchScratch, EstimateScratch};
+pub use cells::{Cell, CellTable};
 pub use countmin::CountMinSketch;
 pub use countsketch::CountSketch;
 pub use deltoid::{Deltoid, DeltoidConfig};
 pub use error::SketchError;
 pub use heavyhitters::MisraGries;
-pub use kary::{Estimator, KarySketch, SketchConfig};
+pub use kary::{estimate_cells, Estimator, KarySketch, SketchConfig};
 pub use linear::{median_over_rows, min_over_rows, LinearSketch, PointEstimate, SecondMoment};
 pub use wire::{from_bytes, to_bytes, WireError};

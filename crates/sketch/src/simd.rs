@@ -5,7 +5,8 @@
 //!
 //! **One body, compiled twice.** Each elementwise sweep — [`axpy`],
 //! [`scale_assign`], [`add_scaled`], [`scale`], [`sub`],
-//! [`estimate_transform`], [`add_scaled_f32`] and [`scale_f32`] — is
+//! [`estimate_transform`], [`add_scaled_f32`], [`scale_f32`] and the
+//! archive's pack masks [`written_masks`] / [`written_masks_f32`] — is
 //! written once, as its scalar loop. [`Variant::Avx2`]
 //! runs that loop inside a `#[target_feature(enable = "avx2")]` function,
 //! where LLVM vectorises it to 256-bit lanes (its own unrolling and
@@ -306,6 +307,47 @@ sweep! {
     pub fn scale_f32(dst: &mut [f32], c: f32) {
         for d in dst.iter_mut() {
             *d *= c;
+        }
+    }
+}
+
+sweep! {
+    /// `masks[b]` bit `i` set ⇔ `cells[64·b + i]` is written (its bits are
+    /// not `+0.0`'s) — the sweep an archive packs a fat table by, one
+    /// 64-cell block per mask (the last block may be short).
+    ///
+    /// # Panics
+    /// Panics unless `masks` holds one mask per block.
+    pub fn written_masks(cells: &[f64], masks: &mut [u64]) {
+        assert_eq!(masks.len(), cells.len().div_ceil(64), "one mask per 64-cell block");
+        let mut blocks = cells.chunks_exact(64);
+        for (block, mask) in (&mut blocks).zip(masks.iter_mut()) {
+            let block: &[f64; 64] = block.try_into().expect("64 cells");
+            *mask = (0..64).fold(0, |m, i| m | (u64::from(block[i].to_bits() != 0) << i));
+        }
+        if let Some(last) = masks.get_mut(cells.len() / 64) {
+            let tail = blocks.remainder().iter().enumerate();
+            *last = tail.fold(0, |m, (i, c)| m | (u64::from(c.to_bits() != 0) << i));
+        }
+    }
+}
+
+sweep! {
+    /// [`written_masks`] over an **`f32`** table — the slim archive's
+    /// pack sweep.
+    ///
+    /// # Panics
+    /// Panics unless `masks` holds one mask per block.
+    pub fn written_masks_f32(cells: &[f32], masks: &mut [u64]) {
+        assert_eq!(masks.len(), cells.len().div_ceil(64), "one mask per 64-cell block");
+        let mut blocks = cells.chunks_exact(64);
+        for (block, mask) in (&mut blocks).zip(masks.iter_mut()) {
+            let block: &[f32; 64] = block.try_into().expect("64 cells");
+            *mask = (0..64).fold(0, |m, i| m | (u64::from(block[i].to_bits() != 0) << i));
+        }
+        if let Some(last) = masks.get_mut(cells.len() / 64) {
+            let tail = blocks.remainder().iter().enumerate();
+            *last = tail.fold(0, |m, (i, c)| m | (u64::from(c.to_bits() != 0) << i));
         }
     }
 }

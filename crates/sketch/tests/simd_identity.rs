@@ -325,3 +325,34 @@ length_mismatch_panics! {
     sub_length_mismatch_panics_scalar, sub_length_mismatch_panics_avx2:
         |v| simd::sub(v, &mut [0.0; 8], &[0.0; 8], &[0.0; 9]);
 }
+
+/// The archive's pack masks: under both forced variants, bit `i` of mask
+/// `b` is set exactly when cell `64·b + i` is not `+0.0` — `−0.0`, NaN,
+/// infinities and subnormals all count as written — for every length,
+/// short last blocks included.
+#[test]
+fn written_masks_variants_mark_exactly_the_non_positive_zero_cells() {
+    let mut rng = SplitMix64::new(0xAB);
+    for n in lengths().into_iter().chain([64 * 5 + 63, 5 * 65_536]) {
+        let cells: Vec<f64> = awkward_values(&mut rng, n)
+            .into_iter()
+            .map(|c| if rng.next_below(3) == 0 { c } else { 0.0 })
+            .collect();
+        let want: Vec<u64> = cells
+            .chunks(64)
+            .map(|block| {
+                block
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.to_bits() != 0)
+                    .map(|(i, _)| 1 << i)
+                    .sum()
+            })
+            .collect();
+        for variant in [Variant::Scalar, Variant::Avx2] {
+            let mut masks = vec![!0; n.div_ceil(64)];
+            simd::written_masks(variant, &cells, &mut masks);
+            assert_eq!(masks, want, "n={n} {variant:?}");
+        }
+    }
+}

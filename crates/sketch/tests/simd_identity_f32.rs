@@ -268,3 +268,35 @@ length_mismatch_panics! {
     add_scaled_f32_length_mismatch_panics_scalar, add_scaled_f32_length_mismatch_panics_avx2:
         |v| simd::add_scaled_f32(v, &mut [0.0; 16], &[0.0; 17], 1.0);
 }
+
+/// The slim archive's pack masks, as `written_masks` for `f64`: both
+/// forced variants mark exactly the cells whose bits are not `+0.0`'s.
+#[test]
+fn written_masks_f32_variants_mark_exactly_the_non_positive_zero_cells() {
+    const AWKWARD: [f32; 6] = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40, -3.5];
+    let mut rng = SplitMix64::new(0xF7);
+    for n in lengths().into_iter().chain([64 * 5 + 63, 5 * 65_536]) {
+        let cells: Vec<f32> = (0..n)
+            .map(|_| match rng.next_below(12) as usize {
+                pick if pick < AWKWARD.len() => AWKWARD[pick],
+                _ => 0.0,
+            })
+            .collect();
+        let want: Vec<u64> = cells
+            .chunks(64)
+            .map(|block| {
+                block
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.to_bits() != 0)
+                    .map(|(i, _)| 1 << i)
+                    .sum()
+            })
+            .collect();
+        for variant in [Variant::Scalar, Variant::Avx2] {
+            let mut masks = vec![!0; n.div_ceil(64)];
+            simd::written_masks_f32(variant, &cells, &mut masks);
+            assert_eq!(masks, want, "n={n} {variant:?}");
+        }
+    }
+}
