@@ -30,19 +30,10 @@
 # second per-record routing loop exists, and the router keeps no per-record
 # key set. An archive epoch packs through one routine and merges packed
 # through one, whichever element type (fat `f64`, slim `f32`) it holds.
-# Non-test source = every crates/*/src file up to a `#[cfg(test)]` followed
-# by `mod tests {` (a `#[cfg(test)] mod tests;` declaration does not end it,
-# and the `tests.rs` it names is all test).
+# Non-test source is `nontest`'s (`.github/nontest.sh`).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
-
-nontest() {
-  find crates -path '*/src/*' -name '*.rs' ! -name tests.rs -print0 | sort -z |
-    xargs -0 awk 'FNR == 1 { live = 1; held = "" }
-      held != "" { if ($0 ~ /^mod tests \{/) live = 0; else print held; held = "" }
-      live && /^#\[cfg\(test\)\]/ { held = FILENAME ":" FNR ":" $0; next }
-      live { print FILENAME ":" FNR ":" $0 }'
-}
+source .github/nontest.sh
 
 fail=0
 check() { # check COUNT WHAT HITS: HITS must hold exactly COUNT non-empty lines

@@ -232,28 +232,46 @@ impl<L: CellTable> SketchArchive<L> {
     /// [`ArchiveError::BadConfig`] if `config` cannot sustain compaction.
     pub fn new(config: ArchiveConfig) -> Result<Self, ArchiveError> {
         config.validate()?;
-        Ok(SketchArchive {
+        Ok(SketchArchive::unvalidated(config, 0, 0))
+    }
+
+    /// An empty archive whose next push is `next_interval`, room made for
+    /// `epochs` epochs, with nothing checked: a decoder fills it through
+    /// [`push_decoded`](Self::push_decoded) and then hands it to
+    /// [`validated`](Self::validated), which refuses whatever a corrupt
+    /// input got wrong.
+    pub(crate) fn unvalidated(config: ArchiveConfig, next_interval: u64, epochs: usize) -> Self {
+        SketchArchive {
             config,
-            epochs: VecDeque::new(),
-            next_interval: 0,
+            epochs: VecDeque::with_capacity(epochs),
+            next_interval,
             merges: 0,
             retired: None,
             spare: Vec::new(),
             masks: Vec::new(),
-        })
+        }
     }
 
-    /// Rebuilds an archive from decoded parts, re-validating every
-    /// structural invariant (used by the wire format; corrupt inputs
-    /// must not produce an archive that later panics).
-    pub(crate) fn from_parts(
-        config: ArchiveConfig,
-        next_interval: u64,
-        epochs: Vec<Epoch<L>>,
-    ) -> Result<Self, ArchiveError> {
-        config.validate()?;
+    /// Appends a decoded epoch as the newest. One that a later epoch will
+    /// demote is settled at once and its dense table dropped, so a load
+    /// holds dense only the table being decoded, beside the packed history.
+    /// Every table is of one hash family: the decoder checked each against
+    /// the first.
+    pub(crate) fn push_decoded(&mut self, epoch: Epoch<L>, demoted: bool) {
+        self.epochs.push_back(epoch);
+        if demoted {
+            self.settle(self.epochs.len() - 1);
+            self.retired = None;
+        }
+    }
+
+    /// Re-validates every structural invariant of a decoded archive
+    /// (corrupt inputs must not produce an archive that later panics),
+    /// then compacts it to its budget.
+    pub(crate) fn validated(mut self) -> Result<Self, ArchiveError> {
+        self.config.validate()?;
         let mut expected_start = None;
-        for epoch in &epochs {
+        for epoch in &self.epochs {
             if epoch.len == 0 {
                 return Err(ArchiveError::BadConfig("zero-length epoch".into()));
             }
@@ -266,38 +284,17 @@ impl<L: CellTable> SketchArchive<L> {
                 }
             }
             expected_start = Some(epoch.end());
-            if let (Some(first), Some(sketch)) = (epochs.first(), epoch.sketch()) {
-                let first = first.sketch().expect("decoded epochs are dense");
-                if first.identity() != sketch.identity() {
-                    return Err(SketchError::IncompatibleSketches {
-                        left: first.identity(),
-                        right: sketch.identity(),
-                    }
-                    .into());
-                }
-            }
         }
         if let Some(end) = expected_start {
-            if end > next_interval {
+            if end > self.next_interval {
                 return Err(ArchiveError::BadConfig(format!(
-                    "epochs end at {end} but next_interval is {next_interval}"
+                    "epochs end at {end} but next_interval is {}",
+                    self.next_interval
                 )));
             }
         }
-        let mut archive = SketchArchive {
-            config,
-            epochs: epochs.into(),
-            next_interval,
-            merges: 0,
-            retired: None,
-            spare: Vec::new(),
-            masks: Vec::new(),
-        };
-        for i in 0..archive.epochs.len().saturating_sub(1) {
-            archive.settle(i);
-        }
-        archive.compact();
-        Ok(archive)
+        self.compact();
+        Ok(self)
     }
 
     /// The retention policy.

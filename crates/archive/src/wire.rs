@@ -20,9 +20,10 @@
 //!
 //! Decoding trusts nothing: envelope first, then per-field validation,
 //! then [`SketchArchive`] re-validates the structural invariants
-//! (contiguous epochs, one hash family) before any query can run. Hash
-//! tables are derived once from the first epoch's header and shared
-//! across the remaining blobs.
+//! (contiguous epochs) before any query can run. Hash tables are derived
+//! once from the first epoch's header, and every other blob must be of
+//! that family. Each epoch but the newest is packed as soon as its blob is
+//! decoded, so a load never holds the whole history dense.
 
 use crate::archive::{ArchiveConfig, ArchiveError, Epoch, SketchArchive};
 use crate::store::Table;
@@ -153,8 +154,8 @@ pub fn from_bytes(data: &[u8]) -> Result<SketchArchive<KarySketch>, ArchiveWireE
         )));
     }
     let mut rows = None;
-    let mut epochs = Vec::with_capacity(n_epochs);
-    for _ in 0..n_epochs {
+    let mut archive = SketchArchive::unvalidated(config, next_interval, n_epochs);
+    for i in 0..n_epochs {
         let start = cur.u64()?;
         let len = cur.u64()?;
         let n_notable = cur.u32()? as usize;
@@ -185,8 +186,7 @@ pub fn from_bytes(data: &[u8]) -> Result<SketchArchive<KarySketch>, ArchiveWireE
         }
         let blob = envelope::blob(&mut cur)?;
         // First epoch derives the hash family; the rest must share it
-        // (enforced by `from_bytes_with_rows`, then re-checked by
-        // `from_parts`).
+        // (enforced by `from_bytes_with_rows`).
         let sketch = match &rows {
             None => {
                 let s = sketch_wire::from_bytes(blob)?;
@@ -195,12 +195,13 @@ pub fn from_bytes(data: &[u8]) -> Result<SketchArchive<KarySketch>, ArchiveWireE
             }
             Some(rows) => sketch_wire::from_bytes_with_rows(blob, rows)?,
         };
-        epochs.push(Epoch { start, len, table: Table::Dense(sketch), notable });
+        let epoch = Epoch { start, len, table: Table::Dense(sketch), notable };
+        archive.push_decoded(epoch, i + 1 < n_epochs);
     }
     if cur.remaining() != 0 {
         return Err(ArchiveWireError::Malformed(format!("{} trailing bytes", cur.remaining())));
     }
-    Ok(SketchArchive::from_parts(config, next_interval, epochs)?)
+    Ok(archive.validated()?)
 }
 
 /// Writes the archive atomically (`scd_hash::envelope::write_atomic`): a

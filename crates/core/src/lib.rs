@@ -28,16 +28,17 @@
 //!   difference of total energy, empirical CDFs.
 //! * [`stream`] — interval segmentation of timestamped flow records.
 //! * The paper's §6 "ongoing work", implemented as extensions:
-//!   [`adaptive`] (periodic online re-tuning of model parameters),
 //!   [`staggered`] (phase-shifted interval lanes against boundary effects,
-//!   sharing slot sketches through linearity), and [`sampling`]
+//!   sharing slot sketches through linearity), [`sampling`]
 //!   (Horvitz–Thompson record thinning in front of the sketch),
 //!   [`reversible`] (group-testing sketches that recover heavy-change keys
-//!   directly, with no key stream at all), and [`hierarchy`]
-//!   (simultaneous detection at multiple prefix lengths with drill-down
-//!   localization — §2.1's aggregation levels), and [`glr`] (sub-interval
-//!   GLR sequential detection: provisional alarms raised seconds after
-//!   onset, confirmed or retracted at interval close).
+//!   directly, with no key stream at all), and [`glr`] (sub-interval GLR
+//!   sequential detection: provisional alarms raised seconds after onset,
+//!   confirmed or retracted at interval close). Periodic online re-tuning
+//!   of model parameters and multi-prefix detection with drill-down
+//!   localization (§2.1's aggregation levels) run only in
+//!   `examples/online_monitor.rs` and `examples/hierarchy.rs`, which hold
+//!   them.
 //! * [`engine`] — sharded parallel ingest: worker threads each fold a
 //!   key-partition of the update stream into a private sketch over the
 //!   shared hash family, COMBINEd per interval into exactly the
@@ -80,13 +81,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod checkpoint;
 pub mod detector;
 pub mod engine;
 pub mod glr;
 pub mod gridsearch;
-pub mod hierarchy;
 pub mod metrics;
 pub mod perflow;
 pub mod reversible;
@@ -97,7 +96,6 @@ pub mod streaming;
 pub mod supervisor;
 pub mod telemetry;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveDetector};
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use detector::{
     Alarm, DetectorConfig, DetectorSnapshot, DropStats, IntervalReport, KeyStrategy, RestoreError,
@@ -109,7 +107,6 @@ pub use engine::{
 };
 pub use glr::{GlrConfig, GlrDetector, GlrEvent, GlrRestoreError, GlrSnapshot, ProvisionalAlarm};
 pub use gridsearch::{search_model, GridSearchConfig, GridSearchResult};
-pub use hierarchy::{HierarchicalDetector, HierarchyConfig, LocalizedAlarm};
 pub use metrics::{
     empirical_cdf, relative_difference, threshold_report, topn_similarity, topn_vs_xn,
     ThresholdReport,

@@ -10,37 +10,33 @@
 use scd_traffic::{FlowRecord, KeySpec, ValueSpec};
 
 /// Bins `records` into consecutive intervals of `interval_secs`, starting
-/// at time 0, and projects each to the `(key, value)` update stream.
+/// at time 0, and projects each to the `(key, value)` update stream: one
+/// [`StreamSegmenter`] push of the whole slice.
 ///
 /// Records need not be sorted. The returned vector covers every interval
 /// from 0 through the last non-empty one; intervening empty intervals are
 /// present (empty), because the forecasting models must still advance
 /// through silent periods.
+///
+/// # Panics
+/// Panics if `interval_secs` is zero.
 pub fn segment_records(
     records: &[FlowRecord],
     interval_secs: u32,
     key: KeySpec,
     value: ValueSpec,
 ) -> Vec<Vec<(u64, f64)>> {
-    assert!(interval_secs > 0, "interval length must be positive");
-    let interval_ms = interval_secs as u64 * 1000;
-    let n_intervals =
-        records.iter().map(|r| (r.timestamp_ms / interval_ms) as usize + 1).max().unwrap_or(0);
-    let mut out: Vec<Vec<(u64, f64)>> = vec![Vec::new(); n_intervals];
-    for r in records {
-        let idx = (r.timestamp_ms / interval_ms) as usize;
-        out[idx].push((key.key_of(r), value.value_of(r)));
-    }
-    out
+    let mut segmenter = StreamSegmenter::new(interval_secs, key, value);
+    segmenter.push(records);
+    segmenter.finish()
 }
 
-/// Streaming counterpart of [`segment_records`]: push record chunks as
-/// they decode — e.g. straight from `scd_traffic::ChunkedTraceReader` —
-/// and take the binned intervals at the end, without ever materializing
-/// the flat record stream. For any chunking of the same records,
-/// [`finish`](Self::finish) returns exactly what `segment_records` would
-/// (same bins, same within-bin order), so downstream reports are
-/// bit-identical.
+/// Streaming form of [`segment_records`]: push record chunks as they
+/// decode — e.g. straight from `scd_traffic::ChunkedTraceReader` — and
+/// take the binned intervals at the end, without ever materializing the
+/// flat record stream. Any chunking of the same records gives the same
+/// bins, with the same within-bin order, as one push of them all, so
+/// downstream reports are bit-identical.
 ///
 /// Trace records arrive in time order, so consecutive records almost
 /// always share a bin. `push` therefore works in *runs*: it remembers the

@@ -20,6 +20,10 @@
 //! Everything is deterministic from a seed, so experiments are exactly
 //! reproducible.
 //!
+//! The input boundary is the flow record ([`FlowRecord`], read and written
+//! by [`io`]); §2.1's coarser keys are projections of it, such as
+//! [`KeySpec::DstPrefix`] for network prefixes.
+//!
 //! # Example
 //!
 //! ```
@@ -40,20 +44,16 @@ pub mod anomaly;
 pub mod fault;
 pub mod gen;
 pub mod io;
-pub mod packet;
 pub mod record;
 pub mod rng;
-pub mod routes;
 pub mod zipf;
 
 pub use anomaly::{AnomalyEvent, AnomalyInjector, AnomalyKind, GroundTruth};
 pub use fault::{Corruptor, FaultKind, FaultPlan, NetFaultKind, NetFaultPlan};
 pub use gen::{RouterProfile, TrafficConfig, TrafficGenerator};
 pub use io::{ChunkedTraceReader, TraceIoError};
-pub use packet::{parse_ethernet, parse_ipv4, PacketError, PacketSummary};
 pub use record::{to_updates, FlowRecord, KeySpec, ValueSpec};
 pub use rng::Rng;
-pub use routes::RouteTable;
 /// The key → shard mix an ingest node filters the keys it owns with.
 pub use scd_hash::shard_of as shard_of_key;
 pub use zipf::Zipf;

@@ -25,7 +25,7 @@
 //! | [`forecast`] | `scd-forecast` | the six forecast models, generic over scalars and sketches |
 //! | [`core`] | `scd-core` | the change-detection pipeline, per-flow reference, grid search, metrics, sharded ingest engine |
 //! | [`archive`] | `scd-archive` | multi-resolution sketch archive with historical change queries |
-//! | [`traffic`] | `scd-traffic` | synthetic netflow substrate, packet parsing, LPM routes, anomaly injection, trace sharding |
+//! | [`traffic`] | `scd-traffic` | synthetic netflow substrate, anomaly injection, trace I/O and sharding |
 //! | [`obs`] | `scd-obs` | pipeline observability: metric registry, snapshots, scrape endpoint |
 //! | [`net`] | `scd-net` | distributed ingest plane: CRC-guarded sketch frames, spooling, parity recovery |
 //! | [`serve`] | `scd-serve` | read-optimized serving plane: slim sketches, interval snapshots, TCP query service |
@@ -53,7 +53,8 @@
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios (quickstart, DoS
-//! detection, flash-crowd monitoring, multi-router aggregation) and
+//! detection, flash-crowd monitoring, multi-router aggregation, and the
+//! hierarchical and adaptive detectors, which only their examples run) and
 //! `DESIGN.md` / `EXPERIMENTS.md` for the paper-reproduction inventory.
 
 #![forbid(unsafe_code)]

@@ -196,3 +196,74 @@ fn all_models_agree_with_perflow_reference() {
         assert!(m > 0.85, "{}: similarity {m} too low ({sims:?})", spec.describe());
     }
 }
+
+/// The §6 streaming front end end to end: timestamped records go through
+/// the threaded detector, which cuts intervals by event time. Four seconds
+/// to two services (each record's `bytes` is the IPv4 total length of a
+/// frame with a 28-byte header stub); second 2 floods a third destination.
+#[test]
+fn frames_to_alarms_through_streaming_detector() {
+    use sketch_change::core::{spawn_streaming, OverloadPolicy, StreamingConfig};
+
+    let handle = spawn_streaming(StreamingConfig {
+        engine: EngineConfig::new(
+            DetectorConfig {
+                sketch: SketchConfig { h: 3, k: 2048, seed: 4 },
+                model: ModelSpec::Ewma { alpha: 0.5 },
+                threshold: 0.3,
+                key_strategy: KeyStrategy::TwoPass,
+            },
+            1,
+        ),
+        interval_ms: 1_000,
+        key: KeySpec::DstIp,
+        value: ValueSpec::Bytes,
+        channel_capacity: 1024,
+        overload: OverloadPolicy::Block,
+    });
+    let record = |timestamp_ms, src_ip, dst_ip, src_port, dst_port, bytes| FlowRecord {
+        timestamp_ms,
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
+        protocol: 6,
+        bytes,
+        packets: 1,
+    };
+    for t in 0..4u64 {
+        for i in 0..30u64 {
+            for (dst, bytes) in [(0x0A00_0001u32, 428), (0x0A00_0002, 228)] {
+                assert!(handle.send(record(
+                    t * 1000 + i * 30,
+                    0xC0A8_0000 + i as u32,
+                    dst,
+                    5000,
+                    443,
+                    bytes
+                )));
+            }
+        }
+        if t == 2 {
+            for i in 0..40u64 {
+                handle.send(record(
+                    t * 1000 + 900,
+                    0x3000_0000 + i as u32,
+                    0x0A00_00FF,
+                    1024,
+                    80,
+                    1428,
+                ));
+            }
+        }
+    }
+    let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
+    assert_eq!(processed, 4 * 60 + 40);
+    assert_eq!(reports.len(), 4);
+    assert!(
+        reports[2].alarms.iter().any(|a| a.key == 0x0A00_00FF),
+        "flood not flagged at second 2: {:?}",
+        reports[2].alarms
+    );
+    assert!(reports[1].alarms.iter().all(|a| a.key != 0x0A00_00FF), "no alarm before the flood");
+}
