@@ -71,13 +71,22 @@ for model in ewma:0.5 'arima1:0.5,0.2/0.3'; do
 done
 echo "cli-identity: detect — $n runs, digests independent of the engine's shape"
 
-# The two detect paths that build no engine: staggered lanes and the
-# reversible (deltoid) detector. Their stdout is all they leave behind.
+# Staggered lanes fold their slots through the engine's ingest half, so
+# their alarm lines do not depend on its shape; the reversible (deltoid)
+# detector builds no engine. Against the parent, stdout is compared.
 # shellcheck disable=SC2086
 both stagger -- detect $T --model ewma:0.5 --stagger 4
 # shellcheck disable=SC2086
 both reversible -- detect $T --model ewma:0.5 --strategy reversible
 grep -q ' ALARM ' stagger.new.txt reversible.new.txt
+# shellcheck disable=SC2086
+"$SCD" detect $T --model ewma:0.5 --stagger 4 --shards 3 --source-threads 2 --report-out lanes.rep \
+  > stagger-sharded.txt
+same stagger.new.txt stagger-sharded.txt "stdout of --stagger 4 on 3 shards, 2 routing threads vs 1 shard"
+# Lane 0's windows are the aligned intervals: its reports (every 4th line,
+# from the first) are the default engine's.
+awk 'NR % 4 == 1' lanes.rep > lane0.rep
+same d1-ewma-twopass.new.rep lane0.rep "lane 0 of --stagger 4 vs the default engine's digests"
 echo "cli-identity: detect --stagger 4 / --strategy reversible${PARENT:+ — same output as the parent binary}"
 
 # tune: the spec, energy and candidate count the grid search prints, for

@@ -90,7 +90,7 @@ fn usage() -> ExitCode {
          serve     --trace FILE --interval S --model SPEC --listen ADDR [--shards N]\n\
          \u{20}          [--pipeline] [--budget 64] [--full-res 8] [--keys 64] [--h 5]\n\
          \u{20}          [--k 32768] [--threshold 0.05] [--sketch-seed N] [--pace-ms N]\n\
-         \u{20}          [--linger-secs N] [--out FILE] [--sync-rebuild] [--no-cache]\n\
+         \u{20}          [--linger-secs N] [--out FILE]\n\
          \u{20}          [--strategy twopass|next|sampled:R] [--source-threads N] [--top N]\n\
          \u{20}          [--metrics FILE] [--metrics-listen ADDR] [--report-out FILE]\n\
          ask       --addr HOST:PORT (--estimate IP [--from T1 --to T2] |\n\
@@ -206,9 +206,10 @@ const MODEL: u32 = 1;
 const STRATEGY: u32 = 1 << 1;
 /// `--shards`.
 const SHARDS: u32 = 1 << 2;
-/// `--pipeline`, `--source-threads`: the driver can overlap detection with
-/// ingest.
-const OVERLAP: u32 = 1 << 3;
+/// `--pipeline`: the driver can overlap detection with ingest.
+const PIPELINE: u32 = 1 << 3;
+/// `--source-threads`: producer threads route each pushed slice.
+const SOURCES: u32 = 1 << 9;
 /// `--glr`, `--glr-threshold`, `--glr-window`: the driver cuts the trace at
 /// slot boundaries.
 const GLR: u32 = 1 << 4;
@@ -221,7 +222,7 @@ const REPORT: u32 = 1 << 7;
 /// `--metrics`, `--metrics-listen`.
 const TELEMETRY: u32 = 1 << 8;
 
-const DETECT: u32 = MODEL | STRATEGY | SHARDS | OVERLAP | GLR | REPORT | TELEMETRY;
+const DETECT: u32 = MODEL | STRATEGY | SHARDS | PIPELINE | SOURCES | GLR | REPORT | TELEMETRY;
 const ARCHIVE: u32 = DETECT & !GLR | STORE;
 /// The streaming driver stamps each report with the drop counters of the
 /// interval it closes, so it waits for that report: there is nothing for
@@ -295,11 +296,8 @@ impl Setup {
             (None, 0)
         };
         let shards = if honours(SHARDS) { flags.get("shards", shards)? } else { shards };
-        let (pipeline, source_threads) = if honours(OVERLAP) {
-            (flags.has("pipeline"), flags.get("source-threads", 1)?)
-        } else {
-            (false, 1)
-        };
+        let pipeline = honours(PIPELINE) && flags.has("pipeline");
+        let source_threads = if honours(SOURCES) { flags.get("source-threads", 1)? } else { 1 };
         let (mut glr_slots, mut glr) = (1, None);
         if honours(GLR) {
             // Sub-interval GLR sequential detection: base slots of
@@ -669,19 +667,20 @@ fn tune(flags: &Flags) -> CliResult {
 fn detect(flags: &Flags) -> CliResult {
     let path: String = flags.require("trace")?;
     let interval = interval_flag(flags)?;
-    // Two detectors still run outside the engine (a `Deltoid`- or
-    // lane-typed engine would make the shared code branch on its caller —
-    // ROADMAP item 1): the reversible (group-testing) sketch, which
-    // recovers keys with no key stream at all, and phase-shifted staggered
+    // The reversible (group-testing) sketch still runs outside the engine
+    // (a `Deltoid`-typed engine would make the shared code branch on its
+    // caller — ROADMAP item 10c): it recovers keys with no key stream at
+    // all, so it reads none of the flags that shape the engine. Staggered
     // lanes (§6 "staggered intervals": one detector per phase offset,
-    // sharing slot sketches via linearity). They read none of the flags
-    // that shape the engine, so those are rejected for them.
+    // COMBINEing the slot tables of one ingest half) take the ingest
+    // half's flags but have no single detect stage to pipeline or to hang
+    // GLR on. What a path does not read is rejected by name.
     let reversible = flags.raw("strategy") == Some("reversible");
     let stagger: usize = flags.get("stagger", 0)?;
     let honours = match (reversible, stagger) {
         (true, _) => MODEL,
         (false, 0) => DETECT,
-        (false, _) => MODEL | STRATEGY,
+        (false, _) => MODEL | STRATEGY | SHARDS | SOURCES | REPORT,
     };
     let setup = Setup::from_flags(flags, honours, 1)?;
     let detector = setup.detector();
@@ -699,9 +698,10 @@ fn detect(flags: &Flags) -> CliResult {
             FlagError(format!("--interval {interval} is not divisible by {cut} {parts}")).into()
         );
     }
-    flags.done().map_err(|e| match honours {
-        DETECT => e,
-        _ => FlagError(format!("{e} with --stagger / --strategy reversible (no engine)")),
+    flags.done().map_err(|e| match (reversible, stagger) {
+        (true, _) => FlagError(format!("{e} with --strategy reversible (no engine)")),
+        (false, 0) => e,
+        (false, _) => FlagError(format!("{e} with --stagger")),
     })?;
 
     let bins = read_intervals(&path, interval / parts as u32)?;
@@ -726,26 +726,26 @@ fn detect(flags: &Flags) -> CliResult {
         }
         return Ok(());
     }
+    let mut out = setup.open()?;
     if stagger > 0 {
-        let mut det = StaggeredDetector::new(detector, stagger);
+        let mut lanes = StaggeredDetector::new(detector, stagger, setup.shards)?;
         for (s, items) in bins.iter().enumerate() {
-            for a in det.process_slot(items) {
-                outln!(
-                    "slot {s}: lane {} ALARM {:<16} error {:+.0} bytes",
-                    a.lane,
-                    format_ipv4(a.key as u32),
-                    a.alarm.estimated_error
-                );
+            let Some((lane, report)) = lanes.process_slot(items, setup.source_threads)? else {
+                continue;
+            };
+            for a in &report.alarms {
+                let (ip, error) = (format_ipv4(a.key as u32), a.estimated_error);
+                outln!("slot {s}: lane {lane} ALARM {ip:<16} error {error:+.0} bytes");
             }
+            out.record(s as u64, &report)?;
         }
-        return Ok(());
+        return out.finish();
     }
     // One engine whatever the flags: a single inline shard is the
     // single-threaded detector, bit for bit (linearity; `update_batch` is
     // `update`), and every other shape — shards, a detect thread
     // overlapped with ingest, producer threads on the routing hop, GLR
     // slots — is the same reports from the same loop.
-    let mut out = setup.open()?;
     let mut engine = setup.engine(&out, |config| config)?;
     run_intervals(&mut engine, &bins, &setup, std::time::Duration::ZERO, &mut out)?;
     out.finish()
@@ -1261,15 +1261,6 @@ fn serve(flags: &Flags) -> CliResult {
     let pace_ms: u64 = flags.get("pace-ms", 0)?;
     let linger_secs: u64 = flags.get("linger-secs", 0)?;
     let dump = flags.raw("out");
-    // Read-path knobs: background rebuild and the answer cache default
-    // on; --sync-rebuild / --no-cache turn them off (used by the soak
-    // and CI equivalence checks, and available for debugging).
-    let rebuild_mode = if flags.has("sync-rebuild") {
-        scd_serve::RebuildMode::Inline
-    } else {
-        scd_serve::RebuildMode::Background
-    };
-    let server_options = scd_serve::ServerOptions { cache: !flags.has("no-cache") };
     let setup = Setup::from_flags(flags, ARCHIVE, 1)?;
     flags.done()?;
 
@@ -1278,8 +1269,11 @@ fn serve(flags: &Flags) -> CliResult {
     let mut out = setup.open()?;
     let serve_metrics =
         out.metrics.as_ref().map(|(registry, _)| scd_serve::ServeMetrics::register(registry));
-    let plane =
-        scd_serve::ServingPlane::with_options(archive, serve_metrics.clone(), rebuild_mode)?;
+    let plane = scd_serve::ServingPlane::with_options(
+        archive,
+        serve_metrics.clone(),
+        scd_serve::RebuildMode::Background,
+    )?;
     let mut engine = setup.engine(&out, |config| {
         let config =
             config.with_observer(Arc::clone(&plane) as Arc<dyn scd_core::IntervalObserver>);
@@ -1293,7 +1287,7 @@ fn serve(flags: &Flags) -> CliResult {
         &listen,
         Arc::clone(&plane),
         serve_metrics,
-        server_options,
+        scd_serve::ServerOptions::default(),
     )?;
     eprintln!("serving queries on {}", server.addr());
     outln!(

@@ -22,7 +22,8 @@
 //! model state: u8 tag + variant payload   (sketch blobs are u64 len +
 //!                                          scd-sketch wire bytes)
 //! binner: u8 flag (+ next_interval u64), processed: u64
-//! staggered: u8 flag (+ lane count + StaggeredSnapshot)
+//! staggered: u8 flag, always 0           (a retired section: a set flag
+//!                                          is refused as malformed)
 //! glr: u8 flag (+ GlrConfig + GlrEngineSnapshot)
 //! ```
 //!
@@ -30,15 +31,14 @@
 //! file is detected before any state is trusted; each embedded sketch blob
 //! additionally carries its own wire-format checksum. Writes are atomic,
 //! so a crash mid-write leaves the previous checkpoint intact — the
-//! supervisor never sees a torn file. A run with neither staggered lanes
-//! nor GLR writes two zero flag bytes for the last two sections.
+//! supervisor never sees a torn file. A run without GLR writes two zero
+//! flag bytes for the last two sections.
 
 use crate::detector::{
     DetectorConfig, DetectorSnapshot, KeyStrategy, RestoreError, SketchChangeDetector,
 };
 use crate::engine::GlrEngineSnapshot;
 use crate::glr::{GlrConfig, GlrSlotSnapshot, GlrSnapshot, ProvisionalAlarm};
-use crate::staggered::StaggeredSnapshot;
 use scd_forecast::{ModelSpec, ModelState, NshwParts, ShwParts};
 use scd_hash::byteio::{self, Cursor};
 use scd_hash::envelope::{
@@ -67,9 +67,10 @@ pub struct Checkpoint {
     pub next_interval: Option<u64>,
     /// Records processed up to the last completed interval.
     pub processed: u64,
-    /// Staggered-lane state (lane count + full snapshot), when the run
-    /// used [`StaggeredDetector`](crate::staggered::StaggeredDetector).
-    pub staggered: Option<(usize, StaggeredSnapshot)>,
+    /// Always `None`: staggered lanes keep no checkpoint state, and their
+    /// section's flag byte is written 0. The field remains so that struct
+    /// literals naming it still build.
+    pub staggered: Option<std::convert::Infallible>,
     /// GLR sequential-layer state (configuration + engine snapshot), when
     /// the run used `--glr`.
     pub glr: Option<(GlrConfig, GlrEngineSnapshot)>,
@@ -292,37 +293,6 @@ fn take_detector_snapshot(
     Ok(DetectorSnapshot { intervals_processed, sampler_state, pending_error, model })
 }
 
-fn put_staggered(out: &mut Vec<u8>, lanes: usize, snap: &StaggeredSnapshot) {
-    byteio::put_u32(out, lanes as u32);
-    byteio::put_u64(out, snap.slot);
-    byteio::put_u64(out, snap.recent_slots.len() as u64);
-    for (sketch, keys) in &snap.recent_slots {
-        put_sketch(out, sketch);
-        put_keys(out, keys);
-    }
-    for lane in &snap.lanes {
-        put_detector_snapshot(out, lane);
-    }
-}
-
-fn take_staggered(
-    cur: &mut Cursor<'_>,
-    rows: &Arc<HashRows>,
-) -> Result<(usize, StaggeredSnapshot), CheckpointError> {
-    let lanes = cur.u32()? as usize;
-    if lanes == 0 {
-        return Err(CheckpointError::Malformed("staggered section with zero lanes".into()));
-    }
-    let slot = cur.u64()?;
-    let recent_slots = (0..bounded_count(cur, 1)?)
-        .map(|_| Ok((take_sketch(cur, rows)?, take_keys(cur)?)))
-        .collect::<Result<Vec<_>, CheckpointError>>()?;
-    let lane_snaps = (0..lanes)
-        .map(|_| take_detector_snapshot(cur, rows))
-        .collect::<Result<Vec<_>, CheckpointError>>()?;
-    Ok((lanes, StaggeredSnapshot { slot, recent_slots, lanes: lane_snaps }))
-}
-
 fn put_glr_slot(out: &mut Vec<u8>, slot: &GlrSlotSnapshot) {
     put_f64_slice(out, &slot.proj);
     put_sketch(out, &slot.sketch);
@@ -477,10 +447,7 @@ impl Checkpoint {
         put_detector_snapshot(&mut out, &self.snapshot);
         put_opt_u64(&mut out, self.next_interval);
         byteio::put_u64(&mut out, self.processed);
-        put_flag(&mut out, self.staggered.is_some());
-        if let Some((lanes, snap)) = &self.staggered {
-            put_staggered(&mut out, *lanes, snap);
-        }
+        put_flag(&mut out, false);
         put_flag(&mut out, self.glr.is_some());
         if let Some((config, snap)) = &self.glr {
             put_glr(&mut out, config, snap);
@@ -516,12 +483,14 @@ impl Checkpoint {
         let snapshot = take_detector_snapshot(&mut cur, &rows)?;
         let next_interval = opt_u64(&mut cur)?;
         let processed = cur.u64()?;
-        let staggered = flag(&mut cur)?.then(|| take_staggered(&mut cur, &rows)).transpose()?;
+        if flag(&mut cur)? {
+            return Err(CheckpointError::Malformed("a staggered-lane section".into()));
+        }
         let glr = flag(&mut cur)?.then(|| take_glr(&mut cur)).transpose()?;
         if cur.remaining() != 0 {
             return Err(CheckpointError::Malformed(format!("{} trailing bytes", cur.remaining())));
         }
-        Ok(Checkpoint { config, snapshot, next_interval, processed, staggered, glr })
+        Ok(Checkpoint { config, snapshot, next_interval, processed, staggered: None, glr })
     }
 
     /// Writes the checkpoint atomically (`scd_hash::envelope::write_atomic`):
@@ -548,7 +517,6 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::detector::KeyStrategy;
-    use crate::staggered::StaggeredDetector;
     use scd_forecast::ModelSpec;
 
     fn sample_checkpoint(model: ModelSpec, strategy: KeyStrategy) -> Checkpoint {
@@ -710,13 +678,6 @@ mod tests {
     fn sample_v2_checkpoint() -> Checkpoint {
         use crate::glr::GlrDetector;
         let mut base = sample_checkpoint(ModelSpec::Ewma { alpha: 0.5 }, KeyStrategy::TwoPass);
-        // Staggered lanes caught mid-warm-up (buffered slots + lane state).
-        let lanes = 3usize;
-        let mut stag = StaggeredDetector::new(base.config.clone(), lanes);
-        for s in 0..7u64 {
-            stag.process_slot(&slot_items(s));
-        }
-        base.staggered = Some((lanes, stag.snapshot()));
         // GLR layer caught mid-slot, with a pending provisional queued.
         let glr_cfg = GlrConfig {
             sketch: SketchConfig { h: 3, k: 512, seed: 0x5CD },
@@ -753,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_round_trip_preserves_staggered_and_glr_sections() {
+    fn v2_round_trip_preserves_the_glr_section() {
         use crate::glr::GlrDetector;
         let ck = sample_v2_checkpoint();
         let bytes = ck.to_bytes();
@@ -782,19 +743,6 @@ mod tests {
             a.observe_slice(&items);
             b.observe_slice(&items);
             assert_eq!(a.end_slot(), b.end_slot(), "GLR diverged at slot {s}");
-        }
-
-        let staggered = |ck: &Checkpoint| {
-            let (lanes, snap) = ck.staggered.clone().expect("staggered section");
-            StaggeredDetector::restore(ck.config.clone(), lanes, snap).expect("restore lanes")
-        };
-        let (mut stag_ref, mut stag_dec) = (staggered(&ck), staggered(&decoded));
-        for s in 7..20u64 {
-            assert_eq!(
-                stag_ref.process_slot(&slot_items(s)),
-                stag_dec.process_slot(&slot_items(s)),
-                "staggered lanes diverged at slot {s}"
-            );
         }
     }
 

@@ -29,7 +29,7 @@
 //! * [`stream`] — interval segmentation of timestamped flow records.
 //! * The paper's §6 "ongoing work", implemented as extensions:
 //!   [`staggered`] (phase-shifted interval lanes against boundary effects,
-//!   sharing slot sketches through linearity), [`sampling`]
+//!   COMBINEd from slot tables the engine's ingest half folds once), [`sampling`]
 //!   (Horvitz–Thompson record thinning in front of the sketch),
 //!   [`reversible`] (group-testing sketches that recover heavy-change keys
 //!   directly, with no key stream at all), and [`glr`] (sub-interval GLR
@@ -114,7 +114,7 @@ pub use metrics::{
 pub use perflow::{PerFlowDetector, PerFlowReport};
 pub use reversible::{ReversibleChangeDetector, ReversibleConfig, ReversibleReport};
 pub use sampling::UpdateSampler;
-pub use staggered::{StaggeredAlarm, StaggeredDetector, StaggeredSnapshot};
+pub use staggered::StaggeredDetector;
 pub use stream::{segment_records, StreamSegmenter};
 pub use streaming::{
     spawn as spawn_streaming, OverloadPolicy, RecordSender, StreamFault, StreamingConfig,

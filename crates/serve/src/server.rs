@@ -349,19 +349,7 @@ pub struct QueryServer {
 impl QueryServer {
     /// Binds `addr` (use port 0 for an ephemeral port — see
     /// [`addr`](Self::addr)) and starts the accept loop, with the answer
-    /// cache on ([`ServerOptions::default`]).
-    ///
-    /// # Errors
-    /// Propagates the bind failure.
-    pub fn bind(
-        addr: &str,
-        plane: Arc<ServingPlane>,
-        metrics: Option<Arc<ServeMetrics>>,
-    ) -> std::io::Result<QueryServer> {
-        Self::bind_with(addr, plane, metrics, ServerOptions::default())
-    }
-
-    /// [`bind`](Self::bind) with explicit [`ServerOptions`].
+    /// cache as `options` say.
     ///
     /// # Errors
     /// Propagates the bind failure.
@@ -479,16 +467,17 @@ fn serve_requests(
 mod tests {
     use super::*;
     use crate::slim::SlimSketch;
+    use crate::view::RebuildMode;
     use scd_archive::ArchiveConfig;
     use scd_core::{IntervalObserver, IntervalReport};
     use scd_sketch::{KarySketch, SketchConfig};
 
     fn plane_with_two_intervals() -> Arc<ServingPlane> {
-        let plane = ServingPlane::new(ArchiveConfig {
-            max_sketches: 8,
-            full_resolution: 4,
-            keys_per_epoch: 16,
-        })
+        let plane = ServingPlane::with_options(
+            ArchiveConfig { max_sketches: 8, full_resolution: 4, keys_per_epoch: 16 },
+            None,
+            RebuildMode::Inline,
+        )
         .unwrap();
         for t in 0..2usize {
             let mut err = KarySketch::new(SketchConfig { h: 3, k: 256, seed: 5 });
@@ -509,11 +498,11 @@ mod tests {
     /// Pre-first-interval views answer every query kind with NoData.
     #[test]
     fn empty_view_answers_nodata_everywhere() {
-        let plane = ServingPlane::new(ArchiveConfig {
-            max_sketches: 8,
-            full_resolution: 4,
-            keys_per_epoch: 16,
-        })
+        let plane = ServingPlane::with_options(
+            ArchiveConfig { max_sketches: 8, full_resolution: 4, keys_per_epoch: 16 },
+            None,
+            RebuildMode::Inline,
+        )
         .unwrap();
         let view = plane.view();
         let reqs = [
@@ -583,7 +572,13 @@ mod tests {
     #[test]
     fn serves_all_query_kinds_over_tcp() {
         let plane = plane_with_two_intervals();
-        let mut server = QueryServer::bind("127.0.0.1:0", Arc::clone(&plane), None).unwrap();
+        let mut server = QueryServer::bind_with(
+            "127.0.0.1:0",
+            Arc::clone(&plane),
+            None,
+            ServerOptions::default(),
+        )
+        .unwrap();
         let view = plane.view();
         let mut client = crate::client::QueryClient::connect(&server.addr().to_string()).unwrap();
         let reqs = [
@@ -605,7 +600,13 @@ mod tests {
     #[test]
     fn corrupt_frame_drops_connection_but_not_server() {
         let plane = plane_with_two_intervals();
-        let server = QueryServer::bind("127.0.0.1:0", Arc::clone(&plane), None).unwrap();
+        let server = QueryServer::bind_with(
+            "127.0.0.1:0",
+            Arc::clone(&plane),
+            None,
+            ServerOptions::default(),
+        )
+        .unwrap();
         let addr = server.addr().to_string();
         {
             let mut bad = TcpStream::connect(&addr).unwrap();
@@ -645,9 +646,13 @@ mod tests {
         let registry = scd_obs::Registry::new();
         let metrics = ServeMetrics::register(&registry);
         let plane = plane_with_two_intervals();
-        let server =
-            QueryServer::bind("127.0.0.1:0", Arc::clone(&plane), Some(Arc::clone(&metrics)))
-                .unwrap();
+        let server = QueryServer::bind_with(
+            "127.0.0.1:0",
+            Arc::clone(&plane),
+            Some(Arc::clone(&metrics)),
+            ServerOptions::default(),
+        )
+        .unwrap();
         let addr = server.addr().to_string();
         let req = Request::RangeSketch { from: 0, to: 2 };
         let frame = req.encode();
@@ -674,7 +679,13 @@ mod tests {
     #[test]
     fn concurrent_clients_get_consistent_answers() {
         let plane = plane_with_two_intervals();
-        let server = QueryServer::bind("127.0.0.1:0", Arc::clone(&plane), None).unwrap();
+        let server = QueryServer::bind_with(
+            "127.0.0.1:0",
+            Arc::clone(&plane),
+            None,
+            ServerOptions::default(),
+        )
+        .unwrap();
         let addr = server.addr().to_string();
         let view = plane.view();
         let expect = answer(&view, &Request::Estimate { key: 9, from: 0, to: 0 });

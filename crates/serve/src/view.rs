@@ -264,30 +264,10 @@ impl PlaneShared {
 }
 
 impl ServingPlane {
-    /// Creates an inline-rebuild plane whose replica archive uses
-    /// `config` — pass the same [`ArchiveConfig`] as the engine's
-    /// archive, or served historical answers will diverge from offline
-    /// queries.
-    ///
-    /// # Errors
-    /// [`ArchiveError::BadConfig`] for an invalid archive shape.
-    pub fn new(config: ArchiveConfig) -> Result<Arc<ServingPlane>, ArchiveError> {
-        Self::with_options(config, None, RebuildMode::Inline)
-    }
-
-    /// Like [`new`](Self::new), with serving telemetry attached.
-    ///
-    /// # Errors
-    /// [`ArchiveError::BadConfig`] for an invalid archive shape.
-    pub fn with_metrics(
-        config: ArchiveConfig,
-        metrics: Option<Arc<ServeMetrics>>,
-    ) -> Result<Arc<ServingPlane>, ArchiveError> {
-        Self::with_options(config, metrics, RebuildMode::Inline)
-    }
-
-    /// Full-control constructor: archive shape, telemetry, and
-    /// [`RebuildMode`]. [`RebuildMode::Background`] spawns the
+    /// Creates a plane whose replica archive uses `config` — pass the
+    /// same [`ArchiveConfig`] as the engine's archive, or served
+    /// historical answers will diverge from offline queries — with
+    /// optional serving telemetry. [`RebuildMode::Background`] spawns the
     /// `scd-serve-rebuild` thread, which lives until the plane drops.
     ///
     /// # Errors
@@ -352,15 +332,6 @@ impl ServingPlane {
     /// [`flush`](Self::flush) waits out the lag.
     pub fn view(&self) -> Arc<ServingView> {
         Arc::clone(&self.shared.current.read().expect("serving view lock poisoned"))
-    }
-
-    /// How the fat→slim rebuild runs for this plane.
-    pub fn rebuild_mode(&self) -> RebuildMode {
-        if self.background.is_some() {
-            RebuildMode::Background
-        } else {
-            RebuildMode::Inline
-        }
     }
 }
 
@@ -456,20 +427,19 @@ mod tests {
     /// Before any interval closes, the view is explicitly empty.
     #[test]
     fn initial_view_is_empty() {
-        let plane = ServingPlane::new(archive_cfg()).unwrap();
+        let plane = ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).unwrap();
         let view = plane.view();
         assert!(view.interval.is_none());
         assert!(view.report.is_none());
         assert!(view.slim.is_none());
         assert!(view.archive.coverage().is_none());
-        assert_eq!(plane.rebuild_mode(), RebuildMode::Inline);
     }
 
     /// Warm-up intervals (no error sketch) publish the report but leave
     /// slim sketch and archive untouched.
     #[test]
     fn warmup_interval_publishes_report_only() {
-        let plane = ServingPlane::new(archive_cfg()).unwrap();
+        let plane = ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).unwrap();
         plane.interval_closed(&IntervalReport { interval: 0, ..Default::default() }, None);
         let view = plane.view();
         assert_eq!(view.interval, Some(0));
@@ -484,7 +454,7 @@ mod tests {
     /// integer-count stream here.
     #[test]
     fn replica_backfills_warmup_gap_and_tracks_intervals() {
-        let plane = ServingPlane::new(archive_cfg()).unwrap();
+        let plane = ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).unwrap();
         plane.interval_closed(&report_at(0), None);
         let err = error_sketch(0);
         plane.interval_closed(&report_at(1), Some((1, &err)));
@@ -513,7 +483,7 @@ mod tests {
     /// interval's state after later closes advance the replica.
     #[test]
     fn held_snapshot_survives_later_intervals() {
-        let plane = ServingPlane::new(archive_cfg()).unwrap();
+        let plane = ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).unwrap();
         let err1 = error_sketch(0);
         plane.interval_closed(&report_at(0), Some((0, &err1)));
         let old = plane.view();
@@ -533,7 +503,7 @@ mod tests {
     /// no error sketch (e.g. a NextInterval lag gap).
     #[test]
     fn slim_carries_forward_through_gap() {
-        let plane = ServingPlane::new(archive_cfg()).unwrap();
+        let plane = ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).unwrap();
         let err = error_sketch(7);
         plane.interval_closed(&report_at(0), Some((0, &err)));
         plane.interval_closed(&report_at(1), None);
@@ -547,7 +517,7 @@ mod tests {
     /// allocation — the handoff is an Arc bump, not a second projection.
     #[test]
     fn live_slim_and_newest_epoch_share_storage() {
-        let plane = ServingPlane::new(archive_cfg()).unwrap();
+        let plane = ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).unwrap();
         let err = error_sketch(3);
         plane.interval_closed(&report_at(0), Some((0, &err)));
         let view = plane.view();
@@ -560,7 +530,7 @@ mod tests {
     /// report, so candidate ranking matches the engine archive's.
     #[test]
     fn replica_files_notable_keys() {
-        let plane = ServingPlane::new(archive_cfg()).unwrap();
+        let plane = ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).unwrap();
         let report = report_at(0);
         let err = error_sketch(0);
         plane.interval_closed(&report, Some((0, &err)));
@@ -574,7 +544,12 @@ mod tests {
     fn metrics_track_snapshots() {
         let registry = scd_obs::Registry::new();
         let metrics = ServeMetrics::register(&registry);
-        let plane = ServingPlane::with_metrics(archive_cfg(), Some(Arc::clone(&metrics))).unwrap();
+        let plane = ServingPlane::with_options(
+            archive_cfg(),
+            Some(Arc::clone(&metrics)),
+            RebuildMode::Inline,
+        )
+        .unwrap();
         let err = error_sketch(0);
         plane.interval_closed(&report_at(0), Some((0, &err)));
         plane.interval_closed(&report_at(1), Some((1, &err)));
@@ -591,7 +566,12 @@ mod tests {
     fn view_bytes_count_the_shared_newest_epoch_once() {
         let registry = scd_obs::Registry::new();
         let metrics = ServeMetrics::register(&registry);
-        let plane = ServingPlane::with_metrics(archive_cfg(), Some(Arc::clone(&metrics))).unwrap();
+        let plane = ServingPlane::with_options(
+            archive_cfg(),
+            Some(Arc::clone(&metrics)),
+            RebuildMode::Inline,
+        )
+        .unwrap();
         plane.interval_closed(&report_at(0), Some((0, &error_sketch(0))));
         plane.interval_closed(&report_at(1), Some((1, &error_sketch(5))));
         plane.interval_closed(&report_at(2), None);
@@ -617,10 +597,9 @@ mod tests {
     /// estimates — the jobs replay through the identical apply path.
     #[test]
     fn background_rebuild_matches_inline_bit_for_bit() {
-        let inline = ServingPlane::new(archive_cfg()).unwrap();
+        let inline = ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).unwrap();
         let background =
             ServingPlane::with_options(archive_cfg(), None, RebuildMode::Background).unwrap();
-        assert_eq!(background.rebuild_mode(), RebuildMode::Background);
         for interval in 0..12usize {
             let report = report_at(interval);
             if interval % 5 == 4 {

@@ -7,7 +7,7 @@ use scd_archive::ArchiveConfig;
 use scd_core::{DetectorConfig, EngineConfig, IntervalObserver, KeyStrategy, ShardedEngine};
 use scd_forecast::ModelSpec;
 use scd_hash::SplitMix64;
-use scd_serve::ServingPlane;
+use scd_serve::{RebuildMode, ServingPlane};
 use scd_sketch::SketchConfig;
 use std::sync::Arc;
 
@@ -54,7 +54,7 @@ fn run(
         threshold: 0.05,
         key_strategy: KeyStrategy::TwoPass,
     };
-    let plane = ServingPlane::new(ARCHIVE).unwrap();
+    let plane = ServingPlane::with_options(ARCHIVE, None, RebuildMode::Inline).unwrap();
     let config = EngineConfig::new(detector, 2)
         .with_archive(ARCHIVE)
         .with_observer(Arc::clone(&plane) as Arc<dyn IntervalObserver>);

@@ -145,7 +145,8 @@ fn widened(table: &[f32]) -> Vec<f64> {
 #[test]
 fn final_view_matches_engine_archive_bit_for_bit() {
     let model = ModelSpec::parse("ma:1").unwrap();
-    let plane = ServingPlane::new(archive_cfg()).expect("plane");
+    let plane =
+        ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).expect("plane");
     let observer: Arc<dyn IntervalObserver> = Arc::clone(&plane) as _;
     let (_, mut engine) = run_engine(model, true, Some(observer));
     let offline = engine.take_archive().expect("engine archive");
@@ -199,7 +200,8 @@ fn final_view_matches_engine_archive_bit_for_bit() {
 #[test]
 fn fractional_model_answers_stay_within_slim_error_bound() {
     let model = ModelSpec::parse("ewma:0.5").unwrap();
-    let plane = ServingPlane::new(archive_cfg()).expect("plane");
+    let plane =
+        ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).expect("plane");
     let observer: Arc<dyn IntervalObserver> = Arc::clone(&plane) as _;
     let (_, mut engine) = run_engine(model, true, Some(observer));
     let offline = engine.take_archive().expect("engine archive");
@@ -315,7 +317,8 @@ fn background_rebuild_final_view_matches_inline() {
 #[test]
 fn cached_and_uncached_servers_agree() {
     let model = ModelSpec::parse("ma:4").unwrap();
-    let plane = ServingPlane::new(archive_cfg()).expect("plane");
+    let plane =
+        ServingPlane::with_options(archive_cfg(), None, RebuildMode::Inline).expect("plane");
     let observer: Arc<dyn IntervalObserver> = Arc::clone(&plane) as _;
     run_engine(model, true, Some(observer));
 
@@ -388,7 +391,9 @@ fn concurrent_queries_during_ingest_are_interval_consistent() {
         ServingPlane::with_options(archive_cfg(), None, RebuildMode::Background).expect("plane");
     let recording =
         Arc::new(Recording { plane: Arc::clone(&plane), views: Mutex::new(Vec::new()) });
-    let mut server = QueryServer::bind("127.0.0.1:0", Arc::clone(&plane), None).expect("bind");
+    let mut server =
+        QueryServer::bind_with("127.0.0.1:0", Arc::clone(&plane), None, ServerOptions::default())
+            .expect("bind");
     let addr = server.addr();
 
     let stop = Arc::new(AtomicBool::new(false));

@@ -48,7 +48,7 @@ fn main() {
         key_strategy: KeyStrategy::TwoPass,
     };
 
-    let mut staggered = StaggeredDetector::new(base.clone(), 2);
+    let mut staggered = StaggeredDetector::new(base.clone(), 2, 1).expect("two lanes, one shard");
     let mut adaptive = AdaptiveDetector::new(AdaptiveConfig {
         detector: base.clone(),
         retune_every: 20,
@@ -88,11 +88,10 @@ fn main() {
         let thinned = sampler.sample_interval(&updates);
 
         // Staggered lanes consume base slots directly.
-        for alarm in staggered.process_slot(&thinned) {
-            if alarm.key == straddler {
+        if let Some((lane, report)) = staggered.process_slot(&thinned, 1).expect("one shard") {
+            if report.alarms.iter().any(|al| al.key == straddler) {
                 findings.push(format!(
-                    "slot {s:>2}: staggered lane {} caught the boundary-straddling burst",
-                    alarm.lane
+                    "slot {s:>2}: staggered lane {lane} caught the boundary-straddling burst"
                 ));
             }
         }

@@ -6,7 +6,7 @@
 use sketch_change::archive::{ArchiveConfig, SketchArchive};
 use sketch_change::core::{
     Checkpoint, DetectorConfig, GlrConfig, GlrDetector, GlrEngineSnapshot, KeyStrategy,
-    ProvisionalAlarm, SketchChangeDetector, StaggeredDetector,
+    ProvisionalAlarm, SketchChangeDetector,
 };
 use sketch_change::forecast::ModelSpec;
 use sketch_change::net::Frame;
@@ -59,7 +59,7 @@ fn checkpoint_config() -> DetectorConfig {
     }
 }
 
-/// A checkpoint with neither staggered-lane nor GLR state.
+/// A checkpoint without GLR state.
 pub fn plain_checkpoint() -> Checkpoint {
     let config = checkpoint_config();
     let mut det = SketchChangeDetector::new(config.clone());
@@ -76,14 +76,10 @@ pub fn plain_checkpoint() -> Checkpoint {
     }
 }
 
-/// [`plain_checkpoint`] plus staggered lanes caught mid-warm-up and a GLR
-/// layer caught mid-slot with a provisional alarm queued.
+/// [`plain_checkpoint`] plus a GLR layer caught mid-slot with a
+/// provisional alarm queued.
 pub fn v2_checkpoint() -> Checkpoint {
     let mut ck = plain_checkpoint();
-    let mut stag = StaggeredDetector::new(ck.config.clone(), 3);
-    for s in 0..7 {
-        stag.process_slot(&items(s));
-    }
     let glr_cfg =
         GlrConfig { max_window: 4, projections: 8, ..GlrConfig::new(16.0, ck.config.sketch.seed) };
     let mut glr = GlrDetector::new(glr_cfg.clone());
@@ -92,7 +88,6 @@ pub fn v2_checkpoint() -> Checkpoint {
         glr.end_slot();
     }
     glr.observe(99, 1234.5);
-    ck.staggered = Some((3, stag.snapshot()));
     ck.glr = Some((
         glr_cfg,
         GlrEngineSnapshot {

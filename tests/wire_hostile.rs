@@ -273,7 +273,7 @@ fn cases() -> Vec<Case> {
         archive_case("SCDARCH1", &sample_archive()),
         checkpoint_case("SCDCKPT2 (tiny)", &tiny_checkpoint()),
         checkpoint_case("SCDCKPT2 (plain)", &plain_checkpoint()),
-        checkpoint_case("SCDCKPT2 (staggered + GLR)", &v2_checkpoint()),
+        checkpoint_case("SCDCKPT2 (GLR)", &v2_checkpoint()),
         scdn("SCDN ack", Frame::Ack { interval: 7 }),
         scdn("SCDN interval (tiny)", tiny_interval_frame()),
         scdn("SCDN interval", interval_frame()),
