@@ -9,8 +9,9 @@
 # PARENT_SCD — the `scd` of the parent commit, built in a scratch clone —
 # every output below is also `cmp`ed against the parent's, byte for byte.
 # Without it (CI) the script still checks every identity *within* this
-# binary: engine shapes against each other, `stream` and `archive` against
-# `detect`, the distributed plane against the single box.
+# binary: engine shapes against each other, every source and sink of
+# `detect` against the plain replay, the distributed plane against the
+# single box.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 SCD=${SCD:-$PWD/target/release/scd}
@@ -33,18 +34,27 @@ kib() {
   fi
   sed -i -E "s/$re/\1…\3/" "$1" "$2"
 }
-# Runs "$@" under this binary into OUT.new.* and, with a parent, under the
-# parent into OUT.old.*; then compares stdout and every named file.
-both() { # both OUT FILES... -- ARGS...
+# The first line a renamed row prints — its header, which named the command
+# — is the one stdout line its new spelling may change.
+HEADER='^(archiving|serving|detecting over) [0-9]+ intervals of [0-9]+s '
+# Runs ARGS under this binary into OUT.new.* and, with a parent, under the
+# parent into OUT.old.*; then compares stdout and every named file. A row
+# whose command the parent spelled otherwise gives the parent's spelling
+# after a second `--`, and has its header line masked on both sides.
+both() { # both OUT FILES... -- ARGS... [-- PARENT_ARGS...]
   local out=$1; shift
   local files=(); while [ "$1" != -- ]; do files+=("$1"); shift; done; shift
-  "$SCD" "${@//@/$out.new}" > "$out.new.txt"
+  local new=(); while [ $# -gt 0 ] && [ "$1" != -- ]; do new+=("$1"); shift; done
+  local old=("${new[@]}") header=; [ $# -gt 0 ] && { shift; old=("$@"); header=1; }
+  "$SCD" "${new[@]//@/$out.new}" > "$out.new.txt"
   [ -n "$PARENT" ] || return 0
-  "$PARENT" "${@//@/$out.old}" > "$out.old.txt"
+  "$PARENT" "${old[@]//@/$out.old}" > "$out.old.txt"
   sed "s/$out\.old/$out.new/g" "$out.old.txt" > "$out.old.norm"
-  kib "$out.old.norm" "$out.new.txt" "scd $*"
-  same "$out.old.norm" "$out.new.txt" "stdout of: scd $*"
-  for f in "${files[@]}"; do same "$out.old.$f" "$out.new.$f" "$f of: scd $*"; done
+  cp "$out.new.txt" "$out.new.norm"
+  if [ -n "$header" ]; then sed -i -E "1s/$HEADER.*/(header)/" "$out.old.norm" "$out.new.norm"; fi
+  kib "$out.old.norm" "$out.new.norm" "scd ${new[*]}"
+  same "$out.old.norm" "$out.new.norm" "stdout of: scd ${new[*]}"
+  for f in "${files[@]}"; do same "$out.old.$f" "$out.new.$f" "$f of: scd ${new[*]}"; done
 }
 
 "$SCD" generate --profile small --hours 0.5 --interval 60 --out t.bin --seed 7 --dos 10:12:2:30 > /dev/null
@@ -115,25 +125,29 @@ if [ -z "$walks" ] || [ "$walks" != "$closes" ]; then
 fi
 echo "cli-identity: detect --k 65536 — all $closes merges walked lines, digests independent of the shape"
 
-# archive, serve, stream: the bytes they leave behind.
+# The archive and query-server sinks and the live source: the bytes they
+# leave behind, against the parent's `archive`, `serve` and `stream`.
+A="--model ewma:0.5 --budget 16 --full-res 4"
 # shellcheck disable=SC2086
-both a scda -- archive $T --model ewma:0.5 --out @.scda --shards 4 --budget 16 --full-res 4
+both a scda -- detect $T $A --archive-out @.scda --shards 4 -- archive $T $A --out @.scda --shards 4
 # shellcheck disable=SC2086
-both s scda -- serve $T --model ewma:0.5 --out @.scda --shards 2 --pipeline --budget 16 --full-res 4 \
-  --listen 127.0.0.1:$PORT 2> /dev/null
+both s scda -- detect $T $A --archive-out @.scda --shards 2 --pipeline --serve 127.0.0.1:$PORT \
+  -- serve $T $A --out @.scda --shards 2 --pipeline --listen 127.0.0.1:$PORT 2> /dev/null
 # shellcheck disable=SC2086
-both st ck -- stream $T --model ewma:0.5 --checkpoint @.ck --every 2
-same a.new.scda s.new.scda "archive --out vs serve --out"
+both st ck -- detect $T --model ewma:0.5 --live --checkpoint @.ck --every 2 \
+  -- stream $T --model ewma:0.5 --checkpoint @.ck --every 2
+same a.new.scda s.new.scda "--archive-out vs --archive-out --serve"
 
 # The publish lane on dense fractional error sketches: ARIMA1 at K = 65 536,
-# where the pipelined serve runs its observer (the slim projection) and its
-# archive push on the lane, and the archive command runs both inline.
+# where the pipelined server runs its observer (the slim projection) and its
+# archive push on the lane, and the plain archive sink runs both inline.
 F="--trace t.bin --interval 60 --threshold 0.4 --k 65536 --model arima1:0.5,0.2/0.3 --budget 16 --full-res 4"
 # shellcheck disable=SC2086
-both fa scda -- archive $F --out @.scda
+both fa scda -- detect $F --archive-out @.scda --shards 4 -- archive $F --out @.scda
 # shellcheck disable=SC2086
-both fs scda -- serve $F --out @.scda --shards 2 --pipeline --listen 127.0.0.1:$((PORT + 2)) 2> /dev/null
-same fa.new.scda fs.new.scda "archive --out vs serve --pipeline --out (arima1, --k 65536)"
+both fs scda -- detect $F --archive-out @.scda --shards 2 --pipeline --serve 127.0.0.1:$((PORT + 2)) \
+  -- serve $F --out @.scda --shards 2 --pipeline --listen 127.0.0.1:$((PORT + 2)) 2> /dev/null
+same fa.new.scda fs.new.scda "--archive-out vs --serve --pipeline --archive-out (arima1, --k 65536)"
 
 # Answers from those dumps, whose older epochs load packed: every `scd query`
 # kind — changed keys, key history, and the historical estimate, which reads
@@ -156,21 +170,34 @@ for dump in fa fs; do
 done
 echo "cli-identity: query — changed keys, key history, estimate on the --k 65536 dumps${PARENT:+, same answers as the parent binary}"
 
-# What only exists since every command builds its engine one way.
+# What only exists since every source and sink runs through one detect.
 # shellcheck disable=SC2086
-"$SCD" stream $T --model ewma:0.5 --shards 2 --report-out stream.rep > /dev/null
-same d1-ewma-twopass.new.rep stream.rep "stream --shards 2 --report-out vs detect --report-out"
+"$SCD" detect $T --model ewma:0.5 --live --shards 2 --report-out live.rep > /dev/null
+same d1-ewma-twopass.new.rep live.rep "--live --shards 2 --report-out vs --report-out"
 # shellcheck disable=SC2086
-"$SCD" archive $T --model ewma:0.5 --strategy next --out next.scda --report-out next.rep |
+"$SCD" detect $T --model ewma:0.5 --strategy next --archive-out next.scda --report-out next.rep |
   grep -E '^(interval [0-9]+:|  ALARM)' > next.alarms || true
-same d6-ewma-next.alarms next.alarms "archive --strategy next vs detect --strategy next alarm lines"
-same d6-ewma-next.new.rep next.rep "archive --strategy next vs detect --strategy next digests"
-echo "cli-identity: archive / serve / stream agree with detect"
+same d6-ewma-next.alarms next.alarms "--archive-out --strategy next vs --strategy next alarm lines"
+same d6-ewma-next.new.rep next.rep "--archive-out --strategy next vs --strategy next digests"
+# A checkpointed replay reports what an unchecked one does, GLR beside the
+# archive sink leaves the archive it leaves without, and so does the live
+# source on this interval-ordered trace.
+# shellcheck disable=SC2086
+"$SCD" detect $T --model ewma:0.5 --checkpoint ck.ck --every 2 --report-out ck.rep > /dev/null
+same d1-ewma-twopass.new.rep ck.rep "--checkpoint --every 2 vs unchecked digests"
+# shellcheck disable=SC2086
+"$SCD" detect $T $A --glr 4 --archive-out glr.scda --shards 4 > /dev/null
+same a.new.scda glr.scda "--glr 4 --archive-out vs --archive-out"
+# shellcheck disable=SC2086
+"$SCD" detect $T $A --live --archive-out live.scda > /dev/null
+same a.new.scda live.scda "--live --archive-out vs --archive-out"
+echo "cli-identity: --live, --archive-out, --checkpoint and --glr beside --archive-out agree with detect"
 
 # The distributed plane: three nodes, one aggregator, the single box's digests.
-plane() { # plane BIN OUT
+plane() { # plane BIN OUT AGGREGATE: AGGREGATE is how BIN spells the aggregator
   rm -rf "spool-$2"
-  "$1" aggregate --listen 127.0.0.1:$((PORT + 1)) --nodes 3 --model ewma:0.5 --k 8192 --threshold 0.4 \
+  # shellcheck disable=SC2086
+  "$1" $3 --listen 127.0.0.1:$((PORT + 1)) --nodes 3 --model ewma:0.5 --k 8192 --threshold 0.4 \
     --report-out "$2" --grace-ms 2000 --node-timeout-ms 5000 --timeout-secs 120 > "$2.log" 2>&1 &
   local agg=$! pids=()
   sleep 1
@@ -182,10 +209,11 @@ plane() { # plane BIN OUT
   for pid in "${pids[@]}"; do wait "$pid"; done
   wait "$agg"
 }
-plane "$SCD" dist.new.rep
-same d1-ewma-twopass.new.rep dist.new.rep "aggregate digests vs the single box"
+plane "$SCD" dist.new.rep detect
+same d1-ewma-twopass.new.rep dist.new.rep "--listen digests vs the single box"
 if [ -n "$PARENT" ]; then
-  plane "$PARENT" dist.old.rep
-  same dist.old.rep dist.new.rep "aggregate digests vs the parent's"
+  plane "$PARENT" dist.old.rep aggregate
+  same dist.old.rep.log dist.new.rep.log "--listen stdout and stderr vs the parent's aggregate"
+  same dist.old.rep dist.new.rep "--listen digests vs the parent's aggregate"
 fi
 echo "cli-identity: distributed digests match the single box${PARENT:+ and the parent binary}"

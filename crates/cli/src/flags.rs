@@ -74,6 +74,12 @@ impl Flags {
         self.raw(name).is_some()
     }
 
+    /// Whether the flag was given, without counting it as read: for a flag
+    /// whose presence rules another out before anything reads it.
+    pub fn present(&self, name: &str) -> bool {
+        self.map.contains_key(name)
+    }
+
     /// Call once the command has read every flag it honours and before it
     /// creates anything: a flag nobody read would otherwise be silently
     /// ignored.

@@ -1,10 +1,14 @@
 //! `scd` — sketch-based change detection from the command line.
 //!
 //! Run `scd` with no arguments for every command and the flags it
-//! honours ([`usage`]); README.md has the same as a command × flag table.
-//! A flag a command does not list is rejected by name, not ignored.
+//! honours ([`usage`]); README.md has the same as a source × flag table.
+//! A flag a command does not honour is rejected by name, not ignored.
 //! Traces are the binary/CSV formats of `scd-traffic::io` (format chosen by
-//! file extension). `detect` prints one line per alarm; `tune` prints a
+//! file extension). `detect` is the one detection command: one source (a
+//! replayed trace, the same trace pushed live through the streaming
+//! driver, or the sketches of ingest nodes) and any number of sinks
+//! (alarm lines, report and metrics files, a checkpoint, an archive dump,
+//! a live query server). It prints one line per alarm; `tune` prints a
 //! spec string that `--model` accepts, so the two compose:
 //!
 //! ```text
@@ -27,7 +31,7 @@ macro_rules! outln {
 }
 
 use flags::{FlagError, Flags};
-use scd_archive::ArchiveConfig;
+use scd_archive::{ArchiveConfig, SketchArchive};
 use scd_core::gridsearch::{search_model, GridSearchConfig};
 use scd_core::{
     segment_records, spawn_streaming, Alarm, CheckpointPolicy, DetectorConfig, EngineConfig,
@@ -38,7 +42,8 @@ use scd_core::{
 use scd_core::{IntervalReport, PipelineMetrics};
 use scd_forecast::{ModelKind, ModelSpec};
 use scd_obs::{MetricsListener, Registry};
-use scd_sketch::{DeltoidConfig, SketchConfig};
+use scd_serve::{QueryServer, RebuildMode, ServeMetrics, ServerOptions, ServingPlane};
+use scd_sketch::{DeltoidConfig, KarySketch, SketchConfig};
 use scd_traffic::record::format_ipv4;
 use scd_traffic::{
     io, AnomalyEvent, AnomalyInjector, AnomalyKind, ChunkedTraceReader, FlowRecord, KeySpec,
@@ -47,6 +52,7 @@ use scd_traffic::{
 use std::fs::File;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -56,43 +62,29 @@ fn usage() -> ExitCode {
          info      --trace FILE\n\
          tune      --trace FILE --interval S --model ma|sma|ewma|nshw|arima0|arima1\n\
          \u{20}          [--paper] [--quiet]\n\
-         detect    --trace FILE --interval S --model SPEC [--h 5] [--k 32768]\n\
-         \u{20}          [--threshold 0.05] [--sketch-seed N] [--top N]\n\
-         \u{20}          [--strategy twopass|next|sampled:R|reversible] [--shards N]\n\
-         \u{20}          [--pipeline] [--source-threads N] [--metrics FILE]\n\
+         detect    SOURCE --model SPEC [--h 5] [--k 32768] [--threshold 0.05]\n\
+         \u{20}          [--sketch-seed N] [--top N]\n\
+         \u{20}          [--strategy twopass|next|sampled:R|reversible] [--shards 1]\n\
+         \u{20}          [--pipeline] [--source-threads N] [--stagger LANES]\n\
          \u{20}          [--glr SLOTS] [--glr-threshold 16.0] [--glr-window 8]\n\
-         \u{20}          [--stagger LANES]\n\
-         \u{20}          [--metrics-listen ADDR] [--report-out FILE]\n\
+         \u{20}          [--report-out FILE] [--metrics FILE] [--metrics-listen ADDR]\n\
+         \u{20}          [--checkpoint FILE] [--every 10]\n\
+         \u{20}          [--archive-out FILE] [--serve ADDR] [--pace-ms N] [--linger-secs N]\n\
+         \u{20}          [--budget 64] [--full-res 8] [--keys 64]\n\
+         \u{20}  SOURCE: --trace FILE --interval S\n\
+         \u{20}        | --trace FILE --interval S --live [--policy block|drop|sample:R]\n\
+         \u{20}          [--capacity 4096] [--chunked]\n\
+         \u{20}        | --listen ADDR --nodes N [--grace-ms 500] [--node-timeout-ms 2000]\n\
+         \u{20}          [--timeout-secs 60]\n\
          sketch    --trace FILE --interval S --at T --out FILE [--h 5] [--k 32768]\n\
          combine   --out FILE A.sketch B.sketch ... [--query IP]\n\
-         stream    --trace FILE --interval S --model SPEC [--policy block|drop|sample:R]\n\
-         \u{20}          [--capacity N] [--chunked] [--checkpoint FILE] [--every N]\n\
-         \u{20}          [--h 5] [--k 32768] [--threshold 0.05] [--sketch-seed N] [--top N]\n\
-         \u{20}          [--strategy twopass|next|sampled:R] [--shards N]\n\
-         \u{20}          [--metrics FILE] [--metrics-listen ADDR] [--report-out FILE]\n\
          metrics   --from metrics.jsonl | --addr HOST:PORT\n\
          ingest-node --trace FILE --interval S --node I --nodes N --connect ADDR\n\
          \u{20}          [--h 5] [--k 32768] [--sketch-seed N] [--shards 2] [--spool DIR]\n\
          \u{20}          [--fault drop:3,dup:5,corrupt:7,trunc:9,delay:2:50] [--retries N]\n\
          \u{20}          [--finish-timeout-secs 60] [--metrics FILE] [--metrics-listen ADDR]\n\
-         aggregate --listen ADDR --nodes N --model SPEC [--h 5] [--k 32768]\n\
-         \u{20}          [--threshold 0.05] [--sketch-seed N] [--report-out FILE]\n\
-         \u{20}          [--checkpoint FILE] [--every N] [--grace-ms 500]\n\
-         \u{20}          [--node-timeout-ms 2000] [--timeout-secs 60] [--top N]\n\
-         \u{20}          [--metrics FILE] [--metrics-listen ADDR]\n\
-         archive   --trace FILE --interval S --model SPEC --out FILE [--shards 4]\n\
-         \u{20}          [--budget 64] [--full-res 8] [--keys 64] [--h 5] [--k 32768]\n\
-         \u{20}          [--threshold 0.05] [--sketch-seed N] [--top N]\n\
-         \u{20}          [--strategy twopass|next|sampled:R] [--pipeline] [--source-threads N]\n\
-         \u{20}          [--metrics FILE] [--metrics-listen ADDR] [--report-out FILE]\n\
          query     --archive FILE --from T1 --to T2 [--threshold 0.05]\n\
          \u{20}          [--key IP] [--estimate IP] [--top N]\n\
-         serve     --trace FILE --interval S --model SPEC --listen ADDR [--shards N]\n\
-         \u{20}          [--pipeline] [--budget 64] [--full-res 8] [--keys 64] [--h 5]\n\
-         \u{20}          [--k 32768] [--threshold 0.05] [--sketch-seed N] [--pace-ms N]\n\
-         \u{20}          [--linger-secs N] [--out FILE]\n\
-         \u{20}          [--strategy twopass|next|sampled:R] [--source-threads N] [--top N]\n\
-         \u{20}          [--metrics FILE] [--metrics-listen ADDR] [--report-out FILE]\n\
          ask       --addr HOST:PORT (--estimate IP [--from T1 --to T2] |\n\
          \u{20}          --changed --from T1 --to T2 [--threshold 0.05] |\n\
          \u{20}          --history IP --from T1 --to T2 | --range --from T1 --to T2)\n\
@@ -117,14 +109,10 @@ fn main() -> ExitCode {
         "detect" => detect(&flags),
         "sketch" => sketch(&flags),
         "combine" => combine(&flags),
-        "stream" => stream(&flags),
-        "archive" => archive(&flags),
         "query" => query(&flags),
-        "serve" => serve(&flags),
         "ask" => ask(&flags),
         "metrics" => metrics(&flags),
         "ingest-node" => ingest_node(&flags),
-        "aggregate" => aggregate(&flags),
         _ => return usage(),
     };
     // Every command checks its flags before it creates anything; asking
@@ -197,45 +185,107 @@ fn interval_flag(flags: &Flags) -> Result<u32, FlagError> {
     Ok(secs)
 }
 
-// The shared flag groups. A command passes `Setup::from_flags` the ones it
-// honours; what it does not honour it never reads, so `Flags::done`
-// rejects it by name.
-/// `--model`, `--threshold`, `--top`: the command runs a detector.
-const MODEL: u32 = 1;
-/// `--strategy`.
-const STRATEGY: u32 = 1 << 1;
-/// `--shards`.
-const SHARDS: u32 = 1 << 2;
-/// `--pipeline`: the driver can overlap detection with ingest.
-const PIPELINE: u32 = 1 << 3;
-/// `--source-threads`: producer threads route each pushed slice.
-const SOURCES: u32 = 1 << 9;
-/// `--glr`, `--glr-threshold`, `--glr-window`: the driver cuts the trace at
-/// slot boundaries.
-const GLR: u32 = 1 << 4;
-/// `--budget`, `--full-res`, `--keys`.
-const STORE: u32 = 1 << 5;
-/// `--checkpoint`, `--every`.
-const CHECKPOINT: u32 = 1 << 6;
-/// `--report-out`.
-const REPORT: u32 = 1 << 7;
-/// `--metrics`, `--metrics-listen`.
-const TELEMETRY: u32 = 1 << 8;
-
-const DETECT: u32 = MODEL | STRATEGY | SHARDS | PIPELINE | SOURCES | GLR | REPORT | TELEMETRY;
-const ARCHIVE: u32 = DETECT & !GLR | STORE;
-/// The streaming driver stamps each report with the drop counters of the
-/// interval it closes, so it waits for that report: there is nothing for
-/// `--pipeline` to overlap, and it cuts intervals by event time only.
-const STREAM: u32 = MODEL | STRATEGY | SHARDS | CHECKPOINT | REPORT | TELEMETRY;
-/// The aggregator scans the distinct keys its nodes ship: key strategy
-/// and sharding are the nodes' side of the plane.
-const AGGREGATE: u32 = STREAM & !(STRATEGY | SHARDS);
+// The shared flag groups. `Driver::honours` works out the ones a detect
+// run reads; what a run does not read, `Flags::done` rejects by name.
+const MODEL: u32 = 1; // --model --threshold --top: the command runs a detector
+const STRATEGY: u32 = 1 << 1; // --strategy
+const SHARDS: u32 = 1 << 2; // --shards
+const PIPELINE: u32 = 1 << 3; // --pipeline: detection overlaps ingest
+const GLR: u32 = 1 << 4; // --glr --glr-threshold --glr-window: slots cut the trace
+const ARCHIVE: u32 = 1 << 5; // --archive-out (with --budget --full-res --keys)
+const CHECKPOINT: u32 = 1 << 6; // --checkpoint --every
+const REPORT: u32 = 1 << 7; // --report-out
+const TELEMETRY: u32 = 1 << 8; // --metrics --metrics-listen
+const SOURCES: u32 = 1 << 9; // --source-threads: producers route each slice
+const SERVE: u32 = 1 << 10; // --serve --pace-ms --linger-secs (and the archive's three)
+const DETECT: u32 = (SERVE << 1) - 1;
 const INGEST_NODE: u32 = SHARDS | TELEMETRY;
+
+/// Where `scd detect` gets its intervals and what feeds them to the
+/// detector: one source, `--trace FILE` (bin by bin through one engine,
+/// through staggered lanes or through the reversible sketch), `--trace
+/// FILE --live` or `--listen ADDR`.
+#[derive(Clone, Copy, PartialEq)]
+enum Driver {
+    Engine,
+    /// `--stagger LANES`.
+    Stagger(usize),
+    /// `--strategy reversible`.
+    Reversible,
+    /// `--live`: record by record through the streaming driver.
+    Live,
+    /// `--listen`: the aggregator COMBINEs the ingest nodes' sketches.
+    Listen,
+}
+
+impl Driver {
+    /// The driver the flags ask for. `--listen` reads no `--trace` and a
+    /// trace no `--listen`, so giving both is refused by name.
+    fn of(flags: &Flags) -> Result<Driver, FlagError> {
+        Ok(if flags.present("listen") {
+            Driver::Listen
+        } else if flags.has("live") {
+            Driver::Live
+        } else if flags.raw("strategy") == Some("reversible") {
+            Driver::Reversible
+        } else {
+            match flags.get("stagger", 0)? {
+                0 => Driver::Engine,
+                1 => return Err(FlagError("--stagger needs at least 2 lanes".into())),
+                lanes => {
+                    let twopass = matches!(flags.raw("strategy"), None | Some("twopass"));
+                    ensure(twopass, || "--stagger requires --strategy twopass".into())?;
+                    Driver::Stagger(lanes)
+                }
+            }
+        })
+    }
+
+    /// The flag groups a run honours: every one, less what its source or
+    /// a sink rules out — the one place a detect flag is refused for
+    /// another's sake (README's flag matrix footnotes each) — and the
+    /// flags that ruled something out, for the error message.
+    fn honours(self, flags: &Flags) -> (u32, Vec<&'static str>) {
+        let (live, engine) = (self == Driver::Live, matches!(self, Driver::Engine | Driver::Live));
+        let rules = [
+            // Key strategy and engine shape are the ingest nodes'; the
+            // aggregator builds its detect stage from `AggregatorConfig`, not
+            // an engine's config, so GLR, an archive and a server have no hook.
+            (self == Driver::Listen, "--listen", !(MODEL | CHECKPOINT | REPORT | TELEMETRY)),
+            // The streaming driver waits for each report to stamp its drop
+            // counters and cuts intervals by event time only (ROADMAP item 6).
+            (live, "--live", PIPELINE | SOURCES | GLR),
+            // The reversible (group-testing) sketch runs outside the engine
+            // (a `Deltoid`-typed engine would make the shared code branch on
+            // its caller — ROADMAP item 10c) and recovers keys with no key
+            // stream: it reads none of the flags that shape the engine.
+            (self == Driver::Reversible, "--strategy reversible", !MODEL),
+            // Staggered lanes (§6: one detector per phase offset over one
+            // ingest half) have no single detect stage to hang the rest on.
+            (
+                matches!(self, Driver::Stagger(_)),
+                "--stagger",
+                !(MODEL | STRATEGY | SHARDS | SOURCES | REPORT),
+            ),
+            // The archive is not part of the checkpoint (ROADMAP item 14).
+            (engine && flags.present("archive-out"), "--archive-out", CHECKPOINT),
+            (engine && flags.present("serve"), "--serve", CHECKPOINT),
+        ];
+        let (mut honours, mut by) = (DETECT, Vec::new());
+        for (on, trigger, groups) in rules {
+            if on {
+                honours &= !groups;
+                by.push(trigger);
+            }
+        }
+        (honours, by)
+    }
+}
 
 /// Everything the shared flags say about a run, parsed and validated but
 /// with nothing created yet — the one place the sketch, the model, the
-/// key strategy and the engine's shape are read from the command line.
+/// key strategy, the engine's shape and the sinks are read from the
+/// command line.
 struct Setup {
     sketch: SketchConfig,
     /// `None` for the commands that only sketch.
@@ -246,7 +296,14 @@ struct Setup {
     /// Slots per interval (1 when GLR is off) and the GLR configuration.
     glr_slots: usize,
     glr: Option<GlrConfig>,
+    /// Set when `--archive-out` or `--serve` needs one.
     archive: Option<ArchiveConfig>,
+    archive_out: Option<String>,
+    /// `--serve ADDR`, with its `--pace-ms` query window after every
+    /// interval and its `--linger-secs` once the source is done.
+    serve: Option<String>,
+    pace: Duration,
+    linger: Duration,
     checkpoint: Option<CheckpointPolicy>,
     top: usize,
     metrics: Option<String>,
@@ -296,35 +353,31 @@ impl Setup {
             (None, 0)
         };
         let shards = if honours(SHARDS) { flags.get("shards", shards)? } else { shards };
+        ensure(shards >= 1, || "--shards must be at least 1".into())?;
         let pipeline = honours(PIPELINE) && flags.has("pipeline");
         let source_threads = if honours(SOURCES) { flags.get("source-threads", 1)? } else { 1 };
+        ensure(source_threads >= 1, || "--source-threads must be at least 1".into())?;
+        // Sub-interval GLR sequential detection: base slots of
+        // interval/slots seconds feed per-slot ±1 projections; provisional
+        // alarms print as they fire and are confirmed or retracted by the
+        // interval-close reports (which stay bit-identical to a no-GLR run).
         let (mut glr_slots, mut glr) = (1, None);
         if honours(GLR) {
-            // Sub-interval GLR sequential detection: base slots of
-            // interval/slots seconds feed per-slot ±1 projections;
-            // provisional alarms print as they fire and are confirmed or
-            // retracted by the interval-close reports (which stay
-            // bit-identical to a no-GLR run).
             let slots: usize = flags.get("glr", 0)?;
             let config = GlrConfig {
                 max_window: flags.get("glr-window", 8)?,
                 ..GlrConfig::new(flags.get("glr-threshold", 16.0)?, seed)
             };
-            if slots == 1 {
-                return Err(FlagError("--glr needs at least 2 slots per interval".into()).into());
-            }
-            if slots > 0 && matches!(key_strategy, KeyStrategy::Sampled { .. }) {
-                // The sampler draws once per key in first-seen order, so
-                // its reports depend on intra-interval feed order;
-                // slot-granular ingest would silently change them.
-                return Err(FlagError(
-                    "--glr supports --strategy twopass|next (sampled is feed-order sensitive)"
-                        .into(),
-                )
-                .into());
-            }
             if slots > 0 {
                 let t = config.threshold;
+                ensure(slots >= 2, || "--glr needs at least 2 slots per interval".into())?;
+                // The sampler draws once per key in first-seen order, so its
+                // reports depend on intra-interval feed order; slot-granular
+                // ingest would silently change them.
+                ensure(!matches!(key_strategy, KeyStrategy::Sampled { .. }), || {
+                    "--glr supports --strategy twopass|next (sampled is feed-order sensitive)"
+                        .into()
+                })?;
                 ensure(t > 0.0 && t.is_finite(), || {
                     format!("--glr-threshold {t} must be positive")
                 })?;
@@ -332,28 +385,25 @@ impl Setup {
                 (glr_slots, glr) = (slots, Some(config));
             }
         }
-        let archive = if honours(STORE) {
-            Some(ArchiveConfig {
-                max_sketches: flags.get("budget", 64)?,
-                full_resolution: flags.get("full-res", 8)?,
-                keys_per_epoch: flags.get("keys", 64)?,
-            })
-        } else {
-            None
-        };
-        let checkpoint = if honours(CHECKPOINT) {
-            let every: u64 = flags.get("every", 10)?;
-            flags.raw("checkpoint").map(|file| CheckpointPolicy { path: file.into(), every })
-        } else {
-            None
-        };
-        let owned = |on: bool, name: &str| {
-            if on {
-                flags.raw(name).map(str::to_string)
-            } else {
-                None
-            }
-        };
+        // A group the run does not honour is never read, so `done` names it.
+        let owned = |on: bool, name: &str| on.then(|| flags.raw(name)).flatten().map(String::from);
+        let archive_out = owned(honours(ARCHIVE), "archive-out");
+        let serve = owned(honours(SERVE), "serve");
+        let serving = |name| if serve.is_some() { flags.get(name, 0) } else { Ok(0) };
+        let (pace, linger) = (serving("pace-ms")?, serving("linger-secs")?);
+        let mut archive = None;
+        if archive_out.is_some() || serve.is_some() {
+            let (budget, full_res) = (flags.get("budget", 64)?, flags.get("full-res", 8)?);
+            let keys_per_epoch = flags.get("keys", 64)?;
+            let config =
+                ArchiveConfig { max_sketches: budget, full_resolution: full_res, keys_per_epoch };
+            let named = |e| FlagError(format!("--budget {budget} --full-res {full_res}: {e}"));
+            archive = Some(config.validate().map(|()| config).map_err(named)?);
+        }
+        let every = if honours(CHECKPOINT) { flags.get("every", 10)? } else { 10 };
+        ensure(every >= 1, || "--every must be at least 1 interval".into())?;
+        let checkpoint = owned(honours(CHECKPOINT), "checkpoint")
+            .map(|file| CheckpointPolicy { path: file.into(), every });
         Ok(Setup {
             sketch,
             detector,
@@ -363,6 +413,10 @@ impl Setup {
             glr_slots,
             glr,
             archive,
+            archive_out,
+            serve,
+            pace: Duration::from_millis(pace),
+            linger: Duration::from_secs(linger),
             checkpoint,
             top,
             metrics: owned(honours(TELEMETRY), "metrics"),
@@ -376,7 +430,7 @@ impl Setup {
     }
 
     /// Creates what the output flags name — the first files a run writes,
-    /// so call it only after [`Flags::done`].
+    /// and the query server — so call it only after [`Flags::done`].
     fn open(&self) -> Result<Output, Box<dyn std::error::Error>> {
         let create = |path: &Option<String>| match path {
             Some(p) => File::create(p).map(|file| Some(std::io::BufWriter::new(file))),
@@ -388,6 +442,7 @@ impl Setup {
             snapshots: create(&self.metrics)?,
             listener: None,
             sink: create(&self.report_out)?,
+            server: None,
         };
         if self.metrics.is_some() || self.metrics_listen.is_some() {
             let registry = Arc::new(Registry::new());
@@ -399,21 +454,21 @@ impl Setup {
             }
             out.metrics = Some((registry, pipeline));
         }
+        if let (Some(addr), Some(archive)) = (&self.serve, self.archive) {
+            let metrics =
+                out.metrics.as_ref().map(|(registry, _)| ServeMetrics::register(registry));
+            let plane =
+                ServingPlane::with_options(archive, metrics.clone(), RebuildMode::Background)?;
+            let options = ServerOptions::default();
+            let server = QueryServer::bind_with(addr, Arc::clone(&plane), metrics, options)?;
+            eprintln!("serving queries on {}", server.addr());
+            out.server = Some((plane, server));
+        }
         Ok(out)
     }
 
-    /// The engine the flags describe, wired to `out`'s telemetry, with
-    /// whatever the command itself hangs on it (an archive, an observer).
-    fn engine(
-        &self,
-        out: &Output,
-        attach: impl FnOnce(EngineConfig) -> EngineConfig,
-    ) -> Result<ShardedEngine, scd_core::EngineError> {
-        ShardedEngine::new(attach(self.engine_config(out)))
-    }
-
     /// The engine configuration the flags describe, wired to `out`'s
-    /// telemetry.
+    /// telemetry and query server.
     fn engine_config(&self, out: &Output) -> EngineConfig {
         let mut config = EngineConfig::new(self.detector(), self.shards);
         if self.pipeline {
@@ -429,31 +484,58 @@ impl Setup {
             let checkpoint = Some(checkpoint.clone());
             config = config.with_supervision(Supervision { checkpoint, ..Supervision::default() });
         }
+        if let (Some(_), Some(archive)) = (&self.archive_out, self.archive) {
+            config = config.with_archive(archive);
+        }
+        if let Some((plane, _)) = &out.server {
+            config = config.with_observer(Arc::clone(plane) as Arc<dyn scd_core::IntervalObserver>);
+        }
         config
+    }
+
+    /// Writes the engine's archive, if it has one, to `--archive-out`.
+    fn dump(&self, archive: Option<SketchArchive<KarySketch>>) -> CliResult {
+        let (Some(file), Some(archive)) = (&self.archive_out, archive) else { return Ok(()) };
+        if self.serve.is_some() {
+            outln!("archive dumped to {file}");
+        } else {
+            let ((from, to), epochs) =
+                (archive.coverage().unwrap_or((0, 0)), archive.sketch_count());
+            let kib = archive.memory_bytes() as f64 / 1024.0;
+            outln!("archive: intervals [{from}, {to}) in {epochs} epochs, {kib:.1} KiB -> {file}");
+        }
+        Ok(scd_archive::wire::write_atomic(&archive, std::path::Path::new(file))?)
+    }
+
+    /// `--linger-secs`: keeps the query server answering once the source
+    /// is done.
+    fn linger(&self) {
+        if !self.linger.is_zero() {
+            eprintln!("replay done; serving for {}s more", self.linger.as_secs());
+            std::thread::sleep(self.linger);
+        }
     }
 }
 
-/// Where a run's reports go: alarm lines on stdout; live telemetry — one
-/// registry feeding an optional JSON-lines snapshot file (`--metrics
-/// FILE`, one line per closed interval) and an optional Prometheus scrape
-/// endpoint (`--metrics-listen ADDR`); and the optional canonical-report
-/// file (`--report-out FILE`): one [`IntervalReport::canonical_line`] per
-/// emitted interval. Two runs that produce bit-identical reports produce
-/// byte-identical files, which is what the distributed smoke test diffs
-/// against a single-box run.
+/// Where a run's reports go: alarm lines on stdout; one metrics registry
+/// feeding `--metrics FILE` (a JSON line per closed interval) and
+/// `--metrics-listen ADDR` (a Prometheus endpoint); `--report-out FILE`
+/// (one [`IntervalReport::canonical_line`] per interval, so bit-identical
+/// reports make byte-identical files); and the `--serve ADDR` server.
 struct Output {
     top: usize,
     metrics: Option<(Arc<Registry>, Arc<PipelineMetrics>)>,
     snapshots: Option<std::io::BufWriter<File>>,
     listener: Option<MetricsListener>,
     sink: Option<std::io::BufWriter<File>>,
+    server: Option<(Arc<ServingPlane>, QueryServer)>,
 }
 
 impl Output {
     /// Prints one report's alarms, stamps a snapshot line for the interval
     /// it closes and files its digest.
     fn emit(&mut self, report: &IntervalReport) -> CliResult {
-        print_alarms(report.interval, &report.alarms, self.top);
+        print_report(report, self.top);
         self.record(report.interval as u64, report)
     }
 
@@ -472,9 +554,11 @@ impl Output {
         Ok(())
     }
 
-    /// Flushes both files and stops the scrape endpoint.
+    /// Flushes both files and stops the query server and the scrape
+    /// endpoint.
     fn finish(self) -> CliResult {
         use std::io::Write as _;
+        drop(self.server);
         for mut file in self.snapshots.into_iter().chain(self.sink) {
             file.flush()?;
         }
@@ -485,23 +569,96 @@ impl Output {
     }
 }
 
-/// The one interval feed loop: pushes each bin, closes a GLR slot after
-/// it, closes the interval after every `setup.glr_slots` bins (one, when
-/// GLR is off: a bin is then an interval and the slot calls are no-ops),
-/// emits each report as it arrives — one interval late on a pipelined
-/// engine — and drains the last one.
-fn run_intervals(
-    engine: &mut ShardedEngine,
-    bins: &[Vec<(u64, f64)>],
-    setup: &Setup,
-    pace: std::time::Duration,
-    out: &mut Output,
-) -> CliResult {
-    let slots = setup.glr_slots;
-    let empty: Vec<(u64, f64)> = Vec::new();
-    for t in 0..bins.len().div_ceil(slots) {
+/// The one detection command: one source, every flag that source and its
+/// sinks do not rule out ([`Driver::honours`]), every bad value refused
+/// before anything is written.
+fn detect(flags: &Flags) -> CliResult {
+    let driver = Driver::of(flags)?;
+    let trace = match driver {
+        Driver::Listen => None,
+        _ => Some((flags.require::<String>("trace")?, interval_flag(flags)?)),
+    };
+    let (honours, ruled_out_by) = driver.honours(flags);
+    let setup = Setup::from_flags(flags, honours, 1)?;
+    let done = || {
+        flags.done().map_err(|e| match ruled_out_by.as_slice() {
+            [] => e,
+            by => FlagError(format!("{e} with {}", by.join(" and "))),
+        })
+    };
+    let Some((path, interval)) = trace else {
+        return aggregate(flags, &setup, done);
+    };
+    if driver == Driver::Live {
+        return stream(flags, &path, interval, &setup, done);
+    }
+    // Bins fed per interval: staggered lanes, GLR slots, or the interval.
+    let (cut, parts) = match driver {
+        Driver::Stagger(lanes) => ("--stagger", lanes),
+        _ => ("--glr", setup.glr_slots),
+    };
+    ensure(interval % parts as u32 == 0, || {
+        format!("--interval {interval} is not divisible by {cut} {parts}")
+    })?;
+    done()?;
+
+    let detector = setup.detector();
+    let bins = read_intervals(&path, interval / parts as u32)?;
+    let (n, model, t) = (bins.len().div_ceil(parts), detector.model.describe(), detector.threshold);
+    let SketchConfig { h, k, seed } = detector.sketch;
+    outln!("detecting over {n} intervals of {interval}s (model {model}, H={h}, K={k}, T={t})");
+    if driver == Driver::Reversible {
+        let mut det = ReversibleChangeDetector::new(ReversibleConfig {
+            deltoid: DeltoidConfig { h, k, key_bits: 32, seed },
+            model: detector.model,
+            threshold: detector.threshold,
+        });
+        for items in &bins {
+            let report = det.process_interval(items);
+            print_alarms(report.interval, &report.alarms, setup.top);
+        }
+        return Ok(());
+    }
+    let mut out = setup.open()?;
+    if let Driver::Stagger(lanes) = driver {
+        let mut lanes = StaggeredDetector::new(detector, lanes, setup.shards)?;
+        for (s, items) in bins.iter().enumerate() {
+            let Some((lane, report)) = lanes.process_slot(items, setup.source_threads)? else {
+                continue;
+            };
+            for a in &report.alarms {
+                let (ip, error) = (format_ipv4(a.key as u32), a.estimated_error);
+                outln!("slot {s}: lane {lane} ALARM {ip:<16} error {error:+.0} bytes");
+            }
+            out.record(s as u64, &report)?;
+        }
+        return out.finish();
+    }
+    replay(&bins, &setup, out)
+}
+
+/// The trace source's engine: one whatever the flags — a single inline
+/// shard is the single-threaded detector, bit for bit (linearity;
+/// `update_batch` is `update`), and every other shape (shards, a detect
+/// thread overlapped with ingest, producer threads on the routing hop,
+/// GLR slots) is the same reports from the same loop. It pushes each bin,
+/// closes a GLR slot after it, closes the interval after every
+/// `glr_slots` bins (one, when GLR is off: a bin is then an interval and
+/// the slot calls are no-ops), emits each report as it arrives — one
+/// interval late on a pipelined engine — and drains the last one. An
+/// engine resumed from `--checkpoint` starts at the bin it left off at.
+fn replay(bins: &[Vec<(u64, f64)>], setup: &Setup, mut out: Output) -> CliResult {
+    let mut config = setup.engine_config(&out);
+    let (events_tx, events) = std::sync::mpsc::sync_channel(64);
+    if let Some(supervision) = &mut config.supervision {
+        supervision.events = Some(events_tx);
+    }
+    let mut engine = ShardedEngine::new(config)?;
+    let (slots, mut lifecycle) = (setup.glr_slots, Vec::new());
+    let resumed = engine.resumed_interval().unwrap_or(0) as usize;
+    for t in resumed..bins.len().div_ceil(slots) {
         for s in 0..slots {
-            let items = bins.get(t * slots + s).unwrap_or(&empty);
+            let items = bins.get(t * slots + s).map_or(&[][..], Vec::as_slice);
             engine.push_slice_parallel(items, setup.source_threads)?;
             engine.end_glr_slot();
             engine.take_glr_events().iter().for_each(print_glr_event);
@@ -510,14 +667,162 @@ fn run_intervals(
             out.emit(&report)?;
         }
         engine.take_glr_events().iter().for_each(print_glr_event);
-        if !pace.is_zero() {
-            std::thread::sleep(pace);
-        }
+        lifecycle.extend(events.try_iter());
+        std::thread::sleep(setup.pace); // `--pace-ms`: a query window; none at 0
     }
     if let Some(report) = engine.drain()? {
         out.emit(&report)?;
     }
     engine.take_glr_events().iter().for_each(print_glr_event);
+    lifecycle.extend(events.try_iter());
+    setup.linger();
+    setup.dump(engine.take_archive())?;
+    print_lifecycle(&lifecycle);
+    out.finish()
+}
+
+/// The `--live` source: the trace pushed record by record through the
+/// supervised streaming driver, under the `--policy` for overload, with
+/// intervals cut by event time. Lifecycle events and drop counters are
+/// reported at the end.
+fn stream(
+    flags: &Flags,
+    path: &str,
+    interval: u32,
+    setup: &Setup,
+    done: impl Fn() -> Result<(), FlagError>,
+) -> CliResult {
+    let capacity: usize = flags.get("capacity", 4096)?;
+    ensure(capacity >= 1, || "--capacity must be at least 1".into())?;
+    let overload = match flags.raw("policy").unwrap_or("block") {
+        "block" => OverloadPolicy::Block,
+        "drop" => OverloadPolicy::DropNewest,
+        s if s.starts_with("sample:") => {
+            let rate: f64 = s["sample:".len()..]
+                .parse()
+                .map_err(|_| FlagError(format!("bad sample rate in '{s}'")))?;
+            ensure(rate > 0.0 && rate <= 1.0, || format!("sample rate {rate} not in (0, 1]"))?;
+            OverloadPolicy::Sample { rate, seed: setup.sketch.seed ^ 0xFA11 }
+        }
+        other => return Err(FlagError(format!("unknown policy '{other}'")).into()),
+    };
+    // --chunked streams a binary trace in fixed-size chunks (constant
+    // memory, no global sort): enough for interval-ordered traces, such as
+    // generated ones; arbitrary traces take the default sorted path.
+    let chunked = flags.has("chunked");
+    ensure(!chunked || !path.ends_with(".csv"), || "--chunked requires a binary trace".into())?;
+    done()?;
+    let (mut reader, mut batch) = if chunked {
+        (Some(ChunkedTraceReader::new(File::open(path)?)?), Vec::new())
+    } else {
+        let mut records = read_trace(path)?;
+        records.sort_by_key(|r| r.timestamp_ms);
+        (None, records)
+    };
+
+    let mut out = setup.open()?;
+    let mut engine = setup.engine_config(&out);
+    // Always supervised, checkpoint or not: a detector panic is absorbed
+    // and narrated in the lifecycle lines.
+    engine.supervision.get_or_insert_with(Supervision::default);
+    let handle = spawn_streaming(StreamingConfig {
+        engine,
+        interval_ms: u64::from(interval) * 1000,
+        key: KeySpec::DstIp,
+        value: ValueSpec::Bytes,
+        channel_capacity: capacity,
+        overload,
+    });
+    let (mut reports, mut events, mut n_records) = (Vec::new(), Vec::new(), 0usize);
+    // One batch: the sorted trace; chunked, one chunk at a time.
+    'trace: loop {
+        if let Some(reader) = &mut reader {
+            batch.clear();
+            if reader.next_chunk(READ_CHUNK_RECORDS, &mut batch)? == 0 {
+                break;
+            }
+        }
+        for &record in &batch {
+            n_records += 1;
+            if !handle.send(record) {
+                break 'trace; // detector gave up; shutdown() reports why
+            }
+            // Drain as we go: the report channel is bounded, so collecting
+            // only at shutdown would deadlock once both channels fill.
+            for report in handle.reports().try_iter() {
+                out.record(report.interval as u64, &report)?;
+                reports.push(report);
+                std::thread::sleep(setup.pace);
+            }
+            events.extend(handle.events().try_iter());
+        }
+        if reader.is_none() {
+            break;
+        }
+    }
+    let (tail, tail_events, processed, archive) =
+        handle.shutdown().map_err(|e| FlagError(format!("stream failed: {e}")))?;
+    for report in tail {
+        out.record(report.interval as u64, &report)?;
+        reports.push(report);
+    }
+    events.extend(tail_events);
+
+    outln!("streamed {n_records} records; detector processed {processed}");
+    reports.iter().for_each(|report| print_report(report, setup.top));
+    print_lifecycle(&events);
+    setup.linger();
+    setup.dump(archive)?;
+    out.finish()
+}
+
+/// The `--listen` source, the combine-and-detect point of the distributed
+/// plane: accepts frames from `--nodes` ingest nodes, COMBINEs each
+/// interval's sketches by linearity, and runs the one global detector
+/// over the merged stream — recovering a lost node's contribution from
+/// ring parity, or flagging the interval as partial when even parity
+/// cannot cover the loss.
+fn aggregate(flags: &Flags, setup: &Setup, done: impl Fn() -> Result<(), FlagError>) -> CliResult {
+    let (listen, nodes): (String, u32) = (flags.require("listen")?, flags.require("nodes")?);
+    ensure(nodes >= 1, || "--nodes must be at least 1".into())?;
+    let ms = |name, default| flags.get(name, default).map(Duration::from_millis);
+    let (grace, node_deadline) = (ms("grace-ms", 500)?, ms("node-timeout-ms", 2000)?);
+    let run_timeout = Duration::from_secs(flags.get("timeout-secs", 60)?);
+    done()?;
+
+    let mut out = setup.open()?;
+    let config = scd_net::AggregatorConfig {
+        grace,
+        node_deadline,
+        run_timeout,
+        checkpoint: setup.checkpoint.clone(),
+        metrics: out.metrics.as_ref().map(|(registry, _)| scd_net::NetMetrics::register(registry)),
+        detect_metrics: out.metrics.as_ref().map(|(_, pipeline)| Arc::clone(pipeline)),
+        ..scd_net::AggregatorConfig::new(setup.detector(), nodes)
+    };
+    let aggregator = scd_net::Aggregator::bind(config, &listen)?;
+    eprintln!("aggregating {nodes} nodes on {}", aggregator.local_addr()?);
+    let summary = aggregator.run()?;
+    for emitted in &summary.intervals {
+        print_report(&emitted.report, setup.top);
+        let (t, lost, parity) = (emitted.interval, &emitted.missing, &emitted.recovered);
+        if !lost.is_empty() || !parity.is_empty() {
+            outln!(
+                "  interval {t}: PARTIAL missing nodes {lost:?}, recovered from parity {parity:?}"
+            );
+        }
+        out.record(emitted.interval, &emitted.report)?;
+    }
+    let (n, resumed, restarts) =
+        (summary.intervals.len(), summary.resumed_from, summary.detector_restarts);
+    outln!(
+        "emitted {n} intervals ({resumed} resumed from checkpoint, {restarts} detector restarts)"
+    );
+    print_lifecycle(&summary.events);
+    out.finish()?;
+    if summary.timed_out {
+        return Err(FlagError("run timed out before every node finished".into()).into());
+    }
     Ok(())
 }
 
@@ -551,16 +856,12 @@ fn generate(flags: &Flags) -> CliResult {
     let mut events = Vec::new();
     if let Some(spec) = dos {
         for part in spec.split(',') {
+            let bad = || FlagError(format!("--dos expects RANK:START:DUR:MULT, got '{part}'"));
             let fields: Vec<&str> = part.split(':').collect();
-            if fields.len() != 4 {
-                return Err(
-                    FlagError(format!("--dos expects RANK:START:DUR:MULT, got '{part}'")).into()
-                );
-            }
-            let rank: usize = fields[0].parse().map_err(|_| FlagError(part.into()))?;
-            let start: usize = fields[1].parse().map_err(|_| FlagError(part.into()))?;
-            let duration: usize = fields[2].parse().map_err(|_| FlagError(part.into()))?;
-            let mult: f64 = fields[3].parse().map_err(|_| FlagError(part.into()))?;
+            let [rank, start, duration, mult] = fields[..] else { return Err(bad().into()) };
+            let int = |field: &str| field.parse::<usize>().map_err(|_| bad());
+            let (rank, start, duration) = (int(rank)?, int(start)?, int(duration)?);
+            let mult: f64 = mult.parse().map_err(|_| bad())?;
             ensure(rank < cfg.n_flows, || {
                 format!("--dos rank {rank} is past the profile's {} destinations", cfg.n_flows)
             })?;
@@ -577,7 +878,7 @@ fn generate(flags: &Flags) -> CliResult {
         }
     }
     let injector = AnomalyInjector::new(events.clone(), seed ^ 0xA770);
-    let (trace, truth) = injector.labeled_trace(&mut generator, n_intervals);
+    let (trace, _) = injector.labeled_trace(&mut generator, n_intervals);
     let flat: Vec<FlowRecord> = trace.into_iter().flatten().collect();
 
     let file = File::create(&out)?;
@@ -602,7 +903,6 @@ fn generate(flags: &Flags) -> CliResult {
             ev.start_interval + ev.duration - 1
         );
     }
-    let _ = truth;
     Ok(())
 }
 
@@ -664,93 +964,6 @@ fn tune(flags: &Flags) -> CliResult {
     Ok(())
 }
 
-fn detect(flags: &Flags) -> CliResult {
-    let path: String = flags.require("trace")?;
-    let interval = interval_flag(flags)?;
-    // The reversible (group-testing) sketch still runs outside the engine
-    // (a `Deltoid`-typed engine would make the shared code branch on its
-    // caller — ROADMAP item 10c): it recovers keys with no key stream at
-    // all, so it reads none of the flags that shape the engine. Staggered
-    // lanes (§6 "staggered intervals": one detector per phase offset,
-    // COMBINEing the slot tables of one ingest half) take the ingest
-    // half's flags but have no single detect stage to pipeline or to hang
-    // GLR on. What a path does not read is rejected by name.
-    let reversible = flags.raw("strategy") == Some("reversible");
-    let stagger: usize = flags.get("stagger", 0)?;
-    let honours = match (reversible, stagger) {
-        (true, _) => MODEL,
-        (false, 0) => DETECT,
-        (false, _) => MODEL | STRATEGY | SHARDS | SOURCES | REPORT,
-    };
-    let setup = Setup::from_flags(flags, honours, 1)?;
-    let detector = setup.detector();
-    if stagger > 0 && (reversible || !matches!(detector.key_strategy, KeyStrategy::TwoPass)) {
-        return Err(FlagError("--stagger requires --strategy twopass".into()).into());
-    }
-    if stagger == 1 {
-        return Err(FlagError("--stagger needs at least 2 lanes".into()).into());
-    }
-    // Bins fed per interval: staggered lanes, GLR slots, or the interval.
-    let (cut, parts) =
-        if stagger > 0 { ("--stagger", stagger) } else { ("--glr", setup.glr_slots) };
-    if interval % parts as u32 != 0 {
-        return Err(
-            FlagError(format!("--interval {interval} is not divisible by {cut} {parts}")).into()
-        );
-    }
-    flags.done().map_err(|e| match (reversible, stagger) {
-        (true, _) => FlagError(format!("{e} with --strategy reversible (no engine)")),
-        (false, 0) => e,
-        (false, _) => FlagError(format!("{e} with --stagger")),
-    })?;
-
-    let bins = read_intervals(&path, interval / parts as u32)?;
-    outln!(
-        "detecting over {} intervals of {interval}s (model {}, H={}, K={}, T={})",
-        bins.len().div_ceil(parts),
-        detector.model.describe(),
-        detector.sketch.h,
-        detector.sketch.k,
-        detector.threshold
-    );
-    if reversible {
-        let SketchConfig { h, k, seed } = detector.sketch;
-        let mut det = ReversibleChangeDetector::new(ReversibleConfig {
-            deltoid: DeltoidConfig { h, k, key_bits: 32, seed },
-            model: detector.model,
-            threshold: detector.threshold,
-        });
-        for items in &bins {
-            let report = det.process_interval(items);
-            print_alarms(report.interval, &report.alarms, setup.top);
-        }
-        return Ok(());
-    }
-    let mut out = setup.open()?;
-    if stagger > 0 {
-        let mut lanes = StaggeredDetector::new(detector, stagger, setup.shards)?;
-        for (s, items) in bins.iter().enumerate() {
-            let Some((lane, report)) = lanes.process_slot(items, setup.source_threads)? else {
-                continue;
-            };
-            for a in &report.alarms {
-                let (ip, error) = (format_ipv4(a.key as u32), a.estimated_error);
-                outln!("slot {s}: lane {lane} ALARM {ip:<16} error {error:+.0} bytes");
-            }
-            out.record(s as u64, &report)?;
-        }
-        return out.finish();
-    }
-    // One engine whatever the flags: a single inline shard is the
-    // single-threaded detector, bit for bit (linearity; `update_batch` is
-    // `update`), and every other shape — shards, a detect thread
-    // overlapped with ingest, producer threads on the routing hop, GLR
-    // slots — is the same reports from the same loop.
-    let mut engine = setup.engine(&out, |config| config)?;
-    run_intervals(&mut engine, &bins, &setup, std::time::Duration::ZERO, &mut out)?;
-    out.finish()
-}
-
 fn print_glr_event(e: &GlrEvent) {
     let hint = |a: &scd_core::ProvisionalAlarm| {
         a.key_hint.map_or_else(|| "?".to_string(), |k| format_ipv4(k as u32))
@@ -771,6 +984,17 @@ fn print_glr_event(e: &GlrEvent) {
         GlrEvent::Retracted { interval, alarm } => {
             outln!("GLR retracted   [interval {interval}] key {}", hint(alarm))
         }
+    }
+}
+
+/// One report's stdout lines: its top alarms and, when the streaming
+/// driver shed or sampled records in its interval, the drop counters.
+fn print_report(report: &IntervalReport, top: usize) {
+    print_alarms(report.interval, &report.alarms, top);
+    let (t, drops) = (report.interval, report.drops);
+    if drops.lost() > 0 || drops.sampled_in > 0 {
+        let (dropped, shed, sampled_in) = (drops.dropped, drops.shed, drops.sampled_in);
+        outln!("  interval {t}: dropped {dropped} shed {shed} sampled-in {sampled_in}");
     }
 }
 
@@ -843,132 +1067,6 @@ fn combine(flags: &Flags) -> CliResult {
     Ok(())
 }
 
-/// Replays a trace through the supervised streaming detector: records are
-/// pushed through the bounded channel under the chosen overload policy,
-/// intervals are cut by event time, and (optionally) the detector state is
-/// checkpointed every N intervals so a crashed run resumes where it left
-/// off. Lifecycle events and drop counters are reported at the end.
-fn stream(flags: &Flags) -> CliResult {
-    let path: String = flags.require("trace")?;
-    let interval = interval_flag(flags)?;
-    let capacity: usize = flags.get("capacity", 4096)?;
-    ensure(capacity >= 1, || "--capacity must be at least 1".into())?;
-    let setup = Setup::from_flags(flags, STREAM, 1)?;
-
-    let overload = match flags.raw("policy").unwrap_or("block") {
-        "block" => OverloadPolicy::Block,
-        "drop" => OverloadPolicy::DropNewest,
-        s if s.starts_with("sample:") => {
-            let rate: f64 = s["sample:".len()..]
-                .parse()
-                .map_err(|_| FlagError(format!("bad sample rate in '{s}'")))?;
-            if !(rate > 0.0 && rate <= 1.0) {
-                return Err(FlagError(format!("sample rate {rate} not in (0, 1]")).into());
-            }
-            OverloadPolicy::Sample { rate, seed: setup.sketch.seed ^ 0xFA11 }
-        }
-        other => return Err(FlagError(format!("unknown policy '{other}'")).into()),
-    };
-
-    // --chunked streams the binary trace through ChunkedTraceReader in
-    // fixed-size chunks (constant memory, no global sort). Generated
-    // traces are interval-ordered, which is all the streaming detector
-    // needs to close intervals correctly; arbitrary traces should use the
-    // default materialize-and-sort path.
-    let chunked = flags.has("chunked");
-    if chunked && path.ends_with(".csv") {
-        return Err(FlagError("--chunked requires a binary trace".into()).into());
-    }
-    flags.done()?;
-    let records = if chunked {
-        Vec::new()
-    } else {
-        let mut r = read_trace(&path)?;
-        r.sort_by_key(|r| r.timestamp_ms);
-        r
-    };
-
-    let mut out = setup.open()?;
-    let mut engine = setup.engine_config(&out);
-    // Always supervised, checkpoint or not: a detector panic is absorbed
-    // and narrated in the lifecycle lines.
-    engine.supervision.get_or_insert_with(Supervision::default);
-    let handle = spawn_streaming(StreamingConfig {
-        engine,
-        interval_ms: u64::from(interval) * 1000,
-        key: KeySpec::DstIp,
-        value: ValueSpec::Bytes,
-        channel_capacity: capacity,
-        overload,
-    });
-    let mut reports = Vec::new();
-    let mut events = Vec::new();
-    let mut n_records = 0usize;
-    {
-        // Drain as we go: the report channel is bounded, so collecting
-        // only at shutdown would deadlock once it fills while the record
-        // channel is also full (the detector blocks sending a report, the
-        // producer blocks sending a record, and neither can proceed).
-        let mut feed = |record: FlowRecord| -> Result<bool, Box<dyn std::error::Error>> {
-            n_records += 1;
-            if !handle.send(record) {
-                return Ok(false); // detector gave up; shutdown() reports why
-            }
-            for report in handle.reports().try_iter() {
-                out.record(report.interval as u64, &report)?;
-                reports.push(report);
-            }
-            events.extend(handle.events().try_iter());
-            Ok(true)
-        };
-        if chunked {
-            let mut reader = ChunkedTraceReader::new(File::open(&path)?)?;
-            let mut chunk = Vec::with_capacity(READ_CHUNK_RECORDS);
-            'trace: loop {
-                chunk.clear();
-                if reader.next_chunk(READ_CHUNK_RECORDS, &mut chunk)? == 0 {
-                    break;
-                }
-                for &record in &chunk {
-                    if !feed(record)? {
-                        break 'trace;
-                    }
-                }
-            }
-        } else {
-            for record in records {
-                if !feed(record)? {
-                    break;
-                }
-            }
-        }
-    }
-    let (tail_reports, tail_events, processed) =
-        handle.shutdown().map_err(|e| FlagError(format!("stream failed: {e}")))?;
-    for report in &tail_reports {
-        out.record(report.interval as u64, report)?;
-    }
-    reports.extend(tail_reports);
-    events.extend(tail_events);
-
-    outln!("streamed {n_records} records; detector processed {processed}");
-    for report in &reports {
-        print_alarms(report.interval, &report.alarms, setup.top);
-        let drops = report.drops;
-        if drops.lost() > 0 || drops.sampled_in > 0 {
-            outln!(
-                "  interval {}: dropped {} shed {} sampled-in {}",
-                report.interval,
-                drops.dropped,
-                drops.shed,
-                drops.sampled_in
-            );
-        }
-    }
-    print_lifecycle(&events);
-    out.finish()
-}
-
 /// What a supervised detect stage announced, one line an event.
 fn print_lifecycle(events: &[LifecycleEvent]) {
     for event in events {
@@ -1010,12 +1108,8 @@ fn metrics(flags: &Flags) -> CliResult {
     let mut out = String::new();
     for (name, value) in &fields {
         use std::fmt::Write as _;
-        let _ = writeln!(out, "# TYPE {name} untyped");
-        if value.is_nan() {
-            let _ = writeln!(out, "{name} NaN");
-        } else {
-            let _ = writeln!(out, "{name} {value}");
-        }
+        // `{value}` prints a NaN as the exposition's `NaN`.
+        let _ = writeln!(out, "# TYPE {name} untyped\n{name} {value}");
     }
     scd_obs::validate_exposition(&out).map_err(FlagError)?;
     outln!("{}", out.trim_end_matches('\n'));
@@ -1033,6 +1127,7 @@ fn ingest_node(flags: &Flags) -> CliResult {
     let interval = interval_flag(flags)?;
     let node: u32 = flags.require("node")?;
     let nodes: u32 = flags.require("nodes")?;
+    ensure(node < nodes, || format!("--node {node} must be below --nodes {nodes}"))?;
     let addr: String = flags.require("connect")?;
     let retries: u32 = flags.get("retries", 8)?;
     let finish_timeout: u64 = flags.get("finish-timeout-secs", 60)?;
@@ -1082,93 +1177,6 @@ fn ingest_node(flags: &Flags) -> CliResult {
     Ok(())
 }
 
-/// The combine-and-detect point of the distributed plane: accepts frames
-/// from `--nodes` ingest nodes, COMBINEs each interval's sketches by
-/// linearity, and runs the one global detector over the merged stream —
-/// recovering a lost node's contribution from ring parity, or flagging
-/// the interval as partial when even parity cannot cover the loss.
-fn aggregate(flags: &Flags) -> CliResult {
-    let listen: String = flags.require("listen")?;
-    let nodes: u32 = flags.require("nodes")?;
-    let grace_ms: u64 = flags.get("grace-ms", 500)?;
-    let node_timeout_ms: u64 = flags.get("node-timeout-ms", 2000)?;
-    let timeout_secs: u64 = flags.get("timeout-secs", 60)?;
-    let setup = Setup::from_flags(flags, AGGREGATE, 1)?;
-    flags.done()?;
-
-    let mut out = setup.open()?;
-    let config = scd_net::AggregatorConfig {
-        grace: std::time::Duration::from_millis(grace_ms),
-        node_deadline: std::time::Duration::from_millis(node_timeout_ms),
-        run_timeout: std::time::Duration::from_secs(timeout_secs),
-        checkpoint: setup.checkpoint.clone(),
-        metrics: out.metrics.as_ref().map(|(registry, _)| scd_net::NetMetrics::register(registry)),
-        detect_metrics: out.metrics.as_ref().map(|(_, pipeline)| Arc::clone(pipeline)),
-        ..scd_net::AggregatorConfig::new(setup.detector(), nodes)
-    };
-    let aggregator = scd_net::Aggregator::bind(config, &listen)?;
-    eprintln!("aggregating {nodes} nodes on {}", aggregator.local_addr()?);
-    let summary = aggregator.run()?;
-    for emitted in &summary.intervals {
-        print_alarms(emitted.report.interval, &emitted.report.alarms, setup.top);
-        if !emitted.missing.is_empty() || !emitted.recovered.is_empty() {
-            outln!(
-                "  interval {}: PARTIAL missing nodes {:?}, recovered from parity {:?}",
-                emitted.interval,
-                emitted.missing,
-                emitted.recovered
-            );
-        }
-        out.record(emitted.interval, &emitted.report)?;
-    }
-    outln!(
-        "emitted {} intervals ({} resumed from checkpoint, {} detector restarts)",
-        summary.intervals.len(),
-        summary.resumed_from,
-        summary.detector_restarts
-    );
-    print_lifecycle(&summary.events);
-    out.finish()?;
-    if summary.timed_out {
-        return Err(FlagError("run timed out before every node finished".into()).into());
-    }
-    Ok(())
-}
-
-/// Replays a trace through the sharded ingest engine with an attached
-/// multi-resolution archive, then writes the archive to disk for later
-/// `scd query` runs. By linearity the N-shard COMBINE reproduces the
-/// single-threaded sketches bit for bit, so shard count affects only
-/// throughput, never output.
-fn archive(flags: &Flags) -> CliResult {
-    let path: String = flags.require("trace")?;
-    let interval = interval_flag(flags)?;
-    let file: String = flags.require("out")?;
-    let setup = Setup::from_flags(flags, ARCHIVE, 4)?;
-    flags.done()?;
-
-    let intervals = read_intervals(&path, interval)?;
-    let archive = setup.archive.expect("ARCHIVE honours the archive flags");
-    let mut out = setup.open()?;
-    let mut engine = setup.engine(&out, |config| config.with_archive(archive))?;
-    outln!(
-        "archiving {} intervals of {interval}s across {} shards (budget {} sketches)",
-        intervals.len(),
-        setup.shards,
-        archive.max_sketches
-    );
-    run_intervals(&mut engine, &intervals, &setup, std::time::Duration::ZERO, &mut out)?;
-    let archive = engine.take_archive().expect("engine built with an archive");
-    let (from, to) = archive.coverage().unwrap_or((0, 0));
-    outln!(
-        "archive: intervals [{from}, {to}) in {} epochs, {:.1} KiB -> {file}",
-        archive.sketch_count(),
-        archive.memory_bytes() as f64 / 1024.0
-    );
-    scd_archive::wire::write_atomic(&archive, std::path::Path::new(&file))?;
-    out.finish()
-}
-
 /// One key-history line, shared verbatim between offline `scd query` and
 /// online `scd ask` so the two outputs diff cleanly.
 fn print_history_point(start: u64, len: u64, total: f64, mean: f64) {
@@ -1182,13 +1190,19 @@ fn print_history_point(start: u64, len: u64, total: f64, mean: f64) {
     );
 }
 
-/// One changed-key line, shared verbatim between `scd query` and
+/// The top changed-key lines, shared verbatim between `scd query` and
 /// `scd ask`.
-fn print_change(key: u64, magnitude: f64) {
-    outln!("  CHANGE {:<16} net error {:+.0} bytes", format_ipv4(key as u32), magnitude);
+fn print_changes(changes: impl ExactSizeIterator<Item = (u64, f64)>, top: usize) {
+    if changes.len() == 0 {
+        outln!("  none above threshold");
+    }
+    for (key, magnitude) in changes.take(top) {
+        outln!("  CHANGE {:<16} net error {:+.0} bytes", format_ipv4(key as u32), magnitude);
+    }
 }
 
-/// Answers historical questions from an archive written by `scd archive`:
+/// Answers historical questions from an archive `scd detect --archive-out`
+/// wrote:
 /// top changed keys over a past window, one key's forecast-error history
 /// at the archive's decayed resolution (`--key`), or a point estimate of
 /// one key's accumulated error over the window (`--estimate`).
@@ -1238,83 +1252,11 @@ fn query(flags: &Flags) -> CliResult {
         report.epochs_used,
         report.alarm_threshold
     );
-    if report.changes.is_empty() {
-        outln!("  none above threshold");
-    }
-    for c in report.changes.iter().take(top) {
-        print_change(c.key, c.magnitude);
-    }
+    print_changes(report.changes.iter().map(|c| (c.key, c.magnitude)), top);
     Ok(())
 }
 
-/// Replays a trace through the sharded engine with the serving plane
-/// attached: every interval close publishes a snapshot (slim sketch +
-/// replica archive) that a [`scd_serve::QueryServer`] answers live and
-/// historical queries from, concurrently with ingest. `--pace-ms` slows
-/// replay to leave a query window per interval; `--linger-secs` keeps
-/// serving after the trace ends; `--out` additionally dumps the engine's
-/// own archive so offline `scd query` can cross-check served answers.
-fn serve(flags: &Flags) -> CliResult {
-    let path: String = flags.require("trace")?;
-    let interval = interval_flag(flags)?;
-    let listen: String = flags.require("listen")?;
-    let pace_ms: u64 = flags.get("pace-ms", 0)?;
-    let linger_secs: u64 = flags.get("linger-secs", 0)?;
-    let dump = flags.raw("out");
-    let setup = Setup::from_flags(flags, ARCHIVE, 1)?;
-    flags.done()?;
-
-    let intervals = read_intervals(&path, interval)?;
-    let archive = setup.archive.expect("ARCHIVE honours the archive flags");
-    let mut out = setup.open()?;
-    let serve_metrics =
-        out.metrics.as_ref().map(|(registry, _)| scd_serve::ServeMetrics::register(registry));
-    let plane = scd_serve::ServingPlane::with_options(
-        archive,
-        serve_metrics.clone(),
-        scd_serve::RebuildMode::Background,
-    )?;
-    let mut engine = setup.engine(&out, |config| {
-        let config =
-            config.with_observer(Arc::clone(&plane) as Arc<dyn scd_core::IntervalObserver>);
-        match dump {
-            Some(_) => config.with_archive(archive),
-            None => config,
-        }
-    })?;
-
-    let server = scd_serve::QueryServer::bind_with(
-        &listen,
-        Arc::clone(&plane),
-        serve_metrics,
-        scd_serve::ServerOptions::default(),
-    )?;
-    eprintln!("serving queries on {}", server.addr());
-    outln!(
-        "serving {} intervals of {interval}s on {} ({} shards{})",
-        intervals.len(),
-        server.addr(),
-        setup.shards,
-        if setup.pipeline { ", pipelined" } else { "" }
-    );
-
-    // `--pace-ms` leaves a query window after every interval.
-    let pace = std::time::Duration::from_millis(pace_ms);
-    run_intervals(&mut engine, &intervals, &setup, pace, &mut out)?;
-    if linger_secs > 0 {
-        eprintln!("replay done; serving for {linger_secs}s more");
-        std::thread::sleep(std::time::Duration::from_secs(linger_secs));
-    }
-    if let Some(file) = dump {
-        let archive = engine.take_archive().expect("engine built with an archive");
-        scd_archive::wire::write_atomic(&archive, std::path::Path::new(file))?;
-        outln!("archive dumped to {file}");
-    }
-    drop(server);
-    out.finish()
-}
-
-/// Asks a running `scd serve` one question over the `SCDQ` protocol and
+/// Asks a running `scd detect --serve` one question over the `SCDQ` protocol and
 /// prints the answer in the same body-line formats as offline
 /// `scd query`, so the two can be diffed.
 fn ask(flags: &Flags) -> CliResult {
@@ -1348,13 +1290,12 @@ fn ask(flags: &Flags) -> CliResult {
     flags.done()?;
 
     // Optionally wait for the server to come up (the CI smoke job starts
-    // `scd serve` in the background and races it).
+    // `scd detect --serve` in the background and races it).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(wait_secs);
     let mut client = loop {
         match QueryClient::connect(&addr) {
             Ok(c) => break c,
-            Err(e) if std::time::Instant::now() < deadline => {
-                let _ = e;
+            Err(_) if std::time::Instant::now() < deadline => {
                 std::thread::sleep(std::time::Duration::from_millis(100));
             }
             Err(e) => return Err(e.into()),
@@ -1398,12 +1339,7 @@ fn ask(flags: &Flags) -> CliResult {
                 epochs_used,
                 alarm_threshold
             );
-            if changes.is_empty() {
-                outln!("  none above threshold");
-            }
-            for &(key, magnitude) in changes.iter().take(top) {
-                print_change(key, magnitude);
-            }
+            print_changes(changes.into_iter(), top);
         }
         Response::KeyHistory { as_of, covered, points } => {
             outln!("history over [{}, {}) as of interval {as_of}:", covered.0, covered.1);

@@ -133,13 +133,15 @@ fn helpful_errors() {
     assert!(ok, "generate failed: {stderr}");
     let replay = ["--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"];
     let (_, stderr, ok) = run(scd()
-        .arg("stream")
+        .args(["detect", "--live"])
         .args(replay)
         .args(["--shards", "4", "--pipeline", "--glr", "4", "--strategy", "next"])
         .args(["--no-such-flag", "7"]));
-    assert!(!ok, "stream accepted flags it cannot act on");
+    assert!(!ok, "detect --live accepted flags it cannot act on");
     assert!(
-        stderr.contains("unknown flag --glr, --no-such-flag, --pipeline for 'scd stream'"),
+        stderr.contains(
+            "unknown flag --glr, --no-such-flag, --pipeline for 'scd detect' with --live"
+        ),
         "{stderr}"
     );
     let (_, stderr, ok) = run(scd().arg("detect").args(replay).args(["--policy", "bogus"]));
@@ -162,8 +164,9 @@ fn helpful_errors() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(named) && !stderr.contains("panicked"), "{args:?}: {stderr}");
     };
-    for cmd in ["detect", "tune", "stream"] {
-        refused(&[cmd, "--trace", trace_s, "--interval", "0", "--model", "ewma"], "--interval");
+    for cmd in [&["detect"][..], &["tune"], &["detect", "--live"]] {
+        let zero = ["--trace", trace_s, "--interval", "0", "--model", "ewma"];
+        refused(&[cmd, &zero].concat(), "--interval");
     }
     let out_of_range: [(&[&str], &str); 6] = [
         (&["--k", "1000"], "--k 1000"),
@@ -176,7 +179,47 @@ fn helpful_errors() {
     for (extra, named) in out_of_range {
         refused(&[&["detect"][..], &replay, extra].concat(), named);
     }
-    refused(&[&["stream"][..], &replay, &["--capacity", "0"]].concat(), "--capacity");
+    refused(&[&["detect", "--live"][..], &replay, &["--capacity", "0"]].concat(), "--capacity");
+    // Every value the library would refuse only after the run's first file
+    // exists, or panic on, or quietly run as another, is refused first —
+    // naming the flag — and the run writes nothing.
+    let written = trace.with_extension("written");
+    let written_s = written.to_str().unwrap();
+    let dump = trace.with_extension("dump.scda");
+    let (archive, serve) = (["--archive-out", dump.to_str().unwrap()], ["--serve", "127.0.0.1:0"]);
+    let report = ["--report-out", written_s];
+    let bad_values: [(&[&[&str]], &str); 10] = [
+        (&[&["detect"], &replay, &["--shards", "0"], &report], "--shards"),
+        (&[&["detect"], &replay, &archive, &["--shards", "0"], &report], "--shards"),
+        (&[&["detect"], &replay, &serve, &["--shards", "0"], &report], "--shards"),
+        (&[&["detect", "--live"], &replay, &["--shards", "0"], &report], "--shards"),
+        (&[&["detect"], &replay, &archive, &["--budget", "2"], &report], "--budget"),
+        (&[&["detect"], &replay, &archive, &["--full-res", "0"], &report], "--full-res"),
+        (&[&["detect"], &replay, &["--source-threads", "0"], &report], "--source-threads"),
+        (
+            &[&["detect", "--live"], &replay, &["--checkpoint", written_s, "--every", "0"]],
+            "--every",
+        ),
+        (
+            &[
+                &["detect", "--listen", "127.0.0.1:0", "--nodes", "0", "--model", "ewma:0.5"],
+                &report,
+            ],
+            "--nodes",
+        ),
+        (
+            &[
+                &["ingest-node", "--trace", trace_s, "--interval", "60", "--node", "0"],
+                &["--nodes", "1", "--connect", "127.0.0.1:1", "--shards", "0"],
+                &["--metrics", written_s],
+            ],
+            "--shards",
+        ),
+    ];
+    for (args, named) in bad_values {
+        refused(&args.concat(), named);
+        assert!(!written.exists() && !dump.exists(), "{args:?}: a refused run wrote a file");
+    }
     // `generate` refuses what its generator would panic on, and writes
     // nothing. The small profile has 4 000 destinations, ranks 0..4000.
     let generated = trace.with_extension("gen.bin");
@@ -191,16 +234,17 @@ fn helpful_errors() {
         refused(&[&generate[..], extra].concat(), named);
         assert!(!generated.exists(), "{extra:?}: a refused generate wrote a trace");
     }
-    // ... and one it does honour is acted on: `archive` used to drop every
+    // ... and one it does honour is acted on: archiving used to drop every
     // one of these on the floor and exit 0 with no metrics file.
     let (hist, metrics) = (trace.with_extension("scda"), trace.with_extension("jsonl"));
     let (_, stderr, ok) = run(scd()
-        .arg("archive")
+        .arg("detect")
         .args(replay)
-        .args(["--out", hist.to_str().unwrap(), "--pipeline", "--strategy", "sampled:0.1"])
+        .args(["--archive-out", hist.to_str().unwrap(), "--pipeline", "--strategy", "sampled:0.1"])
         .args(["--metrics", metrics.to_str().unwrap()]));
-    assert!(ok, "archive failed: {stderr}");
-    let snapshots = std::fs::read_to_string(&metrics).expect("archive --metrics wrote no file");
+    assert!(ok, "detect --archive-out failed: {stderr}");
+    let snapshots =
+        std::fs::read_to_string(&metrics).expect("detect --archive-out --metrics wrote no file");
     assert_eq!(snapshots.lines().count(), 6, "one snapshot line per interval:\n{snapshots}");
     for p in [&trace, &hist, &metrics] {
         std::fs::remove_file(p).ok();
@@ -284,8 +328,8 @@ fn archive_query_workflow() {
     let hist = trace.with_extension("scda");
     let hist_s = hist.to_str().unwrap();
     let (stdout, stderr, ok) = run(scd()
-        .args(["archive", "--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"])
-        .args(["--out", hist_s, "--shards", "4", "--k", "8192"])
+        .args(["detect", "--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"])
+        .args(["--archive-out", hist_s, "--shards", "4", "--k", "8192"])
         .args(["--budget", "16", "--full-res", "4", "--threshold", "0.4"]));
     assert!(ok, "archive failed: {stderr}");
     assert!(stdout.contains("archive: intervals [0, 30)"), "{stdout}");
@@ -315,7 +359,7 @@ fn archive_query_workflow() {
     std::fs::remove_file(&hist).ok();
 }
 
-/// `scd stream` over a trace with more event-time intervals than the
+/// `scd detect --live` over a trace with more event-time intervals than the
 /// bounded report channel holds (64). The CLI must drain reports while it
 /// is still sending records; collecting them only at shutdown deadlocks —
 /// detector blocked sending a report, producer blocked sending a record.
@@ -334,22 +378,22 @@ fn stream_with_many_intervals_does_not_deadlock() {
     let out_path = trace.with_extension("out");
     let out_file = std::fs::File::create(&out_path).expect("stdout file");
     let mut child = scd()
-        .args(["stream", "--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"])
+        .args(["detect", "--live", "--trace", trace_s, "--interval", "60", "--model", "ewma:0.5"])
         .stdout(out_file)
         .spawn()
-        .expect("spawn scd stream");
+        .expect("spawn scd detect --live");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     let status = loop {
-        match child.try_wait().expect("poll scd stream") {
+        match child.try_wait().expect("poll scd detect --live") {
             Some(status) => break status,
             None if std::time::Instant::now() > deadline => {
                 child.kill().ok();
-                panic!("scd stream made no progress within 120s: deadlocked");
+                panic!("scd detect --live made no progress within 120s: deadlocked");
             }
             None => std::thread::sleep(std::time::Duration::from_millis(50)),
         }
     };
-    assert!(status.success(), "stream exited with failure");
+    assert!(status.success(), "detect --live exited with failure");
     let stdout = std::fs::read_to_string(&out_path).expect("read stream output");
     assert!(stdout.contains("streamed"), "{stdout}");
     std::fs::remove_file(&trace).ok();
@@ -357,7 +401,7 @@ fn stream_with_many_intervals_does_not_deadlock() {
 }
 
 /// Live serving must agree with the offline archive byte for byte: run
-/// `scd serve` over an integer-valued trace (ma:1 keeps forecast errors
+/// `scd detect --serve` over an integer-valued trace (ma:1 keeps forecast errors
 /// integral, so the slim f32 read path is exact), `scd ask` every query
 /// shape while the server lingers, then diff the body lines against
 /// offline `scd query` over the archive the same run dumped. Every ask
@@ -387,14 +431,14 @@ fn ask_matches_offline_query_and_prints_as_of() {
     let out_path = trace.with_extension("serve-out");
     let err_path = trace.with_extension("serve-err");
     let mut child = scd()
-        .args(["serve", "--trace", trace_s, "--interval", "60", "--model", "ma:1"])
-        .args(["--listen", &addr, "--k", "8192", "--threshold", "0.4", "--shards", "2"])
-        .args(["--budget", "16", "--full-res", "4", "--out", dump_s])
+        .args(["detect", "--trace", trace_s, "--interval", "60", "--model", "ma:1"])
+        .args(["--serve", &addr, "--k", "8192", "--threshold", "0.4", "--shards", "2"])
+        .args(["--budget", "16", "--full-res", "4", "--archive-out", dump_s])
         .args(["--linger-secs", "15"])
         .stdout(std::fs::File::create(&out_path).expect("stdout file"))
         .stderr(std::fs::File::create(&err_path).expect("stderr file"))
         .spawn()
-        .expect("spawn scd serve");
+        .expect("spawn scd detect --serve");
 
     // Ask only once replay is done, so every answer reflects the final view.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
@@ -403,12 +447,12 @@ fn ask_matches_offline_query_and_prints_as_of() {
         if log.contains("replay done") {
             break;
         }
-        if let Some(status) = child.try_wait().expect("poll scd serve") {
-            panic!("scd serve exited early ({status}): {log}");
+        if let Some(status) = child.try_wait().expect("poll scd detect --serve") {
+            panic!("scd detect --serve exited early ({status}): {log}");
         }
         if std::time::Instant::now() > deadline {
             child.kill().ok();
-            panic!("scd serve never finished replay: {log}");
+            panic!("scd detect --serve never finished replay: {log}");
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
@@ -437,11 +481,11 @@ fn ask_matches_offline_query_and_prints_as_of() {
     // Let the linger window expire so the server dumps its archive.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     let status = loop {
-        match child.try_wait().expect("poll scd serve") {
+        match child.try_wait().expect("poll scd detect --serve") {
             Some(status) => break status,
             None if std::time::Instant::now() > deadline => {
                 child.kill().ok();
-                panic!("scd serve did not exit after linger window");
+                panic!("scd detect --serve did not exit after linger window");
             }
             None => std::thread::sleep(std::time::Duration::from_millis(100)),
         }
@@ -491,8 +535,8 @@ fn query_on_empty_archive_says_no_data() {
     let hist = trace.with_extension("scda");
     let hist_s = hist.to_str().unwrap();
     let (stdout, stderr, ok) = run(scd()
-        .args(["archive", "--trace", trace_s, "--interval", "3600", "--model", "ewma:0.5"])
-        .args(["--out", hist_s, "--shards", "2", "--k", "1024"]));
+        .args(["detect", "--trace", trace_s, "--interval", "3600", "--model", "ewma:0.5"])
+        .args(["--archive-out", hist_s, "--shards", "2", "--k", "1024"]));
     assert!(ok, "archive failed: {stderr}");
     assert!(stdout.contains("0 epochs"), "expected empty archive: {stdout}");
 
@@ -506,4 +550,55 @@ fn query_on_empty_archive_says_no_data() {
 
     std::fs::remove_file(&trace).ok();
     std::fs::remove_file(&hist).ok();
+}
+
+/// A replay checkpointed with `--checkpoint` resumes where it left off: a
+/// run over a prefix of a trace leaves a checkpoint, and a run over the
+/// whole trace with the same file replays only the intervals after it —
+/// whose report lines are the unbroken run's.
+#[test]
+fn checkpoint_resumes_a_replay() {
+    let trace = temp_trace("resume").with_extension("csv");
+    let (_, stderr, ok) = run(scd()
+        .args(["generate", "--profile", "small", "--hours", "0.5", "--interval", "60"])
+        .args(["--out", trace.to_str().unwrap(), "--seed", "7"]));
+    assert!(ok, "generate failed: {stderr}");
+    // The prefix: the header and every record of the first 15 intervals.
+    let csv = std::fs::read_to_string(&trace).expect("read csv trace");
+    let mut lines = csv.lines();
+    let header = lines.next().expect("csv header");
+    let first_15 = lines.filter(|l| {
+        let ts: u64 = l.split(',').next().and_then(|t| t.parse().ok()).expect("timestamp");
+        ts < 15 * 60_000
+    });
+    let prefix = trace.with_extension("prefix.csv");
+    let body: Vec<&str> = std::iter::once(header).chain(first_15).collect();
+    std::fs::write(&prefix, body.join("\n") + "\n").expect("write prefix");
+
+    let ck = trace.with_extension("ck");
+    let replay = |path: &PathBuf, checkpoint: bool| -> Vec<String> {
+        let report = path.with_extension("rep");
+        let mut cmd = scd();
+        cmd.args(["detect", "--trace", path.to_str().unwrap(), "--interval", "60"])
+            .args(["--model", "ewma:0.5", "--threshold", "0.4", "--k", "8192"])
+            .args(["--report-out", report.to_str().unwrap()]);
+        if checkpoint {
+            cmd.args(["--checkpoint", ck.to_str().unwrap(), "--every", "2"]);
+        }
+        let (_, stderr, ok) = run(&mut cmd);
+        assert!(ok, "detect failed: {stderr}");
+        let lines = std::fs::read_to_string(&report).expect("report file");
+        std::fs::remove_file(&report).ok();
+        lines.lines().map(str::to_string).collect()
+    };
+    let unbroken = replay(&trace, false);
+    assert_eq!(unbroken.len(), 30);
+    assert_eq!(replay(&prefix, true), unbroken[..15]);
+    let resumed = replay(&trace, true);
+    assert!(!resumed.is_empty() && resumed.len() < 30, "did not resume: {} lines", resumed.len());
+    assert_eq!(resumed, unbroken[30 - resumed.len()..], "resumed reports differ");
+
+    for p in [&trace, &prefix, &ck] {
+        std::fs::remove_file(p).ok();
+    }
 }

@@ -117,7 +117,7 @@ pub use sampling::UpdateSampler;
 pub use staggered::StaggeredDetector;
 pub use stream::{segment_records, StreamSegmenter};
 pub use streaming::{
-    spawn as spawn_streaming, OverloadPolicy, RecordSender, StreamFault, StreamingConfig,
+    spawn as spawn_streaming, OverloadPolicy, RecordSender, Shutdown, StreamFault, StreamingConfig,
     StreamingHandle,
 };
 pub use supervisor::{CheckpointPolicy, LifecycleEvent, RestartPolicy, Supervision};

@@ -54,7 +54,9 @@ use crate::detector::{DropStats, IntervalReport};
 use crate::engine::{EngineConfig, EngineError, ShardedEngine};
 use crate::sampling::UpdateSampler;
 use crate::supervisor::LifecycleEvent;
+use scd_archive::SketchArchive;
 use scd_hash::SplitMix64;
+use scd_sketch::KarySketch;
 use scd_traffic::{FlowRecord, KeySpec, ValueSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -238,7 +240,7 @@ pub struct StreamingHandle {
     /// Lifecycle events of a supervised engine that named no sender of its
     /// own; otherwise nothing ever arrives here.
     events: Receiver<LifecycleEvent>,
-    thread: JoinHandle<u64>,
+    thread: JoinHandle<(u64, Option<SketchArchive<KarySketch>>)>,
 }
 
 impl StreamingHandle {
@@ -267,19 +269,27 @@ impl StreamingHandle {
     }
 
     /// Stops the detector, then drains and returns the remaining reports,
-    /// the undrained lifecycle events and the total number of records
-    /// processed. A detector panic surfaces as `Err(StreamFault::Panicked)`
-    /// — this method itself never panics, and no panic a supervised
-    /// detector absorbed can cause one.
-    pub fn shutdown(self) -> Result<(Vec<IntervalReport>, Vec<LifecycleEvent>, u64), StreamFault> {
+    /// the undrained lifecycle events, the total number of records
+    /// processed and the engine's archive, when it was built with one. A
+    /// detector panic surfaces as `Err(StreamFault::Panicked)` — this
+    /// method itself never panics, and no panic a supervised detector
+    /// absorbed can cause one.
+    pub fn shutdown(self) -> Result<Shutdown, StreamFault> {
         drop(self.records);
         let remaining: Vec<IntervalReport> = self.reports.iter().collect();
         match self.thread.join() {
-            Ok(processed) => Ok((remaining, self.events.try_iter().collect(), processed)),
+            Ok((processed, archive)) => {
+                Ok((remaining, self.events.try_iter().collect(), processed, archive))
+            }
             Err(payload) => Err(StreamFault::Panicked(panic_message(payload.as_ref()))),
         }
     }
 }
+
+/// What [`StreamingHandle::shutdown`] hands back: the undrained reports
+/// and lifecycle events, the records processed and the engine's archive.
+pub type Shutdown =
+    (Vec<IntervalReport>, Vec<LifecycleEvent>, u64, Option<SketchArchive<KarySketch>>);
 
 /// The streaming binner's position in event time — everything the
 /// driver loop owns besides the engine.
@@ -423,7 +433,9 @@ pub fn spawn(mut config: StreamingConfig) -> StreamingHandle {
         .name("scd-streaming-detector".into())
         .spawn(move || {
             match run_loop(&mut engine, &mut binner, &config, &counters, &record_rx, &report_tx) {
-                Ok(()) | Err(EngineError::DetectorGaveUp { .. }) => binner.processed,
+                Ok(()) | Err(EngineError::DetectorGaveUp { .. }) => {
+                    (binner.processed, engine.take_archive())
+                }
                 Err(e) => panic!("{e}"),
             }
         })
@@ -485,7 +497,7 @@ mod tests {
                 }
             }
         }
-        let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, _, processed, _) = handle.shutdown().expect("clean shutdown");
         assert_eq!(processed, 5 * 40 + 10);
         assert_eq!(reports.len(), 5, "one report per event-time interval");
         let spike_report = &reports[3];
@@ -517,7 +529,7 @@ mod tests {
         let handle = spawn(config());
         handle.send(record(2_500, 1, 10));
         handle.send(record(1_900, 1, 10)); // late by 600ms: accepted
-        let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, _, processed, _) = handle.shutdown().expect("clean shutdown");
         assert_eq!(processed, 2);
         assert_eq!(reports.len(), 1);
     }
@@ -525,9 +537,31 @@ mod tests {
     #[test]
     fn shutdown_with_no_records_is_clean() {
         let handle = spawn(config());
-        let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, _, processed, _) = handle.shutdown().expect("clean shutdown");
         assert!(reports.is_empty());
         assert_eq!(processed, 0);
+    }
+
+    #[test]
+    fn shutdown_hands_back_the_engines_archive() {
+        let handle = spawn(config());
+        handle.send(record(0, 7, 100));
+        assert!(handle.shutdown().expect("clean shutdown").3.is_none(), "no archive configured");
+
+        let mut archived = config();
+        let store =
+            scd_archive::ArchiveConfig { max_sketches: 16, full_resolution: 4, keys_per_epoch: 8 };
+        archived.engine = archived.engine.with_archive(store);
+        let handle = spawn(archived);
+        for t in 0..5u64 {
+            for i in 0..10 {
+                handle.send(record(t * 1000 + i, 7 + i as u32, 100 * (t + 1)));
+            }
+        }
+        let (reports, _, _, archive) = handle.shutdown().expect("clean shutdown");
+        let archive = archive.expect("an engine built with an archive hands it back");
+        assert_eq!(reports.len(), 5);
+        assert_eq!(archive.coverage(), Some((0, 5)), "every closed interval archived");
     }
 
     #[test]
@@ -564,7 +598,7 @@ mod tests {
             handle.send(record(i % 1000, 7, 100));
         }
         handle.send(record(1_500, 7, 100));
-        let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, _, processed, _) = handle.shutdown().expect("clean shutdown");
         let admitted: u64 = reports.iter().map(|r| r.drops.sampled_in).sum();
         let shed: u64 = reports.iter().map(|r| r.drops.shed).sum();
         assert_eq!(admitted + shed, 2_001, "every record is either admitted or shed");
@@ -586,7 +620,7 @@ mod tests {
             assert!(handle.send(record(i % 500, 9, 10)));
         }
         handle.send(record(2_000, 9, 10)); // flush boundary
-        let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
+        let (reports, _, processed, _) = handle.shutdown().expect("clean shutdown");
         let total_dropped: u64 = reports.iter().map(|r| r.drops.dropped).sum();
         assert_eq!(processed + total_dropped, 10_001);
     }

@@ -138,7 +138,7 @@ fn supervised_detector_restarts_from_checkpoint_after_panic() {
             assert!(handle.send(record(t * 1_000 + i * 100, (i % 3) as u32, 500 + t)));
         }
     }
-    let (reports, events, _processed) = handle.shutdown().expect("supervisor never panics");
+    let (reports, events, _processed, _) = handle.shutdown().expect("supervisor never panics");
 
     let restarts: Vec<_> = events
         .iter()
@@ -194,7 +194,7 @@ fn restart_without_checkpoint_starts_fresh() {
             handle.send(record(t * 1_000 + i * 100, 1, 100));
         }
     }
-    let (_reports, events, _) = handle.shutdown().expect("supervisor survives");
+    let (_reports, events, _, _) = handle.shutdown().expect("supervisor survives");
     assert!(events
         .iter()
         .any(|e| matches!(e, LifecycleEvent::Restarted { resumed_intervals: 0, .. })));
@@ -240,7 +240,7 @@ fn corrupt_checkpoint_degrades_instead_of_crashing() {
             handle.send(record(t * 1_000 + i * 100, 2, 300));
         }
     }
-    let (_reports, events, _) = handle.shutdown().expect("supervisor survives");
+    let (_reports, events, _, _) = handle.shutdown().expect("supervisor survives");
     assert!(
         events.iter().any(|e| matches!(e, LifecycleEvent::Degraded { .. })),
         "corrupt checkpoint must surface as Degraded: {events:?}"
@@ -277,7 +277,7 @@ fn restart_budget_exhaustion_gives_up_cleanly() {
         }
     }
     assert!(refused, "sends must start failing after GaveUp");
-    let (_reports, events, _) = handle.shutdown().expect("supervisor survives");
+    let (_reports, events, _, _) = handle.shutdown().expect("supervisor survives");
     assert!(
         events.contains(&LifecycleEvent::GaveUp { attempts: 2 }),
         "expected GaveUp after 2 absorbed restarts: {events:?}"
@@ -304,12 +304,12 @@ fn supervised_clean_run_matches_plain_run() {
     };
     let plain = spawn_streaming(streaming_config());
     send_all(&|r| plain.send(r));
-    let (plain_reports, plain_events, plain_n) = plain.shutdown().expect("clean");
+    let (plain_reports, plain_events, plain_n, _) = plain.shutdown().expect("clean");
     assert!(plain_events.is_empty(), "an unsupervised stream announces nothing");
 
     let sup = spawn_streaming(supervised(None, RestartPolicy::default(), None));
     send_all(&|r| sup.send(r));
-    let (sup_reports, events, sup_n) = sup.shutdown().expect("clean");
+    let (sup_reports, events, sup_n, _) = sup.shutdown().expect("clean");
 
     assert_eq!(plain_reports, sup_reports);
     assert_eq!(plain_n, sup_n);
@@ -330,7 +330,7 @@ fn out_of_order_records_keep_interval_sequence() {
     handle.send(record(2_200, 1, 100));
     handle.send(record(1_800, 1, 100)); // late: folds into interval 2
     handle.send(record(2_600, 1, 100));
-    let (reports, _, processed) = handle.shutdown().expect("clean");
+    let (reports, _, processed, _) = handle.shutdown().expect("clean");
     assert_eq!(processed, 8);
     let idx: Vec<usize> = reports.iter().map(|r| r.interval).collect();
     assert_eq!(idx, vec![0, 1, 2], "sequential intervals: {idx:?}");
@@ -376,7 +376,7 @@ fn new_process_resumes_from_existing_checkpoint() {
             assert!(first.send(record(t * 1_000 + i * 100, (i % 3) as u32, 400 + t)));
         }
     }
-    let (first_reports, _, _) = first.shutdown().expect("clean first run");
+    let (first_reports, _, _, _) = first.shutdown().expect("clean first run");
     let first_max = first_reports.iter().map(|r| r.interval).max().expect("reports");
 
     // Second "process", same config and checkpoint path, fed the next
@@ -387,7 +387,7 @@ fn new_process_resumes_from_existing_checkpoint() {
             assert!(second.send(record(t * 1_000 + i * 100, (i % 3) as u32, 400 + t)));
         }
     }
-    let (reports, events, _) = second.shutdown().expect("clean second run");
+    let (reports, events, _, _) = second.shutdown().expect("clean second run");
     assert!(events.contains(&LifecycleEvent::Started));
     assert!(
         !events.iter().any(|e| matches!(e, LifecycleEvent::Degraded { .. })),
@@ -415,7 +415,7 @@ fn fully_shed_tail_still_surfaces_drop_counters() {
     for i in 0..50u64 {
         assert!(handle.send(record(i * 10, 1, 100)));
     }
-    let (reports, _, processed) = handle.shutdown().expect("clean");
+    let (reports, _, processed, _) = handle.shutdown().expect("clean");
     assert_eq!(processed, 0, "every record should have been shed");
     let shed: u64 = reports.iter().map(|r| r.drops.shed).sum();
     let admitted: u64 = reports.iter().map(|r| r.drops.sampled_in).sum();
@@ -445,7 +445,7 @@ fn the_callers_supervision_is_the_one_in_effect() {
         }
     }
     assert!(refused, "a budget of one must give up at the second panic");
-    let (_reports, own_events, _) = handle.shutdown().expect("supervisor survives");
+    let (_reports, own_events, _, _) = handle.shutdown().expect("supervisor survives");
     assert!(own_events.is_empty(), "the handle took events meant for the caller: {own_events:?}");
     let events: Vec<LifecycleEvent> = events.try_iter().collect();
     assert_eq!(

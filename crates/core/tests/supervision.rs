@@ -199,7 +199,7 @@ fn run(shape: Shape, strategy: KeyStrategy, path: Option<&Path>, fault: FaultPla
                     reports.extend(handle.reports().try_iter());
                 }
             }
-            let (tail, own_events, _) = handle.shutdown().expect("driver survives");
+            let (tail, own_events, _, _) = handle.shutdown().expect("driver survives");
             reports.extend(tail);
             assert!(own_events.is_empty(), "the handle took events meant for the sender set");
         }

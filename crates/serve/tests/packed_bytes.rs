@@ -11,7 +11,7 @@ use scd_serve::{RebuildMode, ServingPlane};
 use scd_sketch::SketchConfig;
 use std::sync::Arc;
 
-/// The `scd serve` / `scd archive` shape.
+/// The `scd detect --serve` / `--archive-out` shape.
 const ARCHIVE: ArchiveConfig =
     ArchiveConfig { max_sketches: 64, full_resolution: 8, keys_per_epoch: 64 };
 const H: usize = 5;

@@ -257,7 +257,7 @@ fn frames_to_alarms_through_streaming_detector() {
             }
         }
     }
-    let (reports, _, processed) = handle.shutdown().expect("clean shutdown");
+    let (reports, _, processed, _) = handle.shutdown().expect("clean shutdown");
     assert_eq!(processed, 4 * 60 + 40);
     assert_eq!(reports.len(), 4);
     assert!(
