@@ -34,27 +34,19 @@ kib() {
   fi
   sed -i -E "s/$re/\1…\3/" "$1" "$2"
 }
-# The first line a renamed row prints — its header, which named the command
-# — is the one stdout line its new spelling may change.
-HEADER='^(archiving|serving|detecting over) [0-9]+ intervals of [0-9]+s '
 # Runs ARGS under this binary into OUT.new.* and, with a parent, under the
-# parent into OUT.old.*; then compares stdout and every named file. A row
-# whose command the parent spelled otherwise gives the parent's spelling
-# after a second `--`, and has its header line masked on both sides.
-both() { # both OUT FILES... -- ARGS... [-- PARENT_ARGS...]
+# parent into OUT.old.*; then compares stdout and every named file.
+both() { # both OUT FILES... -- ARGS...
   local out=$1; shift
   local files=(); while [ "$1" != -- ]; do files+=("$1"); shift; done; shift
-  local new=(); while [ $# -gt 0 ] && [ "$1" != -- ]; do new+=("$1"); shift; done
-  local old=("${new[@]}") header=; [ $# -gt 0 ] && { shift; old=("$@"); header=1; }
-  "$SCD" "${new[@]//@/$out.new}" > "$out.new.txt"
+  "$SCD" "${@//@/$out.new}" > "$out.new.txt"
   [ -n "$PARENT" ] || return 0
-  "$PARENT" "${old[@]//@/$out.old}" > "$out.old.txt"
+  "$PARENT" "${@//@/$out.old}" > "$out.old.txt"
   sed "s/$out\.old/$out.new/g" "$out.old.txt" > "$out.old.norm"
   cp "$out.new.txt" "$out.new.norm"
-  if [ -n "$header" ]; then sed -i -E "1s/$HEADER.*/(header)/" "$out.old.norm" "$out.new.norm"; fi
-  kib "$out.old.norm" "$out.new.norm" "scd ${new[*]}"
-  same "$out.old.norm" "$out.new.norm" "stdout of: scd ${new[*]}"
-  for f in "${files[@]}"; do same "$out.old.$f" "$out.new.$f" "$f of: scd ${new[*]}"; done
+  kib "$out.old.norm" "$out.new.norm" "scd $*"
+  same "$out.old.norm" "$out.new.norm" "stdout of: scd $*"
+  for f in "${files[@]}"; do same "$out.old.$f" "$out.new.$f" "$f of: scd $*"; done
 }
 
 "$SCD" generate --profile small --hours 0.5 --interval 60 --out t.bin --seed 7 --dos 10:12:2:30 > /dev/null
@@ -126,16 +118,15 @@ fi
 echo "cli-identity: detect --k 65536 — all $closes merges walked lines, digests independent of the shape"
 
 # The archive and query-server sinks and the live source: the bytes they
-# leave behind, against the parent's `archive`, `serve` and `stream`.
+# leave behind.
 A="--model ewma:0.5 --budget 16 --full-res 4"
 # shellcheck disable=SC2086
-both a scda -- detect $T $A --archive-out @.scda --shards 4 -- archive $T $A --out @.scda --shards 4
+both a scda -- detect $T $A --archive-out @.scda --shards 4
 # shellcheck disable=SC2086
 both s scda -- detect $T $A --archive-out @.scda --shards 2 --pipeline --serve 127.0.0.1:$PORT \
-  -- serve $T $A --out @.scda --shards 2 --pipeline --listen 127.0.0.1:$PORT 2> /dev/null
+  2> /dev/null
 # shellcheck disable=SC2086
-both st ck -- detect $T --model ewma:0.5 --live --checkpoint @.ck --every 2 \
-  -- stream $T --model ewma:0.5 --checkpoint @.ck --every 2
+both st ck -- detect $T --model ewma:0.5 --live --checkpoint @.ck --every 2
 same a.new.scda s.new.scda "--archive-out vs --archive-out --serve"
 
 # The publish lane on dense fractional error sketches: ARIMA1 at K = 65 536,
@@ -143,10 +134,10 @@ same a.new.scda s.new.scda "--archive-out vs --archive-out --serve"
 # archive push on the lane, and the plain archive sink runs both inline.
 F="--trace t.bin --interval 60 --threshold 0.4 --k 65536 --model arima1:0.5,0.2/0.3 --budget 16 --full-res 4"
 # shellcheck disable=SC2086
-both fa scda -- detect $F --archive-out @.scda --shards 4 -- archive $F --out @.scda
+both fa scda -- detect $F --archive-out @.scda --shards 4
 # shellcheck disable=SC2086
 both fs scda -- detect $F --archive-out @.scda --shards 2 --pipeline --serve 127.0.0.1:$((PORT + 2)) \
-  -- serve $F --out @.scda --shards 2 --pipeline --listen 127.0.0.1:$((PORT + 2)) 2> /dev/null
+  2> /dev/null
 same fa.new.scda fs.new.scda "--archive-out vs --serve --pipeline --archive-out (arima1, --k 65536)"
 
 # Answers from those dumps, whose older epochs load packed: every `scd query`
@@ -194,10 +185,9 @@ same a.new.scda live.scda "--live --archive-out vs --archive-out"
 echo "cli-identity: --live, --archive-out, --checkpoint and --glr beside --archive-out agree with detect"
 
 # The distributed plane: three nodes, one aggregator, the single box's digests.
-plane() { # plane BIN OUT AGGREGATE: AGGREGATE is how BIN spells the aggregator
+plane() { # plane BIN OUT
   rm -rf "spool-$2"
-  # shellcheck disable=SC2086
-  "$1" $3 --listen 127.0.0.1:$((PORT + 1)) --nodes 3 --model ewma:0.5 --k 8192 --threshold 0.4 \
+  "$1" detect --listen 127.0.0.1:$((PORT + 1)) --nodes 3 --model ewma:0.5 --k 8192 --threshold 0.4 \
     --report-out "$2" --grace-ms 2000 --node-timeout-ms 5000 --timeout-secs 120 > "$2.log" 2>&1 &
   local agg=$! pids=()
   sleep 1
@@ -209,11 +199,11 @@ plane() { # plane BIN OUT AGGREGATE: AGGREGATE is how BIN spells the aggregator
   for pid in "${pids[@]}"; do wait "$pid"; done
   wait "$agg"
 }
-plane "$SCD" dist.new.rep detect
+plane "$SCD" dist.new.rep
 same d1-ewma-twopass.new.rep dist.new.rep "--listen digests vs the single box"
 if [ -n "$PARENT" ]; then
-  plane "$PARENT" dist.old.rep aggregate
-  same dist.old.rep.log dist.new.rep.log "--listen stdout and stderr vs the parent's aggregate"
-  same dist.old.rep dist.new.rep "--listen digests vs the parent's aggregate"
+  plane "$PARENT" dist.old.rep
+  same dist.old.rep.log dist.new.rep.log "--listen stdout and stderr vs the parent's"
+  same dist.old.rep dist.new.rep "--listen digests vs the parent's"
 fi
 echo "cli-identity: distributed digests match the single box${PARENT:+ and the parent binary}"

@@ -30,6 +30,9 @@
 # second per-record routing loop exists, and the router keeps no per-record
 # key set. An archive epoch packs through one routine and merges packed
 # through one, whichever element type (fat `f64`, slim `f32`) it holds.
+# A forecast model states its steady-state step as one per-cell function
+# and runs it through one executor, `step_cells`, which walks every table
+# once: no model walks tiles, keeps tile scratch or chains slice kernels.
 # Non-test source is `nontest`'s (`.github/nontest.sh`).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -145,6 +148,12 @@ expect 0 '^crates/core/src/engine/route\.rs:.*HashSet' 'HashSet(s) in the engine
 expect 1 'fn pack_cells'                         'archive pack routine(s)'
 expect 1 'fn merge_cells'                        'archive packed-merge routine(s)'
 
+# One forecast step executor; no tile walk, tile scratch or slice-kernel
+# chain in a model.
+expect 1 'fn step_cells[<(]'                     'forecast step executor(s)'
+expect 0 '^crates/forecast/src/.*(sweep_tiles|TileScratch|simd::(add_scaled|axpy|sub|scale)\b)' \
+  'tile walk(s), tile scratch or slice-kernel call(s) in the forecast models'
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -159,5 +168,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it; one pack routine, one packed merge"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it; one pack routine, one packed merge; one forecast step executor, no tile walk or slice-kernel chain in a model"
 exit "$fail"

@@ -435,7 +435,8 @@ impl<L: CellTable> SketchArchive<L> {
         let mut packed = self.spare();
         let into = Arc::get_mut(&mut packed).expect("a spare is unshared");
         let Table::Dense(sketch) = &self.epochs[i].table else { unreachable!("not packed") };
-        if !pack_cells(sketch.cells(), limit, &mut self.masks, &mut into.cells) {
+        let (_, k, _) = sketch.identity();
+        if !pack_cells(sketch.cells(), k, limit, &mut self.masks, &mut into.cells) {
             self.recycle(packed);
             return;
         }
@@ -458,13 +459,13 @@ impl<L: CellTable> SketchArchive<L> {
                 Table::Dense(left)
             }
             (Table::Packed(left), Table::Packed(right)) => {
-                let (_, k, _) = self.newest().identity();
+                let (h, k, _) = self.newest().identity();
                 let mut merged = self.spare();
                 let out = Arc::get_mut(&mut merged).expect("a spare is unshared");
-                merge_cells(&left.cells, &right.cells, &mut out.cells);
+                merge_cells(&left.cells, &right.cells, (h, k), &mut out.cells);
                 let cells = &out.cells;
                 out.totals =
-                    L::merged_totals(&left.totals, &right.totals, |row| cells.row_sum(row, k));
+                    L::merged_totals(&left.totals, &right.totals, |row| cells.row_sum(row));
                 self.recycle(left);
                 self.recycle(right);
                 Table::Packed(merged)

@@ -37,11 +37,16 @@ use std::sync::Arc;
 pub(crate) struct CellList<C> {
     index: Vec<u32>,
     values: Vec<C>,
+    /// `rows[r]..rows[r + 1]` is row `r`'s span of `index`: `H + 1`
+    /// offsets, recorded when the list is packed or merged.
+    rows: Vec<usize>,
+    /// Registers per row.
+    k: usize,
 }
 
 impl<C> Default for CellList<C> {
     fn default() -> Self {
-        CellList { index: Vec::new(), values: Vec::new() }
+        CellList { index: Vec::new(), values: Vec::new(), rows: Vec::new(), k: 0 }
     }
 }
 
@@ -59,6 +64,21 @@ impl<C: Cell> CellList<C> {
     fn clear(&mut self) {
         self.index.clear();
         self.values.clear();
+        self.rows.clear();
+    }
+
+    /// Records where each of the table's `h` rows of `k` registers starts
+    /// in `index`, once the list is filled.
+    fn index_rows(&mut self, h: usize, k: usize) {
+        let (index, rows) = (&self.index, &mut self.rows);
+        rows.clear();
+        rows.extend((0..=h).map(|row| index.partition_point(|&c| (c as usize) < row * k)));
+        self.k = k;
+    }
+
+    /// Row `row`'s span of `index`.
+    fn row_span(&self, row: usize) -> std::ops::Range<usize> {
+        self.rows[row]..self.rows[row + 1]
     }
 
     fn push(&mut self, cell: usize, value: C) {
@@ -67,9 +87,11 @@ impl<C: Cell> CellList<C> {
     }
 
     /// Register `cell` of the dense table: its written value, or `+0.0`.
+    /// Searches only the row's span, not the whole list.
     pub(crate) fn get(&self, cell: usize) -> C {
-        match self.index.binary_search(&(cell as u32)) {
-            Ok(i) => self.values[i],
+        let span = self.row_span(cell / self.k);
+        match self.index[span.clone()].binary_search(&(cell as u32)) {
+            Ok(i) => self.values[span.start + i],
             Err(_) => C::ZERO,
         }
     }
@@ -97,11 +119,11 @@ impl<C: Cell> CellList<C> {
     /// Each run of absent registers adds one `+0.0`: adding `+0.0` twice
     /// is adding it once, bit for bit, and adding it at all is what turns
     /// a `−0.0` running total into `+0.0`.
-    pub(crate) fn row_sum(&self, row: usize, k: usize) -> f64 {
+    pub(crate) fn row_sum(&self, row: usize) -> f64 {
+        let k = self.k;
         let (lo, hi) = ((row * k) as u64, ((row + 1) * k) as u64);
-        let first = self.index.partition_point(|&c| u64::from(c) < lo);
-        let last = self.index.partition_point(|&c| u64::from(c) < hi);
-        let written = self.index[first..last].iter().zip(&self.values[first..last]);
+        let span = self.row_span(row);
+        let written = self.index[span.clone()].iter().zip(&self.values[span.clone()]);
         let mut next = lo;
         let total: f64 = written
             .flat_map(|(&cell, &value)| {
@@ -110,7 +132,7 @@ impl<C: Cell> CellList<C> {
                 gap.then_some(0.0).into_iter().chain(Some(value.widen()))
             })
             .sum();
-        let tail_gap = self.index[first..last].last().map_or(k > 0, |&c| u64::from(c) + 1 < hi);
+        let tail_gap = self.index[span].last().map_or(k > 0, |&c| u64::from(c) + 1 < hi);
         if tail_gap {
             total + 0.0
         } else {
@@ -127,13 +149,14 @@ pub(crate) fn pack_limit<C: Cell>(n: usize) -> Option<usize> {
     (n as u64 <= 1 << 32).then_some(n * cell / 2 / (std::mem::size_of::<u32>() + cell))
 }
 
-/// The pack routine: fills `out` with the registers of `cells` whose bits
-/// are not `+0.0`, in index order — or returns `false`, `out` left empty,
-/// when more than `limit` are written. One vectorised
+/// The pack routine: fills `out` with the registers of `cells`, rows of
+/// `k`, whose bits are not `+0.0`, in index order — or returns `false`,
+/// `out` left empty, when more than `limit` are written. One vectorised
 /// sweep marks the written registers of each 64-cell block in `masks`
 /// (scratch, resized here); only the marked ones are visited.
 pub(crate) fn pack_cells<C: Cell>(
     cells: &[C],
+    k: usize,
     limit: usize,
     masks: &mut Vec<u64>,
     out: &mut CellList<C>,
@@ -155,14 +178,20 @@ pub(crate) fn pack_cells<C: Cell>(
             mask &= mask - 1;
         }
     }
+    out.index_rows(cells.len() / k, k);
     true
 }
 
 /// The packed merge: `out = left + 1.0·right` over the registers either
 /// side wrote, an absent register read as `+0.0`, keeping every sum whose
 /// bits are not `+0.0`. Each sum is the dense add's own `l + r`, in that
-/// operand order.
-pub(crate) fn merge_cells<C: Cell>(left: &CellList<C>, right: &CellList<C>, out: &mut CellList<C>) {
+/// operand order. The tables are `h` rows of `k`.
+pub(crate) fn merge_cells<C: Cell>(
+    left: &CellList<C>,
+    right: &CellList<C>,
+    (h, k): (usize, usize),
+    out: &mut CellList<C>,
+) {
     out.clear();
     let mut keep = |cell: u32, sum: C| {
         if !sum.is_unwritten() {
@@ -190,6 +219,7 @@ pub(crate) fn merge_cells<C: Cell>(left: &CellList<C>, right: &CellList<C>, out:
     for (&cell, &r) in ri[j..].iter().zip(&rv[j..]) {
         keep(cell, C::ZERO.plus(r));
     }
+    out.index_rows(h, k);
 }
 
 /// A packed table: its written registers and the scalars its reads take.

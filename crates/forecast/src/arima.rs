@@ -28,10 +28,9 @@
 //! errors — and errors are themselves linear in observations — so the model
 //! runs unchanged over sketches.
 
-use crate::blocked::{emit_reference, sweep_tiles, Sinks, TileScratch};
+use crate::blocked::{emit_reference, step_cells};
 use crate::state::{ModelState, StateError};
 use crate::{Forecaster, Summary};
-use scd_sketch::simd;
 use std::collections::VecDeque;
 
 /// Maximum AR/MA order the paper (and this implementation) supports.
@@ -179,22 +178,13 @@ pub struct Arima<S> {
     /// Forecast errors `e`, newest last; holds up to `q` entries.
     e_hist: VecDeque<S>,
     observed_count: usize,
-    /// Two tiles: the forecast under construction (when the caller takes
-    /// no `Sf(t)`) and the differenced lag `Z_{t−j}` (when `d = 1`).
-    scratch: TileScratch,
 }
 
 impl<S: Summary> Arima<S> {
     /// Creates the forecaster from a validated spec.
     pub fn new(spec: ArimaSpec) -> Self {
         spec.validate().expect("invalid ArimaSpec");
-        Arima {
-            spec,
-            x_hist: VecDeque::new(),
-            e_hist: VecDeque::new(),
-            observed_count: 0,
-            scratch: TileScratch::default(),
-        }
+        Arima { spec, x_hist: VecDeque::new(), e_hist: VecDeque::new(), observed_count: 0 }
     }
 
     /// The model specification.
@@ -232,7 +222,6 @@ impl<S: Summary> Arima<S> {
             x_hist: x_hist.into(),
             e_hist: e_hist.into(),
             observed_count: observed_count as usize,
-            scratch: TileScratch::default(),
         })
     }
 
@@ -287,6 +276,80 @@ impl<S: Summary> Arima<S> {
     }
 }
 
+impl<S: Summary> Arima<S> {
+    /// The steady-state step of an ARIMA(`P`, `D`, `Q`): both rings are
+    /// full, so the oldest observation's table takes `X_t` and (`Q > 0`)
+    /// the oldest error's takes `e_t`, in the same walk that reads them.
+    fn steady<const P: usize, const D: usize, const Q: usize>(
+        &mut self,
+        observed: &S,
+        forecast_out: Option<&mut S>,
+        error_out: Option<&mut S>,
+    ) {
+        let (ar, ma) = (self.spec.ar.vals, self.spec.ma.vals);
+        let (x_oldest, x_newer) = self.x_hist.make_contiguous().split_first_mut().expect("X held");
+        let (e_oldest, e_newer) = match self.e_hist.make_contiguous().split_first_mut() {
+            Some((oldest, newer)) => (Some(oldest), newer.last()),
+            None => (None, None),
+        };
+        // The read-only tables, newest first: X_{t−1}, X_{t−2}, then e_{t−1}
+        // when the oldest error is e_{t−2}. A table this shape lacks is
+        // `observed`, whose value the cell never reads.
+        let newer = |k| x_newer.iter().rev().nth(k);
+        let reads = [newer(0), newer(1), e_newer].map(|s| s.unwrap_or(observed));
+        // X_{t−1}, X_{t−2}, X_{t−3} from the reads and the oldest slot of
+        // the `n`-table ring (`retention`, from the shape's constants).
+        let n = (P + D).max(D + 1);
+        debug_assert_eq!(n, x_newer.len() + 1);
+        let x = move |r: [f64; 3], oldest: f64| -> [f64; 3] {
+            std::array::from_fn(|k| if k + 1 < n { r[k] } else { oldest })
+        };
+        if Q == 0 {
+            step_cells(observed, reads, [x_oldest], forecast_out, error_out, |_, o, r, [xo]| {
+                let f = cell::<P, D, Q>(ar, ma, x(r, *xo), [0.0; MAX_ORDER]);
+                *xo = o;
+                f
+            });
+        } else {
+            let writes = [x_oldest, e_oldest.expect("Q errors held")];
+            step_cells(observed, reads, writes, forecast_out, error_out, |_, o, r, [xo, eo]| {
+                let e = [if Q > 1 { r[2] } else { *eo }, *eo];
+                let f = cell::<P, D, Q>(ar, ma, x(r, *xo), e);
+                // The evicted error has been read; it takes e_t. Likewise
+                // the evicted observation takes X_t.
+                *eo = o - f;
+                *xo = o;
+                f
+            });
+        }
+    }
+}
+
+/// `forecast()`'s sequence for one cell: zero, the AR terms over the
+/// (differenced) lags newest first, the MA terms over the errors newest
+/// first, then (`D = 1`) the integration step. `x` holds `X_{t−1}`,
+/// `X_{t−2}`, `X_{t−3}` and `e` holds `e_{t−1}`, `e_{t−2}`, as far as the
+/// shape has them.
+#[inline(always)]
+fn cell<const P: usize, const D: usize, const Q: usize>(
+    ar: [f64; MAX_ORDER],
+    ma: [f64; MAX_ORDER],
+    x: [f64; 3],
+    e: [f64; MAX_ORDER],
+) -> f64 {
+    let mut f = 0.0;
+    for j in 0..P {
+        f += ar[j] * if D == 0 { x[j] } else { x[j] - x[j + 1] };
+    }
+    for i in 0..Q {
+        f += ma[i] * e[i];
+    }
+    if D == 1 {
+        f += 1.0 * x[0];
+    }
+    f
+}
+
 impl<S: Summary> Forecaster<S> for Arima<S> {
     fn forecast(&self) -> Option<S> {
         if self.observed_count < self.needed_history() {
@@ -325,53 +388,27 @@ impl<S: Summary> Forecaster<S> for Arima<S> {
             self.grow(observed, forecast.as_ref());
             return warmed;
         }
-        for s in self.x_hist.iter().chain(&self.e_hist) {
-            observed.check_family(s);
-        }
-        let mut sinks = Sinks::new(observed, forecast_out, error_out);
-        let (variant, obs) = (simd::active(), observed.cells());
-        let (ar, ma) = (self.spec.ar, self.spec.ma);
-        // The model's own error history needs the forecast whoever else does.
-        let forecasting = q > 0 || sinks.any();
-        for tile in sweep_tiles(obs.len()) {
-            let o = &obs[tile.clone()];
-            if forecasting {
-                let [spare, lag] = self.scratch.buffers(obs.len());
-                let (x_hist, e_hist) = (&self.x_hist, &self.e_hist);
-                // `forecast()`'s sequence per cell: zero, AR terms over the
-                // (differenced) lags newest-first, MA terms over the errors
-                // newest-first, then (d = 1) the integration step.
-                let f = sinks.build(variant, tile.clone(), o, spare, |f| {
-                    f.fill(0.0);
-                    for j in 1..=p {
-                        let newer = &x_hist[n - j].cells()[tile.clone()];
-                        if d == 0 {
-                            simd::add_scaled(variant, f, newer, ar.as_slice()[j - 1]);
-                        } else {
-                            let lag = &mut lag[..tile.len()];
-                            simd::sub(
-                                variant,
-                                lag,
-                                newer,
-                                &x_hist[n - j - 1].cells()[tile.clone()],
-                            );
-                            simd::add_scaled(variant, f, lag, ar.as_slice()[j - 1]);
-                        }
-                    }
-                    for (i, e) in e_hist.iter().rev().enumerate() {
-                        simd::add_scaled(variant, f, &e.cells()[tile.clone()], ma.as_slice()[i]);
-                    }
-                    if d == 1 {
-                        simd::add_scaled(variant, f, &x_hist[n - 1].cells()[tile.clone()], 1.0);
-                    }
-                });
-                if q > 0 {
-                    // The evicted error's tile has been read; it takes e_t.
-                    simd::sub(variant, &mut self.e_hist[0].cells_mut()[tile.clone()], o, f);
-                }
-            }
-            // Likewise the evicted observation's tile takes X_t.
-            self.x_hist[0].cells_mut()[tile].copy_from_slice(o);
+        // One monomorphized step per shape, so a cell's terms are straight-line code.
+        match (p, d, q) {
+            (0, 0, 0) => self.steady::<0, 0, 0>(observed, forecast_out, error_out),
+            (0, 0, 1) => self.steady::<0, 0, 1>(observed, forecast_out, error_out),
+            (0, 0, 2) => self.steady::<0, 0, 2>(observed, forecast_out, error_out),
+            (0, 1, 0) => self.steady::<0, 1, 0>(observed, forecast_out, error_out),
+            (0, 1, 1) => self.steady::<0, 1, 1>(observed, forecast_out, error_out),
+            (0, 1, 2) => self.steady::<0, 1, 2>(observed, forecast_out, error_out),
+            (1, 0, 0) => self.steady::<1, 0, 0>(observed, forecast_out, error_out),
+            (1, 0, 1) => self.steady::<1, 0, 1>(observed, forecast_out, error_out),
+            (1, 0, 2) => self.steady::<1, 0, 2>(observed, forecast_out, error_out),
+            (1, 1, 0) => self.steady::<1, 1, 0>(observed, forecast_out, error_out),
+            (1, 1, 1) => self.steady::<1, 1, 1>(observed, forecast_out, error_out),
+            (1, 1, 2) => self.steady::<1, 1, 2>(observed, forecast_out, error_out),
+            (2, 0, 0) => self.steady::<2, 0, 0>(observed, forecast_out, error_out),
+            (2, 0, 1) => self.steady::<2, 0, 1>(observed, forecast_out, error_out),
+            (2, 0, 2) => self.steady::<2, 0, 2>(observed, forecast_out, error_out),
+            (2, 1, 0) => self.steady::<2, 1, 0>(observed, forecast_out, error_out),
+            (2, 1, 1) => self.steady::<2, 1, 1>(observed, forecast_out, error_out),
+            (2, 1, 2) => self.steady::<2, 1, 2>(observed, forecast_out, error_out),
+            _ => unreachable!("validated ARIMA shape ({p}, {d}, {q})"),
         }
         self.e_hist.rotate_left(usize::from(q > 0));
         self.x_hist.rotate_left(1);

@@ -1,101 +1,103 @@
-//! What the models' cache-blocked steps share.
+//! The one steady-state step every model runs: `step_cells`.
 //!
-//! Every model is COMBINE over table-sized summaries (§3.2), so once a
-//! table outgrows the cache a step costs what its *passes over memory*
-//! cost. A whole-table operation per term — zero, add-scaled, add-scaled,
-//! subtract, … — streams every table through the cache once per
-//! operation. A blocked step instead walks the tables in tiles of
-//! [`SWEEP_TILE`] cells and applies the model's whole per-cell operation
-//! sequence to one tile before moving to the next: each live table is read
-//! once and each written table written once, and the intermediates (a
-//! forecast under construction, ARIMA's differenced lag, SHW's previous
-//! level) are tile-sized and stay in L1.
+//! Every model is COMBINE over table-sized summaries (§3.2), and every
+//! operation of its recurrence is elementwise: the value a cell ends up
+//! with depends on the operations applied to *that cell*, in order, and on
+//! nothing else. So a model states its steady-state step once, as scalar
+//! code over one cell's values, and `step_cells` walks the observation,
+//! the model's state tables and the optional `Sf`/`Se` sinks once, in
+//! lockstep, calling it for each cell. Each table is read once and each
+//! written table written once, and the intermediates (a forecast under
+//! construction, ARIMA's differenced lag, SHW's previous level) never
+//! leave registers: the step costs one pass over memory, not one per
+//! operation or one L1 pass per operation per tile.
 //!
-//! **Bit identity.** Every operation here is elementwise: the value a cell
-//! ends up with depends on the operations applied to *that cell*, in
-//! order, and on nothing else. Blocking changes which cell is processed
-//! when; it never changes the operations one cell sees, and each of those
-//! is the same [`scd_sketch::simd`] slice kernel the whole-table methods
-//! call (no FMA, scalar and AVX2 variants identical — see that module).
-//! So a blocked step is bit-identical to the allocating reference
-//! (`forecast()`, `Se = So − Sf`, then the whole-table recursion), which
-//! `tests/blocked_identity.rs` checks `to_bits()`-exactly for every model
-//! over every summary type.
+//! **Bit identity.** A model's cell function applies, to one cell, exactly
+//! the operation sequence its whole-table reference (`forecast()`,
+//! `Se = So − Sf`, the recurrence) applies to every cell, in the same
+//! order and with the same operands: multiply and add stay separate
+//! operations (Rust never contracts them into an FMA, and this crate
+//! enables no target feature), so each rounds exactly as the reference's
+//! does. The walk changes which cell is computed when, never what one cell
+//! sees. `tests/blocked_identity.rs` checks it `to_bits()`-exactly for
+//! every model over every summary type, against the reference and against
+//! one scalar model per cell; `tests/recurrence.rs` holds the state each
+//! step leaves to the recursion written out in plain `f64`.
 
 use crate::Summary;
-use scd_sketch::simd::{self, Variant};
-use std::ops::Range;
 
-pub use scd_sketch::batch::{sweep_tiles, SWEEP_TILE};
+/// The tile of the sketch's own sweeps (COMBINE, the shard merge). The
+/// forecast step walks untiled; the identity tests still size tables
+/// around a tile, the boundary a blocked walk would get wrong.
+pub use scd_sketch::batch::SWEEP_TILE;
 
-/// The caller-owned outputs of one step, as cell views: `Sf(t)` and/or
-/// `Se(t) = So(t) − Sf(t)`. A plain `observe` has neither.
-pub(crate) struct Sinks<'a> {
-    forecast: Option<&'a mut [f64]>,
-    error: Option<&'a mut [f64]>,
+/// One steady-state step: for every cell `i`, `cell(i, So[i], reads[·][i],
+/// writes[·][i])` returns the cell's forecast `Sf(t)[i]` and leaves the
+/// state's new values in `writes`; `Sf` goes to `forecast_out` and
+/// `Se = So − Sf` to `error_out`, each only if given. `reads` are the
+/// state tables the step only reads, `writes` the ones it rewrites (a
+/// ring's evicted slot, a smoothed level); each operand's family is
+/// checked once, before any cell is touched. `i` is for a model whose
+/// window has no fixed size (MA, SMA): it reads its ring by index.
+///
+/// # Panics
+/// For sketch summaries, panics if an operand was built over a different
+/// hash family than `observed`.
+pub(crate) fn step_cells<S: Summary, const R: usize, const W: usize>(
+    observed: &S,
+    reads: [&S; R],
+    writes: [&mut S; W],
+    forecast_out: Option<&mut S>,
+    error_out: Option<&mut S>,
+    cell: impl Fn(usize, f64, [f64; R], &mut [f64; W]) -> f64,
+) {
+    let operands = writes.iter().map(|s| &**s).chain(forecast_out.as_deref());
+    for s in reads.iter().copied().chain(operands).chain(error_out.as_deref()) {
+        observed.check_family(s);
+    }
+    let obs = observed.cells();
+    let len = obs.len();
+    let reads = reads.map(|s| &s.cells()[..len]);
+    let mut writes = writes.map(|s| &mut s.cells_mut()[..len]);
+    let forecast_out = forecast_out.map(|s| &mut s.cells_mut()[..len]);
+    let error_out = error_out.map(|s| &mut s.cells_mut()[..len]);
+    // One walk per choice of sinks, so the loop never asks which it has.
+    match (forecast_out, error_out) {
+        (None, None) => lockstep(obs, reads, &mut writes, &cell, |_, _, _| {}),
+        (Some(sf), None) => lockstep(obs, reads, &mut writes, &cell, |i, _, f| sf[i] = f),
+        (None, Some(se)) => lockstep(obs, reads, &mut writes, &cell, |i, o, f| se[i] = o - f),
+        (Some(sf), Some(se)) => lockstep(obs, reads, &mut writes, &cell, |i, o, f| {
+            sf[i] = f;
+            se[i] = o - f;
+        }),
+    }
 }
 
-impl<'a> Sinks<'a> {
-    /// The sinks' cell views, each checked against `observed`'s family.
-    pub fn new<S: Summary>(
-        observed: &S,
-        forecast_out: Option<&'a mut S>,
-        error_out: Option<&'a mut S>,
-    ) -> Self {
-        let cells = |sink: Option<&'a mut S>| {
-            sink.map(|s| {
-                observed.check_family(s);
-                s.cells_mut()
-            })
-        };
-        Sinks { forecast: cells(forecast_out), error: cells(error_out) }
-    }
-
-    /// Whether anything was asked for — when not, a model that only
-    /// *computes* its forecast (MA, SMA, SHW) can skip computing it.
-    pub fn any(&self) -> bool {
-        self.forecast.is_some() || self.error.is_some()
-    }
-
-    /// One tile of a model that holds its forecast as state: `forecast`
-    /// (the state's tile, not yet advanced) is copied to the forecast sink
-    /// and `observed − forecast` written to the error sink.
-    pub fn emit(
-        &mut self,
-        variant: Variant,
-        tile: Range<usize>,
-        observed: &[f64],
-        forecast: &[f64],
-    ) {
-        if let Some(f) = &mut self.forecast {
-            f[tile.clone()].copy_from_slice(forecast);
+/// The walk itself, every operand already `obs.len()` cells long.
+#[inline(always)]
+fn lockstep<const R: usize, const W: usize>(
+    obs: &[f64],
+    reads: [&[f64]; R],
+    writes: &mut [&mut [f64]; W],
+    cell: &impl Fn(usize, f64, [f64; R], &mut [f64; W]) -> f64,
+    mut emit: impl FnMut(usize, f64, f64),
+) {
+    for (i, &o) in obs.iter().enumerate() {
+        // Plain loops over constant bounds, which LLVM unrolls into
+        // registers; `array::map` / `from_fn` here stopped being unrolled
+        // past five tables (an MA(6) step ran 5× slower).
+        let (mut r, mut state) = ([0.0; R], [0.0; W]);
+        for k in 0..R {
+            r[k] = reads[k][i];
         }
-        if let Some(e) = &mut self.error {
-            simd::sub(variant, &mut e[tile], observed, forecast);
+        for k in 0..W {
+            state[k] = writes[k][i];
         }
-    }
-
-    /// One tile of a model that computes its forecast: `build` fills it —
-    /// in the forecast sink's own tile, or in `spare` when there is no
-    /// such sink — and `observed − forecast` is written to the error sink.
-    /// Returns the tile's forecast.
-    pub fn build<'s>(
-        &'s mut self,
-        variant: Variant,
-        tile: Range<usize>,
-        observed: &[f64],
-        spare: &'s mut [f64],
-        build: impl FnOnce(&mut [f64]),
-    ) -> &'s [f64] {
-        let forecast = match &mut self.forecast {
-            Some(f) => &mut f[tile.clone()],
-            None => &mut spare[..tile.len()],
-        };
-        build(forecast);
-        if let Some(e) = &mut self.error {
-            simd::sub(variant, &mut e[tile], observed, forecast);
+        let f = cell(i, o, r, &mut state);
+        for k in 0..W {
+            writes[k][i] = state[k];
         }
-        forecast
+        emit(i, o, f);
     }
 }
 
@@ -111,35 +113,6 @@ pub(crate) fn emit_reference<S: Summary>(
     error_out: Option<&mut S>,
 ) -> bool {
     let Some(forecast) = forecast else { return false };
-    observed.check_family(forecast);
-    let cells = forecast.cells();
-    Sinks::new(observed, forecast_out, error_out).emit(
-        simd::active(),
-        0..cells.len(),
-        observed.cells(),
-        cells,
-    );
+    step_cells(observed, [forecast], [], forecast_out, error_out, |_, _, [f], []| f);
     true
-}
-
-/// The tile-sized intermediates of a model's blocked step. Sized on first
-/// use, then recycled every interval; never part of a model's state.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TileScratch(Vec<f64>);
-
-impl TileScratch {
-    /// `N` buffers of one tile each, for a walk over `len` cells. Their
-    /// contents are whatever the last step left: write before reading.
-    pub fn buffers<const N: usize>(&mut self, len: usize) -> [&mut [f64]; N] {
-        let tile = len.min(SWEEP_TILE);
-        if self.0.len() < N * tile {
-            self.0.resize(N * tile, 0.0);
-        }
-        let mut rest = self.0.as_mut_slice();
-        std::array::from_fn(|_| {
-            let (buffer, tail) = std::mem::take(&mut rest).split_at_mut(tile);
-            rest = tail;
-            buffer
-        })
-    }
 }

@@ -12,10 +12,9 @@
 //! versus history. EWMA is the workhorse of the paper's evaluation
 //! (Figures 4–9 all use it).
 
-use crate::blocked::{sweep_tiles, Sinks};
+use crate::blocked::step_cells;
 use crate::state::ModelState;
 use crate::{Forecaster, Summary};
-use scd_sketch::simd;
 
 /// EWMA forecaster with smoothing constant `α`.
 #[derive(Debug, Clone)]
@@ -64,15 +63,13 @@ impl<S: Summary> Forecaster<S> for Ewma<S> {
             self.forecast = Some(observed.clone());
             return false;
         };
-        observed.check_family(state);
-        let mut sinks = Sinks::new(observed, forecast_out, error_out);
-        let (variant, obs, state) = (simd::active(), observed.cells(), state.cells_mut());
-        for tile in sweep_tiles(obs.len()) {
-            let (o, f) = (&obs[tile.clone()], &mut state[tile.clone()]);
-            sinks.emit(variant, tile, o, f);
+        let (alpha, keep) = (self.alpha, 1.0 - self.alpha);
+        step_cells(observed, [], [state], forecast_out, error_out, |_, o, [], [f]| {
+            let forecast = *f;
             // Sf(t+1) = α·So(t) + (1−α)·Sf(t), in place on the state.
-            simd::axpy(variant, f, 1.0 - self.alpha, o, self.alpha);
-        }
+            *f = *f * keep + alpha * o;
+            forecast
+        });
         true
     }
 

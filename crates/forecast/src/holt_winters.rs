@@ -15,10 +15,9 @@
 //! behaviour detector (the paper's reference \[9\]) builds on, and the model
 //! behind the paper's thresholding experiments (Figures 10–11).
 
-use crate::blocked::{sweep_tiles, Sinks};
+use crate::blocked::step_cells;
 use crate::state::{ModelState, NshwParts, StateError};
 use crate::{Forecaster, Summary};
-use scd_sketch::simd;
 
 /// State carried between intervals once the model is warm.
 #[derive(Debug, Clone)]
@@ -118,31 +117,25 @@ impl<S: Summary> Forecaster<S> for NonSeasonalHoltWinters<S> {
             self.seed(observed);
             return false;
         };
-        for part in [&*level, &*trend, &*forecast] {
-            observed.check_family(part);
-        }
-        let mut sinks = Sinks::new(observed, forecast_out, error_out);
-        let (variant, obs) = (simd::active(), observed.cells());
-        let (level, trend, forecast) = (level.cells_mut(), trend.cells_mut(), forecast.cells_mut());
         let (alpha, beta) = (self.alpha, self.beta);
-        for tile in sweep_tiles(obs.len()) {
-            let o = &obs[tile.clone()];
-            let (l, t, f) =
-                (&mut level[tile.clone()], &mut trend[tile.clone()], &mut forecast[tile.clone()]);
-            sinks.emit(variant, tile, o, f);
+        let (keep_alpha, keep_beta) = (1.0 - alpha, 1.0 - beta);
+        let tables = [level, trend, forecast];
+        step_cells(observed, [], tables, forecast_out, error_out, |_, o, [], [l, t, f]| {
+            let forecast = *f;
             // Ss(t) = α·So(t−1) + (1−α)·Sf(t−1): the forecast slot holds
             // Sf(t−1) and becomes the new level.
-            simd::axpy(variant, f, 1.0 - alpha, o, alpha);
+            *f = *f * keep_alpha + alpha * o;
             // St(t) = β·(Ss(t) − Ss(t−1)) + (1−β)·St(t−1): `f` now holds
             // Ss(t), `l` still holds Ss(t−1).
-            simd::scale(variant, t, 1.0 - beta);
-            simd::add_scaled(variant, t, f, beta);
-            simd::add_scaled(variant, t, l, -beta);
+            *t *= keep_beta;
+            *t += beta * *f;
+            *t += -beta * *l;
             // Rotate: the level slot takes Ss(t); the forecast slot becomes
             // Sf(t) = Ss(t) + St(t).
-            l.copy_from_slice(f);
-            simd::add_scaled(variant, f, t, 1.0);
-        }
+            *l = *f;
+            *f += 1.0 * *t;
+            forecast
+        });
         true
     }
 

@@ -66,9 +66,9 @@ pub use summary::Summary;
 /// A model states its recurrence twice, and only twice: `forecast()` is
 /// the allocating reference — whole-table [`Summary`] operations, the form
 /// the paper writes the model in — and [`step_with`](Forecaster::step_with)
-/// is the step that ships: one cache-blocked walk (see [`blocked`]) that
-/// advances the state in place and writes `Sf(t)` / `Se(t)` to whichever
-/// buffers the caller passes. [`observe`](Forecaster::observe),
+/// is the step that ships: one per-cell function walked once over the
+/// model's tables (see [`blocked`]), which advances the state in place and
+/// writes `Sf(t)` / `Se(t)` to whichever buffers the caller passes. [`observe`](Forecaster::observe),
 /// [`step_into`](Forecaster::step_into) and
 /// [`step_error_into`](Forecaster::step_error_into) are that one step with
 /// a choice of outputs, so they cannot drift apart, and the tests hold the

@@ -14,10 +14,9 @@
 //! discarding the first hour of every trace, and the evaluation harness
 //! does the same.
 
-use crate::blocked::{emit_reference, sweep_tiles, Sinks, TileScratch};
+use crate::blocked::{emit_reference, step_cells};
 use crate::state::{ModelState, StateError};
 use crate::{Forecaster, Summary};
-use scd_sketch::simd;
 use std::collections::VecDeque;
 
 /// Equal-weight moving average over the last `W` observations.
@@ -25,8 +24,8 @@ use std::collections::VecDeque;
 pub struct MovingAverage<S> {
     window: usize,
     history: VecDeque<S>,
-    /// One tile of forecast, for a step asked for `Se(t)` but not `Sf(t)`.
-    scratch: TileScratch,
+    /// `1/W` once per ring slot, the coefficients of [`step_window`].
+    weights: Vec<f64>,
 }
 
 impl<S: Summary> MovingAverage<S> {
@@ -36,11 +35,8 @@ impl<S: Summary> MovingAverage<S> {
     /// Panics if `window == 0`.
     pub fn new(window: usize) -> Self {
         assert!(window >= 1, "MA window must be at least 1");
-        MovingAverage {
-            window,
-            history: VecDeque::with_capacity(window),
-            scratch: TileScratch::default(),
-        }
+        let weights = vec![1.0 / window as f64; window];
+        MovingAverage { window, history: VecDeque::with_capacity(window), weights }
     }
 
     /// The configured window `W`.
@@ -59,8 +55,99 @@ impl<S: Summary> MovingAverage<S> {
                 history.len()
             )));
         }
-        Ok(MovingAverage { window, history: history.into(), scratch: TileScratch::default() })
+        let mut m = MovingAverage::new(window);
+        m.history = history.into();
+        Ok(m)
     }
+}
+
+/// How a window model (MA, SMA) sums its full ring for one cell.
+#[derive(Clone, Copy)]
+struct WindowSum {
+    /// The oldest slot's coefficient.
+    c_oldest: f64,
+    newest_first: bool,
+    scale: Option<f64>,
+    /// Whether a sink reads the forecast; a plain `observe` skips it.
+    forecasting: bool,
+}
+
+impl WindowSum {
+    /// One cell: the oldest slot's value and the newer slots' `(c_k, h_k)`
+    /// in summation order.
+    #[inline(always)]
+    fn cell(self, oldest: f64, newer: impl Iterator<Item = (f64, f64)>) -> f64 {
+        let mut f = 0.0;
+        if self.forecasting {
+            if !self.newest_first {
+                f += self.c_oldest * oldest;
+            }
+            for (c, h) in newer {
+                f += c * h;
+            }
+            if self.newest_first {
+                f += self.c_oldest * oldest;
+            }
+            if let Some(scale) = self.scale {
+                f *= scale;
+            }
+        }
+        f
+    }
+}
+
+/// The steady step of a window model (MA, SMA) over its full `ring`: the
+/// forecast is `forecast()`'s sequence — `f = 0.0; f += c_k·h_k` over the
+/// slots oldest first (or newest first), `coeffs` in that order, then
+/// `f *= scale` if given — and the evicted oldest slot takes `So(t)` and
+/// becomes the newest.
+/// Rings of up to 12 slots, the grid search's widest window, are
+/// straight-line code over fixed read sets; a wider one is read by cell
+/// index.
+pub(crate) fn step_window<S: Summary>(
+    ring: &mut VecDeque<S>,
+    coeffs: &[f64],
+    newest_first: bool,
+    scale: Option<f64>,
+    observed: &S,
+    forecast_out: Option<&mut S>,
+    error_out: Option<&mut S>,
+) {
+    let (oldest, newer) = ring.make_contiguous().split_first_mut().expect("window ≥ 1");
+    let n = newer.len();
+    // The newer slots and their coefficients, in summation order.
+    let table = |k: usize| if newest_first { &newer[n - 1 - k] } else { &newer[k] };
+    let (c_oldest, coeffs) =
+        if newest_first { (coeffs[n], &coeffs[..n]) } else { (coeffs[0], &coeffs[1..]) };
+    let forecasting = forecast_out.is_some() || error_out.is_some();
+    let sum = WindowSum { c_oldest, newest_first, scale, forecasting };
+    macro_rules! by_width {
+        ($($len:literal)*; $wide:expr) => {
+            match n {
+                $($len => {
+                    let (reads, c): ([&S; $len], [f64; $len]) =
+                        (std::array::from_fn(table), std::array::from_fn(|k| coeffs[k]));
+                    step_cells(observed, reads, [oldest], forecast_out, error_out, |_, o, r, [x]| {
+                        let f = sum.cell(*x, (0..$len).map(|k| (c[k], r[k])));
+                        *x = o;
+                        f
+                    });
+                })*
+                _ => $wide,
+            }
+        };
+    }
+    by_width!(0 1 2 3 4 5 6 7 8 9 10 11; {
+        for s in &*newer {
+            observed.check_family(s);
+        }
+        step_cells(observed, [], [oldest], forecast_out, error_out, |i, o, [], [x]| {
+            let f = sum.cell(*x, (0..n).map(|k| (coeffs[k], table(k).cells()[i])));
+            *x = o;
+            f
+        });
+    });
+    ring.rotate_left(1);
 }
 
 impl<S: Summary> Forecaster<S> for MovingAverage<S> {
@@ -89,27 +176,8 @@ impl<S: Summary> Forecaster<S> for MovingAverage<S> {
             self.history.push_back(observed.clone());
             return warmed;
         }
-        for s in &self.history {
-            observed.check_family(s);
-        }
-        let mut sinks = Sinks::new(observed, forecast_out, error_out);
-        let (variant, obs) = (simd::active(), observed.cells());
-        let weight = 1.0 / self.history.len() as f64;
-        for tile in sweep_tiles(obs.len()) {
-            let o = &obs[tile.clone()];
-            if sinks.any() {
-                let [spare] = self.scratch.buffers(obs.len());
-                sinks.build(variant, tile.clone(), o, spare, |f| {
-                    f.fill(0.0);
-                    for s in &self.history {
-                        simd::add_scaled(variant, f, &s.cells()[tile.clone()], weight);
-                    }
-                });
-            }
-            // The evicted summary's tile has been read; it takes So(t).
-            self.history[0].cells_mut()[tile].copy_from_slice(o);
-        }
-        self.history.rotate_left(1);
+        let ring = &mut self.history;
+        step_window(ring, &self.weights, false, None, observed, forecast_out, error_out);
         true
     }
 

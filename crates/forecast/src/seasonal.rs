@@ -22,10 +22,9 @@
 //! trend = 0, seasonal indices = deviations from that mean. Warm-up is
 //! therefore `m` observations.
 
-use crate::blocked::{sweep_tiles, Sinks, TileScratch};
+use crate::blocked::step_cells;
 use crate::state::{ModelState, ShwParts, StateError};
 use crate::{Forecaster, Summary};
-use scd_sketch::simd;
 
 /// Additive seasonal Holt-Winters forecaster with period `m`.
 #[derive(Debug, Clone)]
@@ -37,9 +36,6 @@ pub struct SeasonalHoltWinters<S> {
     /// Observations of the first (incomplete) cycle, for initialization.
     init_buffer: Vec<S>,
     state: Option<SeasonState<S>>,
-    /// Two tiles: the forecast (when the caller takes `Se(t)` but no
-    /// `Sf(t)`) and the previous level during the in-place recursion.
-    scratch: TileScratch,
 }
 
 #[derive(Debug, Clone)]
@@ -71,7 +67,6 @@ impl<S: Summary> SeasonalHoltWinters<S> {
             period,
             init_buffer: Vec::with_capacity(period),
             state: None,
-            scratch: TileScratch::default(),
         }
     }
 
@@ -176,43 +171,30 @@ impl<S: Summary> Forecaster<S> for SeasonalHoltWinters<S> {
             self.collect_first_cycle(observed);
             return false;
         };
-        let slot = &mut season[*phase];
-        for part in [&*level, &*trend, &*slot] {
-            observed.check_family(part);
-        }
-        let mut sinks = Sinks::new(observed, forecast_out, error_out);
-        let (variant, obs) = (simd::active(), observed.cells());
-        let (level, trend, slot) = (level.cells_mut(), trend.cells_mut(), slot.cells_mut());
         let (alpha, beta, gamma) = (self.alpha, self.beta, self.gamma);
-        let [spare, previous] = self.scratch.buffers(obs.len());
-        for tile in sweep_tiles(obs.len()) {
-            let o = &obs[tile.clone()];
-            let (l, t, s) =
-                (&mut level[tile.clone()], &mut trend[tile.clone()], &mut slot[tile.clone()]);
-            if sinks.any() {
-                // forecast = level + trend + season for the upcoming phase.
-                sinks.build(variant, tile.clone(), o, spare, |f| {
-                    f.copy_from_slice(l);
-                    simd::add_scaled(variant, f, t, 1.0);
-                    simd::add_scaled(variant, f, s, 1.0);
-                });
-            }
-            let previous = &mut previous[..tile.len()];
-            previous.copy_from_slice(l);
+        let keep = (1.0 - alpha, 1.0 - beta, 1.0 - gamma);
+        let tables = [level, trend, &mut season[*phase]];
+        step_cells(observed, [], tables, forecast_out, error_out, |_, o, [], [l, t, s]| {
+            // forecast = level + trend + season for the upcoming phase.
+            let mut forecast = *l;
+            forecast += 1.0 * *t;
+            forecast += 1.0 * *s;
+            let previous = *l;
             // level' = α(x − season_old) + (1−α)(level + trend)
-            simd::add_scaled(variant, l, t, 1.0);
-            simd::scale(variant, l, 1.0 - alpha);
-            simd::add_scaled(variant, l, o, alpha);
-            simd::add_scaled(variant, l, s, -alpha);
+            *l += 1.0 * *t;
+            *l *= keep.0;
+            *l += alpha * o;
+            *l += -alpha * *s;
             // trend' = β(level' − level) + (1−β)trend
-            simd::scale(variant, t, 1.0 - beta);
-            simd::add_scaled(variant, t, l, beta);
-            simd::add_scaled(variant, t, previous, -beta);
+            *t *= keep.1;
+            *t += beta * *l;
+            *t += -beta * previous;
             // season' = γ(x − level') + (1−γ)season_old
-            simd::scale(variant, s, 1.0 - gamma);
-            simd::add_scaled(variant, s, o, gamma);
-            simd::add_scaled(variant, s, l, -gamma);
-        }
+            *s *= keep.2;
+            *s += gamma * o;
+            *s += -gamma * *l;
+            forecast
+        });
         *phase = (*phase + 1) % self.period;
         true
     }

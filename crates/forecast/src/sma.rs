@@ -16,10 +16,10 @@
 //! age `i ≥ r` (0-indexed from most recent) get weight
 //! `(W − i) / (W − r + 1)`.
 
-use crate::blocked::{emit_reference, sweep_tiles, Sinks, TileScratch};
+use crate::blocked::emit_reference;
+use crate::ma::step_window;
 use crate::state::{ModelState, StateError};
 use crate::{Forecaster, Summary};
-use scd_sketch::simd;
 use std::collections::VecDeque;
 
 /// Weighted moving average: flat weights for the recent half of the window,
@@ -29,8 +29,8 @@ pub struct SShapedMovingAverage<S> {
     window: usize,
     /// Most-recent-last (push_back) history, at most `window` entries.
     history: VecDeque<S>,
-    /// One tile of forecast, for a step asked for `Se(t)` but not `Sf(t)`.
-    scratch: TileScratch,
+    /// `sma_weight(age, window)` for every age, newest first.
+    weights: Vec<f64>,
 }
 
 /// Weight of the sample at `age` (0 = most recent) in a window of `w`.
@@ -51,11 +51,8 @@ impl<S: Summary> SShapedMovingAverage<S> {
     /// Panics if `window == 0`.
     pub fn new(window: usize) -> Self {
         assert!(window >= 1, "SMA window must be at least 1");
-        SShapedMovingAverage {
-            window,
-            history: VecDeque::with_capacity(window),
-            scratch: TileScratch::default(),
-        }
+        let weights = (0..window).map(|age| sma_weight(age, window)).collect();
+        SShapedMovingAverage { window, history: VecDeque::with_capacity(window), weights }
     }
 
     /// The configured window `W`.
@@ -74,11 +71,9 @@ impl<S: Summary> SShapedMovingAverage<S> {
                 history.len()
             )));
         }
-        Ok(SShapedMovingAverage {
-            window,
-            history: history.into(),
-            scratch: TileScratch::default(),
-        })
+        let mut m = SShapedMovingAverage::new(window);
+        m.history = history.into();
+        Ok(m)
     }
 }
 
@@ -114,30 +109,10 @@ impl<S: Summary> Forecaster<S> for SShapedMovingAverage<S> {
             self.history.push_back(observed.clone());
             return warmed;
         }
-        for s in &self.history {
-            observed.check_family(s);
-        }
-        let mut sinks = Sinks::new(observed, forecast_out, error_out);
-        let (variant, obs) = (simd::active(), observed.cells());
-        let w = self.window;
         // Accumulated newest-first, as `forecast()` accumulates it.
-        let total_weight: f64 = (0..w).fold(0.0, |total, age| total + sma_weight(age, w));
-        for tile in sweep_tiles(obs.len()) {
-            let o = &obs[tile.clone()];
-            if sinks.any() {
-                let [spare] = self.scratch.buffers(obs.len());
-                sinks.build(variant, tile.clone(), o, spare, |f| {
-                    f.fill(0.0);
-                    for (age, s) in self.history.iter().rev().enumerate() {
-                        simd::add_scaled(variant, f, &s.cells()[tile.clone()], sma_weight(age, w));
-                    }
-                    simd::scale(variant, f, 1.0 / total_weight);
-                });
-            }
-            // The evicted summary's tile has been read; it takes So(t).
-            self.history[0].cells_mut()[tile].copy_from_slice(o);
-        }
-        self.history.rotate_left(1);
+        let total_weight: f64 = self.weights.iter().fold(0.0, |total, w| total + w);
+        let (ring, scale) = (&mut self.history, Some(1.0 / total_weight));
+        step_window(ring, &self.weights, true, scale, observed, forecast_out, error_out);
         true
     }
 

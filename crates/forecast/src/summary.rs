@@ -6,8 +6,8 @@
 //! property of sketches"). The trait below is the minimal algebra that
 //! supports this — an additive zero, scaling, and multiply-add — plus the
 //! one fact about representation the models' steady-state steps rely on:
-//! every summary is a flat run of `f64` cells, so a step can walk it in
-//! cache-sized tiles (see [`crate::blocked`]).
+//! every summary is a flat run of `f64` cells, so a step can walk all of
+//! a model's tables once, cell by cell (see [`crate::blocked`]).
 //!
 //! Implementations:
 //! * `f64` — per-flow (exact) analysis: one instance per flow, one cell.
@@ -57,15 +57,15 @@ pub trait Summary: Clone {
     /// The summary's cells as one flat slice. Two summaries that pass
     /// [`check_family`](Summary::check_family) have equally long views
     /// whose cells correspond index by index, and every operation above
-    /// acts on each cell alone — which is what lets a blocked step apply
-    /// the same operations tile by tile.
+    /// acts on each cell alone — which is what lets a step apply the same
+    /// operations one cell at a time.
     fn cells(&self) -> &[f64];
 
     /// The cells, writable in place (the shape is fixed).
     fn cells_mut(&mut self) -> &mut [f64];
 
     /// The check [`add_scaled`](Summary::add_scaled) makes before it
-    /// touches a cell, on its own: a blocked step runs it once per operand
+    /// touches a cell, on its own: a step runs it once per operand
     /// and then works on [`cells`](Summary::cells) directly.
     ///
     /// # Panics

@@ -1,8 +1,9 @@
-//! The cache-blocked step is the reference recurrence, bit for bit.
+//! The fused step is the reference recurrence, bit for bit.
 //!
-//! Every model steps through one kernel (`Forecaster::step_with`) that
-//! walks its tables in tiles of `SWEEP_TILE` cells. This suite holds that
-//! kernel to two oracles, comparing `to_bits()`, never `==`:
+//! Every model steps through one kernel (`Forecaster::step_with`): its
+//! per-cell function, walked once over its tables by
+//! `blocked::step_cells`. This suite holds that kernel to two oracles,
+//! comparing `to_bits()`, never `==`:
 //!
 //! * **the reference on the same summary type** — `forecast()` (whole-table
 //!   `Summary` operations, allocating), `Se = So − Sf`, then `observe()` —
@@ -13,19 +14,23 @@
 //! * **one scalar model per cell** — every operation of every model is
 //!   elementwise, so a model over an `n`-cell table must equal `n`
 //!   independent `f64` models, each fed its own cell's series. A scalar
-//!   model is a one-cell table: no tile boundary, no offset, no tail, and
-//!   its arithmetic is pinned by the hand-computed unit tests next to each
-//!   model. Whatever a multi-tile walk could get wrong — a tile written at
-//!   the wrong offset, a ring slot overwritten before it was read, a tail
-//!   skipped — shows up as one cell disagreeing with its scalar twin.
+//!   model is a one-cell table: no offset, no tail, and its arithmetic is
+//!   pinned by the hand-computed unit tests next to each model. Whatever
+//!   a walk over many cells could get wrong — a cell written at the wrong
+//!   offset, a ring slot overwritten before it was read, a tail skipped —
+//!   shows up as one cell disagreeing with its scalar twin.
+//!
+//! Both oracles advance their state through the same per-cell function as
+//! the step under test; `recurrence.rs` holds that state update to the
+//! recursion written out independently.
 //!
 //! Runs start at the first observation, so warm-up and ring-fill intervals
 //! (the reference path inside `step_with`) are covered along with at least
-//! three windows of steady state. Table lengths straddle the tile: below
-//! one, exactly one, three tiles and seven cells (an AVX2 vector plus a scalar
-//! tail of three). Cells carry ±0.0, subnormals, ±inf, NaN and values that
-//! overflow. The workspace test run under `SCD_SIMD=scalar` repeats all of
-//! it on the scalar kernels.
+//! three windows of steady state. Table lengths straddle `SWEEP_TILE`, the
+//! boundary a tiled walk would get wrong: below one, exactly one, three
+//! tiles and seven cells. Cells carry ±0.0, subnormals, ±inf, NaN and
+//! values that overflow. The workspace test run under `SCD_SIMD=scalar`
+//! repeats all of it.
 
 use scd_forecast::blocked::SWEEP_TILE;
 use scd_forecast::{ArimaSpec, Forecaster, ModelSpec, ModelState, Summary};

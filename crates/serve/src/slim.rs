@@ -42,7 +42,7 @@ use crate::shared::SharedSketch;
 use scd_hash::HashRows;
 use scd_sketch::batch::estimate_tiles;
 use scd_sketch::{
-    estimate_cells, median_over_rows, simd, CellTable, EstimateScratch, KarySketch, LinearSketch,
+    estimate_cells, estimate_f2_cells, simd, CellTable, EstimateScratch, KarySketch, LinearSketch,
     PointEstimate, SecondMoment, SketchError,
 };
 use std::sync::Arc;
@@ -256,20 +256,8 @@ impl SlimSketch {
     /// totals are the linear fold of the constituents' (not a rescan),
     /// which tracks the same value to within the storage rounding.
     pub fn estimate_f2(&self) -> f64 {
-        let k = self.k() as f64;
-        let kk = self.k();
-        median_over_rows(self.h(), |row| {
-            let row_slice = &self.table[row * kk..(row + 1) * kk];
-            let sq: f64 = row_slice
-                .iter()
-                .map(|&x| {
-                    let v = f64::from(x);
-                    v * v
-                })
-                .sum();
-            let sum = self.totals.row_sums[row];
-            (k / (k - 1.0)) * sq - (sum * sum) / (k - 1.0)
-        })
+        let row_sums = &self.totals.row_sums;
+        estimate_f2_cells(&self.table, self.h(), self.k(), |row, _| row_sums[row])
     }
 
     /// A conservative bound on `|slim.estimate(key) − fat.estimate(key)|`
@@ -626,6 +614,34 @@ mod tests {
                 assert_eq!(slim.totals.roundings, 1, "{shape}");
                 let bound = 1.0 * want_max * 2f64.powi(-24) / (1.0 - 1.0 / k as f64);
                 assert_eq!(slim.error_bound().to_bits(), bound.to_bits(), "{shape}: bound");
+            }
+        }
+    }
+
+    /// ESTIMATEF2 with its rows' chains side by side is the row-by-row
+    /// formula it replaced, bit for bit, over tables holding ±0.0,
+    /// subnormals, ±inf and NaN.
+    #[test]
+    fn interleaved_f2_matches_row_by_row_formula() {
+        for h in [1usize, 2, 3, 5, 9, 25] {
+            for k in [2usize, 1024] {
+                let mut f = KarySketch::new(SketchConfig { h, k, seed: 5 });
+                f.table_mut().copy_from_slice(&awkward_table(h, k, (h * 7 + k) as u64));
+                let slim = SlimSketch::from_fat(&f);
+                let kf = k as f64;
+                let want = scd_sketch::median_over_rows(h, |row| {
+                    let row_slice = &slim.table()[row * k..(row + 1) * k];
+                    let sq: f64 = row_slice
+                        .iter()
+                        .map(|&x| {
+                            let v = f64::from(x);
+                            v * v
+                        })
+                        .sum();
+                    let sum = slim.row_sums()[row];
+                    (kf / (kf - 1.0)) * sq - (sum * sum) / (kf - 1.0)
+                });
+                assert_eq!(slim.estimate_f2().to_bits(), want.to_bits(), "H = {h}, K = {k}");
             }
         }
     }

@@ -95,27 +95,20 @@ impl BatchScratch {
 /// 16 Ki gives back about a millisecond of the two that tiling costs.
 pub const ESTIMATE_TILE: usize = 16 * 1024;
 
-/// Cells per tile of the blocked whole-table sweeps: the forecast models'
-/// steady-state steps (`scd_forecast`), `COMBINE` into a recycled table
-/// ([`KarySketch::combine_into`]) and the shard merge
+/// Cells per tile of the blocked whole-table sweeps: `COMBINE` into a
+/// recycled table ([`KarySketch::combine_into`]) and the shard merge
 /// ([`KarySketch::merge_draining`]). A sweep walks its operands one tile
-/// at a time and applies *every* operation of the step to that tile
-/// before moving on, so each table streams through the cache once and
-/// the tile-sized intermediates (a forecast under construction, a
-/// differenced lag) never leave L1. A constant, not a parameter: results
-/// do not depend on it — blocking changes which cell is processed when,
-/// never the operations applied to one cell.
+/// at a time and applies *every* term to that tile before moving on, so
+/// each table streams through the cache once. A constant, not a
+/// parameter: results do not depend on it — blocking changes which cell
+/// is processed when, never the operations applied to one cell.
 ///
-/// Sized by measurement, `H = 5`, `K = 65536` (2.6 MB a table, past the
-/// 2 MiB of L2), an ARIMA(2,1,1) error-only step — eight operand tiles,
-/// of which only the two intermediates are re-read within a tile (µs, min
-/// of three rounds): 256 cells 1,544; 512 1,493; 1 Ki 1,397; 2 Ki 1,471;
-/// 4 Ki 1,537; 16 Ki 1,803; untiled (a pass per operation) 3,313 — and
-/// the same flat bottom from 512 to 4 Ki for NSHW, SMA, `combine_into`
-/// and the shard merge. Below it the per-tile call overhead shows, above
-/// it the intermediates fall out of the 48 KiB L1; in between the sweep
-/// is bound by what one core pulls from L3, not by the tile. 1 Ki (8 KB
-/// an operand) is the smallest tile on the flat part.
+/// Sized by measurement at `H = 5`, `K = 65536` (2.6 MB a table, past the
+/// 2 MiB of L2): `combine_into` and the shard merge have a flat bottom
+/// from 512 to 4 Ki cells; below it the per-tile call overhead shows.
+/// 1 Ki (8 KB an operand) is the smallest tile on the flat part. (The
+/// forecast models' steps no longer tile: each is one per-cell function
+/// walked once over its tables, `scd_forecast::blocked`.)
 ///
 /// [`KarySketch::combine_into`]: crate::KarySketch::combine_into
 /// [`KarySketch::merge_draining`]: crate::KarySketch::merge_draining

@@ -204,24 +204,7 @@ impl KarySketch {
     /// column order (the same bits as one row after another), and the
     /// adder pipelines them.
     pub fn estimate_f2(&self) -> f64 {
-        let (h, k) = (self.h(), self.k());
-        let kf = k as f64;
-        // Rows per group: as even as `H` splits into groups of at most
-        // `F2_CHAINS` (5 → 5, 9 → 5 + 4, 25 → 7 + 6 + 6 + 6).
-        let per = h.div_ceil(h.div_ceil(F2_CHAINS));
-        let (mut sum, mut group) = (0.0, [0.0; F2_CHAINS]);
-        // `median_over_rows` asks for the rows in order, so a group's
-        // moments are computed when its first row comes up.
-        median_over_rows(h, |row| {
-            if row % per == 0 {
-                let rows = &self.table[row * k..(row + per).min(h) * k];
-                let first_row_sum = square_sums(rows, k, &mut group);
-                if row == 0 {
-                    sum = first_row_sum;
-                }
-            }
-            (kf / (kf - 1.0)) * group[row % per] - (sum * sum) / (kf - 1.0)
-        })
+        estimate_f2_cells(&self.table, self.h(), self.k(), |_, first_row_sum| first_row_sum)
     }
 
     /// The L2 norm `sqrt(max(F2est, 0))` — the paper's "total energy" for
@@ -417,18 +400,56 @@ impl KarySketch {
 /// latency, few enough that every accumulator stays in a register.
 const F2_CHAINS: usize = 8;
 
+/// **ESTIMATEF2** over a row-major `h × k` table of any cell type that
+/// widens exactly to `f64`: `median_i [ K/(K−1) · Σ_j T[i][j]² −
+/// sum_i²/(K−1) ]`, where `row_sum(i, s)` gives row `i`'s total `sum_i`
+/// and `s` is the first row's `Σ x` as the sweep computed it. The one
+/// definition of the estimator: the fat sketch passes `s` for every row,
+/// the serving plane's slim sketch its maintained per-row totals.
+///
+/// Rows are swept in groups, as even as `h` splits into groups of at most
+/// eight (5 → 5, 9 → 5 + 4, 25 → 7 + 6 + 6 + 6), so each row's
+/// chain keeps its column order and the result its bits.
+pub fn estimate_f2_cells<T: Copy + Into<f64>>(
+    table: &[T],
+    h: usize,
+    k: usize,
+    row_sum: impl Fn(usize, f64) -> f64,
+) -> f64 {
+    let kf = k as f64;
+    let per = h.div_ceil(h.div_ceil(F2_CHAINS));
+    let (mut first_row_sum, mut group) = (0.0, [0.0; F2_CHAINS]);
+    // `median_over_rows` asks for the rows in order, so a group's moments
+    // are computed when its first row comes up.
+    median_over_rows(h, |row| {
+        if row % per == 0 {
+            let rows = &table[row * k..(row + per).min(h) * k];
+            let sum = square_sums(rows, k, &mut group);
+            if row == 0 {
+                first_row_sum = sum;
+            }
+        }
+        let sum = row_sum(row, first_row_sum);
+        (kf / (kf - 1.0)) * group[row % per] - (sum * sum) / (kf - 1.0)
+    })
+}
+
 /// `Σ x²` of each `k`-cell row of `rows` (at most [`F2_CHAINS`] of them)
 /// into `out`, and the plain `Σ x` of the first row as the return value —
 /// every sum accumulated in column order from `0.0`, all advancing one
 /// column at a time.
-fn square_sums(rows: &[f64], k: usize, out: &mut [f64; F2_CHAINS]) -> f64 {
-    fn chains<const G: usize>(rows: &[f64], k: usize, out: &mut [f64; F2_CHAINS]) -> f64 {
-        let rows: [&[f64]; G] = std::array::from_fn(|g| &rows[g * k..(g + 1) * k]);
+fn square_sums<T: Copy + Into<f64>>(rows: &[T], k: usize, out: &mut [f64; F2_CHAINS]) -> f64 {
+    fn chains<T: Copy + Into<f64>, const G: usize>(
+        rows: &[T],
+        k: usize,
+        out: &mut [f64; F2_CHAINS],
+    ) -> f64 {
+        let rows: [&[T]; G] = std::array::from_fn(|g| &rows[g * k..(g + 1) * k]);
         let (mut sum, mut sq) = (0.0, [0.0; G]);
         for (col, &x) in rows[0].iter().enumerate() {
-            sum += x;
+            sum += x.into();
             for (sq, row) in sq.iter_mut().zip(&rows) {
-                let v = row[col];
+                let v: f64 = row[col].into();
                 *sq += v * v;
             }
         }
@@ -436,14 +457,14 @@ fn square_sums(rows: &[f64], k: usize, out: &mut [f64; F2_CHAINS]) -> f64 {
         sum
     }
     match rows.len() / k {
-        1 => chains::<1>(rows, k, out),
-        2 => chains::<2>(rows, k, out),
-        3 => chains::<3>(rows, k, out),
-        4 => chains::<4>(rows, k, out),
-        5 => chains::<5>(rows, k, out),
-        6 => chains::<6>(rows, k, out),
-        7 => chains::<7>(rows, k, out),
-        8 => chains::<8>(rows, k, out),
+        1 => chains::<T, 1>(rows, k, out),
+        2 => chains::<T, 2>(rows, k, out),
+        3 => chains::<T, 3>(rows, k, out),
+        4 => chains::<T, 4>(rows, k, out),
+        5 => chains::<T, 5>(rows, k, out),
+        6 => chains::<T, 6>(rows, k, out),
+        7 => chains::<T, 7>(rows, k, out),
+        8 => chains::<T, 8>(rows, k, out),
         n => unreachable!("{n} rows in a group of at most {F2_CHAINS}"),
     }
 }

@@ -69,6 +69,6 @@ pub use countsketch::CountSketch;
 pub use deltoid::{Deltoid, DeltoidConfig};
 pub use error::SketchError;
 pub use heavyhitters::MisraGries;
-pub use kary::{estimate_cells, Estimator, KarySketch, SketchConfig};
+pub use kary::{estimate_cells, estimate_f2_cells, Estimator, KarySketch, SketchConfig};
 pub use linear::{median_over_rows, min_over_rows, LinearSketch, PointEstimate, SecondMoment};
 pub use wire::{from_bytes, to_bytes, WireError};

@@ -3,7 +3,7 @@
 //! read path — with runtime dispatch shared with `scd-hash` (see
 //! [`scd_hash::simd`]).
 //!
-//! **One body, compiled twice.** Each elementwise sweep — [`axpy`],
+//! **One body, compiled twice.** Each elementwise sweep —
 //! [`scale_assign`], [`add_scaled`], [`scale`], [`sub`],
 //! [`estimate_transform`], [`add_scaled_f32`], [`scale_f32`] and the
 //! archive's pack masks [`written_masks`] / [`written_masks_f32`] — is
@@ -94,21 +94,6 @@ macro_rules! sweep {
 }
 
 sweep! {
-    /// Fused `dst[i] = (dst[i]·a) + b·src[i]` — the EWMA and Holt-Winters
-    /// forecast step.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths differ.
-    pub fn axpy(dst: &mut [f64], a: f64, src: &[f64], b: f64) {
-        assert_eq!(dst.len(), src.len(), "slice lengths must match");
-        for (d, &s) in dst.iter_mut().zip(src) {
-            let scaled = *d * a;
-            *d = scaled + b * s;
-        }
-    }
-}
-
-sweep! {
     /// `dst[i] = src[i]·c` — the sweep behind
     /// [`KarySketch::scale_assign`](crate::KarySketch::scale_assign).
     ///
@@ -124,9 +109,8 @@ sweep! {
 
 sweep! {
     /// `dst[i] += c·src[i]` — the sweep behind
-    /// [`KarySketch::add_scaled`](crate::KarySketch::add_scaled), each term
-    /// of the blocked `COMBINE` and shard merge, and most of every forecast
-    /// model's blocked step.
+    /// [`KarySketch::add_scaled`](crate::KarySketch::add_scaled) and each
+    /// term of the blocked `COMBINE` and shard merge.
     ///
     /// # Panics
     /// Panics if the slice lengths differ.
@@ -150,8 +134,7 @@ sweep! {
 
 sweep! {
     /// `dst[i] = a[i] − b[i]` — the sweep behind
-    /// [`KarySketch::sub_into`](crate::KarySketch::sub_into) and the error
-    /// tile (`Se = So − Sf`) of every forecast model's blocked step.
+    /// [`KarySketch::sub_into`](crate::KarySketch::sub_into).
     ///
     /// # Panics
     /// Panics if the slice lengths differ.

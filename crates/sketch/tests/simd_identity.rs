@@ -43,22 +43,6 @@ fn values(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
 }
 
 #[test]
-fn axpy_variants_are_bit_identical() {
-    let mut rng = SplitMix64::new(0xA1);
-    for n in lengths() {
-        let base = values(&mut rng, n);
-        let src = values(&mut rng, n);
-        for &(a, b) in &[(0.75, 0.25), (-1.5, 2.0), (0.0, 1.0), (1.0, -0.125)] {
-            let mut scalar = base.clone();
-            let mut vector = base.clone();
-            simd::axpy(Variant::Scalar, &mut scalar, a, &src, b);
-            simd::axpy(Variant::Avx2, &mut vector, a, &src, b);
-            assert_eq!(scalar, vector, "n={n} a={a} b={b}");
-        }
-    }
-}
-
-#[test]
 fn scale_assign_variants_are_bit_identical() {
     let mut rng = SplitMix64::new(0xA2);
     for n in lengths() {
@@ -275,8 +259,7 @@ fn sweeps_agree_on_awkward_values() {
         for (i, &c) in COEFFS.iter().enumerate() {
             let d = COEFFS[(i + 3) % COEFFS.len()];
             let what = format!("n={n} c={c} d={d}");
-            let sweeps: [(&str, Sweep); 6] = [
-                ("axpy", &|v, out| simd::axpy(v, out, c, &src, d)),
+            let sweeps: [(&str, Sweep); 5] = [
                 ("scale_assign", &|v, out| simd::scale_assign(v, out, &src, c)),
                 ("add_scaled", &|v, out| simd::add_scaled(v, out, &src, c)),
                 ("scale", &|v, out| simd::scale(v, out, c)),
@@ -316,8 +299,6 @@ macro_rules! length_mismatch_panics {
 }
 
 length_mismatch_panics! {
-    axpy_length_mismatch_panics_scalar, axpy_length_mismatch_panics_avx2:
-        |v| simd::axpy(v, &mut [0.0; 8], 1.0, &[0.0; 9], 1.0);
     scale_assign_length_mismatch_panics_scalar, scale_assign_length_mismatch_panics_avx2:
         |v| simd::scale_assign(v, &mut [0.0; 8], &[0.0; 7], 1.0);
     add_scaled_length_mismatch_panics_scalar, add_scaled_length_mismatch_panics_avx2:
