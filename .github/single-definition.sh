@@ -32,7 +32,9 @@
 # through one, whichever element type (fat `f64`, slim `f32`) it holds.
 # A forecast model states its steady-state step as one per-cell function
 # and runs it through one executor, `step_cells`, which walks every table
-# once: no model walks tiles, keeps tile scratch or chains slice kernels.
+# once in one per-cell loop, `lockstep` (a window model calls its
+# slice-level `walk` block by block): no model walks tiles, keeps tile
+# scratch or chains slice kernels.
 # Non-test source is `nontest`'s (`.github/nontest.sh`).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -151,6 +153,7 @@ expect 1 'fn merge_cells'                        'archive packed-merge routine(s
 # One forecast step executor; no tile walk, tile scratch or slice-kernel
 # chain in a model.
 expect 1 'fn step_cells[<(]'                     'forecast step executor(s)'
+expect 1 'fn lockstep[<(]'                       'forecast per-cell loop(s)'
 expect 0 '^crates/forecast/src/.*(sweep_tiles|TileScratch|simd::(add_scaled|axpy|sub|scale)\b)' \
   'tile walk(s), tile scratch or slice-kernel call(s) in the forecast models'
 
@@ -168,5 +171,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it; one pack routine, one packed merge; one forecast step executor, no tile walk or slice-kernel chain in a model"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it; one pack routine, one packed merge; one forecast step executor and per-cell loop, no tile walk or slice-kernel chain in a model"
 exit "$fail"

@@ -305,14 +305,14 @@ impl<S: Summary> Arima<S> {
             std::array::from_fn(|k| if k + 1 < n { r[k] } else { oldest })
         };
         if Q == 0 {
-            step_cells(observed, reads, [x_oldest], forecast_out, error_out, |_, o, r, [xo]| {
+            step_cells(observed, reads, [x_oldest], forecast_out, error_out, |o, r, [xo]| {
                 let f = cell::<P, D, Q>(ar, ma, x(r, *xo), [0.0; MAX_ORDER]);
                 *xo = o;
                 f
             });
         } else {
             let writes = [x_oldest, e_oldest.expect("Q errors held")];
-            step_cells(observed, reads, writes, forecast_out, error_out, |_, o, r, [xo, eo]| {
+            step_cells(observed, reads, writes, forecast_out, error_out, |o, r, [xo, eo]| {
                 let e = [if Q > 1 { r[2] } else { *eo }, *eo];
                 let f = cell::<P, D, Q>(ar, ma, x(r, *xo), e);
                 // The evicted error has been read; it takes e_t. Likewise

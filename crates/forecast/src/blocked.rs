@@ -10,7 +10,10 @@
 //! written table written once, and the intermediates (a forecast under
 //! construction, ARIMA's differenced lag, SHW's previous level) never
 //! leave registers: the step costs one pass over memory, not one per
-//! operation or one L1 pass per operation per tile.
+//! operation or one L1 pass per operation per tile. A window model (MA,
+//! SMA), whose ring has no fixed size, is the one exception: block by
+//! block, it sums the forecasts slot after slot into `Sf` or an L1
+//! buffer, then walks the block through `walk` with them as its one read.
 //!
 //! **Bit identity.** A model's cell function applies, to one cell, exactly
 //! the operation sequence its whole-table reference (`forecast()`,
@@ -27,18 +30,18 @@
 use crate::Summary;
 
 /// The tile of the sketch's own sweeps (COMBINE, the shard merge). The
-/// forecast step walks untiled; the identity tests still size tables
-/// around a tile, the boundary a blocked walk would get wrong.
+/// forecast step walks untiled but for a window model's blocks, which
+/// divide a tile; the identity tests size tables around a tile, the
+/// boundary a blocked walk would get wrong.
 pub use scd_sketch::batch::SWEEP_TILE;
 
-/// One steady-state step: for every cell `i`, `cell(i, So[i], reads[·][i],
+/// One steady-state step: for every cell `i`, `cell(So[i], reads[·][i],
 /// writes[·][i])` returns the cell's forecast `Sf(t)[i]` and leaves the
 /// state's new values in `writes`; `Sf` goes to `forecast_out` and
 /// `Se = So − Sf` to `error_out`, each only if given. `reads` are the
 /// state tables the step only reads, `writes` the ones it rewrites (a
-/// ring's evicted slot, a smoothed level); each operand's family is
-/// checked once, before any cell is touched. `i` is for a model whose
-/// window has no fixed size (MA, SMA): it reads its ring by index.
+/// smoothed level, ARIMA's evicted lag slot); each operand's family is
+/// checked once, before any cell is touched.
 ///
 /// # Panics
 /// For sketch summaries, panics if an operand was built over a different
@@ -49,24 +52,38 @@ pub(crate) fn step_cells<S: Summary, const R: usize, const W: usize>(
     writes: [&mut S; W],
     forecast_out: Option<&mut S>,
     error_out: Option<&mut S>,
-    cell: impl Fn(usize, f64, [f64; R], &mut [f64; W]) -> f64,
+    cell: impl Fn(f64, [f64; R], &mut [f64; W]) -> f64,
 ) {
     let operands = writes.iter().map(|s| &**s).chain(forecast_out.as_deref());
     for s in reads.iter().copied().chain(operands).chain(error_out.as_deref()) {
         observed.check_family(s);
     }
-    let obs = observed.cells();
+    let (reads, writes) = (reads.map(|s| s.cells()), writes.map(|s| s.cells_mut()));
+    let forecast_out = forecast_out.map(|s| s.cells_mut());
+    walk(observed.cells(), reads, writes, forecast_out, error_out.map(|s| s.cells_mut()), &cell);
+}
+
+/// `step_cells` over operands whose families are checked: every cell of
+/// `obs` against the same cell of each operand. A window model (MA, SMA)
+/// walks its tables block by block through it.
+pub(crate) fn walk<const R: usize, const W: usize>(
+    obs: &[f64],
+    reads: [&[f64]; R],
+    writes: [&mut [f64]; W],
+    forecast_out: Option<&mut [f64]>,
+    error_out: Option<&mut [f64]>,
+    cell: &impl Fn(f64, [f64; R], &mut [f64; W]) -> f64,
+) {
+    // Every operand cut to `obs.len()` here, so the loops check no bound.
     let len = obs.len();
-    let reads = reads.map(|s| &s.cells()[..len]);
-    let mut writes = writes.map(|s| &mut s.cells_mut()[..len]);
-    let forecast_out = forecast_out.map(|s| &mut s.cells_mut()[..len]);
-    let error_out = error_out.map(|s| &mut s.cells_mut()[..len]);
+    let (reads, mut writes) = (reads.map(|s| &s[..len]), writes.map(|s| &mut s[..len]));
+    let forecast_out = forecast_out.map(|s| &mut s[..len]);
     // One walk per choice of sinks, so the loop never asks which it has.
-    match (forecast_out, error_out) {
-        (None, None) => lockstep(obs, reads, &mut writes, &cell, |_, _, _| {}),
-        (Some(sf), None) => lockstep(obs, reads, &mut writes, &cell, |i, _, f| sf[i] = f),
-        (None, Some(se)) => lockstep(obs, reads, &mut writes, &cell, |i, o, f| se[i] = o - f),
-        (Some(sf), Some(se)) => lockstep(obs, reads, &mut writes, &cell, |i, o, f| {
+    match (forecast_out, error_out.map(|s| &mut s[..len])) {
+        (None, None) => lockstep(obs, reads, &mut writes, cell, |_, _, _| {}),
+        (Some(sf), None) => lockstep(obs, reads, &mut writes, cell, |i, _, f| sf[i] = f),
+        (None, Some(se)) => lockstep(obs, reads, &mut writes, cell, |i, o, f| se[i] = o - f),
+        (Some(sf), Some(se)) => lockstep(obs, reads, &mut writes, cell, |i, o, f| {
             sf[i] = f;
             se[i] = o - f;
         }),
@@ -79,13 +96,13 @@ fn lockstep<const R: usize, const W: usize>(
     obs: &[f64],
     reads: [&[f64]; R],
     writes: &mut [&mut [f64]; W],
-    cell: &impl Fn(usize, f64, [f64; R], &mut [f64; W]) -> f64,
+    cell: &impl Fn(f64, [f64; R], &mut [f64; W]) -> f64,
     mut emit: impl FnMut(usize, f64, f64),
 ) {
     for (i, &o) in obs.iter().enumerate() {
         // Plain loops over constant bounds, which LLVM unrolls into
         // registers; `array::map` / `from_fn` here stopped being unrolled
-        // past five tables (an MA(6) step ran 5× slower).
+        // past five tables (a step over six ran 5× slower).
         let (mut r, mut state) = ([0.0; R], [0.0; W]);
         for k in 0..R {
             r[k] = reads[k][i];
@@ -93,7 +110,7 @@ fn lockstep<const R: usize, const W: usize>(
         for k in 0..W {
             state[k] = writes[k][i];
         }
-        let f = cell(i, o, r, &mut state);
+        let f = cell(o, r, &mut state);
         for k in 0..W {
             writes[k][i] = state[k];
         }
@@ -113,6 +130,6 @@ pub(crate) fn emit_reference<S: Summary>(
     error_out: Option<&mut S>,
 ) -> bool {
     let Some(forecast) = forecast else { return false };
-    step_cells(observed, [forecast], [], forecast_out, error_out, |_, _, [f], []| f);
+    step_cells(observed, [forecast], [], forecast_out, error_out, |_, [f], []| f);
     true
 }

@@ -64,7 +64,7 @@ impl<S: Summary> Forecaster<S> for Ewma<S> {
             return false;
         };
         let (alpha, keep) = (self.alpha, 1.0 - self.alpha);
-        step_cells(observed, [], [state], forecast_out, error_out, |_, o, [], [f]| {
+        step_cells(observed, [], [state], forecast_out, error_out, |o, [], [f]| {
             let forecast = *f;
             // Sf(t+1) = α·So(t) + (1−α)·Sf(t), in place on the state.
             *f = *f * keep + alpha * o;

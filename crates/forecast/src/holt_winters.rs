@@ -120,7 +120,7 @@ impl<S: Summary> Forecaster<S> for NonSeasonalHoltWinters<S> {
         let (alpha, beta) = (self.alpha, self.beta);
         let (keep_alpha, keep_beta) = (1.0 - alpha, 1.0 - beta);
         let tables = [level, trend, forecast];
-        step_cells(observed, [], tables, forecast_out, error_out, |_, o, [], [l, t, f]| {
+        step_cells(observed, [], tables, forecast_out, error_out, |o, [], [l, t, f]| {
             let forecast = *f;
             // Ss(t) = α·So(t−1) + (1−α)·Sf(t−1): the forecast slot holds
             // Sf(t−1) and becomes the new level.

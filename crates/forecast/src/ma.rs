@@ -14,7 +14,7 @@
 //! discarding the first hour of every trace, and the evaluation harness
 //! does the same.
 
-use crate::blocked::{emit_reference, step_cells};
+use crate::blocked::{emit_reference, walk};
 use crate::state::{ModelState, StateError};
 use crate::{Forecaster, Summary};
 use std::collections::VecDeque;
@@ -61,49 +61,19 @@ impl<S: Summary> MovingAverage<S> {
     }
 }
 
-/// How a window model (MA, SMA) sums its full ring for one cell.
-#[derive(Clone, Copy)]
-struct WindowSum {
-    /// The oldest slot's coefficient.
-    c_oldest: f64,
-    newest_first: bool,
-    scale: Option<f64>,
-    /// Whether a sink reads the forecast; a plain `observe` skips it.
-    forecasting: bool,
-}
-
-impl WindowSum {
-    /// One cell: the oldest slot's value and the newer slots' `(c_k, h_k)`
-    /// in summation order.
-    #[inline(always)]
-    fn cell(self, oldest: f64, newer: impl Iterator<Item = (f64, f64)>) -> f64 {
-        let mut f = 0.0;
-        if self.forecasting {
-            if !self.newest_first {
-                f += self.c_oldest * oldest;
-            }
-            for (c, h) in newer {
-                f += c * h;
-            }
-            if self.newest_first {
-                f += self.c_oldest * oldest;
-            }
-            if let Some(scale) = self.scale {
-                f *= scale;
-            }
-        }
-        f
-    }
-}
+/// Cells a window step sums at a time, slot after slot, before it walks
+/// them: the block's partial forecasts stay in L1 whatever the window.
+/// 512 read 15–20 % faster than 1 024 on MA(13) and SMA(14).
+const WINDOW_BLOCK: usize = 512;
 
 /// The steady step of a window model (MA, SMA) over its full `ring`: the
 /// forecast is `forecast()`'s sequence — `f = 0.0; f += c_k·h_k` over the
 /// slots oldest first (or newest first), `coeffs` in that order, then
 /// `f *= scale` if given — and the evicted oldest slot takes `So(t)` and
-/// becomes the newest.
-/// Rings of up to 12 slots, the grid search's widest window, are
-/// straight-line code over fixed read sets; a wider one is read by cell
-/// index.
+/// becomes the newest. One path for every window: block by block, the
+/// forecasts are summed two slots a pass — into `Sf` if asked for, else
+/// a buffer — each cell adding its terms in order, and the block is then
+/// walked like any other model's step, its forecasts the one read.
 pub(crate) fn step_window<S: Summary>(
     ring: &mut VecDeque<S>,
     coeffs: &[f64],
@@ -114,39 +84,51 @@ pub(crate) fn step_window<S: Summary>(
     error_out: Option<&mut S>,
 ) {
     let (oldest, newer) = ring.make_contiguous().split_first_mut().expect("window ≥ 1");
-    let n = newer.len();
-    // The newer slots and their coefficients, in summation order.
-    let table = |k: usize| if newest_first { &newer[n - 1 - k] } else { &newer[k] };
-    let (c_oldest, coeffs) =
-        if newest_first { (coeffs[n], &coeffs[..n]) } else { (coeffs[0], &coeffs[1..]) };
-    let forecasting = forecast_out.is_some() || error_out.is_some();
-    let sum = WindowSum { c_oldest, newest_first, scale, forecasting };
-    macro_rules! by_width {
-        ($($len:literal)*; $wide:expr) => {
-            match n {
-                $($len => {
-                    let (reads, c): ([&S; $len], [f64; $len]) =
-                        (std::array::from_fn(table), std::array::from_fn(|k| coeffs[k]));
-                    step_cells(observed, reads, [oldest], forecast_out, error_out, |_, o, r, [x]| {
-                        let f = sum.cell(*x, (0..$len).map(|k| (c[k], r[k])));
-                        *x = o;
-                        f
-                    });
-                })*
-                _ => $wide,
-            }
-        };
+    let operands = newer.iter().chain([&*oldest]).chain(forecast_out.as_deref());
+    for s in operands.chain(error_out.as_deref()) {
+        observed.check_family(s);
     }
-    by_width!(0 1 2 3 4 5 6 7 8 9 10 11; {
-        for s in &*newer {
-            observed.check_family(s);
+    let forecasting = forecast_out.is_some() || error_out.is_some();
+    let (obs, oldest) = (observed.cells(), oldest.cells_mut());
+    let mut sf = forecast_out.map(|s| s.cells_mut());
+    let mut se = error_out.map(|s| s.cells_mut());
+    let mut buffer = [0.0; WINDOW_BLOCK];
+    for start in (0..obs.len()).step_by(WINDOW_BLOCK) {
+        let cells = start..obs.len().min(start + WINDOW_BLOCK);
+        let sums = match sf.as_deref_mut() {
+            Some(sf) => &mut sf[cells.clone()],
+            None => &mut buffer[..cells.len()],
+        };
+        if forecasting {
+            sums.fill(0.0);
+            // (c_k, h_k) in summation order, ring position 0 the oldest slot.
+            let mut slots = coeffs.iter().enumerate().map(|(k, &c)| {
+                let slot = if newest_first { newer.len() - k } else { k };
+                (c, if slot == 0 { &*oldest } else { newer[slot - 1].cells() })
+            });
+            while let Some((c0, h0)) = slots.next() {
+                let h0 = &h0[cells.clone()];
+                match slots.next() {
+                    Some((c1, h1)) => {
+                        for ((f, &a), &b) in sums.iter_mut().zip(h0).zip(&h1[cells.clone()]) {
+                            *f += c0 * a;
+                            *f += c1 * b;
+                        }
+                    }
+                    None => sums.iter_mut().zip(h0).for_each(|(f, &a)| *f += c0 * a),
+                }
+            }
+            if let Some(scale) = scale {
+                sums.iter_mut().for_each(|f| *f *= scale);
+            }
         }
-        step_cells(observed, [], [oldest], forecast_out, error_out, |i, o, [], [x]| {
-            let f = sum.cell(*x, (0..n).map(|k| (coeffs[k], table(k).cells()[i])));
+        let se = se.as_deref_mut().map(|s| &mut s[cells.clone()]);
+        let (o, x) = (&obs[cells.clone()], &mut oldest[cells]);
+        walk(o, [&*sums], [x], None, se, &|o, [f], [x]| {
             *x = o;
             f
         });
-    });
+    }
     ring.rotate_left(1);
 }
 

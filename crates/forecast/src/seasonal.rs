@@ -174,7 +174,7 @@ impl<S: Summary> Forecaster<S> for SeasonalHoltWinters<S> {
         let (alpha, beta, gamma) = (self.alpha, self.beta, self.gamma);
         let keep = (1.0 - alpha, 1.0 - beta, 1.0 - gamma);
         let tables = [level, trend, &mut season[*phase]];
-        step_cells(observed, [], tables, forecast_out, error_out, |_, o, [], [l, t, s]| {
+        step_cells(observed, [], tables, forecast_out, error_out, |o, [], [l, t, s]| {
             // forecast = level + trend + season for the upcoming phase.
             let mut forecast = *l;
             forecast += 1.0 * *t;

@@ -116,7 +116,7 @@ fn bits<S>(state: &ModelState<S>, value: impl Fn(&S) -> f64) -> Vec<u64> {
 }
 
 /// The specs `blocked_identity.rs` runs — every kind, every ARIMA shape —
-/// and windows past the 12 slots MA and SMA walk as straight-line code.
+/// and MA and SMA windows past the grid search's widest, 12.
 fn specs() -> Vec<ModelSpec> {
     let mut specs = vec![
         ModelSpec::Ewma { alpha: 0.3 },
@@ -151,13 +151,14 @@ fn observation(t: usize, i: usize, rng: &mut SplitMix64) -> f64 {
     }
 }
 
-/// A model over a 32-cell sketch against 32 recursions, one per cell,
+/// A model over a 768-cell sketch — past the first of the 512-cell blocks
+/// a window model sums in — against 768 recursions, one per cell,
 /// each started from the state its cell's scalar model reached in
 /// warm-up (the reference path, which `blocked_identity.rs` holds).
 #[test]
 fn steady_steps_follow_the_recursion() {
     const WARM: usize = 16; // warm-up and ring fill of every spec above
-    let proto = KarySketch::new(SketchConfig { h: 2, k: 16, seed: 0x2EC });
+    let proto = KarySketch::new(SketchConfig { h: 3, k: 256, seed: 0x2EC });
     let cells = proto.cells().len();
     for (n, spec) in specs().iter().enumerate() {
         let mut rng = SplitMix64::new(0x2EC0 + n as u64);
