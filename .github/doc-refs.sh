@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Fails if README.md, DESIGN.md or the verify skill names a file path
 # (crates/…, tests/…, examples/…, src/…, .github/…) that does not exist,
-# or names in backticks a `scd <command>` that is not in the dispatch of
-# crates/cli/src/main.rs, so a change that deletes or moves a file or
+# names in backticks a `scd <command>` that is not in the dispatch of
+# crates/cli/src/main.rs, or backticks a lowercase `scd-<crate>::<module>`
+# (or `scd_<crate>::<module>`) that is not crates/<crate>/src/<module>.rs
+# or <module>/mod.rs, so a change that deletes or moves a file or module or
 # renames a command cannot leave a dangling reference behind. A path
 # resolves at the repo root or under a crates/*/ directory (DESIGN.md
 # names some tests crate-relative); a `:line` suffix is ignored.
@@ -30,5 +32,15 @@ for doc in README.md DESIGN.md .claude/skills/verify/SKILL.md; do
     fail=1
   done < <(grep -noE '`scd [a-z][a-z-]*' "$doc")
 done
-[ "$fail" -eq 0 ] && echo "doc-refs: every path and scd command README.md, DESIGN.md and the verify skill name exists"
+for doc in README.md DESIGN.md .claude/skills/verify/SKILL.md; do
+  while IFS=: read -r line named; do
+    crate=${named#\`scd[-_]}
+    crate=${crate%%::*}
+    module=${named##*::}
+    [ -e "crates/$crate/src/$module.rs" ] || [ -e "crates/$crate/src/$module/mod.rs" ] && continue
+    echo "doc-refs: $doc:$line names $named\`, which is not a module of crates/$crate"
+    fail=1
+  done < <(grep -noE '`scd[-_][a-z]+::[a-z][a-z0-9_]*' "$doc")
+done
+[ "$fail" -eq 0 ] && echo "doc-refs: every path, scd command and crate module README.md, DESIGN.md and the verify skill name exists"
 exit "$fail"

@@ -34,7 +34,12 @@
 # and runs it through one executor, `step_cells`, which walks every table
 # once in one per-cell loop, `lockstep` (a window model calls its
 # slice-level `walk` block by block): no model walks tiles, keeps tile
-# scratch or chains slice kernels.
+# scratch or chains slice kernels. The evaluation layer is the experiment
+# harness's, not the product's: the baselines, the per-flow oracle, the §5
+# metrics and the random comparator are each defined once, under
+# crates/bench/src, and scd-sketch and scd-core hold none of them. The
+# harness reads its ledger with the benchmark's JSON reader; no crate
+# defines a second one.
 # Non-test source is `nontest`'s (`.github/nontest.sh`).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -157,6 +162,16 @@ expect 1 'fn lockstep[<(]'                       'forecast per-cell loop(s)'
 expect 0 '^crates/forecast/src/.*(sweep_tiles|TileScratch|simd::(add_scaled|axpy|sub|scale)\b)' \
   'tile walk(s), tile scratch or slice-kernel call(s) in the forecast models'
 
+# The evaluation layer lives in scd-bench, once.
+expect 0 '^crates/(sketch|core)/src/.*(struct (CountMinSketch|CountSketch|MisraGries|PerFlowDetector)\b|fn random_spec\b)' \
+  'baseline, per-flow oracle or random comparator definition(s) in scd-sketch or scd-core'
+expect 0 '^crates/core/src/.*\bmod (perflow|metrics)\b' 'perflow or metrics module(s) declared in scd-core'
+for what in 'struct CountMinSketch' 'struct CountSketch' 'struct MisraGries' 'struct PerFlowDetector' 'fn random_spec'; do
+  expect 1 "^crates/bench/src/.*$what\\b" "definition(s) of $what under crates/bench/src"
+done
+# One JSON reader: the harness includes the benchmark's (benchmark/src/json.rs).
+expect 0 '^crates/.*\benum (Json|JsonValue|Value)\b' 'JSON value type(s) under crates/*/src'
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -171,5 +186,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it; one pack routine, one packed merge; one forecast step executor and per-cell loop, no tile walk or slice-kernel chain in a model"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it; one pack routine, one packed merge; one forecast step executor and per-cell loop, no tile walk or slice-kernel chain in a model; the baselines, per-flow oracle, metrics and random comparator only in scd-bench, once each; one JSON reader, the benchmark's"
 exit "$fail"

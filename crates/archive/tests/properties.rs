@@ -4,8 +4,9 @@
 //! genuinely generic over linear summaries.
 
 use scd_archive::{ArchiveConfig, ArchiveError, SketchArchive};
+use scd_bench::CountSketch;
 use scd_hash::SplitMix64;
-use scd_sketch::{CountSketch, KarySketch, SketchConfig};
+use scd_sketch::{KarySketch, SketchConfig};
 
 fn proto() -> KarySketch {
     KarySketch::new(SketchConfig { h: 5, k: 1024, seed: 77 })

@@ -7,16 +7,22 @@
 //! updates and (b) is biased upward by collisions, in exchange for a
 //! one-sided `ε·N` guarantee with only 2-universal hashing.
 //!
-//! It is included so the benchmark harness can compare point-query accuracy
-//! and the (in)ability to summarize *forecast errors*: error streams are
-//! signed, which Count-Min fundamentally cannot represent — one of the
-//! reasons the paper designs the k-ary sketch instead.
+//! It is here so the experiments can compare point-query accuracy and the
+//! (in)ability to summarize *forecast errors*: error streams are signed,
+//! which Count-Min fundamentally cannot represent — one of the reasons the
+//! paper designs the k-ary sketch instead.
 
-use crate::batch::BatchScratch;
-use crate::error::SketchError;
-use crate::linear::min_over_rows;
+use super::BatchScratch;
 use scd_hash::HashRows;
+use scd_sketch::{LinearSketch, PointEstimate, SketchError};
 use std::sync::Arc;
+
+/// Minimum across `h` per-row statistics — the count-min reduction
+/// (never underestimates over non-negative streams). Empty row sets
+/// reduce to `+inf`, matching a zero-row sketch's "no information".
+fn min_over_rows(h: usize, per_row: impl FnMut(usize) -> f64) -> f64 {
+    (0..h).map(per_row).fold(f64::INFINITY, f64::min)
+}
 
 /// Count-Min sketch over non-negative updates.
 #[derive(Clone)]
@@ -60,8 +66,8 @@ impl CountMinSketch {
 
     /// Batched [`update`](Self::update): hash the whole block row-major,
     /// then scatter one `K`-sized counter row at a time. Bit-identical to
-    /// the per-update loop (see [`crate::batch`]); same non-negativity
-    /// requirement.
+    /// the per-update loop (within every cell the values still add in
+    /// stream order); same non-negativity requirement.
     pub fn update_batch(&mut self, items: &[(u64, f64)], scratch: &mut BatchScratch) {
         debug_assert!(
             items.iter().all(|&(_, v)| v >= 0.0),
@@ -69,8 +75,7 @@ impl CountMinSketch {
         );
         let h = self.h();
         let k = self.k();
-        let (keys, buckets) = scratch.prepare(items, h);
-        self.rows.buckets_batch(keys, buckets);
+        let buckets = scratch.buckets(&self.rows, items);
         let n = items.len();
         for row in 0..h {
             let row_cells = &mut self.table[row * k..(row + 1) * k];
@@ -148,6 +153,40 @@ impl CountMinSketch {
 impl std::fmt::Debug for CountMinSketch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CountMinSketch").field("h", &self.h()).field("k", &self.k()).finish()
+    }
+}
+
+impl PointEstimate for CountMinSketch {
+    fn estimate(&self, key: u64) -> f64 {
+        CountMinSketch::estimate(self, key)
+    }
+}
+
+/// The counter table is linear even though the *estimator* (min over
+/// rows) is not; negative coefficients leave the cash-register model, so
+/// its guarantee only survives all-positive combinations (which is all
+/// sharding and archiving ever use). It has no [`SecondMoment`].
+///
+/// [`SecondMoment`]: scd_sketch::SecondMoment
+impl LinearSketch for CountMinSketch {
+    fn zero_like(&self) -> Self {
+        CountMinSketch::zero_like(self)
+    }
+
+    fn add_scaled(&mut self, other: &Self, c: f64) -> Result<(), SketchError> {
+        CountMinSketch::add_scaled(self, other, c)
+    }
+
+    fn scale(&mut self, c: f64) {
+        CountMinSketch::scale(self, c);
+    }
+
+    fn identity(&self) -> (usize, usize, u64) {
+        self.rows().identity()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        CountMinSketch::memory_bytes(self)
     }
 }
 

@@ -9,16 +9,17 @@
 //! hash makes each row estimate unbiased *without* the `sum/K` correction
 //! the k-ary sketch uses — at the cost of one extra hash evaluation per
 //! row per update, which is exactly the overhead the paper's remark is
-//! about. The `hash_ablation`/`sketch_ops` benches quantify it.
+//! about. Table 1 (`experiments table1`) quantifies it.
 //!
 //! Like the k-ary sketch (and unlike Count-Min), it supports signed
 //! updates, so it *could* summarize forecast errors; it is retained as the
 //! honest baseline for both accuracy and speed comparisons.
 
-use crate::batch::BatchScratch;
-use crate::error::SketchError;
-use crate::linear::median_over_rows;
+use super::BatchScratch;
 use scd_hash::{HashRows, Hasher4, SplitMix64};
+use scd_sketch::{
+    median_over_rows, CellTable, LinearSketch, PointEstimate, SecondMoment, SketchError,
+};
 use std::sync::Arc;
 
 /// The Charikar et al. count sketch.
@@ -77,12 +78,11 @@ impl CountSketch {
     /// the sign hash is evaluated inline during each row's scatter (the
     /// sign hasher's tables then stay cache-hot for the whole block, same
     /// argument as the bucket hashes). Bit-identical to the per-update
-    /// loop (see [`crate::batch`]).
+    /// loop: within every cell the values still add in stream order.
     pub fn update_batch(&mut self, items: &[(u64, f64)], scratch: &mut BatchScratch) {
         let h = self.h();
         let k = self.k();
-        let (keys, buckets) = scratch.prepare(items, h);
-        self.rows.buckets_batch(keys, buckets);
+        let buckets = scratch.buckets(&self.rows, items);
         let n = items.len();
         for row in 0..h {
             let sign_hash = &self.signs[row];
@@ -104,7 +104,7 @@ impl CountSketch {
 
     /// [`estimate`](Self::estimate) over a table of this family whose
     /// register `i·K + b` reads `cell(i·K + b)`.
-    pub(crate) fn estimate_cells(&self, key: u64, cell: impl Fn(usize) -> f64) -> f64 {
+    fn estimate_cells(&self, key: u64, cell: impl Fn(usize) -> f64) -> f64 {
         let k = self.k();
         median_over_rows(self.h(), |row| {
             self.sign(row, key) * cell(row * k + self.rows.bucket(row, key))
@@ -189,6 +189,67 @@ impl CountSketch {
 impl std::fmt::Debug for CountSketch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CountSketch").field("h", &self.h()).field("k", &self.k()).finish()
+    }
+}
+
+impl PointEstimate for CountSketch {
+    fn estimate(&self, key: u64) -> f64 {
+        CountSketch::estimate(self, key)
+    }
+}
+
+/// Signed updates, unbiased; the table combines entry-wise.
+impl LinearSketch for CountSketch {
+    fn zero_like(&self) -> Self {
+        CountSketch::zero_like(self)
+    }
+
+    fn add_scaled(&mut self, other: &Self, c: f64) -> Result<(), SketchError> {
+        CountSketch::add_scaled(self, other, c)
+    }
+
+    fn scale(&mut self, c: f64) {
+        CountSketch::scale(self, c);
+    }
+
+    fn identity(&self) -> (usize, usize, u64) {
+        self.rows().identity()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        CountSketch::memory_bytes(self)
+    }
+}
+
+impl SecondMoment for CountSketch {
+    fn estimate_f2(&self) -> f64 {
+        CountSketch::estimate_f2(self)
+    }
+}
+
+/// The count sketch's estimate reads its cells and sign hashes alone.
+impl CellTable for CountSketch {
+    type Cell = f64;
+    type Totals = ();
+
+    fn cells(&self) -> &[f64] {
+        self.table()
+    }
+
+    fn cells_mut(&mut self) -> &mut [f64] {
+        self.table_mut()
+    }
+
+    fn totals(&self) {}
+
+    fn set_totals(&mut self, _: &()) {}
+
+    fn absorb_totals(&mut self, _: &()) {}
+
+    fn merged_totals(_: &(), _: &(), _: impl Fn(usize) -> f64) {}
+
+    fn estimate_from(&self, key: u64, _: &(), cell: impl Fn(usize) -> f64) -> f64 {
+        self.estimate_cells(key, cell)
     }
 }
 

@@ -16,6 +16,7 @@
 //! retained, with per-key undercount at most `total / (capacity + 1)` —
 //! `O(capacity)` memory, `O(1)` amortized per update.
 
+use scd_sketch::PointEstimate;
 use std::collections::HashMap;
 
 /// Misra–Gries summary over non-negative weighted updates.
@@ -107,6 +108,14 @@ impl MisraGries {
         });
         items.truncate(n);
         items
+    }
+}
+
+/// Not linear — its counters cannot be combined with arbitrary
+/// coefficients — but it answers a point query.
+impl PointEstimate for MisraGries {
+    fn estimate(&self, key: u64) -> f64 {
+        MisraGries::estimate(self, key)
     }
 }
 

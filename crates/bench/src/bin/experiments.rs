@@ -3,7 +3,12 @@
 //! ```sh
 //! cargo run --release -p scd-bench --bin experiments -- <name> [flags]
 //! cargo run --release -p scd-bench --bin experiments -- all
+//! cargo run --release -p scd-bench --bin experiments -- check
 //! ```
+//!
+//! `check` runs the accuracy ledger (`ACCURACY.json`, or `--ledger
+//! <path>`) at its reduced, seeded size and exits 1 if a row breaches its
+//! floor or ceiling.
 //!
 //! Common flags: `--scale <x>` (traffic volume multiplier), `--seed <n>`,
 //! `--hours <h>` (trace length). Per-experiment flags are documented in the
@@ -12,7 +17,7 @@
 //! the run read fails the process once the run has ended (exit 2).
 
 use scd_bench::args::Args;
-use scd_bench::experiments;
+use scd_bench::{accuracy, experiments};
 
 fn usage() -> ! {
     eprintln!("usage: experiments <name> [--scale X] [--seed N] [--hours H] [...]\n");
@@ -21,6 +26,7 @@ fn usage() -> ! {
         eprintln!("  {name:<12} {desc}");
     }
     eprintln!("  {:<12} run every experiment in sequence", "all");
+    eprintln!("  {:<12} hold the accuracy ledger (ACCURACY.json) to its bounds", "check");
     std::process::exit(2);
 }
 
@@ -30,8 +36,11 @@ fn main() {
         usage();
     };
     let started = std::time::Instant::now();
+    let mut held = true;
     if name == "all" {
         experiments::run_all(&args);
+    } else if name == "check" {
+        held = accuracy::check(&args);
     } else {
         match experiments::registry().into_iter().find(|(n, _, _)| n == name) {
             Some((_, _, f)) => f(&args),
@@ -45,5 +54,9 @@ fn main() {
     if let Err(unread) = args.done(name) {
         eprintln!("{unread}");
         std::process::exit(2);
+    }
+    if !held {
+        eprintln!("check: a ledger row breached its bound");
+        std::process::exit(1);
     }
 }

@@ -6,10 +6,11 @@
 //! once per shape and every spec scored from that fold, with no detector.
 
 use crate::args::CommonArgs;
+use crate::metrics;
+use crate::random::random_spec;
 use crate::runner::{default_workers, make_trace, parallel_map, perflow_energy, Trace};
 use crate::table::{f, Table};
-use scd_core::gridsearch::{estimated_total_energy, observe, random_spec};
-use scd_core::metrics;
+use scd_core::gridsearch::{estimated_total_energy, observe};
 use scd_forecast::{ModelKind, ModelSpec};
 use scd_sketch::SketchConfig;
 use scd_traffic::{Rng, RouterProfile};

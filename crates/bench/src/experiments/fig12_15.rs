@@ -10,9 +10,9 @@
 
 use crate::args::Args;
 use crate::experiments::params::{tuned, SearchDepth};
+use crate::metrics;
 use crate::runner::{make_trace, paired, run_perflow, run_sketch};
 use crate::table::{f, Table};
-use scd_core::metrics;
 use scd_forecast::ModelKind;
 use scd_sketch::SketchConfig;
 use scd_traffic::RouterProfile;

@@ -11,9 +11,9 @@
 
 use crate::args::Args;
 use crate::experiments::params::{tuned, SearchDepth};
+use crate::random::random_spec;
 use crate::runner::{make_trace, perflow_energy};
 use crate::table::{f, Table};
-use scd_core::gridsearch::random_spec;
 use scd_forecast::ModelKind;
 use scd_traffic::{Rng, RouterProfile};
 

@@ -16,20 +16,36 @@
 //! without changing — while attacks on mid-tail victims are large
 //! *changes* that never crack the volume top-N.
 
-use crate::args::Args;
+use crate::args::{Args, CommonArgs};
+use crate::baselines::MisraGries;
+use crate::metrics;
 use crate::runner::run_perflow;
 use crate::table::{f, Table};
-use scd_core::metrics;
 use scd_forecast::ModelSpec;
-use scd_sketch::MisraGries;
 use scd_traffic::{
     to_updates, AnomalyEvent, AnomalyInjector, AnomalyKind, KeySpec, RouterProfile,
     TrafficGenerator, ValueSpec,
 };
 
-/// Regenerates the heavy-hitter vs heavy-changer comparison.
-pub fn run(args: &Args) {
-    let common = args.common_scaled(2.0);
+/// One list length's comparison over every post-warm-up interval.
+#[derive(Debug)]
+pub(crate) struct Overlap {
+    /// The list length `N`.
+    pub(crate) n: usize,
+    /// Mean top-N overlap between the volume list and the change list.
+    pub(crate) mean_overlap: f64,
+    /// Injected attacks the heavy-hitter (volume) list surfaced.
+    pub(crate) hh_found: usize,
+    /// Injected attacks the heavy-changer (|error|) list surfaced.
+    pub(crate) change_found: usize,
+    /// Injected attacks in the measured intervals.
+    pub(crate) labeled: usize,
+}
+
+/// Runs the comparison on the medium router at `common`'s scale, seed and
+/// length, for each list length of `ns`. [`run`] prints it at the default
+/// size; the accuracy ledger's `hh_vs_change` row runs it reduced.
+pub(crate) fn measure(common: CommonArgs, ns: &[usize]) -> Vec<Overlap> {
     let interval_secs = 300u32;
     let n_intervals = common.intervals(interval_secs);
     let warm = common.warm_up(interval_secs);
@@ -40,11 +56,12 @@ pub fn run(args: &Args) {
     cfg.interval_secs = interval_secs;
     let mut generator = TrafficGenerator::new(cfg);
     let n_attacks = 6usize;
-    // Calibration is the point: each attack's volume is HALF the 20th
-    // biggest flow's steady volume. That makes it one of the largest
-    // *changes* of its interval (steady flows' forecast errors are only a
-    // noise fraction of their volume) while its *volume* stays well below
-    // the top-20 cut — the regime where a heavy-hitter list is blind.
+    // Calibration is the point: each attack adds 1.1x the 20th biggest
+    // flow's expected steady volume (at t = 0). That makes it one of the
+    // largest *changes* of its interval (steady flows' forecast errors are
+    // only a noise fraction of their volume) while its *volume* only
+    // reaches the edge of the top 20 — the regime where a heavy-hitter
+    // list is blind (at N = 20 the volume list surfaces none of the six).
     let reference = generator.expected_rank_bytes(20, 0);
     let events: Vec<AnomalyEvent> = (0..n_attacks)
         .map(|i| AnomalyEvent {
@@ -69,40 +86,49 @@ pub fn run(args: &Args) {
     let model = ModelSpec::Ewma { alpha: 0.5 };
     let pf = run_perflow(&trace, &model, warm);
 
+    ns.iter()
+        .map(|&n| {
+            let mut overlaps = Vec::new();
+            let mut hh_found = 0usize;
+            let mut change_found = 0usize;
+            let mut labeled = 0usize;
+            for outcome in &pf {
+                // Heavy hitters of the interval via Misra-Gries.
+                let mut mg = MisraGries::new(4 * n);
+                for &(key, value) in &trace.intervals[outcome.t] {
+                    mg.update(key, value);
+                }
+                let hh: Vec<(u64, f64)> = mg.top(n);
+                // Heavy changers: exact top-N |error|.
+                overlaps.push(metrics::topn_similarity(&outcome.errors, &hh, n));
+
+                for key in truth.keys_at(outcome.t) {
+                    labeled += 1;
+                    if hh.iter().any(|&(k, _)| k == key) {
+                        hh_found += 1;
+                    }
+                    if outcome.errors.iter().take(n).any(|&(k, _)| k == key) {
+                        change_found += 1;
+                    }
+                }
+            }
+            Overlap { n, mean_overlap: metrics::mean(&overlaps), hh_found, change_found, labeled }
+        })
+        .collect()
+}
+
+/// Regenerates the heavy-hitter vs heavy-changer comparison.
+pub fn run(args: &Args) {
     let mut t = Table::new(
         "§1.1 — heavy hitters vs heavy changers (top-N overlap per interval)",
         &["N", "mean overlap", "changers found by HH list", "changers found by change list"],
     );
-    for &n in &[10usize, 20, 50] {
-        let mut overlaps = Vec::new();
-        let mut hh_found = 0usize;
-        let mut ch_found = 0usize;
-        let mut labeled = 0usize;
-        for outcome in &pf {
-            // Heavy hitters of the interval via Misra-Gries.
-            let mut mg = MisraGries::new(4 * n);
-            for &(key, value) in &trace.intervals[outcome.t] {
-                mg.update(key, value);
-            }
-            let hh: Vec<(u64, f64)> = mg.top(n);
-            // Heavy changers: exact top-N |error|.
-            overlaps.push(metrics::topn_similarity(&outcome.errors, &hh, n));
-
-            for key in truth.keys_at(outcome.t) {
-                labeled += 1;
-                if hh.iter().any(|&(k, _)| k == key) {
-                    hh_found += 1;
-                }
-                if outcome.errors.iter().take(n).any(|&(k, _)| k == key) {
-                    ch_found += 1;
-                }
-            }
-        }
+    for o in measure(args.common_scaled(2.0), &[10, 20, 50]) {
         t.row(&[
-            n.to_string(),
-            f(metrics::mean(&overlaps), 3),
-            format!("{hh_found}/{labeled}"),
-            format!("{ch_found}/{labeled}"),
+            o.n.to_string(),
+            f(o.mean_overlap, 3),
+            format!("{}/{}", o.hh_found, o.labeled),
+            format!("{}/{}", o.change_found, o.labeled),
         ]);
     }
     t.print();

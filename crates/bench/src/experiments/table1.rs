@@ -14,9 +14,10 @@
 //! to match the paper's unit of work.
 
 use crate::args::Args;
+use crate::baselines::{CountMinSketch, CountSketch};
 use crate::table::{f, Table};
 use scd_hash::Hasher4;
-use scd_sketch::{CountMinSketch, CountSketch, KarySketch, SketchConfig};
+use scd_sketch::{KarySketch, SketchConfig};
 use std::time::Instant;
 
 /// Number of operations, as in the paper.

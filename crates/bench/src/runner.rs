@@ -1,7 +1,9 @@
 //! Shared comparison runner: trace generation, per-flow reference runs,
 //! sketch runs, and their per-interval error lists.
 
-use scd_core::{metrics, DetectorConfig, KeyStrategy, PerFlowDetector, SketchChangeDetector};
+use crate::metrics;
+use crate::perflow::PerFlowDetector;
+use scd_core::{DetectorConfig, KeyStrategy, SketchChangeDetector};
 use scd_forecast::ModelSpec;
 use scd_sketch::SketchConfig;
 use scd_traffic::{KeySpec, RouterProfile, TrafficGenerator, ValueSpec};

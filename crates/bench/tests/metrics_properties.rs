@@ -2,7 +2,7 @@
 //! `SplitMix64` so runs are reproducible: the experiment harness's
 //! conclusions are only as sound as these functions.
 
-use scd_core::metrics;
+use scd_bench::metrics;
 use scd_hash::SplitMix64;
 
 const CASES: u64 = 64;

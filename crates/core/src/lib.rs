@@ -18,14 +18,8 @@
 //! * [`SketchChangeDetector`] — the full pipeline, with the paper's three
 //!   key-stream strategies (§3.3): offline two-pass, online next-interval,
 //!   and sampled.
-//! * [`PerFlowDetector`] — the exact per-flow reference (one scalar
-//!   forecaster per flow), "the ideal environment with infinite resources"
-//!   every accuracy experiment compares against.
 //! * [`gridsearch`] — the multi-pass grid search of §3.4.2 for choosing
 //!   model parameters by minimizing estimated total error energy.
-//! * [`metrics`] — the paper's evaluation metrics: top-N similarity,
-//!   top-N vs top-X·N, thresholded false positives/negatives, relative
-//!   difference of total energy, empirical CDFs.
 //! * [`stream`] — interval segmentation of timestamped flow records.
 //! * The paper's §6 "ongoing work", implemented as extensions:
 //!   [`staggered`] (phase-shifted interval lanes against boundary effects,
@@ -51,6 +45,10 @@
 //!   stream), and [`streaming`] (the record-stream driver, started one
 //!   way — [`spawn_streaming`] — with its overload policies: block / drop /
 //!   sample, with per-interval shed accounting).
+//!
+//! The exact per-flow reference and the §5 metrics every accuracy
+//! experiment compares this pipeline against live in the experiment
+//! harness, `scd-bench`, beside the experiments that run them.
 //!
 //! Every queue between threads is a bounded
 //! `std::sync::mpsc::sync_channel`.
@@ -86,8 +84,6 @@ pub mod detector;
 pub mod engine;
 pub mod glr;
 pub mod gridsearch;
-pub mod metrics;
-pub mod perflow;
 pub mod reversible;
 pub mod sampling;
 pub mod staggered;
@@ -107,11 +103,6 @@ pub use engine::{
 };
 pub use glr::{GlrConfig, GlrDetector, GlrEvent, GlrRestoreError, GlrSnapshot, ProvisionalAlarm};
 pub use gridsearch::{search_model, GridSearchConfig, GridSearchResult};
-pub use metrics::{
-    empirical_cdf, relative_difference, threshold_report, topn_similarity, topn_vs_xn,
-    ThresholdReport,
-};
-pub use perflow::{PerFlowDetector, PerFlowReport};
 pub use reversible::{ReversibleChangeDetector, ReversibleConfig, ReversibleReport};
 pub use sampling::UpdateSampler;
 pub use staggered::StaggeredDetector;

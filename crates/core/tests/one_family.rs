@@ -7,13 +7,14 @@
 //! process-wide: a family another test holds would keep one alive here.
 
 use scd_archive::{ArchiveConfig, SketchArchive};
+use scd_bench::CountMinSketch;
 use scd_core::{
     Checkpoint, DetectStage, DetectorConfig, EngineConfig, KeyStrategy, ShardedIngest,
     SketchChangeDetector,
 };
 use scd_forecast::ModelSpec;
 use scd_hash::HashRows;
-use scd_sketch::{CountMinSketch, Deltoid, DeltoidConfig, KarySketch, SketchConfig};
+use scd_sketch::{Deltoid, DeltoidConfig, KarySketch, SketchConfig};
 use std::sync::{Arc, Weak};
 
 const SKETCH: SketchConfig = SketchConfig { h: 5, k: 1024, seed: 0x0F_A417 };

@@ -1,7 +1,8 @@
 //! End-to-end pipeline tests on generated traffic: the miniature version of
 //! the paper's evaluation, asserting its qualitative results hold.
 
-use scd_core::{metrics, DetectorConfig, KeyStrategy, PerFlowDetector, SketchChangeDetector};
+use scd_bench::{metrics, PerFlowDetector};
+use scd_core::{DetectorConfig, KeyStrategy, SketchChangeDetector};
 use scd_forecast::ModelSpec;
 use scd_sketch::SketchConfig;
 use scd_traffic::{

@@ -7,10 +7,9 @@
 //! written cells alone and still answer with the table's bits: the cells
 //! themselves, the few scalars a read takes from the table besides them,
 //! and the point estimate over cells stored elsewhere. The engine's `f64`
-//! [`KarySketch`] and the [`CountSketch`] implement it here, the serving
-//! plane's `f32` slim sketch in `scd-serve`.
+//! [`KarySketch`] implements it here, the serving plane's `f32` slim
+//! sketch in `scd-serve`.
 
-use crate::countsketch::CountSketch;
 use crate::kary::{estimate_cells, KarySketch};
 use crate::linear::LinearSketch;
 use crate::simd;
@@ -154,32 +153,6 @@ impl CellTable for KarySketch {
 
     fn estimate_from(&self, key: u64, sum: &f64, cell: impl Fn(usize) -> f64) -> f64 {
         estimate_cells(self.rows(), key, *sum, cell)
-    }
-}
-
-/// The count sketch's estimate reads its cells and sign hashes alone.
-impl CellTable for CountSketch {
-    type Cell = f64;
-    type Totals = ();
-
-    fn cells(&self) -> &[f64] {
-        self.table()
-    }
-
-    fn cells_mut(&mut self) -> &mut [f64] {
-        self.table_mut()
-    }
-
-    fn totals(&self) {}
-
-    fn set_totals(&mut self, _: &()) {}
-
-    fn absorb_totals(&mut self, _: &()) {}
-
-    fn merged_totals(_: &(), _: &(), _: impl Fn(usize) -> f64) {}
-
-    fn estimate_from(&self, key: u64, _: &(), cell: impl Fn(usize) -> f64) -> f64 {
-        self.estimate_cells(key, cell)
     }
 }
 

@@ -1,7 +1,8 @@
 //! The **k-ary sketch** of *Sketch-based Change Detection: Methods,
 //! Evaluation, and Applications* (Krishnamurthy, Sen, Zhang & Chen, IMC
-//! 2003), together with the count-min and count sketches it is usually
-//! compared against.
+//! 2003), with the traits a shard merge, an archive and a query service
+//! are generic over. The count-min and count sketches it is usually
+//! compared against live in the experiment harness, `scd-bench`.
 //!
 //! A k-ary sketch summarizes a stream of `(key, update)` pairs in the
 //! Turnstile model: each arrival `(a, u)` adds `u` to a time-varying signal
@@ -51,11 +52,8 @@
 
 pub mod batch;
 pub mod cells;
-pub mod countmin;
-pub mod countsketch;
 pub mod deltoid;
 pub mod error;
-pub mod heavyhitters;
 pub mod kary;
 pub mod linear;
 pub mod median;
@@ -64,11 +62,8 @@ pub mod wire;
 
 pub use batch::{BatchScratch, EstimateScratch};
 pub use cells::{Cell, CellTable};
-pub use countmin::CountMinSketch;
-pub use countsketch::CountSketch;
 pub use deltoid::{Deltoid, DeltoidConfig};
 pub use error::SketchError;
-pub use heavyhitters::MisraGries;
 pub use kary::{estimate_cells, estimate_f2_cells, Estimator, KarySketch, SketchConfig};
-pub use linear::{median_over_rows, min_over_rows, LinearSketch, PointEstimate, SecondMoment};
+pub use linear::{median_over_rows, LinearSketch, PointEstimate, SecondMoment};
 pub use wire::{from_bytes, to_bytes, WireError};

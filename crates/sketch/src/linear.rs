@@ -9,38 +9,35 @@
 //! per-shard summaries with coefficient 1) and archived (sum adjacent
 //! windows as they age) without knowing which sketch it is.
 //!
-//! Four implementations ship in this crate:
+//! Two implementations ship in this crate:
 //!
 //! * [`KarySketch`] — the paper's sketch; fully linear, unbiased point and
 //!   second-moment estimates.
-//! * [`CountSketch`] — signed updates, unbiased; linear table.
-//! * [`CountMinSketch`] — the counter table is linear even though the
-//!   *estimator* (min over rows) is not; negative coefficients leave the
-//!   cash-register model, so its guarantee only survives all-positive
-//!   combinations (which is all sharding and archiving ever use).
 //! * [`Deltoid`] — group-testing counters; linear like the k-ary sketch
 //!   with per-bit counters riding along.
 //!
+//! The experiment harness (`scd-bench`) implements the same surface for
+//! the baselines the paper compares against, the count sketch and
+//! Count-Min.
+//!
 //! [`SecondMoment`] is the smaller capability needed to pick alarm
-//! thresholds (`TA = T·√F2`); Count-Min cannot provide it, which is why
-//! change queries require `LinearSketch + SecondMoment` while plain
-//! archiving requires only `LinearSketch`.
+//! thresholds (`TA = T·√F2`); a summary without it (Count-Min) can be
+//! archived but not asked for changes, which is why change queries require
+//! `LinearSketch + SecondMoment` while plain archiving requires only
+//! `LinearSketch`.
 
 use crate::batch::EstimateScratch;
-use crate::countmin::CountMinSketch;
-use crate::countsketch::CountSketch;
 use crate::deltoid::Deltoid;
 use crate::error::SketchError;
-use crate::heavyhitters::MisraGries;
 use crate::kary::KarySketch;
 use crate::median::median_inplace;
 
 /// Anything that can answer a point query: "how much mass did `key`
 /// accumulate?". This is the read surface query services are generic
 /// over — every [`LinearSketch`] provides it (as a supertrait), and so
-/// do summaries that are *not* linear, like [`MisraGries`], whose
-/// counters cannot be combined with arbitrary coefficients but answer
-/// exactly this question.
+/// may summaries that are *not* linear, like a heavy-hitter summary,
+/// whose counters cannot be combined with arbitrary coefficients but
+/// answer exactly this question.
 pub trait PointEstimate {
     /// Point estimate of the value accumulated for `key` (each
     /// implementation's native estimator: median-unbiased, min, exact
@@ -60,7 +57,7 @@ pub trait PointEstimate {
 }
 
 /// Median across `h` per-row statistics — the reduction every
-/// median-estimator sketch (k-ary, count sketch, deltoid) shares. The
+/// median-estimator sketch (k-ary, deltoid, the count sketch) shares. The
 /// rows are evaluated in order and reduced with the same median network
 /// as the historical per-sketch loops, so routing an estimator through
 /// this helper is bit-identical to its previous inline implementation.
@@ -80,13 +77,6 @@ pub fn median_over_rows(h: usize, mut per_row: impl FnMut(usize) -> f64) -> f64 
     }
 }
 
-/// Minimum across `h` per-row statistics — the count-min reduction
-/// (never underestimates over non-negative streams). Empty row sets
-/// reduce to `+inf`, matching a zero-row sketch's "no information".
-pub fn min_over_rows(h: usize, per_row: impl FnMut(usize) -> f64) -> f64 {
-    (0..h).map(per_row).fold(f64::INFINITY, f64::min)
-}
-
 /// A constant-shape summary that combines entry-wise: the COMBINE surface
 /// of the paper's §3.1, abstracted over the concrete sketch.
 ///
@@ -98,7 +88,7 @@ pub fn min_over_rows(h: usize, per_row: impl FnMut(usize) -> f64) -> f64 {
 ///
 /// The point estimator lives in the [`PointEstimate`] supertrait, so
 /// read-side code that never combines can bound on `PointEstimate`
-/// alone (and cover non-linear summaries like [`MisraGries`] too).
+/// alone (and cover non-linear summaries too).
 pub trait LinearSketch: Clone + PointEstimate {
     /// A zeroed sketch of identical shape, hash family, and auxiliary
     /// state (sign hashes, key width, …) — combinable with `self`.
@@ -157,27 +147,9 @@ impl PointEstimate for KarySketch {
     }
 }
 
-impl PointEstimate for CountSketch {
-    fn estimate(&self, key: u64) -> f64 {
-        CountSketch::estimate(self, key)
-    }
-}
-
-impl PointEstimate for CountMinSketch {
-    fn estimate(&self, key: u64) -> f64 {
-        CountMinSketch::estimate(self, key)
-    }
-}
-
 impl PointEstimate for Deltoid {
     fn estimate(&self, key: u64) -> f64 {
         Deltoid::estimate(self, key)
-    }
-}
-
-impl PointEstimate for MisraGries {
-    fn estimate(&self, key: u64) -> f64 {
-        MisraGries::estimate(self, key)
     }
 }
 
@@ -206,56 +178,6 @@ impl LinearSketch for KarySketch {
 impl SecondMoment for KarySketch {
     fn estimate_f2(&self) -> f64 {
         KarySketch::estimate_f2(self)
-    }
-}
-
-impl LinearSketch for CountSketch {
-    fn zero_like(&self) -> Self {
-        CountSketch::zero_like(self)
-    }
-
-    fn add_scaled(&mut self, other: &Self, c: f64) -> Result<(), SketchError> {
-        CountSketch::add_scaled(self, other, c)
-    }
-
-    fn scale(&mut self, c: f64) {
-        CountSketch::scale(self, c);
-    }
-
-    fn identity(&self) -> (usize, usize, u64) {
-        self.rows().identity()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        CountSketch::memory_bytes(self)
-    }
-}
-
-impl SecondMoment for CountSketch {
-    fn estimate_f2(&self) -> f64 {
-        CountSketch::estimate_f2(self)
-    }
-}
-
-impl LinearSketch for CountMinSketch {
-    fn zero_like(&self) -> Self {
-        CountMinSketch::zero_like(self)
-    }
-
-    fn add_scaled(&mut self, other: &Self, c: f64) -> Result<(), SketchError> {
-        CountMinSketch::add_scaled(self, other, c)
-    }
-
-    fn scale(&mut self, c: f64) {
-        CountMinSketch::scale(self, c);
-    }
-
-    fn identity(&self) -> (usize, usize, u64) {
-        self.rows().identity()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        CountMinSketch::memory_bytes(self)
     }
 }
 
@@ -332,67 +254,8 @@ mod tests {
     }
 
     #[test]
-    fn countsketch_merge_equals_whole() {
-        check_merge_equals_whole(|| CountSketch::new(5, 1024, 9), |s, k, v| s.update(k, v));
-    }
-
-    #[test]
-    fn countmin_merge_equals_whole() {
-        check_merge_equals_whole(|| CountMinSketch::new(5, 1024, 9), |s, k, v| s.update(k, v));
-    }
-
-    #[test]
     fn deltoid_merge_equals_whole() {
         let cfg = DeltoidConfig { h: 5, k: 512, key_bits: 32, seed: 9 };
         check_merge_equals_whole(|| Deltoid::new(cfg), |s, k, v| s.update(k, v));
-    }
-
-    #[test]
-    fn combine_rejects_incompatible_families() {
-        let a = CountMinSketch::new(4, 256, 1);
-        let b = CountMinSketch::new(4, 256, 2);
-        assert!(matches!(
-            CountMinSketch::combine(&[(1.0, &a), (1.0, &b)]),
-            Err(SketchError::IncompatibleSketches { .. })
-        ));
-        let a = CountSketch::new(4, 256, 1);
-        let b = CountSketch::new(4, 256, 2);
-        assert!(matches!(
-            CountSketch::combine(&[(1.0, &a), (1.0, &b)]),
-            Err(SketchError::IncompatibleSketches { .. })
-        ));
-    }
-
-    #[test]
-    fn combine_rejects_empty_terms() {
-        assert!(matches!(CountMinSketch::combine(&[]), Err(SketchError::EmptyCombination)));
-    }
-
-    #[test]
-    fn countmin_scaled_archive_decay_stays_nonnegative() {
-        // The archive's only combinations are nonnegative; check the min
-        // estimator still never underestimates after such a merge.
-        let mut a = CountMinSketch::new(4, 512, 3);
-        let mut b = CountMinSketch::new(4, 512, 3);
-        for key in 0..200u64 {
-            a.update(key, 2.0);
-            b.update(key, 3.0);
-        }
-        let merged = CountMinSketch::combine(&[(1.0, &a), (1.0, &b)]).unwrap();
-        for key in 0..200u64 {
-            assert!(merged.estimate(key) >= 5.0 - 1e-12, "key {key}");
-        }
-    }
-
-    #[test]
-    fn zero_like_preserves_sign_hashes() {
-        let mut a = CountSketch::new(3, 256, 44);
-        a.update(10, 5.0);
-        let mut z = a.zero_like();
-        assert_eq!(z.estimate(10), 0.0);
-        z.update(10, 5.0);
-        // Same signs ⇒ same cells ⇒ adding the two doubles the estimate.
-        let sum = CountSketch::combine(&[(1.0, &a), (1.0, &z)]).unwrap();
-        assert!((sum.estimate(10) - 10.0).abs() < 1e-9);
     }
 }

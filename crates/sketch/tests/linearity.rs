@@ -16,9 +16,7 @@
 //!    `scd-core` engine's COMBINE step relies on.
 
 use scd_hash::SplitMix64;
-use scd_sketch::{
-    CountMinSketch, CountSketch, Deltoid, DeltoidConfig, KarySketch, LinearSketch, SketchConfig,
-};
+use scd_sketch::{Deltoid, DeltoidConfig, KarySketch, LinearSketch, SketchConfig};
 
 /// Deterministic pseudo-random stream of `(key, integer value)` updates.
 fn random_updates(seed: u64, n: usize, key_space: u64) -> Vec<(u64, f64)> {
@@ -196,37 +194,4 @@ fn deltoid_sharded_merge_matches_single_ingest() {
         assert_eq!(whole.estimate(key), merged.estimate(key), "key {key}");
     }
     assert_eq!(whole.estimate_f2(), merged.estimate_f2());
-}
-
-#[test]
-fn countsketch_sharded_merge_matches_single_ingest() {
-    let updates = random_updates(55, 600, 1 << 16);
-    let (whole, merged) = sharded_merge_case(
-        || CountSketch::new(5, 512, 3),
-        |s, k, v| s.update(k, v),
-        &updates,
-        4,
-        0xC5C5,
-    );
-    for &(key, _) in updates.iter().take(200) {
-        assert_eq!(whole.estimate(key), merged.estimate(key), "key {key}");
-    }
-    assert_eq!(whole.estimate_f2(), merged.estimate_f2());
-}
-
-#[test]
-fn countmin_sharded_merge_matches_single_ingest() {
-    // Count-Min is cash-register only: make the values non-negative.
-    let updates: Vec<(u64, f64)> =
-        random_updates(44, 600, 1 << 16).into_iter().map(|(k, v)| (k, v.abs())).collect();
-    let (whole, merged) = sharded_merge_case(
-        || CountMinSketch::new(5, 512, 4),
-        |s, k, v| s.update(k, v),
-        &updates,
-        4,
-        0xC31A,
-    );
-    for &(key, _) in updates.iter().take(200) {
-        assert_eq!(whole.estimate(key), merged.estimate(key), "key {key}");
-    }
 }

@@ -21,9 +21,9 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`hash`] | `scd-hash` | 4-universal hashing (Thorup–Zhang tabulation, Carter–Wegman polynomials) |
-//! | [`sketch`] | `scd-sketch` | k-ary sketch (UPDATE / ESTIMATE / ESTIMATEF2 / COMBINE), count-min & count sketch baselines, median networks |
+//! | [`sketch`] | `scd-sketch` | k-ary sketch (UPDATE / ESTIMATE / ESTIMATEF2 / COMBINE), the linear-sketch traits, median networks |
 //! | [`forecast`] | `scd-forecast` | the six forecast models, generic over scalars and sketches |
-//! | [`core`] | `scd-core` | the change-detection pipeline, per-flow reference, grid search, metrics, sharded ingest engine |
+//! | [`core`] | `scd-core` | the change-detection pipeline, grid search, sharded ingest engine |
 //! | [`archive`] | `scd-archive` | multi-resolution sketch archive with historical change queries |
 //! | [`traffic`] | `scd-traffic` | synthetic netflow substrate, anomaly injection, trace I/O and sharding |
 //! | [`obs`] | `scd-obs` | pipeline observability: metric registry, snapshots, scrape endpoint |
@@ -56,6 +56,9 @@
 //! detection, flash-crowd monitoring, multi-router aggregation, and the
 //! hierarchical and adaptive detectors, which only their examples run) and
 //! `DESIGN.md` / `EXPERIMENTS.md` for the paper-reproduction inventory.
+//! The experiment harness, `scd-bench` (not re-exported here), holds what
+//! the experiments evaluate the sketch against: the count-min and count
+//! sketch baselines, the exact per-flow oracle and the §5 metrics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,8 +77,8 @@ pub use scd_traffic as traffic;
 pub mod prelude {
     pub use scd_archive::{ArchiveConfig, SketchArchive};
     pub use scd_core::{
-        Alarm, DetectorConfig, EngineConfig, IntervalReport, KeyStrategy, PerFlowDetector,
-        ShardedEngine, SketchChangeDetector,
+        Alarm, DetectorConfig, EngineConfig, IntervalReport, KeyStrategy, ShardedEngine,
+        SketchChangeDetector,
     };
     pub use scd_forecast::{ArimaSpec, Forecaster, ModelKind, ModelSpec, Summary};
     pub use scd_serve::{QueryClient, QueryServer, Request, Response, ServingPlane, SlimSketch};

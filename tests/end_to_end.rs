@@ -1,7 +1,8 @@
 //! Workspace-level integration tests: exercise the public `sketch-change`
 //! API exactly as a downstream user would, across all five crates.
 
-use sketch_change::core::{gridsearch, metrics, segment_records};
+use scd_bench::{metrics, PerFlowDetector};
+use sketch_change::core::{gridsearch, segment_records};
 use sketch_change::prelude::*;
 use sketch_change::traffic::io;
 

@@ -12,6 +12,7 @@
 //! rendered — and the engine's close on the sparse shape, where the shard
 //! merge walks only the lines its interval wrote, adds nothing to that.
 
+use scd_bench::CountSketch;
 use sketch_change::archive::{ArchiveConfig, SketchArchive};
 use sketch_change::core::{
     DetectStage, DetectorConfig, EngineConfig, KeyStrategy, PipelineMetrics, ShardedEngine,
@@ -22,7 +23,7 @@ use sketch_change::hash::shard_of;
 use sketch_change::obs::Registry;
 use sketch_change::serve::SlimSketch;
 use sketch_change::sketch::{
-    CountSketch, Deltoid, DeltoidConfig, EstimateScratch, KarySketch, PointEstimate, SketchConfig,
+    Deltoid, DeltoidConfig, EstimateScratch, KarySketch, PointEstimate, SketchConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
