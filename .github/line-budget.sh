@@ -9,7 +9,7 @@ set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 source .github/nontest.sh
 
-BUDGET=21845
+BUDGET=21559
 
 count=$(nontest | grep -vc '^crates/bench/' || true)
 if [ "$count" -gt "$BUDGET" ]; then

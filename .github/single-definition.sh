@@ -39,7 +39,9 @@
 # metrics and the random comparator are each defined once, under
 # crates/bench/src, and scd-sketch and scd-core hold none of them. The
 # harness reads its ledger with the benchmark's JSON reader; no crate
-# defines a second one.
+# defines a second one. A forecasting model is one concrete type, its spec
+# and its state: no forecaster trait or trait object, and no model keeps a
+# second copy of its state to resume from or snapshot into.
 # Non-test source is `nontest`'s (`.github/nontest.sh`).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -172,6 +174,13 @@ done
 # One JSON reader: the harness includes the benchmark's (benchmark/src/json.rs).
 expect 0 '^crates/.*\benum (Json|JsonValue|Value)\b' 'JSON value type(s) under crates/*/src'
 
+# One forecaster type: a model is its ModelSpec and its ModelState.
+check 0 'Forecaster trait(s) or trait object(s) in crates/*/src, src or examples' \
+  "$(grep -rnE '\b(trait|dyn) Forecaster\b' crates/*/src src examples --include='*.rs' || true)"
+expect 1 '\bstruct Forecaster\b'                 'forecaster type(s)'
+check 0 'per-model resume or snapshot_state function(s) in scd-forecast' \
+  "$(grep -rnE '\bfn (resume|snapshot_state)\b' crates/forecast/src || true)"
+
 magics=$(nontest | grep -oE 'b"SCD[A-Z]{1,4}[0-9]{0,2}"' | sort -u | tr '\n' ' ')
 if [ "$(wc -w <<<"$magics")" -ne 7 ]; then
   echo "single-definition: expected seven magics, found: $magics"; fail=1
@@ -186,5 +195,5 @@ if [ -n "$stray" ]; then
   echo "single-definition: retired magic outside a rejection test:"; printf '%s\n' "$stray" | sed 's/^/  /'; fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it; one pack routine, one packed merge; one forecast step executor and per-cell loop, no tile walk or slice-kernel chain in a model; the baselines, per-flow oracle, metrics and random comparator only in scd-bench, once each; one JSON reader, the benchmark's"
+[ "$fail" -eq 0 ] && echo "single-definition: one envelope, one listener, seven magics, one LEB128 codec; one catch_unwind, one checkpoint loader, one checkpoint assembly, one checkpoint policy; one engine and one DetectorConfig in the CLI, no bare detector outside scd-core; one shard_of, no [[bench]] target, no BENCH_*.json, no bench env knob; one queue type, one stream entry point, no aggregator nap; one packed-body walker, no stale resend; one hash family build, no 64-bit entry gather; one full-list ranking, none in detect; one merge-and-clear sweep, in merge_shards; no detector in the grid search, one grid walker; no detector in the CDF figures, one per-flow energy, one sketch-energy objective; one archive push, no fat copy in the serving plane; no hand-written float arithmetic intrinsic, no fma target feature; one way into an ingest half, no batching knob, no Heartbeat frame; one router in the engine, no key set in it; one pack routine, one packed merge; one forecast step executor and per-cell loop, no tile walk or slice-kernel chain in a model; the baselines, per-flow oracle, metrics and random comparator only in scd-bench, once each; one JSON reader, the benchmark's; one forecaster type, no second copy of a model's state"
 exit "$fail"

@@ -47,7 +47,7 @@ impl PerFlowReport {
 /// Exact per-flow detector: one scalar model per key.
 pub struct PerFlowDetector {
     model_spec: ModelSpec,
-    models: HashMap<u64, Box<dyn Forecaster<f64> + Send>>,
+    models: HashMap<u64, Forecaster<f64>>,
     intervals_processed: usize,
 }
 

@@ -207,7 +207,7 @@ pub struct SketchChangeDetector {
     /// Hash family built once and shared by every per-interval sketch —
     /// rebuilding it per interval would redo megabytes of tabulation fill.
     rows: Arc<HashRows>,
-    model: Box<dyn Forecaster<KarySketch> + Send>,
+    model: Forecaster<KarySketch>,
     /// Error sketch of the previous interval, pending key replay (only used
     /// by [`KeyStrategy::NextInterval`]).
     pending_error: Option<(usize, KarySketch)>,
@@ -558,7 +558,7 @@ impl SketchChangeDetector {
             intervals_processed: self.intervals_processed as u64,
             sampler_state: self.sampler.state(),
             pending_error: self.pending_error.as_ref().map(|(t, s)| (*t as u64, s.clone())),
-            model: self.model.snapshot_state(),
+            model: self.model.state().clone(),
         }
     }
 

@@ -52,7 +52,7 @@ pub struct ReversibleReport {
 pub struct ReversibleChangeDetector {
     config: ReversibleConfig,
     rows: Arc<HashRows>,
-    model: Box<dyn Forecaster<Deltoid> + Send>,
+    model: Forecaster<Deltoid>,
     intervals_processed: usize,
 }
 

@@ -29,9 +29,7 @@
 //! runs unchanged over sketches.
 
 use crate::blocked::{emit_reference, step_cells};
-use crate::state::{ModelState, StateError};
-use crate::{Forecaster, Summary};
-use std::collections::VecDeque;
+use crate::Summary;
 
 /// Maximum AR/MA order the paper (and this implementation) supports.
 pub const MAX_ORDER: usize = 2;
@@ -165,163 +163,190 @@ impl ArimaSpec {
 }
 
 /// Raw observations a model of this shape retains.
-fn retention(spec: &ArimaSpec) -> usize {
+pub(crate) fn retention(spec: &ArimaSpec) -> usize {
     (spec.p() + spec.d).max(spec.d + 1).max(1)
 }
 
-/// ARIMA(p ≤ 2, d ≤ 1, q ≤ 2) forecaster over any [`Summary`].
-#[derive(Debug, Clone)]
-pub struct Arima<S> {
-    spec: ArimaSpec,
-    /// Raw observations `X`, newest last; holds up to `p + d` entries.
-    x_hist: VecDeque<S>,
-    /// Forecast errors `e`, newest last; holds up to `q` entries.
-    e_hist: VecDeque<S>,
-    observed_count: usize,
+/// History length needed before a forecast can be formed.
+pub(crate) fn needed_history(spec: &ArimaSpec) -> usize {
+    (spec.p() + spec.d).max(spec.d).max(1)
 }
 
-impl<S: Summary> Arima<S> {
-    /// Creates the forecaster from a validated spec.
-    pub fn new(spec: ArimaSpec) -> Self {
-        spec.validate().expect("invalid ArimaSpec");
-        Arima { spec, x_hist: VecDeque::new(), e_hist: VecDeque::new(), observed_count: 0 }
+/// `forecast()` over [`ModelState::Arima`](crate::ModelState::Arima):
+/// the raw observations `x_hist` (newest last, up to [`retention`]), the
+/// errors `e_hist` (newest last, up to `q`) and the observation count.
+pub(crate) fn forecast<S: Summary>(
+    spec: &ArimaSpec,
+    x_hist: &[S],
+    e_hist: &[S],
+    observed_count: u64,
+) -> Option<S> {
+    if observed_count < needed_history(spec) as u64 {
+        return None;
     }
-
-    /// The model specification.
-    pub fn spec(&self) -> &ArimaSpec {
-        &self.spec
+    let lags = differenced_lags(spec, x_hist)?;
+    // Shape donor for the zero: any stored summary.
+    let donor = x_hist.last()?;
+    let mut zhat = donor.zero_like();
+    for (j, z) in lags.iter().enumerate() {
+        zhat.add_scaled(z, spec.ar.as_slice()[j]);
     }
-
-    /// Rebuilds the model from checkpointed state.
-    pub fn resume(
-        spec: ArimaSpec,
-        x_hist: Vec<S>,
-        e_hist: Vec<S>,
-        observed_count: u64,
-    ) -> Result<Self, StateError> {
-        spec.validate().map_err(|e| StateError::InvalidShape(format!("bad ARIMA spec: {e}")))?;
-        let keep = retention(&spec);
-        if x_hist.len() > keep {
-            return Err(StateError::InvalidShape(format!(
-                "ARIMA x history of {} exceeds retention {keep}",
-                x_hist.len()
-            )));
-        }
-        if e_hist.len() > spec.q() {
-            return Err(StateError::InvalidShape(format!(
-                "ARIMA error history of {} exceeds q={}",
-                e_hist.len(),
-                spec.q()
-            )));
-        }
-        if (observed_count as usize) < x_hist.len() {
-            return Err(StateError::InvalidShape("ARIMA observed_count below held history".into()));
-        }
-        Ok(Arima {
-            spec,
-            x_hist: x_hist.into(),
-            e_hist: e_hist.into(),
-            observed_count: observed_count as usize,
-        })
+    for (i, e) in e_hist.iter().rev().enumerate().take(spec.q()) {
+        zhat.add_scaled(e, spec.ma.as_slice()[i]);
     }
-
-    /// The reference recurrence, for the intervals that grow a ring:
-    /// records the error of `forecast` (zero during warm-up: the standard
-    /// conditional initialization `e_t = 0` before the first forecast),
-    /// then the observation.
-    fn grow(&mut self, observed: &S, forecast: Option<&S>) {
-        let q = self.spec.q();
-        if q > 0 {
-            if self.e_hist.len() == q {
-                self.e_hist.pop_front();
-            }
-            self.e_hist.push_back(match forecast {
-                Some(f) => S::sub(observed, f),
-                None => observed.zero_like(),
-            });
-        }
-        if self.x_hist.len() == retention(&self.spec) {
-            self.x_hist.pop_front();
-        }
-        self.x_hist.push_back(observed.clone());
-        self.observed_count += 1;
+    let mut xhat = zhat;
+    if spec.d == 1 {
+        // X̂_t = X_{t−1} + Ẑ_t
+        xhat.add_scaled(x_hist.last().expect("history checked"), 1.0);
     }
-
-    /// History length needed before a forecast can be formed.
-    fn needed_history(&self) -> usize {
-        (self.spec.p() + self.spec.d).max(self.spec.d).max(1)
-    }
-
-    /// `Z_{t−j}` for `j = 1..=p`, newest first, as linear combinations of
-    /// raw history. Returns `None` until enough history exists.
-    fn differenced_lags(&self) -> Option<Vec<S>> {
-        let p = self.spec.p();
-        let d = self.spec.d;
-        if self.x_hist.len() < p + d {
-            return None;
-        }
-        let n = self.x_hist.len();
-        let mut lags = Vec::with_capacity(p);
-        for j in 1..=p {
-            // X index of X_{t−j} is n − j (newest is X_{t−1} at n − 1).
-            let idx = n - j;
-            let z = if d == 0 {
-                self.x_hist[idx].clone()
-            } else {
-                S::sub(&self.x_hist[idx], &self.x_hist[idx - 1])
-            };
-            lags.push(z);
-        }
-        Some(lags)
-    }
+    Some(xhat)
 }
 
-impl<S: Summary> Arima<S> {
-    /// The steady-state step of an ARIMA(`P`, `D`, `Q`): both rings are
-    /// full, so the oldest observation's table takes `X_t` and (`Q > 0`)
-    /// the oldest error's takes `e_t`, in the same walk that reads them.
-    fn steady<const P: usize, const D: usize, const Q: usize>(
-        &mut self,
-        observed: &S,
-        forecast_out: Option<&mut S>,
-        error_out: Option<&mut S>,
-    ) {
-        let (ar, ma) = (self.spec.ar.vals, self.spec.ma.vals);
-        let (x_oldest, x_newer) = self.x_hist.make_contiguous().split_first_mut().expect("X held");
-        let (e_oldest, e_newer) = match self.e_hist.make_contiguous().split_first_mut() {
-            Some((oldest, newer)) => (Some(oldest), newer.last()),
-            None => (None, None),
-        };
-        // The read-only tables, newest first: X_{t−1}, X_{t−2}, then e_{t−1}
-        // when the oldest error is e_{t−2}. A table this shape lacks is
-        // `observed`, whose value the cell never reads.
-        let newer = |k| x_newer.iter().rev().nth(k);
-        let reads = [newer(0), newer(1), e_newer].map(|s| s.unwrap_or(observed));
-        // X_{t−1}, X_{t−2}, X_{t−3} from the reads and the oldest slot of
-        // the `n`-table ring (`retention`, from the shape's constants).
-        let n = (P + D).max(D + 1);
-        debug_assert_eq!(n, x_newer.len() + 1);
-        let x = move |r: [f64; 3], oldest: f64| -> [f64; 3] {
-            std::array::from_fn(|k| if k + 1 < n { r[k] } else { oldest })
-        };
-        if Q == 0 {
-            step_cells(observed, reads, [x_oldest], forecast_out, error_out, |o, r, [xo]| {
-                let f = cell::<P, D, Q>(ar, ma, x(r, *xo), [0.0; MAX_ORDER]);
-                *xo = o;
-                f
-            });
-        } else {
-            let writes = [x_oldest, e_oldest.expect("Q errors held")];
-            step_cells(observed, reads, writes, forecast_out, error_out, |o, r, [xo, eo]| {
-                let e = [if Q > 1 { r[2] } else { *eo }, *eo];
-                let f = cell::<P, D, Q>(ar, ma, x(r, *xo), e);
-                // The evicted error has been read; it takes e_t. Likewise
-                // the evicted observation takes X_t.
-                *eo = o - f;
-                *xo = o;
-                f
-            });
+/// `Z_{t−j}` for `j = 1..=p`, newest first, as linear combinations of
+/// raw history. Returns `None` until enough history exists.
+fn differenced_lags<S: Summary>(spec: &ArimaSpec, x_hist: &[S]) -> Option<Vec<S>> {
+    let (p, d) = (spec.p(), spec.d);
+    if x_hist.len() < p + d {
+        return None;
+    }
+    let n = x_hist.len();
+    let mut lags = Vec::with_capacity(p);
+    for j in 1..=p {
+        // X index of X_{t−j} is n − j (newest is X_{t−1} at n − 1).
+        let idx = n - j;
+        let z = if d == 0 { x_hist[idx].clone() } else { S::sub(&x_hist[idx], &x_hist[idx - 1]) };
+        lags.push(z);
+    }
+    Some(lags)
+}
+
+/// The step over [`ModelState::Arima`](crate::ModelState::Arima): the
+/// reference path while a ring is still filling, which grows it, and once
+/// both are full one step monomorphized per shape, which rewrites the
+/// oldest slots in place and rotates them to the newest.
+pub(crate) fn step<S: Summary>(
+    spec: &ArimaSpec,
+    x_hist: &mut Vec<S>,
+    e_hist: &mut Vec<S>,
+    observed_count: &mut u64,
+    observed: &S,
+    forecast_out: Option<&mut S>,
+    error_out: Option<&mut S>,
+) -> bool {
+    let (p, d, q) = (spec.p(), spec.d, spec.q());
+    if x_hist.len() < retention(spec) || e_hist.len() < q {
+        // Warm-up, or a ring still filling: the reference path.
+        let forecast = forecast(spec, x_hist, e_hist, *observed_count);
+        let warmed = emit_reference(forecast.as_ref(), observed, forecast_out, error_out);
+        grow(spec, x_hist, e_hist, observed, forecast.as_ref());
+        *observed_count += 1;
+        return warmed;
+    }
+    // One monomorphized step per shape, so a cell's terms are straight-line code.
+    let steady: Steady<S> = match (p, d, q) {
+        (0, 0, 0) => steady::<S, 0, 0, 0>,
+        (0, 0, 1) => steady::<S, 0, 0, 1>,
+        (0, 0, 2) => steady::<S, 0, 0, 2>,
+        (0, 1, 0) => steady::<S, 0, 1, 0>,
+        (0, 1, 1) => steady::<S, 0, 1, 1>,
+        (0, 1, 2) => steady::<S, 0, 1, 2>,
+        (1, 0, 0) => steady::<S, 1, 0, 0>,
+        (1, 0, 1) => steady::<S, 1, 0, 1>,
+        (1, 0, 2) => steady::<S, 1, 0, 2>,
+        (1, 1, 0) => steady::<S, 1, 1, 0>,
+        (1, 1, 1) => steady::<S, 1, 1, 1>,
+        (1, 1, 2) => steady::<S, 1, 1, 2>,
+        (2, 0, 0) => steady::<S, 2, 0, 0>,
+        (2, 0, 1) => steady::<S, 2, 0, 1>,
+        (2, 0, 2) => steady::<S, 2, 0, 2>,
+        (2, 1, 0) => steady::<S, 2, 1, 0>,
+        (2, 1, 1) => steady::<S, 2, 1, 1>,
+        (2, 1, 2) => steady::<S, 2, 1, 2>,
+        _ => unreachable!("validated ARIMA shape ({p}, {d}, {q})"),
+    };
+    steady(spec, x_hist, e_hist, observed, forecast_out, error_out);
+    e_hist.rotate_left(usize::from(q > 0));
+    x_hist.rotate_left(1);
+    *observed_count += 1;
+    true
+}
+
+/// The reference recurrence, for the intervals that grow a ring:
+/// records the error of `forecast` (zero during warm-up: the standard
+/// conditional initialization `e_t = 0` before the first forecast),
+/// then the observation.
+fn grow<S: Summary>(
+    spec: &ArimaSpec,
+    x_hist: &mut Vec<S>,
+    e_hist: &mut Vec<S>,
+    observed: &S,
+    forecast: Option<&S>,
+) {
+    let q = spec.q();
+    if q > 0 {
+        if e_hist.len() == q {
+            e_hist.remove(0);
         }
+        e_hist.push(match forecast {
+            Some(f) => S::sub(observed, f),
+            None => observed.zero_like(),
+        });
+    }
+    if x_hist.len() == retention(spec) {
+        x_hist.remove(0);
+    }
+    x_hist.push(observed.clone());
+}
+
+/// A shape's steady step: `(spec, x_hist, e_hist, So, Sf, Se)`.
+type Steady<S> = fn(&ArimaSpec, &mut [S], &mut [S], &S, Option<&mut S>, Option<&mut S>);
+
+/// The steady-state step of an ARIMA(`P`, `D`, `Q`): both rings are
+/// full, so the oldest observation's table takes `X_t` and (`Q > 0`)
+/// the oldest error's takes `e_t`, in the same walk that reads them.
+fn steady<S: Summary, const P: usize, const D: usize, const Q: usize>(
+    spec: &ArimaSpec,
+    x_hist: &mut [S],
+    e_hist: &mut [S],
+    observed: &S,
+    forecast_out: Option<&mut S>,
+    error_out: Option<&mut S>,
+) {
+    let (ar, ma) = (spec.ar.vals, spec.ma.vals);
+    let (x_oldest, x_newer) = x_hist.split_first_mut().expect("X held");
+    let (e_oldest, e_newer) = match e_hist.split_first_mut() {
+        Some((oldest, newer)) => (Some(oldest), newer.last()),
+        None => (None, None),
+    };
+    // The read-only tables, newest first: X_{t−1}, X_{t−2}, then e_{t−1}
+    // when the oldest error is e_{t−2}. A table this shape lacks is
+    // `observed`, whose value the cell never reads.
+    let newer = |k| x_newer.iter().rev().nth(k);
+    let reads = [newer(0), newer(1), e_newer].map(|s| s.unwrap_or(observed));
+    // X_{t−1}, X_{t−2}, X_{t−3} from the reads and the oldest slot of
+    // the `n`-table ring (`retention`, from the shape's constants).
+    let n = (P + D).max(D + 1);
+    debug_assert_eq!(n, x_newer.len() + 1);
+    let x = move |r: [f64; 3], oldest: f64| -> [f64; 3] {
+        std::array::from_fn(|k| if k + 1 < n { r[k] } else { oldest })
+    };
+    if Q == 0 {
+        step_cells(observed, reads, [x_oldest], forecast_out, error_out, |o, r, [xo]| {
+            let f = cell::<P, D, Q>(ar, ma, x(r, *xo), [0.0; MAX_ORDER]);
+            *xo = o;
+            f
+        });
+    } else {
+        let writes = [x_oldest, e_oldest.expect("Q errors held")];
+        step_cells(observed, reads, writes, forecast_out, error_out, |o, r, [xo, eo]| {
+            let e = [if Q > 1 { r[2] } else { *eo }, *eo];
+            let f = cell::<P, D, Q>(ar, ma, x(r, *xo), e);
+            // The evicted error has been read; it takes e_t. Likewise
+            // the evicted observation takes X_t.
+            *eo = o - f;
+            *xo = o;
+            f
+        });
     }
 }
 
@@ -350,92 +375,10 @@ fn cell<const P: usize, const D: usize, const Q: usize>(
     f
 }
 
-impl<S: Summary> Forecaster<S> for Arima<S> {
-    fn forecast(&self) -> Option<S> {
-        if self.observed_count < self.needed_history() {
-            return None;
-        }
-        let lags = self.differenced_lags()?;
-        // Shape donor for the zero: any stored summary.
-        let donor = self.x_hist.back()?;
-        let mut zhat = donor.zero_like();
-        for (j, z) in lags.iter().enumerate() {
-            zhat.add_scaled(z, self.spec.ar.as_slice()[j]);
-        }
-        for (i, e) in self.e_hist.iter().rev().enumerate().take(self.spec.q()) {
-            zhat.add_scaled(e, self.spec.ma.as_slice()[i]);
-        }
-        let mut xhat = zhat;
-        if self.spec.d == 1 {
-            // X̂_t = X_{t−1} + Ẑ_t
-            xhat.add_scaled(self.x_hist.back().expect("history checked"), 1.0);
-        }
-        Some(xhat)
-    }
-
-    fn step_with(
-        &mut self,
-        observed: &S,
-        forecast_out: Option<&mut S>,
-        error_out: Option<&mut S>,
-    ) -> bool {
-        let (p, d, q) = (self.spec.p(), self.spec.d, self.spec.q());
-        let n = self.x_hist.len();
-        if n < retention(&self.spec) || self.e_hist.len() < q {
-            // Warm-up, or a ring still filling: the reference path.
-            let forecast = self.forecast();
-            let warmed = emit_reference(forecast.as_ref(), observed, forecast_out, error_out);
-            self.grow(observed, forecast.as_ref());
-            return warmed;
-        }
-        // One monomorphized step per shape, so a cell's terms are straight-line code.
-        match (p, d, q) {
-            (0, 0, 0) => self.steady::<0, 0, 0>(observed, forecast_out, error_out),
-            (0, 0, 1) => self.steady::<0, 0, 1>(observed, forecast_out, error_out),
-            (0, 0, 2) => self.steady::<0, 0, 2>(observed, forecast_out, error_out),
-            (0, 1, 0) => self.steady::<0, 1, 0>(observed, forecast_out, error_out),
-            (0, 1, 1) => self.steady::<0, 1, 1>(observed, forecast_out, error_out),
-            (0, 1, 2) => self.steady::<0, 1, 2>(observed, forecast_out, error_out),
-            (1, 0, 0) => self.steady::<1, 0, 0>(observed, forecast_out, error_out),
-            (1, 0, 1) => self.steady::<1, 0, 1>(observed, forecast_out, error_out),
-            (1, 0, 2) => self.steady::<1, 0, 2>(observed, forecast_out, error_out),
-            (1, 1, 0) => self.steady::<1, 1, 0>(observed, forecast_out, error_out),
-            (1, 1, 1) => self.steady::<1, 1, 1>(observed, forecast_out, error_out),
-            (1, 1, 2) => self.steady::<1, 1, 2>(observed, forecast_out, error_out),
-            (2, 0, 0) => self.steady::<2, 0, 0>(observed, forecast_out, error_out),
-            (2, 0, 1) => self.steady::<2, 0, 1>(observed, forecast_out, error_out),
-            (2, 0, 2) => self.steady::<2, 0, 2>(observed, forecast_out, error_out),
-            (2, 1, 0) => self.steady::<2, 1, 0>(observed, forecast_out, error_out),
-            (2, 1, 1) => self.steady::<2, 1, 1>(observed, forecast_out, error_out),
-            (2, 1, 2) => self.steady::<2, 1, 2>(observed, forecast_out, error_out),
-            _ => unreachable!("validated ARIMA shape ({p}, {d}, {q})"),
-        }
-        self.e_hist.rotate_left(usize::from(q > 0));
-        self.x_hist.rotate_left(1);
-        self.observed_count += 1;
-        true
-    }
-
-    fn warm_up(&self) -> usize {
-        self.needed_history()
-    }
-
-    fn name(&self) -> &'static str {
-        self.spec.class_name()
-    }
-
-    fn snapshot_state(&self) -> ModelState<S> {
-        ModelState::Arima {
-            x_hist: self.x_hist.iter().cloned().collect(),
-            e_hist: self.e_hist.iter().cloned().collect(),
-            observed_count: self.observed_count as u64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Forecaster, ModelSpec};
 
     fn spec(d: usize, ar: &[f64], ma: &[f64]) -> ArimaSpec {
         ArimaSpec::new(d, ar, ma).unwrap()
@@ -459,7 +402,7 @@ mod tests {
     #[test]
     fn ar1_d0_matches_recursion() {
         // AR(1): X̂_t = 0.5 · X_{t−1}.
-        let mut m: Arima<f64> = Arima::new(spec(0, &[0.5], &[]));
+        let mut m: Forecaster<f64> = ModelSpec::Arima(spec(0, &[0.5], &[])).build();
         assert!(m.forecast().is_none());
         m.observe(&8.0);
         assert_eq!(m.forecast(), Some(4.0));
@@ -471,7 +414,7 @@ mod tests {
     fn ar1_d1_is_trend_following() {
         // ARIMA(1,1,0) with AR=1: X̂_t = X_{t−1} + (X_{t−1} − X_{t−2}),
         // i.e. continue the last slope — exact on linear series.
-        let mut m: Arima<f64> = Arima::new(spec(1, &[1.0], &[]));
+        let mut m: Forecaster<f64> = ModelSpec::Arima(spec(1, &[1.0], &[])).build();
         for t in 1..=10 {
             let x = 3.0 * t as f64;
             if t > 2 {
@@ -486,7 +429,7 @@ mod tests {
     fn pure_ma_model_uses_past_errors() {
         // ARIMA(0,0,1): X̂_t = 0.5 · e_{t−1}. First forecast 0 (errors
         // initialized to zero), then follows half the last surprise.
-        let mut m: Arima<f64> = Arima::new(spec(0, &[], &[0.5]));
+        let mut m: Forecaster<f64> = ModelSpec::Arima(spec(0, &[], &[0.5])).build();
         m.observe(&10.0); // e = 10 - 0? no forecast yet -> e seeded as 0
         assert_eq!(m.forecast(), Some(0.0));
         m.observe(&4.0); // forecast was 0, e = 4
@@ -498,7 +441,7 @@ mod tests {
     #[test]
     fn arima_211_hand_computed() {
         // ARIMA(2,0,1): Ẑ_t = 0.6 Z_{t−1} − 0.2 Z_{t−2} + 0.3 e_{t−1}.
-        let mut m: Arima<f64> = Arima::new(spec(0, &[0.6, -0.2], &[0.3]));
+        let mut m: Forecaster<f64> = ModelSpec::Arima(spec(0, &[0.6, -0.2], &[0.3])).build();
         m.observe(&10.0); // e=0
         assert!(m.forecast().is_none()); // needs p=2 history
         m.observe(&20.0); // e=0 (no forecast yet)
@@ -512,14 +455,14 @@ mod tests {
 
     #[test]
     fn d1_warm_up_needs_p_plus_one_samples() {
-        let m: Arima<f64> = Arima::new(spec(1, &[0.5, 0.5], &[]));
+        let m: Forecaster<f64> = ModelSpec::Arima(spec(1, &[0.5, 0.5], &[])).build();
         assert_eq!(m.warm_up(), 3); // p + d = 2 + 1
     }
 
     #[test]
     fn random_walk_model() {
         // ARIMA(0,1,0): X̂_t = X_{t−1} (forecast = last value).
-        let mut m: Arima<f64> = Arima::new(spec(1, &[], &[]));
+        let mut m: Forecaster<f64> = ModelSpec::Arima(spec(1, &[], &[])).build();
         m.observe(&7.0);
         assert_eq!(m.forecast(), Some(7.0));
         m.observe(&9.0);
@@ -531,7 +474,7 @@ mod tests {
         let a = [3.0, 8.0, 1.0, 6.0, 2.0, 4.0];
         let b = [1.0, -2.0, 5.0, 0.5, -1.0, 2.0];
         let (ca, cb) = (2.0, 3.0);
-        let mk = || Arima::<f64>::new(spec(1, &[0.7, -0.1], &[0.4, 0.2]));
+        let mk = || ModelSpec::Arima(spec(1, &[0.7, -0.1], &[0.4, 0.2])).build::<f64>();
         let (mut ma_, mut mb_, mut mc_) = (mk(), mk(), mk());
         for i in 0..a.len() {
             ma_.observe(&a[i]);

@@ -13,86 +13,39 @@
 //! (Figures 4–9 all use it).
 
 use crate::blocked::step_cells;
-use crate::state::ModelState;
-use crate::{Forecaster, Summary};
+use crate::Summary;
 
-/// EWMA forecaster with smoothing constant `α`.
-#[derive(Debug, Clone)]
-pub struct Ewma<S> {
+/// The step over [`ModelState::Ewma`](crate::ModelState::Ewma): the first
+/// observation seeds the forecast, every later one advances it in place.
+pub(crate) fn step<S: Summary>(
     alpha: f64,
-    forecast: Option<S>,
-}
-
-impl<S: Summary> Ewma<S> {
-    /// Creates an EWMA model.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ α ≤ 1`.
-    pub fn new(alpha: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "EWMA alpha must be in [0, 1], got {alpha}");
-        Ewma { alpha, forecast: None }
-    }
-
-    /// The smoothing constant `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Rebuilds the model from checkpointed state. Any `forecast` (or none)
-    /// is a valid EWMA state, so this cannot fail.
-    pub fn resume(alpha: f64, forecast: Option<S>) -> Self {
-        let mut m = Ewma::new(alpha);
-        m.forecast = forecast;
-        m
-    }
-}
-
-impl<S: Summary> Forecaster<S> for Ewma<S> {
-    fn forecast(&self) -> Option<S> {
-        self.forecast.clone()
-    }
-
-    fn step_with(
-        &mut self,
-        observed: &S,
-        forecast_out: Option<&mut S>,
-        error_out: Option<&mut S>,
-    ) -> bool {
-        let Some(state) = &mut self.forecast else {
-            // Sf(2) = So(1): the first observation seeds the forecast.
-            self.forecast = Some(observed.clone());
-            return false;
-        };
-        let (alpha, keep) = (self.alpha, 1.0 - self.alpha);
-        step_cells(observed, [], [state], forecast_out, error_out, |o, [], [f]| {
-            let forecast = *f;
-            // Sf(t+1) = α·So(t) + (1−α)·Sf(t), in place on the state.
-            *f = *f * keep + alpha * o;
-            forecast
-        });
-        true
-    }
-
-    fn warm_up(&self) -> usize {
-        1
-    }
-
-    fn name(&self) -> &'static str {
-        "EWMA"
-    }
-
-    fn snapshot_state(&self) -> ModelState<S> {
-        ModelState::Ewma { forecast: self.forecast.clone() }
-    }
+    forecast: &mut Option<S>,
+    observed: &S,
+    forecast_out: Option<&mut S>,
+    error_out: Option<&mut S>,
+) -> bool {
+    let Some(state) = forecast else {
+        // Sf(2) = So(1): the first observation seeds the forecast.
+        *forecast = Some(observed.clone());
+        return false;
+    };
+    let keep = 1.0 - alpha;
+    step_cells(observed, [], [state], forecast_out, error_out, |o, [], [f]| {
+        let forecast = *f;
+        // Sf(t+1) = α·So(t) + (1−α)·Sf(t), in place on the state.
+        *f = *f * keep + alpha * o;
+        forecast
+    });
+    true
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Forecaster, ModelSpec};
 
     #[test]
     fn matches_paper_recursion() {
-        let mut m: Ewma<f64> = Ewma::new(0.25);
+        let mut m: Forecaster<f64> = ModelSpec::Ewma { alpha: 0.25 }.build();
         assert_eq!(m.forecast(), None);
         m.observe(&100.0);
         assert_eq!(m.forecast(), Some(100.0)); // Sf(2) = So(1)
@@ -106,7 +59,7 @@ mod tests {
 
     #[test]
     fn alpha_one_is_last_value_model() {
-        let mut m: Ewma<f64> = Ewma::new(1.0);
+        let mut m: Forecaster<f64> = ModelSpec::Ewma { alpha: 1.0 }.build();
         for v in [5.0, 9.0, 2.0] {
             m.observe(&v);
         }
@@ -115,7 +68,7 @@ mod tests {
 
     #[test]
     fn alpha_zero_freezes_first_observation() {
-        let mut m: Ewma<f64> = Ewma::new(0.0);
+        let mut m: Forecaster<f64> = ModelSpec::Ewma { alpha: 0.0 }.build();
         m.observe(&50.0);
         for v in [100.0, 200.0, 300.0] {
             m.observe(&v);
@@ -125,7 +78,7 @@ mod tests {
 
     #[test]
     fn converges_to_constant_stream() {
-        let mut m: Ewma<f64> = Ewma::new(0.3);
+        let mut m: Forecaster<f64> = ModelSpec::Ewma { alpha: 0.3 }.build();
         m.observe(&0.0);
         for _ in 0..100 {
             m.observe(&10.0);
@@ -136,7 +89,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "in [0, 1]")]
     fn invalid_alpha_rejected() {
-        let _: Ewma<f64> = Ewma::new(1.5);
+        let _: Forecaster<f64> = ModelSpec::Ewma { alpha: 1.5 }.build();
     }
 
     #[test]
@@ -144,9 +97,9 @@ mod tests {
         let a = [3.0, 8.0, 1.0, 6.0];
         let b = [1.0, -2.0, 5.0, 0.5];
         let (ca, cb) = (2.0, -0.5);
-        let mut ma: Ewma<f64> = Ewma::new(0.4);
-        let mut mb: Ewma<f64> = Ewma::new(0.4);
-        let mut mc: Ewma<f64> = Ewma::new(0.4);
+        let mut ma: Forecaster<f64> = ModelSpec::Ewma { alpha: 0.4 }.build();
+        let mut mb: Forecaster<f64> = ModelSpec::Ewma { alpha: 0.4 }.build();
+        let mut mc: Forecaster<f64> = ModelSpec::Ewma { alpha: 0.4 }.build();
         for i in 0..4 {
             ma.observe(&a[i]);
             mb.observe(&b[i]);

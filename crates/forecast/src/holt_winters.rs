@@ -16,156 +16,88 @@
 //! behind the paper's thresholding experiments (Figures 10–11).
 
 use crate::blocked::step_cells;
-use crate::state::{ModelState, NshwParts, StateError};
-use crate::{Forecaster, Summary};
+use crate::state::NshwParts;
+use crate::Summary;
 
-/// State carried between intervals once the model is warm.
-#[derive(Debug, Clone)]
-struct HwState<S> {
-    /// Smoothed level `Ss(t)`.
-    level: S,
-    /// Smoothed trend `St(t)`.
-    trend: S,
-    /// Previous forecast `Sf(t)` (needed by the level recursion).
-    forecast: S,
-}
-
-/// Non-seasonal Holt-Winters forecaster.
-#[derive(Debug, Clone)]
-pub struct NonSeasonalHoltWinters<S> {
+/// The step over [`ModelState::Nshw`](crate::ModelState::Nshw): holds the
+/// first observation, seeds the warm state from the second, and advances
+/// the warm state in place from then on.
+pub(crate) fn step<S: Summary>(
     alpha: f64,
     beta: f64,
-    /// First observation, held until the second arrives to seed the trend.
-    first: Option<S>,
-    state: Option<HwState<S>>,
+    first: &mut Option<S>,
+    state: &mut Option<NshwParts<S>>,
+    observed: &S,
+    forecast_out: Option<&mut S>,
+    error_out: Option<&mut S>,
+) -> bool {
+    let Some(NshwParts { level, trend, forecast }) = state else {
+        *state = seed(alpha, beta, first, observed);
+        return false;
+    };
+    let (keep_alpha, keep_beta) = (1.0 - alpha, 1.0 - beta);
+    let tables = [level, trend, forecast];
+    step_cells(observed, [], tables, forecast_out, error_out, |o, [], [l, t, f]| {
+        let forecast = *f;
+        // Ss(t) = α·So(t−1) + (1−α)·Sf(t−1): the forecast slot holds
+        // Sf(t−1) and becomes the new level.
+        *f = *f * keep_alpha + alpha * o;
+        // St(t) = β·(Ss(t) − Ss(t−1)) + (1−β)·St(t−1): `f` now holds
+        // Ss(t), `l` still holds Ss(t−1).
+        *t *= keep_beta;
+        *t += beta * *f;
+        *t += -beta * *l;
+        // Rotate: the level slot takes Ss(t); the forecast slot becomes
+        // Sf(t) = Ss(t) + St(t).
+        *l = *f;
+        *f += 1.0 * *t;
+        forecast
+    });
+    true
 }
 
-impl<S: Summary> NonSeasonalHoltWinters<S> {
-    /// Creates an NSHW model.
-    ///
-    /// # Panics
-    /// Panics unless both `α` and `β` lie in `[0, 1]`.
-    pub fn new(alpha: f64, beta: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "NSHW alpha must be in [0, 1], got {alpha}");
-        assert!((0.0..=1.0).contains(&beta), "NSHW beta must be in [0, 1], got {beta}");
-        NonSeasonalHoltWinters { alpha, beta, first: None, state: None }
-    }
-
-    /// Smoothing parameters `(α, β)`.
-    pub fn params(&self) -> (f64, f64) {
-        (self.alpha, self.beta)
-    }
-
-    /// Rebuilds the model from checkpointed state.
-    pub fn resume(
-        alpha: f64,
-        beta: f64,
-        first: Option<S>,
-        state: Option<NshwParts<S>>,
-    ) -> Result<Self, StateError> {
-        if first.is_some() && state.is_some() {
-            return Err(StateError::InvalidShape("NSHW cannot be both warming up and warm".into()));
-        }
-        let mut m = NonSeasonalHoltWinters::new(alpha, beta);
-        m.first = first;
-        m.state = state.map(|p| HwState { level: p.level, trend: p.trend, forecast: p.forecast });
-        Ok(m)
-    }
-    /// Warm-up: holds the first observation, then seeds the state from
-    /// the second.
-    fn seed(&mut self, observed: &S) {
-        let Some(first) = self.first.take() else {
-            self.first = Some(observed.clone());
-            return;
-        };
-        // Second observation: seed level and trend per the paper —
-        // Ss(2) = So(1), St(2) = So(2) − So(1), Sf(2) = Ss(2)+St(2) — then
-        // advance one recursion step so that `forecast()` returns Sf(3),
-        // the first prediction that uses no future data (Sf(2) as defined
-        // would "predict" interval 2 from So(2) itself).
-        let level2 = first;
-        let trend2 = S::sub(observed, &level2);
-        let mut f2 = level2.clone();
-        f2.add_scaled(&trend2, 1.0);
-        // Ss(3) = α·So(2) + (1−α)·Sf(2)
-        let mut level = f2;
-        level.scale(1.0 - self.alpha);
-        level.add_scaled(observed, self.alpha);
-        // St(3) = β·(Ss(3) − Ss(2)) + (1−β)·St(2)
-        let mut trend = trend2;
-        trend.scale(1.0 - self.beta);
-        trend.add_scaled(&level, self.beta);
-        trend.add_scaled(&level2, -self.beta);
-        let mut forecast = level.clone();
-        forecast.add_scaled(&trend, 1.0);
-        self.state = Some(HwState { level, trend, forecast });
-    }
-}
-
-impl<S: Summary> Forecaster<S> for NonSeasonalHoltWinters<S> {
-    fn forecast(&self) -> Option<S> {
-        self.state.as_ref().map(|st| st.forecast.clone())
-    }
-
-    fn step_with(
-        &mut self,
-        observed: &S,
-        forecast_out: Option<&mut S>,
-        error_out: Option<&mut S>,
-    ) -> bool {
-        let Some(HwState { level, trend, forecast }) = &mut self.state else {
-            self.seed(observed);
-            return false;
-        };
-        let (alpha, beta) = (self.alpha, self.beta);
-        let (keep_alpha, keep_beta) = (1.0 - alpha, 1.0 - beta);
-        let tables = [level, trend, forecast];
-        step_cells(observed, [], tables, forecast_out, error_out, |o, [], [l, t, f]| {
-            let forecast = *f;
-            // Ss(t) = α·So(t−1) + (1−α)·Sf(t−1): the forecast slot holds
-            // Sf(t−1) and becomes the new level.
-            *f = *f * keep_alpha + alpha * o;
-            // St(t) = β·(Ss(t) − Ss(t−1)) + (1−β)·St(t−1): `f` now holds
-            // Ss(t), `l` still holds Ss(t−1).
-            *t *= keep_beta;
-            *t += beta * *f;
-            *t += -beta * *l;
-            // Rotate: the level slot takes Ss(t); the forecast slot becomes
-            // Sf(t) = Ss(t) + St(t).
-            *l = *f;
-            *f += 1.0 * *t;
-            forecast
-        });
-        true
-    }
-
-    fn warm_up(&self) -> usize {
-        2
-    }
-
-    fn name(&self) -> &'static str {
-        "NSHW"
-    }
-
-    fn snapshot_state(&self) -> ModelState<S> {
-        ModelState::Nshw {
-            first: self.first.clone(),
-            state: self.state.as_ref().map(|s| NshwParts {
-                level: s.level.clone(),
-                trend: s.trend.clone(),
-                forecast: s.forecast.clone(),
-            }),
-        }
-    }
+/// Warm-up: holds the first observation in `first`, then seeds the warm
+/// state from the second (`None` until then).
+fn seed<S: Summary>(
+    alpha: f64,
+    beta: f64,
+    first: &mut Option<S>,
+    observed: &S,
+) -> Option<NshwParts<S>> {
+    let Some(first) = first.take() else {
+        *first = Some(observed.clone());
+        return None;
+    };
+    // Second observation: seed level and trend per the paper —
+    // Ss(2) = So(1), St(2) = So(2) − So(1), Sf(2) = Ss(2)+St(2) — then
+    // advance one recursion step so that `forecast()` returns Sf(3),
+    // the first prediction that uses no future data (Sf(2) as defined
+    // would "predict" interval 2 from So(2) itself).
+    let level2 = first;
+    let trend2 = S::sub(observed, &level2);
+    let mut f2 = level2.clone();
+    f2.add_scaled(&trend2, 1.0);
+    // Ss(3) = α·So(2) + (1−α)·Sf(2)
+    let mut level = f2;
+    level.scale(1.0 - alpha);
+    level.add_scaled(observed, alpha);
+    // St(3) = β·(Ss(3) − Ss(2)) + (1−β)·St(2)
+    let mut trend = trend2;
+    trend.scale(1.0 - beta);
+    trend.add_scaled(&level, beta);
+    trend.add_scaled(&level2, -beta);
+    let mut forecast = level.clone();
+    forecast.add_scaled(&trend, 1.0);
+    Some(NshwParts { level, trend, forecast })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Forecaster, ModelSpec};
 
     #[test]
     fn warm_up_takes_two_observations() {
-        let mut m: NonSeasonalHoltWinters<f64> = NonSeasonalHoltWinters::new(0.5, 0.5);
+        let mut m: Forecaster<f64> = ModelSpec::Nshw { alpha: 0.5, beta: 0.5 }.build();
         assert_eq!(m.forecast(), None);
         m.observe(&10.0);
         assert_eq!(m.forecast(), None);
@@ -178,7 +110,7 @@ mod tests {
     #[test]
     fn recursion_matches_hand_computation() {
         let (alpha, beta) = (0.4, 0.3);
-        let mut m: NonSeasonalHoltWinters<f64> = NonSeasonalHoltWinters::new(alpha, beta);
+        let mut m: Forecaster<f64> = ModelSpec::Nshw { alpha, beta }.build();
         m.observe(&10.0);
         m.observe(&14.0);
         // Seeds: Ss(2)=10, St(2)=4, Sf(2)=14.
@@ -196,7 +128,7 @@ mod tests {
     fn tracks_perfect_linear_trend_exactly() {
         // On So(t) = 5t the seeded trend is exact and the model should
         // forecast the next point with zero error forever.
-        let mut m: NonSeasonalHoltWinters<f64> = NonSeasonalHoltWinters::new(0.5, 0.5);
+        let mut m: Forecaster<f64> = ModelSpec::Nshw { alpha: 0.5, beta: 0.5 }.build();
         for t in 1..=20 {
             let x = 5.0 * t as f64;
             if let Some(f) = m.forecast() {
@@ -208,7 +140,7 @@ mod tests {
 
     #[test]
     fn beta_zero_freezes_trend() {
-        let mut m: NonSeasonalHoltWinters<f64> = NonSeasonalHoltWinters::new(0.5, 0.0);
+        let mut m: Forecaster<f64> = ModelSpec::Nshw { alpha: 0.5, beta: 0.0 }.build();
         m.observe(&0.0);
         m.observe(&10.0); // trend seeded at 10, frozen
         for _ in 0..50 {
@@ -222,7 +154,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "beta must be in [0, 1]")]
     fn invalid_beta_rejected() {
-        let _: NonSeasonalHoltWinters<f64> = NonSeasonalHoltWinters::new(0.5, -0.1);
+        let _: Forecaster<f64> = ModelSpec::Nshw { alpha: 0.5, beta: -0.1 }.build();
     }
 
     #[test]
@@ -230,7 +162,7 @@ mod tests {
         let a = [3.0, 8.0, 1.0, 6.0, 2.0];
         let b = [1.0, -2.0, 5.0, 0.5, -1.0];
         let (ca, cb) = (1.5, 2.0);
-        let mk = || NonSeasonalHoltWinters::<f64>::new(0.6, 0.2);
+        let mk = || ModelSpec::Nshw { alpha: 0.6, beta: 0.2 }.build::<f64>();
         let (mut ma, mut mb, mut mc) = (mk(), mk(), mk());
         for i in 0..5 {
             ma.observe(&a[i]);

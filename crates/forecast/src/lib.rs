@@ -18,13 +18,18 @@
 //! model in sketch space equals sketching the per-flow forecasts — a
 //! property the integration tests verify cell-for-cell.
 //!
+//! A model is its parameters and the summaries it keeps: one
+//! [`Forecaster`] type holds a [`ModelSpec`] and the [`ModelState`] its
+//! step rewrites in place, so a checkpoint is a copy of the state and a
+//! restore is a check of its shape.
+//!
 //! # Example
 //!
 //! ```
-//! use scd_forecast::{Ewma, Forecaster};
+//! use scd_forecast::{Forecaster, ModelSpec};
 //!
 //! // Scalar instantiation: forecast a single flow's byte counts.
-//! let mut model: Ewma<f64> = Ewma::new(0.5);
+//! let mut model: Forecaster<f64> = ModelSpec::Ewma { alpha: 0.5 }.build();
 //! assert!(model.forecast().is_none()); // warm-up: nothing observed yet
 //! model.observe(&100.0);
 //! assert_eq!(model.forecast(), Some(100.0)); // Sf(2) = So(1)
@@ -46,37 +51,81 @@ pub mod sma;
 pub mod state;
 pub mod summary;
 
-pub use arima::{Arima, ArimaSpec};
-pub use ewma::Ewma;
-pub use holt_winters::NonSeasonalHoltWinters;
-pub use ma::MovingAverage;
+pub use arima::ArimaSpec;
 pub use model::{ModelError, ModelKind, ModelSpec};
-pub use seasonal::SeasonalHoltWinters;
-pub use sma::SShapedMovingAverage;
 pub use state::{ModelState, NshwParts, ShwParts, StateError};
 pub use summary::Summary;
 
-/// A forecasting model over summaries of type `S`.
+/// A forecasting model over summaries of type `S`: its parameters and its
+/// state, each stated once.
 ///
 /// Time advances one interval per step. [`forecast`](Forecaster::forecast)
 /// returns the model's prediction for the *next unobserved* interval, or
 /// `None` while the model is still warming up (§4.2 of the paper sets
 /// aside the first hour of each trace for exactly this reason).
 ///
-/// A model states its recurrence twice, and only twice: `forecast()` is
-/// the allocating reference — whole-table [`Summary`] operations, the form
-/// the paper writes the model in — and [`step_with`](Forecaster::step_with)
+/// A model states its recurrence twice, and only twice, as free functions
+/// of its module over its own [`ModelState`] variant: `forecast()` is the
+/// allocating reference — whole-table [`Summary`] operations, the form the
+/// paper writes the model in — and [`step_with`](Forecaster::step_with)
 /// is the step that ships: one per-cell function walked once over the
 /// model's tables (see [`blocked`]), which advances the state in place and
-/// writes `Sf(t)` / `Se(t)` to whichever buffers the caller passes. [`observe`](Forecaster::observe),
-/// [`step_into`](Forecaster::step_into) and
-/// [`step_error_into`](Forecaster::step_error_into) are that one step with
-/// a choice of outputs, so they cannot drift apart, and the tests hold the
-/// step to the reference bit for bit.
-pub trait Forecaster<S: Summary> {
+/// writes `Sf(t)` / `Se(t)` to whichever buffers the caller passes. Both
+/// dispatch through one `match` on the spec and the state.
+/// [`observe`](Forecaster::observe), [`step_into`](Forecaster::step_into)
+/// and [`step_error_into`](Forecaster::step_error_into) are that one step
+/// with a choice of outputs, so they cannot drift apart, and the tests hold
+/// the step to the reference bit for bit.
+///
+/// Built by [`ModelSpec::build`] or, from checkpointed state, by
+/// [`ModelSpec::restore`]; the spec and the state variant always belong to
+/// the same model family.
+#[derive(Debug, Clone)]
+pub struct Forecaster<S> {
+    spec: ModelSpec,
+    state: ModelState<S>,
+    /// A window model's per-slot coefficients (MA's `1/W`, SMA's weights
+    /// newest first), derived from the spec once so a steady step
+    /// allocates nothing; empty for every other model.
+    weights: Vec<f64>,
+}
+
+impl<S: Summary> Forecaster<S> {
+    /// Pairs a spec with a state of its own family (the caller's check).
+    pub(crate) fn new(spec: ModelSpec, state: ModelState<S>) -> Self {
+        let weights = match spec {
+            ModelSpec::Ma { window } => vec![1.0 / window as f64; window],
+            ModelSpec::Sma { window } => {
+                (0..window).map(|age| sma::sma_weight(age, window)).collect()
+            }
+            _ => Vec::new(),
+        };
+        Forecaster { spec, state, weights }
+    }
+
+    /// The model's complete mutable state, for checkpointing. Restoring a
+    /// copy with [`ModelSpec::restore`] (same spec) yields a forecaster
+    /// whose future outputs are bit-identical to this one's.
+    pub fn state(&self) -> &ModelState<S> {
+        &self.state
+    }
+
     /// Prediction `Sf(t)` for the upcoming interval `t`, from data observed
     /// strictly before `t`. `None` during warm-up.
-    fn forecast(&self) -> Option<S>;
+    pub fn forecast(&self) -> Option<S> {
+        match (&self.spec, &self.state) {
+            (_, ModelState::Ma { history }) => ma::forecast(history),
+            (_, ModelState::Sma { history }) => sma::forecast(history),
+            // EWMA and NSHW keep their forecast as state.
+            (_, ModelState::Ewma { forecast }) => forecast.clone(),
+            (_, ModelState::Nshw { state, .. }) => state.as_ref().map(|p| p.forecast.clone()),
+            (ModelSpec::Arima(spec), ModelState::Arima { x_hist, e_hist, observed_count }) => {
+                arima::forecast(spec, x_hist, e_hist, *observed_count)
+            }
+            (_, ModelState::Shw { state, .. }) => state.as_ref().map(seasonal::forecast),
+            (spec, state) => unreachable!("{} spec over {} state", spec.kind(), state.tag()),
+        }
+    }
 
     /// The step: feeds the observed summary `So(t)`, advances the model to
     /// interval `t + 1`, and — when the model had a forecast for `t` —
@@ -95,35 +144,61 @@ pub trait Forecaster<S: Summary> {
     /// # Panics
     /// For sketch summaries, panics if `observed`, an output buffer or a
     /// piece of the model's state was built over a different hash family.
-    fn step_with(
+    pub fn step_with(
         &mut self,
         observed: &S,
         forecast_out: Option<&mut S>,
         error_out: Option<&mut S>,
-    ) -> bool;
+    ) -> bool {
+        let (o, sf, se) = (observed, forecast_out, error_out);
+        match (&self.spec, &mut self.state) {
+            (&ModelSpec::Ma { window }, ModelState::Ma { history }) => {
+                ma::step(window, &self.weights, history, o, sf, se)
+            }
+            (&ModelSpec::Sma { window }, ModelState::Sma { history }) => {
+                sma::step(window, &self.weights, history, o, sf, se)
+            }
+            (&ModelSpec::Ewma { alpha }, ModelState::Ewma { forecast }) => {
+                ewma::step(alpha, forecast, o, sf, se)
+            }
+            (&ModelSpec::Nshw { alpha, beta }, ModelState::Nshw { first, state }) => {
+                holt_winters::step(alpha, beta, first, state, o, sf, se)
+            }
+            (ModelSpec::Arima(spec), ModelState::Arima { x_hist, e_hist, observed_count }) => {
+                arima::step(spec, x_hist, e_hist, observed_count, o, sf, se)
+            }
+            (&ModelSpec::Shw { alpha, beta, gamma, period }, ModelState::Shw { init, state }) => {
+                seasonal::step([alpha, beta, gamma], period, init, state, o, sf, se)
+            }
+            (spec, state) => unreachable!("{} spec over {} state", spec.kind(), state.tag()),
+        }
+    }
 
     /// Feeds the observed summary `So(t)` for the current interval and
     /// advances the model to interval `t + 1`.
-    fn observe(&mut self, observed: &S) {
+    pub fn observe(&mut self, observed: &S) {
         self.step_with(observed, None, None);
     }
 
     /// Number of `observe` calls needed before `forecast` returns `Some`.
-    fn warm_up(&self) -> usize;
+    pub fn warm_up(&self) -> usize {
+        match &self.spec {
+            ModelSpec::Ma { .. } | ModelSpec::Sma { .. } | ModelSpec::Ewma { .. } => 1,
+            ModelSpec::Nshw { .. } => 2,
+            ModelSpec::Arima(spec) => arima::needed_history(spec),
+            ModelSpec::Shw { period, .. } => *period,
+        }
+    }
 
     /// Short human-readable model name (e.g. `"EWMA"`).
-    fn name(&self) -> &'static str;
-
-    /// Exports the model's complete mutable state for checkpointing.
-    /// Restoring it with [`ModelSpec::restore`](model::ModelSpec::restore)
-    /// (same spec) yields a forecaster whose future outputs are
-    /// bit-identical to this one's.
-    fn snapshot_state(&self) -> ModelState<S>;
+    pub fn name(&self) -> &'static str {
+        self.spec.kind().name()
+    }
 
     /// The allocating form of the detection loop's step: returns
     /// `(Sf(t), Se(t) = So(t) − Sf(t))` for the current interval — `None`
     /// during warm-up — and then advances the model with `So(t)`.
-    fn step(&mut self, observed: &S) -> Option<(S, S)> {
+    pub fn step(&mut self, observed: &S) -> Option<(S, S)> {
         let out = self.forecast().map(|f| {
             let mut err = observed.clone();
             err.add_scaled(&f, -1.0);
@@ -136,14 +211,14 @@ pub trait Forecaster<S: Summary> {
     /// Buffer-recycling [`step`](Forecaster::step): writes `Sf(t)` and
     /// `Se(t) = So(t) − Sf(t)` into caller-owned buffers and advances the
     /// model. Returns `false` — both buffers untouched — during warm-up.
-    fn step_into(&mut self, observed: &S, forecast_out: &mut S, error_out: &mut S) -> bool {
+    pub fn step_into(&mut self, observed: &S, forecast_out: &mut S, error_out: &mut S) -> bool {
         self.step_with(observed, Some(forecast_out), Some(error_out))
     }
 
     /// [`step_into`](Forecaster::step_into) for a caller that never reads
     /// `Sf(t)` — the detector: writes only `Se(t)`, so the forecast is
     /// never materialized as a table.
-    fn step_error_into(&mut self, observed: &S, error_out: &mut S) -> bool {
+    pub fn step_error_into(&mut self, observed: &S, error_out: &mut S) -> bool {
         self.step_with(observed, None, Some(error_out))
     }
 }
@@ -154,7 +229,7 @@ mod tests {
 
     #[test]
     fn step_returns_forecast_and_error() {
-        let mut m: Ewma<f64> = Ewma::new(1.0); // alpha=1: last-value forecast
+        let mut m: Forecaster<f64> = ModelSpec::Ewma { alpha: 1.0 }.build(); // alpha=1: last-value forecast
         assert!(m.step(&10.0).is_none()); // warm-up interval
         let (f, e) = m.step(&14.0).unwrap();
         assert_eq!(f, 10.0);

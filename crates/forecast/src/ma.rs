@@ -15,50 +15,37 @@
 //! does the same.
 
 use crate::blocked::{emit_reference, walk};
-use crate::state::{ModelState, StateError};
-use crate::{Forecaster, Summary};
-use std::collections::VecDeque;
+use crate::Summary;
 
-/// Equal-weight moving average over the last `W` observations.
-#[derive(Debug, Clone)]
-pub struct MovingAverage<S> {
-    window: usize,
-    history: VecDeque<S>,
-    /// `1/W` once per ring slot, the coefficients of [`step_window`].
-    weights: Vec<f64>,
+/// `forecast()` over [`ModelState::Ma`](crate::ModelState::Ma)'s history:
+/// the mean of the held observations.
+pub(crate) fn forecast<S: Summary>(history: &[S]) -> Option<S> {
+    let w = history.len() as f64;
+    let mut out = history.first()?.zero_like();
+    for s in history {
+        out.add_scaled(s, 1.0 / w);
+    }
+    Some(out)
 }
 
-impl<S: Summary> MovingAverage<S> {
-    /// Creates an MA model with window `W ≥ 1`.
-    ///
-    /// # Panics
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window >= 1, "MA window must be at least 1");
-        let weights = vec![1.0 / window as f64; window];
-        MovingAverage { window, history: VecDeque::with_capacity(window), weights }
+/// The step over [`ModelState::Ma`](crate::ModelState::Ma): while the
+/// ring is still filling, the reference path, which grows it; once full,
+/// [`step_window`] over `weights`, `1/W` once per slot.
+pub(crate) fn step<S: Summary>(
+    window: usize,
+    weights: &[f64],
+    history: &mut Vec<S>,
+    observed: &S,
+    forecast_out: Option<&mut S>,
+    error_out: Option<&mut S>,
+) -> bool {
+    if history.len() < window {
+        let warmed = emit_reference(forecast(history).as_ref(), observed, forecast_out, error_out);
+        history.push(observed.clone());
+        return warmed;
     }
-
-    /// The configured window `W`.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Rebuilds the model from checkpointed state.
-    pub fn resume(window: usize, history: Vec<S>) -> Result<Self, StateError> {
-        if window == 0 {
-            return Err(StateError::InvalidShape("MA window must be at least 1".into()));
-        }
-        if history.len() > window {
-            return Err(StateError::InvalidShape(format!(
-                "MA history of {} exceeds window {window}",
-                history.len()
-            )));
-        }
-        let mut m = MovingAverage::new(window);
-        m.history = history.into();
-        Ok(m)
-    }
+    step_window(history, weights, false, None, observed, forecast_out, error_out);
+    true
 }
 
 /// Cells a window step sums at a time, slot after slot, before it walks
@@ -75,7 +62,7 @@ const WINDOW_BLOCK: usize = 512;
 /// a buffer — each cell adding its terms in order, and the block is then
 /// walked like any other model's step, its forecasts the one read.
 pub(crate) fn step_window<S: Summary>(
-    ring: &mut VecDeque<S>,
+    ring: &mut [S],
     coeffs: &[f64],
     newest_first: bool,
     scale: Option<f64>,
@@ -83,7 +70,7 @@ pub(crate) fn step_window<S: Summary>(
     forecast_out: Option<&mut S>,
     error_out: Option<&mut S>,
 ) {
-    let (oldest, newer) = ring.make_contiguous().split_first_mut().expect("window ≥ 1");
+    let (oldest, newer) = ring.split_first_mut().expect("window ≥ 1");
     let operands = newer.iter().chain([&*oldest]).chain(forecast_out.as_deref());
     for s in operands.chain(error_out.as_deref()) {
         observed.check_family(s);
@@ -132,57 +119,13 @@ pub(crate) fn step_window<S: Summary>(
     ring.rotate_left(1);
 }
 
-impl<S: Summary> Forecaster<S> for MovingAverage<S> {
-    fn forecast(&self) -> Option<S> {
-        if self.history.is_empty() {
-            return None;
-        }
-        let w = self.history.len() as f64;
-        let mut out = self.history[0].zero_like();
-        for s in &self.history {
-            out.add_scaled(s, 1.0 / w);
-        }
-        Some(out)
-    }
-
-    fn step_with(
-        &mut self,
-        observed: &S,
-        forecast_out: Option<&mut S>,
-        error_out: Option<&mut S>,
-    ) -> bool {
-        if self.history.len() < self.window {
-            // The ring is still filling: the reference path, which grows it.
-            let forecast = self.forecast();
-            let warmed = emit_reference(forecast.as_ref(), observed, forecast_out, error_out);
-            self.history.push_back(observed.clone());
-            return warmed;
-        }
-        let ring = &mut self.history;
-        step_window(ring, &self.weights, false, None, observed, forecast_out, error_out);
-        true
-    }
-
-    fn warm_up(&self) -> usize {
-        1
-    }
-
-    fn name(&self) -> &'static str {
-        "MA"
-    }
-
-    fn snapshot_state(&self) -> ModelState<S> {
-        ModelState::Ma { history: self.history.iter().cloned().collect() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Forecaster, ModelSpec};
 
     #[test]
     fn averages_last_w_samples() {
-        let mut m: MovingAverage<f64> = MovingAverage::new(3);
+        let mut m: Forecaster<f64> = ModelSpec::Ma { window: 3 }.build();
         for v in [3.0, 6.0, 9.0, 30.0] {
             m.observe(&v);
         }
@@ -192,7 +135,7 @@ mod tests {
 
     #[test]
     fn ramp_up_uses_available_samples() {
-        let mut m: MovingAverage<f64> = MovingAverage::new(5);
+        let mut m: Forecaster<f64> = ModelSpec::Ma { window: 5 }.build();
         assert_eq!(m.forecast(), None);
         m.observe(&10.0);
         assert_eq!(m.forecast(), Some(10.0));
@@ -202,7 +145,7 @@ mod tests {
 
     #[test]
     fn window_one_is_last_value() {
-        let mut m: MovingAverage<f64> = MovingAverage::new(1);
+        let mut m: Forecaster<f64> = ModelSpec::Ma { window: 1 }.build();
         m.observe(&7.0);
         m.observe(&11.0);
         assert_eq!(m.forecast(), Some(11.0));
@@ -211,7 +154,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_window_rejected() {
-        let _: MovingAverage<f64> = MovingAverage::new(0);
+        let _: Forecaster<f64> = ModelSpec::Ma { window: 0 }.build();
     }
 
     #[test]
@@ -219,9 +162,9 @@ mod tests {
         // MA(2) of stream a+2b equals MA(2) of a plus 2*MA(2) of b.
         let a = [5.0, 7.0, 1.0];
         let b = [2.0, -1.0, 4.0];
-        let mut ma: MovingAverage<f64> = MovingAverage::new(2);
-        let mut mb: MovingAverage<f64> = MovingAverage::new(2);
-        let mut mc: MovingAverage<f64> = MovingAverage::new(2);
+        let mut ma: Forecaster<f64> = ModelSpec::Ma { window: 2 }.build();
+        let mut mb: Forecaster<f64> = ModelSpec::Ma { window: 2 }.build();
+        let mut mc: Forecaster<f64> = ModelSpec::Ma { window: 2 }.build();
         for i in 0..3 {
             ma.observe(&a[i]);
             mb.observe(&b[i]);

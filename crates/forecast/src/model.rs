@@ -2,12 +2,8 @@
 //! enum, so the detection pipeline, grid search, and experiment harness can
 //! treat "a forecasting model" as data.
 
-use crate::arima::{Arima, ArimaError, ArimaSpec};
-
-use crate::{
-    Ewma, Forecaster, MovingAverage, NonSeasonalHoltWinters, SShapedMovingAverage,
-    SeasonalHoltWinters, Summary,
-};
+use crate::arima::{ArimaError, ArimaSpec};
+use crate::{Forecaster, ModelState, Summary};
 
 /// The model families evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -228,24 +224,31 @@ impl ModelSpec {
         }
     }
 
-    /// Instantiates the forecaster over summary type `S`. The trait object
-    /// is `Send` so detectors can run on dedicated threads (the streaming
-    /// front end moves its whole detector across a spawn).
+    /// Instantiates the forecaster over summary type `S`, with the empty
+    /// state of this spec's family.
     ///
     /// # Panics
     /// Panics on an invalid spec — call [`validate`](Self::validate) first
     /// when the parameters come from untrusted input.
-    pub fn build<S: Summary + Send + 'static>(&self) -> Box<dyn Forecaster<S> + Send> {
-        match *self {
-            ModelSpec::Ma { window } => Box::new(MovingAverage::new(window)),
-            ModelSpec::Sma { window } => Box::new(SShapedMovingAverage::new(window)),
-            ModelSpec::Ewma { alpha } => Box::new(Ewma::new(alpha)),
-            ModelSpec::Nshw { alpha, beta } => Box::new(NonSeasonalHoltWinters::new(alpha, beta)),
-            ModelSpec::Arima(spec) => Box::new(Arima::new(spec)),
-            ModelSpec::Shw { alpha, beta, gamma, period } => {
-                Box::new(SeasonalHoltWinters::new(alpha, beta, gamma, period))
+    pub fn build<S: Summary>(&self) -> Forecaster<S> {
+        match self.validate() {
+            Err(ModelError::SmoothingOutOfRange { which, value }) => {
+                panic!("{} {which} must be in [0, 1], got {value}", self.kind())
             }
+            Err(e) => panic!("invalid {} spec: {e}", self.kind()),
+            Ok(()) => {}
         }
+        let state = match self {
+            ModelSpec::Ma { .. } => ModelState::Ma { history: Vec::new() },
+            ModelSpec::Sma { .. } => ModelState::Sma { history: Vec::new() },
+            ModelSpec::Ewma { .. } => ModelState::Ewma { forecast: None },
+            ModelSpec::Nshw { .. } => ModelState::Nshw { first: None, state: None },
+            ModelSpec::Arima(_) => {
+                ModelState::Arima { x_hist: Vec::new(), e_hist: Vec::new(), observed_count: 0 }
+            }
+            ModelSpec::Shw { .. } => ModelState::Shw { init: Vec::new(), state: None },
+        };
+        Forecaster::new(self.clone(), state)
     }
 
     /// Parses a compact textual spec, the inverse-ish of
@@ -374,7 +377,7 @@ mod tests {
             ModelSpec::Arima(ArimaSpec::new(1, &[0.5], &[]).unwrap()),
         ];
         for spec in &specs {
-            let mut m: Box<dyn Forecaster<f64>> = spec.build();
+            let mut m: Forecaster<f64> = spec.build();
             for v in [10.0, 12.0, 9.0, 14.0] {
                 m.observe(&v);
             }
@@ -443,7 +446,7 @@ mod tests {
             ModelSpec::parse("shw:0.3:0.1:1.5:1"),
             Err(ModelError::SmoothingOutOfRange { which: "gamma", value: 1.5 })
         );
-        let mut m: Box<dyn Forecaster<f64>> = spec.build();
+        let mut m: Forecaster<f64> = spec.build();
         assert_eq!(m.warm_up(), 288);
         m.observe(&1.0);
         assert_eq!(m.name(), "SHW");

@@ -23,210 +23,98 @@
 //! therefore `m` observations.
 
 use crate::blocked::step_cells;
-use crate::state::{ModelState, ShwParts, StateError};
-use crate::{Forecaster, Summary};
+use crate::state::ShwParts;
+use crate::Summary;
 
-/// Additive seasonal Holt-Winters forecaster with period `m`.
-#[derive(Debug, Clone)]
-pub struct SeasonalHoltWinters<S> {
-    alpha: f64,
-    beta: f64,
-    gamma: f64,
+/// `forecast()` over the warm state: level + trend + season for the
+/// upcoming phase.
+pub(crate) fn forecast<S: Summary>(state: &ShwParts<S>) -> S {
+    let mut f = state.level.clone();
+    f.add_scaled(&state.trend, 1.0);
+    f.add_scaled(&state.season[state.phase], 1.0);
+    f
+}
+
+/// The step over [`ModelState::Shw`](crate::ModelState::Shw): buffers the
+/// first cycle in `init`, seeds the warm state from it once complete, and
+/// advances the warm state in place from then on. `smoothing` is
+/// `[α, β, γ]`.
+pub(crate) fn step<S: Summary>(
+    smoothing: [f64; 3],
     period: usize,
-    /// Observations of the first (incomplete) cycle, for initialization.
-    init_buffer: Vec<S>,
-    state: Option<SeasonState<S>>,
-}
-
-#[derive(Debug, Clone)]
-struct SeasonState<S> {
-    level: S,
-    trend: S,
-    /// Seasonal indices; `season[t % m]` is the index for phase `t % m`,
-    /// most recently updated one period ago.
-    season: Vec<S>,
-    /// Phase (t mod m) of the *next* observation.
-    phase: usize,
-}
-
-impl<S: Summary> SeasonalHoltWinters<S> {
-    /// Creates the model.
-    ///
-    /// # Panics
-    /// Panics unless `period ≥ 2` and all smoothing constants are in
-    /// `[0, 1]`.
-    pub fn new(alpha: f64, beta: f64, gamma: f64, period: usize) -> Self {
-        assert!(period >= 2, "seasonal period must be at least 2, got {period}");
-        for (name, v) in [("alpha", alpha), ("beta", beta), ("gamma", gamma)] {
-            assert!((0.0..=1.0).contains(&v), "SHW {name} must be in [0, 1], got {v}");
-        }
-        SeasonalHoltWinters {
-            alpha,
-            beta,
-            gamma,
-            period,
-            init_buffer: Vec::with_capacity(period),
-            state: None,
-        }
-    }
-
-    /// The seasonal period `m`.
-    pub fn period(&self) -> usize {
-        self.period
-    }
-
-    /// Smoothing parameters `(α, β, γ)`.
-    pub fn params(&self) -> (f64, f64, f64) {
-        (self.alpha, self.beta, self.gamma)
-    }
-
-    /// Rebuilds the model from checkpointed state.
-    pub fn resume(
-        alpha: f64,
-        beta: f64,
-        gamma: f64,
-        period: usize,
-        init: Vec<S>,
-        state: Option<ShwParts<S>>,
-    ) -> Result<Self, StateError> {
-        if init.len() >= period.max(1) && state.is_none() {
-            return Err(StateError::InvalidShape(format!(
-                "SHW init buffer of {} should have seeded state at period {period}",
-                init.len()
-            )));
-        }
-        if let Some(p) = &state {
-            if !init.is_empty() {
-                return Err(StateError::InvalidShape(
-                    "SHW cannot be both initializing and warm".into(),
-                ));
-            }
-            if p.season.len() != period {
-                return Err(StateError::InvalidShape(format!(
-                    "SHW season vector of {} does not match period {period}",
-                    p.season.len()
-                )));
-            }
-            if p.phase >= period {
-                return Err(StateError::InvalidShape(format!(
-                    "SHW phase {} out of range for period {period}",
-                    p.phase
-                )));
-            }
-        }
-        let mut m = SeasonalHoltWinters::new(alpha, beta, gamma, period);
-        m.init_buffer = init;
-        m.state = state.map(|p| SeasonState {
-            level: p.level,
-            trend: p.trend,
-            season: p.season,
-            phase: p.phase,
-        });
-        Ok(m)
-    }
-    /// Warm-up: buffers the first cycle and, once it is complete,
-    /// initializes from it — level = cycle mean, trend = 0,
-    /// season[i] = x_i − mean.
-    fn collect_first_cycle(&mut self, observed: &S) {
-        self.init_buffer.push(observed.clone());
-        if self.init_buffer.len() < self.period {
-            return;
-        }
-        let m = self.period as f64;
-        let mut level = observed.zero_like();
-        for x in &self.init_buffer {
-            level.add_scaled(x, 1.0 / m);
-        }
-        let season: Vec<S> = self
-            .init_buffer
-            .iter()
-            .map(|x| {
-                let mut s = x.clone();
-                s.add_scaled(&level, -1.0);
-                s
-            })
-            .collect();
-        self.state = Some(SeasonState { trend: level.zero_like(), level, season, phase: 0 });
-        self.init_buffer.clear();
-    }
-}
-
-impl<S: Summary> Forecaster<S> for SeasonalHoltWinters<S> {
-    fn forecast(&self) -> Option<S> {
-        let state = self.state.as_ref()?;
+    init: &mut Vec<S>,
+    state: &mut Option<ShwParts<S>>,
+    observed: &S,
+    forecast_out: Option<&mut S>,
+    error_out: Option<&mut S>,
+) -> bool {
+    let Some(ShwParts { level, trend, season, phase }) = state else {
+        *state = collect_first_cycle(period, init, observed);
+        return false;
+    };
+    let [alpha, beta, gamma] = smoothing;
+    let keep = (1.0 - alpha, 1.0 - beta, 1.0 - gamma);
+    let tables = [level, trend, &mut season[*phase]];
+    step_cells(observed, [], tables, forecast_out, error_out, |o, [], [l, t, s]| {
         // forecast = level + trend + season for the upcoming phase.
-        let mut f = state.level.clone();
-        f.add_scaled(&state.trend, 1.0);
-        f.add_scaled(&state.season[state.phase], 1.0);
-        Some(f)
-    }
+        let mut forecast = *l;
+        forecast += 1.0 * *t;
+        forecast += 1.0 * *s;
+        let previous = *l;
+        // level' = α(x − season_old) + (1−α)(level + trend)
+        *l += 1.0 * *t;
+        *l *= keep.0;
+        *l += alpha * o;
+        *l += -alpha * *s;
+        // trend' = β(level' − level) + (1−β)trend
+        *t *= keep.1;
+        *t += beta * *l;
+        *t += -beta * previous;
+        // season' = γ(x − level') + (1−γ)season_old
+        *s *= keep.2;
+        *s += gamma * o;
+        *s += -gamma * *l;
+        forecast
+    });
+    *phase = (*phase + 1) % period;
+    true
+}
 
-    fn step_with(
-        &mut self,
-        observed: &S,
-        forecast_out: Option<&mut S>,
-        error_out: Option<&mut S>,
-    ) -> bool {
-        let Some(SeasonState { level, trend, season, phase }) = &mut self.state else {
-            self.collect_first_cycle(observed);
-            return false;
-        };
-        let (alpha, beta, gamma) = (self.alpha, self.beta, self.gamma);
-        let keep = (1.0 - alpha, 1.0 - beta, 1.0 - gamma);
-        let tables = [level, trend, &mut season[*phase]];
-        step_cells(observed, [], tables, forecast_out, error_out, |o, [], [l, t, s]| {
-            // forecast = level + trend + season for the upcoming phase.
-            let mut forecast = *l;
-            forecast += 1.0 * *t;
-            forecast += 1.0 * *s;
-            let previous = *l;
-            // level' = α(x − season_old) + (1−α)(level + trend)
-            *l += 1.0 * *t;
-            *l *= keep.0;
-            *l += alpha * o;
-            *l += -alpha * *s;
-            // trend' = β(level' − level) + (1−β)trend
-            *t *= keep.1;
-            *t += beta * *l;
-            *t += -beta * previous;
-            // season' = γ(x − level') + (1−γ)season_old
-            *s *= keep.2;
-            *s += gamma * o;
-            *s += -gamma * *l;
-            forecast
-        });
-        *phase = (*phase + 1) % self.period;
-        true
+/// Warm-up: buffers the first cycle and, once it is complete,
+/// initializes from it — level = cycle mean, trend = 0,
+/// season[i] = x_i − mean — emptying the buffer.
+fn collect_first_cycle<S: Summary>(
+    period: usize,
+    init: &mut Vec<S>,
+    observed: &S,
+) -> Option<ShwParts<S>> {
+    init.push(observed.clone());
+    if init.len() < period {
+        return None;
     }
-
-    fn warm_up(&self) -> usize {
-        self.period
+    let m = period as f64;
+    let mut level = observed.zero_like();
+    for x in init.iter() {
+        level.add_scaled(x, 1.0 / m);
     }
-
-    fn name(&self) -> &'static str {
-        "SHW"
-    }
-
-    fn snapshot_state(&self) -> ModelState<S> {
-        ModelState::Shw {
-            init: self.init_buffer.clone(),
-            state: self.state.as_ref().map(|s| ShwParts {
-                level: s.level.clone(),
-                trend: s.trend.clone(),
-                season: s.season.clone(),
-                phase: s.phase,
-            }),
-        }
-    }
+    let season: Vec<S> = std::mem::take(init)
+        .into_iter()
+        .map(|mut s| {
+            s.add_scaled(&level, -1.0);
+            s
+        })
+        .collect();
+    Some(ShwParts { trend: level.zero_like(), level, season, phase: 0 })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Forecaster, ModelSpec};
 
     #[test]
     fn warm_up_is_one_period() {
-        let mut m: SeasonalHoltWinters<f64> = SeasonalHoltWinters::new(0.5, 0.3, 0.4, 4);
+        let mut m: Forecaster<f64> =
+            ModelSpec::Shw { alpha: 0.5, beta: 0.3, gamma: 0.4, period: 4 }.build();
         for i in 0..4 {
             assert!(m.forecast().is_none(), "warm at step {i}");
             m.observe(&(10.0 + i as f64));
@@ -239,7 +127,8 @@ mod tests {
         // A strict period-4 signal with zero trend: after initialization,
         // forecasts should match the signal exactly, forever.
         let cycle = [100.0, 250.0, 80.0, 160.0];
-        let mut m: SeasonalHoltWinters<f64> = SeasonalHoltWinters::new(0.3, 0.2, 0.5, 4);
+        let mut m: Forecaster<f64> =
+            ModelSpec::Shw { alpha: 0.3, beta: 0.2, gamma: 0.5, period: 4 }.build();
         for t in 0..32 {
             let x = cycle[t % 4];
             if t >= 4 {
@@ -254,10 +143,10 @@ mod tests {
     fn seasonal_beats_nshw_on_cyclic_traffic() {
         // The motivation: on diurnal-like traffic, NSHW chases the cycle
         // while SHW learns it. Compare cumulative |error|.
-        use crate::NonSeasonalHoltWinters;
         let cycle = [100.0, 400.0, 900.0, 400.0];
-        let mut shw: SeasonalHoltWinters<f64> = SeasonalHoltWinters::new(0.3, 0.1, 0.6, 4);
-        let mut nshw: NonSeasonalHoltWinters<f64> = NonSeasonalHoltWinters::new(0.5, 0.2);
+        let mut shw: Forecaster<f64> =
+            ModelSpec::Shw { alpha: 0.3, beta: 0.1, gamma: 0.6, period: 4 }.build();
+        let mut nshw: Forecaster<f64> = ModelSpec::Nshw { alpha: 0.5, beta: 0.2 }.build();
         let (mut err_s, mut err_n) = (0.0, 0.0);
         for t in 0..40 {
             let x = cycle[t % 4] + (t as f64) * 2.0; // cycle + mild trend
@@ -279,7 +168,7 @@ mod tests {
         let xs: Vec<f64> = (0..14).map(|t| 50.0 + 20.0 * ((t % 3) as f64)).collect();
         let ys: Vec<f64> = (0..14).map(|t| 10.0 * ((t % 5) as f64) - 7.0).collect();
         let (ca, cb) = (2.0, -1.5);
-        let mk = || SeasonalHoltWinters::<f64>::new(0.4, 0.2, 0.3, 3);
+        let mk = || ModelSpec::Shw { alpha: 0.4, beta: 0.2, gamma: 0.3, period: 3 }.build::<f64>();
         let (mut ma, mut mb, mut mc) = (mk(), mk(), mk());
         for i in 0..14 {
             ma.observe(&xs[i]);
@@ -295,7 +184,8 @@ mod tests {
     fn runs_on_sketches() {
         use scd_sketch::{KarySketch, SketchConfig};
         let cfg = SketchConfig { h: 3, k: 512, seed: 8 };
-        let mut m: SeasonalHoltWinters<KarySketch> = SeasonalHoltWinters::new(0.4, 0.2, 0.5, 3);
+        let mut m: Forecaster<KarySketch> =
+            ModelSpec::Shw { alpha: 0.4, beta: 0.2, gamma: 0.5, period: 3 }.build();
         let cycle = [1_000.0, 5_000.0, 2_000.0];
         for t in 0..12 {
             let mut s = KarySketch::new(cfg);
@@ -316,12 +206,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "period must be at least 2")]
     fn short_period_rejected() {
-        let _: SeasonalHoltWinters<f64> = SeasonalHoltWinters::new(0.5, 0.5, 0.5, 1);
+        let _: Forecaster<f64> =
+            ModelSpec::Shw { alpha: 0.5, beta: 0.5, gamma: 0.5, period: 1 }.build();
     }
 
     #[test]
     #[should_panic(expected = "gamma must be in [0, 1]")]
     fn bad_gamma_rejected() {
-        let _: SeasonalHoltWinters<f64> = SeasonalHoltWinters::new(0.5, 0.5, 1.5, 4);
+        let _: Forecaster<f64> =
+            ModelSpec::Shw { alpha: 0.5, beta: 0.5, gamma: 1.5, period: 4 }.build();
     }
 }

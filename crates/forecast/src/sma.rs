@@ -18,20 +18,7 @@
 
 use crate::blocked::emit_reference;
 use crate::ma::step_window;
-use crate::state::{ModelState, StateError};
-use crate::{Forecaster, Summary};
-use std::collections::VecDeque;
-
-/// Weighted moving average: flat weights for the recent half of the window,
-/// linearly decaying weights for the older half.
-#[derive(Debug, Clone)]
-pub struct SShapedMovingAverage<S> {
-    window: usize,
-    /// Most-recent-last (push_back) history, at most `window` entries.
-    history: VecDeque<S>,
-    /// `sma_weight(age, window)` for every age, newest first.
-    weights: Vec<f64>,
-}
+use crate::Summary;
 
 /// Weight of the sample at `age` (0 = most recent) in a window of `w`.
 pub fn sma_weight(age: usize, w: usize) -> f64 {
@@ -44,94 +31,49 @@ pub fn sma_weight(age: usize, w: usize) -> f64 {
     }
 }
 
-impl<S: Summary> SShapedMovingAverage<S> {
-    /// Creates an SMA model with window `W ≥ 1`.
-    ///
-    /// # Panics
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window >= 1, "SMA window must be at least 1");
-        let weights = (0..window).map(|age| sma_weight(age, window)).collect();
-        SShapedMovingAverage { window, history: VecDeque::with_capacity(window), weights }
+/// `forecast()` over [`ModelState::Sma`](crate::ModelState::Sma)'s
+/// history: during ramp-up, the weight schedule of the *effective* window
+/// (the number of samples actually held).
+pub(crate) fn forecast<S: Summary>(history: &[S]) -> Option<S> {
+    let w = history.len();
+    let mut total_weight = 0.0;
+    let mut out = history.first()?.zero_like();
+    for (age, s) in history.iter().rev().enumerate() {
+        let weight = sma_weight(age, w);
+        out.add_scaled(s, weight);
+        total_weight += weight;
     }
-
-    /// The configured window `W`.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Rebuilds the model from checkpointed state.
-    pub fn resume(window: usize, history: Vec<S>) -> Result<Self, StateError> {
-        if window == 0 {
-            return Err(StateError::InvalidShape("SMA window must be at least 1".into()));
-        }
-        if history.len() > window {
-            return Err(StateError::InvalidShape(format!(
-                "SMA history of {} exceeds window {window}",
-                history.len()
-            )));
-        }
-        let mut m = SShapedMovingAverage::new(window);
-        m.history = history.into();
-        Ok(m)
-    }
+    out.scale(1.0 / total_weight);
+    Some(out)
 }
 
-impl<S: Summary> Forecaster<S> for SShapedMovingAverage<S> {
-    fn forecast(&self) -> Option<S> {
-        if self.history.is_empty() {
-            return None;
-        }
-        // During ramp-up, apply the weight schedule of the *effective*
-        // window (the number of samples actually held).
-        let w = self.history.len();
-        let mut total_weight = 0.0;
-        let mut out = self.history[0].zero_like();
-        for (age, s) in self.history.iter().rev().enumerate() {
-            let weight = sma_weight(age, w);
-            out.add_scaled(s, weight);
-            total_weight += weight;
-        }
-        out.scale(1.0 / total_weight);
-        Some(out)
+/// The step over [`ModelState::Sma`](crate::ModelState::Sma): while the
+/// ring is still filling, the reference path, which grows it; once full,
+/// [`step_window`] over `weights`, `sma_weight` for every age newest first.
+pub(crate) fn step<S: Summary>(
+    window: usize,
+    weights: &[f64],
+    history: &mut Vec<S>,
+    observed: &S,
+    forecast_out: Option<&mut S>,
+    error_out: Option<&mut S>,
+) -> bool {
+    if history.len() < window {
+        let warmed = emit_reference(forecast(history).as_ref(), observed, forecast_out, error_out);
+        history.push(observed.clone());
+        return warmed;
     }
-
-    fn step_with(
-        &mut self,
-        observed: &S,
-        forecast_out: Option<&mut S>,
-        error_out: Option<&mut S>,
-    ) -> bool {
-        if self.history.len() < self.window {
-            // The ring is still filling: the reference path, which grows it.
-            let forecast = self.forecast();
-            let warmed = emit_reference(forecast.as_ref(), observed, forecast_out, error_out);
-            self.history.push_back(observed.clone());
-            return warmed;
-        }
-        // Accumulated newest-first, as `forecast()` accumulates it.
-        let total_weight: f64 = self.weights.iter().fold(0.0, |total, w| total + w);
-        let (ring, scale) = (&mut self.history, Some(1.0 / total_weight));
-        step_window(ring, &self.weights, true, scale, observed, forecast_out, error_out);
-        true
-    }
-
-    fn warm_up(&self) -> usize {
-        1
-    }
-
-    fn name(&self) -> &'static str {
-        "SMA"
-    }
-
-    fn snapshot_state(&self) -> ModelState<S> {
-        ModelState::Sma { history: self.history.iter().cloned().collect() }
-    }
+    // Accumulated newest-first, as `forecast()` accumulates it.
+    let total_weight: f64 = weights.iter().fold(0.0, |total, w| total + w);
+    let scale = Some(1.0 / total_weight);
+    step_window(history, weights, true, scale, observed, forecast_out, error_out);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Forecaster, ModelSpec};
 
     #[test]
     fn tfrc_weight_schedule_for_w8() {
@@ -156,8 +98,8 @@ mod tests {
     fn weights_emphasize_recent_samples() {
         // A spike in the most recent sample must move the forecast more
         // than the same spike in the oldest sample.
-        let mut recent_spike: SShapedMovingAverage<f64> = SShapedMovingAverage::new(6);
-        let mut old_spike: SShapedMovingAverage<f64> = SShapedMovingAverage::new(6);
+        let mut recent_spike: Forecaster<f64> = ModelSpec::Sma { window: 6 }.build();
+        let mut old_spike: Forecaster<f64> = ModelSpec::Sma { window: 6 }.build();
         for i in 0..6 {
             recent_spike.observe(&(if i == 5 { 100.0 } else { 0.0 }));
             old_spike.observe(&(if i == 0 { 100.0 } else { 0.0 }));
@@ -167,7 +109,7 @@ mod tests {
 
     #[test]
     fn window_one_is_last_value() {
-        let mut m: SShapedMovingAverage<f64> = SShapedMovingAverage::new(1);
+        let mut m: Forecaster<f64> = ModelSpec::Sma { window: 1 }.build();
         m.observe(&3.0);
         m.observe(&8.0);
         assert_eq!(m.forecast(), Some(8.0));
@@ -176,7 +118,7 @@ mod tests {
     #[test]
     fn constant_stream_forecasts_the_constant() {
         // Weights normalize, so any weighting of a constant returns it.
-        let mut m: SShapedMovingAverage<f64> = SShapedMovingAverage::new(7);
+        let mut m: Forecaster<f64> = ModelSpec::Sma { window: 7 }.build();
         for _ in 0..10 {
             m.observe(&42.0);
         }
@@ -186,7 +128,7 @@ mod tests {
     #[test]
     fn matches_manual_weighted_average() {
         let samples = [10.0, 20.0, 30.0, 40.0]; // oldest..newest
-        let mut m: SShapedMovingAverage<f64> = SShapedMovingAverage::new(4);
+        let mut m: Forecaster<f64> = ModelSpec::Sma { window: 4 }.build();
         for s in samples {
             m.observe(&s);
         }
@@ -199,6 +141,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_window_rejected() {
-        let _: SShapedMovingAverage<f64> = SShapedMovingAverage::new(0);
+        let _: Forecaster<f64> = ModelSpec::Sma { window: 0 }.build();
     }
 }

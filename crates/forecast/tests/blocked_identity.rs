@@ -9,7 +9,7 @@
 //!   `Summary` operations, allocating), `Se = So − Sf`, then `observe()` —
 //!   against a second model that takes `observe`, `step_into` and
 //!   `step_error_into` steps in a random interleaving: same outputs, same
-//!   `snapshot_state()` after every step, outputs untouched when there is
+//!   `state()` after every step, outputs untouched when there is
 //!   no forecast yet;
 //! * **one scalar model per cell** — every operation of every model is
 //!   elementwise, so a model over an `n`-cell table must equal `n`
@@ -74,7 +74,7 @@ impl Summary for Flat {
     }
 }
 
-type Model<S> = Box<dyn Forecaster<S> + Send>;
+type Model<S> = Forecaster<S>;
 
 /// All seven model kinds: MA / SMA windows 1, 2, 5; EWMA (its two
 /// degenerate constants included); NSHW; SHW periods 2 and 3; every ARIMA
@@ -188,7 +188,7 @@ fn assert_same_state<S: Summary>(what: &str, got: &ModelState<S>, want: &ModelSt
 fn assert_cell_state<S: Summary>(what: &str, state: &ModelState<S>, twins: &[Model<f64>]) {
     let (parts, numbers) = flatten(state);
     for (i, twin) in twins.iter().enumerate() {
-        let twin_state = twin.snapshot_state();
+        let twin_state = twin.state().clone();
         let (twin_parts, twin_numbers) = flatten(&twin_state);
         assert_eq!(numbers, twin_numbers, "{what}: state shape vs the scalar model of cell {i}");
         assert_eq!(parts.len(), twin_parts.len(), "{what}: summaries held, cell {i}");
@@ -260,8 +260,8 @@ fn check<S: Summary + Send + 'static>(spec: &ModelSpec, proto: &S, seed: u64) {
                 assert_untouched(&format!("{what}: Se written without a forecast"), &error_out);
             }
         }
-        let state = blocked.snapshot_state();
-        assert_same_state(&what, &state, &reference.snapshot_state());
+        let state = blocked.state().clone();
+        assert_same_state(&what, &state, reference.state());
 
         // One scalar model per cell.
         for (i, twin) in twins.iter_mut().enumerate() {

@@ -51,9 +51,9 @@ fn sketched_forecast_equals_sketch_of_scalar_forecasts() {
 
     for spec in all_specs() {
         // Sketch-space model.
-        let mut sketch_model: Box<dyn Forecaster<KarySketch> + Send> = spec.build();
+        let mut sketch_model: Forecaster<KarySketch> = spec.build();
         // One scalar model per flow.
-        let mut scalar_models: HashMap<u64, Box<dyn Forecaster<f64> + Send>> = HashMap::new();
+        let mut scalar_models: HashMap<u64, Forecaster<f64>> = HashMap::new();
 
         for interval in &intervals {
             // Forecasts before observing this interval.
@@ -108,8 +108,8 @@ fn error_sketch_matches_scalar_errors() {
     let intervals = synthetic_intervals(8);
     let spec = ModelSpec::Ewma { alpha: 0.5 };
 
-    let mut sketch_model: Box<dyn Forecaster<KarySketch> + Send> = spec.build();
-    let mut scalar_models: HashMap<u64, Box<dyn Forecaster<f64> + Send>> = HashMap::new();
+    let mut sketch_model: Forecaster<KarySketch> = spec.build();
+    let mut scalar_models: HashMap<u64, Forecaster<f64>> = HashMap::new();
 
     for interval in &intervals {
         let mut observed = KarySketch::new(CFG);
@@ -143,10 +143,10 @@ fn error_sketch_matches_scalar_errors() {
 #[test]
 fn summary_trait_object_composition() {
     // The detection pipeline treats models as trait objects over sketches;
-    // make sure Box<dyn Forecaster<KarySketch> + Send> supports the linear ops the
+    // make sure Forecaster<KarySketch> supports the linear ops the
     // pipeline needs end-to-end.
     let spec = ModelSpec::Nshw { alpha: 0.4, beta: 0.2 };
-    let mut model: Box<dyn Forecaster<KarySketch> + Send> = spec.build();
+    let mut model: Forecaster<KarySketch> = spec.build();
     for t in 0..6 {
         let mut s = KarySketch::new(CFG);
         s.update(1, 100.0 + 10.0 * t as f64);

@@ -42,9 +42,9 @@ fn models_are_linear() {
         let c1 = uniform(&mut rng, -3.0, 3.0);
         let c2 = uniform(&mut rng, -3.0, 3.0);
         let n = xs.len().min(ys.len());
-        let mut mx: Box<dyn Forecaster<f64> + Send> = spec.build();
-        let mut my: Box<dyn Forecaster<f64> + Send> = spec.build();
-        let mut mz: Box<dyn Forecaster<f64> + Send> = spec.build();
+        let mut mx: Forecaster<f64> = spec.build();
+        let mut my: Forecaster<f64> = spec.build();
+        let mut mz: Forecaster<f64> = spec.build();
         for i in 0..n {
             mx.observe(&xs[i]);
             my.observe(&ys[i]);
@@ -74,7 +74,7 @@ fn forecasts_stay_finite() {
     for _ in 0..CASES {
         let spec = random_spec(&mut rng);
         let xs = random_stream(&mut rng);
-        let mut m: Box<dyn Forecaster<f64> + Send> = spec.build();
+        let mut m: Forecaster<f64> = spec.build();
         for x in &xs {
             m.observe(x);
             if let Some(f) = m.forecast() {
@@ -92,7 +92,7 @@ fn warm_up_contract() {
     for _ in 0..CASES {
         let spec = random_spec(&mut rng);
         let xs = random_stream(&mut rng);
-        let mut m: Box<dyn Forecaster<f64> + Send> = spec.build();
+        let mut m: Forecaster<f64> = spec.build();
         let warm = m.warm_up();
         for (i, x) in xs.iter().enumerate() {
             let expected_ready = i >= warm;
@@ -125,7 +125,7 @@ fn smoothing_models_track_constants() {
             ModelSpec::Nshw { alpha, beta },
         ];
         for spec in specs {
-            let mut m: Box<dyn Forecaster<f64> + Send> = spec.build();
+            let mut m: Forecaster<f64> = spec.build();
             for _ in 0..200 {
                 m.observe(&level);
             }
@@ -146,7 +146,7 @@ fn step_error_identity() {
     for _ in 0..CASES {
         let spec = random_spec(&mut rng);
         let xs = random_stream(&mut rng);
-        let mut m: Box<dyn Forecaster<f64> + Send> = spec.build();
+        let mut m: Forecaster<f64> = spec.build();
         for x in &xs {
             let pre = m.forecast();
             let stepped = m.step(x);
@@ -173,11 +173,11 @@ fn snapshot_restore_round_trip() {
         let spec = random_spec(&mut rng);
         let xs = random_stream(&mut rng);
         let cut = rng.next_below(xs.len() as u64 + 1) as usize;
-        let mut original: Box<dyn Forecaster<f64> + Send> = spec.build();
+        let mut original: Forecaster<f64> = spec.build();
         for x in &xs[..cut] {
             original.observe(x);
         }
-        let mut restored = spec.restore(original.snapshot_state()).expect("restore");
+        let mut restored = spec.restore(original.state().clone()).expect("restore");
         for x in &xs[cut..] {
             assert_eq!(
                 original.forecast().map(f64::to_bits),

@@ -177,13 +177,13 @@ fn steady_steps_follow_the_recursion() {
                 twin.observe(&o);
             }
         }
-        let mut states: Vec<_> = twins.iter().map(|twin| twin.snapshot_state()).collect();
+        let mut states: Vec<_> = twins.iter().map(|twin| twin.state().clone()).collect();
         let (mut f, mut e) = (proto.zero_like(), proto.zero_like());
         for t in WARM..WARM + 32 {
             let what = format!("{} at interval {t}", spec.describe());
             fill(t, &mut observed);
             assert!(model.step_into(&observed, &mut f, &mut e), "{what}: warm");
-            let snapshot = model.snapshot_state();
+            let snapshot = model.state().clone();
             for (i, state) in states.iter_mut().enumerate() {
                 let o = observed.cells()[i];
                 let want = reference_step(spec, state, o);

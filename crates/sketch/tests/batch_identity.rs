@@ -9,6 +9,7 @@
 //! both hash sub-domains (32-bit tabulation path and 64-bit polynomial
 //! path). The engine's bit-identical-reports guarantee rests on this.
 
+use scd_bench::{CountMinSketch, CountSketch};
 use scd_hash::SplitMix64;
 use scd_sketch::{BatchScratch, Deltoid, DeltoidConfig, KarySketch, SketchConfig};
 
@@ -69,6 +70,60 @@ fn kary_update_batch_is_bit_identical() {
 
             assert_eq!(serial.table(), batched.table(), "H={h} case {case}");
         }
+    }
+}
+
+#[test]
+fn countmin_update_batch_is_bit_identical() {
+    let mut rng = SplitMix64::new(0xC0117);
+    for &h in &PAPER_H {
+        let items = stream(&mut rng, 300, false); // cash-register: non-negative
+        let seed = 0xC0DE ^ h as u64;
+        let mut serial = CountMinSketch::new(h, 128, seed);
+        for &(key, v) in &items {
+            serial.update(key, v);
+        }
+        let mut batched = CountMinSketch::new(h, 128, seed);
+        let mut scratch = scd_bench::BatchScratch::new();
+        for batch in random_batches(&mut rng, &items) {
+            batched.update_batch(batch, &mut scratch);
+        }
+        // CountMinSketch exposes no raw table; estimates are pure functions
+        // of the table, so exact `==` over a dense probe set plus the row-0
+        // sum pins every cell a query can see.
+        for key in (0..2_000u64).chain(items.iter().map(|&(k, _)| k)) {
+            assert!(serial.estimate(key) == batched.estimate(key), "H={h} key {key}");
+        }
+        assert!(serial.sum() == batched.sum(), "H={h} sum");
+    }
+}
+
+#[test]
+fn countsketch_update_batch_is_bit_identical() {
+    let mut rng = SplitMix64::new(0x5167);
+    for &h in &PAPER_H {
+        let items = stream(&mut rng, 300, true);
+        let mut serial = CountSketch::new(h, 128, 0xC5 ^ h as u64);
+        for &(key, v) in &items {
+            serial.update(key, v);
+        }
+        let mut batched = CountSketch::new(h, 128, 0xC5 ^ h as u64);
+        let mut scratch = scd_bench::BatchScratch::new();
+        for batch in random_batches(&mut rng, &items) {
+            batched.update_batch(batch, &mut scratch);
+        }
+        // Same probe-based comparison: estimates and F2 are pure functions
+        // of the table, and exact equality of both across 2000 probes pins
+        // bit-identity for the cells that matter.
+        for key in (0..2_000u64).chain(items.iter().map(|&(k, _)| k)) {
+            assert!(
+                serial.estimate(key) == batched.estimate(key),
+                "H={h} key {key}: {} vs {}",
+                serial.estimate(key),
+                batched.estimate(key)
+            );
+        }
+        assert!(serial.estimate_f2() == batched.estimate_f2(), "H={h} F2");
     }
 }
 

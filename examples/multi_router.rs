@@ -44,9 +44,9 @@ fn main() {
 
     // One sketch-space forecaster per router + one for the aggregate.
     let model = ModelSpec::Ewma { alpha: 0.5 };
-    let mut router_models: Vec<Box<dyn Forecaster<KarySketch> + Send>> =
+    let mut router_models: Vec<Forecaster<KarySketch>> =
         (0..ROUTERS).map(|_| model.build()).collect();
-    let mut aggregate_model: Box<dyn Forecaster<KarySketch> + Send> = model.build();
+    let mut aggregate_model: Forecaster<KarySketch> = model.build();
     let threshold_t = 0.18;
 
     println!("distributed attack on 10.99.0.1 through {ROUTERS} routers from t={ATTACK_START}");

@@ -76,6 +76,24 @@ pub fn plain_checkpoint() -> Checkpoint {
     }
 }
 
+/// [`plain_checkpoint`]'s fixture under `model`, cut after `intervals`
+/// intervals.
+pub fn model_checkpoint(model: ModelSpec, intervals: u64) -> Checkpoint {
+    let config = DetectorConfig { model, ..checkpoint_config() };
+    let mut det = SketchChangeDetector::new(config.clone());
+    for t in 0..intervals {
+        det.process_interval(&items(t));
+    }
+    Checkpoint {
+        config,
+        snapshot: det.snapshot(),
+        next_interval: Some(intervals),
+        processed: 40 * intervals,
+        staggered: None,
+        glr: None,
+    }
+}
+
 /// [`plain_checkpoint`] plus a GLR layer caught mid-slot with a
 /// provisional alarm queued.
 pub fn v2_checkpoint() -> Checkpoint {

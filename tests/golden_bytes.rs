@@ -88,6 +88,50 @@ fn plain_checkpoint_is_the_old_body_plus_two_zero_flags() {
     assert!(back.staggered.is_none() && back.glr.is_none());
 }
 
+/// The checkpoint of every model family the grid search tunes, cut once
+/// while a ring or warm-up buffer is still filling (after 2 intervals: MA's
+/// window of 5, SMA's of 4, ARIMA1's three observations and SHW's first
+/// period of 4 are not yet full) and once in steady state (after 9). The
+/// digests were recorded from the writer while each model still kept its
+/// state in private fields and copied it out to checkpoint: holding the
+/// state once moved no byte.
+#[test]
+fn every_model_checkpoint_is_golden() {
+    let models = [
+        "ma:5",
+        "sma:4",
+        "ewma:0.5",
+        "nshw:0.6:0.2",
+        "arima0:0.7,-0.1/0.3,0.1",
+        "arima1:0.5,0.2/0.3",
+        "shw:0.3:0.1:0.5:4",
+    ];
+    let mut got = Vec::new();
+    for model in models {
+        for cut in [2, 9] {
+            let spec = sketch_change::forecast::ModelSpec::parse(model).unwrap();
+            got.push((model, cut, digest(&model_checkpoint(spec, cut).to_bytes())));
+        }
+    }
+    let want = [
+        ("ma:5", 2, (12_466, 0xDDD7_797A_091C_ECAE)),
+        ("ma:5", 9, (31_030, 0x576B_E696_63FF_A870)),
+        ("sma:4", 2, (12_467, 0x6ED4_ECBA_7989_696F)),
+        ("sma:4", 9, (24_843, 0x42F2_B52B_5D29_1F91)),
+        ("ewma:0.5", 2, (6_275, 0x6A10_DFB9_A7A5_C493)),
+        ("ewma:0.5", 9, (6_275, 0xB9AC_57D8_B1E4_D9A9)),
+        ("nshw:0.6:0.2", 2, (18_656, 0x0468_E4E7_B530_BDD0)),
+        ("nshw:0.6:0.2", 9, (18_656, 0xE59F_BCE6_A8C2_8273)),
+        ("arima0:0.7,-0.1/0.3,0.1", 2, (24_877, 0x21F1_4DF2_90A4_B949)),
+        ("arima0:0.7,-0.1/0.3,0.1", 9, (24_877, 0x799E_59ED_6CAB_4391)),
+        ("arima1:0.5,0.2/0.3", 2, (18_684, 0xDD63_5108_1176_651D)),
+        ("arima1:0.5,0.2/0.3", 9, (24_872, 0x3763_E908_BA92_6841)),
+        ("shw:0.3:0.1:0.5:4", 2, (12_480, 0x646B_353D_17D8_D64B)),
+        ("shw:0.3:0.1:0.5:4", 9, (37_248, 0xCE5F_CCBC_EB8D_1FA5)),
+    ];
+    assert_eq!(got, want, "SCDCKPT2 per model family");
+}
+
 /// The staggered-lane flag is always written 0: a body that sets it, under
 /// a valid checksum, is refused as malformed rather than decoded.
 #[test]
